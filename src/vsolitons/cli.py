@@ -5,8 +5,8 @@ Every run consumes one JSON config and writes a deterministic report.json
 Identical config and seed reproduce byte-identical artifacts; wall-clock
 timings are printed to the console only, never serialized.
 
-Exit codes: 0 all checks passed, 1 configuration or validation error,
-2 at least one check failed.
+Exit codes: 0 all checks passed, 1 configuration, validation or sampling
+error, 2 at least one check failed.
 """
 
 from __future__ import annotations
@@ -304,21 +304,20 @@ def _check(
 
 
 def export_grid(grid: FieldGrid, path) -> None:
-    """CSV export: header x,t,re_1,im_1,...; rows ordered by t, then x."""
-    path = Path(path)
-    comps = grid.n
-    header = "x,t," + ",".join(f"re_{c+1},im_{c+1}" for c in range(comps))
-    lines = [header]
-    xs, ts = grid.xs, grid.ts
-    for it in range(grid.nt):
-        for ix in range(grid.nx):
-            val = grid.values[ix, it]
-            cells = [repr(float(xs[ix])), repr(float(ts[it]))]
-            for c in range(comps):
-                cells.append(repr(float(val[c].real)))
-                cells.append(repr(float(val[c].imag)))
-            lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """CSV export: header x,t,re_1,im_1,...; rows ordered by t, then x.
+
+    Every number is repr(float), the shortest string that reads back as the
+    same double.  Rows are formatted and written one t-slice at a time.
+    """
+    header = "x,t," + ",".join(f"re_{c+1},im_{c+1}" for c in range(grid.n))
+    xs = list(map(repr, grid.xs.tolist()))
+    # (nt, nx, 2n) doubles: each row is re_1, im_1, ..., re_n, im_n
+    slices = grid.values.transpose(1, 0, 2).copy().view(np.float64)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        for t, rows in zip(map(repr, grid.ts.tolist()), slices):
+            out.write("".join([",".join([x, t, *map(repr, row)]) + "\n"
+                               for x, row in zip(xs, rows.tolist())]))
 
 
 def _write_json(path: Path, doc: dict) -> None:

@@ -141,11 +141,6 @@ def eval_chain(chain: ReducedChain, k: complex) -> np.ndarray:
     return out
 
 
-def chain_dagger_matrix(chain: ReducedChain, k: complex) -> np.ndarray:
-    """d^dag at k: the conjugate transpose of the evaluated chain."""
-    return eval_chain(chain, k).conj().T
-
-
 def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Stabilized seed exp(-i phi(x,t,k*) Sigma3) (beta; -1), scaled projectively.
 

@@ -27,3 +27,7 @@ class DegeneracyError(VsolitonsError):
 
 class WindowError(VsolitonsError):
     """A peak search failed to locate an interior maximum in its window."""
+
+
+class SamplingError(VsolitonsError):
+    """A seeded draw found no admissible configuration within its retry budget."""

@@ -13,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import SamplingError
 from .soldata import (
     Mixed,
     NormingVector,
@@ -71,7 +72,7 @@ def random_norming_vector(
         if np.linalg.norm(vec) > 1e-6:
             return NormingVector(vec)
         _count(log)
-    raise RuntimeError("could not draw a usable norming vector")
+    raise SamplingError("could not draw a usable norming vector")
 
 
 def random_polarization(rng: np.random.Generator, n: int) -> Polarization:
@@ -92,7 +93,7 @@ def random_soliton_data(
             break
         _count(log)
     else:
-        raise RuntimeError("could not draw separated velocities")
+        raise SamplingError("could not draw separated velocities")
     points = tuple(
         (
             SpectralPoint(u, rng.uniform(*V_RANGE)),
@@ -117,7 +118,7 @@ def random_signs(rng: np.random.Generator, n: int, proper: bool = True) -> tuple
         signs = tuple(1 if rng.random() < 0.5 else -1 for _ in range(n))
         if n == 1 or not proper or len(set(signs)) == 2:
             return signs
-    raise RuntimeError("could not draw a proper sign pattern")
+    raise SamplingError("could not draw a proper sign pattern")
 
 
 def random_boundary(rng: np.random.Generator, kind: str, n: int):
@@ -153,4 +154,4 @@ def random_map_parameters(
         if _pairs_safe(ks, mirrored):
             return ks
         _count(log)
-    raise RuntimeError("could not draw pole-safe parameters")
+    raise SamplingError("could not draw pole-safe parameters")

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vsolitons import NormingVector, SolitonData, SpectralPoint, one_soliton_field
-from vsolitons.cli import main, parse_run_config
+from vsolitons.cli import export_grid, main, parse_run_config
 from vsolitons.config import (
     dataset_digest,
     halfline_to_json,
@@ -125,6 +126,15 @@ class TestExitCodes:
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_sampling_failure_is_one(self, tmp_path, capsys):
+        # 40 velocities cannot be drawn with the minimum separation
+        cfg = write_config(
+            tmp_path, {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 40}}
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "separated velocities" in err
+
 
 class TestSimulateMode:
     def test_csv_matches_closed_form(self, tmp_path):
@@ -151,8 +161,6 @@ class TestSimulateMode:
 
     def test_zero_tail_grid_export_shape(self, tmp_path):
         grid = FieldGrid(0, 1, 0, 1, 5, 5, np.zeros((5, 5, 2), complex))
-        from vsolitons.cli import export_grid
-
         export_grid(grid, tmp_path / "g.csv")
         lines = (tmp_path / "g.csv").read_text().strip().split("\n")
         assert len(lines) == 26
@@ -172,6 +180,75 @@ class TestSimulateMode:
         data = parse_soliton_data(ONE_SOLITON)
         assert manifest["dataset_digest"] == dataset_digest(soliton_data_to_json(data))
         assert manifest["tool"] == "vsolitons"
+
+
+def _reference_export(grid: FieldGrid, path) -> None:
+    """Per-cell CSV writer: the byte-identity reference for export_grid."""
+    path = Path(path)
+    comps = grid.n
+    header = "x,t," + ",".join(f"re_{c+1},im_{c+1}" for c in range(comps))
+    lines = [header]
+    xs, ts = grid.xs, grid.ts
+    for it in range(grid.nt):
+        for ix in range(grid.nx):
+            val = grid.values[ix, it]
+            cells = [repr(float(xs[ix])), repr(float(ts[it]))]
+            for c in range(comps):
+                cells.append(repr(float(val[c].real)))
+                cells.append(repr(float(val[c].imag)))
+            lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+#: Zeros of both signs, both sides of repr's switches to exponent notation
+#: (below 1e-4 and at 1e16), the extreme doubles, and the non-finite values.
+PLANTED = [0.0, -0.0, 1e-05, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+           5e-324, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+
+
+def _seeded_grid(seed: int, n: int, nx: int, nt: int) -> FieldGrid:
+    rng = np.random.default_rng(seed)
+    x0, t0 = rng.uniform(-10, 0, 2)
+    shape = (nx, nt, n)
+    scale = 10.0 ** rng.integers(-30, 30, shape)
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    flat = values.view(np.float64).reshape(-1)
+    spots = rng.choice(flat.size, 2 * len(PLANTED), replace=False)
+    flat[spots] = PLANTED + [-v for v in PLANTED]
+    return FieldGrid(x0, x0 + rng.uniform(0.5, 12), t0, t0 + rng.uniform(0.5, 3), nx, nt,
+                     values)
+
+
+class TestGridExportBytes:
+    """export_grid writes exactly the bytes of the per-cell reference writer."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_seeded_grids(self, tmp_path, n):
+        for seed, (nx, nt) in enumerate([(7, 5), (5, 9), (121, 41)]):
+            grid = _seeded_grid(100 * n + seed, n, nx, nt)
+            export_grid(grid, tmp_path / "new.csv")
+            _reference_export(grid, tmp_path / "ref.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "ref.csv").read_bytes()
+            for token in ("nan", "inf", "-inf", "-0.0", "1e-05", "9.999999999999999e-05",
+                          "1e+16", "9999999999999998.0", "5e-324", "1.7976931348623157e+308"):
+                assert f",{token},".encode() in new or f",{token}\n".encode() in new
+
+    @pytest.mark.parametrize("mode", ["simulate", "mirror"])
+    def test_cli_grids(self, tmp_path, monkeypatch, mode):
+        doc = json.loads((Path(__file__).parent.parent / "configs" / f"{mode}.json").read_text())
+        grids = []
+
+        def recording_export(grid, path):
+            grids.append(grid)
+            export_grid(grid, path)
+
+        monkeypatch.setattr("vsolitons.cli.export_grid", recording_export)
+        out = tmp_path / "o"
+        assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(grids) == 1
+        _reference_export(grids[0], tmp_path / "ref.csv")
+        assert (out / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDeterminism:
