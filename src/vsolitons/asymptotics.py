@@ -16,7 +16,7 @@ import numpy as np
 
 from .dressing import _blaschke, _dagger_apply, build_reduced_chain, one_soliton_field
 from .errors import ValidationError
-from .soldata import NormingVector, SolitonData, validate
+from .soldata import NormingVector, SolitonData
 
 
 def check_velocity_ordered(data: SolitonData) -> None:
@@ -67,7 +67,6 @@ def intermediate_gamma(j: int, spectators, data: SolitonData) -> np.ndarray:
     The product runs over the complement set; the chain is built on the
     spectator indices (any order gives the same degree factor).
     """
-    validate(data)
     j = int(j)
     sp = _spectator_tuple(j, spectators, data.N)
     point, nv = data.points[j]

@@ -146,6 +146,7 @@ class ReportDocument:
     config_echo: dict
     checks: List[ReportCheck] = field(default_factory=list)
     resamples: int = 0
+    clock: Optional[float] = None  # end of the last timed step; console only
 
     @property
     def passed(self) -> bool:
@@ -290,12 +291,15 @@ def _check(
     tolerance: Optional[float] = None,
     comparison: str = "<=",
     informational: bool = False,
-    elapsed: float = 0.0,
 ) -> ReportCheck:
     tol = tolerance
     if tol is None and not informational:
         tol = _tol(cfg, name, family)
-    chk = ReportCheck(name, float(residual), tol, family, comparison, informational, elapsed)
+    chk = ReportCheck(name, float(residual), tol, family, comparison, informational)
+    if report.clock is not None:
+        # a check's time runs from the suite start or the previous check
+        now = time.perf_counter()
+        chk.elapsed, report.clock = now - report.clock, now
     report.checks.append(chk)
     return chk
 
@@ -360,12 +364,14 @@ def _suite_determinant(cfg: RunConfig, rng, report: ReportDocument, log: SampleL
         N = 2 + i % 3
         data = random_soliton_data(rng, N, 2 + i % 2, log=log)
         chain = build_reduced_chain(data)
+        ks = []
         for _ in range(20):
             k = complex(rng.uniform(-3, 3), rng.uniform(0, 2.5))
             if any(abs(k - kk.conjugate()) < 1e-6 for kk in data.ks):
                 log.resamples += 1
                 continue
-            det = np.linalg.det(eval_chain(chain, k))
+            ks.append(k)
+        for k, det in zip(ks, np.linalg.det(eval_chain(chain, ks))):
             prod = np.prod([blaschke_factor(pt, k) for pt, _ in data.points])
             worst = max(worst, abs(det - prod) / abs(prod))
     _check(report, cfg, "determinant-blaschke-product", worst, family="involution")
@@ -379,6 +385,9 @@ def _suite_permutation(cfg: RunConfig, rng, report: ReportDocument, log: SampleL
     reference = tuple(range(N))
     for _ in range(samples):
         data = random_soliton_data(rng, N, n, log=log)
+        # checked after the draw: an N past the sampler's reach is a SamplingError
+        if not 2 <= N <= 6:
+            raise ConfigError(f"suite.N: the permutation suite needs 2 <= N <= 6, got {N}")
         ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
         xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
         for order in itertools.permutations(range(N)):
@@ -740,10 +749,8 @@ def run_property_suite(cfg: RunConfig) -> ReportDocument:
     log = SampleLog()
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     if cfg.samples != 0:
-        started = time.perf_counter()
+        report.clock = time.perf_counter()
         _SUITES[cfg.suite_name](cfg, rng, report, log)
-        if report.checks:
-            report.checks[-1].elapsed = time.perf_counter() - started
     report.resamples = log.resamples
     return report
 

@@ -143,21 +143,24 @@ def boundary_residual(hl: HalfLineData, times: Sequence[float], h: float = 0.005
     return res
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """Golden-section maximizer on [a, b] to absolute position tolerance xtol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
+#: Points per bracket-zoom round of the envelope-peak refinement.
+ZOOM_POINTS = 33
+
+
+def _zoom_max(data: SolitonData, t: float, a: float, b: float, xtol: float) -> float:
+    """Envelope maximizer on [a, b] by bracket zoom to position tolerance xtol.
+
+    Each round samples ZOOM_POINTS points in one field call and keeps the two
+    neighbours of the maximum; it stops once the bracket is within xtol or
+    stops shrinking (float spacing at large |x|).
+    """
+    while b - a > xtol:
+        xs = np.linspace(a, b, ZOOM_POINTS)
+        i = int(np.argmax(np.linalg.norm(reconstruct_field(data, xs, t), axis=-1)))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, ZOOM_POINTS - 1)]
+        if hi - lo >= b - a:
+            break
+        a, b = lo, hi
     return 0.5 * (a + b)
 
 
@@ -171,8 +174,8 @@ def extract_asymptotic_polarization(
     """Polarization and envelope peak position of soliton j at large |t|.
 
     Scans the field along x around the ballistic position w_j * t (coarse
-    spacing ~ 1/(10 v_j)), then refines the envelope maximum by golden
-    section to 1e-10 and reads the component ratios at the refined peak.
+    spacing ~ 1/(10 v_j)), then refines the envelope maximum by bracket zoom
+    (`_zoom_max`) to 1e-10 and reads the component ratios at the refined peak.
     """
     j = int(j)
     point = data.points[j][0]
@@ -203,11 +206,7 @@ def extract_asymptotic_polarization(
         raise WindowError(
             f"envelope peak of soliton {j} not interior to the scan window at t={t}"
         )
-
-    def envelope(x: float) -> float:
-        return float(np.linalg.norm(reconstruct_field(data, x, float(t))))
-
-    peak = _golden_max(envelope, xs[imax - 1], xs[imax + 1], 1e-10)
+    peak = _zoom_max(data, float(t), xs[imax - 1], xs[imax + 1], 1e-10)
     return Polarization(reconstruct_field(data, peak, float(t))), float(peak)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vsolitons import NormingVector, SolitonData, SpectralPoint, one_soliton_field
-from vsolitons.cli import export_grid, main, parse_run_config
+from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
     halfline_to_json,
@@ -316,6 +316,31 @@ class TestSuites:
         )
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("N", [0, 1, 7, 9])
+    def test_permutation_order_count_bounded(self, tmp_path, capsys, N):
+        # N < 2 has no second order to compare; N = 9 would enumerate 9! orders
+        cfg = write_config(
+            tmp_path, {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": N}}
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "suite.N" in capsys.readouterr().err
+
+    def test_each_check_timed_on_console_only(self, tmp_path):
+        cfg = parse_run_config(
+            {"mode": "verify", "suite": {"name": "collision", "samples": 2, "seed": 4}}
+        )
+        checks = run_property_suite(cfg).checks
+        assert len(checks) == 3
+        assert all(chk.elapsed > 0.0 for chk in checks)
+        path = write_config(tmp_path, {"suite": {"name": "collision", "samples": 2, "seed": 4}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(
+            set(c) == {"name", "residual", "tolerance", "comparison", "informational", "passed"}
+            for c in report["checks"]
+        )
 
     def test_transfer_mode_records_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {"suite": {"samples": 1, "seed": 2}})

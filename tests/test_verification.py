@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from vsolitons import (
     solve_mirror_norming,
 )
 from vsolitons.asymptotics import beta_in, beta_out
-from vsolitons.verification import FieldGrid
+from vsolitons.dressing import reconstruct_field
+from vsolitons.sampling import random_soliton_data
+from vsolitons.verification import FieldGrid, _zoom_max
 
 E1 = np.array([1.0, 0.0])
 
@@ -137,6 +141,78 @@ class TestExtraction:
         data = SolitonData(2, ((SpectralPoint(0.3, 1.0), NormingVector([20.0, 0.0])),))
         with pytest.raises(WindowError):
             extract_asymptotic_polarization(data, 0, 10.0, window=0.5)
+
+
+def _golden_max(fn, a, b, xtol):
+    """Golden-section maximizer on [a, b], the refinement _zoom_max replaced."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > xtol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+class TestPeakRefinement:
+    # Within ~sqrt(eps)/v of the peak the envelope is flat to rounding, so no
+    # refinement resolves the position better than that.  Here v * |zoom -
+    # golden| reaches 3.0e-8 and v * |zoom - exact one-soliton peak| 1.8e-8;
+    # the bounds are 1e-7/v.
+
+    def test_zoom_matches_golden_section(self):
+        rng = np.random.default_rng(60)
+        for N in (1, 2, 3) * 4:
+            data = random_soliton_data(rng, N, 2)
+            pt = data.points[0][0]
+            t = float(rng.uniform(-5, 5))
+            xs = np.arange(pt.velocity * t - 20, pt.velocity * t + 20, 0.1 / pt.v)
+            i = int(np.argmax(np.linalg.norm(reconstruct_field(data, xs, t), axis=-1)))
+            if i in (0, xs.size - 1):
+                continue
+            a, b = xs[i - 1], xs[i + 1]
+            zoom = _zoom_max(data, t, a, b, 1e-10)
+            golden = _golden_max(
+                lambda x: float(np.linalg.norm(reconstruct_field(data, x, t))), a, b, 1e-10
+            )
+            assert a <= zoom <= b
+            assert abs(zoom - golden) <= 1e-7 / pt.v
+
+    def test_zoom_finds_exact_one_soliton_peak(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            pt = SpectralPoint(rng.uniform(-2, 2), rng.uniform(0.2, 2))
+            nv = NormingVector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            data = SolitonData(2, ((pt, nv),))
+            t = float(rng.uniform(-5, 5))
+            exact = pt.velocity * t + nv.position_shift(pt)
+            h = 0.1 / pt.v
+            for xtol in (1e-4, 1e-10):
+                zoom = _zoom_max(data, t, exact - 0.7 * h, exact + 1.3 * h, xtol)
+                assert abs(zoom - exact) <= max(0.5 * xtol, 1e-7 / pt.v)
+
+    def test_terminates_when_bracket_cannot_shrink(self):
+        data = SolitonData(2, ((SpectralPoint(0.5, 1.0), NormingVector([0.5, 1.2j])),))
+        # float spacing at 1e12 is 1.2e-4: the bracket never reaches 1e-10
+        a, b = 1e12, 1e12 + 1e-3
+        assert a <= _zoom_max(data, 0.0, a, b, 1e-10) <= b
+
+    def test_extraction_terminates_at_large_x(self):
+        # peak near x = 2e6, where float spacing (1.2e-10) exceeds the 1e-10 goal
+        pt = SpectralPoint(0.5, 1.0)
+        nv = NormingVector([0.5, 1.2j])
+        data = SolitonData(2, ((pt, nv),))
+        t = -2e6
+        pol, pos = extract_asymptotic_polarization(data, 0, t)
+        assert projective_distance(pol, polarization_of(nv)) < 1e-10
+        assert pos == pytest.approx(pt.velocity * t + nv.position_shift(pt), abs=1e-6)
 
 
 class TestConvergenceOrder:
