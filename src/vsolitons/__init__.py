@@ -27,7 +27,6 @@ from .soldata import (
     canonical_phase,
     polarization_of,
     projective_distance,
-    validate,
 )
 from .dressing import (
     FullChain,
@@ -56,7 +55,6 @@ from .maps import (
     IdentityReflection,
     MapChain,
     YangBaxterRule,
-    boundary_small_m,
     involution_residual,
     reflection_equation_residual,
     reflection_map,
@@ -70,7 +68,6 @@ from .maps import (
 from .mirror import (
     HalfLineData,
     a_matrix,
-    big_m,
     halfline_field,
     mirror_constraint_residual,
     mirror_polarization_residual,

@@ -71,6 +71,7 @@ from .mirror import (
     solve_mirror_norming,
 )
 from .sampling import (
+    BOUNDARY_KINDS,
     SampleLog,
     random_boundary,
     random_map_parameters,
@@ -85,7 +86,6 @@ from .soldata import (
     SolitonData,
     polarization_of,
     projective_distance,
-    validate,
 )
 from .verification import (
     FieldGrid,
@@ -444,7 +444,7 @@ def _suite_yb_structure(cfg: RunConfig, rng, report: ReportDocument, log: Sample
 def _boundary_kinds(cfg: RunConfig):
     if cfg.boundary is not None:
         return [("given", cfg.boundary)]
-    return [("robin", None), ("mixed", None), ("rotated_mixed", None)]
+    return [(label, None) for label in BOUNDARY_KINDS]
 
 
 def _suite_reflection_equation(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
@@ -454,7 +454,7 @@ def _suite_reflection_equation(cfg: RunConfig, rng, report: ReportDocument, log:
         for i in range(samples):
             n = _suite_ns(cfg)[i % len(_suite_ns(cfg))]
             spec = fixed if fixed is not None else random_boundary(rng, label, n)
-            nn = getattr(spec, "n", n)
+            nn = spec.n or n
             ks = random_map_parameters(rng, 2, mirrored=True, log=log)
             ps = [random_polarization(rng, nn) for _ in range(2)]
             try:
@@ -473,7 +473,7 @@ def _suite_involution(cfg: RunConfig, rng, report: ReportDocument, log: SampleLo
         for i in range(samples):
             n = _suite_ns(cfg)[i % len(_suite_ns(cfg))]
             spec = fixed if fixed is not None else random_boundary(rng, label, n)
-            nn = getattr(spec, "n", n)
+            nn = spec.n or n
             ks = random_map_parameters(rng, 1, mirrored=True, log=log)
             worst = max(
                 worst, involution_residual(ks[0], random_polarization(rng, nn), spec)
@@ -534,19 +534,15 @@ def _pipeline_residual(data: SolitonData) -> float:
 
 def _suite_mirror(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog, which: str):
     samples = cfg.samples if cfg.samples is not None else 10
-    kinds = (
-        [("given", cfg.boundary)]
-        if cfg.boundary is not None
-        else [("robin", None), ("mixed", None)]
-    )
-    for label, fixed in kinds:
+    # the mirror suites draw the unrotated kinds only
+    for label, fixed in _boundary_kinds(cfg)[:2]:
         worst = 0.0
         for i in range(samples):
             N = 1 + i % 3
             n = (2, 3)[i % 2]
             data = random_soliton_data(rng, N, n, positive=True, log=log)
             spec = fixed if fixed is not None else random_boundary(rng, label, n)
-            if getattr(spec, "n", n) != n:
+            if (spec.n or n) != n:
                 n = spec.n
                 data = random_soliton_data(rng, N, n, positive=True, log=log)
             hl = solve_mirror_norming(data, spec)
@@ -618,7 +614,7 @@ def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog)
 
     # exploratory: both boundary slots filled with the concrete reflection map;
     # the measured residual is recorded, not asserted
-    for label in ("robin", "mixed", "rotated_mixed"):
+    for label in BOUNDARY_KINDS:
         spec = cfg.boundary if cfg.boundary is not None else random_boundary(rng, label, 2)
         B = BoundaryReflection(spec)
         maps_b = {"R": R, "B_plus": B, "B_minus": B}
@@ -768,7 +764,6 @@ def _mode_simulate(cfg: RunConfig, report: ReportDocument) -> List[str]:
         raise ConfigError("data: required for simulate mode")
     if cfg.grid is None:
         raise ConfigError("grid: required for simulate mode")
-    validate(cfg.data)
     grid = _grid_from_cfg(cfg, lambda X, T: reconstruct_field(cfg.data, X, T))
     export_grid(grid, cfg.output / "grid.csv")
     _check(report, cfg, "pde-residual", pde_residual(grid), informational=True)

@@ -139,24 +139,10 @@ def soliton_data_to_json(data: SolitonData) -> dict:
     }
 
 
-def boundary_to_json(spec: BoundarySpec) -> dict:
-    if isinstance(spec, Robin):
-        return {"kind": "robin", "alpha": spec.alpha}
-    if isinstance(spec, Mixed):
-        return {"kind": "mixed", "signs": list(spec.signs)}
-    if isinstance(spec, RotatedMixed):
-        return {
-            "kind": "rotated_mixed",
-            "signs": list(spec.signs),
-            "unitary": [[_complex_pair(z) for z in row] for row in spec.unitary],
-        }
-    raise ValidationError(f"unknown boundary spec {spec!r}")
-
-
 def halfline_to_json(hl: HalfLineData) -> dict:
     doc = soliton_data_to_json(hl.combined)
     doc["real_count"] = hl.N
-    doc["boundary"] = boundary_to_json(hl.spec)
+    doc["boundary"] = hl.spec.to_json()
     return doc
 
 

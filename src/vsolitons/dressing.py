@@ -16,10 +16,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, PoleError
-from .soldata import NormingVector, SolitonData, SpectralPoint
-
-#: Evaluation closer than this to a factor pole k_j* raises PoleError.
-POLE_EVAL_TOL = 1e-13
+from .soldata import POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _frozen
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -54,9 +51,6 @@ class ChainFactor:
 
     def matrix(self, k: complex) -> np.ndarray:
         return self._rank_one(self.f(k))
-
-    def matrix_dagger(self, k: complex) -> np.ndarray:
-        return self._rank_one(self.f(k).conjugate())
 
     def matrix_inv(self, k: complex) -> np.ndarray:
         # analytic rank-one inverse; never a generic matrix inversion
@@ -312,9 +306,3 @@ def permutation_residual(
 
 def _maxabs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
-    out.flags.writeable = False
-    return out

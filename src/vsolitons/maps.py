@@ -17,22 +17,12 @@ import numpy as np
 
 from .errors import DomainError, PoleError, ValidationError
 from .soldata import (
+    AXIS_TOL,
+    PAIR_POLE_TOL,
     BoundarySpec,
-    Mixed,
     Polarization,
-    Robin,
-    RotatedMixed,
     projective_distance,
 )
-
-#: Reflection maps are undefined on the imaginary axis.
-AXIS_TOL = 1e-12
-
-#: Parameter pairs with a collision-factor denominator below this are poles.
-PAIR_POLE_TOL = 1e-12
-
-#: Suggested resampling margin for randomly drawn parameter configurations.
-RESAMPLE_MARGIN = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,40 +170,7 @@ def reversibility_residual(k1, k2, p1, p2) -> float:
     return _slot_residual(trip(state), state)
 
 
-# --- boundary matrices and reflection maps ------------------------------------
-
-
-def boundary_small_m(k: complex, spec: BoundarySpec, n: int = None) -> np.ndarray:
-    """Unitary boundary matrix acting on polarizations.
-
-    Robin: (h/|h|) I with h = (k - i a)/(k + i a), so `n` must be supplied;
-    sign patterns give the constant involution diag(s), optionally conjugated
-    by a unitary, and carry their own dimension.
-    """
-    k = complex(k)
-    if isinstance(spec, Robin):
-        if n is None:
-            raise ValidationError("Robin boundary matrix needs the component count n")
-        den = k + 1j * spec.alpha
-        if abs(den) < PAIR_POLE_TOL:
-            raise PoleError(f"boundary matrix has a pole at k = -i*alpha = {-1j * spec.alpha}")
-        h = (k - 1j * spec.alpha) / den
-        if abs(h) < PAIR_POLE_TOL:
-            raise PoleError(f"boundary matrix vanishes at k = i*alpha = {1j * spec.alpha}")
-        return (h / abs(h)) * np.eye(int(n), dtype=np.complex128)
-    if isinstance(spec, Mixed):
-        m = np.diag(np.asarray(spec.signs, dtype=np.complex128))
-    elif isinstance(spec, RotatedMixed):
-        sigma = np.diag(np.asarray(spec.signs, dtype=np.complex128))
-        U = spec.unitary
-        m = U.conj().T @ sigma @ U
-    else:
-        raise ValidationError(f"unknown boundary spec {spec!r}")
-    if n is not None and m.shape != (int(n), int(n)):
-        raise ValidationError(
-            f"boundary spec acts on {m.shape[0]} components, expected {n}"
-        )
-    return m
+# --- reflection maps ------------------------------------------------------------
 
 
 def reflection_map(k: complex, p: Polarization, spec: BoundarySpec) -> ExtendedPoint:
@@ -225,14 +182,14 @@ def reflection_map(k: complex, p: Polarization, spec: BoundarySpec) -> ExtendedP
     k = complex(k)
     if abs(k.real) <= AXIS_TOL:
         raise DomainError(f"imaginary axis: reflection undefined at k={k}")
-    m = boundary_small_m(k, spec, p.n)
+    m = spec.small_m(k, p.n)
     q = m @ p.p
     coeff = (k - k.conjugate()) / (k + k.conjugate())
     out = q + coeff * np.vdot(p.p, q) * p.p
     return ExtendedPoint(Polarization(out), -k.conjugate())
 
 
-def reflection_pair_safe(k1: complex, k2: complex, margin: float = RESAMPLE_MARGIN) -> bool:
+def reflection_pair_safe(k1: complex, k2: complex) -> bool:
     """All collision denominators of the two-soliton reflection identity are safe."""
     k1, k2 = complex(k1), complex(k2)
     pairs = (
@@ -242,7 +199,7 @@ def reflection_pair_safe(k1: complex, k2: complex, margin: float = RESAMPLE_MARG
         (-k2.conjugate(), -k1.conjugate()),
     )
     off_axis = min(abs(k1.real), abs(k2.real)) > AXIS_TOL
-    return off_axis and all(abs(a - b) >= margin for a, b in pairs)
+    return off_axis and all(abs(a - b) >= PAIR_POLE_TOL for a, b in pairs)
 
 
 def reflection_equation_residual(k1, k2, p1, p2, spec: BoundarySpec) -> float:
@@ -252,7 +209,7 @@ def reflection_equation_residual(k1, k2, p1, p2, spec: BoundarySpec) -> float:
     drivers treat that as a resample signal.
     """
     k1, k2 = complex(k1), complex(k2)
-    if not reflection_pair_safe(k1, k2, margin=PAIR_POLE_TOL):
+    if not reflection_pair_safe(k1, k2):
         raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
     R = YangBaxterRule()
     B = BoundaryReflection(spec)

@@ -22,21 +22,18 @@ from .dressing import (
     ReducedChain,
     _blaschke,
     _dagger_apply,
-    _frozen,
     build_reduced_chain,
     reconstruct_field,
 )
 from .errors import DegeneracyError, DomainError, PoleError, ValidationError
-from .maps import boundary_small_m
 from .soldata import (
+    AXIS_TOL,
+    POLE_EVAL_TOL,
     BoundarySpec,
-    Mixed,
     NormingVector,
-    Robin,
-    RotatedMixed,
     SolitonData,
+    _frozen,
     projective_distance,
-    validate,
 )
 
 #: Constraint residual a freshly solved dataset must meet.
@@ -44,50 +41,6 @@ CONSTRAINT_TOL = 1e-8
 
 #: Condition-number guard for the final norming-vector solves.
 CONDITION_LIMIT = 1e12
-
-#: Real parts below this put a pole on the imaginary axis (mirror collision).
-AXIS_TOL = 1e-12
-
-
-def big_m(k: complex, spec: BoundarySpec, n: int = None) -> np.ndarray:
-    """Boundary matrix M(k) entering the mirror constraint (not normalized).
-
-    Signs are fixed so the reconstructed field satisfies the boundary
-    condition named by the boundary object: Robin(alpha) gives ((k+ia)/(k-ia)) I and
-    the field obeys R_x(0,t) = 2*alpha*R(0,t); sign patterns give diag(-s)
-    (optionally conjugated by the unitary), Dirichlet on the +1 components.
-    In particular M -> I is the all-Neumann case and M^2 = I for patterns.
-    """
-    k = complex(k)
-    if isinstance(spec, Robin):
-        if n is None:
-            raise ValidationError("Robin M(k) needs the component count n")
-        den = k - 1j * spec.alpha
-        if abs(den) < 1e-13:
-            raise PoleError(f"M(k) has a pole at k = i*alpha = {1j * spec.alpha}")
-        return ((k + 1j * spec.alpha) / den) * np.eye(int(n), dtype=np.complex128)
-    if isinstance(spec, Mixed):
-        return np.diag(-np.asarray(spec.signs, dtype=np.complex128))
-    if isinstance(spec, RotatedMixed):
-        sigma = np.diag(-np.asarray(spec.signs, dtype=np.complex128))
-        U = spec.unitary
-        m = U.conj().T @ sigma @ U
-        if n is not None and m.shape != (int(n), int(n)):
-            raise ValidationError(
-                f"boundary spec acts on {m.shape[0]} components, expected {n}"
-            )
-        return m
-    raise ValidationError(f"unknown boundary spec {spec!r}")
-
-
-def _big_m_inv(k: complex, spec: BoundarySpec, n: int) -> np.ndarray:
-    if isinstance(spec, Robin):
-        num = k + 1j * spec.alpha
-        if abs(num) < 1e-13:
-            raise PoleError(f"M(k) is singular at k = -i*alpha = {-1j * spec.alpha}")
-        return ((k - 1j * spec.alpha) / num) * np.eye(int(n), dtype=np.complex128)
-    # sign-pattern boundary matrices are involutions
-    return big_m(k, spec, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +83,7 @@ def _pole_prefactor(ks: np.ndarray, j: int) -> complex:
         if i == j:
             continue
         den = kj - ki.conjugate()
-        if abs(den) < 1e-13:
+        if abs(den) < POLE_EVAL_TOL:
             raise PoleError(f"pole collision between k[{j}] and conj(k[{i}])")
         acc += np.log((kj - ki) / den)
     return complex(np.exp(acc))
@@ -168,7 +121,6 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     inverse factors at k_{j+N}; afterwards each beta_{j+N} is recovered from
     d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  Deterministic.
     """
-    validate(real_data)
     check_halfline_real_data(real_data)
     n, N = real_data.n, real_data.N
     ks = np.concatenate([real_data.ks, -real_data.ks.conj()])
@@ -180,7 +132,7 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
         mj = N + j
         kmj = ks[mj]
         pref = _pole_prefactor(ks, mj)
-        minv = _big_m_inv(ks[j].conjugate(), spec, n)
+        minv = spec.big_m_inv(ks[j].conjugate(), n)
         w = minv @ real_data.points[j][1].beta / pref
         # apply G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj, rightmost factor first
         for m in range(2 * N - 1, mj, -1):
@@ -232,11 +184,11 @@ def mirror_constraint_residual(hl: HalfLineData) -> float:
     chain = build_reduced_chain(hl.combined, None)
     res = 0.0
     for j in range(N):
-        beta_r = hl.real_data.points[j][1].beta
-        beta_m = hl.mirror_data.points[j][1].beta
-        lhs = np.outer(beta_r, beta_m.conj())
+        nv_r = hl.real_data.points[j][1]
+        nv_m = hl.mirror_data.points[j][1]
+        lhs = np.outer(nv_r.beta, nv_m.beta.conj())
         kjc = hl.real_data.points[j][0].k.conjugate()
-        rhs = big_m(kjc, hl.spec, n) @ a_matrix(N + j, hl.combined, chain)
+        rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, chain)
         res = max(res, float(np.max(np.abs(lhs - rhs))))
     return res
 
@@ -255,7 +207,7 @@ def mirror_polarization_residual(hl: HalfLineData) -> float:
     for j in range(N):
         kj = hl.real_data.points[j][0].k
         kmj = -kj.conjugate()
-        m = boundary_small_m(kj, hl.spec, n)
+        m = hl.spec.small_m(kj, n)
 
         # canonical-prefix pattern: direction of the mirror factor itself
         lhs_a = combined_chain.factors[N + j].direction

@@ -35,6 +35,9 @@ POLE_MARGIN = 1e-8
 
 _MAX_TRIES = 1000
 
+#: Boundary kinds `random_boundary` draws, in the order the suites report them.
+BOUNDARY_KINDS = ("robin", "mixed", "rotated_mixed")
+
 
 @dataclass
 class SampleLog:

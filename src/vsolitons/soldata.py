@@ -9,22 +9,41 @@ directly comparable as plain vectors.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PoleError, ValidationError
 
 #: Two eigenvalues closer than this are treated as coincident poles.
 POLE_MERGE_TOL = 1e-12
 
-#: Unit-norm slack allowed on stored polarizations.
-UNIT_TOL = 1e-14
+#: Evaluation closer than this to a pole (of a chain factor or of M(k)) raises PoleError.
+POLE_EVAL_TOL = 1e-13
+
+#: Parameter pairs with a collision-factor denominator below this are poles;
+#: also the pole and zero margin of the Robin m(k).
+PAIR_POLE_TOL = 1e-12
+
+#: Real parts at or below this put a parameter on the imaginary axis, where
+#: reflection maps are undefined and a mirror pole collides with its image.
+AXIS_TOL = 1e-12
 
 #: Allowed deviation of U from unitarity in rotated boundary specs.
 UNITARY_TOL = 1e-12
+
+#: Norms inside this range are taken as np.linalg.norm computes them; outside
+#: it the squares could underflow or overflow, so the vector is scaled first.
+_SAFE_NORM = (1e-150, 1e150)
+
+
+def _frozen(arr) -> np.ndarray:
+    out = np.array(arr, dtype=np.complex128)
+    out.flags.writeable = False
+    return out
 
 
 def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
@@ -33,9 +52,28 @@ def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
         raise ValidationError(f"{name} must be a nonempty one-dimensional complex vector")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} has non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    return _frozen(arr)
+
+
+def _pow2_scaled(vec: np.ndarray) -> tuple:
+    """(vec / 2^e, e) with e the binary exponent of the largest entry; exact."""
+    e = math.frexp(float(np.max(np.abs(vec.view(np.float64)))))[1]
+    return np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e), e
+
+
+def _norm(vec: np.ndarray) -> float:
+    """2-norm of a finite complex vector at any scale.
+
+    Inside _SAFE_NORM this is np.linalg.norm, bit for bit.  Outside it the
+    squares may have underflowed (or overflowed, with numpy's warning), so the
+    norm is taken again of the vector scaled by an exact power of two: a
+    |beta| of 1e-200 keeps all its digits.
+    """
+    nrm = float(np.linalg.norm(vec))
+    if _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
+        return nrm
+    scaled, e = _pow2_scaled(vec)
+    return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -105,7 +143,7 @@ class NormingVector:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.beta, "norming vector")
-        if float(np.linalg.norm(arr)) == 0.0:
+        if _norm(arr) == 0.0:
             raise ValidationError("degenerate norming constant: beta must be nonzero")
         object.__setattr__(self, "beta", arr)
 
@@ -115,7 +153,7 @@ class NormingVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.beta))
+        return _norm(self.beta)
 
     def position_shift(self, point: SpectralPoint) -> float:
         """Envelope position shift ln|beta| / v for the given eigenvalue."""
@@ -134,9 +172,12 @@ class Polarization:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.p, "polarization")
-        nrm = float(np.linalg.norm(arr))
+        nrm = _norm(arr)
         if nrm == 0.0:
             raise ValidationError("zero vector has no polarization")
+        if not _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
+            arr, _ = _pow2_scaled(arr)  # same direction, norm near 1
+            nrm = _norm(arr)
         arr = canonical_phase(arr / nrm)
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
@@ -245,43 +286,70 @@ def _check_distinct_poles(pts) -> None:
                 )
 
 
-def validate(data: SolitonData) -> None:
-    """Re-check all soliton-data invariants, collecting every violation.
-
-    Raises ValidationError listing the problems; returns None when clean.
-    """
-    problems = []
-    if not isinstance(data, SolitonData):
-        raise ValidationError("expected SolitonData")
-    for j, (point, nv) in enumerate(data.points):
-        if point.v <= 0:
-            problems.append(f"point {j}: lower half plane (v={point.v})")
-        if nv.n != data.n:
-            problems.append(f"point {j}: norming vector length {nv.n} != n={data.n}")
-        if nv.norm == 0:
-            problems.append(f"point {j}: degenerate norming constant")
-    ks = [pt.k for pt, _ in data.points]
-    for a in range(len(ks)):
-        for b in range(a + 1, len(ks)):
-            if abs(ks[a] - ks[b]) <= POLE_MERGE_TOL:
-                problems.append(f"coincident poles: indices {a} and {b}")
-    if problems:
-        raise ValidationError("; ".join(problems))
-
-
 # --- boundary specifications -------------------------------------------------
+#
+# A boundary spec owns everything that depends on its kind: the unitary m(k)
+# acting on polarizations, the mirror-constraint matrix M(k) and its inverse,
+# the x = 0 residual of the boundary condition, and its JSON wire form.  `n`
+# is the component count it acts on, None for Robin (any count).
+
+
+def _robin_eye(n) -> np.ndarray:
+    if n is None:
+        raise ValidationError("Robin boundary matrices need the component count n")
+    return np.eye(int(n), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class Robin:
-    """Robin boundary R_x(0,t) = 2*alpha*R(0,t); alpha real."""
+    """Robin boundary R_x(0,t) = 2*alpha*R(0,t); alpha real.
+
+    m(k) = (h/|h|) I with h = (k - i alpha)/(k + i alpha), and
+    M(k) = ((k + i alpha)/(k - i alpha)) I; alpha = 0 is all-Neumann, M = I.
+    """
 
     alpha: float
+    n = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         if not math.isfinite(self.alpha):
             raise ValidationError("Robin parameter alpha must be finite")
+
+    def small_m(self, k: complex, n: int) -> np.ndarray:
+        eye = _robin_eye(n)
+        k = complex(k)
+        den = k + 1j * self.alpha
+        if abs(den) < PAIR_POLE_TOL:
+            raise PoleError(f"boundary matrix has a pole at k = -i*alpha = {-1j * self.alpha}")
+        h = (k - 1j * self.alpha) / den
+        if abs(h) < PAIR_POLE_TOL:
+            raise PoleError(f"boundary matrix vanishes at k = i*alpha = {1j * self.alpha}")
+        return (h / abs(h)) * eye
+
+    def big_m(self, k: complex, n: int) -> np.ndarray:
+        eye = _robin_eye(n)
+        k = complex(k)
+        den = k - 1j * self.alpha
+        if abs(den) < POLE_EVAL_TOL:
+            raise PoleError(f"M(k) has a pole at k = i*alpha = {1j * self.alpha}")
+        return ((k + 1j * self.alpha) / den) * eye
+
+    def big_m_inv(self, k: complex, n: int) -> np.ndarray:
+        # no complex(k): np.complex128 and Python complex division can round
+        # differently, and stored mirror data were solved with the former
+        eye = _robin_eye(n)
+        num = k + 1j * self.alpha
+        if abs(num) < POLE_EVAL_TOL:
+            raise PoleError(f"M(k) is singular at k = -i*alpha = {-1j * self.alpha}")
+        return ((k - 1j * self.alpha) / num) * eye
+
+    def boundary_residual(self, R0: np.ndarray, Rx0: np.ndarray) -> float:
+        """max |R_x(0,t) - 2 alpha R(0,t)|."""
+        return float(np.max(np.abs(Rx0 - 2.0 * self.alpha * R0)))
+
+    def to_json(self) -> dict:
+        return {"kind": "robin", "alpha": self.alpha}
 
 
 def _check_signs(signs) -> tuple:
@@ -292,33 +360,17 @@ def _check_signs(signs) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class Mixed:
-    """Componentwise Dirichlet/Neumann split encoded by a +1/-1 pattern."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "signs", _check_signs(self.signs))
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    @classmethod
-    def from_subset(cls, n: int, subset: Iterable[int]) -> "Mixed":
-        """+1 on the components in `subset` (0-based), -1 elsewhere."""
-        chosen = set(int(i) for i in subset)
-        if not chosen <= set(range(n)):
-            raise ValidationError("subset indices must lie in 0..n-1")
-        return cls(tuple(1 if i in chosen else -1 for i in range(n)))
-
-
-@dataclass(frozen=True, eq=False)
 class RotatedMixed:
-    """Mixed split conjugated by a unitary change of component basis."""
+    """Sign pattern s applied in the component basis rotated by a unitary U.
+
+    Dirichlet on the +1 and Neumann on the -1 components of U R(0,t).
+    m = U^dag diag(s) U is constant and M = -m; both are involutions, so
+    M^-1 = M.  M -> I is the all-Neumann case.
+    """
 
     unitary: np.ndarray
     signs: tuple
+    m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sg = _check_signs(self.signs)
@@ -331,14 +383,73 @@ class RotatedMixed:
             raise ValidationError(
                 f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}"
             )
-        U = U.copy()
-        U.flags.writeable = False
-        object.__setattr__(self, "unitary", U)
+        s = np.asarray(sg, dtype=np.complex128)
+        object.__setattr__(self, "unitary", _frozen(U))
         object.__setattr__(self, "signs", sg)
+        object.__setattr__(self, "m", _frozen((U.conj().T * s) @ U))
 
     @property
     def n(self) -> int:
         return len(self.signs)
 
+    def _check_n(self, n) -> None:
+        if n is not None and int(n) != self.n:
+            raise ValidationError(f"boundary spec acts on {self.n} components, expected {n}")
 
-BoundarySpec = Union[Robin, Mixed, RotatedMixed]
+    def small_m(self, k: complex, n: int) -> np.ndarray:
+        self._check_n(n)
+        return self.m
+
+    def big_m(self, k: complex, n: int) -> np.ndarray:
+        self._check_n(n)
+        return -self.m
+
+    big_m_inv = big_m
+
+    def boundary_residual(self, R0: np.ndarray, Rx0: np.ndarray) -> float:
+        """max of |(U R)_p(0,t)| on the +1 and |(U R)_q,x(0,t)| on the -1 components."""
+        U = self.unitary
+        sg = np.array(self.signs)
+        res = 0.0
+        for part, chosen in ((R0 @ U.T, sg == 1), (Rx0 @ U.T, sg == -1)):
+            if chosen.any():
+                res = max(res, float(np.max(np.abs(part[:, chosen]))))
+        return res
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "rotated_mixed",
+            "signs": list(self.signs),
+            "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in self.unitary],
+        }
+
+
+@functools.lru_cache(maxsize=256)
+def _sign_matrices(signs: tuple) -> tuple:
+    """(I, diag(s)) for a sign pattern, built once and shared read-only."""
+    return _frozen(np.eye(len(signs))), _frozen(np.diag(np.asarray(signs, dtype=np.complex128)))
+
+
+class Mixed(RotatedMixed):
+    """Componentwise Dirichlet/Neumann split: a sign pattern with U = I."""
+
+    def __init__(self, signs):
+        sg = _check_signs(signs)
+        unitary, m = _sign_matrices(sg)
+        object.__setattr__(self, "unitary", unitary)
+        object.__setattr__(self, "signs", sg)
+        object.__setattr__(self, "m", m)
+
+    @classmethod
+    def from_subset(cls, n: int, subset: Iterable[int]) -> "Mixed":
+        """+1 on the components in `subset` (0-based), -1 elsewhere."""
+        chosen = set(int(i) for i in subset)
+        if not chosen <= set(range(n)):
+            raise ValidationError("subset indices must lie in 0..n-1")
+        return cls(tuple(1 if i in chosen else -1 for i in range(n)))
+
+    def to_json(self) -> dict:
+        return {"kind": "mixed", "signs": list(self.signs)}
+
+
+BoundarySpec = Union[Robin, RotatedMixed]

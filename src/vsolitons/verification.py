@@ -21,7 +21,7 @@ from .asymptotics import beta_in, beta_out
 from .dressing import reconstruct_field
 from .errors import ValidationError, WindowError
 from .mirror import HalfLineData, halfline_field
-from .soldata import Mixed, Polarization, Robin, RotatedMixed, SolitonData
+from .soldata import Polarization, SolitonData
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,8 @@ def pde_residual(grid: FieldGrid) -> float:
 def boundary_residual(hl: HalfLineData, times: Sequence[float], h: float = 0.005) -> float:
     """Boundary-condition residual at x = 0 over the given times.
 
-    Robin: max |R_x(0,t) - 2 alpha R(0,t)|; sign patterns: max over
+    The boundary spec reads its condition off R(0,t) and R_x(0,t): Robin
+    gives max |R_x(0,t) - 2 alpha R(0,t)|; sign patterns give the max of
     |R_p(0,t)| on the +1 components and |R_q,x(0,t)| on the -1 components.
     R_x uses the one-sided second-order stencil (-3R0 + 4R1 - R2)/(2h),
     whose error is -(h^2/3) R_xxx(0) - (h^3/4) R_xxxx(0) + O(h^4).  On sign
@@ -119,28 +120,8 @@ def boundary_residual(hl: HalfLineData, times: Sequence[float], h: float = 0.005
     ts = np.asarray(list(times), dtype=np.float64)
     xs = np.array([0.0, h, 2.0 * h])
     F = halfline_field(hl, xs[:, None], ts[None, :])  # (3, nt, n)
-    R0 = F[0]
     Rx0 = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * h)
-    spec = hl.spec
-    if isinstance(spec, Robin):
-        return float(np.max(np.abs(Rx0 - 2.0 * spec.alpha * R0)))
-    if isinstance(spec, RotatedMixed):
-        # the sign pattern applies in the rotated component basis
-        R0 = R0 @ spec.unitary.T
-        Rx0 = Rx0 @ spec.unitary.T
-        signs = spec.signs
-    elif isinstance(spec, Mixed):
-        signs = spec.signs
-    else:
-        raise ValidationError(f"unknown boundary spec {spec!r}")
-    plus = [i for i, s in enumerate(signs) if s == 1]
-    minus = [i for i, s in enumerate(signs) if s == -1]
-    res = 0.0
-    if plus:
-        res = max(res, float(np.max(np.abs(R0[:, plus]))))
-    if minus:
-        res = max(res, float(np.max(np.abs(Rx0[:, minus]))))
-    return res
+    return hl.spec.boundary_residual(F[0], Rx0)
 
 
 #: Points per bracket-zoom round of the envelope-peak refinement.

@@ -45,7 +45,7 @@ from vsolitons import (
 )
 from vsolitons.asymptotics import min_relative_velocity
 from vsolitons.cli import collision_orders, main, yb_pipeline
-from vsolitons.mirror import HalfLineData, big_m
+from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import (
     random_boundary,
     random_map_parameters,
@@ -264,7 +264,7 @@ class TestCriterion08:
         # The Dirichlet (+1) components are read directly and sit at round-off.
         hl = solve_mirror_norming(HALF_DATA, Mixed((1, -1)))
         ts = np.linspace(-1.0, 1.0, 9)
-        M = big_m(0.0, hl.spec, hl.n)
+        M = hl.spec.big_m(0.0, hl.n)
         xs = np.array([0.3, 0.7, 1.5])
         for t in (-1.0, 0.0, 0.75):
             mirrored = reconstruct_field(hl.combined, -xs, t)

@@ -111,6 +111,17 @@ class TestExitCodes:
         )
         assert main(["mirror", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_mirror_sign_pattern_of_wrong_size_is_one(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "data": {"n": 2, "solitons": [{"u": 0.8, "v": 1.0, "beta": [[1, 0], [0.4, 0]]}]},
+                "boundary": {"kind": "mixed", "signs": [1, -1, 1]},
+            },
+        )
+        assert main(["mirror", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "acts on 3 components, expected 2" in capsys.readouterr().err
+
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
             tmp_path,

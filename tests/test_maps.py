@@ -12,7 +12,6 @@ from vsolitons import (
     Robin,
     RotatedMixed,
     YangBaxterRule,
-    boundary_small_m,
     involution_residual,
     projective_distance,
     reflection_equation_residual,
@@ -114,34 +113,34 @@ class TestEquationResiduals:
 
 class TestBoundaryMatrix:
     def test_mixed_diagonal(self):
-        m = boundary_small_m(0.3 + 0.2j, Mixed((1, -1)))
+        m = Mixed((1, -1)).small_m(0.3 + 0.2j, None)
         assert np.allclose(m, np.diag([1.0, -1.0]))
 
     def test_robin_frozen_scalar(self):
-        m = boundary_small_m(K1, Robin(1.0), n=2)
+        m = Robin(1.0).small_m(K1, 2)
         expect = (-0.447213595499958 - 0.8944271909999159j) * np.eye(2)
         assert np.allclose(m, expect, atol=1e-12)
 
     def test_rotated_identity_reduces_to_mixed(self):
         spec = RotatedMixed(np.eye(2), (1, -1))
-        assert np.allclose(boundary_small_m(1j + 0.5, spec), np.diag([1.0, -1.0]))
+        assert np.allclose(spec.small_m(1j + 0.5, None), np.diag([1.0, -1.0]))
 
     def test_unitary_and_involutive(self):
         rng = np.random.default_rng(1)
         for spec in (Mixed((1, -1, 1)), RotatedMixed(random_unitary(rng, 3), (1, 1, -1))):
-            m = boundary_small_m(0.4 + 0.9j, spec)
+            m = spec.small_m(0.4 + 0.9j, None)
             assert np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-12
             assert np.max(np.abs(m @ m - np.eye(3))) < 1e-12
 
     def test_robin_unitary(self):
-        m = boundary_small_m(0.7 + 0.4j, Robin(-0.8), n=3)
+        m = Robin(-0.8).small_m(0.7 + 0.4j, 3)
         assert np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-12
 
     def test_robin_needs_dimension(self):
         from vsolitons.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            boundary_small_m(K1, Robin(1.0))
+            Robin(1.0).small_m(K1, None)
 
 
 class TestReflectionMap:

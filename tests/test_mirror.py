@@ -9,7 +9,6 @@ from vsolitons import (
     SolitonData,
     SpectralPoint,
     a_matrix,
-    big_m,
     build_reduced_chain,
     eval_chain,
     halfline_field,
@@ -76,15 +75,15 @@ class TestAMatrix:
 
 class TestBigM:
     def test_sign_pattern_involutive(self):
-        m = big_m(0.3 + 0.4j, Mixed((1, -1)), 2)
+        m = Mixed((1, -1)).big_m(0.3 + 0.4j, 2)
         assert np.allclose(m @ m, np.eye(2))
 
     def test_neumann_limit_is_identity(self):
-        assert np.allclose(big_m(0.5 + 0.5j, Robin(0.0), 2), np.eye(2))
+        assert np.allclose(Robin(0.0).big_m(0.5 + 0.5j, 2), np.eye(2))
 
     def test_robin_scalar(self):
         k = 0.5 + 0.5j
-        m = big_m(k, Robin(1.0), 1)
+        m = Robin(1.0).big_m(k, 1)
         assert m[0, 0] == pytest.approx((k + 1j) / (k - 1j))
 
 

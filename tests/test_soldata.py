@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,9 @@ from vsolitons import (
     canonical_phase,
     polarization_of,
     projective_distance,
-    validate,
 )
+
+from vsolitons.soldata import _norm
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -80,6 +84,57 @@ class TestPolarization:
         assert nv.position_shift(pt) == pytest.approx(np.log(2.0) / 2.0)
 
 
+def _gaussian(rng, n, scale):
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _true_norm(vec) -> float:
+    with mpmath.workprec(200):
+        return float(mpmath.sqrt(sum(mpmath.mpf(float(x)) ** 2 for x in vec.view(np.float64))))
+
+
+class TestScaledNorm:
+    def test_bit_equal_to_numpy_norm(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            vec = _gaussian(rng, int(rng.integers(1, 9)), 10.0 ** rng.uniform(-100, 100))
+            assert _norm(vec) == float(np.linalg.norm(vec))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_power_of_two_scaling_is_exact(self):
+        # far outside the range where squaring is safe, the scaled norm is
+        # still np.linalg.norm's value at unit scale, moved by the exact power
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            vec = _gaussian(rng, int(rng.integers(1, 9)), 10.0 ** rng.uniform(-10, 10))
+            ref = float(np.linalg.norm(vec))
+            for e in (-900, -560, 560, 900):
+                assert _norm(vec * 2.0**e) == math.ldexp(ref, e)
+
+    @pytest.mark.parametrize("size", [1e-160, 1e-200, 1e-300])
+    def test_tiny_norming_vectors(self, size):
+        vec = size * np.array([1.0, 0.5j])
+        exact = _true_norm(vec)
+        assert abs(float(np.linalg.norm(vec)) - exact) > 1e-7 * exact  # squares underflow
+        nv = NormingVector(vec)
+        assert abs(nv.norm - exact) <= math.ulp(exact)
+        pt = SpectralPoint(0.5, 2.0)
+        assert nv.position_shift(pt) == math.log(nv.norm) / 2.0
+        assert np.max(np.abs(Polarization(vec).p - Polarization([1.0, 0.5j]).p)) < 1e-15
+
+    def test_smallest_subnormal(self):
+        tiny = 5e-324
+        assert NormingVector([tiny, 0.0]).norm == tiny
+        assert NormingVector([0.0, 1j * tiny]).norm == tiny
+        assert _norm(np.array([tiny, tiny * 1j])) == _true_norm(np.array([tiny, tiny * 1j]))
+        assert np.array_equal(Polarization([0.0, tiny]).p, E2)
+
+    def test_zero_stays_degenerate(self):
+        assert _norm(np.zeros(3, dtype=np.complex128)) == 0.0
+        with pytest.raises(ValidationError, match="degenerate"):
+            NormingVector([0.0, -0.0])
+
+
 class TestProjectiveDistance:
     def test_identity(self):
         assert projective_distance(E1, E1) == 0.0
@@ -122,7 +177,7 @@ class TestProjectiveDistance:
 class TestSolitonData:
     def test_valid_single_point(self):
         data = SolitonData(2, ((SpectralPoint(0.0, 1.0), NormingVector(E1)),))
-        validate(data)
+        assert data.N == 1 and data.n == 2 and data.ks[0] == 0.5j
 
     def test_coincident_poles(self):
         pts = (
