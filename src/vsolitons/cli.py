@@ -616,12 +616,13 @@ def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog)
     # the measured residual is recorded, not asserted
     for label in BOUNDARY_KINDS:
         spec = cfg.boundary if cfg.boundary is not None else random_boundary(rng, label, 2)
+        n = spec.n or 2
         B = BoundaryReflection(spec)
         maps_b = {"R": R, "B_plus": B, "B_minus": B}
         worst = 0.0
         for N in (2, 3):
             ks = random_map_parameters(rng, N, mirrored=True, log=log)
-            state = tuple(ExtendedPoint(random_polarization(rng, 2), k) for k in ks)
+            state = tuple(ExtendedPoint(random_polarization(rng, n), k) for k in ks)
             for j in range(N):
                 for l in range(j + 1, N):
                     worst = max(worst, transfer_commutator_residual(j, l, maps_b, state))

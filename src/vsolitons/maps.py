@@ -170,7 +170,7 @@ def reversibility_residual(k1, k2, p1, p2) -> float:
     return _slot_residual(trip(state), state)
 
 
-# --- reflection maps ------------------------------------------------------------
+# --- reflection maps -----------------------------------------------------------
 
 
 def reflection_map(k: complex, p: Polarization, spec: BoundarySpec) -> ExtendedPoint:

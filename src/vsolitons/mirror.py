@@ -36,7 +36,7 @@ from .soldata import (
     projective_distance,
 )
 
-#: Constraint residual a freshly solved dataset must meet.
+#: Relative constraint residual a solved or stored dataset must meet.
 CONSTRAINT_TOL = 1e-8
 
 #: Condition-number guard for the final norming-vector solves.
@@ -179,7 +179,11 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
 
 
 def mirror_constraint_residual(hl: HalfLineData) -> float:
-    """max_j || beta_j beta_{j+N}^dag - M(k_j*) A_{j+N} ||_inf on the solved data."""
+    """max_j || beta_j beta_{j+N}^dag - M(k_j*) A_{j+N} ||_inf / (|beta_j| |beta_{j+N}|).
+
+    Relative to the size of beta_j beta_{j+N}^dag, so the residual does not
+    shrink with the mirror |beta|, which falls with N.
+    """
     N, n = hl.N, hl.n
     chain = build_reduced_chain(hl.combined, None)
     res = 0.0
@@ -189,7 +193,7 @@ def mirror_constraint_residual(hl: HalfLineData) -> float:
         lhs = np.outer(nv_r.beta, nv_m.beta.conj())
         kjc = hl.real_data.points[j][0].k.conjugate()
         rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, chain)
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
+        res = max(res, float(np.max(np.abs(lhs - rhs))) / (nv_r.norm * nv_m.norm))
     return res
 
 

@@ -52,7 +52,9 @@ def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
         raise ValidationError(f"{name} must be a nonempty one-dimensional complex vector")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError(f"{name} has non-finite entries")
-    return _frozen(arr)
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _pow2_scaled(vec: np.ndarray) -> tuple:
@@ -172,12 +174,12 @@ class Polarization:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.p, "polarization")
-        nrm = _norm(arr)
+        nrm = float(np.linalg.norm(arr))
+        if not _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
+            arr, _ = _pow2_scaled(arr)  # same direction, norm near 1 (or 0)
+            nrm = float(np.linalg.norm(arr))
         if nrm == 0.0:
             raise ValidationError("zero vector has no polarization")
-        if not _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
-            arr, _ = _pow2_scaled(arr)  # same direction, norm near 1
-            nrm = _norm(arr)
         arr = canonical_phase(arr / nrm)
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)

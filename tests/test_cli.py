@@ -364,6 +364,32 @@ class TestSuites:
         info = [c for c in report["checks"] if c["informational"]]
         assert info and all(c["passed"] is None for c in info)
 
+    def test_transfer_takes_given_boundary_component_count(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "suite": {"name": "transfer", "seed": 5},
+                "boundary": {"kind": "mixed", "signs": [-1, 1, 1]},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        rows = [c for c in checks if c["name"].startswith("transfer-commutator[vnls-reflection:")]
+        assert len(rows) == 1 and rows[0]["informational"]
+
+    @pytest.mark.parametrize("seed", [3, 6, 14])
+    def test_mirror_constraint_detector_is_scale_invariant(self, seed):
+        # on these seeds the mirror |beta| is small enough that an absolute
+        # residual put the corrupted dataset below the detector's 1e-4 bound
+        cfg = parse_run_config(
+            {"mode": "verify", "suite": {"name": "mirror-constraint", "seed": seed}}
+        )
+        report = run_property_suite(cfg)
+        assert report.passed
+        detector = [c for c in report.checks if c.name == "mirror-constraint-detector"]
+        assert detector[0].residual >= 1e-4
+
     def test_collide_mode(self, tmp_path):
         doc = {
             "data": {
