@@ -41,7 +41,6 @@ from .dressing import (
     reconstruct_field,
 )
 from .asymptotics import (
-    CollisionContext,
     asymptotic_profile,
     beta_in,
     beta_out,

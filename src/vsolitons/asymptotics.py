@@ -10,7 +10,6 @@ which `collision_consistency_residual` measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,31 +23,6 @@ def check_velocity_ordered(data: SolitonData) -> None:
     us = [pt.u for pt, _ in data.points]
     if any(b <= a for a, b in zip(us, us[1:])):
         raise ValidationError(f"u values must be strictly increasing, got {us}")
-
-
-@dataclass(frozen=True, eq=False)
-class CollisionContext:
-    """Velocity-ordered data with a fixed spectator set.
-
-    Bundles the standing assumptions of the pairwise-collision relations so a
-    batch of checks can share one validated state.
-    """
-
-    data: SolitonData
-    spectators: tuple
-
-    def __post_init__(self):
-        check_velocity_ordered(self.data)
-        sp = tuple(int(i) for i in self.spectators)
-        if len(set(sp)) != len(sp) or not set(sp) <= set(range(self.data.N)):
-            raise ValidationError(f"spectators {sp} must be distinct data indices")
-        object.__setattr__(self, "spectators", sp)
-
-    def gamma(self, j: int) -> np.ndarray:
-        return intermediate_gamma(j, self.spectators, self.data)
-
-    def residual(self, j: int, l: int) -> float:
-        return collision_consistency_residual(j, l, self.spectators, self.data)
 
 
 def _spectator_tuple(j: int, spectators, N: int) -> tuple:

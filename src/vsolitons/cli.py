@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +81,7 @@ from .sampling import (
 )
 from .soldata import (
     Mixed,
+    NormingVector,
     Polarization,
     Robin,
     SolitonData,
@@ -95,8 +96,6 @@ from .verification import (
     pde_residual,
     sample_grid,
 )
-
-MODES = ("simulate", "collide", "reflect", "mirror", "verify", "transfer")
 
 #: Default tolerances by check family; each overridable per run.
 DEFAULT_TOLERANCES = {
@@ -343,102 +342,46 @@ def _write_manifest(cfg: RunConfig, digest_source, outputs: List[str]) -> None:
 # --- property suites -------------------------------------------------------------
 
 
-def _suite_one_soliton(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    worst = 0.0
-    samples = cfg.samples if cfg.samples is not None else 20
-    for i in range(samples):
-        n = (2, 3, 1)[i % 3]
-        data = random_soliton_data(rng, 1, n, log=log)
-        xs = rng.uniform(-6, 6, 50)
-        ts = rng.uniform(-3, 3, 50)
-        exact = one_soliton_field(data.points[0][0], data.points[0][1], xs, ts)
-        built = reconstruct_field(data, xs, ts)
-        worst = max(worst, float(np.max(np.abs(exact - built))))
-    _check(report, cfg, "one-soliton-oracle", worst, family="involution")
+@dataclass(frozen=True)
+class _Sampled:
+    """A sampled suite: draw instances one at a time, keep each check's worst.
+
+    ``draw(cfg, rng, log, i, variant)`` draws instance i and returns one
+    residual per entry of ``checks`` (name template, family); ``{}`` in a
+    name takes the variant label.  ``variants(cfg)`` lists (label, payload)
+    pairs, each run over all samples; ``tail`` appends fixed checks.
+    """
+
+    default: int  # samples when suite.samples is unset
+    checks: Tuple[Tuple[str, str], ...]
+    draw: Callable
+    variants: Callable = lambda cfg: [("", None)]
+    tail: Optional[Callable] = None
+
+    def __call__(self, cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
+        samples = cfg.samples if cfg.samples is not None else self.default
+        for variant in self.variants(cfg):
+            worst = [0.0] * len(self.checks)
+            for i in range(samples):
+                residuals = self.draw(cfg, rng, log, i, variant)
+                worst = [max(w, r) for w, r in zip(worst, residuals)]
+            for (name, family), w in zip(self.checks, worst):
+                _check(report, cfg, name.format(variant[0]), w, family=family)
+        if self.tail is not None:
+            self.tail(cfg, rng, report, log)
 
 
-def _suite_determinant(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    worst = 0.0
-    samples = cfg.samples if cfg.samples is not None else 10
-    for i in range(samples):
-        N = 2 + i % 3
-        data = random_soliton_data(rng, N, 2 + i % 2, log=log)
-        chain = build_reduced_chain(data)
-        ks = []
-        for _ in range(20):
-            k = complex(rng.uniform(-3, 3), rng.uniform(0, 2.5))
-            if any(abs(k - kk.conjugate()) < 1e-6 for kk in data.ks):
-                log.resamples += 1
-                continue
-            ks.append(k)
-        for k, det in zip(ks, np.linalg.det(eval_chain(chain, ks))):
-            prod = np.prod([blaschke_factor(pt, k) for pt, _ in data.points])
-            worst = max(worst, abs(det - prod) / abs(prod))
-    _check(report, cfg, "determinant-blaschke-product", worst, family="involution")
+def _worst(residuals) -> float:
+    """Worst of one instance's residuals, folded from 0.0 as the runner folds."""
+    return max([0.0, *residuals])
 
 
-def _suite_permutation(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    N = cfg.suite_params.get("N", 3)
-    n = cfg.suite_params.get("n", 2)
-    samples = cfg.samples if cfg.samples is not None else 5
-    worst = 0.0
-    reference = tuple(range(N))
-    for _ in range(samples):
-        data = random_soliton_data(rng, N, n, log=log)
-        # checked after the draw: an N past the sampler's reach is a SamplingError
-        if not 2 <= N <= 6:
-            raise ConfigError(f"suite.N: the permutation suite needs 2 <= N <= 6, got {N}")
-        ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
-        xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
-        for order in itertools.permutations(range(N)):
-            if order == reference:
-                continue
-            worst = max(worst, permutation_residual(data, reference, order, ks, xts))
-    _check(report, cfg, f"permutation-factorization[N={N},n={n}]", worst, family="algebraic")
+def _suite_ns(cfg: RunConfig) -> list:
+    return [cfg.suite_params["n"]] if "n" in cfg.suite_params else [2, 3]
 
 
-def _suite_ybe(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 100
-    for n in _suite_ns(cfg):
-        worst = 0.0
-        for _ in range(samples):
-            ks = random_map_parameters(rng, 3, log=log)
-            ps = [random_polarization(rng, n) for _ in range(3)]
-            worst = max(worst, ybe_residual(*ks, *ps))
-        _check(report, cfg, f"yang-baxter-equation[n={n}]", worst, family="algebraic")
-
-
-def _suite_reversibility(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 100
-    for n in _suite_ns(cfg):
-        worst = 0.0
-        for _ in range(samples):
-            ks = random_map_parameters(rng, 2, log=log)
-            ps = [random_polarization(rng, n) for _ in range(2)]
-            worst = max(worst, reversibility_residual(ks[0], ks[1], ps[0], ps[1]))
-        _check(report, cfg, f"reversibility[n={n}]", worst, family="involution")
-
-
-def _suite_yb_structure(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 50
-    worst_u = worst_s = 0.0
-    for i in range(samples):
-        n = (2, 3)[i % 2]
-        ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-        ps = [random_polarization(rng, n) for _ in range(2)]
-        V = random_unitary(rng, n)
-        a1, a2 = yb_map(ks[0], ks[1], ps[0], ps[1])
-        b1, b2 = yb_map(
-            ks[0], ks[1], Polarization(V @ ps[0].p), Polarization(V @ ps[1].p)
-        )
-        worst_u = max(
-            worst_u,
-            projective_distance(Polarization(V @ a1.p), b1),
-            projective_distance(Polarization(V @ a2.p), b2),
-        )
-        worst_s = max(worst_s, s_twist_residual(ks[0], ks[1], ps[0], ps[1]))
-    _check(report, cfg, "unitary-diagonal-invariance", worst_u, family="involution")
-    _check(report, cfg, "parameter-twist-transpose", worst_s, family="involution")
+def _n_variants(cfg: RunConfig):
+    return [(f"n={n}", n) for n in _suite_ns(cfg)]
 
 
 def _boundary_kinds(cfg: RunConfig):
@@ -447,61 +390,113 @@ def _boundary_kinds(cfg: RunConfig):
     return [(label, None) for label in BOUNDARY_KINDS]
 
 
-def _suite_reflection_equation(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 100
-    for label, fixed in _boundary_kinds(cfg):
-        worst = 0.0
-        for i in range(samples):
-            n = _suite_ns(cfg)[i % len(_suite_ns(cfg))]
-            spec = fixed if fixed is not None else random_boundary(rng, label, n)
-            nn = spec.n or n
-            ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-            ps = [random_polarization(rng, nn) for _ in range(2)]
-            try:
-                worst = max(
-                    worst, reflection_equation_residual(ks[0], ks[1], ps[0], ps[1], spec)
-                )
-            except PoleError:
-                log.resamples += 1
-        _check(report, cfg, f"reflection-equation[{label}]", worst, family="algebraic")
+def _boundary_spec(rng, variant, n: int):
+    label, fixed = variant
+    return fixed if fixed is not None else random_boundary(rng, label, n)
 
 
-def _suite_involution(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 100
-    for label, fixed in _boundary_kinds(cfg):
-        worst = 0.0
-        for i in range(samples):
-            n = _suite_ns(cfg)[i % len(_suite_ns(cfg))]
-            spec = fixed if fixed is not None else random_boundary(rng, label, n)
-            nn = spec.n or n
-            ks = random_map_parameters(rng, 1, mirrored=True, log=log)
-            worst = max(
-                worst, involution_residual(ks[0], random_polarization(rng, nn), spec)
-            )
-        _check(report, cfg, f"reflection-involution[{label}]", worst, family="involution")
+def _boundary_draw(cfg: RunConfig, rng, i: int, variant):
+    """Boundary of instance i and the component count it acts on."""
+    ns = _suite_ns(cfg)
+    n = ns[i % len(ns)]
+    spec = _boundary_spec(rng, variant, n)
+    return spec, spec.n or n
 
 
-def _suite_collision(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 20
-    worst_rel = worst_xi = worst_pipe = 0.0
-    for i in range(samples):
-        N = 2 + i % 2
-        n = (2, 3)[i % 2]
-        data = random_soliton_data(rng, N, n, log=log)
-        for j in range(N):
-            for l in range(j + 1, N):
-                spect = tuple(m for m in range(N) if m not in (j, l))[: i % 2]
-                worst_rel = max(
-                    worst_rel, collision_consistency_residual(j, l, spect, data)
-                )
-                worst_xi = max(
-                    worst_xi,
-                    abs(xi_factor(j, l, spect, data) - xi_factor(l, j, spect, data)),
-                )
-        worst_pipe = max(worst_pipe, _pipeline_residual(data))
-    _check(report, cfg, "pairwise-collision-relations", worst_rel, family="algebraic")
-    _check(report, cfg, "norm-ratio-symmetry", worst_xi, family="involution")
-    _check(report, cfg, "factorization-pipeline", worst_pipe, family="algebraic")
+def _draw_one_soliton(cfg, rng, log, i, variant):
+    data = random_soliton_data(rng, 1, (2, 3, 1)[i % 3], log=log)
+    xs = rng.uniform(-6, 6, 50)
+    ts = rng.uniform(-3, 3, 50)
+    exact = one_soliton_field(data.points[0][0], data.points[0][1], xs, ts)
+    return (float(np.max(np.abs(exact - reconstruct_field(data, xs, ts)))),)
+
+
+def _draw_determinant(cfg, rng, log, i, variant):
+    data = random_soliton_data(rng, 2 + i % 3, 2 + i % 2, log=log)
+    chain = build_reduced_chain(data)
+    ks = []
+    for _ in range(20):
+        k = complex(rng.uniform(-3, 3), rng.uniform(0, 2.5))
+        if any(abs(k - kk.conjugate()) < 1e-6 for kk in data.ks):
+            log.resamples += 1
+            continue
+        ks.append(k)
+    rel = []
+    for k, det in zip(ks, np.linalg.det(eval_chain(chain, ks))):
+        prod = np.prod([blaschke_factor(pt, k) for pt, _ in data.points])
+        rel.append(abs(det - prod) / abs(prod))
+    return (_worst(rel),)
+
+
+def _permutation_variants(cfg: RunConfig):
+    N, n = cfg.suite_params.get("N", 3), cfg.suite_params.get("n", 2)
+    return [(f"N={N},n={n}", (N, n))]
+
+
+def _draw_permutation(cfg, rng, log, i, variant):
+    N, n = variant[1]
+    data = random_soliton_data(rng, N, n, log=log)
+    # checked after the draw: an N past the sampler's reach is a SamplingError
+    if not 2 <= N <= 6:
+        raise ConfigError(f"suite.N: the permutation suite needs 2 <= N <= 6, got {N}")
+    ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
+    xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
+    reference = tuple(range(N))
+    return (_worst(permutation_residual(data, reference, order, ks, xts)
+                   for order in itertools.permutations(range(N)) if order != reference),)
+
+
+def _draw_ybe(cfg, rng, log, i, variant):
+    ks = random_map_parameters(rng, 3, log=log)
+    ps = [random_polarization(rng, variant[1]) for _ in range(3)]
+    return (ybe_residual(*ks, *ps),)
+
+
+def _draw_reversibility(cfg, rng, log, i, variant):
+    ks = random_map_parameters(rng, 2, log=log)
+    ps = [random_polarization(rng, variant[1]) for _ in range(2)]
+    return (reversibility_residual(ks[0], ks[1], ps[0], ps[1]),)
+
+
+def _draw_yb_structure(cfg, rng, log, i, variant):
+    n = (2, 3)[i % 2]
+    ks = random_map_parameters(rng, 2, mirrored=True, log=log)
+    ps = [random_polarization(rng, n) for _ in range(2)]
+    V = random_unitary(rng, n)
+    a1, a2 = yb_map(ks[0], ks[1], ps[0], ps[1])
+    b1, b2 = yb_map(ks[0], ks[1], Polarization(V @ ps[0].p), Polarization(V @ ps[1].p))
+    unitary = _worst((projective_distance(Polarization(V @ a1.p), b1),
+                      projective_distance(Polarization(V @ a2.p), b2)))
+    return unitary, s_twist_residual(ks[0], ks[1], ps[0], ps[1])
+
+
+def _draw_reflection_equation(cfg, rng, log, i, variant):
+    spec, n = _boundary_draw(cfg, rng, i, variant)
+    ks = random_map_parameters(rng, 2, mirrored=True, log=log)
+    ps = [random_polarization(rng, n) for _ in range(2)]
+    try:
+        return (reflection_equation_residual(ks[0], ks[1], ps[0], ps[1], spec),)
+    except PoleError:
+        log.resamples += 1
+        return (0.0,)
+
+
+def _draw_involution(cfg, rng, log, i, variant):
+    spec, n = _boundary_draw(cfg, rng, i, variant)
+    ks = random_map_parameters(rng, 1, mirrored=True, log=log)
+    return (involution_residual(ks[0], random_polarization(rng, n), spec),)
+
+
+def _draw_collision(cfg, rng, log, i, variant):
+    N = 2 + i % 2
+    data = random_soliton_data(rng, N, (2, 3)[i % 2], log=log)
+    rel, xi = [], []
+    for j in range(N):
+        for l in range(j + 1, N):
+            spect = tuple(m for m in range(N) if m not in (j, l))[: i % 2]
+            rel.append(collision_consistency_residual(j, l, spect, data))
+            xi.append(abs(xi_factor(j, l, spect, data) - xi_factor(l, j, spect, data)))
+    return _worst(rel), _worst(xi), _pipeline_residual(data)
 
 
 def collision_orders(N: int):
@@ -532,47 +527,29 @@ def _pipeline_residual(data: SolitonData) -> float:
     return worst
 
 
-def _suite_mirror(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog, which: str):
-    samples = cfg.samples if cfg.samples is not None else 10
+def _mirror_kinds(cfg: RunConfig):
     # the mirror suites draw the unrotated kinds only
-    for label, fixed in _boundary_kinds(cfg)[:2]:
-        worst = 0.0
-        for i in range(samples):
-            N = 1 + i % 3
-            n = (2, 3)[i % 2]
-            data = random_soliton_data(rng, N, n, positive=True, log=log)
-            spec = fixed if fixed is not None else random_boundary(rng, label, n)
-            if (spec.n or n) != n:
-                n = spec.n
-                data = random_soliton_data(rng, N, n, positive=True, log=log)
-            hl = solve_mirror_norming(data, spec)
-            if which == "constraint":
-                worst = max(worst, mirror_constraint_residual(hl))
-            else:
-                worst = max(worst, mirror_polarization_residual(hl))
-        if which == "constraint":
-            _check(report, cfg, f"mirror-constraint[{label}]", worst, family="mirror_constraint")
-        else:
-            _check(report, cfg, f"mirror-polarization[{label}]", worst, family="algebraic")
-    if which == "constraint":
-        # detector sanity: a corrupted mirror norming vector must be flagged
-        data = random_soliton_data(rng, 2, 2, positive=True, log=log)
-        hl = solve_mirror_norming(data, Mixed((1, -1)))
-        hl_bad = _perturb_halfline(hl, 1e-3)
-        _check(
-            report,
-            cfg,
-            "mirror-constraint-detector",
-            mirror_constraint_residual(hl_bad),
-            family="asymptotic",
-            tolerance=1e-4,
-            comparison=">=",
-        )
+    return _boundary_kinds(cfg)[:2]
+
+
+def _mirror_halfline(cfg, rng, log, i: int, variant) -> HalfLineData:
+    N, n = 1 + i % 3, (2, 3)[i % 2]
+    data = random_soliton_data(rng, N, n, positive=True, log=log)
+    spec = _boundary_spec(rng, variant, n)
+    if (spec.n or n) != n:
+        data = random_soliton_data(rng, N, spec.n, positive=True, log=log)
+    return solve_mirror_norming(data, spec)
+
+
+def _mirror_detector(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
+    """Detector sanity: a corrupted mirror norming vector must be flagged."""
+    data = random_soliton_data(rng, 2, 2, positive=True, log=log)
+    hl_bad = _perturb_halfline(solve_mirror_norming(data, Mixed((1, -1))), 1e-3)
+    _check(report, cfg, "mirror-constraint-detector", mirror_constraint_residual(hl_bad),
+           family="asymptotic", tolerance=1e-4, comparison=">=")
 
 
 def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
-    from .soldata import NormingVector
-
     pts = list(hl.mirror_data.points)
     pt, nv = pts[0]
     bumped = nv.beta.copy()
@@ -583,118 +560,85 @@ def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
     return HalfLineData(hl.real_data, mirror, hl.spec, combined)
 
 
-def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    R = YangBaxterRule()
-    ident = IdentityReflection()
+def _transfer_worst(rng, log, maps, n: int, diagonal: bool) -> float:
+    """Worst commutator over the pairs j < l (j <= l if diagonal) of a drawn
+    N = 2 and a drawn N = 3 state of n-component polarizations."""
     worst = 0.0
     for N in (2, 3):
         ks = random_map_parameters(rng, N, mirrored=True, log=log)
-        state = tuple(ExtendedPoint(random_polarization(rng, 2), k) for k in ks)
-        maps = {"R": R, "B_plus": ident, "B_minus": ident}
+        state = tuple(ExtendedPoint(random_polarization(rng, n), k) for k in ks)
         for j in range(N):
-            for l in range(j, N):
+            for l in range(j if diagonal else j + 1, N):
                 worst = max(worst, transfer_commutator_residual(j, l, maps, state))
+    return worst
+
+
+def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
+    R = YangBaxterRule()
+    ident = IdentityReflection()
+    worst = _transfer_worst(rng, log, {"R": R, "B_plus": ident, "B_minus": ident}, 2, True)
     _check(report, cfg, "transfer-commutator[identity-boundary]", worst, family="involution")
 
     ks = random_map_parameters(rng, 2, mirrored=True, log=log)
     scalar_state = tuple(ExtendedPoint(Polarization([1.0]), k) for k in ks)
-    maps1 = {
-        "R": R,
-        "B_plus": BoundaryReflection(Robin(0.5)),
-        "B_minus": BoundaryReflection(Robin(0.5)),
-    }
-    _check(
-        report,
-        cfg,
-        "transfer-commutator[scalar]",
-        transfer_commutator_residual(0, 1, maps1, scalar_state),
-        family="involution",
-        tolerance=0.0,
+    robin = BoundaryReflection(Robin(0.5))
+    residual = transfer_commutator_residual(
+        0, 1, {"R": R, "B_plus": robin, "B_minus": robin}, scalar_state
     )
+    _check(report, cfg, "transfer-commutator[scalar]", residual,
+           family="involution", tolerance=0.0)
 
     # exploratory: both boundary slots filled with the concrete reflection map;
     # the measured residual is recorded, not asserted
-    for label in BOUNDARY_KINDS:
-        spec = cfg.boundary if cfg.boundary is not None else random_boundary(rng, label, 2)
-        n = spec.n or 2
+    for variant in _boundary_kinds(cfg):
+        spec = _boundary_spec(rng, variant, 2)
         B = BoundaryReflection(spec)
-        maps_b = {"R": R, "B_plus": B, "B_minus": B}
-        worst = 0.0
-        for N in (2, 3):
-            ks = random_map_parameters(rng, N, mirrored=True, log=log)
-            state = tuple(ExtendedPoint(random_polarization(rng, n), k) for k in ks)
-            for j in range(N):
-                for l in range(j + 1, N):
-                    worst = max(worst, transfer_commutator_residual(j, l, maps_b, state))
-        _check(
-            report,
-            cfg,
-            f"transfer-commutator[vnls-reflection:{label}]",
-            worst,
-            informational=True,
-        )
-        if cfg.boundary is not None:
-            break
+        worst = _transfer_worst(rng, log, {"R": R, "B_plus": B, "B_minus": B},
+                                spec.n or 2, False)
+        _check(report, cfg, f"transfer-commutator[vnls-reflection:{variant[0]}]", worst,
+               informational=True)
+
+
+def _pde_order(field_fn, x0: float, x1: float, hs) -> float:
+    """Fitted convergence order of the PDE residual on [x0, x1] x [-1, 1]."""
+
+    def residual(h):
+        nx, nt = int(round((x1 - x0) / h)) + 1, int(round(2 / h)) + 1
+        return pde_residual(sample_grid(field_fn, x0, x1, -1, 1, nx, nt))
+
+    return convergence_order(residual, hs)
 
 
 def _suite_pde(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
     hs = [0.04, 0.02, 0.01]
     data = random_soliton_data(rng, 2, 2, log=log)
-
-    def line_res(h):
-        nx, nt = int(round(8 / h)) + 1, int(round(2 / h)) + 1
-        grid = sample_grid(
-            lambda X, T: reconstruct_field(data, X, T), -4, 4, -1, 1, nx, nt
-        )
-        return pde_residual(grid)
-
-    order = convergence_order(line_res, hs)
+    order = _pde_order(lambda X, T: reconstruct_field(data, X, T), -4, 4, hs)
     _check(report, cfg, "pde-order[line-2-soliton]", abs(order - 2.0),
            family="asymptotic", tolerance=0.3)
 
     hdata = random_soliton_data(rng, 2, 2, positive=True, log=log)
     hl_mixed = solve_mirror_norming(hdata, Mixed((1, -1)))
     hl_robin = solve_mirror_norming(hdata, Robin(0.8))
-
-    def half_res(h):
-        nx, nt = int(round(6 / h)) + 1, int(round(2 / h)) + 1
-        grid = sample_grid(
-            lambda X, T: halfline_field(hl_mixed, X, T), 0, 6, -1, 1, nx, nt
-        )
-        return pde_residual(grid)
-
-    order = convergence_order(half_res, hs)
+    order = _pde_order(lambda X, T: halfline_field(hl_mixed, X, T), 0, 6, hs)
     _check(report, cfg, "pde-order[half-line-2-soliton]", abs(order - 2.0),
            family="asymptotic", tolerance=0.3)
 
     ts = np.linspace(-1.0, 1.0, 9)
-    order_r = convergence_order(lambda h: boundary_residual(hl_robin, ts, h=h), hs)
-    _check(report, cfg, "boundary-order[robin]", order_r,
-           family="asymptotic", tolerance=1.7, comparison=">=")
-    order_m = convergence_order(lambda h: boundary_residual(hl_mixed, ts, h=h), hs)
-    _check(report, cfg, "boundary-order[mixed]", order_m,
-           family="asymptotic", tolerance=1.7, comparison=">=")
+    for label, hl in (("robin", hl_robin), ("mixed", hl_mixed)):
+        order = convergence_order(lambda h: boundary_residual(hl, ts, h=h), hs)
+        _check(report, cfg, f"boundary-order[{label}]", order,
+               family="asymptotic", tolerance=1.7, comparison=">=")
 
 
-def _suite_factorization(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    samples = cfg.samples if cfg.samples is not None else 2
-    worst_pol = worst_pipe = 0.0
-    for i in range(samples):
-        N = 2 + i % 2
-        data = _moderate_collision_data(rng, N, (2, 3)[i % 2], log)
-        T = 18.0 / (
-            min(pt.v for pt, _ in data.points) * min_relative_velocity(data)
-        )
-        for j in range(data.N):
-            for t, bfun in ((-T, beta_in), (T, beta_out)):
-                pol, _ = extract_asymptotic_polarization(data, j, t)
-                worst_pol = max(
-                    worst_pol,
-                    projective_distance(pol, polarization_of(bfun(j, data))),
-                )
-        worst_pipe = max(worst_pipe, _pipeline_residual(data))
-    _check(report, cfg, "asymptotic-polarization-match", worst_pol, family="asymptotic")
-    _check(report, cfg, "factorization-pipeline", worst_pipe, family="algebraic")
+def _draw_factorization(cfg, rng, log, i, variant):
+    data = _moderate_collision_data(rng, 2 + i % 2, (2, 3)[i % 2], log)
+    T = 18.0 / (min(pt.v for pt, _ in data.points) * min_relative_velocity(data))
+    dist = []
+    for j in range(data.N):
+        for t, bfun in ((-T, beta_in), (T, beta_out)):
+            pol, _ = extract_asymptotic_polarization(data, j, t)
+            dist.append(projective_distance(pol, polarization_of(bfun(j, data))))
+    return _worst(dist), _pipeline_residual(data)
 
 
 def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
@@ -707,32 +651,45 @@ def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
         vmin = min(pt.v for pt, _ in data.points)
         if vmin >= 0.5 and min_relative_velocity(data) >= 0.8:
             return data
-        if log is not None:
-            log.resamples += 1
+        log.resamples += 1
 
 
+#: Every suite is a callable (cfg, rng, report, log); a sampled one is
+#: _Sampled(default samples, checks, draw[, variants[, tail]]).
 _SUITES: Dict[str, Callable] = {
-    "one-soliton": _suite_one_soliton,
-    "determinant": _suite_determinant,
-    "permutation": _suite_permutation,
-    "ybe": _suite_ybe,
-    "reversibility": _suite_reversibility,
-    "yb-structure": _suite_yb_structure,
-    "reflection-equation": _suite_reflection_equation,
-    "involution": _suite_involution,
-    "collision": _suite_collision,
-    "mirror-constraint": lambda c, r, rep, lg: _suite_mirror(c, r, rep, lg, "constraint"),
-    "mirror-polarization": lambda c, r, rep, lg: _suite_mirror(c, r, rep, lg, "polarization"),
+    "one-soliton": _Sampled(20, (("one-soliton-oracle", "involution"),), _draw_one_soliton),
+    "determinant": _Sampled(10, (("determinant-blaschke-product", "involution"),),
+                            _draw_determinant),
+    "permutation": _Sampled(5, (("permutation-factorization[{}]", "algebraic"),),
+                            _draw_permutation, _permutation_variants),
+    "ybe": _Sampled(100, (("yang-baxter-equation[{}]", "algebraic"),), _draw_ybe, _n_variants),
+    "reversibility": _Sampled(100, (("reversibility[{}]", "involution"),),
+                              _draw_reversibility, _n_variants),
+    "yb-structure": _Sampled(50, (("unitary-diagonal-invariance", "involution"),
+                                  ("parameter-twist-transpose", "involution")),
+                             _draw_yb_structure),
+    "reflection-equation": _Sampled(100, (("reflection-equation[{}]", "algebraic"),),
+                                    _draw_reflection_equation, _boundary_kinds),
+    "involution": _Sampled(100, (("reflection-involution[{}]", "involution"),),
+                           _draw_involution, _boundary_kinds),
+    "collision": _Sampled(20, (("pairwise-collision-relations", "algebraic"),
+                               ("norm-ratio-symmetry", "involution"),
+                               ("factorization-pipeline", "algebraic")), _draw_collision),
+    "mirror-constraint": _Sampled(
+        10, (("mirror-constraint[{}]", "mirror_constraint"),),
+        lambda *a: (mirror_constraint_residual(_mirror_halfline(*a)),),
+        _mirror_kinds, _mirror_detector,
+    ),
+    "mirror-polarization": _Sampled(
+        10, (("mirror-polarization[{}]", "algebraic"),),
+        lambda *a: (mirror_polarization_residual(_mirror_halfline(*a)),), _mirror_kinds,
+    ),
     "transfer": _suite_transfer,
     "pde": _suite_pde,
-    "factorization": _suite_factorization,
+    "factorization": _Sampled(2, (("asymptotic-polarization-match", "asymptotic"),
+                                  ("factorization-pipeline", "algebraic")),
+                              _draw_factorization),
 }
-
-
-def _suite_ns(cfg: RunConfig) -> list:
-    if "n" in cfg.suite_params:
-        return [cfg.suite_params["n"]]
-    return [2, 3]
 
 
 def run_property_suite(cfg: RunConfig) -> ReportDocument:
@@ -760,7 +717,7 @@ def _grid_from_cfg(cfg: RunConfig, field_fn) -> FieldGrid:
     return sample_grid(field_fn, g["x0"], g["x1"], g["t0"], g["t1"], g["nx"], g["nt"])
 
 
-def _mode_simulate(cfg: RunConfig, report: ReportDocument) -> List[str]:
+def _mode_simulate(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None:
         raise ConfigError("data: required for simulate mode")
     if cfg.grid is None:
@@ -769,10 +726,9 @@ def _mode_simulate(cfg: RunConfig, report: ReportDocument) -> List[str]:
     export_grid(grid, cfg.output / "grid.csv")
     _check(report, cfg, "pde-residual", pde_residual(grid), informational=True)
     _write_manifest(cfg, soliton_data_to_json(cfg.data), ["grid.csv", "report.json"])
-    return ["grid.csv", "manifest.json"]
 
 
-def _mode_collide(cfg: RunConfig, report: ReportDocument) -> List[str]:
+def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None or cfg.data.N < 2:
         raise ConfigError("data: collide mode needs at least two solitons")
     data = cfg.data
@@ -789,7 +745,6 @@ def _mode_collide(cfg: RunConfig, report: ReportDocument) -> List[str]:
     }
     _write_json(cfg.output / "collide.json", doc)
     _write_manifest(cfg, soliton_data_to_json(data), ["collide.json", "report.json"])
-    return ["collide.json", "manifest.json"]
 
 
 def _replace_betas(data: SolitonData, which) -> SolitonData:
@@ -799,7 +754,7 @@ def _replace_betas(data: SolitonData, which) -> SolitonData:
     )
 
 
-def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> List[str]:
+def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None:
         raise ConfigError("data: required for reflect mode")
     if cfg.boundary is None:
@@ -822,10 +777,9 @@ def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> List[str]:
     _check(report, cfg, "reflection-involution", worst, family="involution")
     _write_json(cfg.output / "reflect.json", {"reflections": records})
     _write_manifest(cfg, soliton_data_to_json(cfg.data), ["reflect.json", "report.json"])
-    return ["reflect.json", "manifest.json"]
 
 
-def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> List[str]:
+def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None:
         raise ConfigError("data: required for mirror mode")
     if cfg.boundary is None:
@@ -848,38 +802,29 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> List[str]:
                informational=True)
         outputs.append("grid.csv")
     _write_manifest(cfg, halfline_to_json(hl), outputs + ["report.json"])
-    return outputs
 
 
-def _mode_verify(cfg: RunConfig) -> ReportDocument:
-    if cfg.suite_name is None:
-        raise ConfigError("suite.name: required for verify mode")
-    return run_property_suite(cfg)
-
-
-def _mode_transfer(cfg: RunConfig) -> ReportDocument:
-    cfg = replace(cfg, suite_name="transfer")
-    return run_property_suite(cfg)
+_MODES = {
+    "simulate": _mode_simulate,
+    "collide": _mode_collide,
+    "reflect": _mode_reflect,
+    "mirror": _mode_mirror,
+}
+MODES = (*_MODES, "verify", "transfer")
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns the process exit code."""
     cfg.output.mkdir(parents=True, exist_ok=True)
-    if cfg.mode == "verify":
-        report = _mode_verify(cfg)
-    elif cfg.mode == "transfer":
-        report = _mode_transfer(cfg)
-    else:
+    if cfg.mode in _MODES:
         report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
-        if cfg.mode == "simulate":
-            _mode_simulate(cfg, report)
-        elif cfg.mode == "collide":
-            _mode_collide(cfg, report)
-        elif cfg.mode == "reflect":
-            _mode_reflect(cfg, report)
-        elif cfg.mode == "mirror":
-            _mode_mirror(cfg, report)
-    if cfg.mode in ("verify", "transfer"):
+        _MODES[cfg.mode](cfg, report)
+    else:
+        if cfg.mode == "transfer":
+            cfg = replace(cfg, suite_name="transfer")
+        elif cfg.suite_name is None:
+            raise ConfigError("suite.name: required for verify mode")
+        report = run_property_suite(cfg)
         _write_manifest(cfg, cfg.raw.get("suite", {}), ["report.json"])
     _write_json(cfg.output / "report.json", report.to_json())
     for chk in report.checks:

@@ -142,18 +142,6 @@ class TestCollisionRelations:
         with pytest.raises(ValidationError):
             collision_consistency_residual(1, 0, (), data)
 
-    def test_collision_context(self):
-        from vsolitons import CollisionContext
-
-        rng = np.random.default_rng(8)
-        data = ordered_data(rng, 3, 2)
-        ctx = CollisionContext(data, (1,))
-        assert ctx.residual(0, 2) < 1e-10
-        assert np.allclose(ctx.gamma(0), intermediate_gamma(0, (1,), data))
-        unsorted = SolitonData(2, (data.points[1], data.points[0], data.points[2]))
-        with pytest.raises(ValidationError):
-            CollisionContext(unsorted, ())
-
 
 class TestAsymptoticProfile:
     def test_single_soliton_exact(self):

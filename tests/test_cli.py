@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vsolitons import NormingVector, SolitonData, SpectralPoint, one_soliton_field
+from vsolitons import NormingVector, SolitonData, SpectralPoint, cli, one_soliton_field
 from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
@@ -295,16 +295,94 @@ class TestDeterminism:
         assert r1 != r2
 
 
+#: (name, tolerance, comparison, informational) of every check each suite
+#: reports at seed 0, with one sample where the suite samples.
+SUITE_SCHEMAS = {
+    "one-soliton": [("one-soliton-oracle", 1e-12, "<=", False)],
+    "determinant": [("determinant-blaschke-product", 1e-12, "<=", False)],
+    "permutation": [("permutation-factorization[N=3,n=2]", 1e-10, "<=", False)],
+    "ybe": [
+        ("yang-baxter-equation[n=2]", 1e-10, "<=", False),
+        ("yang-baxter-equation[n=3]", 1e-10, "<=", False),
+    ],
+    "reversibility": [
+        ("reversibility[n=2]", 1e-12, "<=", False),
+        ("reversibility[n=3]", 1e-12, "<=", False),
+    ],
+    "yb-structure": [
+        ("unitary-diagonal-invariance", 1e-12, "<=", False),
+        ("parameter-twist-transpose", 1e-12, "<=", False),
+    ],
+    "reflection-equation": [
+        ("reflection-equation[robin]", 1e-10, "<=", False),
+        ("reflection-equation[mixed]", 1e-10, "<=", False),
+        ("reflection-equation[rotated_mixed]", 1e-10, "<=", False),
+    ],
+    "involution": [
+        ("reflection-involution[robin]", 1e-12, "<=", False),
+        ("reflection-involution[mixed]", 1e-12, "<=", False),
+        ("reflection-involution[rotated_mixed]", 1e-12, "<=", False),
+    ],
+    "collision": [
+        ("pairwise-collision-relations", 1e-10, "<=", False),
+        ("norm-ratio-symmetry", 1e-12, "<=", False),
+        ("factorization-pipeline", 1e-10, "<=", False),
+    ],
+    "mirror-constraint": [
+        ("mirror-constraint[robin]", 1e-08, "<=", False),
+        ("mirror-constraint[mixed]", 1e-08, "<=", False),
+        ("mirror-constraint-detector", 1e-4, ">=", False),
+    ],
+    "mirror-polarization": [
+        ("mirror-polarization[robin]", 1e-10, "<=", False),
+        ("mirror-polarization[mixed]", 1e-10, "<=", False),
+    ],
+    "transfer": [
+        ("transfer-commutator[identity-boundary]", 1e-12, "<=", False),
+        ("transfer-commutator[scalar]", 0.0, "<=", False),
+        ("transfer-commutator[vnls-reflection:robin]", None, "<=", True),
+        ("transfer-commutator[vnls-reflection:mixed]", None, "<=", True),
+        ("transfer-commutator[vnls-reflection:rotated_mixed]", None, "<=", True),
+    ],
+    "pde": [
+        ("pde-order[line-2-soliton]", 0.3, "<=", False),
+        ("pde-order[half-line-2-soliton]", 0.3, "<=", False),
+        ("boundary-order[robin]", 1.7, ">=", False),
+        ("boundary-order[mixed]", 1.7, ">=", False),
+    ],
+    "factorization": [
+        ("asymptotic-polarization-match", 1e-4, "<=", False),
+        ("factorization-pipeline", 1e-10, "<=", False),
+    ],
+}
+
+
 class TestSuites:
+    @pytest.mark.parametrize("suite", list(cli._SUITES))
+    def test_report_schema(self, suite):
+        params = {"name": suite, "seed": 0}
+        if suite not in ("pde", "transfer"):  # these two ignore the count
+            params["samples"] = 1
+        report = run_property_suite(parse_run_config({"mode": "verify", "suite": params}))
+        got = [
+            (c["name"], c["tolerance"], c["comparison"], c["informational"])
+            for c in report.to_json()["checks"]
+        ]
+        assert got == SUITE_SCHEMAS[suite]
+
+    def test_schema_table_covers_every_suite(self):
+        assert list(SUITE_SCHEMAS) == list(cli._SUITES)
+
     def test_empty_suite_report(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {"suite": {"name": "ybe", "samples": 0, "seed": 0}}
-        )
-        out = tmp_path / "o"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["checks"] == []
-        assert report["passed"] is True
+        for suite in cli._SUITES:
+            cfg = write_config(
+                tmp_path, {"suite": {"name": suite, "samples": 0, "seed": 0}}
+            )
+            out = tmp_path / suite
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["checks"] == []
+            assert report["passed"] is True
 
     def test_reflection_equation_suite(self, tmp_path):
         cfg = write_config(
@@ -377,6 +455,21 @@ class TestSuites:
         checks = json.loads((out / "report.json").read_text())["checks"]
         rows = [c for c in checks if c["name"].startswith("transfer-commutator[vnls-reflection:")]
         assert len(rows) == 1 and rows[0]["informational"]
+
+    def test_transfer_names_given_boundary_row(self):
+        cfg = parse_run_config(
+            {
+                "mode": "verify",
+                "suite": {"name": "transfer", "seed": 2},
+                "boundary": {"kind": "mixed", "signs": [1, -1, 1]},
+            }
+        )
+        names = [c.name for c in run_property_suite(cfg).checks]
+        assert names == [
+            "transfer-commutator[identity-boundary]",
+            "transfer-commutator[scalar]",
+            "transfer-commutator[vnls-reflection:given]",
+        ]
 
     @pytest.mark.parametrize("seed", [3, 6, 14])
     def test_mirror_constraint_detector_is_scale_invariant(self, seed):

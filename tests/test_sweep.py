@@ -1,4 +1,4 @@
-"""Seed sweep of the boundary suites: every check passes on seeds 0-99.
+"""Seed sweep of every property suite: every check passes on seeds 0-99.
 
 Marked slow and left out of the default run; select it with
 
@@ -13,18 +13,9 @@ import math
 
 import pytest
 
-from vsolitons.cli import parse_run_config, run_property_suite
+from vsolitons.cli import _SUITES, parse_run_config, run_property_suite
 
 SEEDS = range(100)
-
-BOUNDARY_SUITES = (
-    "reflection-equation",
-    "involution",
-    "transfer",
-    "mirror-constraint",
-    "mirror-polarization",
-    "pde",
-)
 
 
 def _margin(check) -> float:
@@ -37,8 +28,8 @@ def _margin(check) -> float:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("suite", BOUNDARY_SUITES)
-def test_boundary_suite_passes_every_seed(suite):
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_suite_passes_every_seed(suite):
     worst = {}
     failed = []
     for seed in SEEDS:
