@@ -29,13 +29,11 @@ from .soldata import (
     projective_distance,
 )
 from .dressing import (
-    FullChain,
-    ReducedChain,
+    Chain,
     blaschke_factor,
     build_full_chain,
     build_reduced_chain,
     eval_chain,
-    full_chain_matrix,
     one_soliton_field,
     permutation_residual,
     reconstruct_field,
@@ -49,11 +47,7 @@ from .asymptotics import (
     xi_factor,
 )
 from .maps import (
-    BoundaryReflection,
     ExtendedPoint,
-    IdentityReflection,
-    MapChain,
-    YangBaxterRule,
     involution_residual,
     reflection_equation_residual,
     reflection_map,

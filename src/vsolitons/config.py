@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .mirror import HalfLineData, mirror_constraint_residual, CONSTRAINT_TOL
 from .soldata import (
+    POLE_MERGE_TOL,
     BoundarySpec,
     Mixed,
     NormingVector,
@@ -163,7 +164,7 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
     for j in range(count):
         km = mirror.points[j][0].k
         kr = real.points[j][0].k
-        if abs(km + kr.conjugate()) > 1e-12:
+        if abs(km + kr.conjugate()) > POLE_MERGE_TOL:
             raise ConfigError(
                 f"{where}.solitons[{count + j}]: not the mirror of soliton {j}"
             )

@@ -70,23 +70,13 @@ class ChainFactor:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedChain:
-    """Ordered product of reduced n x n dressing factors."""
+class Chain:
+    """Ordered product of d x d dressing factors: reduced (d = n) or full at a
+    fixed (x, t) (d = n + 1)."""
 
     order: tuple
     factors: tuple
-    n: int
-
-
-@dataclass(frozen=True, eq=False)
-class FullChain:
-    """Ordered product of full (n+1) x (n+1) factors at a fixed (x, t)."""
-
-    order: tuple
-    factors: tuple
-    n: int
-    x: float
-    t: float
+    d: int
 
 
 def _normalized_order(data: SolitonData, order) -> tuple:
@@ -106,7 +96,7 @@ def _dagger_apply(factors: Sequence[ChainFactor], k: complex, vec: np.ndarray) -
     return w
 
 
-def build_reduced_chain(data: SolitonData, order=None) -> ReducedChain:
+def build_reduced_chain(data: SolitonData, order=None) -> Chain:
     """Recursively build the reduced chain for the given index order.
 
     The direction of factor i_j is the unit vector along
@@ -123,17 +113,14 @@ def build_reduced_chain(data: SolitonData, order=None) -> ReducedChain:
                 f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
             )
         factors.append(ChainFactor(point.k, _frozen(w / nrm)))
-    return ReducedChain(idx, tuple(factors), data.n)
+    return Chain(idx, tuple(factors), data.n)
 
 
-def eval_chain(chain: ReducedChain, k) -> np.ndarray:
+def eval_chain(chain: Chain, k) -> np.ndarray:
     """Ordered product d_{i_1}(k) ... d_{i_N}(k) (identity for N = 0), one per entry of k."""
-    return _chain_matrix(chain.factors, k, chain.n)
-
-
-def _chain_matrix(factors, k, d: int) -> np.ndarray:
     ks = np.asarray(k, dtype=np.complex128)
-    dirs = [(fac.k, fac.direction[:, None], fac.direction.conj()[:, None]) for fac in factors]
+    d = chain.d
+    dirs = [(f.k, f.direction[:, None], f.direction.conj()[:, None]) for f in chain.factors]
     return _chain_product(dirs, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
 
 
@@ -212,19 +199,14 @@ def _field(data: SolitonData, idx, dirs, m: int) -> np.ndarray:
     return field
 
 
-def build_full_chain(data: SolitonData, order, x: float, t: float) -> FullChain:
+def build_full_chain(data: SolitonData, order, x: float, t: float) -> Chain:
     """Space-time dressing chain at a single point (x, t)."""
     idx = _normalized_order(data, order)
     xf = np.asarray([float(x)])
     tf = np.asarray([float(t)])
     dirs = _full_directions(data, idx, xf, tf)
     factors = tuple(ChainFactor(k, _frozen(z[:, 0])) for k, z, _ in dirs)
-    return FullChain(idx, factors, data.n, float(x), float(t))
-
-
-def full_chain_matrix(chain: FullChain, k) -> np.ndarray:
-    """Ordered product of the full factors at k; one per entry of an array k."""
-    return _chain_matrix(chain.factors, k, chain.n + 1)
+    return Chain(idx, factors, data.n + 1)
 
 
 #: reconstruct_field evaluates the chain over blocks of this many points.

@@ -11,7 +11,7 @@ reads the parameters currently sitting in its slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,85 +59,23 @@ def yb_map(
     return Polarization(b1), Polarization(b2)
 
 
-# --- elementary rules on extended points -------------------------------------
+# --- in-place steps on a list of extended points -------------------------------
 
 
-@dataclass(frozen=True)
-class YangBaxterRule:
-    """Collision rule: parameters ride along unchanged."""
-
-    def apply(self, a: ExtendedPoint, b: ExtendedPoint):
+def _collide(state: list, i: int, j: int) -> None:
+    """Collide slots i and j in place; the parameters ride along unchanged."""
+    a, b = state[i], state[j]
+    try:
         q1, q2 = yb_map(a.k, b.k, a.p, b.p)
-        return ExtendedPoint(q1, a.k), ExtendedPoint(q2, b.k)
+    except PoleError as exc:
+        raise PoleError(f"pair ({i}, {j}) with parameters ({a.k}, {b.k}): {exc}") from exc
+    state[i], state[j] = ExtendedPoint(q1, a.k), ExtendedPoint(q2, b.k)
 
 
-@dataclass(frozen=True)
-class IdentityReflection:
-    """Trivial boundary: fixes both the polarization and the parameter."""
-
-    def apply(self, a: ExtendedPoint) -> ExtendedPoint:
-        return a
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryReflection:
-    """Boundary bounce (p, k) -> (p breve, -k*) for a fixed boundary spec."""
-
-    spec: BoundarySpec
-
-    def apply(self, a: ExtendedPoint) -> ExtendedPoint:
-        return reflection_map(a.k, a.p, self.spec)
-
-
-@dataclass(frozen=True)
-class PairStep:
-    i: int
-    j: int
-    rule: YangBaxterRule
-
-    def run(self, state: list) -> None:
-        try:
-            state[self.i], state[self.j] = self.rule.apply(state[self.i], state[self.j])
-        except PoleError as exc:
-            raise PoleError(
-                f"pair ({self.i}, {self.j}) with parameters "
-                f"({state[self.i].k}, {state[self.j].k}): {exc}"
-            ) from exc
-
-
-@dataclass(frozen=True)
-class SiteStep:
-    j: int
-    rule: object
-
-    def run(self, state: list) -> None:
-        state[self.j] = self.rule.apply(state[self.j])
-
-
-@dataclass(frozen=True)
-class MapChain:
-    """Lazy composition of elementary steps, applied in sequence order.
-
-    Concatenating step tuples makes composition associative by construction;
-    both sides of an equation are built as chains and applied to the same
-    state.
-    """
-
-    steps: tuple
-
-    def __call__(self, state: Sequence[ExtendedPoint]) -> tuple:
-        work = list(state)
-        for step in self.steps:
-            step.run(work)
-        return tuple(work)
-
-    def then(self, other: "MapChain") -> "MapChain":
-        """Chain that applies self first, then other."""
-        return MapChain(self.steps + other.steps)
-
-    @staticmethod
-    def identity() -> "MapChain":
-        return MapChain(())
+def _bounce(state: list, j: int, spec: Optional[BoundarySpec]) -> None:
+    """Bounce slot j off the boundary in place; None is the identity boundary."""
+    if spec is not None:
+        state[j] = reflection_map(state[j].k, state[j].p, spec)
 
 
 def _state(*pairs) -> tuple:
@@ -155,19 +93,22 @@ def _slot_residual(a: Sequence[ExtendedPoint], b: Sequence[ExtendedPoint]) -> fl
 
 def ybe_residual(k1, k2, k3, p1, p2, p3) -> float:
     """Max slotwise projective distance between the two triple-collision orders."""
-    R = YangBaxterRule()
-    lhs = MapChain((PairStep(1, 2, R), PairStep(0, 2, R), PairStep(0, 1, R)))
-    rhs = MapChain((PairStep(0, 1, R), PairStep(0, 2, R), PairStep(1, 2, R)))
     state = _state((p1, k1), (p2, k2), (p3, k3))
-    return _slot_residual(lhs(state), rhs(state))
+    lhs, rhs = list(state), list(state)
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        _collide(lhs, i, j)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        _collide(rhs, i, j)
+    return _slot_residual(lhs, rhs)
 
 
 def reversibility_residual(k1, k2, p1, p2) -> float:
     """Distance of the collide-then-collide-back round trip from the identity."""
-    R = YangBaxterRule()
-    trip = MapChain((PairStep(0, 1, R), PairStep(1, 0, R)))
     state = _state((p1, k1), (p2, k2))
-    return _slot_residual(trip(state), state)
+    trip = list(state)
+    _collide(trip, 0, 1)
+    _collide(trip, 1, 0)
+    return _slot_residual(trip, state)
 
 
 # --- reflection maps -----------------------------------------------------------
@@ -211,12 +152,17 @@ def reflection_equation_residual(k1, k2, p1, p2, spec: BoundarySpec) -> float:
     k1, k2 = complex(k1), complex(k2)
     if not reflection_pair_safe(k1, k2):
         raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
-    R = YangBaxterRule()
-    B = BoundaryReflection(spec)
-    lhs = MapChain((PairStep(0, 1, R), SiteStep(1, B), PairStep(1, 0, R), SiteStep(0, B)))
-    rhs = MapChain((SiteStep(0, B), PairStep(0, 1, R), SiteStep(1, B), PairStep(1, 0, R)))
     state = _state((p1, k1), (p2, k2))
-    return _slot_residual(lhs(state), rhs(state))
+    lhs, rhs = list(state), list(state)
+    _collide(lhs, 0, 1)
+    _bounce(lhs, 1, spec)
+    _collide(lhs, 1, 0)
+    _bounce(lhs, 0, spec)
+    _bounce(rhs, 0, spec)
+    _collide(rhs, 0, 1)
+    _bounce(rhs, 1, spec)
+    _collide(rhs, 1, 0)
+    return _slot_residual(lhs, rhs)
 
 
 def involution_residual(k, p: Polarization, spec: BoundarySpec) -> float:
@@ -231,52 +177,55 @@ def involution_residual(k, p: Polarization, spec: BoundarySpec) -> float:
 # --- transfer maps -------------------------------------------------------------
 
 
-def transfer_chain(j: int, N: int, rule_r, rule_b_plus, rule_b_minus) -> MapChain:
-    """One full traversal of soliton j: collisions out, bounce, collisions back."""
+def transfer_map(
+    j: int,
+    state: Sequence[ExtendedPoint],
+    b_plus: Optional[BoundarySpec],
+    b_minus: Optional[BoundarySpec],
+) -> tuple:
+    """Apply the j-th transfer composition to a state of N >= 2 extended points.
+
+    Soliton j collides out, bounces off b_plus, collides through the others,
+    bounces off b_minus and collides back; None is the identity boundary.
+    """
+    state = list(state)
+    N = len(state)
+    if N < 2:
+        raise ValidationError("transfer maps need at least two sites")
+    j = int(j)
     if not 0 <= j < N:
         raise ValidationError(f"transfer index {j} outside 0..{N-1}")
-    steps = []
     for m in range(j - 1, -1, -1):
-        steps.append(PairStep(m, j, rule_r))
-    steps.append(SiteStep(j, rule_b_plus))
-    for m in range(0, j):
-        steps.append(PairStep(j, m, rule_r))
-    for m in range(j + 1, N):
-        steps.append(PairStep(j, m, rule_r))
-    steps.append(SiteStep(j, rule_b_minus))
+        _collide(state, m, j)
+    _bounce(state, j, b_plus)
+    for m in range(N):
+        if m != j:
+            _collide(state, j, m)
+    _bounce(state, j, b_minus)
     for m in range(N - 1, j, -1):
-        steps.append(PairStep(m, j, rule_r))
-    return MapChain(tuple(steps))
-
-
-def transfer_map(j: int, maps: Dict[str, object], state: Sequence[ExtendedPoint]) -> tuple:
-    """Apply the j-th transfer composition to a state of N >= 2 extended points."""
-    state = tuple(state)
-    if len(state) < 2:
-        raise ValidationError("transfer maps need at least two sites")
-    chain = transfer_chain(
-        int(j), len(state), maps["R"], maps["B_plus"], maps["B_minus"]
-    )
-    return chain(state)
+        _collide(state, m, j)
+    return tuple(state)
 
 
 def transfer_commutator_residual(
-    j: int, l: int, maps: Dict[str, object], state: Sequence[ExtendedPoint]
+    j: int,
+    l: int,
+    state: Sequence[ExtendedPoint],
+    b_plus: Optional[BoundarySpec],
+    b_minus: Optional[BoundarySpec],
 ) -> float:
     """Max slotwise distance between T_j T_l and T_l T_j on the given state."""
-    a = transfer_map(j, maps, transfer_map(l, maps, state))
-    b = transfer_map(l, maps, transfer_map(j, maps, state))
+    a = transfer_map(j, transfer_map(l, state, b_plus, b_minus), b_plus, b_minus)
+    b = transfer_map(l, transfer_map(j, state, b_plus, b_minus), b_plus, b_minus)
     return _slot_residual(a, b)
 
 
 def s_twist_residual(k1, k2, p1: Polarization, p2: Polarization) -> float:
     """Residual of S1 S2 R12 S1 S2 = R21 with S(p, k) = (p, -k*)."""
     state = _state((p1, k1), (p2, k2))
-    R = YangBaxterRule()
-
-    twisted = tuple(ExtendedPoint(e.p, -e.k.conjugate()) for e in state)
-    mid = MapChain((PairStep(0, 1, R),))(twisted)
-    lhs = tuple(ExtendedPoint(e.p, -e.k.conjugate()) for e in mid)
-
-    rhs = MapChain((PairStep(1, 0, R),))(state)
+    lhs = [ExtendedPoint(e.p, -e.k.conjugate()) for e in state]
+    _collide(lhs, 0, 1)
+    lhs = [ExtendedPoint(e.p, -e.k.conjugate()) for e in lhs]
+    rhs = list(state)
+    _collide(rhs, 1, 0)
     return _slot_residual(lhs, rhs)

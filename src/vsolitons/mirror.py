@@ -18,8 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from .dressing import (
+    Chain,
     ChainFactor,
-    ReducedChain,
     _blaschke,
     _dagger_apply,
     build_reduced_chain,
@@ -89,7 +89,7 @@ def _pole_prefactor(ks: np.ndarray, j: int) -> complex:
     return complex(np.exp(acc))
 
 
-def a_matrix(j: int, data: SolitonData, chain: Optional[ReducedChain] = None) -> np.ndarray:
+def a_matrix(j: int, data: SolitonData, chain: Optional[Chain] = None) -> np.ndarray:
     """Residue matrix of the inverse chain at k_j, in factored form.
 
     A_j = prod_{i != j} ((k_j-k_i)/(k_j-k_i*)) *

@@ -12,7 +12,6 @@ from vsolitons import (
     build_full_chain,
     build_reduced_chain,
     eval_chain,
-    full_chain_matrix,
     one_soliton_field,
     permutation_residual,
     polarization_of,
@@ -156,8 +155,8 @@ class TestFullChain:
         data = random_data(rng, 2, 2)
         chain = build_full_chain(data, None, 0.2, 0.1)
         k = complex(rng.uniform(-1, 1), rng.uniform(0.1, 1.5))
-        M = full_chain_matrix(chain, k)
-        Mdag = full_chain_matrix(chain, k.conjugate()).conj().T
+        M = eval_chain(chain, k)
+        Mdag = eval_chain(chain, k.conjugate()).conj().T
         assert np.max(np.abs(M @ Mdag - np.eye(3))) < 1e-12
 
     def test_extreme_exponents_stay_finite(self):
@@ -363,7 +362,7 @@ class TestBatchedKernel:
         stacked = eval_chain(reduced, ks)
         assert stacked.shape == (7, 3, 3)
         full = build_full_chain(data, None, 0.4, -0.3)
-        stacked_full = full_chain_matrix(full, ks)
+        stacked_full = eval_chain(full, ks)
         assert stacked_full.shape == (7, 4, 4)
         for k, a, b in zip(ks, stacked, stacked_full):
             assert np.max(np.abs(a - _ref_product(reduced.factors, k))) <= 1e-13

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from vsolitons import (
-    BoundaryReflection,
     DomainError,
     ExtendedPoint,
-    IdentityReflection,
     Mixed,
     PoleError,
     Polarization,
     Robin,
     RotatedMixed,
-    YangBaxterRule,
     involution_residual,
     projective_distance,
     reflection_equation_residual,
@@ -29,6 +26,7 @@ from vsolitons.sampling import (
     random_polarization,
     random_unitary,
 )
+from vsolitons.soldata import PAIR_POLE_TOL
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -210,13 +208,8 @@ class TestTransferMaps:
 
     def test_identity_boundaries_give_identity_map(self):
         rng = np.random.default_rng(5)
-        maps = {
-            "R": YangBaxterRule(),
-            "B_plus": IdentityReflection(),
-            "B_minus": IdentityReflection(),
-        }
         state = self._state(rng, 2, 2)
-        out = transfer_map(0, maps, state)
+        out = transfer_map(0, state, None, None)
         for a, b in zip(out, state):
             assert projective_distance(a.p, b.p) < 1e-12
             assert a.k == b.k
@@ -224,46 +217,65 @@ class TestTransferMaps:
     @pytest.mark.parametrize("N", [2, 3])
     def test_identity_boundary_commutators(self, N):
         rng = np.random.default_rng(6 + N)
-        maps = {
-            "R": YangBaxterRule(),
-            "B_plus": IdentityReflection(),
-            "B_minus": IdentityReflection(),
-        }
         state = self._state(rng, N, 2)
         for j in range(N):
             for l in range(N):
-                assert transfer_commutator_residual(j, l, maps, state) < 1e-12
+                assert transfer_commutator_residual(j, l, state, None, None) < 1e-12
 
     def test_scalar_case_exactly_zero(self):
         rng = np.random.default_rng(9)
         ks = random_map_parameters(rng, 2, mirrored=True)
         state = tuple(ExtendedPoint(Polarization([1.0]), k) for k in ks)
-        B = BoundaryReflection(Mixed((1,)))
-        maps = {"R": YangBaxterRule(), "B_plus": B, "B_minus": B}
-        assert transfer_commutator_residual(0, 1, maps, state) == 0.0
+        B = Mixed((1,))
+        assert transfer_commutator_residual(0, 1, state, B, B) == 0.0
 
     def test_vnls_reflection_experiment_runs_and_is_deterministic(self):
         # exploratory: with the concrete reflection map in both boundary
         # slots the commutator need not vanish; the value is recorded
         rng = np.random.default_rng(10)
         spec = Mixed((1, -1))
-        B = BoundaryReflection(spec)
-        maps = {"R": YangBaxterRule(), "B_plus": B, "B_minus": B}
         state = self._state(rng, 3, 2)
-        r1 = transfer_commutator_residual(0, 2, maps, state)
-        r2 = transfer_commutator_residual(0, 2, maps, state)
+        r1 = transfer_commutator_residual(0, 2, state, spec, spec)
+        r2 = transfer_commutator_residual(0, 2, state, spec, spec)
         assert r1 == r2
         assert np.isfinite(r1)
 
     def test_parameters_travel_with_reflections(self):
         rng = np.random.default_rng(11)
         spec = Robin(0.4)
-        B = BoundaryReflection(spec)
-        maps = {"R": YangBaxterRule(), "B_plus": B, "B_minus": B}
         state = self._state(rng, 2, 2)
-        out = transfer_map(1, maps, state)
+        out = transfer_map(1, state, spec, spec)
         # two bounces return each parameter to its original value
         assert all(a.k == b.k for a, b in zip(out, state))
+
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    def test_reflection_map_is_a_b_plus(self, kind):
+        # the concrete reflection map in b_plus with the identity in b_minus
+        # commutes; in the swapped slots it does not, except for Robin
+        rng = np.random.default_rng(21)
+        plus = swapped = 0.0
+        for _ in range(5):
+            spec = random_boundary(rng, kind, 3)
+            for N in (2, 3, 4):
+                state = self._state(rng, N, 3)
+                for j in range(N):
+                    for l in range(j + 1, N):
+                        r = transfer_commutator_residual(j, l, state, spec, None)
+                        s = transfer_commutator_residual(j, l, state, None, spec)
+                        plus, swapped = max(plus, r), max(swapped, s)
+        assert plus <= 1e-12
+        if kind != "robin":
+            assert swapped >= 0.5
+
+    def test_collision_pole_names_the_pair(self):
+        k1 = 0.5 + 0.5j
+        k2 = k1 + 0.1 * PAIR_POLE_TOL
+        p1, p2, p3 = Polarization(E1), Polarization(E2), Polarization([0.6, 0.8])
+        with pytest.raises(PoleError, match=r"pair \("):
+            ybe_residual(k1, k2, -0.3 + 0.8j, p1, p2, p3)
+        state = (ExtendedPoint(p1, k1), ExtendedPoint(p2, k2))
+        with pytest.raises(PoleError, match=r"pair \("):
+            transfer_map(0, state, None, None)
 
     def test_extended_point_rejects_imaginary_axis(self):
         with pytest.raises(DomainError):

@@ -211,7 +211,7 @@ class TestHalfLineField:
         assert projective_distance(pol_out, predicted.p) < 1e-6
 
     def test_two_soliton_scattering_matches_composite(self):
-        from vsolitons.maps import MapChain, PairStep, SiteStep
+        from vsolitons.maps import _bounce, _collide
 
         real = SolitonData.from_arrays(
             [0.5, 1.0], [1.0, 1.1], [[0.8, 0.5 + 0.4j], [1.0, -0.3 + 0.2j]]
@@ -226,15 +226,12 @@ class TestHalfLineField:
         ins = [extract_asymptotic_polarization(srt, pos[j], -T)[0] for j in range(2)]
         outs = [extract_asymptotic_polarization(srt, pos[2 + j], T)[0] for j in range(2)]
 
-        from vsolitons import ExtendedPoint, YangBaxterRule, BoundaryReflection
+        from vsolitons import ExtendedPoint
 
-        R, B = YangBaxterRule(), BoundaryReflection(spec)
-        composite = MapChain(
-            (PairStep(0, 1, R), SiteStep(1, B), PairStep(1, 0, R), SiteStep(0, B))
-        )
-        state = tuple(
-            ExtendedPoint(ins[j], comb.points[j][0].k) for j in range(2)
-        )
-        predicted = composite(state)
+        predicted = [ExtendedPoint(ins[j], comb.points[j][0].k) for j in range(2)]
+        _collide(predicted, 0, 1)
+        _bounce(predicted, 1, spec)
+        _collide(predicted, 1, 0)
+        _bounce(predicted, 0, spec)
         for j in range(2):
             assert projective_distance(outs[j], predicted[j].p) < 1e-6
