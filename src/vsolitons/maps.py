@@ -3,9 +3,14 @@
 The two-soliton collision acts on a pair of polarizations through rank-one
 updates whose coefficients depend on the spectral parameters; a boundary
 bounce acts on a single polarization and sends its parameter k to -k*.
-Both are realized here as maps on tuples of extended points (p, k), so the
-parametric bookkeeping of every composite equation is automatic: each factor
-reads the parameters currently sitting in its slots.
+
+Both act on a stacked state of S samples with the same number of slots: P,
+an (S, slots, n) array of unit vectors, and K, the (S, slots) array of their
+spectral parameters.  Two in-place steps, `_collide` and `_bounce`, run over
+all samples at once, so the parametric bookkeeping of every composite is
+automatic: each step reads the parameters currently sitting in its slots.
+Each composite is written once over the stacked state (the plural public
+names); the scalar public functions are its one-sample wrappers.
 """
 
 from __future__ import annotations
@@ -21,8 +26,25 @@ from .soldata import (
     PAIR_POLE_TOL,
     BoundarySpec,
     Polarization,
-    projective_distance,
 )
+
+
+def _check_axis(K) -> None:
+    """Raise DomainError for the first parameter on the imaginary axis."""
+    bad = np.abs(np.ravel(K).real) <= AXIS_TOL
+    if bad.any():
+        k = complex(np.ravel(K)[np.argmax(bad)])
+        raise DomainError(f"imaginary axis: parameter {k} has |Re k| <= {AXIS_TOL}")
+
+
+def _check_parameters(K) -> None:
+    """Raise DomainError for the first parameter on the imaginary axis, then
+    ValidationError for the first non-finite one."""
+    _check_axis(K)
+    bad = ~np.isfinite(np.ravel(K))
+    if bad.any():
+        k = complex(np.ravel(K)[np.argmax(bad)])
+        raise ValidationError(f"spectral parameter {k} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,9 +56,110 @@ class ExtendedPoint:
 
     def __post_init__(self):
         k = complex(self.k)
-        if abs(k.real) <= AXIS_TOL:
-            raise DomainError(f"imaginary axis: parameter {k} has |Re k| <= {AXIS_TOL}")
+        _check_axis(k)
         object.__setattr__(self, "k", k)
+
+
+# --- the stacked state ---------------------------------------------------------
+
+
+def _sample(ps, ks) -> tuple:
+    """(P, K) of one sample from its polarizations and parameters."""
+    return np.array([[p.p for p in ps]]), np.array([ks], dtype=np.complex128)
+
+
+def _points(P, K) -> tuple:
+    """The extended points of sample 0."""
+    return tuple(ExtendedPoint(Polarization(p), k) for p, k in zip(P[0], K[0].tolist()))
+
+
+def _dot(a, b):
+    """a^dag b over the last axis."""
+    return (a.conj() * b).sum(-1)
+
+
+def _unit(v):
+    return v / np.sqrt((v.conj() * v).real.sum(-1, keepdims=True))
+
+
+def _collide(P, K, i: int, j: int) -> None:
+    """Collide slots i and j of every sample in place; the parameters ride along.
+
+    p_i' = (I + (mu - 1) P_j) p_i with mu = (k_i* - k_j)/(k_i* - k_j*), and
+    p_j' = (I + (nu - 1) P_i) p_j with nu = (k_j - k_i*)/(k_j - k_i), with P
+    the orthogonal projector on a polarization; both are renormalised.
+    """
+    k1, k2 = K[:, i], K[:, j]
+    bad = np.abs(k1 - k2) < PAIR_POLE_TOL
+    if bad.any():
+        a, b = complex(k1[np.argmax(bad)]), complex(k2[np.argmax(bad)])
+        raise PoleError(f"pair ({i}, {j}) with parameters ({a}, {b}): "
+                        f"collision factors are singular for k1={a} ~ k2={b}")
+    k1c = k1.conj()
+    mu = (k1c - k2) / (k1c - k2.conj())
+    nu = (k2 - k1c) / (k2 - k1)
+    a1, a2 = P[:, i], P[:, j]
+    c = _dot(a2, a1)
+    b1 = a1 + ((mu - 1.0) * c)[:, None] * a2
+    b2 = a2 + ((nu - 1.0) * c.conj())[:, None] * a1
+    P[:, i], P[:, j] = _unit(b1), _unit(b2)
+
+
+def _small_ms(specs: Sequence[BoundarySpec], k, n: int) -> np.ndarray:
+    """(S, n, n) stack of each sample's m at its parameter k.
+
+    The parameters are checked sample by sample, in the order a bounce needs
+    them: off the imaginary axis first, then whatever the spec's m checks.
+    """
+    ms = []
+    for spec, kk in zip(specs, k.tolist()):
+        if abs(kk.real) <= AXIS_TOL:
+            raise DomainError(f"imaginary axis: reflection undefined at k={kk}")
+        ms.append(spec.small_m(kk, n))
+    return np.array(ms)
+
+
+def _bounce(P, K, j: int, ms) -> None:
+    """Bounce slot j of every sample off the boundary in place; ms None is the identity.
+
+    p' = (I + (k - k*)/(k + k*) p p^dag) m(k) p, renormalised, and k' = -k*,
+    with ms the stack of m(k) at each sample's current k (see `_small_ms`).
+    """
+    if ms is None:
+        return
+    k, p = K[:, j], P[:, j]
+    q = np.einsum("sab,sb->sa", ms, p)
+    coeff = (k - k.conj()) / (k + k.conj())
+    P[:, j] = _unit(q + (coeff * _dot(p, q))[:, None] * p)
+    K[:, j] = -k.conj()
+
+
+def projective_distances(a, b) -> np.ndarray:
+    """`soldata.projective_distance` over the last axis of two stacks of vectors."""
+    a, b = _unit(a), _unit(b)
+    dist = np.fmin(1.0, np.linalg.norm(b - a * _dot(a, b)[..., None], axis=-1))
+    # one complex line only: the distance vanishes identically
+    return dist if a.shape[-1] > 1 else np.zeros_like(dist)
+
+
+def _slot_residual(Pa, Ka, Pb, Kb) -> np.ndarray:
+    """Per-sample max slotwise distance between two states with equal parameters."""
+    bad = np.argwhere(Ka != Kb)
+    if bad.size:
+        a, b = complex(Ka[tuple(bad[0])]), complex(Kb[tuple(bad[0])])
+        raise ValidationError(f"parameter mismatch between composite sides: {a} vs {b}")
+    return projective_distances(Pa, Pb).max(axis=1)
+
+
+# --- Yang-Baxter maps ----------------------------------------------------------
+
+
+def yb_schedule(P, K, pairs) -> np.ndarray:
+    """Collide the slot pairs (i, j) in order, on a copy of P; returns the new P."""
+    P = P.copy()
+    for i, j in pairs:
+        _collide(P, K, i, j)
+    return P
 
 
 def yb_map(
@@ -49,66 +172,49 @@ def yb_map(
     with P the orthogonal projector on a polarization.
     """
     k1, k2 = complex(k1), complex(k2)
-    if abs(k1 - k2) < PAIR_POLE_TOL:
-        raise PoleError(f"collision factors are singular for k1={k1} ~ k2={k2}")
-    mu = (k1.conjugate() - k2) / (k1.conjugate() - k2.conjugate())
-    nu = (k2 - k1.conjugate()) / (k2 - k1)
-    a1, a2 = p1.p, p2.p
-    b1 = a1 + (mu - 1.0) * np.vdot(a2, a1) * a2
-    b2 = a2 + (nu - 1.0) * np.vdot(a1, a2) * a1
-    return Polarization(b1), Polarization(b2)
-
-
-# --- in-place steps on a list of extended points -------------------------------
-
-
-def _collide(state: list, i: int, j: int) -> None:
-    """Collide slots i and j in place; the parameters ride along unchanged."""
-    a, b = state[i], state[j]
     try:
-        q1, q2 = yb_map(a.k, b.k, a.p, b.p)
-    except PoleError as exc:
-        raise PoleError(f"pair ({i}, {j}) with parameters ({a.k}, {b.k}): {exc}") from exc
-    state[i], state[j] = ExtendedPoint(q1, a.k), ExtendedPoint(q2, b.k)
+        out = yb_schedule(*_sample((p1, p2), (k1, k2)), ((0, 1),))
+    except PoleError:
+        raise PoleError(f"collision factors are singular for k1={k1} ~ k2={k2}") from None
+    return Polarization(out[0, 0]), Polarization(out[0, 1])
 
 
-def _bounce(state: list, j: int, spec: Optional[BoundarySpec]) -> None:
-    """Bounce slot j off the boundary in place; None is the identity boundary."""
-    if spec is not None:
-        state[j] = reflection_map(state[j].k, state[j].p, spec)
-
-
-def _state(*pairs) -> tuple:
-    return tuple(ExtendedPoint(p, k) for p, k in pairs)
-
-
-def _slot_residual(a: Sequence[ExtendedPoint], b: Sequence[ExtendedPoint]) -> float:
-    for x, y in zip(a, b):
-        if x.k != y.k:
-            raise ValidationError(
-                f"parameter mismatch between composite sides: {x.k} vs {y.k}"
-            )
-    return max(projective_distance(x.p, y.p) for x, y in zip(a, b))
+def ybe_residuals(P, K) -> np.ndarray:
+    """Per-sample max slotwise distance between the two triple-collision orders."""
+    _check_parameters(K)
+    lhs = yb_schedule(P, K, ((1, 2), (0, 2), (0, 1)))
+    rhs = yb_schedule(P, K, ((0, 1), (0, 2), (1, 2)))
+    return _slot_residual(lhs, K, rhs, K)
 
 
 def ybe_residual(k1, k2, k3, p1, p2, p3) -> float:
     """Max slotwise projective distance between the two triple-collision orders."""
-    state = _state((p1, k1), (p2, k2), (p3, k3))
-    lhs, rhs = list(state), list(state)
-    for i, j in ((1, 2), (0, 2), (0, 1)):
-        _collide(lhs, i, j)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        _collide(rhs, i, j)
-    return _slot_residual(lhs, rhs)
+    return float(ybe_residuals(*_sample((p1, p2, p3), (k1, k2, k3)))[0])
+
+
+def reversibility_residuals(P, K) -> np.ndarray:
+    """Per-sample distance of the collide-then-collide-back round trip from the identity."""
+    _check_parameters(K)
+    return _slot_residual(yb_schedule(P, K, ((0, 1), (1, 0))), K, P, K)
 
 
 def reversibility_residual(k1, k2, p1, p2) -> float:
     """Distance of the collide-then-collide-back round trip from the identity."""
-    state = _state((p1, k1), (p2, k2))
-    trip = list(state)
-    _collide(trip, 0, 1)
-    _collide(trip, 1, 0)
-    return _slot_residual(trip, state)
+    return float(reversibility_residuals(*_sample((p1, p2), (k1, k2)))[0])
+
+
+def s_twist_residuals(P, K) -> np.ndarray:
+    """Per-sample residual of S1 S2 R12 S1 S2 = R21 with S(p, k) = (p, -k*)."""
+    _check_parameters(K)
+    twisted = -K.conj()
+    lhs = yb_schedule(P, twisted, ((0, 1),))
+    rhs = yb_schedule(P, K, ((1, 0),))
+    return _slot_residual(lhs, -twisted.conj(), rhs, K)
+
+
+def s_twist_residual(k1, k2, p1: Polarization, p2: Polarization) -> float:
+    """Residual of S1 S2 R12 S1 S2 = R21 with S(p, k) = (p, -k*)."""
+    return float(s_twist_residuals(*_sample((p1, p2), (k1, k2)))[0])
 
 
 # --- reflection maps -----------------------------------------------------------
@@ -120,14 +226,9 @@ def reflection_map(k: complex, p: Polarization, spec: BoundarySpec) -> ExtendedP
     p breve = (I + (k-k*)/(k+k*) * p p^dag) m(k) p; undefined for k on the
     imaginary axis.
     """
-    k = complex(k)
-    if abs(k.real) <= AXIS_TOL:
-        raise DomainError(f"imaginary axis: reflection undefined at k={k}")
-    m = spec.small_m(k, p.n)
-    q = m @ p.p
-    coeff = (k - k.conjugate()) / (k + k.conjugate())
-    out = q + coeff * np.vdot(p.p, q) * p.p
-    return ExtendedPoint(Polarization(out), -k.conjugate())
+    P, K = _sample((p,), (k,))
+    _bounce(P, K, 0, _small_ms((spec,), K[:, 0], p.n))
+    return _points(P, K)[0]
 
 
 def reflection_pair_safe(k1: complex, k2: complex) -> bool:
@@ -143,38 +244,86 @@ def reflection_pair_safe(k1: complex, k2: complex) -> bool:
     return off_axis and all(abs(a - b) >= PAIR_POLE_TOL for a, b in pairs)
 
 
+def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
+    """Per-sample residual of the two orderings of two bounces and two collisions.
+
+    specs holds each sample's boundary.  Raises PoleError, naming the first
+    unsafe sample, when a parameter configuration is unsafe.
+    """
+    for k1, k2 in K.tolist():
+        if not reflection_pair_safe(k1, k2):
+            raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
+    n = P.shape[-1]
+    m1, m2 = _small_ms(specs, K[:, 0], n), _small_ms(specs, K[:, 1], n)
+    (Pl, Kl), (Pr, Kr) = (P.copy(), K.copy()), (P.copy(), K.copy())
+    _collide(Pl, Kl, 0, 1)
+    _bounce(Pl, Kl, 1, m2)
+    _collide(Pl, Kl, 1, 0)
+    _bounce(Pl, Kl, 0, m1)
+    _bounce(Pr, Kr, 0, m1)
+    _collide(Pr, Kr, 0, 1)
+    _bounce(Pr, Kr, 1, m2)
+    _collide(Pr, Kr, 1, 0)
+    return _slot_residual(Pl, Kl, Pr, Kr)
+
+
 def reflection_equation_residual(k1, k2, p1, p2, spec: BoundarySpec) -> float:
     """Residual of the two orderings of two bounces and two collisions.
 
     Raises PoleError when the parameter configuration is unsafe; random
     drivers treat that as a resample signal.
     """
-    k1, k2 = complex(k1), complex(k2)
-    if not reflection_pair_safe(k1, k2):
-        raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
-    state = _state((p1, k1), (p2, k2))
-    lhs, rhs = list(state), list(state)
-    _collide(lhs, 0, 1)
-    _bounce(lhs, 1, spec)
-    _collide(lhs, 1, 0)
-    _bounce(lhs, 0, spec)
-    _bounce(rhs, 0, spec)
-    _collide(rhs, 0, 1)
-    _bounce(rhs, 1, spec)
-    _collide(rhs, 1, 0)
-    return _slot_residual(lhs, rhs)
+    return float(reflection_equation_residuals(*_sample((p1, p2), (k1, k2)), (spec,))[0])
+
+
+def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
+    """Per-sample distance of the double bounce of one-slot states from the identity.
+
+    specs holds each sample's boundary; every parameter must return exactly.
+    """
+    n = P.shape[-1]
+    Q, L = P.copy(), K.copy()
+    _bounce(Q, L, 0, _small_ms(specs, L[:, 0], n))
+    _bounce(Q, L, 0, _small_ms(specs, L[:, 0], n))
+    moved = L[:, 0] != K[:, 0]
+    if moved.any():
+        s = np.argmax(moved)
+        raise ValidationError(
+            f"double reflection moved the parameter: {complex(L[s, 0])} != {complex(K[s, 0])}"
+        )
+    return projective_distances(Q[:, 0], P[:, 0])
 
 
 def involution_residual(k, p: Polarization, spec: BoundarySpec) -> float:
     """Distance of the double bounce from the identity; parameter must return exactly."""
-    first = reflection_map(k, p, spec)
-    second = reflection_map(first.k, first.p, spec)
-    if second.k != complex(k):
-        raise ValidationError(f"double reflection moved the parameter: {second.k} != {k}")
-    return projective_distance(second.p, p)
+    return float(involution_residuals(*_sample((p,), (k,)), (spec,))[0])
 
 
 # --- transfer maps -------------------------------------------------------------
+
+
+def _transfer(P, K, j: int, b_plus, b_minus) -> None:
+    """The j-th transfer composition of every sample, in place."""
+    S, N = K.shape
+    if N < 2:
+        raise ValidationError("transfer maps need at least two sites")
+    j = int(j)
+    if not 0 <= j < N:
+        raise ValidationError(f"transfer index {j} outside 0..{N-1}")
+    n = P.shape[-1]
+    for m in range(j - 1, -1, -1):
+        _collide(P, K, m, j)
+    _bounce(P, K, j, None if b_plus is None else _small_ms((b_plus,) * S, K[:, j], n))
+    for m in range(N):
+        if m != j:
+            _collide(P, K, j, m)
+    _bounce(P, K, j, None if b_minus is None else _small_ms((b_minus,) * S, K[:, j], n))
+    for m in range(N - 1, j, -1):
+        _collide(P, K, m, j)
+
+
+def _state(points: Sequence[ExtendedPoint]) -> tuple:
+    return _sample([e.p for e in points], [e.k for e in points])
 
 
 def transfer_map(
@@ -188,23 +337,28 @@ def transfer_map(
     Soliton j collides out, bounces off b_plus, collides through the others,
     bounces off b_minus and collides back; None is the identity boundary.
     """
-    state = list(state)
-    N = len(state)
-    if N < 2:
-        raise ValidationError("transfer maps need at least two sites")
-    j = int(j)
-    if not 0 <= j < N:
-        raise ValidationError(f"transfer index {j} outside 0..{N-1}")
-    for m in range(j - 1, -1, -1):
-        _collide(state, m, j)
-    _bounce(state, j, b_plus)
-    for m in range(N):
-        if m != j:
-            _collide(state, j, m)
-    _bounce(state, j, b_minus)
-    for m in range(N - 1, j, -1):
-        _collide(state, m, j)
-    return tuple(state)
+    P, K = _state(state)
+    _transfer(P, K, j, b_plus, b_minus)
+    return _points(P, K)
+
+
+def transfer_commutator_residuals(
+    j: int,
+    l: int,
+    P,
+    K,
+    b_plus: Optional[BoundarySpec],
+    b_minus: Optional[BoundarySpec],
+) -> np.ndarray:
+    """Per-sample max slotwise distance between T_j T_l and T_l T_j; every
+    sample shares the two boundaries."""
+    Pa, Ka = P.copy(), K.copy()
+    _transfer(Pa, Ka, l, b_plus, b_minus)
+    _transfer(Pa, Ka, j, b_plus, b_minus)
+    Pb, Kb = P.copy(), K.copy()
+    _transfer(Pb, Kb, j, b_plus, b_minus)
+    _transfer(Pb, Kb, l, b_plus, b_minus)
+    return _slot_residual(Pa, Ka, Pb, Kb)
 
 
 def transfer_commutator_residual(
@@ -215,17 +369,4 @@ def transfer_commutator_residual(
     b_minus: Optional[BoundarySpec],
 ) -> float:
     """Max slotwise distance between T_j T_l and T_l T_j on the given state."""
-    a = transfer_map(j, transfer_map(l, state, b_plus, b_minus), b_plus, b_minus)
-    b = transfer_map(l, transfer_map(j, state, b_plus, b_minus), b_plus, b_minus)
-    return _slot_residual(a, b)
-
-
-def s_twist_residual(k1, k2, p1: Polarization, p2: Polarization) -> float:
-    """Residual of S1 S2 R12 S1 S2 = R21 with S(p, k) = (p, -k*)."""
-    state = _state((p1, k1), (p2, k2))
-    lhs = [ExtendedPoint(e.p, -e.k.conjugate()) for e in state]
-    _collide(lhs, 0, 1)
-    lhs = [ExtendedPoint(e.p, -e.k.conjugate()) for e in lhs]
-    rhs = list(state)
-    _collide(rhs, 1, 0)
-    return _slot_residual(lhs, rhs)
+    return float(transfer_commutator_residuals(j, l, *_state(state), b_plus, b_minus)[0])

@@ -343,6 +343,9 @@ SUITE_SCHEMAS = {
         ("transfer-commutator[vnls-reflection:robin]", None, "<=", True),
         ("transfer-commutator[vnls-reflection:mixed]", None, "<=", True),
         ("transfer-commutator[vnls-reflection:rotated_mixed]", None, "<=", True),
+        ("transfer-commutator[b-plus-reflection:robin]", 1e-12, "<=", False),
+        ("transfer-commutator[b-plus-reflection:mixed]", 1e-12, "<=", False),
+        ("transfer-commutator[b-plus-reflection:rotated_mixed]", 1e-12, "<=", False),
     ],
     "pde": [
         ("pde-order[line-2-soliton]", 0.3, "<=", False),
@@ -469,6 +472,7 @@ class TestSuites:
             "transfer-commutator[identity-boundary]",
             "transfer-commutator[scalar]",
             "transfer-commutator[vnls-reflection:given]",
+            "transfer-commutator[b-plus-reflection:given]",
         ]
 
     @pytest.mark.parametrize("seed", [3, 6, 14])

@@ -211,7 +211,7 @@ class TestHalfLineField:
         assert projective_distance(pol_out, predicted.p) < 1e-6
 
     def test_two_soliton_scattering_matches_composite(self):
-        from vsolitons.maps import _bounce, _collide
+        from vsolitons.maps import _bounce, _collide, _small_ms
 
         real = SolitonData.from_arrays(
             [0.5, 1.0], [1.0, 1.1], [[0.8, 0.5 + 0.4j], [1.0, -0.3 + 0.2j]]
@@ -226,12 +226,11 @@ class TestHalfLineField:
         ins = [extract_asymptotic_polarization(srt, pos[j], -T)[0] for j in range(2)]
         outs = [extract_asymptotic_polarization(srt, pos[2 + j], T)[0] for j in range(2)]
 
-        from vsolitons import ExtendedPoint
-
-        predicted = [ExtendedPoint(ins[j], comb.points[j][0].k) for j in range(2)]
-        _collide(predicted, 0, 1)
-        _bounce(predicted, 1, spec)
-        _collide(predicted, 1, 0)
-        _bounce(predicted, 0, spec)
+        P = np.array([[ins[j].p for j in range(2)]])
+        K = np.array([[comb.points[j][0].k for j in range(2)]])
+        _collide(P, K, 0, 1)
+        _bounce(P, K, 1, _small_ms([spec], K[:, 1], 2))
+        _collide(P, K, 1, 0)
+        _bounce(P, K, 0, _small_ms([spec], K[:, 0], 2))
         for j in range(2):
-            assert projective_distance(outs[j], predicted[j].p) < 1e-6
+            assert projective_distance(outs[j], P[0, j]) < 1e-6
