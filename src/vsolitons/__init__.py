@@ -47,16 +47,15 @@ from .asymptotics import (
     xi_factor,
 )
 from .maps import (
-    ExtendedPoint,
-    involution_residual,
-    reflection_equation_residual,
-    reflection_map,
-    reversibility_residual,
-    s_twist_residual,
-    transfer_commutator_residual,
-    transfer_map,
-    yb_map,
-    ybe_residual,
+    involution_residuals,
+    projective_distances,
+    reflection_equation_residuals,
+    reflection_maps,
+    reversibility_residuals,
+    s_twist_residuals,
+    transfer_commutator_residuals,
+    yb_schedule,
+    ybe_residuals,
 )
 from .mirror import (
     HalfLineData,

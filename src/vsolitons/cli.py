@@ -50,12 +50,10 @@ from .dressing import (
 )
 from .errors import ConfigError, VsolitonsError
 from .maps import (
-    involution_residual,
     involution_residuals,
     projective_distances,
     reflection_equation_residuals,
-    reflection_map,
-    reflection_pair_safe,
+    reflection_maps,
     reversibility_residuals,
     s_twist_residuals,
     transfer_commutator_residuals,
@@ -74,8 +72,8 @@ from .sampling import (
     SampleLog,
     random_boundary,
     random_map_parameters,
-    random_polarization,
     random_soliton_data,
+    random_unit_vectors,
     random_unitary,
 )
 from .soldata import (
@@ -351,9 +349,8 @@ class _Sampled:
     pairs, each run over all samples; ``tail`` appends fixed checks.
 
     With ``stacked``, a draw returns the instance instead: (parameters,
-    polarizations, extra) for one sample of a stacked map state, or None for
-    an instance that contributes 0.0 to every check.  After all of a
-    variant's draws, ``stacked(P, K, extras)`` evaluates the instances of
+    polarizations, extra) for one sample of a stacked map state.  After all
+    of a variant's draws, ``stacked(P, K, extras)`` evaluates the instances of
     each component count n in one call and returns one array of per-sample
     residuals per check.
     """
@@ -381,11 +378,10 @@ class _Sampled:
 
     def _evaluate(self, instances) -> list:
         """Per-instance residuals in sample order, one stacked call per n."""
-        out = [(0.0,) * len(self.checks)] * len(instances)
+        out = [None] * len(instances)
         by_n: Dict[int, List[int]] = {}
         for i, inst in enumerate(instances):
-            if inst is not None:
-                by_n.setdefault(len(inst[1][0]), []).append(i)
+            by_n.setdefault(len(inst[1][0]), []).append(i)
         for idx in by_n.values():
             ks, ps, extras = zip(*(instances[i] for i in idx))
             columns = self.stacked(np.array(ps), np.array(ks, dtype=np.complex128), extras)
@@ -469,23 +465,18 @@ def _draw_permutation(cfg, rng, log, i, variant):
                    for order in itertools.permutations(range(N)) if order != reference),)
 
 
-def _draw_units(rng, count: int, n: int) -> list:
-    """count random polarizations of n components, as unit vectors."""
-    return [random_polarization(rng, n).p for _ in range(count)]
-
-
 def _draw_ybe(cfg, rng, log, i, variant):
-    return random_map_parameters(rng, 3, log=log), _draw_units(rng, 3, variant[1]), None
+    return random_map_parameters(rng, 3, log=log), random_unit_vectors(rng, 3, variant[1]), None
 
 
 def _draw_reversibility(cfg, rng, log, i, variant):
-    return random_map_parameters(rng, 2, log=log), _draw_units(rng, 2, variant[1]), None
+    return random_map_parameters(rng, 2, log=log), random_unit_vectors(rng, 2, variant[1]), None
 
 
 def _draw_yb_structure(cfg, rng, log, i, variant):
     n = (2, 3)[i % 2]
     ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-    return ks, _draw_units(rng, 2, n), random_unitary(rng, n)
+    return ks, random_unit_vectors(rng, 2, n), random_unitary(rng, n)
 
 
 def _yb_structure(P, K, unitaries):
@@ -500,16 +491,13 @@ def _yb_structure(P, K, unitaries):
 def _draw_reflection_equation(cfg, rng, log, i, variant):
     spec, n = _boundary_draw(cfg, rng, i, variant)
     ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-    ps = _draw_units(rng, 2, n)
-    if not reflection_pair_safe(*ks):
-        log.resamples += 1
-        return None
-    return ks, ps, spec
+    return ks, random_unit_vectors(rng, 2, n), spec
 
 
 def _draw_involution(cfg, rng, log, i, variant):
     spec, n = _boundary_draw(cfg, rng, i, variant)
-    return random_map_parameters(rng, 1, mirrored=True, log=log), _draw_units(rng, 1, n), spec
+    ks = random_map_parameters(rng, 1, mirrored=True, log=log)
+    return ks, random_unit_vectors(rng, 1, n), spec
 
 
 def _draw_collision(cfg, rng, log, i, variant):
@@ -588,7 +576,7 @@ def _transfer_worst(rng, log, b_plus, b_minus, n: int, diagonal: bool) -> float:
     worst = 0.0
     for N in (2, 3):
         K = np.array([random_map_parameters(rng, N, mirrored=True, log=log)])
-        P = np.array([_draw_units(rng, N, n)])
+        P = random_unit_vectors(rng, N, n)[None]
         for j in range(N):
             for l in range(j if diagonal else j + 1, N):
                 residual = transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)
@@ -679,7 +667,7 @@ def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
 
 
 #: Every suite is a callable (cfg, rng, report, log); a sampled one is
-#: _Sampled(default samples, checks, draw[, variants[, tail]]).
+#: _Sampled(default samples, checks, draw[, variants[, tail]][, stacked]).
 _SUITES: Dict[str, Callable] = {
     "one-soliton": _Sampled(20, (("one-soliton-oracle", "involution"),), _draw_one_soliton),
     "determinant": _Sampled(10, (("determinant-blaschke-product", "involution"),),
@@ -789,21 +777,23 @@ def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
         raise ConfigError("data: required for reflect mode")
     if cfg.boundary is None:
         raise ConfigError("boundary: required for reflect mode")
+    # every soliton is one sample of a one-slot state
+    P = np.array([[polarization_of(nv).p] for _, nv in cfg.data.points])
+    K = cfg.data.ks[:, None]
+    specs = (cfg.boundary,) * cfg.data.N
+    Q, L = reflection_maps(P, K, specs)
     records = []
-    worst = 0.0
-    for j, (pt, nv) in enumerate(cfg.data.points):
-        pol = polarization_of(nv)
-        out = reflection_map(pt.k, pol, cfg.boundary)
-        worst = max(worst, involution_residual(pt.k, pol, cfg.boundary))
+    for j, (k, kr) in enumerate(zip(K[:, 0].tolist(), L[:, 0].tolist())):
         records.append(
             {
                 "index": j,
-                "k": [pt.k.real, pt.k.imag],
-                "reflected_k": [out.k.real, out.k.imag],
-                "polarization": [[z.real, z.imag] for z in pol.p],
-                "reflected_polarization": [[z.real, z.imag] for z in out.p.p],
+                "k": [k.real, k.imag],
+                "reflected_k": [kr.real, kr.imag],
+                "polarization": [[z.real, z.imag] for z in P[j, 0]],
+                "reflected_polarization": [[z.real, z.imag] for z in Polarization(Q[j, 0]).p],
             }
         )
+    worst = _worst(involution_residuals(P, K, specs).tolist())
     _check(report, cfg, "reflection-involution", worst, family="involution")
     _write_json(cfg.output / "reflect.json", {"reflections": records})
     _write_manifest(cfg, soliton_data_to_json(cfg.data), ["reflect.json", "report.json"])

@@ -9,14 +9,12 @@ an (S, slots, n) array of unit vectors, and K, the (S, slots) array of their
 spectral parameters.  Two in-place steps, `_collide` and `_bounce`, run over
 all samples at once, so the parametric bookkeeping of every composite is
 automatic: each step reads the parameters currently sitting in its slots.
-Each composite is written once over the stacked state (the plural public
-names); the scalar public functions are its one-sample wrappers.
+Each composite is written once over the stacked state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,52 +23,23 @@ from .soldata import (
     AXIS_TOL,
     PAIR_POLE_TOL,
     BoundarySpec,
-    Polarization,
 )
-
-
-def _check_axis(K) -> None:
-    """Raise DomainError for the first parameter on the imaginary axis."""
-    bad = np.abs(np.ravel(K).real) <= AXIS_TOL
-    if bad.any():
-        k = complex(np.ravel(K)[np.argmax(bad)])
-        raise DomainError(f"imaginary axis: parameter {k} has |Re k| <= {AXIS_TOL}")
 
 
 def _check_parameters(K) -> None:
     """Raise DomainError for the first parameter on the imaginary axis, then
     ValidationError for the first non-finite one."""
-    _check_axis(K)
+    bad = np.abs(np.ravel(K).real) <= AXIS_TOL
+    if bad.any():
+        k = complex(np.ravel(K)[np.argmax(bad)])
+        raise DomainError(f"imaginary axis: parameter {k} has |Re k| <= {AXIS_TOL}")
     bad = ~np.isfinite(np.ravel(K))
     if bad.any():
         k = complex(np.ravel(K)[np.argmax(bad)])
         raise ValidationError(f"spectral parameter {k} is not finite")
 
 
-@dataclass(frozen=True, eq=False)
-class ExtendedPoint:
-    """Polarization together with its spectral parameter, off the imaginary axis."""
-
-    p: Polarization
-    k: complex
-
-    def __post_init__(self):
-        k = complex(self.k)
-        _check_axis(k)
-        object.__setattr__(self, "k", k)
-
-
 # --- the stacked state ---------------------------------------------------------
-
-
-def _sample(ps, ks) -> tuple:
-    """(P, K) of one sample from its polarizations and parameters."""
-    return np.array([[p.p for p in ps]]), np.array([ks], dtype=np.complex128)
-
-
-def _points(P, K) -> tuple:
-    """The extended points of sample 0."""
-    return tuple(ExtendedPoint(Polarization(p), k) for p, k in zip(P[0], K[0].tolist()))
 
 
 def _dot(a, b):
@@ -162,23 +131,6 @@ def yb_schedule(P, K, pairs) -> np.ndarray:
     return P
 
 
-def yb_map(
-    k1: complex, k2: complex, p1: Polarization, p2: Polarization
-) -> Tuple[Polarization, Polarization]:
-    """Two-soliton collision map on a pair of polarizations.
-
-    p1' = (I + ((k1*-k2)/(k1*-k2*) - 1) P2) p1,
-    p2' = (I + ((k2-k1*)/(k2-k1) - 1) P1) p2,
-    with P the orthogonal projector on a polarization.
-    """
-    k1, k2 = complex(k1), complex(k2)
-    try:
-        out = yb_schedule(*_sample((p1, p2), (k1, k2)), ((0, 1),))
-    except PoleError:
-        raise PoleError(f"collision factors are singular for k1={k1} ~ k2={k2}") from None
-    return Polarization(out[0, 0]), Polarization(out[0, 1])
-
-
 def ybe_residuals(P, K) -> np.ndarray:
     """Per-sample max slotwise distance between the two triple-collision orders."""
     _check_parameters(K)
@@ -187,20 +139,10 @@ def ybe_residuals(P, K) -> np.ndarray:
     return _slot_residual(lhs, K, rhs, K)
 
 
-def ybe_residual(k1, k2, k3, p1, p2, p3) -> float:
-    """Max slotwise projective distance between the two triple-collision orders."""
-    return float(ybe_residuals(*_sample((p1, p2, p3), (k1, k2, k3)))[0])
-
-
 def reversibility_residuals(P, K) -> np.ndarray:
     """Per-sample distance of the collide-then-collide-back round trip from the identity."""
     _check_parameters(K)
     return _slot_residual(yb_schedule(P, K, ((0, 1), (1, 0))), K, P, K)
-
-
-def reversibility_residual(k1, k2, p1, p2) -> float:
-    """Distance of the collide-then-collide-back round trip from the identity."""
-    return float(reversibility_residuals(*_sample((p1, p2), (k1, k2)))[0])
 
 
 def s_twist_residuals(P, K) -> np.ndarray:
@@ -212,23 +154,20 @@ def s_twist_residuals(P, K) -> np.ndarray:
     return _slot_residual(lhs, -twisted.conj(), rhs, K)
 
 
-def s_twist_residual(k1, k2, p1: Polarization, p2: Polarization) -> float:
-    """Residual of S1 S2 R12 S1 S2 = R21 with S(p, k) = (p, -k*)."""
-    return float(s_twist_residuals(*_sample((p1, p2), (k1, k2)))[0])
-
-
 # --- reflection maps -----------------------------------------------------------
 
 
-def reflection_map(k: complex, p: Polarization, spec: BoundarySpec) -> ExtendedPoint:
-    """Boundary bounce (p, k) -> (p breve, -k*).
+def reflection_maps(P, K, specs: Sequence[BoundarySpec]) -> tuple:
+    """Bounce every slot of every sample off its sample's boundary, on copies;
+    returns the new (P, K).
 
-    p breve = (I + (k-k*)/(k+k*) * p p^dag) m(k) p; undefined for k on the
-    imaginary axis.
+    (p, k) -> (p breve, -k*) with p breve = (I + (k-k*)/(k+k*) p p^dag) m(k) p;
+    undefined for k on the imaginary axis.
     """
-    P, K = _sample((p,), (k,))
-    _bounce(P, K, 0, _small_ms((spec,), K[:, 0], p.n))
-    return _points(P, K)[0]
+    P, K = P.copy(), K.copy()
+    for j in range(K.shape[1]):
+        _bounce(P, K, j, _small_ms(specs, K[:, j], P.shape[-1]))
+    return P, K
 
 
 def reflection_pair_safe(k1: complex, k2: complex) -> bool:
@@ -267,24 +206,12 @@ def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.nda
     return _slot_residual(Pl, Kl, Pr, Kr)
 
 
-def reflection_equation_residual(k1, k2, p1, p2, spec: BoundarySpec) -> float:
-    """Residual of the two orderings of two bounces and two collisions.
-
-    Raises PoleError when the parameter configuration is unsafe; random
-    drivers treat that as a resample signal.
-    """
-    return float(reflection_equation_residuals(*_sample((p1, p2), (k1, k2)), (spec,))[0])
-
-
 def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
     """Per-sample distance of the double bounce of one-slot states from the identity.
 
     specs holds each sample's boundary; every parameter must return exactly.
     """
-    n = P.shape[-1]
-    Q, L = P.copy(), K.copy()
-    _bounce(Q, L, 0, _small_ms(specs, L[:, 0], n))
-    _bounce(Q, L, 0, _small_ms(specs, L[:, 0], n))
+    Q, L = reflection_maps(*reflection_maps(P, K, specs), specs)
     moved = L[:, 0] != K[:, 0]
     if moved.any():
         s = np.argmax(moved)
@@ -292,11 +219,6 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
             f"double reflection moved the parameter: {complex(L[s, 0])} != {complex(K[s, 0])}"
         )
     return projective_distances(Q[:, 0], P[:, 0])
-
-
-def involution_residual(k, p: Polarization, spec: BoundarySpec) -> float:
-    """Distance of the double bounce from the identity; parameter must return exactly."""
-    return float(involution_residuals(*_sample((p,), (k,)), (spec,))[0])
 
 
 # --- transfer maps -------------------------------------------------------------
@@ -322,26 +244,6 @@ def _transfer(P, K, j: int, b_plus, b_minus) -> None:
         _collide(P, K, m, j)
 
 
-def _state(points: Sequence[ExtendedPoint]) -> tuple:
-    return _sample([e.p for e in points], [e.k for e in points])
-
-
-def transfer_map(
-    j: int,
-    state: Sequence[ExtendedPoint],
-    b_plus: Optional[BoundarySpec],
-    b_minus: Optional[BoundarySpec],
-) -> tuple:
-    """Apply the j-th transfer composition to a state of N >= 2 extended points.
-
-    Soliton j collides out, bounces off b_plus, collides through the others,
-    bounces off b_minus and collides back; None is the identity boundary.
-    """
-    P, K = _state(state)
-    _transfer(P, K, j, b_plus, b_minus)
-    return _points(P, K)
-
-
 def transfer_commutator_residuals(
     j: int,
     l: int,
@@ -360,13 +262,3 @@ def transfer_commutator_residuals(
     _transfer(Pb, Kb, l, b_plus, b_minus)
     return _slot_residual(Pa, Ka, Pb, Kb)
 
-
-def transfer_commutator_residual(
-    j: int,
-    l: int,
-    state: Sequence[ExtendedPoint],
-    b_plus: Optional[BoundarySpec],
-    b_minus: Optional[BoundarySpec],
-) -> float:
-    """Max slotwise distance between T_j T_l and T_l T_j on the given state."""
-    return float(transfer_commutator_residuals(j, l, *_state(state), b_plus, b_minus)[0])

@@ -17,11 +17,11 @@ from .errors import SamplingError
 from .soldata import (
     Mixed,
     NormingVector,
-    Polarization,
     Robin,
     RotatedMixed,
     SolitonData,
     SpectralPoint,
+    canonical_phase,
 )
 
 U_RANGE = (0.1, 2.0)
@@ -59,27 +59,30 @@ def random_u(rng: np.random.Generator, positive: bool = False) -> float:
     return mag if rng.random() < 0.5 else -mag
 
 
-def random_spectral_point(rng: np.random.Generator, positive: bool = False) -> SpectralPoint:
-    return SpectralPoint(random_u(rng, positive), rng.uniform(*V_RANGE))
-
-
 def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _nonzero_vector(rng: np.random.Generator, n: int, log: Optional[SampleLog]) -> np.ndarray:
+    for _ in range(_MAX_TRIES):
+        vec = random_complex_vector(rng, n)
+        if np.linalg.norm(vec) > 1e-6:
+            return vec
+        _count(log)
+    raise SamplingError("could not draw a usable norming vector")
 
 
 def random_norming_vector(
     rng: np.random.Generator, n: int, log: Optional[SampleLog] = None
 ) -> NormingVector:
-    for _ in range(_MAX_TRIES):
-        vec = random_complex_vector(rng, n)
-        if np.linalg.norm(vec) > 1e-6:
-            return NormingVector(vec)
-        _count(log)
-    raise SamplingError("could not draw a usable norming vector")
+    return NormingVector(_nonzero_vector(rng, n, log))
 
 
-def random_polarization(rng: np.random.Generator, n: int) -> Polarization:
-    return Polarization(random_norming_vector(rng, n).beta)
+def random_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, n) unit vectors in canonical phase, drawn one vector at a time
+    as norming vectors are (redraws are not counted)."""
+    vecs = [_nonzero_vector(rng, n, None) for _ in range(count)]
+    return np.array([canonical_phase(v / np.linalg.norm(v)) for v in vecs]).reshape(count, n)
 
 
 def random_soliton_data(
@@ -153,7 +156,7 @@ def random_map_parameters(
 ) -> List[complex]:
     """Spectral parameters for map identities, pole-safe (also under k -> -k*)."""
     for _ in range(_MAX_TRIES):
-        ks = [random_spectral_point(rng).k for _ in range(count)]
+        ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
         if _pairs_safe(ks, mirrored):
             return ks
         _count(log)

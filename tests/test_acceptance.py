@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from vsolitons import (
-    ExtendedPoint,
     Mixed,
     Robin,
     SolitonData,
@@ -25,7 +24,7 @@ from vsolitons import (
     extract_asymptotic_polarization,
     grid_for_data,
     halfline_field,
-    involution_residual,
+    involution_residuals,
     mirror_constraint_residual,
     mirror_polarization_residual,
     one_soliton_field,
@@ -34,11 +33,12 @@ from vsolitons import (
     polarization_of,
     projective_distance,
     reconstruct_field,
-    reflection_equation_residual,
-    reversibility_residual,
+    reflection_equation_residuals,
+    reversibility_residuals,
     sample_grid,
     solve_mirror_norming,
-    transfer_commutator_residual,
+    transfer_commutator_residuals,
+    ybe_residuals,
 )
 from vsolitons.asymptotics import min_relative_velocity
 from vsolitons.cli import collision_orders, main, yb_pipeline
@@ -46,8 +46,8 @@ from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import (
     random_boundary,
     random_map_parameters,
-    random_polarization,
     random_soliton_data,
+    random_unit_vectors,
 )
 from vsolitons.soldata import NormingVector
 
@@ -130,11 +130,9 @@ class TestCriterion04:
         worst = 0.0
         for n in (2, 3):
             for _ in range(100):
-                ks = random_map_parameters(rng, 3)
-                ps = [random_polarization(rng, n) for _ in range(3)]
-                from vsolitons import ybe_residual
-
-                worst = max(worst, ybe_residual(*ks, *ps))
+                K = np.array([random_map_parameters(rng, 3)])
+                P = random_unit_vectors(rng, 3, n)[None]
+                worst = max(worst, ybe_residuals(P, K)[0])
         report(4, "parametric Yang-Baxter equation", worst, 1e-10, worst <= 1e-10)
 
     def test_reversibility(self):
@@ -142,9 +140,9 @@ class TestCriterion04:
         worst = 0.0
         for n in (2, 3):
             for _ in range(100):
-                ks = random_map_parameters(rng, 2)
-                ps = [random_polarization(rng, n) for _ in range(2)]
-                worst = max(worst, reversibility_residual(ks[0], ks[1], ps[0], ps[1]))
+                K = np.array([random_map_parameters(rng, 2)])
+                P = random_unit_vectors(rng, 2, n)[None]
+                worst = max(worst, reversibility_residuals(P, K)[0])
         report(4, "collision-map reversibility", worst, 1e-12, worst <= 1e-12)
 
 
@@ -156,11 +154,9 @@ class TestCriterion05:
         for n in (2, 3):
             for _ in range(50):
                 spec = random_boundary(rng, kind, n)
-                ks = random_map_parameters(rng, 2, mirrored=True)
-                ps = [random_polarization(rng, n) for _ in range(2)]
-                worst = max(
-                    worst, reflection_equation_residual(ks[0], ks[1], ps[0], ps[1], spec)
-                )
+                K = np.array([random_map_parameters(rng, 2, mirrored=True)])
+                P = random_unit_vectors(rng, 2, n)[None]
+                worst = max(worst, reflection_equation_residuals(P, K, (spec,))[0])
         report(5, f"set-theoretical reflection equation [{kind}]", worst, 1e-10, worst <= 1e-10)
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
@@ -170,10 +166,9 @@ class TestCriterion05:
         for n in (2, 3):
             for _ in range(50):
                 spec = random_boundary(rng, kind, n)
-                ks = random_map_parameters(rng, 1, mirrored=True)
-                worst = max(
-                    worst, involution_residual(ks[0], random_polarization(rng, n), spec)
-                )
+                K = np.array([random_map_parameters(rng, 1, mirrored=True)])
+                P = random_unit_vectors(rng, 1, n)[None]
+                worst = max(worst, involution_residuals(P, K, (spec,))[0])
         report(5, f"reflection involution [{kind}]", worst, 1e-12, worst <= 1e-12)
 
 
@@ -299,29 +294,28 @@ class TestCriterion10:
         rng = np.random.default_rng(110)
         worst = 0.0
         for N in (2, 3):
-            ks = random_map_parameters(rng, N, mirrored=True)
-            state = tuple(ExtendedPoint(random_polarization(rng, 2), k) for k in ks)
+            K = np.array([random_map_parameters(rng, N, mirrored=True)])
+            P = random_unit_vectors(rng, N, 2)[None]
             for j in range(N):
                 for l in range(N):
-                    worst = max(worst, transfer_commutator_residual(j, l, state, None, None))
+                    worst = max(worst, transfer_commutator_residuals(j, l, P, K, None, None)[0])
         report(10, "transfer commutators, identity boundary", worst, 1e-12, worst <= 1e-12)
 
     def test_scalar_case_exact_zero(self):
         rng = np.random.default_rng(1100)
-        ks = random_map_parameters(rng, 2, mirrored=True)
+        K = np.array([random_map_parameters(rng, 2, mirrored=True)])
         B = Robin(0.4)
-        state = tuple(ExtendedPoint(polarization_of([1.0]), k) for k in ks)
-        res = transfer_commutator_residual(0, 1, state, B, B)
+        res = transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, B, B)[0]
         report(10, "scalar transfer commutator", res, 0.0, res == 0.0)
 
     def test_vnls_reflection_experiment_recorded(self):
         # exploratory by construction: the residual is reported, not bounded
         rng = np.random.default_rng(1101)
         spec = Mixed((1, -1))
-        ks = random_map_parameters(rng, 3, mirrored=True)
-        state = tuple(ExtendedPoint(random_polarization(rng, 2), k) for k in ks)
-        first = transfer_commutator_residual(0, 2, state, spec, spec)
-        second = transfer_commutator_residual(0, 2, state, spec, spec)
+        K = np.array([random_map_parameters(rng, 3, mirrored=True)])
+        P = random_unit_vectors(rng, 3, 2)[None]
+        first = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
+        second = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
         print(
             f"ACCEPTANCE 10 vnls-reflection transfer experiment: RECORDED "
             f"(residual {first:.6e}, deterministic repeat {second:.6e})"

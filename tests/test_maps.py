@@ -1,33 +1,39 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsolitons import (
     DomainError,
-    ExtendedPoint,
     Mixed,
+    NormingVector,
     PoleError,
     Polarization,
     Robin,
     RotatedMixed,
-    involution_residual,
+    SpectralPoint,
+    involution_residuals,
     projective_distance,
-    reflection_equation_residual,
-    reflection_map,
-    reversibility_residual,
-    s_twist_residual,
-    transfer_commutator_residual,
-    transfer_map,
-    yb_map,
-    ybe_residual,
+    reflection_equation_residuals,
+    reflection_maps,
+    reversibility_residuals,
+    s_twist_residuals,
+    transfer_commutator_residuals,
+    yb_schedule,
+    ybe_residuals,
 )
 from vsolitons import maps
 from vsolitons.cli import _SUITES
 from vsolitons.errors import ValidationError
 from vsolitons.sampling import (
     BOUNDARY_KINDS,
+    V_RANGE,
     random_boundary,
     random_map_parameters,
-    random_polarization,
+    random_u,
+    random_unit_vectors,
     random_unitary,
 )
 from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL
@@ -36,81 +42,88 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 K1 = (1 + 1j) / 2
 K2 = (-1 + 1j) / 2
+COLLIDE = ((0, 1),)
+
+
+def _stack(ps, ks):
+    """One sample (S = 1) of a stacked state: P (1, slots, n) and K (1, slots)."""
+    P = np.array([[getattr(p, "p", p) for p in ps]], dtype=np.complex128)
+    return P, np.array([ks], dtype=np.complex128)
+
+
+def _samples(rng, count, slots, n, mirrored=False, boundary=None):
+    """count seeded samples, each drawn as (boundary,) parameters, then unit
+    vectors: (P, K, specs)."""
+    ps, ks, specs = [], [], []
+    for _ in range(count):
+        if boundary is not None:
+            specs.append(random_boundary(rng, boundary, n))
+        ks.append(random_map_parameters(rng, slots, mirrored=mirrored))
+        ps.append(random_unit_vectors(rng, slots, n))
+    return np.array(ps), np.array(ks), specs
 
 
 class TestYangBaxterMap:
     def test_equal_polarizations_fixed(self):
         p = Polarization([0.6, 0.8j])
-        q1, q2 = yb_map(K1, K2, p, p)
-        assert projective_distance(q1, p) < 1e-14
-        assert projective_distance(q2, p) < 1e-14
+        out = yb_schedule(*_stack((p, p), (K1, K2)), COLLIDE)
+        assert projective_distance(out[0, 0], p) < 1e-14
+        assert projective_distance(out[0, 1], p) < 1e-14
 
     def test_orthogonal_polarizations_fixed(self):
-        q1, q2 = yb_map(K1, K2, Polarization(E1), Polarization(E2))
-        assert projective_distance(q1, E1) < 1e-14
-        assert projective_distance(q2, E2) < 1e-14
+        out = yb_schedule(*_stack((E1, E2), (K1, K2)), COLLIDE)
+        assert projective_distance(out[0, 0], E1) < 1e-14
+        assert projective_distance(out[0, 1], E2) < 1e-14
 
     def test_frozen_direct_formula_values(self):
         # direct evaluation of the two rank-one updates for
         # k1=(1+i)/2, k2=(-1+i)/2, p1=e1, p2=(e1+e2)/sqrt2
-        q1, q2 = yb_map(K1, K2, Polarization(E1), Polarization((E1 + E2) / np.sqrt(2)))
+        out = yb_schedule(*_stack((E1, (E1 + E2) / np.sqrt(2)), (K1, K2)), COLLIDE)
         expect1 = np.array(
             [0.9128709291752769, 0.18257418583505536 - 0.3651483716701107j]
         )
         expect2 = np.array(
             [0.816496580927726, 0.408248290463863 + 0.408248290463863j]
         )
-        assert np.allclose(q1.p, expect1, atol=1e-12)
-        assert np.allclose(q2.p, expect2, atol=1e-12)
+        assert np.allclose(Polarization(out[0, 0]).p, expect1, atol=1e-12)
+        assert np.allclose(Polarization(out[0, 1]).p, expect2, atol=1e-12)
 
     def test_pole_configuration_raises(self):
-        p = Polarization(E1)
         with pytest.raises(PoleError):
-            yb_map(K1, K1, p, p)
+            yb_schedule(*_stack((E1, E1), (K1, K1)), COLLIDE)
 
     def test_unitary_diagonal_invariance(self):
         rng = np.random.default_rng(0)
         for n in (2, 3):
             for _ in range(10):
                 ks = random_map_parameters(rng, 2)
-                p1, p2 = (random_polarization(rng, n) for _ in range(2))
+                P, K = _stack(random_unit_vectors(rng, 2, n), ks)
                 V = random_unitary(rng, n)
-                a1, a2 = yb_map(ks[0], ks[1], p1, p2)
-                b1, b2 = yb_map(
-                    ks[0], ks[1], Polarization(V @ p1.p), Polarization(V @ p2.p)
-                )
-                assert projective_distance(Polarization(V @ a1.p), b1) < 1e-12
-                assert projective_distance(Polarization(V @ a2.p), b2) < 1e-12
+                a = yb_schedule(P, K, COLLIDE)[0]
+                b = yb_schedule(P @ V.T, K, COLLIDE)[0]
+                assert projective_distance(V @ a[0], b[0]) < 1e-12
+                assert projective_distance(V @ a[1], b[1]) < 1e-12
 
 
 class TestEquationResiduals:
     def test_ybe_equal_inputs(self):
         p = Polarization([1.0, 1.0j])
         ks = [0.5 + 0.5j, -0.4 + 0.3j, 0.2 + 0.8j]
-        assert ybe_residual(*ks, p, p, p) < 1e-12
+        assert ybe_residuals(*_stack((p, p, p), ks))[0] < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ybe_random(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(25):
-            ks = random_map_parameters(rng, 3)
-            ps = [random_polarization(rng, n) for _ in range(3)]
-            assert ybe_residual(*ks, *ps) < 1e-10
+        P, K, _ = _samples(np.random.default_rng(n), 25, 3, n)
+        assert ybe_residuals(P, K).max() < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_reversibility_random(self, n):
-        rng = np.random.default_rng(10 + n)
-        for _ in range(25):
-            ks = random_map_parameters(rng, 2)
-            ps = [random_polarization(rng, n) for _ in range(2)]
-            assert reversibility_residual(ks[0], ks[1], ps[0], ps[1]) < 1e-12
+        P, K, _ = _samples(np.random.default_rng(10 + n), 25, 2, n)
+        assert reversibility_residuals(P, K).max() < 1e-12
 
     def test_s_twist_transpose(self):
-        rng = np.random.default_rng(20)
-        for _ in range(10):
-            ks = random_map_parameters(rng, 2, mirrored=True)
-            ps = [random_polarization(rng, 3) for _ in range(2)]
-            assert s_twist_residual(ks[0], ks[1], ps[0], ps[1]) < 1e-12
+        P, K, _ = _samples(np.random.default_rng(20), 10, 2, 3, mirrored=True)
+        assert s_twist_residuals(P, K).max() < 1e-12
 
 
 class TestBoundaryMatrix:
@@ -145,42 +158,45 @@ class TestBoundaryMatrix:
             Robin(1.0).small_m(K1, None)
 
 
+def _reflect(ps, ks, spec):
+    """reflection_maps of one sample (S = 1): the first slot's (p, k)."""
+    Q, L = reflection_maps(*_stack(ps, ks), (spec,))
+    return Q[0, 0], complex(L[0, 0])
+
+
 class TestReflectionMap:
     def test_robin_is_projectively_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            p = random_polarization(rng, 3)
-            out = reflection_map(0.8 + 0.3j, p, Robin(1.3))
-            assert projective_distance(out.p, p) < 1e-14
-            assert out.k == -(0.8 - 0.3j)
+            p = random_unit_vectors(rng, 1, 3)
+            q, k = _reflect(p, [0.8 + 0.3j], Robin(1.3))
+            assert projective_distance(q, p[0]) < 1e-14
+            assert k == -(0.8 - 0.3j)
 
     def test_mixed_orthogonal_update(self):
         # p'm p = 0 kills the projector term: (e1+e2)/sqrt2 -> (e1-e2)/sqrt2
-        p = Polarization((E1 + E2) / np.sqrt(2))
-        out = reflection_map(K1, p, Mixed((1, -1)))
-        assert projective_distance(out.p, (E1 - E2) / np.sqrt(2)) < 1e-14
+        q, _ = _reflect([(E1 + E2) / np.sqrt(2)], [K1], Mixed((1, -1)))
+        assert projective_distance(q, (E1 - E2) / np.sqrt(2)) < 1e-14
 
     def test_mixed_eigenvector_fixed(self):
-        out = reflection_map(0.6 + 0.45j, Polarization(E1), Mixed((1, -1)))
-        assert projective_distance(out.p, E1) < 1e-14
+        q, _ = _reflect([E1], [0.6 + 0.45j], Mixed((1, -1)))
+        assert projective_distance(q, E1) < 1e-14
 
     def test_mixed_generic_moves_polarization(self):
         p = Polarization([0.8, 0.6])
-        out = reflection_map(0.5 + 0.5j, p, Mixed((1, -1)))
-        assert projective_distance(out.p, p) > 0.1  # boundary genuinely transmits
+        q, _ = _reflect([p], [0.5 + 0.5j], Mixed((1, -1)))
+        assert projective_distance(q, p) > 0.1  # boundary genuinely transmits
 
     def test_imaginary_axis_rejected(self):
         with pytest.raises(DomainError, match="imaginary axis"):
-            reflection_map(1j, Polarization(E1), Mixed((1, -1)))
+            _reflect([E1], [1j], Mixed((1, -1)))
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
     def test_involution(self, kind):
         rng = np.random.default_rng(3)
         for n in (2, 3):
-            for _ in range(10):
-                spec = random_boundary(rng, kind, n)
-                ks = random_map_parameters(rng, 1, mirrored=True)
-                assert involution_residual(ks[0], random_polarization(rng, n), spec) < 1e-12
+            P, K, specs = _samples(rng, 10, 1, n, mirrored=True, boundary=kind)
+            assert involution_residuals(P, K, specs).max() < 1e-12
 
 
 class TestReflectionEquation:
@@ -188,69 +204,71 @@ class TestReflectionEquation:
     def test_random_instances(self, kind):
         rng = np.random.default_rng(4)
         for n in (2, 3):
-            for _ in range(25):
-                spec = random_boundary(rng, kind, n)
-                ks = random_map_parameters(rng, 2, mirrored=True)
-                ps = [random_polarization(rng, n) for _ in range(2)]
-                assert (
-                    reflection_equation_residual(ks[0], ks[1], ps[0], ps[1], spec)
-                    < 1e-10
-                )
+            P, K, specs = _samples(rng, 25, 2, n, mirrored=True, boundary=kind)
+            assert reflection_equation_residuals(P, K, specs).max() < 1e-10
 
     def test_robin_out_of_the_box(self):
-        spec = Robin(0.6)
-        r = reflection_equation_residual(
-            0.7 + 0.5j, -0.3 + 0.8j, Polarization([1.0, 2.0]), Polarization([1j, 1.0]), spec
-        )
-        assert r < 1e-12
+        P, K = _stack((Polarization([1.0, 2.0]), Polarization([1j, 1.0])),
+                      (0.7 + 0.5j, -0.3 + 0.8j))
+        assert reflection_equation_residuals(P, K, (Robin(0.6),))[0] < 1e-12
+
+    def test_mirrored_draws_are_pair_safe(self):
+        # the reflection-equation suite draws its parameters mirrored and
+        # relies on every draw passing the kernel's pole check
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                assert maps.reflection_pair_safe(*random_map_parameters(rng, 2, mirrored=True))
 
 
 class TestTransferMaps:
     def _state(self, rng, N, n):
-        ks = random_map_parameters(rng, N, mirrored=True)
-        return tuple(ExtendedPoint(random_polarization(rng, n), k) for k in ks)
+        K = np.array([random_map_parameters(rng, N, mirrored=True)])
+        return random_unit_vectors(rng, N, n)[None], K
+
+    def _transfer(self, j, P, K, b_plus, b_minus):
+        Q, L = P.copy(), K.copy()
+        maps._transfer(Q, L, j, b_plus, b_minus)
+        return Q, L
 
     def test_identity_boundaries_give_identity_map(self):
-        rng = np.random.default_rng(5)
-        state = self._state(rng, 2, 2)
-        out = transfer_map(0, state, None, None)
-        for a, b in zip(out, state):
-            assert projective_distance(a.p, b.p) < 1e-12
-            assert a.k == b.k
+        P, K = self._state(np.random.default_rng(5), 2, 2)
+        Q, L = self._transfer(0, P, K, None, None)
+        for a, b in zip(Q[0], P[0]):
+            assert projective_distance(a, b) < 1e-12
+        assert np.array_equal(L, K)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_identity_boundary_commutators(self, N):
-        rng = np.random.default_rng(6 + N)
-        state = self._state(rng, N, 2)
+        P, K = self._state(np.random.default_rng(6 + N), N, 2)
         for j in range(N):
             for l in range(N):
-                assert transfer_commutator_residual(j, l, state, None, None) < 1e-12
+                assert transfer_commutator_residuals(j, l, P, K, None, None)[0] < 1e-12
 
     def test_scalar_case_exactly_zero(self):
         rng = np.random.default_rng(9)
-        ks = random_map_parameters(rng, 2, mirrored=True)
-        state = tuple(ExtendedPoint(Polarization([1.0]), k) for k in ks)
+        K = np.array([random_map_parameters(rng, 2, mirrored=True)])
         B = Mixed((1,))
-        assert transfer_commutator_residual(0, 1, state, B, B) == 0.0
+        assert transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, B, B)[0] == 0.0
 
     def test_vnls_reflection_experiment_runs_and_is_deterministic(self):
         # exploratory: with the concrete reflection map in both boundary
         # slots the commutator need not vanish; the value is recorded
         rng = np.random.default_rng(10)
         spec = Mixed((1, -1))
-        state = self._state(rng, 3, 2)
-        r1 = transfer_commutator_residual(0, 2, state, spec, spec)
-        r2 = transfer_commutator_residual(0, 2, state, spec, spec)
+        P, K = self._state(rng, 3, 2)
+        r1 = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
+        r2 = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
         assert r1 == r2
         assert np.isfinite(r1)
 
     def test_parameters_travel_with_reflections(self):
         rng = np.random.default_rng(11)
         spec = Robin(0.4)
-        state = self._state(rng, 2, 2)
-        out = transfer_map(1, state, spec, spec)
+        P, K = self._state(rng, 2, 2)
+        _, L = self._transfer(1, P, K, spec, spec)
         # two bounces return each parameter to its original value
-        assert all(a.k == b.k for a, b in zip(out, state))
+        assert np.array_equal(L, K)
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
     def test_reflection_map_is_a_b_plus(self, kind):
@@ -261,11 +279,11 @@ class TestTransferMaps:
         for _ in range(5):
             spec = random_boundary(rng, kind, 3)
             for N in (2, 3, 4):
-                state = self._state(rng, N, 3)
+                P, K = self._state(rng, N, 3)
                 for j in range(N):
                     for l in range(j + 1, N):
-                        r = transfer_commutator_residual(j, l, state, spec, None)
-                        s = transfer_commutator_residual(j, l, state, None, spec)
+                        r = transfer_commutator_residuals(j, l, P, K, spec, None)[0]
+                        s = transfer_commutator_residuals(j, l, P, K, None, spec)[0]
                         plus, swapped = max(plus, r), max(swapped, s)
         assert plus <= 1e-12
         if kind != "robin":
@@ -274,22 +292,77 @@ class TestTransferMaps:
     def test_collision_pole_names_the_pair(self):
         k1 = 0.5 + 0.5j
         k2 = k1 + 0.1 * PAIR_POLE_TOL
-        p1, p2, p3 = Polarization(E1), Polarization(E2), Polarization([0.6, 0.8])
+        p1, p2, p3 = E1, E2, np.array([0.6, 0.8])
         with pytest.raises(PoleError, match=r"pair \("):
-            ybe_residual(k1, k2, -0.3 + 0.8j, p1, p2, p3)
-        state = (ExtendedPoint(p1, k1), ExtendedPoint(p2, k2))
+            ybe_residuals(*_stack((p1, p2, p3), (k1, k2, -0.3 + 0.8j)))
         with pytest.raises(PoleError, match=r"pair \("):
-            transfer_map(0, state, None, None)
+            self._transfer(0, *_stack((p1, p2), (k1, k2)), None, None)
 
-    def test_extended_point_rejects_imaginary_axis(self):
-        with pytest.raises(DomainError):
-            ExtendedPoint(Polarization(E1), 1j)
+
+class TestMapDraws:
+    @staticmethod
+    def _oracle_units(rng, count, n):
+        """The per-object draw path: a NormingVector, then its Polarization."""
+        out = []
+        while len(out) < count:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if np.linalg.norm(v) > 1e-6:
+                out.append(Polarization(NormingVector(v).beta).p)
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_unit_vectors_match_the_object_path_bit_for_bit(self, n):
+        for seed in range(50):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for count in (1, 2, 3):
+                got = random_unit_vectors(got_rng, count, n)
+                ref = self._oracle_units(ref_rng, count, n)
+                assert got.shape == (count, n)
+                assert got.tobytes() == ref.tobytes()
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_unit_vectors_redraw_near_zero_vectors(self):
+        class Scripted:
+            # the first vector drawn is 0, and must be redrawn
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(1), 0
+
+            def standard_normal(self, n):
+                self.calls += 1
+                return np.zeros(n) if self.calls <= 2 else self.rng.standard_normal(n)
+
+        got = random_unit_vectors(Scripted(), 2, 3)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == self._oracle_units(Scripted(), 2, 3).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_map_parameters_match_spectral_points(self, seed):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_map_parameters(got_rng, 3)
+        ref = [SpectralPoint(random_u(ref_rng), ref_rng.uniform(*V_RANGE)).k for _ in range(3)]
+        assert got == ref
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --- reference: the per-object map path the stacked kernel replaced ----------
 #
-# Every step builds a Polarization (renormalised, canonical phase) and an
-# ExtendedPoint; the stacked kernel must agree with it to rounding.
+# Every step builds a Polarization (renormalised, canonical phase) and a
+# _Point; the stacked kernel must agree with it to rounding.
+
+
+@dataclass(frozen=True, eq=False)
+class _Point:
+    """Polarization together with its spectral parameter, off the imaginary axis."""
+
+    p: Polarization
+    k: complex
+
+    def __post_init__(self):
+        k = complex(self.k)
+        if abs(k.real) <= AXIS_TOL:
+            raise DomainError(f"imaginary axis: parameter {k} has |Re k| <= {AXIS_TOL}")
+        object.__setattr__(self, "k", k)
 
 
 def _reference_yb_map(k1, k2, p1, p2):
@@ -310,7 +383,7 @@ def _reference_collide(state, i, j):
         q1, q2 = _reference_yb_map(a.k, b.k, a.p, b.p)
     except PoleError as exc:
         raise PoleError(f"pair ({i}, {j}) with parameters ({a.k}, {b.k}): {exc}") from exc
-    state[i], state[j] = ExtendedPoint(q1, a.k), ExtendedPoint(q2, b.k)
+    state[i], state[j] = _Point(q1, a.k), _Point(q2, b.k)
 
 
 def _reference_bounce(state, j, spec):
@@ -319,7 +392,7 @@ def _reference_bounce(state, j, spec):
 
 
 def _reference_state(*pairs):
-    return tuple(ExtendedPoint(p, k) for p, k in pairs)
+    return tuple(_Point(p, k) for p, k in pairs)
 
 
 def _reference_slot_residual(a, b):
@@ -357,7 +430,7 @@ def _reference_reflection_map(k, p, spec):
     q = m @ p.p
     coeff = (k - k.conjugate()) / (k + k.conjugate())
     out = q + coeff * np.vdot(p.p, q) * p.p
-    return ExtendedPoint(Polarization(out), -k.conjugate())
+    return _Point(Polarization(out), -k.conjugate())
 
 
 def _reference_reflection_equation_residual(k1, k2, p1, p2, spec):
@@ -415,9 +488,9 @@ def _reference_transfer_commutator_residual(j, l, state, b_plus, b_minus):
 
 def _reference_s_twist_residual(k1, k2, p1, p2):
     state = _reference_state((p1, k1), (p2, k2))
-    lhs = [ExtendedPoint(e.p, -e.k.conjugate()) for e in state]
+    lhs = [_Point(e.p, -e.k.conjugate()) for e in state]
     _reference_collide(lhs, 0, 1)
-    lhs = [ExtendedPoint(e.p, -e.k.conjugate()) for e in lhs]
+    lhs = [_Point(e.p, -e.k.conjugate()) for e in lhs]
     rhs = list(state)
     _reference_collide(rhs, 1, 0)
     return _reference_slot_residual(lhs, rhs)
@@ -431,8 +504,8 @@ AGREE = 1e-14
 def _draw(rng, S, slots, n, mirrored=True):
     """S seeded samples: (parameter lists, Polarization lists, P, K)."""
     ks = [random_map_parameters(rng, slots, mirrored=mirrored) for _ in range(S)]
-    ps = [[random_polarization(rng, n) for _ in range(slots)] for _ in range(S)]
-    P = np.array([[p.p for p in row] for row in ps])
+    P = np.array([random_unit_vectors(rng, slots, n) for _ in range(S)])
+    ps = [[Polarization(p) for p in row] for row in P]
     return ks, ps, P, np.array(ks)
 
 
@@ -462,9 +535,6 @@ class TestStackedKernelMatchesReference:
             for slot, e in enumerate(state):
                 assert projective_distance(out[s, slot], e.p) <= AGREE
         assert np.max(np.abs(np.linalg.norm(out, axis=-1) - 1.0)) <= AGREE
-        q1, q2 = yb_map(ks[0][0], ks[0][1], ps[0][0], ps[0][1])
-        r1, r2 = _reference_yb_map(ks[0][0], ks[0][1], ps[0][0], ps[0][1])
-        assert projective_distance(q1, r1) <= AGREE and projective_distance(q2, r2) <= AGREE
 
     def test_yang_baxter_residuals(self, S, n):
         rng = np.random.default_rng(200 + 10 * S + n)
@@ -477,12 +547,12 @@ class TestStackedKernelMatchesReference:
             assert abs(stacked[s] - _reference_ybe_residual(k1, k2, k3, p1, p2, p3)) <= AGREE
             assert abs(twist[s] - _reference_s_twist_residual(k1, k2, p1, p2)) <= AGREE
             assert abs(trip[s] - _reference_reversibility_residual(k1, k2, p1, p2)) <= AGREE
-        assert ybe_residual(*ks[0], *ps[0]) == stacked[0]
 
     def test_bounce_outputs(self, S, n):
         rng = np.random.default_rng(300 + 10 * S + n)
         ks, ps, P, K = _draw(rng, S, 1, n)
         specs = _specs(rng, S, n)
+        R, M = reflection_maps(P, K, specs)  # on copies: P and K stay as drawn
         Q, L = P.copy(), K.copy()
         maps._bounce(Q, L, 0, maps._small_ms(specs, L[:, 0], n))
         for s in range(S):
@@ -490,9 +560,7 @@ class TestStackedKernelMatchesReference:
             assert complex(L[s, 0]) == ref.k
             assert projective_distance(Q[s, 0], ref.p) <= AGREE
         assert np.max(np.abs(np.linalg.norm(Q, axis=-1) - 1.0)) <= AGREE
-        out = reflection_map(ks[0][0], ps[0][0], specs[0])
-        ref = _reference_reflection_map(ks[0][0], ps[0][0], specs[0])
-        assert out.k == ref.k and projective_distance(out.p, ref.p) <= AGREE
+        assert np.array_equal(R, Q) and np.array_equal(M, L)
 
     def test_reflection_residuals(self, S, n):
         rng = np.random.default_rng(400 + 10 * S + n)
@@ -519,10 +587,13 @@ class TestStackedKernelMatchesReference:
                 state = _reference_state(*zip(ps[s], ks[s]))
                 ref = _reference_transfer_commutator_residual(N - 1, 0, state, *slots)
                 assert abs(stacked[s] - ref) <= AGREE
-        state = _reference_state(*zip(ps[0], ks[0]))
-        for got, ref in zip(transfer_map(1, state, b_plus, b_minus),
-                            _reference_transfer_map(1, state, b_plus, b_minus)):
-            assert got.k == ref.k and projective_distance(got.p, ref.p) <= AGREE
+        Q, L = P.copy(), K.copy()
+        maps._transfer(Q, L, 1, b_plus, b_minus)
+        for s in range(S):
+            state = _reference_state(*zip(ps[s], ks[s]))
+            for slot, e in enumerate(_reference_transfer_map(1, state, b_plus, b_minus)):
+                assert complex(L[s, slot]) == e.k
+                assert projective_distance(Q[s, slot], e.p) <= AGREE
 
 
 @pytest.mark.parametrize("suite", ["reflection-equation", "involution", "yb-structure"])
@@ -534,24 +605,23 @@ def test_mixed_n_batch_matches_reference_in_sample_order(suite):
     for i in range(30):
         n = (2, 3, 8)[i % 3]
         ks = random_map_parameters(rng, 2, mirrored=True)
-        p1, p2 = random_polarization(rng, n), random_polarization(rng, n)
+        units = random_unit_vectors(rng, 2, n)
+        p1, p2 = Polarization(units[0]), Polarization(units[1])
         if suite == "yb-structure":
             V = random_unitary(rng, n)
             a = _reference_yb_map(ks[0], ks[1], p1, p2)
             b = _reference_yb_map(ks[0], ks[1], Polarization(V @ p1.p), Polarization(V @ p2.p))
             unitary = max(projective_distance(Polarization(V @ x.p), y) for x, y in zip(a, b))
-            instances.append((ks, [p1.p, p2.p], V))
+            instances.append((ks, units, V))
             expect.append((unitary, _reference_s_twist_residual(ks[0], ks[1], p1, p2)))
             continue
         spec = random_boundary(rng, BOUNDARY_KINDS[i % 3], n)
         if suite == "involution":
-            instances.append((ks[:1], [p1.p], spec))
+            instances.append((ks[:1], units[:1], spec))
             expect.append((_reference_involution_residual(ks[0], p1, spec),))
         else:
-            instances.append((ks, [p1.p, p2.p], spec))
+            instances.append((ks, units, spec))
             expect.append((_reference_reflection_equation_residual(*ks, p1, p2, spec),))
-    if suite == "reflection-equation":
-        instances[4], expect[4] = None, (0.0,)  # an unsafe draw contributes 0.0
     got = runner._evaluate(instances)
     assert len(got) == len(expect)
     for row, ref in zip(got, expect):
@@ -564,18 +634,20 @@ class TestStackedErrorsMatchReference:
         p1, p2, p3 = Polarization(E1), Polarization(E2), Polarization([0.6, 0.8])
         k1 = 0.5 + 0.5j
         k2 = k1 + 0.1 * PAIR_POLE_TOL
-        args = (k1, k2, -0.3 + 0.8j, p1, p2, p3)
-        assert _raised(ybe_residual, *args) == _raised(_reference_ybe_residual, *args)
-        args = (k1, k2, p1, p2)
-        assert _raised(yb_map, *args) == _raised(_reference_yb_map, *args)
-        assert _raised(reversibility_residual, *args) == _raised(
-            _reference_reversibility_residual, *args)
-        state = (ExtendedPoint(p1, k1), ExtendedPoint(p2, k2))
-        assert _raised(transfer_map, 0, state, None, None) == _raised(
-            _reference_transfer_map, 0, state, None, None)
-        args = (k1, k2, p1, p2, Mixed((1, -1)))
-        assert _raised(reflection_equation_residual, *args) == _raised(
-            _reference_reflection_equation_residual, *args)
+        P, K = _stack((p1, p2, p3), (k1, k2, -0.3 + 0.8j))
+        assert _raised(ybe_residuals, P, K) == _raised(
+            _reference_ybe_residual, k1, k2, -0.3 + 0.8j, p1, p2, p3)
+        P, K = P[:, :2], K[:, :2]
+        state = (_Point(p1, k1), _Point(p2, k2))
+        assert _raised(yb_schedule, P, K, COLLIDE) == _raised(
+            _reference_collide, list(state), 0, 1)
+        assert _raised(reversibility_residuals, P, K) == _raised(
+            _reference_reversibility_residual, k1, k2, p1, p2)
+        assert _raised(transfer_commutator_residuals, 0, 1, P, K, None, None) == _raised(
+            _reference_transfer_commutator_residual, 0, 1, state, None, None)
+        spec = Mixed((1, -1))
+        assert _raised(reflection_equation_residuals, P, K, (spec,)) == _raised(
+            _reference_reflection_equation_residual, k1, k2, p1, p2, spec)
 
     def test_first_bad_sample_is_named(self):
         rng = np.random.default_rng(700)
@@ -589,34 +661,37 @@ class TestStackedErrorsMatchReference:
     def test_imaginary_axis(self):
         p, q = Polarization(E1), Polarization([0.6, 0.8j])
         for k in (1j, 0.5 * AXIS_TOL + 0.7j):
+            P, K = _stack((p, q), (k, 0.5 + 0.5j))
             args = (k, 0.5 + 0.5j, p, q)
-            assert _raised(reversibility_residual, *args) == _raised(
+            assert _raised(reversibility_residuals, P, K) == _raised(
                 _reference_reversibility_residual, *args)
-            assert _raised(s_twist_residual, *args) == _raised(
+            assert _raised(s_twist_residuals, P, K) == _raised(
                 _reference_s_twist_residual, *args)
-            args = (0.4 + 0.2j, 0.5 + 0.5j, k, p, q, p)
-            assert _raised(ybe_residual, *args) == _raised(_reference_ybe_residual, *args)
+            triple = (0.4 + 0.2j, 0.5 + 0.5j, k)
+            assert _raised(ybe_residuals, *_stack((p, q, p), triple)) == _raised(
+                _reference_ybe_residual, *triple, p, q, p)
             for spec in (Mixed((1, -1)), Robin(0.3)):
-                args = (k, q, spec)
-                assert _raised(reflection_map, *args) == _raised(
-                    _reference_reflection_map, *args)
-                assert _raised(involution_residual, *args) == _raised(
-                    _reference_involution_residual, *args)
-                args = (k, 0.5 + 0.5j, p, q, spec)
-                assert _raised(reflection_equation_residual, *args) == _raised(
-                    _reference_reflection_equation_residual, *args)
+                one = _stack((q,), (k,))
+                assert _raised(reflection_maps, *one, (spec,)) == _raised(
+                    _reference_reflection_map, k, q, spec)
+                assert _raised(involution_residuals, *one, (spec,)) == _raised(
+                    _reference_involution_residual, k, q, spec)
+                assert _raised(reflection_equation_residuals, P, K, (spec,)) == _raised(
+                    _reference_reflection_equation_residual, *args, spec)
 
     def test_parameter_mismatch(self):
         p, q = Polarization(E1), Polarization(E2)
-        a = (ExtendedPoint(p, 0.5 + 0.5j), ExtendedPoint(q, -0.2 + 0.4j))
-        b = (ExtendedPoint(p, 0.5 + 0.5j), ExtendedPoint(q, 0.2 + 0.4j))
-        P, K = maps._state(a)
-        Q, L = maps._state(b)
+        a = (_Point(p, 0.5 + 0.5j), _Point(q, -0.2 + 0.4j))
+        b = (_Point(p, 0.5 + 0.5j), _Point(q, 0.2 + 0.4j))
+        P, K = _stack((p, q), (0.5 + 0.5j, -0.2 + 0.4j))
+        Q, L = _stack((p, q), (0.5 + 0.5j, 0.2 + 0.4j))
         assert _raised(maps._slot_residual, P, K, Q, L) == _raised(
             _reference_slot_residual, a, b)
 
     def test_boundary_component_mismatch(self):
-        args = (0.5 + 0.5j, Polarization([0.6, 0.8, 0.0]), Mixed((1, -1)))
-        assert _raised(reflection_map, *args) == _raised(_reference_reflection_map, *args)
-        assert _raised(involution_residual, *args) == _raised(
-            _reference_involution_residual, *args)
+        q, spec = Polarization([0.6, 0.8, 0.0]), Mixed((1, -1))
+        P, K = _stack((q,), (0.5 + 0.5j,))
+        assert _raised(reflection_maps, P, K, (spec,)) == _raised(
+            _reference_reflection_map, 0.5 + 0.5j, q, spec)
+        assert _raised(involution_residuals, P, K, (spec,)) == _raised(
+            _reference_involution_residual, 0.5 + 0.5j, q, spec)

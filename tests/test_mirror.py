@@ -16,7 +16,7 @@ from vsolitons import (
     mirror_polarization_residual,
     polarization_of,
     projective_distance,
-    reflection_map,
+    reflection_maps,
     solve_mirror_norming,
 )
 from vsolitons.mirror import HalfLineData
@@ -207,8 +207,8 @@ class TestHalfLineField:
         T = 16.0
         pol_in, _ = extract_asymptotic_polarization(srt, 1, -T)
         pol_out, _ = extract_asymptotic_polarization(srt, 0, T)
-        predicted = reflection_map(real.points[0][0].k, pol_in, spec)
-        assert projective_distance(pol_out, predicted.p) < 1e-6
+        predicted, _ = reflection_maps(pol_in.p[None, None], real.ks[None], (spec,))
+        assert projective_distance(pol_out, predicted[0, 0]) < 1e-6
 
     def test_two_soliton_scattering_matches_composite(self):
         from vsolitons.maps import _bounce, _collide, _small_ms
