@@ -43,6 +43,7 @@ from .asymptotics import (
     beta_in,
     beta_out,
     collision_consistency_residual,
+    collision_pair_residuals,
     intermediate_gamma,
     xi_factor,
 )

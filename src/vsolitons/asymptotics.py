@@ -10,6 +10,7 @@ which `collision_consistency_residual` measures.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -71,28 +72,37 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def xi_factor(j: int, l: int, spectators, data: SolitonData) -> float:
-    """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form.
-
-    Xi^2 = |f_l(k_j*)|^2 (1 + v_j v_l / |k_l - k_j|^2 * |p|^2) with
-    p = p_{l,rho}^dag p_{j, l rho}; symmetric under j <-> l.
-    """
+def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, data: SolitonData) -> float:
+    """`xi_factor` from the unit vectors p_{l,rho} and p_{j,l rho}."""
     kj = data.points[j][0].k
     kl = data.points[l][0].k
-    p_l_rho = _unit(intermediate_gamma(l, spectators, data))
-    p_j_lrho = _unit(intermediate_gamma(j, tuple(spectators) + (l,), data))
     flj = _blaschke(kl, kj.conjugate())
     coeff = (data.points[j][0].v * data.points[l][0].v) / abs(kl - kj) ** 2
     overlap = abs(np.vdot(p_l_rho, p_j_lrho)) ** 2
     return abs(flj) * math.sqrt(1.0 + coeff * overlap)
 
 
-def collision_consistency_residual(j: int, l: int, spectators, data: SolitonData) -> float:
-    """Residual of the exact pairwise-collision relations for j overtaking l.
+def xi_factor(j: int, l: int, spectators, data: SolitonData) -> float:
+    """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form.
 
-    Requires u_j < u_l and j, l outside the spectator set.  Returns the max
-    infinity-norm residual of the two vector relations, with the norm ratio
-    taken as the positive root of its closed form.
+    Xi^2 = |f_l(k_j*)|^2 (1 + v_j v_l / |k_l - k_j|^2 * |p|^2) with
+    p = p_{l,rho}^dag p_{j, l rho}; symmetric under j <-> l.
+    """
+    p_l_rho = _unit(intermediate_gamma(l, spectators, data))
+    p_j_lrho = _unit(intermediate_gamma(j, tuple(spectators) + (l,), data))
+    return _xi(j, l, p_l_rho, p_j_lrho, data)
+
+
+def collision_pair_residuals(
+    j: int, l: int, spectators, data: SolitonData
+) -> Tuple[float, float]:
+    """(collision-relation residual, |Xi_jl - Xi_lj|) for j overtaking l.
+
+    Requires u_j < u_l and j, l outside the spectator set.  The first entry
+    is the max infinity-norm residual of the two vector relations, with the
+    norm ratio taken as the positive root of its closed form; the second is
+    the asymmetry of that closed form under j <-> l.  Both come from one
+    build of the pair's four intermediate gammas.
     """
     j, l = int(j), int(l)
     sp = _spectator_tuple(j, spectators, data.N)
@@ -110,7 +120,7 @@ def collision_consistency_residual(j: int, l: int, spectators, data: SolitonData
 
     fjl = _blaschke(kj, kl.conjugate())  # f_j(k_l*)
     flj = _blaschke(kl, kj.conjugate())  # f_l(k_j*)
-    xi = xi_factor(j, l, sp, data)
+    xi = _xi(j, l, p_l_rho, p_j_lrho, data)
 
     cj = fjl.conjugate()
     rhs_l = (cj / xi) * (p_l_rho + (cj - 1.0) * np.vdot(p_j_lrho, p_l_rho) * p_j_lrho)
@@ -118,7 +128,15 @@ def collision_consistency_residual(j: int, l: int, spectators, data: SolitonData
 
     rhs_j = (flj / xi) * (p_j_lrho + (flj - 1.0) * np.vdot(p_l_rho, p_j_lrho) * p_l_rho)
     res_j = float(np.max(np.abs(p_j_rho - rhs_j)))
-    return max(res_l, res_j)
+    return max(res_l, res_j), abs(xi - _xi(l, j, p_j_rho, p_l_jrho, data))
+
+
+def collision_consistency_residual(j: int, l: int, spectators, data: SolitonData) -> float:
+    """Residual of the exact pairwise-collision relations for j overtaking l.
+
+    The first entry of `collision_pair_residuals`.
+    """
+    return collision_pair_residuals(j, l, spectators, data)[0]
 
 
 def asymptotic_profile(data: SolitonData, x, t, direction: str):

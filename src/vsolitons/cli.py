@@ -28,8 +28,8 @@ from .asymptotics import (
     beta_in,
     beta_out,
     collision_consistency_residual,
+    collision_pair_residuals,
     min_relative_velocity,
-    xi_factor,
 )
 from .config import (
     dataset_digest,
@@ -507,8 +507,9 @@ def _draw_collision(cfg, rng, log, i, variant):
     for j in range(N):
         for l in range(j + 1, N):
             spect = tuple(m for m in range(N) if m not in (j, l))[: i % 2]
-            rel.append(collision_consistency_residual(j, l, spect, data))
-            xi.append(abs(xi_factor(j, l, spect, data) - xi_factor(l, j, spect, data)))
+            r, x = collision_pair_residuals(j, l, spect, data)
+            rel.append(r)
+            xi.append(x)
     return _worst(rel), _worst(xi), _pipeline_residual(data)
 
 
@@ -612,11 +613,23 @@ def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog)
 
 
 def _pde_order(field_fn, x0: float, x1: float, hs) -> float:
-    """Fitted convergence order of the PDE residual on [x0, x1] x [-1, 1]."""
+    """Fitted convergence order of the PDE residual on [x0, x1] x [-1, 1].
+
+    The field is sampled once, at the finest spacing hs[-1]; spacing h reads
+    the strided view values[::s, ::s], s = round(h / hs[-1]), so every h must
+    be an integer multiple of hs[-1].  The view's nodes are exactly the nodes
+    of the grid sampled at h: linspace puts node i at start + i * step, and
+    when s is a power of two (as for 0.04, 0.02, 0.01) the fine step is the
+    coarse step divided by s without rounding, so fine node i * s and coarse
+    node i round the same real number.
+    """
+    nx, nt = int(round((x1 - x0) / hs[-1])) + 1, int(round(2 / hs[-1])) + 1
+    fine = sample_grid(field_fn, x0, x1, -1, 1, nx, nt)
 
     def residual(h):
-        nx, nt = int(round((x1 - x0) / h)) + 1, int(round(2 / h)) + 1
-        return pde_residual(sample_grid(field_fn, x0, x1, -1, 1, nx, nt))
+        s = int(round(h / hs[-1]))
+        values = fine.values[::s, ::s]
+        return pde_residual(FieldGrid(x0, x1, -1, 1, *values.shape[:2], values))
 
     return convergence_order(residual, hs)
 

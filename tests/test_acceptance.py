@@ -41,7 +41,7 @@ from vsolitons import (
     ybe_residuals,
 )
 from vsolitons.asymptotics import min_relative_velocity
-from vsolitons.cli import collision_orders, main, yb_pipeline
+from vsolitons.cli import _pde_order, collision_orders, main, yb_pipeline
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import (
     random_boundary,
@@ -219,26 +219,33 @@ HALF_DATA = SolitonData.from_arrays(
     [0.5, 1.0], [1.0, 1.1], [[0.8, 0.5 + 0.4j], [1.0, -0.3 + 0.2j]]
 )
 HS = [0.04, 0.02, 0.01]
+#: The x ranges of the line and half-line pde boxes; t runs over [-1, 1].
+BOXES = ((-4, 4), (0, 6))
+
+
+def _box_grid(field_fn, x0, x1, h):
+    """The field sampled on its own grid of spacing h over [x0, x1] x [-1, 1]."""
+    nx, nt = int(round((x1 - x0) / h)) + 1, int(round(2 / h)) + 1
+    return sample_grid(field_fn, x0, x1, -1, 1, nx, nt)
+
+
+def _line_pde_residual(h):
+    nx, nt = int(round(8 / h)) + 1, int(round(2 / h)) + 1
+    return pde_residual(grid_for_data(LINE_DATA, -4, 4, -1, 1, nx, nt))
+
+
+def _halfline_pde_residual(hl, h):
+    return pde_residual(_box_grid(lambda X, T: halfline_field(hl, X, T), 0, 6, h))
 
 
 class TestCriterion08:
     def test_pde_order_line(self):
-        def res(h):
-            nx, nt = int(round(8 / h)) + 1, int(round(2 / h)) + 1
-            return pde_residual(grid_for_data(LINE_DATA, -4, 4, -1, 1, nx, nt))
-
-        order = convergence_order(res, HS)
+        order = convergence_order(_line_pde_residual, HS)
         report(8, "VNLS residual order, 2-soliton line", order, 0.3, abs(order - 2.0) <= 0.3, unit="order")
 
     def test_pde_order_halfline(self):
         hl = solve_mirror_norming(HALF_DATA, Mixed((1, -1)))
-
-        def res(h):
-            nx, nt = int(round(6 / h)) + 1, int(round(2 / h)) + 1
-            grid = sample_grid(lambda X, T: halfline_field(hl, X, T), 0, 6, -1, 1, nx, nt)
-            return pde_residual(grid)
-
-        order = convergence_order(res, HS)
+        order = convergence_order(lambda h: _halfline_pde_residual(hl, h), HS)
         report(8, "VNLS residual order, N=2 half line", order, 0.3, abs(order - 2.0) <= 0.3, unit="order")
 
     def test_boundary_order_robin(self):
@@ -263,6 +270,39 @@ class TestCriterion08:
             assert np.max(np.abs(mirrored - reconstruct_field(hl.combined, xs, t) @ M)) <= 1e-12
         order = convergence_order(lambda h: boundary_residual(hl, ts, h=h), HS)
         report(8, "boundary residual order, Mixed", order, 0.3, abs(order - 3.0) <= 0.3, unit="order")
+
+
+class TestPdeGridNesting:
+    """The pde suite reads its coarse spacings as strided views of the finest grid."""
+
+    @pytest.mark.parametrize("x0, x1", BOXES)
+    def test_coarse_nodes_are_fine_subgrid(self, x0, x1):
+        nodes = lambda X, T: np.stack([X, T], axis=-1)
+        fine = _box_grid(nodes, x0, x1, HS[-1])
+        for s, h in ((4, 0.04), (2, 0.02)):
+            coarse = _box_grid(nodes, x0, x1, h)
+            assert np.array_equal(coarse.xs, fine.xs[::s])
+            assert np.array_equal(coarse.ts, fine.ts[::s])
+            assert np.array_equal(coarse.values, fine.values[::s, ::s])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coarse_fields_are_fine_subgrid(self, seed):
+        rng = np.random.default_rng(seed)
+        data = random_soliton_data(rng, 2, 2)
+        hl = solve_mirror_norming(random_soliton_data(rng, 2, 2, positive=True), Mixed((1, -1)))
+        fields = (lambda X, T: reconstruct_field(data, X, T), lambda X, T: halfline_field(hl, X, T))
+        for field_fn, (x0, x1) in zip(fields, BOXES):
+            fine = _box_grid(field_fn, x0, x1, HS[-1])
+            for s, h in ((4, 0.04), (2, 0.02)):
+                coarse = _box_grid(field_fn, x0, x1, h)
+                assert np.array_equal(coarse.values, fine.values[::s, ::s])
+
+    def test_pde_order_matches_three_grid_oracle(self):
+        line = _pde_order(lambda X, T: reconstruct_field(LINE_DATA, X, T), -4, 4, HS)
+        assert line == convergence_order(_line_pde_residual, HS)
+        hl = solve_mirror_norming(HALF_DATA, Mixed((1, -1)))
+        half = _pde_order(lambda X, T: halfline_field(hl, X, T), 0, 6, HS)
+        assert half == convergence_order(lambda h: _halfline_pde_residual(hl, h), HS)
 
 
 class TestCriterion09:

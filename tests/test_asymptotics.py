@@ -11,6 +11,7 @@ from vsolitons import (
     beta_out,
     blaschke_factor,
     collision_consistency_residual,
+    collision_pair_residuals,
     intermediate_gamma,
     one_soliton_field,
     polarization_of,
@@ -18,6 +19,8 @@ from vsolitons import (
     reconstruct_field,
     xi_factor,
 )
+from vsolitons import asymptotics
+from vsolitons.dressing import _blaschke
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -141,6 +144,48 @@ class TestCollisionRelations:
         data = ordered_data(np.random.default_rng(7), 2, 2)
         with pytest.raises(ValidationError):
             collision_consistency_residual(1, 0, (), data)
+
+
+def _reference_relations(j, l, sp, data):
+    """The two relations' residual, every gamma built where it is used."""
+
+    def unit(m, spect):
+        g = intermediate_gamma(m, spect, data)
+        return g / np.linalg.norm(g)
+
+    kj, kl = data.points[j][0].k, data.points[l][0].k
+    p_l_rho, p_j_lrho = unit(l, sp), unit(j, sp + (l,))
+    p_l_jrho, p_j_rho = unit(l, sp + (j,)), unit(j, sp)
+    fjl, flj = _blaschke(kj, kl.conjugate()), _blaschke(kl, kj.conjugate())
+    xi = xi_factor(j, l, sp, data)
+    cj = fjl.conjugate()
+    rhs_l = (cj / xi) * (p_l_rho + (cj - 1.0) * np.vdot(p_j_lrho, p_l_rho) * p_j_lrho)
+    rhs_j = (flj / xi) * (p_j_lrho + (flj - 1.0) * np.vdot(p_l_rho, p_j_lrho) * p_l_rho)
+    return max(float(np.max(np.abs(p_l_jrho - rhs_l))), float(np.max(np.abs(p_j_rho - rhs_j))))
+
+
+class TestCollisionPairResiduals:
+    @pytest.mark.parametrize("N, n", [(2, 2), (3, 3), (4, 2)])
+    def test_equal_to_separate_builds(self, N, n):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            data = ordered_data(rng, N, n)
+            for j in range(N):
+                for l in range(j + 1, N):
+                    sp = tuple(m for m in range(N) if m not in (j, l))[:1]
+                    rel, asym = collision_pair_residuals(j, l, sp, data)
+                    assert rel == _reference_relations(j, l, sp, data)
+                    assert asym == abs(xi_factor(j, l, sp, data) - xi_factor(l, j, sp, data))
+                    assert collision_consistency_residual(j, l, sp, data) == rel
+
+    def test_four_gammas_per_pair(self, monkeypatch):
+        calls = []
+        build = asymptotics.intermediate_gamma
+        monkeypatch.setattr(
+            asymptotics, "intermediate_gamma", lambda *a: calls.append(a[:2]) or build(*a)
+        )
+        collision_pair_residuals(0, 2, (1,), ordered_data(np.random.default_rng(9), 3, 2))
+        assert sorted(calls) == [(0, (1,)), (0, (1, 2)), (2, (1,)), (2, (1, 0))]
 
 
 class TestAsymptoticProfile:
