@@ -570,27 +570,36 @@ def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
     return HalfLineData(hl.real_data, mirror, hl.spec, combined)
 
 
-def _transfer_worst(rng, log, b_plus, b_minus, n: int, diagonal: bool) -> float:
-    """Worst commutator over the pairs j < l (j <= l if diagonal) of a drawn
-    N = 2 and a drawn N = 3 state of n-component polarizations, with the
-    given boundary slots (None: the identity boundary)."""
-    worst = 0.0
-    for N in (2, 3):
-        K = np.array([random_map_parameters(rng, N, mirrored=True, log=log)])
-        P = random_unit_vectors(rng, N, n)[None]
+def _transfer_draw(rng, log, n: int) -> list:
+    """One sample's drawn N = 2 and N = 3 states of n-component polarizations,
+    as (parameters, unit vectors) each."""
+    return [(random_map_parameters(rng, N, mirrored=True, log=log), random_unit_vectors(rng, N, n))
+            for N in (2, 3)]
+
+
+def _transfer_worst(draws, b_plus, b_minus, diagonal: bool) -> list:
+    """Per sample of `draws`, the worst commutator over the pairs j < l
+    (j <= l if diagonal) of its N = 2 and N = 3 states; each N is one stacked
+    call over all samples, with one boundary spec per sample in each slot
+    (None: the identity boundary)."""
+    worst = [0.0] * len(draws)
+    for states in zip(*draws):
+        ks, ps = zip(*states)
+        K, P = np.array(ks), np.array(ps)
+        N = K.shape[1]
         for j in range(N):
             for l in range(j if diagonal else j + 1, N):
                 residual = transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)
-                worst = max(worst, float(residual[0]))
+                worst = [max(w, r) for w, r in zip(worst, residual.tolist())]
     return worst
 
 
 def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    worst = _transfer_worst(rng, log, None, None, 2, True)
+    worst = _transfer_worst([_transfer_draw(rng, log, 2)], None, None, True)[0]
     _check(report, cfg, "transfer-commutator[identity-boundary]", worst, family="involution")
 
     K = np.array([random_map_parameters(rng, 2, mirrored=True, log=log)])
-    robin = Robin(0.5)
+    robin = (Robin(0.5),)
     residual = transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, robin, robin)
     _check(report, cfg, "transfer-commutator[scalar]", float(residual[0]),
            family="involution", tolerance=0.0)
@@ -598,18 +607,31 @@ def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog)
     # exploratory: both boundary slots filled with the concrete reflection map;
     # the measured residual is recorded, not asserted (the b_minus slot needs
     # a dual map that is not derived yet)
-    for variant in _boundary_kinds(cfg):
-        spec = _boundary_spec(rng, variant, 2)
-        worst = _transfer_worst(rng, log, spec, spec, spec.n or 2, False)
-        _check(report, cfg, f"transfer-commutator[vnls-reflection:{variant[0]}]", worst,
+    for label, worst in _transfer_kinds(cfg, rng, log, 2, True):
+        _check(report, cfg, f"transfer-commutator[vnls-reflection:{label}]", worst,
                informational=True)
 
     # the concrete reflection map is a valid b_plus with the identity as b_minus
-    for variant in _boundary_kinds(cfg):
-        spec = _boundary_spec(rng, variant, 3)
-        worst = _transfer_worst(rng, log, spec, None, spec.n or 3, False)
-        _check(report, cfg, f"transfer-commutator[b-plus-reflection:{variant[0]}]", worst,
+    for label, worst in _transfer_kinds(cfg, rng, log, 3, False):
+        _check(report, cfg, f"transfer-commutator[b-plus-reflection:{label}]", worst,
                family="involution")
+
+
+def _transfer_kinds(cfg: RunConfig, rng, log, n: int, both: bool) -> list:
+    """(label, worst commutator) per boundary kind, with the kind's reflection
+    map in the b_plus slot and, if both, in the b_minus slot too.
+
+    Each kind draws its spec, then its states, in kind order; the kinds are
+    then evaluated as one stacked state (drawn kinds share n, and a given
+    boundary is the only kind).
+    """
+    variants = _boundary_kinds(cfg)
+    specs, draws = [], []
+    for variant in variants:
+        specs.append(_boundary_spec(rng, variant, n))
+        draws.append(_transfer_draw(rng, log, specs[-1].n or n))
+    worst = _transfer_worst(draws, specs, specs if both else None, False)
+    return [(label, w) for (label, _), w in zip(variants, worst)]
 
 
 def _pde_order(field_fn, x0: float, x1: float, hs) -> float:

@@ -80,6 +80,8 @@ def _small_ms(specs: Sequence[BoundarySpec], k, n: int) -> np.ndarray:
     The parameters are checked sample by sample, in the order a bounce needs
     them: off the imaginary axis first, then whatever the spec's m checks.
     """
+    if len(specs) != len(k):
+        raise ValidationError(f"{len(specs)} boundary specs for {len(k)} samples")
     ms = []
     for spec, kk in zip(specs, k.tolist()):
         if abs(kk.real) <= AXIS_TOL:
@@ -225,8 +227,9 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
 
 
 def _transfer(P, K, j: int, b_plus, b_minus) -> None:
-    """The j-th transfer composition of every sample, in place."""
-    S, N = K.shape
+    """The j-th transfer composition of every sample, in place; a boundary
+    slot holds one spec per sample, or None for the identity boundary."""
+    N = K.shape[1]
     if N < 2:
         raise ValidationError("transfer maps need at least two sites")
     j = int(j)
@@ -235,11 +238,11 @@ def _transfer(P, K, j: int, b_plus, b_minus) -> None:
     n = P.shape[-1]
     for m in range(j - 1, -1, -1):
         _collide(P, K, m, j)
-    _bounce(P, K, j, None if b_plus is None else _small_ms((b_plus,) * S, K[:, j], n))
+    _bounce(P, K, j, None if b_plus is None else _small_ms(b_plus, K[:, j], n))
     for m in range(N):
         if m != j:
             _collide(P, K, j, m)
-    _bounce(P, K, j, None if b_minus is None else _small_ms((b_minus,) * S, K[:, j], n))
+    _bounce(P, K, j, None if b_minus is None else _small_ms(b_minus, K[:, j], n))
     for m in range(N - 1, j, -1):
         _collide(P, K, m, j)
 
@@ -249,11 +252,14 @@ def transfer_commutator_residuals(
     l: int,
     P,
     K,
-    b_plus: Optional[BoundarySpec],
-    b_minus: Optional[BoundarySpec],
+    b_plus: Optional[Sequence[BoundarySpec]],
+    b_minus: Optional[Sequence[BoundarySpec]],
 ) -> np.ndarray:
-    """Per-sample max slotwise distance between T_j T_l and T_l T_j; every
-    sample shares the two boundaries."""
+    """Per-sample max slotwise distance between T_j T_l and T_l T_j.
+
+    b_plus and b_minus each hold one boundary spec per sample, or are None
+    for the identity boundary.
+    """
     Pa, Ka = P.copy(), K.copy()
     _transfer(Pa, Ka, l, b_plus, b_minus)
     _transfer(Pa, Ka, j, b_plus, b_minus)

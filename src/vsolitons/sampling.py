@@ -8,6 +8,7 @@ resamples counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -59,30 +60,40 @@ def random_u(rng: np.random.Generator, positive: bool = False) -> float:
     return mag if rng.random() < 0.5 else -mag
 
 
-def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _nonzero_vector(rng: np.random.Generator, n: int, log: Optional[SampleLog]) -> np.ndarray:
+def random_norming_vector(
+    rng: np.random.Generator, n: int, log: Optional[SampleLog] = None
+) -> NormingVector:
+    """Complex Gaussian: n real parts, then n imaginary parts, from one draw;
+    redrawn (and counted) while its norm is <= 1e-6."""
     for _ in range(_MAX_TRIES):
-        vec = random_complex_vector(rng, n)
+        re, im = rng.standard_normal((2, n))
+        vec = re + 1j * im
         if np.linalg.norm(vec) > 1e-6:
-            return vec
+            return NormingVector(vec)
         _count(log)
     raise SamplingError("could not draw a usable norming vector")
 
 
-def random_norming_vector(
-    rng: np.random.Generator, n: int, log: Optional[SampleLog] = None
-) -> NormingVector:
-    return NormingVector(_nonzero_vector(rng, n, log))
-
-
 def random_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, n) unit vectors in canonical phase, drawn one vector at a time
-    as norming vectors are (redraws are not counted)."""
-    vecs = [_nonzero_vector(rng, n, None) for _ in range(count)]
-    return np.array([canonical_phase(v / np.linalg.norm(v)) for v in vecs]).reshape(count, n)
+    """(count, n) unit vectors in canonical phase (redraws are not counted).
+
+    Stream contract: the draws, vectors and generator state of count
+    `random_norming_vector` calls, each normalised.  One (missing, 2, n) draw
+    per pass is that stream; a vector of norm <= 1e-6 is dropped and the next
+    pass draws the missing ones, where one-at-a-time redraws would fall.
+    """
+    rows = []
+    for _ in range(_MAX_TRIES):
+        draws = rng.standard_normal((count - len(rows), 2, n))
+        for v in draws[:, 0] + 1j * draws[:, 1]:
+            # np.linalg.norm's sum, bit for bit, computed once per vector
+            re, im = v.real, v.imag
+            norm = math.sqrt(re.dot(re) + im.dot(im))
+            if norm > 1e-6:
+                rows.append(canonical_phase(v / norm))
+        if len(rows) == count:
+            return np.array(rows).reshape(count, n)
+    raise SamplingError("could not draw a usable unit vector")
 
 
 def random_soliton_data(
@@ -111,17 +122,23 @@ def random_soliton_data(
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from the QR of a complex Gaussian matrix."""
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    """Haar-ish unitary from the QR of a complex Gaussian matrix (its n^2 real
+    parts, then its n^2 imaginary parts, from one draw)."""
+    re, im = rng.standard_normal((2, n, n))
+    Z = re + 1j * im
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
 
 
 def random_signs(rng: np.random.Generator, n: int, proper: bool = True) -> tuple:
-    """A +1/-1 pattern; `proper` forces both signs to appear when n > 1."""
+    """A +1/-1 pattern; `proper` forces both signs to appear when n > 1.
+
+    Stream contract: one uniform per entry, +1 below 0.5, as n rng.random()
+    calls would draw them; one rng.random(n) per try.
+    """
     for _ in range(_MAX_TRIES):
-        signs = tuple(1 if rng.random() < 0.5 else -1 for _ in range(n))
+        signs = tuple([1 if r < 0.5 else -1 for r in rng.random(n).tolist()])
         if n == 1 or not proper or len(set(signs)) == 2:
             return signs
     raise SamplingError("could not draw a proper sign pattern")
@@ -154,9 +171,18 @@ def random_map_parameters(
     mirrored: bool = False,
     log: Optional[SampleLog] = None,
 ) -> List[complex]:
-    """Spectral parameters for map identities, pole-safe (also under k -> -k*)."""
+    """Spectral parameters for map identities, pole-safe (also under k -> -k*).
+
+    Stream contract: per parameter |u|, its sign and v, as `random_u` and
+    rng.uniform draw them one at a time: one rng.random((count, 3)) per try,
+    mapped as Generator.uniform maps a uniform r, lo + (hi - lo) * r.
+    """
+    (ulo, uhi), (vlo, vhi) = U_RANGE, V_RANGE
     for _ in range(_MAX_TRIES):
-        ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
+        ks = []
+        for mag, sign, v in rng.random((count, 3)).tolist():
+            u = ulo + (uhi - ulo) * mag
+            ks.append(complex(u if sign < 0.5 else -u, vlo + (vhi - vlo) * v) / 2.0)
         if _pairs_safe(ks, mirrored):
             return ks
         _count(log)

@@ -84,7 +84,7 @@ def canonical_phase(vec: np.ndarray) -> np.ndarray:
     Ties break to the lowest index (argmax convention), so the result is a
     unique representative of the phase orbit.
     """
-    pivot = vec[int(np.argmax(np.abs(vec)))]
+    pivot = vec[np.abs(vec).argmax()]
     if pivot == 0:
         raise ValidationError("cannot fix the phase of the zero vector")
     return vec * (abs(pivot) / pivot)

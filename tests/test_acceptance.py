@@ -345,7 +345,7 @@ class TestCriterion10:
         rng = np.random.default_rng(1100)
         K = np.array([random_map_parameters(rng, 2, mirrored=True)])
         B = Robin(0.4)
-        res = transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, B, B)[0]
+        res = transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, (B,), (B,))[0]
         report(10, "scalar transfer commutator", res, 0.0, res == 0.0)
 
     def test_vnls_reflection_experiment_recorded(self):
@@ -354,8 +354,8 @@ class TestCriterion10:
         spec = Mixed((1, -1))
         K = np.array([random_map_parameters(rng, 3, mirrored=True)])
         P = random_unit_vectors(rng, 3, 2)[None]
-        first = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
-        second = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
+        first = transfer_commutator_residuals(0, 2, P, K, (spec,), (spec,))[0]
+        second = transfer_commutator_residuals(0, 2, P, K, (spec,), (spec,))[0]
         print(
             f"ACCEPTANCE 10 vnls-reflection transfer experiment: RECORDED "
             f"(residual {first:.6e}, deterministic repeat {second:.6e})"

@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,17 @@ from vsolitons import (
     yb_schedule,
     ybe_residuals,
 )
-from vsolitons import maps
+from vsolitons import cli, maps, sampling
 from vsolitons.cli import _SUITES
 from vsolitons.errors import ValidationError
 from vsolitons.sampling import (
     BOUNDARY_KINDS,
     V_RANGE,
+    SampleLog,
     random_boundary,
     random_map_parameters,
+    random_norming_vector,
+    random_signs,
     random_u,
     random_unit_vectors,
     random_unitary,
@@ -249,7 +253,7 @@ class TestTransferMaps:
         rng = np.random.default_rng(9)
         K = np.array([random_map_parameters(rng, 2, mirrored=True)])
         B = Mixed((1,))
-        assert transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, B, B)[0] == 0.0
+        assert transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, (B,), (B,))[0] == 0.0
 
     def test_vnls_reflection_experiment_runs_and_is_deterministic(self):
         # exploratory: with the concrete reflection map in both boundary
@@ -257,8 +261,8 @@ class TestTransferMaps:
         rng = np.random.default_rng(10)
         spec = Mixed((1, -1))
         P, K = self._state(rng, 3, 2)
-        r1 = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
-        r2 = transfer_commutator_residuals(0, 2, P, K, spec, spec)[0]
+        r1 = transfer_commutator_residuals(0, 2, P, K, (spec,), (spec,))[0]
+        r2 = transfer_commutator_residuals(0, 2, P, K, (spec,), (spec,))[0]
         assert r1 == r2
         assert np.isfinite(r1)
 
@@ -266,7 +270,7 @@ class TestTransferMaps:
         rng = np.random.default_rng(11)
         spec = Robin(0.4)
         P, K = self._state(rng, 2, 2)
-        _, L = self._transfer(1, P, K, spec, spec)
+        _, L = self._transfer(1, P, K, (spec,), (spec,))
         # two bounces return each parameter to its original value
         assert np.array_equal(L, K)
 
@@ -282,12 +286,34 @@ class TestTransferMaps:
                 P, K = self._state(rng, N, 3)
                 for j in range(N):
                     for l in range(j + 1, N):
-                        r = transfer_commutator_residuals(j, l, P, K, spec, None)[0]
-                        s = transfer_commutator_residuals(j, l, P, K, None, spec)[0]
+                        r = transfer_commutator_residuals(j, l, P, K, (spec,), None)[0]
+                        s = transfer_commutator_residuals(j, l, P, K, None, (spec,))[0]
                         plus, swapped = max(plus, r), max(swapped, s)
         assert plus <= 1e-12
         if kind != "robin":
             assert swapped >= 0.5
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_stacked_kinds_equal_single_sample_calls(self, N):
+        # one stack of mixed kinds, one spec per sample, must give every
+        # sample exactly what its own S = 1 call gives
+        rng = np.random.default_rng(30 + N)
+        _, _, P, K = _draw(rng, 6, N, 2)
+        specs = _specs(rng, 6, 2)
+        for b_minus in (None, specs):
+            for j in range(N):
+                for l in range(N):
+                    stacked = transfer_commutator_residuals(j, l, P, K, specs, b_minus)
+                    for s in range(6):
+                        one = transfer_commutator_residuals(
+                            j, l, P[s:s + 1], K[s:s + 1], specs[s:s + 1],
+                            None if b_minus is None else b_minus[s:s + 1])
+                        assert stacked[s] == one[0]
+            Q, L = self._transfer(N - 1, P, K, specs, b_minus)
+            for s in range(6):
+                q, m = self._transfer(N - 1, P[s:s + 1], K[s:s + 1], specs[s:s + 1],
+                                      None if b_minus is None else b_minus[s:s + 1])
+                assert np.array_equal(Q[s:s + 1], q) and np.array_equal(L[s:s + 1], m)
 
     def test_collision_pole_names_the_pair(self):
         k1 = 0.5 + 0.5j
@@ -323,17 +349,26 @@ class TestMapDraws:
 
     def test_unit_vectors_redraw_near_zero_vectors(self):
         class Scripted:
-            # the first vector drawn is 0, and must be redrawn
-            def __init__(self):
-                self.rng, self.calls = np.random.default_rng(1), 0
+            # the first vector's 2n draws are 0, so it must be redrawn
+            def __init__(self, n):
+                self.rng, self.zeros = np.random.default_rng(1), 2 * n
+                self.drawn, self.shapes = 0, []
 
-            def standard_normal(self, n):
-                self.calls += 1
-                return np.zeros(n) if self.calls <= 2 else self.rng.standard_normal(n)
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                out = self.rng.standard_normal(shape)
+                flat = out.reshape(-1)
+                flat[: max(0, self.zeros - self.drawn)] = 0.0
+                self.drawn += flat.size
+                return out
 
-        got = random_unit_vectors(Scripted(), 2, 3)
+        got_rng, ref_rng = Scripted(3), Scripted(3)
+        got = random_unit_vectors(got_rng, 2, 3)
         assert np.isfinite(got).all()
-        assert got.tobytes() == self._oracle_units(Scripted(), 2, 3).tobytes()
+        assert got.tobytes() == self._oracle_units(ref_rng, 2, 3).tobytes()
+        # one vector kept from the first pass, one redrawn in the second
+        assert got_rng.shapes == [(2, 2, 3), (1, 2, 3)]
+        assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -343,6 +378,124 @@ class TestMapDraws:
         ref = [SpectralPoint(random_u(ref_rng), ref_rng.uniform(*V_RANGE)).k for _ in range(3)]
         assert got == ref
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @staticmethod
+    def _oracle_signs(rng, n, proper=True):
+        """One rng.random() per entry."""
+        while True:
+            signs = tuple(1 if rng.random() < 0.5 else -1 for _ in range(n))
+            if n == 1 or not proper or len(set(signs)) == 2:
+                return signs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_signs_match_scalar_draws(self, n):
+        for seed in range(50):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for proper in (True, False, True):
+                assert random_signs(got_rng, n, proper) == self._oracle_signs(ref_rng, n, proper)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_norming_vectors_and_unitaries_match_two_draws(self, n):
+        # real parts, then imaginary parts, each once drawn by its own call
+        for seed in range(50):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_norming_vector(got_rng, n).beta
+            ref = ref_rng.standard_normal(n) + 1j * ref_rng.standard_normal(n)
+            assert got.tobytes() == ref.tobytes()
+            got = random_unitary(got_rng, n)
+            Z = ref_rng.standard_normal((n, n)) + 1j * ref_rng.standard_normal((n, n))
+            Q, R = np.linalg.qr(Z)
+            ref = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+            assert got.tobytes() == ref.tobytes()
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_map_parameters_match_scalar_draws(self, count, mirrored):
+        for seed in range(50):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got_log, ref_log = SampleLog(), SampleLog()
+            for _ in range(4):
+                got = random_map_parameters(got_rng, count, mirrored, got_log)
+                assert got == oracle_map_parameters(ref_rng, count, mirrored, ref_log)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert got_log.resamples == ref_log.resamples
+
+
+def oracle_map_parameters(rng, count, mirrored=False, log=None):
+    """Per-scalar draws: |u|, its sign and v, one rng call each."""
+    while True:
+        ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
+        if sampling._pairs_safe(ks, mirrored):
+            return ks
+        if log is not None:
+            log.resamples += 1
+
+
+MAP_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution",
+              "transfer")
+
+
+def _reports(root, suite, seeds):
+    """report.json bytes of one verify run per seed, at default samples."""
+    out = []
+    for seed in seeds:
+        cfg = root / f"{suite}-{seed}.json"
+        cfg.write_text(json.dumps({"suite": {"name": suite, "seed": seed}}))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(root / "run")]) == 0
+        out.append((root / "run" / "report.json").read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("suite", MAP_SUITES)
+def test_map_suite_reports_match_scalar_draws(suite, tmp_path, monkeypatch):
+    # the whole-array draws must leave every map-suite report as the
+    # per-scalar draws leave it
+    fast = _reports(tmp_path, suite, range(5))
+    for module in (cli, sampling):
+        monkeypatch.setattr(module, "random_unit_vectors", TestMapDraws._oracle_units)
+        monkeypatch.setattr(module, "random_map_parameters", oracle_map_parameters)
+    monkeypatch.setattr(sampling, "random_signs", TestMapDraws._oracle_signs)
+    assert _reports(tmp_path, suite, range(5)) == fast
+
+
+def _reference_transfer_rows(seed, boundary):
+    """The transfer suite's rows with each boundary kind evaluated on its own
+    as one-sample states, drawing in the suite's order."""
+    rng, log = np.random.default_rng(seed), SampleLog()
+
+    def worst(b_plus, b_minus, n, diagonal=False):
+        w = 0.0
+        for N in (2, 3):
+            K = np.array([random_map_parameters(rng, N, mirrored=True, log=log)])
+            P = random_unit_vectors(rng, N, n)[None]
+            for j in range(N):
+                for l in range(j if diagonal else j + 1, N):
+                    w = max(w, float(transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)[0]))
+        return w
+
+    rows = {"transfer-commutator[identity-boundary]": worst(None, None, 2, True)}
+    random_map_parameters(rng, 2, mirrored=True, log=log)  # the scalar row's parameters
+    kinds = [("given", boundary)] if boundary else [(kind, None) for kind in BOUNDARY_KINDS]
+    for row, n, both in (("vnls-reflection", 2, True), ("b-plus-reflection", 3, False)):
+        for label, given in kinds:
+            spec = given or random_boundary(rng, label, n)
+            rows[f"transfer-commutator[{row}:{label}]"] = worst(
+                (spec,), (spec,) if both else None, spec.n or n)
+    return rows, log.resamples
+
+
+@pytest.mark.parametrize("boundary", [None, Mixed((1, -1, 1))])
+def test_transfer_suite_stacks_kinds_exactly(boundary):
+    for seed in range(4):
+        doc = {"mode": "transfer", "suite": {"name": "transfer", "seed": seed}, "output": "o"}
+        if boundary is not None:
+            doc["boundary"] = boundary.to_json()
+        report = cli.run_property_suite(cli.parse_run_config(doc))
+        rows, resamples = _reference_transfer_rows(seed, boundary)
+        got = {c.name: c.residual for c in report.checks if c.name in rows}
+        assert got == rows and report.resamples == resamples
 
 
 # --- reference: the per-object map path the stacked kernel replaced ----------
@@ -582,13 +735,14 @@ class TestStackedKernelMatchesReference:
         b_plus = random_boundary(rng, "rotated_mixed", n)
         b_minus = random_boundary(rng, "robin", n)
         for slots in ((b_plus, b_minus), (b_plus, None), (None, b_plus)):
-            stacked = maps.transfer_commutator_residuals(N - 1, 0, P, K, *slots)
+            stacked = maps.transfer_commutator_residuals(
+                N - 1, 0, P, K, *((b,) * S if b is not None else None for b in slots))
             for s in range(S):
                 state = _reference_state(*zip(ps[s], ks[s]))
                 ref = _reference_transfer_commutator_residual(N - 1, 0, state, *slots)
                 assert abs(stacked[s] - ref) <= AGREE
         Q, L = P.copy(), K.copy()
-        maps._transfer(Q, L, 1, b_plus, b_minus)
+        maps._transfer(Q, L, 1, (b_plus,) * S, (b_minus,) * S)
         for s in range(S):
             state = _reference_state(*zip(ps[s], ks[s]))
             for slot, e in enumerate(_reference_transfer_map(1, state, b_plus, b_minus)):
@@ -687,6 +841,25 @@ class TestStackedErrorsMatchReference:
         Q, L = _stack((p, q), (0.5 + 0.5j, 0.2 + 0.4j))
         assert _raised(maps._slot_residual, P, K, Q, L) == _raised(
             _reference_slot_residual, a, b)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_spec_count_must_match_samples(self, count):
+        # one spec per sample: a shorter or longer list is refused, not
+        # broadcast or cut short
+        rng = np.random.default_rng(800)
+        _, _, P, K = _draw(rng, 2, 2, 2)
+        specs = _specs(rng, count, 2)
+        match = f"{count} boundary specs for 2 samples"
+        with pytest.raises(ValidationError, match=match):
+            reflection_maps(P, K, specs)
+        with pytest.raises(ValidationError, match=match):
+            involution_residuals(P[:, :1], K[:, :1], specs)
+        with pytest.raises(ValidationError, match=match):
+            reflection_equation_residuals(P, K, specs)
+        with pytest.raises(ValidationError, match=match):
+            transfer_commutator_residuals(0, 1, P, K, specs, None)
+        with pytest.raises(ValidationError, match=match):
+            transfer_commutator_residuals(0, 1, P, K, None, specs)
 
     def test_boundary_component_mismatch(self):
         q, spec = Polarization([0.6, 0.8, 0.0]), Mixed((1, -1))
