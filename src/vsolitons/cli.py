@@ -310,14 +310,48 @@ def export_grid(grid: FieldGrid, path) -> None:
     same double.  Rows are formatted and written one t-slice at a time.
     """
     header = "x,t," + ",".join(f"re_{c+1},im_{c+1}" for c in range(grid.n))
-    xs = list(map(repr, grid.xs.tolist()))
-    # (nt, nx, 2n) doubles: each row is re_1, im_1, ..., re_n, im_n
-    slices = grid.values.transpose(1, 0, 2).copy().view(np.float64)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        for t, rows in zip(map(repr, grid.ts.tolist()), slices):
-            out.write("".join([",".join([x, t, *map(repr, row)]) + "\n"
-                               for x, row in zip(xs, rows.tolist())]))
+    # one row per x: x, t, re_1, im_1, ..., re_n, im_n
+    table = np.empty((grid.nx, 2 + 2 * grid.n))
+    table[:, 0] = grid.xs
+    cells = table.view(np.complex128)[:, 1:]
+    with open(path, "wb") as out:
+        out.write(header.encode() + b"\n")
+        for it, t in enumerate(grid.ts):
+            table[:, 1] = t
+            cells[...] = grid.values[:, it]
+            out.write(_csv_rows(table))
+
+
+def _csv_rows(table: np.ndarray) -> memoryview:
+    """CSV lines of a 2-D float64 table, every number as repr(float) writes it.
+
+    orjson formats the shortest round-trip digits (Ryu) as repr does, but
+    spells some values differently: 0.00001 for 1e-05, 1e-7 for 1e-07, 1e16
+    for 1e+16, and null for non-finite values.  Those values, and a margin
+    around them, go through repr: they are dumped as null and spliced back.
+    """
+    # imported here: at module top it would load uuid, zoneinfo and json on every start
+    from orjson import OPT_SERIALIZE_NUMPY, dumps
+
+    mag = np.abs(table)
+    # not (mag < 0.99e16) also holds for nan and inf
+    odd = ~(mag < 0.99e16) | ((mag >= 0.99e-9) & (mag < 1.01e-4))
+    picked = table[odd].tolist()
+    # "[v,v,...,v]": every number of the table, row after row
+    text = dumps(np.where(odd, np.nan, table).ravel(), option=OPT_SERIALIZE_NUMPY)
+    if picked:
+        parts = text.split(b"null")
+        spliced = [parts[0]]
+        for value, part in zip(picked, parts[1:]):
+            spliced += (repr(value).encode(), part)
+        text = b"".join(spliced)
+    text = bytearray(text)
+    chars = np.frombuffer(text, np.uint8)
+    # the last comma of each row and the closing bracket end the lines
+    k = table.shape[1]
+    chars[np.flatnonzero(chars == ord(","))[k - 1::k]] = ord("\n")
+    chars[-1] = ord("\n")
+    return memoryview(text)[1:]  # without the opening bracket
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -839,6 +873,8 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
         raise ConfigError("data: required for mirror mode")
     if cfg.boundary is None:
         raise ConfigError("boundary: required for mirror mode")
+    if cfg.grid is not None and cfg.grid["x0"] < 0:
+        raise ConfigError("grid.x0: half-line grids need x0 >= 0")
     hl = cfg.halfline or solve_mirror_norming(cfg.data, cfg.boundary)
     _check(report, cfg, "mirror-constraint", mirror_constraint_residual(hl),
            family="mirror_constraint")
@@ -847,8 +883,6 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
     _write_json(cfg.output / "halfline.json", halfline_to_json(hl))
     outputs = ["halfline.json", "manifest.json"]
     if cfg.grid is not None:
-        if cfg.grid["x0"] < 0:
-            raise ConfigError("grid.x0: half-line grids need x0 >= 0")
         grid = _grid_from_cfg(cfg, lambda X, T: halfline_field(hl, X, T))
         export_grid(grid, cfg.output / "grid.csv")
         _check(report, cfg, "pde-residual", pde_residual(grid), informational=True)

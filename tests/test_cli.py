@@ -122,6 +122,14 @@ class TestExitCodes:
         assert main(["mirror", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "acts on 3 components, expected 2" in capsys.readouterr().err
 
+    def test_negative_half_line_grid_is_one_and_writes_nothing(self, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parent.parent / "configs" / "mirror.json").read_text())
+        doc["grid"]["x0"] = -1.0
+        out = tmp_path / "o"
+        assert main(["mirror", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert "grid.x0" in capsys.readouterr().err
+        assert not (out / "halfline.json").exists()
+
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -212,9 +220,15 @@ def _reference_export(grid: FieldGrid, path) -> None:
 
 
 #: Zeros of both signs, both sides of repr's switches to exponent notation
-#: (below 1e-4 and at 1e16), the extreme doubles, and the non-finite values.
-PLANTED = [0.0, -0.0, 1e-05, 9.999999999999999e-05, 1e16, 9999999999999998.0,
-           5e-324, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+#: (below 1e-4 and at 1e16), the extreme doubles, the non-finite values, and
+#: each edge of the band that export_grid formats with repr (1e-9, 1e-4, 1e16
+#: and the band's bounds) with its two neighbouring doubles.
+PLANTED = [0.0, -0.0, 1e-05, 5e-324, 1.7976931348623157e308,
+           float("nan"), float("inf"), float("-inf")] + [
+    float(np.nextafter(edge, toward))
+    for edge in (1e-9, 1e-4, 1e16, 0.99e-9, 1.01e-4, 0.99e16)
+    for toward in (0.0, edge, np.inf)
+]
 
 
 def _seeded_grid(seed: int, n: int, nx: int, nt: int) -> FieldGrid:
@@ -260,6 +274,33 @@ class TestGridExportBytes:
         assert len(grids) == 1
         _reference_export(grids[0], tmp_path / "ref.csv")
         assert (out / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _repr_rows(table: np.ndarray) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def _random_doubles(seed: int, count: int) -> np.ndarray:
+    """Random bit patterns, which cover every exponent, and log-uniform
+    magnitudes of both signs over 1e-12..1e18, which cover the decimal range."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, count - count // 4, dtype=np.uint64).view(np.float64)
+    logs = 10.0 ** rng.uniform(-12, 18, count // 4) * rng.choice([-1.0, 1.0], count // 4)
+    return np.concatenate([bits, logs])
+
+
+class TestCsvRowsMatchRepr:
+    """The slice formatter writes every double exactly as repr does."""
+
+    def test_random_doubles(self):
+        table = _random_doubles(0, 276_000).reshape(-1, 6)
+        assert bytes(cli._csv_rows(table)) == _repr_rows(table)
+
+    @pytest.mark.slow
+    def test_ten_million_doubles(self):
+        for seed in range(20):
+            table = _random_doubles(1000 + seed, 500_000).reshape(-1, 10)
+            assert bytes(cli._csv_rows(table)) == _repr_rows(table)
 
 
 class TestDeterminism:
