@@ -314,6 +314,7 @@ def export_grid(grid: FieldGrid, path) -> None:
     table = np.empty((grid.nx, 2 + 2 * grid.n))
     table[:, 0] = grid.xs
     cells = table.view(np.complex128)[:, 1:]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
         for it, t in enumerate(grid.ts):
@@ -355,6 +356,7 @@ def _csv_rows(table: np.ndarray) -> memoryview:
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -903,8 +905,11 @@ MODES = (*_MODES, "verify", "transfer")
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
-    cfg.output.mkdir(parents=True, exist_ok=True)
+    """Execute one configured run; returns the process exit code.
+
+    The output directory is made by the first write, so a run that stops on
+    a config error leaves none behind.
+    """
     if cfg.mode in _MODES:
         report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
         _MODES[cfg.mode](cfg, report)

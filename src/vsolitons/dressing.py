@@ -34,11 +34,6 @@ def blaschke_factor(point: SpectralPoint, k: complex) -> complex:
     return _blaschke(point.k, complex(k))
 
 
-def phase_exponent(x, t, k: complex):
-    """Plane-wave exponent k*x + 2*k^2*t of the undressed problem."""
-    return k * np.asarray(x) + (2.0 * k * k) * np.asarray(t)
-
-
 @dataclass(frozen=True, eq=False)
 class ChainFactor:
     """Degree-1 factor I + (f(k) - 1) * dir dir^dag with unit direction."""
@@ -81,7 +76,7 @@ class Chain:
 
 def _normalized_order(data: SolitonData, order) -> tuple:
     if order is None:
-        order = range(data.N)
+        return tuple(range(data.N))
     idx = tuple(int(i) for i in order)
     if len(set(idx)) != len(idx) or not set(idx) <= set(range(data.N)):
         raise ValueError(f"order {idx} is not a sequence of distinct indices into the data")
@@ -142,25 +137,28 @@ def _chain_product(dirs, ks: np.ndarray, d: int) -> np.ndarray:
 def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Stabilized seed exp(-i phi(x,t,k*) Sigma3) (beta; -1), scaled projectively.
 
-    With phi = a + ib, the block with the larger exponent gets scale 1 and the
-    other exp(-2|b|), so both stay representable for any exponent size;
-    directions (all that enter projectors) are exact.  Component-major:
-    shape (n+1, M).
+    The exponent phi = k* x + 2 k*^2 t = a + ib is formed in real arithmetic.
+    The block with the larger exponent gets scale 1 and the other exp(-2|b|),
+    so both stay representable for any exponent size; directions (all that
+    enter projectors) are exact.  Component-major: shape (n+1, M).
+
+    A complex array times a real one (numpy multiplies by s + 0i) gives
+    re * s and im * s, up to the sign of a zero part.
     """
-    ph = phase_exponent(x, t, k.conjugate())
-    a, b = ph.real, ph.imag
+    kc = k.conjugate()
+    k2 = 2.0 * kc * kc
+    a = kc.real * x + k2.real * t
+    b = kc.imag * x + k2.imag * t
     damp = np.exp(-2.0 * np.abs(b))
-    cos, sin = np.cos(a), np.sin(a)
     neg = b < 0.0
-    top_scale = np.where(neg, damp, 1.0)
-    bot_scale = np.where(neg, 1.0, damp)
+    e = np.empty(a.size, dtype=np.complex128)  # exp(ia)
+    e.real = np.cos(a)
+    e.imag = np.sin(a)
     out = np.empty((beta.size + 1, a.size), dtype=np.complex128)
-    top = np.empty(a.size, dtype=np.complex128)
-    top.real = cos * top_scale
-    top.imag = -sin * top_scale
+    top = np.conjugate(e)
+    top *= np.where(neg, damp, 1.0)
     np.multiply(beta[:, None], top, out=out[: beta.size])
-    out[beta.size].real = -cos * bot_scale
-    out[beta.size].imag = -sin * bot_scale
+    np.multiply(e, np.where(neg, -1.0, -damp), out=out[beta.size])
     return out
 
 
@@ -175,18 +173,20 @@ def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
         k = point.k
         w = _seed_batch(nv.beta, k, x, t)
         for k_prev, z, zc in dirs:
-            inner = (zc * w).sum(axis=0)
+            inner = np.add.reduce(zc * w, axis=0)
             inner *= _blaschke(k_prev, k).conjugate() - 1.0
             w += inner * z
         # scale guard: max |re|, |im| per point, then the 2-norm
         parts = w.view(np.float64)
-        mag = np.abs(parts).max(axis=0)
+        mag = np.maximum.reduce(np.abs(parts), axis=0)
         mag = np.maximum(mag[0::2], mag[1::2])
         if not mag.all():
             raise DegeneracyError("full-chain direction collapsed to zero")
-        w /= mag
-        sq = np.square(parts).sum(axis=0)
-        w /= np.sqrt(sq[0::2] + sq[1::2])
+        # the bits of w /= s up to the sign of a zero part: numpy divides by
+        # a real s as (re + im*0) * (1/s) and (im - re*0) * (1/s)
+        w *= 1.0 / mag
+        sq = np.add.reduce(np.square(parts), axis=0)
+        w *= 1.0 / np.sqrt(sq[0::2] + sq[1::2])
         dirs.append((k, w, w.conj()))
     return dirs
 
@@ -209,8 +209,9 @@ def build_full_chain(data: SolitonData, order, x: float, t: float) -> Chain:
     return Chain(idx, factors, data.n + 1)
 
 
-#: reconstruct_field evaluates the chain over blocks of this many points.
-FIELD_BLOCK = 2048
+#: reconstruct_field evaluates the chain over blocks of this many cells, a
+#: cell being one of the n+1 components at one point (at least one point).
+FIELD_BLOCK_CELLS = 9 * 2048
 
 
 def reconstruct_field(data: SolitonData, x, t, order=None):
@@ -220,16 +221,22 @@ def reconstruct_field(data: SolitonData, x, t, order=None):
     the theorem behind `permutation_residual` makes it independent of the
     internal factor order.  Accepts scalars or broadcastable arrays for x, t
     and returns shape broadcast(x, t).shape + (n,).
+
+    Points go through the chain in blocks of FIELD_BLOCK_CELLS cells.  A
+    point's value does not depend on the blocking, except in a block of one
+    point (a scalar call), where numpy sums the n+1 components pairwise.
     """
     idx = _normalized_order(data, order)
-    xs, ts = np.broadcast_arrays(
-        np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
-    )
+    xs = np.asarray(x, dtype=np.float64)
+    ts = np.asarray(t, dtype=np.float64)
+    if xs.shape != ts.shape:
+        xs, ts = np.broadcast_arrays(xs, ts)
     xf = xs.reshape(-1)
     tf = ts.reshape(-1)
     out = np.empty((xf.size, data.n), dtype=np.complex128)
-    for lo in range(0, xf.size, FIELD_BLOCK):
-        xb, tb = xf[lo : lo + FIELD_BLOCK], tf[lo : lo + FIELD_BLOCK]
+    block = max(1, FIELD_BLOCK_CELLS // (data.n + 1))
+    for lo in range(0, xf.size, block):
+        xb, tb = xf[lo : lo + block], tf[lo : lo + block]
         # unnamed, so one block's directions are freed before the next is built
         out[lo : lo + xb.size] = _field(data, idx, _full_directions(data, idx, xb, tb), xb.size).T
     return out.reshape(xs.shape + (data.n,))

@@ -94,16 +94,29 @@ def grid_for_data(data: SolitonData, x0, x1, t0, t1, nx, nt, provenance="") -> F
     )
 
 
+#: pde_residual evaluates the stencil over blocks of this many interior rows.
+PDE_ROW_BLOCK = 32
+
+
 def pde_residual(grid: FieldGrid) -> float:
-    """Max interior residual of i R_t + R_xx + 2 (R^dag R) R, second order."""
+    """Max interior residual of i R_t + R_xx + 2 (R^dag R) R, second order.
+
+    The interior rows (fixed x) are taken PDE_ROW_BLOCK at a time so that the
+    temporaries stay in cache; every cell gets the same value as in one
+    whole-grid evaluation, and np.max keeps a nan from any block.
+    """
     V = grid.values
     hx, ht = grid.hx, grid.ht
-    Vi = V[1:-1, 1:-1]
-    Rt = (V[1:-1, 2:] - V[1:-1, :-2]) / (2.0 * ht)
-    Rxx = (V[2:, 1:-1] - 2.0 * Vi + V[:-2, 1:-1]) / (hx * hx)
-    density = np.sum(np.abs(Vi) ** 2, axis=-1, keepdims=True)
-    res = 1j * Rt + Rxx + 2.0 * density * Vi
-    return float(np.max(np.abs(res))) if res.size else 0.0
+    peaks = []
+    for lo in range(1, grid.nx - 1, PDE_ROW_BLOCK):
+        hi = min(lo + PDE_ROW_BLOCK, grid.nx - 1)
+        Vi = V[lo:hi, 1:-1]
+        Rt = (V[lo:hi, 2:] - V[lo:hi, :-2]) / (2.0 * ht)
+        Rxx = (V[lo + 1 : hi + 1, 1:-1] - 2.0 * Vi + V[lo - 1 : hi - 1, 1:-1]) / (hx * hx)
+        density = np.sum(np.abs(Vi) ** 2, axis=-1, keepdims=True)
+        res = 1j * Rt + Rxx + 2.0 * density * Vi
+        peaks.append(np.abs(res).max(initial=0.0))
+    return float(np.max(peaks))
 
 
 def boundary_residual(hl: HalfLineData, times: Sequence[float], h: float = 0.005) -> float:

@@ -130,6 +130,20 @@ class TestExitCodes:
         assert "grid.x0" in capsys.readouterr().err
         assert not (out / "halfline.json").exists()
 
+    @pytest.mark.parametrize("mode", ["simulate", "mirror", "verify"])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, mode):
+        doc = json.loads((Path(__file__).parent.parent / "configs" / "mirror.json").read_text())
+        if mode == "simulate":
+            del doc["grid"]
+        elif mode == "mirror":
+            doc["grid"]["x0"] = -1.0
+        else:
+            doc = {"suite": {"name": "nope", "samples": 1, "seed": 1}}
+        out = tmp_path / "o"
+        assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
             tmp_path,

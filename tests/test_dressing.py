@@ -16,7 +16,11 @@ from vsolitons import (
     permutation_residual,
     polarization_of,
     reconstruct_field,
+    solve_mirror_norming,
 )
+from vsolitons import dressing
+from vsolitons.sampling import random_boundary, random_soliton_data
+
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
@@ -415,3 +419,147 @@ class TestBatchedPermutationResidual:
         ks = [0.3 + 0.2j, data.points[1][0].k.conjugate(), -1.0 + 0.5j]
         with pytest.raises(PoleError):
             permutation_residual(data, (0, 1, 2), (2, 1, 0), ks, [(0.1, 0.2)])
+
+
+# --- field bytes against the complex-arithmetic kernel ------------------------------
+# A frozen copy of the component-major kernel before its seed phase was formed in
+# real arithmetic and its normalisations became products with reciprocals: the
+# phase through complex temporaries, and complex division by the real divisors.
+
+
+def _complex_seed_batch(beta, k, x, t):
+    kc = k.conjugate()
+    ph = kc * np.asarray(x) + (2.0 * kc * kc) * np.asarray(t)
+    a, b = ph.real, ph.imag
+    damp = np.exp(-2.0 * np.abs(b))
+    cos, sin = np.cos(a), np.sin(a)
+    neg = b < 0.0
+    top_scale = np.where(neg, damp, 1.0)
+    bot_scale = np.where(neg, 1.0, damp)
+    out = np.empty((beta.size + 1, a.size), dtype=np.complex128)
+    top = np.empty(a.size, dtype=np.complex128)
+    top.real = cos * top_scale
+    top.imag = -sin * top_scale
+    np.multiply(beta[:, None], top, out=out[: beta.size])
+    out[beta.size].real = -cos * bot_scale
+    out[beta.size].imag = -sin * bot_scale
+    return out
+
+
+def _complex_field(data, x, t):
+    """The frozen kernel's (M, n) field at the 1-D points x, t, in one batch."""
+    dirs = []
+    for point, nv in data.points:
+        k = point.k
+        w = _complex_seed_batch(nv.beta, k, x, t)
+        for k_prev, z, zc in dirs:
+            inner = (zc * w).sum(axis=0)
+            inner *= _ref_blaschke(k_prev, k).conjugate() - 1.0
+            w += inner * z
+        parts = w.view(np.float64)
+        mag = np.abs(parts).max(axis=0)
+        mag = np.maximum(mag[0::2], mag[1::2])
+        w /= mag
+        sq = np.square(parts).sum(axis=0)
+        w /= np.sqrt(sq[0::2] + sq[1::2])
+        dirs.append((k, w, w.conj()))
+    field = np.zeros((data.n, x.size), dtype=np.complex128)
+    for (point, _), (_, z, zc) in zip(data.points, dirs):
+        field += z[: data.n] * ((-2.0 * point.v) * zc[data.n])
+    return field.T
+
+
+def _seeded_data(seed):
+    """N = 1..4 and n in {2, 3, 4, 8} by seed; odd seeds give the combined data
+    of a half-line mirror image (2N solitons), even seeds line data."""
+    rng = np.random.default_rng(seed)
+    N, n = 1 + seed % 4, (2, 3, 4, 8)[seed // 4 % 4]
+    data = random_soliton_data(rng, N, n, positive=bool(seed % 2))
+    if seed % 2:
+        spec = random_boundary(rng, ("robin", "mixed", "rotated_mixed")[seed % 3], n)
+        data = solve_mirror_norming(data, spec).combined
+    return data
+
+
+def _grid_points(seed):
+    """A 121 x 41 grid with nodes on x = 0 and t = 0 (x >= 0 for odd seeds),
+    then 300 scattered points."""
+    rng = np.random.default_rng(1000 + seed)
+    x0 = 0.0 if seed % 2 else -6.0
+    X, T = np.meshgrid(np.linspace(x0, 8.0 if seed % 2 else 6.0, 121), np.linspace(-2, 2, 41),
+                       indexing="ij")
+    x = np.concatenate([X.ravel(), rng.uniform(-30, 30, 300)])
+    t = np.concatenate([T.ravel(), rng.uniform(-5, 5, 300)])
+    return x, t
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFieldBytes:
+    """reconstruct_field reproduces the frozen kernel bit for bit.
+
+    A block of one point is the exception to block-size independence, as it
+    was for the frozen kernel: numpy sums an (n+1, 1) stack of components
+    along its only long axis, pairwise, which can round differently from the
+    row-by-row sum of a wider block.  So one-point blocks are compared with
+    the frozen kernel called point by point, every other blocking with one
+    whole-array call.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_blocks(self, seed):
+        data = _seeded_data(seed)
+        x, t = _grid_points(seed)
+        _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
+        X, T = x[:4961].reshape(121, 41), t[:4961].reshape(121, 41)
+        got = reconstruct_field(data, X, T)
+        assert got.shape == (121, 41, data.n)
+        _assert_same_bytes(got.reshape(-1, data.n), _complex_field(data, X.ravel(), T.ravel()))
+
+    def test_several_full_blocks(self):
+        rng = np.random.default_rng(50)
+        for n in (2, 8):
+            data = random_data(rng, 3, n)
+            block = dressing.FIELD_BLOCK_CELLS // (n + 1)
+            x, t = rng.uniform(-20, 20, (2, 2 * block + 5))
+            _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
+
+    @pytest.mark.parametrize("cells", [10**7, 5 * 9, 3 * 9 + 4])
+    def test_block_size_does_not_change_bytes(self, monkeypatch, cells):
+        monkeypatch.setattr(dressing, "FIELD_BLOCK_CELLS", cells)
+        for seed in (1, 6, 13):  # n = 2, 3, 8
+            data = _seeded_data(seed)
+            x, t = _grid_points(seed)
+            x, t = x[-300:], t[-300:]
+            block = cells // (data.n + 1)
+            assert block >= 2 and x.size % block != 1  # no one-point block
+            _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
+
+    @pytest.mark.parametrize("cells", ["one", "below-n+1"])
+    def test_one_point_blocks_match_single_points(self, monkeypatch, cells):
+        for seed in (1, 6, 13):
+            data = _seeded_data(seed)
+            monkeypatch.setattr(dressing, "FIELD_BLOCK_CELLS", 1 if cells == "one" else data.n)
+            x, t = _grid_points(seed)
+            x, t = x[-60:], t[-60:]
+            ref = np.concatenate([_complex_field(data, x[i : i + 1], t[i : i + 1])
+                                  for i in range(x.size)])
+            _assert_same_bytes(reconstruct_field(data, x, t), ref)
+
+    def test_empty_input(self):
+        data = _seeded_data(5)
+        for shape in ((0,), (0, 3)):
+            got = reconstruct_field(data, np.empty(shape), np.empty(shape))
+            assert got.shape == shape + (data.n,)
+        _assert_same_bytes(reconstruct_field(data, np.empty(0), np.empty(0)),
+                           _complex_field(data, np.empty(0), np.empty(0)))
+
+    @pytest.mark.slow
+    def test_sweep_of_seeded_datasets(self):
+        for seed in range(200):
+            data = _seeded_data(seed)
+            x, t = _grid_points(seed)
+            _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))

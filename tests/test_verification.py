@@ -23,6 +23,7 @@ from vsolitons import (
 from vsolitons.asymptotics import beta_in, beta_out
 from vsolitons.dressing import reconstruct_field
 from vsolitons.sampling import random_soliton_data
+from vsolitons import verification
 from vsolitons.verification import FieldGrid, _zoom_max
 
 E1 = np.array([1.0, 0.0])
@@ -73,6 +74,47 @@ class TestPdeResidual:
     def test_second_order_convergence(self):
         order = convergence_order(lambda h: pde_residual(one_soliton_grid(h)), [0.04, 0.02, 0.01])
         assert abs(order - 2.0) <= 0.3
+
+
+def _whole_grid_residual(grid):
+    """pde_residual's expression over the whole interior at once."""
+    V = grid.values
+    hx, ht = grid.hx, grid.ht
+    Vi = V[1:-1, 1:-1]
+    Rt = (V[1:-1, 2:] - V[1:-1, :-2]) / (2.0 * ht)
+    Rxx = (V[2:, 1:-1] - 2.0 * Vi + V[:-2, 1:-1]) / (hx * hx)
+    density = np.sum(np.abs(Vi) ** 2, axis=-1, keepdims=True)
+    res = 1j * Rt + Rxx + 2.0 * density * Vi
+    return float(np.max(np.abs(res))) if res.size else 0.0
+
+
+ROWS = verification.PDE_ROW_BLOCK
+
+
+class TestPdeResidualRowBlocks:
+    @pytest.mark.parametrize("nx", [5, ROWS + 3, 3 * ROWS + 7])
+    def test_equals_whole_grid_evaluation(self, nx):
+        assert (nx - 2) % ROWS != 0
+        three = random_soliton_data(np.random.default_rng(3), 3, 3)
+        for n, data in ((2, TWO_SOLITON), (3, three)):
+            g = grid_for_data(data, -3, 3, -1, 1, nx, 23)
+            assert g.n == n
+            assert pde_residual(g) == _whole_grid_residual(g)
+
+    def test_strided_views(self):
+        fine = grid_for_data(TWO_SOLITON, -4, 4, -1, 1, 4 * ROWS + 21, 41)
+        for s in (2, 4):
+            values = fine.values[::s, ::s]
+            g = FieldGrid(-4, 4, -1, 1, *values.shape[:2], values)
+            assert (g.nx - 2) % ROWS != 0
+            assert pde_residual(g) == _whole_grid_residual(g)
+
+    def test_nan_in_last_row_block(self):
+        nx = 2 * ROWS + 7
+        g = grid_for_data(TWO_SOLITON, -3, 3, -1, 1, nx, 11)
+        values = g.values.copy()
+        values[nx - 2, 5, 1] = np.nan  # an interior cell of the last row block
+        assert math.isnan(pde_residual(FieldGrid(-3, 3, -1, 1, nx, 11, values)))
 
 
 class TestBoundaryResidual:
