@@ -36,6 +36,7 @@ from .dressing import (
     eval_chain,
     one_soliton_field,
     permutation_residual,
+    permutation_residuals,
     reconstruct_field,
 )
 from .asymptotics import (

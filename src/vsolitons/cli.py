@@ -45,7 +45,7 @@ from .dressing import (
     build_reduced_chain,
     eval_chain,
     one_soliton_field,
-    permutation_residual,
+    permutation_residuals,
     reconstruct_field,
 )
 from .errors import ConfigError, VsolitonsError
@@ -63,7 +63,6 @@ from .maps import (
 from .mirror import (
     HalfLineData,
     halfline_field,
-    mirror_constraint_residual,
     mirror_polarization_residual,
     solve_mirror_norming,
 )
@@ -497,8 +496,8 @@ def _draw_permutation(cfg, rng, log, i, variant):
     ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
     xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
     reference = tuple(range(N))
-    return (_worst(permutation_residual(data, reference, order, ks, xts)
-                   for order in itertools.permutations(range(N)) if order != reference),)
+    orders = [order for order in itertools.permutations(range(N)) if order != reference]
+    return (_worst(permutation_residuals(data, reference, orders, ks, xts)),)
 
 
 def _draw_ybe(cfg, rng, log, i, variant):
@@ -591,7 +590,7 @@ def _mirror_detector(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog
     """Detector sanity: a corrupted mirror norming vector must be flagged."""
     data = random_soliton_data(rng, 2, 2, positive=True, log=log)
     hl_bad = _perturb_halfline(solve_mirror_norming(data, Mixed((1, -1))), 1e-3)
-    _check(report, cfg, "mirror-constraint-detector", mirror_constraint_residual(hl_bad),
+    _check(report, cfg, "mirror-constraint-detector", hl_bad.constraint_residual,
            family="asymptotic", tolerance=1e-4, comparison=">=")
 
 
@@ -766,7 +765,7 @@ _SUITES: Dict[str, Callable] = {
                                ("factorization-pipeline", "algebraic")), _draw_collision),
     "mirror-constraint": _Sampled(
         10, (("mirror-constraint[{}]", "mirror_constraint"),),
-        lambda *a: (mirror_constraint_residual(_mirror_halfline(*a)),),
+        lambda *a: (_mirror_halfline(*a).constraint_residual,),
         _mirror_kinds, _mirror_detector,
     ),
     "mirror-polarization": _Sampled(
@@ -878,7 +877,7 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.grid is not None and cfg.grid["x0"] < 0:
         raise ConfigError("grid.x0: half-line grids need x0 >= 0")
     hl = cfg.halfline or solve_mirror_norming(cfg.data, cfg.boundary)
-    _check(report, cfg, "mirror-constraint", mirror_constraint_residual(hl),
+    _check(report, cfg, "mirror-constraint", hl.constraint_residual,
            family="mirror_constraint")
     _check(report, cfg, "mirror-polarization", mirror_polarization_residual(hl),
            family="algebraic")

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .mirror import HalfLineData, mirror_constraint_residual, CONSTRAINT_TOL
+from .mirror import HalfLineData, CONSTRAINT_TOL
 from .soldata import (
     POLE_MERGE_TOL,
     BoundarySpec,
@@ -169,7 +169,7 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
                 f"{where}.solitons[{count + j}]: not the mirror of soliton {j}"
             )
     hl = HalfLineData(real, mirror, spec, combined)
-    residual = mirror_constraint_residual(hl)
+    residual = hl.constraint_residual
     if residual > CONSTRAINT_TOL:
         raise ConfigError(
             f"{where}: stored mirror norming vectors violate the constraint "

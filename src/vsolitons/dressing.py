@@ -275,22 +275,40 @@ def permutation_residual(
     Compares the reduced chain at every sample k and, at the supplied (x, t),
     both the full-chain products at the first three k and the field.
     """
-    idx_a = _normalized_order(data, order_a)
-    idx_b = _normalized_order(data, order_b)
-    if set(idx_a) != set(idx_b):
+    return permutation_residuals(data, order_a, [order_b], sample_ks, sample_xts)[0]
+
+
+def permutation_residuals(
+    data: SolitonData,
+    reference,
+    orders,
+    sample_ks: Iterable[complex],
+    sample_xts: Iterable[Tuple[float, float]] = (),
+) -> list:
+    """permutation_residual(data, reference, order, ...) for each of the orders;
+    the reference order's images are computed once."""
+    ref = _normalized_order(data, reference)
+    idxs = [_normalized_order(data, order) for order in orders]
+    if any(set(idx) != set(ref) for idx in idxs):
         raise ValueError("orders must permute the same index set")
     ks = np.array([complex(k) for k in sample_ks], dtype=np.complex128)
     x, t = np.array(list(sample_xts), dtype=np.float64).reshape(-1, 2).T
-    ca = build_reduced_chain(data, idx_a)
-    cb = build_reduced_chain(data, idx_b)
-    res = _maxabs(eval_chain(ca, ks) - eval_chain(cb, ks))
+    images = _order_images(data, ref, ks, x, t)
+    return [
+        max(_maxabs(a - b) for a, b in zip(images, _order_images(data, idx, ks, x, t)))
+        for idx in idxs
+    ]
+
+
+def _order_images(data: SolitonData, idx, ks: np.ndarray, x: np.ndarray, t: np.ndarray) -> list:
+    """What permutation_residual compares for one order: the reduced chain at
+    every k and, if there are points (x, t), the full-chain products at the
+    first three k and the field there."""
+    images = [eval_chain(build_reduced_chain(data, idx), ks)]
     if x.size:
-        da = _full_directions(data, idx_a, x, t)
-        db = _full_directions(data, idx_b, x, t)
-        d = data.n + 1
-        res = max(res, _maxabs(_chain_product(da, ks[:3], d) - _chain_product(db, ks[:3], d)))
-        res = max(res, _maxabs(_field(data, idx_a, da, x.size) - _field(data, idx_b, db, x.size)))
-    return res
+        dirs = _full_directions(data, idx, x, t)
+        images += [_chain_product(dirs, ks[:3], data.n + 1), _field(data, idx, dirs, x.size)]
+    return images
 
 
 def _maxabs(arr: np.ndarray) -> float:

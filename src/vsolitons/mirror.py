@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -59,6 +60,16 @@ class HalfLineData:
     @property
     def n(self) -> int:
         return self.real_data.n
+
+    @cached_property
+    def constraint_residual(self) -> float:
+        """mirror_constraint_residual of this dataset, computed at most once.
+
+        The gate of solve_mirror_norming and parse_halfline computes it; the
+        checks that report it read it back.  A changed dataset is a new object
+        with its own value.
+        """
+        return mirror_constraint_residual(self)
 
 
 def check_halfline_real_data(data: SolitonData) -> None:
@@ -170,7 +181,7 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     mirror_data = SolitonData(n, tuple(mirror_points))
     combined = SolitonData(n, real_data.points + mirror_data.points)
     hl = HalfLineData(real_data, mirror_data, spec, combined)
-    residual = mirror_constraint_residual(hl)
+    residual = hl.constraint_residual
     if residual > CONSTRAINT_TOL:
         raise DegeneracyError(
             f"mirror constraint residual {residual:.3e} exceeds {CONSTRAINT_TOL}"

@@ -101,21 +101,65 @@ PDE_ROW_BLOCK = 32
 def pde_residual(grid: FieldGrid) -> float:
     """Max interior residual of i R_t + R_xx + 2 (R^dag R) R, second order.
 
-    The interior rows (fixed x) are taken PDE_ROW_BLOCK at a time so that the
-    temporaries stay in cache; every cell gets the same value as in one
-    whole-grid evaluation, and np.max keeps a nan from any block.
+    Every interior cell gets the bits of the whole-grid complex expression
+
+        1j * (V[:, 2:] - V[:, :-2]) / (2 ht) + (V[2:] - 2.0 * V + V[:-2]) / hx^2
+            + 2.0 * sum(|V|^2, axis=-1) * V,
+
+    nan and inf included, from the same complex operations with two changes:
+    - z / c for a real c is numpy's Smith division, (re + im*0) * (1/c) and
+      (im - re*0) * (1/c); z * (1/c) is numpy's complex multiply by 1/c + 0j,
+      re * (1/c) - im*0 and im * (1/c) + re*0: the same bits, and the same nan
+      from the x*0 terms in the part beside an infinite one.
+    - The squared moduli (np.abs of the complex values, not np.hypot of the
+      parts, whose last bit differs) are summed in numpy's own order without
+      its slow reduction over a short trailing axis: numpy sums a trailing
+      axis of length 2-7 one component at a time and from length 8 on
+      pairwise, so n = 1 and n >= 8 keep np.add.reduce.
+    The density factor multiplies one component at a time, as a complex
+    2|V|^2 + 0j like numpy's cast of the real density.  The interior rows
+    (fixed x) go PDE_ROW_BLOCK at a time through work arrays reused across
+    blocks, so the temporaries stay in cache; np.max keeps a nan from any
+    block.
     """
     V = grid.values
-    hx, ht = grid.hx, grid.ht
+    n = grid.n
+    scale_t = 1.0 / (2.0 * grid.ht)
+    scale_x = 1.0 / (grid.hx * grid.hx)
+    shape = (min(PDE_ROW_BLOCK, grid.nx - 2), grid.nt - 2, n)
+    res_buf = np.empty(shape, dtype=np.complex128)
+    term_buf = np.empty(shape, dtype=np.complex128)
+    mod_buf = np.empty(shape)
+    dens_buf = np.empty(shape[:2])
+    factor_buf = np.zeros(shape[:2], dtype=np.complex128)  # imaginary parts stay 0
+    bufs = (res_buf, term_buf, mod_buf, dens_buf, factor_buf)
     peaks = []
     for lo in range(1, grid.nx - 1, PDE_ROW_BLOCK):
         hi = min(lo + PDE_ROW_BLOCK, grid.nx - 1)
+        res, term, mod, density, factor = (a[: hi - lo] for a in bufs)
         Vi = V[lo:hi, 1:-1]
-        Rt = (V[lo:hi, 2:] - V[lo:hi, :-2]) / (2.0 * ht)
-        Rxx = (V[lo + 1 : hi + 1, 1:-1] - 2.0 * Vi + V[lo - 1 : hi - 1, 1:-1]) / (hx * hx)
-        density = np.sum(np.abs(Vi) ** 2, axis=-1, keepdims=True)
-        res = 1j * Rt + Rxx + 2.0 * density * Vi
-        peaks.append(np.abs(res).max(initial=0.0))
+        np.subtract(V[lo:hi, 2:], V[lo:hi, :-2], out=res)
+        res *= scale_t
+        res *= 1j
+        np.multiply(Vi, 2.0, out=term)
+        np.subtract(V[lo + 1 : hi + 1, 1:-1], term, out=term)
+        term += V[lo - 1 : hi - 1, 1:-1]
+        term *= scale_x
+        res += term
+        np.abs(Vi, out=mod)
+        mod *= mod
+        if 2 <= n <= 7:
+            np.add(mod[..., 0], mod[..., 1], out=density)
+            for c in range(2, n):
+                density += mod[..., c]
+        else:
+            np.add.reduce(mod, axis=-1, out=density)
+        np.multiply(density, 2.0, out=factor.real)
+        for c in range(n):
+            np.multiply(Vi[..., c], factor, out=term[..., c])
+        res += term
+        np.abs(res, out=mod)
+        peaks.append(mod.max(initial=0.0))
     return float(np.max(peaks))
 
 

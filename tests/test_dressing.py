@@ -14,12 +14,13 @@ from vsolitons import (
     eval_chain,
     one_soliton_field,
     permutation_residual,
+    permutation_residuals,
     polarization_of,
     reconstruct_field,
     solve_mirror_norming,
 )
-from vsolitons import dressing
-from vsolitons.sampling import random_boundary, random_soliton_data
+from vsolitons import cli, dressing
+from vsolitons.sampling import SampleLog, random_boundary, random_soliton_data
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -406,6 +407,28 @@ class TestBatchedPermutationResidual:
             expected = _reference_permutation_residual(data, ref, order, ks, xts)
             assert got < 1e-10 and expected < 1e-10
             assert abs(got - expected) <= 1e-12
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_suite_reference_once_per_draw(self, N):
+        # the permutation suite's draw compares every other order with the
+        # reference images computed once; each value must be the two-order one
+        n = 2
+        draw_rng = np.random.default_rng(50 + N)
+        worst = cli._draw_permutation(None, draw_rng, SampleLog(), 0, ("", (N, n)))[0]
+        rng = np.random.default_rng(50 + N)
+        data = random_soliton_data(rng, N, n, log=SampleLog())
+        ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
+        xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
+        ref = tuple(range(N))
+        orders = [o for o in itertools.permutations(range(N)) if o != ref]
+        each = permutation_residuals(data, ref, orders, ks, xts)
+        assert each == [permutation_residual(data, ref, o, ks, xts) for o in orders]
+        assert worst == max([0.0, *each])
+
+    def test_residuals_require_same_index_set(self):
+        data = random_data(np.random.default_rng(47), 3, 2)
+        with pytest.raises(ValueError):
+            permutation_residuals(data, (0, 1, 2), [(2, 1, 0), (0, 1)], [0.5j])
 
     def test_identical_orders_exactly_zero_with_points(self):
         rng = np.random.default_rng(45)

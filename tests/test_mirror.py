@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from vsolitons import (
     reflection_maps,
     solve_mirror_norming,
 )
+from vsolitons import mirror as mirror_module
+from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
+from vsolitons.config import halfline_to_json, parse_halfline
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import random_boundary, random_soliton_data
 from vsolitons.verification import extract_asymptotic_polarization
@@ -139,6 +144,69 @@ class TestMirrorSolve:
         real = SolitonData(2, ((SpectralPoint(-1.0, 1.0), NormingVector(E1)),))
         with pytest.raises(ValidationError):
             solve_mirror_norming(real, Robin(1.0))
+
+
+class TestConstraintGate:
+    """Each HalfLineData computes its constraint residual once; the solve's
+    and the parser's gate compute it, and every check reads it back."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        calls = []
+        fresh = mirror_module.mirror_constraint_residual
+
+        def counted(hl):
+            calls.append(hl)
+            return fresh(hl)
+
+        monkeypatch.setattr(mirror_module, "mirror_constraint_residual", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_solved_gate_is_the_fresh_residual(self, kind, N, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        rng = np.random.default_rng(60 + 7 * N + len(kind))
+        hl = halfline_data(rng, N, 2 + N % 2, kind)
+        assert calls == [hl]
+        assert hl.constraint_residual == hl.constraint_residual
+        assert calls == [hl]
+        assert hl.constraint_residual.hex() == mirror_constraint_residual(hl).hex()
+
+    def test_stored_halfline_gate(self, tmp_path, monkeypatch):
+        hl = halfline_data(np.random.default_rng(70), 2, 3, "robin")
+        doc = halfline_to_json(hl)
+        calls = self._count_calls(monkeypatch)
+        stored = parse_halfline(doc)
+        assert calls == [stored]
+        assert stored.constraint_residual.hex() == mirror_constraint_residual(stored).hex()
+
+        calls.clear()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": doc}))
+        out = tmp_path / "o"
+        assert main(["mirror", "--config", str(config), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "mirror-constraint")
+        assert check["residual"] == mirror_constraint_residual(calls[0])
+
+    def test_perturbed_copy_gets_its_own_value(self):
+        hl = halfline_data(np.random.default_rng(2), 2, 2, "mixed")
+        before = hl.constraint_residual
+        bad = _perturb_halfline(hl, 1e-3)
+        assert "constraint_residual" not in vars(bad)
+        assert bad.constraint_residual.hex() == mirror_constraint_residual(bad).hex()
+        assert bad.constraint_residual >= 1e-4 > before
+        assert hl.constraint_residual == before
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_detector_check_fires(self, seed):
+        cfg = parse_run_config({"mode": "verify", "suite": {"name": "mirror-constraint", "seed": seed}})
+        checks = {c.name: c for c in run_property_suite(cfg).checks}
+        detector = checks["mirror-constraint-detector"]
+        assert detector.comparison == ">=" and detector.passed
+        assert detector.residual >= 1e-4
 
 
 class TestMirrorPolarizations:

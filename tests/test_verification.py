@@ -94,20 +94,23 @@ ROWS = verification.PDE_ROW_BLOCK
 class TestPdeResidualRowBlocks:
     @pytest.mark.parametrize("nx", [5, ROWS + 3, 3 * ROWS + 7])
     def test_equals_whole_grid_evaluation(self, nx):
+        # n = 8 is where numpy's component sum turns from sequential to pairwise
         assert (nx - 2) % ROWS != 0
-        three = random_soliton_data(np.random.default_rng(3), 3, 3)
-        for n, data in ((2, TWO_SOLITON), (3, three)):
+        for n in range(1, 10):
+            data = random_soliton_data(np.random.default_rng(3 + n), 2, n)
             g = grid_for_data(data, -3, 3, -1, 1, nx, 23)
             assert g.n == n
             assert pde_residual(g) == _whole_grid_residual(g)
 
     def test_strided_views(self):
-        fine = grid_for_data(TWO_SOLITON, -4, 4, -1, 1, 4 * ROWS + 21, 41)
-        for s in (2, 4):
-            values = fine.values[::s, ::s]
-            g = FieldGrid(-4, 4, -1, 1, *values.shape[:2], values)
-            assert (g.nx - 2) % ROWS != 0
-            assert pde_residual(g) == _whole_grid_residual(g)
+        for n in (1, 2, 3, 8):
+            data = TWO_SOLITON if n == 2 else random_soliton_data(np.random.default_rng(n), 2, n)
+            fine = grid_for_data(data, -4, 4, -1, 1, 4 * ROWS + 21, 41)
+            for s in (2, 4):
+                values = fine.values[::s, ::s]
+                g = FieldGrid(-4, 4, -1, 1, *values.shape[:2], values)
+                assert (g.nx - 2) % ROWS != 0
+                assert pde_residual(g) == _whole_grid_residual(g)
 
     def test_nan_in_last_row_block(self):
         nx = 2 * ROWS + 7
@@ -115,6 +118,31 @@ class TestPdeResidualRowBlocks:
         values = g.values.copy()
         values[nx - 2, 5, 1] = np.nan  # an interior cell of the last row block
         assert math.isnan(pde_residual(FieldGrid(-3, 3, -1, 1, nx, 11, values)))
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.inf, -np.inf, complex(0.5, np.inf), complex(-np.inf, np.inf), np.nan],
+        ids=["inf", "-inf", "inf-imag", "inf-both", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "cell",
+        [(ROWS + 4, 5), (1, 1), (0, 5), (2 * ROWS + 6, 5), (ROWS, 0), (ROWS + 1, 10)],
+        ids=["interior", "corner-interior", "first-row", "last-row", "first-col", "last-col"],
+    )
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_non_finite_cell(self, value, cell, component):
+        # numpy's complex division and 1j * z make a nan of an infinite part
+        # through their x*0 terms; the stencil must keep those nans, and the
+        # infs of the edge rows, whose cells enter only R_xx
+        nx = 2 * ROWS + 7
+        values = grid_for_data(TWO_SOLITON, -3, 3, -1, 1, nx, 11).values.copy()
+        values[cell + (component,)] = value
+        g = FieldGrid(-3, 3, -1, 1, nx, 11, values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _whole_grid_residual(g)
+            got = pde_residual(g)
+        assert not math.isfinite(expected)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestBoundaryResidual:
