@@ -29,24 +29,18 @@ from .soldata import (
     projective_distance,
 )
 from .dressing import (
-    Chain,
     blaschke_factor,
-    build_full_chain,
     build_reduced_chain,
     eval_chain,
     one_soliton_field,
-    permutation_residual,
     permutation_residuals,
     reconstruct_field,
 )
 from .asymptotics import (
-    asymptotic_profile,
     beta_in,
     beta_out,
-    collision_consistency_residual,
     collision_pair_residuals,
     intermediate_gamma,
-    xi_factor,
 )
 from .maps import (
     involution_residuals,
@@ -72,7 +66,6 @@ from .verification import (
     boundary_residual,
     convergence_order,
     extract_asymptotic_polarization,
-    grid_for_data,
     pde_residual,
     sample_grid,
 )

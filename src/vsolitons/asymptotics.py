@@ -4,7 +4,7 @@ With velocities ordered (u strictly increasing), the multi-soliton field
 splits as |t| grows into one-soliton profiles whose norming vectors are
 dressed versions of the originals.  Intermediate spectator sets interpolate
 between the in and out configurations and obey exact pairwise relations,
-which `collision_consistency_residual` measures.
+which `collision_pair_residuals` measures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dressing import _blaschke, _dagger_apply, build_reduced_chain, one_soliton_field
+from .dressing import _blaschke, _chain_apply, _unit, build_reduced_chain
 from .errors import ValidationError
 from .soldata import NormingVector, SolitonData
 
@@ -45,8 +45,7 @@ def intermediate_gamma(j: int, spectators, data: SolitonData) -> np.ndarray:
     j = int(j)
     sp = _spectator_tuple(j, spectators, data.N)
     point, nv = data.points[j]
-    chain = build_reduced_chain(data, sp)
-    w = _dagger_apply(chain.factors, point.k, nv.beta)
+    w = _chain_apply(build_reduced_chain(data, sp), point.k, nv.beta, dagger=True)
     pref = 1.0 + 0.0j
     excluded = set(sp) | {j}
     kj_conj = point.k.conjugate()
@@ -68,29 +67,19 @@ def beta_out(j: int, data: SolitonData) -> NormingVector:
     return NormingVector(intermediate_gamma(j, range(0, j), data))
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
-
-
 def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, data: SolitonData) -> float:
-    """`xi_factor` from the unit vectors p_{l,rho} and p_{j,l rho}."""
+    """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form.
+
+    Xi^2 = |f_l(k_j*)|^2 (1 + v_j v_l / |k_l - k_j|^2 * |p|^2) with
+    p = p_{l,rho}^dag p_{j, l rho}, from those two unit vectors; symmetric
+    under j <-> l.
+    """
     kj = data.points[j][0].k
     kl = data.points[l][0].k
     flj = _blaschke(kl, kj.conjugate())
     coeff = (data.points[j][0].v * data.points[l][0].v) / abs(kl - kj) ** 2
     overlap = abs(np.vdot(p_l_rho, p_j_lrho)) ** 2
     return abs(flj) * math.sqrt(1.0 + coeff * overlap)
-
-
-def xi_factor(j: int, l: int, spectators, data: SolitonData) -> float:
-    """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form.
-
-    Xi^2 = |f_l(k_j*)|^2 (1 + v_j v_l / |k_l - k_j|^2 * |p|^2) with
-    p = p_{l,rho}^dag p_{j, l rho}; symmetric under j <-> l.
-    """
-    p_l_rho = _unit(intermediate_gamma(l, spectators, data))
-    p_j_lrho = _unit(intermediate_gamma(j, tuple(spectators) + (l,), data))
-    return _xi(j, l, p_l_rho, p_j_lrho, data)
 
 
 def collision_pair_residuals(
@@ -128,34 +117,7 @@ def collision_pair_residuals(
 
     rhs_j = (flj / xi) * (p_j_lrho + (flj - 1.0) * np.vdot(p_l_rho, p_j_lrho) * p_l_rho)
     res_j = float(np.max(np.abs(p_j_rho - rhs_j)))
-    return max(res_l, res_j), abs(xi - _xi(l, j, p_j_rho, p_l_jrho, data))
-
-
-def collision_consistency_residual(j: int, l: int, spectators, data: SolitonData) -> float:
-    """Residual of the exact pairwise-collision relations for j overtaking l.
-
-    The first entry of `collision_pair_residuals`.
-    """
-    return collision_pair_residuals(j, l, spectators, data)[0]
-
-
-def asymptotic_profile(data: SolitonData, x, t, direction: str):
-    """Sum of one-soliton profiles with the in/out norming vectors.
-
-    Approximates the exact field up to O(e^{-v w |t|}) terms; direction is
-    "in" or "out".
-    """
-    if direction not in ("in", "out"):
-        raise ValidationError('direction must be "in" or "out"')
-    check_velocity_ordered(data)
-    pick = beta_in if direction == "in" else beta_out
-    xs = np.asarray(x, dtype=np.float64)
-    ts = np.asarray(t, dtype=np.float64)
-    shape = np.broadcast(xs, ts).shape
-    total = np.zeros(shape + (data.n,), dtype=np.complex128)
-    for j in range(data.N):
-        total = total + one_soliton_field(data.points[j][0], pick(j, data), xs, ts)
-    return total
+    return float(np.maximum(res_l, res_j)), abs(xi - _xi(l, j, p_j_rho, p_l_jrho, data))
 
 
 def min_relative_velocity(data: SolitonData) -> float:

@@ -27,7 +27,6 @@ from . import __version__
 from .asymptotics import (
     beta_in,
     beta_out,
-    collision_consistency_residual,
     collision_pair_residuals,
     min_relative_velocity,
 )
@@ -403,9 +402,8 @@ class _Sampled:
             drawn = [self.draw(cfg, rng, log, i, variant) for i in range(samples)]
             if self.stacked is not None:
                 drawn = self._evaluate(drawn)
-            worst = [0.0] * len(self.checks)
-            for residuals in drawn:
-                worst = [max(w, r) for w, r in zip(worst, residuals)]
+            # np.max keeps a nan residual, where Python's max would drop it
+            worst = np.max([[0.0] * len(self.checks), *drawn], axis=0).tolist()
             for (name, family), w in zip(self.checks, worst):
                 _check(report, cfg, name.format(variant[0]), w, family=family)
         if self.tail is not None:
@@ -426,8 +424,9 @@ class _Sampled:
 
 
 def _worst(residuals) -> float:
-    """Worst of one instance's residuals, folded from 0.0 as the runner folds."""
-    return max([0.0, *residuals])
+    """Worst of one instance's residuals, folded from 0.0 as the runner folds:
+    a nan residual is the worst."""
+    return float(np.max([0.0, *residuals]))
 
 
 def _suite_ns(cfg: RunConfig) -> list:
@@ -568,8 +567,8 @@ def yb_pipeline(data: SolitonData, order_pairs) -> List[Polarization]:
 def _pipeline_residual(data: SolitonData) -> float:
     """Worst distance of either collision schedule's output from the out-polarizations."""
     ins, outs = _polarizations_of(data, beta_in), _polarizations_of(data, beta_out)
-    return max(float(projective_distances(yb_schedule(ins, data.ks[None], schedule), outs).max())
-               for schedule in collision_orders(data.N))
+    return float(np.max([projective_distances(yb_schedule(ins, data.ks[None], s), outs).max()
+                         for s in collision_orders(data.N)]))
 
 
 def _mirror_kinds(cfg: RunConfig):
@@ -617,7 +616,7 @@ def _transfer_worst(draws, b_plus, b_minus, diagonal: bool) -> list:
     (j <= l if diagonal) of its N = 2 and N = 3 states; each N is one stacked
     call over all samples, with one boundary spec per sample in each slot
     (None: the identity boundary)."""
-    worst = [0.0] * len(draws)
+    worst = np.zeros(len(draws))
     for states in zip(*draws):
         ks, ps = zip(*states)
         K, P = np.array(ks), np.array(ps)
@@ -625,8 +624,8 @@ def _transfer_worst(draws, b_plus, b_minus, diagonal: bool) -> list:
         for j in range(N):
             for l in range(j if diagonal else j + 1, N):
                 residual = transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)
-                worst = [max(w, r) for w, r in zip(worst, residual.tolist())]
-    return worst
+                worst = np.maximum(worst, residual)
+    return worst.tolist()
 
 
 def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
@@ -820,12 +819,12 @@ def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None or cfg.data.N < 2:
         raise ConfigError("data: collide mode needs at least two solitons")
     data = cfg.data
-    worst = 0.0
+    rel = []
     for j in range(data.N):
         for l in range(j + 1, data.N):
             spect = tuple(m for m in range(data.N) if m not in (j, l))
-            worst = max(worst, collision_consistency_residual(j, l, spect[:1], data))
-    _check(report, cfg, "pairwise-collision-relations", worst, family="algebraic")
+            rel.append(collision_pair_residuals(j, l, spect[:1], data)[0])
+    _check(report, cfg, "pairwise-collision-relations", _worst(rel), family="algebraic")
     _check(report, cfg, "factorization-pipeline", _pipeline_residual(data), family="algebraic")
     doc = {
         "in": soliton_data_to_json(_replace_betas(data, beta_in)),

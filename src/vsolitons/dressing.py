@@ -1,22 +1,23 @@
 """Rank-one dressing chains and multi-soliton field reconstruction.
 
-Chains of degree-1 factors I + (f(k) - 1) * P, with f the Blaschke factor of
-an eigenvalue and P a rank-one orthogonal projector, build the reduced (n x n)
-and full ((n+1) x (n+1)) dressing matrices.  The ordered product over any
-permutation of the eigenvalues yields the same degree-N factor, which is what
-`permutation_residual` certifies numerically.
+Chains of degree-1 factors I + (f(k) - 1) z z^dag, with f the Blaschke factor
+of an eigenvalue and z a unit direction, build the reduced (n x n) and full
+((n+1) x (n+1)) dressing matrices.  A chain is a sequence of (k, z, conj(z))
+triples with z of shape (d, M): d = n and M = 1 for a reduced chain, d = n + 1
+and one column per point (x, t) for the full chain of the field kernel.  The
+ordered product over any permutation of the eigenvalues yields the same
+degree-N factor, which is what `permutation_residuals` certifies numerically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from .errors import DegeneracyError, PoleError
-from .soldata import POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _frozen
+from .soldata import POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -34,46 +35,6 @@ def blaschke_factor(point: SpectralPoint, k: complex) -> complex:
     return _blaschke(point.k, complex(k))
 
 
-@dataclass(frozen=True, eq=False)
-class ChainFactor:
-    """Degree-1 factor I + (f(k) - 1) * dir dir^dag with unit direction."""
-
-    k: complex
-    direction: np.ndarray
-
-    def f(self, k: complex) -> complex:
-        return _blaschke(self.k, k)
-
-    def matrix(self, k: complex) -> np.ndarray:
-        return self._rank_one(self.f(k))
-
-    def matrix_inv(self, k: complex) -> np.ndarray:
-        # analytic rank-one inverse; never a generic matrix inversion
-        f = self.f(k)
-        if abs(f) < POLE_EVAL_TOL:
-            raise PoleError(f"factor at {self.k} is singular at k={k}")
-        return self._rank_one(1.0 / f)
-
-    def _rank_one(self, coeff: complex) -> np.ndarray:
-        d = self.direction
-        return np.eye(d.size, dtype=np.complex128) + (coeff - 1.0) * np.outer(d, d.conj())
-
-    def apply(self, coeff: complex, vec: np.ndarray) -> np.ndarray:
-        """(I + (coeff - 1) dir dir^dag) vec without forming the matrix."""
-        d = self.direction
-        return vec + (coeff - 1.0) * np.vdot(d, vec) * d
-
-
-@dataclass(frozen=True, eq=False)
-class Chain:
-    """Ordered product of d x d dressing factors: reduced (d = n) or full at a
-    fixed (x, t) (d = n + 1)."""
-
-    order: tuple
-    factors: tuple
-    d: int
-
-
 def _normalized_order(data: SolitonData, order) -> tuple:
     if order is None:
         return tuple(range(data.N))
@@ -83,47 +44,60 @@ def _normalized_order(data: SolitonData, order) -> tuple:
     return idx
 
 
-def _dagger_apply(factors: Sequence[ChainFactor], k: complex, vec: np.ndarray) -> np.ndarray:
-    """Apply (F_1 F_2 ... F_m)^dag to vec; F_1^dag acts first."""
-    w = vec
-    for fac in factors:
-        w = fac.apply(fac.f(k).conjugate(), w)
-    return w
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """vec over its 2-norm; a zero vector raises DegeneracyError."""
+    nrm = float(np.linalg.norm(vec))
+    if nrm == 0.0:
+        raise DegeneracyError("zero vector has no direction")
+    return vec / nrm
 
 
-def build_reduced_chain(data: SolitonData, order=None) -> Chain:
+def _chain_apply(chain, k: complex, vec: np.ndarray, dagger: bool = False) -> np.ndarray:
+    """(F_1 ... F_m)(k) vec, F_m acting first; with dagger, (F_1 ... F_m)(k)^dag
+    vec, F_1^dag acting first.  Never forms a matrix."""
+    for k0, z, _ in chain if dagger else reversed(chain):
+        c = _blaschke(k0, k)
+        z = z[:, 0]
+        vec = vec + ((c.conjugate() if dagger else c) - 1.0) * np.vdot(z, vec) * z
+    return vec
+
+
+def build_reduced_chain(data: SolitonData, order=None) -> tuple:
     """Recursively build the reduced chain for the given index order.
 
     The direction of factor i_j is the unit vector along
-    d^dag_{i_1..i_{j-1}}(k_{i_j}) beta_{i_j}.
+    d^dag_{i_1..i_{j-1}}(k_{i_j}) beta_{i_j}.  Returns (k, z, conj(z)) per
+    factor, z of shape (n, 1), as `_chain_product` takes them.
     """
     idx = _normalized_order(data, order)
-    factors = []
+    chain = []
     for i in idx:
         point, nv = data.points[i]
-        w = _dagger_apply(factors, point.k, nv.beta)
+        w = _chain_apply(chain, point.k, nv.beta, dagger=True)
         nrm = float(np.linalg.norm(w))
         if nrm < DEGENERATE_DIRECTION_TOL * nv.norm:
             raise DegeneracyError(
                 f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
             )
-        factors.append(ChainFactor(point.k, _frozen(w / nrm)))
-    return Chain(idx, tuple(factors), data.n)
+        z = (w / nrm)[:, None]
+        chain.append((point.k, z, z.conj()))
+    return tuple(chain)
 
 
-def eval_chain(chain: Chain, k) -> np.ndarray:
-    """Ordered product d_{i_1}(k) ... d_{i_N}(k) (identity for N = 0), one per entry of k."""
+def eval_chain(chain, k) -> np.ndarray:
+    """Ordered product d_{i_1}(k) ... d_{i_N}(k) of a chain of at least one
+    factor, one per entry of k."""
     ks = np.asarray(k, dtype=np.complex128)
-    d = chain.d
-    dirs = [(f.k, f.direction[:, None], f.direction.conj()[:, None]) for f in chain.factors]
-    return _chain_product(dirs, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
+    d = chain[0][1].shape[0]
+    return _chain_product(chain, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
 
 
 def _chain_product(dirs, ks: np.ndarray, d: int) -> np.ndarray:
     """Ordered factor products at stacked points x spectral parameters.
 
     dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (d, M);
-    returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks.
+    returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
+    (the identity for an empty chain).
     """
     m = dirs[0][1].shape[1] if dirs else 1
     out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
@@ -199,16 +173,6 @@ def _field(data: SolitonData, idx, dirs, m: int) -> np.ndarray:
     return field
 
 
-def build_full_chain(data: SolitonData, order, x: float, t: float) -> Chain:
-    """Space-time dressing chain at a single point (x, t)."""
-    idx = _normalized_order(data, order)
-    xf = np.asarray([float(x)])
-    tf = np.asarray([float(t)])
-    dirs = _full_directions(data, idx, xf, tf)
-    factors = tuple(ChainFactor(k, _frozen(z[:, 0])) for k, z, _ in dirs)
-    return Chain(idx, factors, data.n + 1)
-
-
 #: reconstruct_field evaluates the chain over blocks of this many cells, a
 #: cell being one of the n+1 components at one point (at least one point).
 FIELD_BLOCK_CELLS = 9 * 2048
@@ -218,7 +182,7 @@ def reconstruct_field(data: SolitonData, x, t, order=None):
     """Multi-soliton field R(x,t) from the full dressing chain.
 
     The value is the top-right block of sum_j i(k_j - k_j*) [Sigma3, P_j];
-    the theorem behind `permutation_residual` makes it independent of the
+    the theorem behind `permutation_residuals` makes it independent of the
     internal factor order.  Accepts scalars or broadcastable arrays for x, t
     and returns shape broadcast(x, t).shape + (n,).
 
@@ -263,21 +227,6 @@ def one_soliton_field(point: SpectralPoint, beta, x, t):
     return np.asarray(q)[..., None] * pol
 
 
-def permutation_residual(
-    data: SolitonData,
-    order_a,
-    order_b,
-    sample_ks: Iterable[complex],
-    sample_xts: Iterable[Tuple[float, float]] = (),
-) -> float:
-    """Max entrywise disagreement between two factor orders.
-
-    Compares the reduced chain at every sample k and, at the supplied (x, t),
-    both the full-chain products at the first three k and the field.
-    """
-    return permutation_residuals(data, order_a, [order_b], sample_ks, sample_xts)[0]
-
-
 def permutation_residuals(
     data: SolitonData,
     reference,
@@ -285,8 +234,12 @@ def permutation_residuals(
     sample_ks: Iterable[complex],
     sample_xts: Iterable[Tuple[float, float]] = (),
 ) -> list:
-    """permutation_residual(data, reference, order, ...) for each of the orders;
-    the reference order's images are computed once."""
+    """Max entrywise disagreement of each of the orders with the reference.
+
+    Compares the reduced chain at every sample k and, at the supplied (x, t),
+    both the full-chain products at the first three k and the field.  The
+    reference order's images are computed once.
+    """
     ref = _normalized_order(data, reference)
     idxs = [_normalized_order(data, order) for order in orders]
     if any(set(idx) != set(ref) for idx in idxs):
@@ -295,16 +248,16 @@ def permutation_residuals(
     x, t = np.array(list(sample_xts), dtype=np.float64).reshape(-1, 2).T
     images = _order_images(data, ref, ks, x, t)
     return [
-        max(_maxabs(a - b) for a, b in zip(images, _order_images(data, idx, ks, x, t)))
+        float(np.max([_maxabs(a - b) for a, b in zip(images, _order_images(data, idx, ks, x, t))]))
         for idx in idxs
     ]
 
 
 def _order_images(data: SolitonData, idx, ks: np.ndarray, x: np.ndarray, t: np.ndarray) -> list:
-    """What permutation_residual compares for one order: the reduced chain at
+    """What permutation_residuals compares for one order: the reduced chain at
     every k and, if there are points (x, t), the full-chain products at the
     first three k and the field there."""
-    images = [eval_chain(build_reduced_chain(data, idx), ks)]
+    images = [_chain_product(build_reduced_chain(data, idx), ks, data.n)]
     if x.size:
         dirs = _full_directions(data, idx, x, t)
         images += [_chain_product(dirs, ks[:3], data.n + 1), _field(data, idx, dirs, x.size)]

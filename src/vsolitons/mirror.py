@@ -14,18 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional
 
 import numpy as np
 
-from .dressing import (
-    Chain,
-    ChainFactor,
-    _blaschke,
-    _dagger_apply,
-    build_reduced_chain,
-    reconstruct_field,
-)
+from .dressing import _chain_apply, _chain_product, _unit, build_reduced_chain, reconstruct_field
 from .errors import DegeneracyError, DomainError, PoleError, ValidationError
 from .soldata import (
     AXIS_TOL,
@@ -33,7 +25,6 @@ from .soldata import (
     BoundarySpec,
     NormingVector,
     SolitonData,
-    _frozen,
     projective_distance,
 )
 
@@ -71,6 +62,12 @@ class HalfLineData:
         """
         return mirror_constraint_residual(self)
 
+    @cached_property
+    def _combined_chain(self) -> tuple:
+        """The canonical reduced chain of the combined data, built once from the
+        stored betas; its first N factors are the real data's canonical chain."""
+        return build_reduced_chain(self.combined)
+
 
 def check_halfline_real_data(data: SolitonData) -> None:
     """Real solitons must move toward the boundary: u_j > 0, strictly increasing."""
@@ -100,28 +97,24 @@ def _pole_prefactor(ks: np.ndarray, j: int) -> complex:
     return complex(np.exp(acc))
 
 
-def a_matrix(j: int, data: SolitonData, chain: Optional[Chain] = None) -> np.ndarray:
+def a_matrix(j: int, data: SolitonData, chain=None) -> np.ndarray:
     """Residue matrix of the inverse chain at k_j, in factored form.
 
     A_j = prod_{i != j} ((k_j-k_i)/(k_j-k_i*)) *
           d^-1_{M-1} ... d^-1_{j+1} * P_j * d^-1_{j-1} ... d^-1_0, all at k_j,
-    with factors from the canonical-order chain.  Rank one by construction.
+    with factors from the canonical-order chain (built if not given).  As
+    d^-1(k) = d(k*)^dag, that is pref * (L^dag z_j)(R z_j)^dag with
+    L = d_{j+1} ... d_{M-1} and R = d_0 ... d_{j-1} at k_j*: rank one by
+    construction.
     """
     j = int(j)
     if chain is None:
-        chain = build_reduced_chain(data, None)
-    if chain.order != tuple(range(data.N)):
-        raise ValidationError("a_matrix requires the canonical-order chain")
-    kj = data.points[j][0].k
-    pref = _pole_prefactor(data.ks, j)
-    left = np.eye(data.n, dtype=np.complex128)
-    for m in range(data.N - 1, j, -1):
-        left = left @ chain.factors[m].matrix_inv(kj)
-    right = np.eye(data.n, dtype=np.complex128)
-    for m in range(j - 1, -1, -1):
-        right = right @ chain.factors[m].matrix_inv(kj)
-    d = chain.factors[j].direction
-    return pref * (left @ np.outer(d, d.conj()) @ right)
+        chain = build_reduced_chain(data)
+    kjc = data.points[j][0].k.conjugate()
+    z = chain[j][1][:, 0]
+    left = _chain_apply(chain[j + 1 :], kjc, z, dagger=True)
+    right = _chain_apply(chain[:j], kjc, z)
+    return _pole_prefactor(data.ks, j) * np.outer(left, right.conj())
 
 
 def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLineData:
@@ -136,47 +129,33 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     n, N = real_data.n, real_data.N
     ks = np.concatenate([real_data.ks, -real_data.ks.conj()])
 
-    # directions are filled right to left; xi keeps the solve scale
-    mirror_dirs: List[Optional[np.ndarray]] = [None] * N
-    mirror_xis: List[Optional[np.ndarray]] = [None] * N
+    # mirror factors are built right to left; xi keeps the solve scale
+    mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        kmj = ks[mj]
         pref = _pole_prefactor(ks, mj)
-        minv = spec.big_m_inv(ks[j].conjugate(), n)
-        w = minv @ real_data.points[j][1].beta / pref
-        # apply G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj, rightmost factor first
-        for m in range(2 * N - 1, mj, -1):
-            d = mirror_dirs[m - N]
-            f = _blaschke(ks[m], kmj)
-            w = w + (f - 1.0) * np.vdot(d, w) * d
+        w = spec.big_m_inv(ks[j].conjugate(), n) @ real_data.points[j][1].beta / pref
+        # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
+        w = _chain_apply(mirror, ks[mj], w)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             raise DegeneracyError(f"mirror direction for index {mj} collapsed")
-        mirror_dirs[j] = w / nw
-        mirror_xis[j] = w / nw**2
+        z = (w / nw)[:, None]
+        mirror.insert(0, (ks[mj], z, z.conj()))
+        xis.insert(0, w / nw**2)
 
-    real_chain = build_reduced_chain(real_data, None)
-    all_factors = list(real_chain.factors) + [
-        ChainFactor(ks[N + j], _frozen(mirror_dirs[j])) for j in range(N)
-    ]
-
+    chain = build_reduced_chain(real_data) + tuple(mirror)
     mirror_points = []
-    for j in range(N):
+    for j, xi in enumerate(xis):
         mj = N + j
-        mat = np.eye(n, dtype=np.complex128)
-        for m in range(mj):
-            mat = mat @ all_factors[m].matrix(ks[mj])
-        adag = mat.conj().T
+        adag = _chain_product(chain[:mj], ks[mj : mj + 1], n)[0, 0].conj().T
         cond = float(np.linalg.cond(adag))
         if not math.isfinite(cond) or cond > CONDITION_LIMIT:
             raise DegeneracyError(
                 f"norming-vector solve for index {mj} is ill conditioned ({cond:.3e})"
             )
-        beta = np.linalg.solve(adag, mirror_xis[j])
-        mirror_points.append(
-            (real_data.points[j][0].mirror(), NormingVector(beta))
-        )
+        beta = np.linalg.solve(adag, xi)
+        mirror_points.append((real_data.points[j][0].mirror(), NormingVector(beta)))
 
     mirror_data = SolitonData(n, tuple(mirror_points))
     combined = SolitonData(n, real_data.points + mirror_data.points)
@@ -193,19 +172,19 @@ def mirror_constraint_residual(hl: HalfLineData) -> float:
     """max_j || beta_j beta_{j+N}^dag - M(k_j*) A_{j+N} ||_inf / (|beta_j| |beta_{j+N}|).
 
     Relative to the size of beta_j beta_{j+N}^dag, so the residual does not
-    shrink with the mirror |beta|, which falls with N.
+    shrink with the mirror |beta|, which falls with N.  A nan residual
+    propagates.
     """
     N, n = hl.N, hl.n
-    chain = build_reduced_chain(hl.combined, None)
-    res = 0.0
+    res = [0.0]
     for j in range(N):
         nv_r = hl.real_data.points[j][1]
         nv_m = hl.mirror_data.points[j][1]
         lhs = np.outer(nv_r.beta, nv_m.beta.conj())
         kjc = hl.real_data.points[j][0].k.conjugate()
-        rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, chain)
-        res = max(res, float(np.max(np.abs(lhs - rhs))) / (nv_r.norm * nv_m.norm))
-    return res
+        rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, hl._combined_chain)
+        res.append(float(np.max(np.abs(lhs - rhs))) / (nv_r.norm * nv_m.norm))
+    return float(np.max(res))
 
 
 def mirror_polarization_residual(hl: HalfLineData) -> float:
@@ -214,31 +193,27 @@ def mirror_polarization_residual(hl: HalfLineData) -> float:
     Checks, for every j, that the mirror chain direction equals m(k_j) times
     the matching real-soliton polarization for both index patterns: the
     canonical prefix (mirror factor direction itself) and the all-real prefix.
+    A nan distance propagates.
     """
     N, n = hl.N, hl.n
-    combined_chain = build_reduced_chain(hl.combined, None)
-    real_chain = build_reduced_chain(hl.real_data, None)
-    res = 0.0
+    chain = hl._combined_chain
+    res = [0.0]
     for j in range(N):
-        kj = hl.real_data.points[j][0].k
-        kmj = -kj.conjugate()
+        kj, nv = hl.real_data.points[j][0].k, hl.real_data.points[j][1]
         m = hl.spec.small_m(kj, n)
 
         # canonical-prefix pattern: direction of the mirror factor itself
-        lhs_a = combined_chain.factors[N + j].direction
         sub = build_reduced_chain(hl.real_data, range(j + 1, N))
-        g = _dagger_apply(sub.factors, kj, hl.real_data.points[j][1].beta)
-        res = max(res, projective_distance(lhs_a, _unit(m @ g)))
+        g = _chain_apply(sub, kj, nv.beta, dagger=True)
+        res.append(projective_distance(chain[N + j][1][:, 0], _unit(m @ g)))
 
         # all-real-prefix pattern: real chain dagger applied to the mirror beta
-        lhs_b = _dagger_apply(
-            real_chain.factors, kmj, hl.mirror_data.points[j][1].beta
-        )
-        others = [i for i in range(N) if i != j]
-        sub_b = build_reduced_chain(hl.real_data, others)
-        g_b = _dagger_apply(sub_b.factors, kj, hl.real_data.points[j][1].beta)
-        res = max(res, projective_distance(_unit(lhs_b), _unit(m @ g_b)))
-    return res
+        beta_m = hl.mirror_data.points[j][1].beta
+        lhs_b = _chain_apply(chain[:N], -kj.conjugate(), beta_m, dagger=True)
+        sub_b = build_reduced_chain(hl.real_data, [i for i in range(N) if i != j])
+        g_b = _chain_apply(sub_b, kj, nv.beta, dagger=True)
+        res.append(projective_distance(_unit(lhs_b), _unit(m @ g_b)))
+    return float(np.max(res))
 
 
 def halfline_field(hl: HalfLineData, x, t):
@@ -247,10 +222,3 @@ def halfline_field(hl: HalfLineData, x, t):
     if np.any(xs < 0.0):
         raise DomainError("half-line field is defined for x >= 0 only")
     return reconstruct_field(hl.combined, xs, t)
-
-
-def _unit(vec: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
-        raise DegeneracyError("zero vector has no direction")
-    return vec / nrm

@@ -88,12 +88,6 @@ def sample_grid(
     return FieldGrid(x0, x1, t0, t1, nx, nt, values, provenance)
 
 
-def grid_for_data(data: SolitonData, x0, x1, t0, t1, nx, nt, provenance="") -> FieldGrid:
-    return sample_grid(
-        lambda X, T: reconstruct_field(data, X, T), x0, x1, t0, t1, nx, nt, provenance
-    )
-
-
 #: pde_residual evaluates the stencil over blocks of this many interior rows.
 PDE_ROW_BLOCK = 32
 

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +169,43 @@ class TestExitCodes:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "separated velocities" in err
+
+
+class TestNanResiduals:
+    """A nan residual fails its check wherever it falls: Python's max(0.0, nan)
+    is 0.0, so every fold of residuals must keep the nan."""
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_draw_fails_its_check(self, tmp_path, monkeypatch, where):
+        residuals = [1e-16, 1e-16, 1e-16]
+        residuals[where] = math.nan
+        draws = iter(residuals)
+        suite = cli._SUITES["determinant"]
+        monkeypatch.setitem(cli._SUITES, "determinant",
+                            replace(suite, draw=lambda *a: (next(draws),)))
+        doc = {"suite": {"name": "determinant", "samples": 3, "seed": 1}}
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        (check,) = json.loads((out / "report.json").read_text())["checks"]
+        assert check["passed"] is False and math.isnan(check["residual"])
+
+    def test_instance_and_transfer_folds_keep_nan(self, monkeypatch):
+        assert math.isnan(cli._worst([1e-3, math.nan, 1e-9]))
+        monkeypatch.setattr(cli, "transfer_commutator_residuals",
+                            lambda *a: np.array([1e-3, math.nan]))
+        state = (np.zeros(2, dtype=complex), np.zeros((2, 1), dtype=complex))
+        worst = cli._transfer_worst([[state], [state]], None, None, False)
+        assert worst[0] == 1e-3 and math.isnan(worst[1])
+
+    def test_nan_collision_residual_fails_collide_mode(self, tmp_path, monkeypatch):
+        calls = iter([(1e-16, 0.0), (math.nan, 0.0), (1e-16, 0.0)])
+        monkeypatch.setattr(cli, "collision_pair_residuals", lambda *a: next(calls))
+        doc = {"data": {"n": 2, "solitons": [
+            {"u": u, "v": 1.0, "beta": [[1, 0], [0.5, 0.5]]} for u in (-0.5, 0.1, 0.6)]}}
+        out = tmp_path / "o"
+        assert main(["collide", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        check = json.loads((out / "report.json").read_text())["checks"][0]
+        assert check["name"] == "pairwise-collision-relations" and check["passed"] is False
 
 
 class TestSimulateMode:

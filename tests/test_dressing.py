@@ -9,21 +9,34 @@ from vsolitons import (
     SolitonData,
     SpectralPoint,
     blaschke_factor,
-    build_full_chain,
     build_reduced_chain,
     eval_chain,
     one_soliton_field,
-    permutation_residual,
     permutation_residuals,
     polarization_of,
     reconstruct_field,
     solve_mirror_norming,
 )
 from vsolitons import cli, dressing
+from vsolitons.dressing import _chain_product, _full_directions
 from vsolitons.sampling import SampleLog, random_boundary, random_soliton_data
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def direction(chain, i):
+    """Unit direction of factor i of a reduced or one-point full chain."""
+    return chain[i][1][:, 0]
+
+
+def full_chain(data, x, t):
+    """The full chain's (k, z, conj(z)) triples at the single point (x, t)."""
+    return _full_directions(data, range(data.N), np.array([float(x)]), np.array([float(t)]))
+
+
+def permutation_residual(data, order_a, order_b, ks, xts=()):
+    return permutation_residuals(data, order_a, [order_b], ks, xts)[0]
 
 
 def random_data(rng, N, n, positive=False):
@@ -68,8 +81,8 @@ class TestReducedChain:
         data = SolitonData(2, ((SpectralPoint(0.5, 1.0), NormingVector([3.0, 4.0j])),))
         chain = build_reduced_chain(data)
         expected = polarization_of(data.points[0][1]).p
-        ratio = chain.factors[0].direction[0] / expected[0]
-        assert np.allclose(chain.factors[0].direction, ratio * expected)
+        ratio = direction(chain, 0)[0] / expected[0]
+        assert np.allclose(direction(chain, 0), ratio * expected)
         assert abs(abs(ratio) - 1.0) < 1e-14
 
     def test_two_factor_recursion_frozen_oracle(self):
@@ -80,7 +93,7 @@ class TestReducedChain:
         )
         chain = build_reduced_chain(data, (0, 1))
         expected = np.array([0.35355339059327373 - 0.35355339059327373j, 0.7071067811865476])
-        got = chain.factors[1].direction * np.linalg.norm(expected)
+        got = direction(chain, 1) * np.linalg.norm(expected)
         phase = expected[1] / got[1]
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.allclose(got * phase, expected, atol=1e-12)
@@ -88,12 +101,15 @@ class TestReducedChain:
     def test_orthogonal_norming_vectors_passthrough(self):
         data = SolitonData.from_arrays([0.4, 1.2], [1.0, 0.7], [E1, E2])
         chain = build_reduced_chain(data)
-        assert np.allclose(np.abs(chain.factors[1].direction), E2)
+        assert np.allclose(np.abs(direction(chain, 1)), E2)
 
     def test_empty_chain_is_identity(self):
         data = random_data(np.random.default_rng(0), 2, 2)
         chain = build_reduced_chain(data, ())
-        assert np.allclose(eval_chain(chain, 0.3 + 0.1j), np.eye(2))
+        assert chain == ()
+        product = _chain_product(chain, np.array([0.3 + 0.1j, -1.0]), 2)
+        assert product.shape == (1, 2, 2, 2)
+        assert np.array_equal(product[0], [np.eye(2)] * 2)
 
     def test_determinant_is_blaschke_product(self):
         rng = np.random.default_rng(1)
@@ -111,28 +127,50 @@ class TestReducedChain:
         dev = np.max(np.abs(eval_chain(chain, 1e8) - np.eye(3)))
         assert dev < 1e-7
 
-    def test_factor_inverse_is_dagger_at_conjugate(self):
+    def test_chain_inverse_is_dagger_at_conjugate(self):
+        # d^-1(k) = d(k*)^dag for the whole chain, at stacked k: the identity
+        # behind a_matrix's factored form
         rng = np.random.default_rng(3)
-        data = random_data(rng, 2, 2)
-        chain = build_reduced_chain(data)
-        k = complex(rng.uniform(-1, 1), rng.uniform(0.1, 1.0))
-        for fac in chain.factors:
-            lhs = fac.matrix_inv(k)
-            assert np.allclose(lhs, fac.matrix(k.conjugate()).conj().T, atol=1e-12)
-            assert np.allclose(lhs @ fac.matrix(k), np.eye(2), atol=1e-12)
+        for N, n in [(1, 2), (2, 2), (3, 3), (5, 4)]:
+            chain = build_reduced_chain(random_data(rng, N, n))
+            ks = rng.uniform(-1, 1, 6) + 1j * rng.uniform(0.1, 1.0, 6)
+            prod = eval_chain(chain, ks) @ eval_chain(chain, ks.conj()).conj().transpose(0, 2, 1)
+            assert np.max(np.abs(prod - np.eye(n))) < 1e-12
 
     def test_degenerate_chain_impossible_for_distinct_poles(self):
         # orthogonal beta annihilated by the projector still leaves |xi| = |beta|
         data = SolitonData.from_arrays([0.3, 0.9], [1.0, 1.0], [E1, E2])
         chain = build_reduced_chain(data)
-        assert len(chain.factors) == 2
+        assert len(chain) == 2
+
+
+class TestChainApply:
+    @pytest.mark.parametrize("N,n", [(1, 2), (3, 2), (4, 5)])
+    def test_matches_explicit_products(self, N, n):
+        rng = np.random.default_rng(20 + N + n)
+        chain = build_reduced_chain(random_data(rng, N, n))
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for k in rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.1, 2, 3):
+            prod = _ref_product(chain, k)
+            assert np.allclose(dressing._chain_apply(chain, k, vec), prod @ vec, atol=1e-13)
+            got = dressing._chain_apply(chain, k, vec, dagger=True)
+            assert np.allclose(got, prod.conj().T @ vec, atol=1e-13)
+        assert dressing._chain_apply((), 0.5j, vec) is vec
+
+    def test_unit_is_shared_and_raises_on_zero(self):
+        from vsolitons import asymptotics, mirror
+        from vsolitons.errors import DegeneracyError
+
+        assert asymptotics._unit is mirror._unit is dressing._unit
+        assert np.allclose(dressing._unit(np.array([3.0, 4.0j])), [0.6, 0.8j], rtol=0, atol=1e-15)
+        with pytest.raises(DegeneracyError):
+            dressing._unit(np.zeros(2, dtype=complex))
 
 
 class TestFullChain:
     def test_origin_direction(self):
         data = SolitonData(2, ((SpectralPoint(0.0, 1.0), NormingVector(E1)),))
-        chain = build_full_chain(data, None, 0.0, 0.0)
-        z = chain.factors[0].direction
+        z = direction(full_chain(data, 0.0, 0.0), 0)
         expected = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         phase = z[0] / expected[0]
         assert np.allclose(z, phase * expected, atol=1e-14)
@@ -141,24 +179,23 @@ class TestFullChain:
         # Im phi(x, 0, k*) = -x/2 for k = i/2, so the seed direction is
         # proportional to (e^{-x/2}, 0, -e^{x/2}); ratios verified at x=1.3
         data = SolitonData(2, ((SpectralPoint(0.0, 1.0), NormingVector(E1)),))
-        chain = build_full_chain(data, None, 1.3, 0.0)
-        z = chain.factors[0].direction
+        z = direction(full_chain(data, 1.3, 0.0), 0)
         assert z[0] / z[2] == pytest.approx(-np.exp(-1.3), abs=1e-12)
         assert abs(z[1]) == 0.0
 
     def test_projector_is_rank_one_orthogonal(self):
         rng = np.random.default_rng(4)
         data = random_data(rng, 3, 2)
-        chain = build_full_chain(data, None, 0.7, -0.4)
-        for fac in chain.factors:
-            P = np.outer(fac.direction, fac.direction.conj())
+        chain = full_chain(data, 0.7, -0.4)
+        for i in range(len(chain)):
+            P = np.outer(direction(chain, i), direction(chain, i).conj())
             assert np.max(np.abs(P @ P - P)) < 1e-12
             assert np.max(np.abs(P - P.conj().T)) < 1e-12
 
     def test_inverse_is_dagger_at_conjugate_point(self):
         rng = np.random.default_rng(5)
         data = random_data(rng, 2, 2)
-        chain = build_full_chain(data, None, 0.2, 0.1)
+        chain = full_chain(data, 0.2, 0.1)
         k = complex(rng.uniform(-1, 1), rng.uniform(0.1, 1.5))
         M = eval_chain(chain, k)
         Mdag = eval_chain(chain, k.conjugate()).conj().T
@@ -166,8 +203,8 @@ class TestFullChain:
 
     def test_extreme_exponents_stay_finite(self):
         data = SolitonData(2, ((SpectralPoint(1.5, 2.0), NormingVector([1.0, 1.0])),))
-        chain = build_full_chain(data, None, 800.0, 100.0)
-        assert np.all(np.isfinite(chain.factors[0].direction.view(np.float64)))
+        chain = full_chain(data, 800.0, 100.0)
+        assert np.all(np.isfinite(direction(chain, 0).view(np.float64)))
 
 
 class TestReconstruction:
@@ -317,10 +354,11 @@ def _assert_matches_reference(data, x, t):
     return got
 
 
-def _ref_product(factors, k):
-    out = np.eye(factors[0].direction.size, dtype=np.complex128)
-    for fac in factors:
-        out = out @ fac.matrix(k)
+def _ref_product(chain, k):
+    """The chain's product at k from explicit factor matrices."""
+    out = np.eye(chain[0][1].shape[0], dtype=np.complex128)
+    for k0, z, zc in chain:
+        out = out @ (np.eye(z.shape[0]) + (_ref_blaschke(k0, k) - 1.0) * (z @ zc.T))
     return out
 
 
@@ -366,12 +404,12 @@ class TestBatchedKernel:
         reduced = build_reduced_chain(data, (2, 0, 3, 1))
         stacked = eval_chain(reduced, ks)
         assert stacked.shape == (7, 3, 3)
-        full = build_full_chain(data, None, 0.4, -0.3)
+        full = full_chain(data, 0.4, -0.3)
         stacked_full = eval_chain(full, ks)
         assert stacked_full.shape == (7, 4, 4)
         for k, a, b in zip(ks, stacked, stacked_full):
-            assert np.max(np.abs(a - _ref_product(reduced.factors, k))) <= 1e-13
-            assert np.max(np.abs(b - _ref_product(full.factors, k))) <= 1e-13
+            assert np.max(np.abs(a - _ref_product(reduced, k))) <= 1e-13
+            assert np.max(np.abs(b - _ref_product(full, k))) <= 1e-13
         assert np.max(np.abs(eval_chain(reduced, ks[0]) - stacked[0])) <= 1e-15
 
 
@@ -381,12 +419,12 @@ def _reference_permutation_residual(data, order_a, order_b, ks, xts):
     cb = build_reduced_chain(data, order_b)
     res = 0.0
     for k in ks:
-        res = max(res, np.max(np.abs(_ref_product(ca.factors, k) - _ref_product(cb.factors, k))))
+        res = max(res, np.max(np.abs(_ref_product(ca, k) - _ref_product(cb, k))))
     for x, t in xts:
-        fa = build_full_chain(data, order_a, x, t)
-        fb = build_full_chain(data, order_b, x, t)
+        fa = _full_directions(data, order_a, np.array([x]), np.array([t]))
+        fb = _full_directions(data, order_b, np.array([x]), np.array([t]))
         for k in ks[:3]:
-            diff = _ref_product(fa.factors, k) - _ref_product(fb.factors, k)
+            diff = _ref_product(fa, k) - _ref_product(fb, k)
             res = max(res, np.max(np.abs(diff)))
         ra = reconstruct_field(data, x, t, order=order_a)
         rb = reconstruct_field(data, x, t, order=order_b)

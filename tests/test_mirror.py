@@ -44,10 +44,11 @@ class TestAMatrix:
             [0.5, 1.0], [1.0, 0.8], [[1.0, 0.2j], [0.4, 1.0]]
         )
         chain = build_reduced_chain(data)
-        k2 = data.points[1][0].k
-        d = chain.factors[1].direction
-        pref = (k2 - data.points[0][0].k) / (k2 - data.points[0][0].k.conjugate())
-        expected = pref * np.outer(d, d.conj()) @ chain.factors[0].matrix_inv(k2)
+        k1, k2 = data.points[0][0].k, data.points[1][0].k
+        d, d1 = chain[1][1][:, 0], chain[0][1][:, 0]
+        pref = (k2 - k1) / (k2 - k1.conjugate())
+        d1_inv = np.eye(2) + (1.0 / pref - 1.0) * np.outer(d1, d1.conj())
+        expected = pref * np.outer(d, d.conj()) @ d1_inv
         assert np.allclose(a_matrix(1, data, chain), expected, atol=1e-13)
 
     def test_rank_one(self):
@@ -76,6 +77,26 @@ class TestAMatrix:
                 - np.linalg.det(eval_chain(chain, kj - delta))
             ) / (2 * delta)
             assert np.max(np.abs(a_matrix(j, data, chain) - detp * lim)) < 1e-8
+
+    @pytest.mark.parametrize("N,n", [(1, 2), (2, 3), (4, 2), (5, 4)])
+    def test_matches_product_of_factor_inverses(self, N, n):
+        # the defining product pref * d^-1_{M-1} ... d^-1_{j+1} P_j d^-1_{j-1} ... d^-1_0
+        # at k_j, every factor inverted as a matrix
+        data = random_soliton_data(np.random.default_rng(10 + N + n), N, n)
+        chain = build_reduced_chain(data)
+        for j in range(N):
+            kj = data.points[j][0].k
+            inv = [np.linalg.inv(eval_chain(chain[m : m + 1], kj)) for m in range(N)]
+            z = chain[j][1]
+            expected = np.eye(n, dtype=complex)
+            for m in range(N - 1, j, -1):
+                expected = expected @ inv[m]
+            expected = expected @ (z @ z.conj().T)
+            for m in range(j - 1, -1, -1):
+                expected = expected @ inv[m]
+            pref = np.prod([(kj - k) / (kj - k.conjugate()) for k in np.delete(data.ks, j)])
+            got = a_matrix(j, data, chain)
+            assert np.max(np.abs(got - pref * expected)) <= 1e-12 * np.max(np.abs(got))
 
 
 class TestBigM:
@@ -209,6 +230,50 @@ class TestConstraintGate:
         assert detector.residual >= 1e-4
 
 
+class TestCanonicalChains:
+    """The solve builds the real data's canonical chain and the gate the combined
+    data's, from the solved betas; the residuals reuse the combined one."""
+
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    def test_each_canonical_chain_built_once(self, kind, monkeypatch):
+        builds = []
+        build = mirror_module.build_reduced_chain
+
+        def counted(data, order=None):
+            if order is None or tuple(order) == tuple(range(data.N)):
+                builds.append(data)
+            return build(data, order)
+
+        monkeypatch.setattr(mirror_module, "build_reduced_chain", counted)
+        hl = halfline_data(np.random.default_rng(80), 3, 2, kind)
+        assert hl.constraint_residual <= 1e-8
+        assert mirror_polarization_residual(hl) <= 1e-10
+        assert [id(d) for d in builds] == [id(hl.real_data), id(hl.combined)]
+
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    def test_real_chain_is_combined_prefix(self, kind):
+        rng = np.random.default_rng(81)
+        for N, n in [(1, 2), (2, 3), (4, 2)]:
+            hl = halfline_data(rng, N, n, kind)
+            real = build_reduced_chain(hl.real_data)
+            for a, b in zip(real, hl._combined_chain[:N], strict=True):
+                assert a[0] == b[0]
+                assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
+
+    def test_nan_residuals_propagate(self, monkeypatch):
+        # Python's max(0.0, nan) is 0.0; each residual must keep the nan
+        hl = halfline_data(np.random.default_rng(82), 2, 2, "mixed")
+        fresh = mirror_module.a_matrix
+        monkeypatch.setattr(
+            mirror_module, "a_matrix",
+            lambda j, *a: np.full((2, 2), np.nan) if j == 2 else fresh(j, *a),
+        )
+        assert np.isnan(mirror_constraint_residual(hl))
+        distances = iter([np.nan, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(mirror_module, "projective_distance", lambda *a: next(distances))
+        assert np.isnan(mirror_polarization_residual(hl))
+
+
 class TestMirrorPolarizations:
     def test_single_soliton_relation(self):
         rng = np.random.default_rng(4)
@@ -225,7 +290,7 @@ class TestMirrorPolarizations:
     def test_robin_mirror_equals_real_projectively(self):
         rng = np.random.default_rng(6)
         hl = halfline_data(rng, 1, 3, "robin")
-        mirror_dir = build_reduced_chain(hl.combined).factors[1].direction
+        mirror_dir = build_reduced_chain(hl.combined)[1][1][:, 0]
         real_pol = polarization_of(hl.real_data.points[0][1])
         assert projective_distance(mirror_dir, real_pol.p) < 1e-10
 

@@ -14,10 +14,10 @@ from vsolitons import (
     boundary_residual,
     convergence_order,
     extract_asymptotic_polarization,
-    grid_for_data,
     pde_residual,
     polarization_of,
     projective_distance,
+    sample_grid,
     solve_mirror_norming,
 )
 from vsolitons.asymptotics import beta_in, beta_out
@@ -31,6 +31,10 @@ E1 = np.array([1.0, 0.0])
 TWO_SOLITON = SolitonData.from_arrays(
     [-0.5, 0.5], [1.0, 1.2], [[1.0, 0.5 + 0.5j], [0.3 - 0.2j, 1.0]]
 )
+
+
+def grid_for_data(data, x0, x1, t0, t1, nx, nt):
+    return sample_grid(lambda X, T: reconstruct_field(data, X, T), x0, x1, t0, t1, nx, nt)
 
 
 def one_soliton_grid(h):
