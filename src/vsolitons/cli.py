@@ -68,11 +68,14 @@ from .mirror import (
 from .sampling import (
     BOUNDARY_KINDS,
     SampleLog,
-    random_boundary,
+    boundaries,
+    draw_boundary,
+    draw_unit_vectors,
+    draw_unitary,
     random_map_parameters,
     random_soliton_data,
-    random_unit_vectors,
-    random_unitary,
+    unit_vectors,
+    unitaries,
 )
 from .soldata import (
     Mixed,
@@ -382,11 +385,12 @@ class _Sampled:
     name takes the variant label.  ``variants(cfg)`` lists (label, payload)
     pairs, each run over all samples; ``tail`` appends fixed checks.
 
-    With ``stacked``, a draw returns the instance instead: (parameters,
-    polarizations, extra) for one sample of a stacked map state.  After all
-    of a variant's draws, ``stacked(P, K, extras)`` evaluates the instances of
-    each component count n in one call and returns one array of per-sample
-    residuals per check.
+    With ``stacked``, a draw returns the instance as drawn instead:
+    (parameters, `draw_unit_vectors` draws, extra) for one sample of a stacked
+    map state.  After all of a variant's draws, the instances of each
+    component count n are derived at once, and ``stacked(P, K, extras)``
+    evaluates them in one call (deriving its extras at once too) and returns
+    one array of per-sample residuals per check.
     """
 
     default: int  # samples when suite.samples is unset
@@ -414,10 +418,11 @@ class _Sampled:
         out = [None] * len(instances)
         by_n: Dict[int, List[int]] = {}
         for i, inst in enumerate(instances):
-            by_n.setdefault(len(inst[1][0]), []).append(i)
+            by_n.setdefault(inst[1].shape[-1], []).append(i)
         for idx in by_n.values():
-            ks, ps, extras = zip(*(instances[i] for i in idx))
-            columns = self.stacked(np.array(ps), np.array(ks, dtype=np.complex128), extras)
+            ks, draws, extras = zip(*(instances[i] for i in idx))
+            P = unit_vectors(np.array(draws))
+            columns = self.stacked(P, np.array(ks, dtype=np.complex128), extras)
             for i, row in zip(idx, zip(*(c.tolist() for c in columns))):
                 out[i] = row
         return out
@@ -444,16 +449,17 @@ def _boundary_kinds(cfg: RunConfig):
 
 
 def _boundary_spec(rng, variant, n: int):
+    """The given boundary or a `draw_boundary` of the variant's kind, and its n."""
     label, fixed = variant
-    return fixed if fixed is not None else random_boundary(rng, label, n)
+    if fixed is not None:
+        return fixed, fixed.n or n
+    return draw_boundary(rng, label, n), n
 
 
 def _boundary_draw(cfg: RunConfig, rng, i: int, variant):
-    """Boundary of instance i and the component count it acts on."""
+    """Boundary of instance i as drawn and the component count it acts on."""
     ns = _suite_ns(cfg)
-    n = ns[i % len(ns)]
-    spec = _boundary_spec(rng, variant, n)
-    return spec, spec.n or n
+    return _boundary_spec(rng, variant, ns[i % len(ns)])
 
 
 def _draw_one_soliton(cfg, rng, log, i, variant):
@@ -500,22 +506,22 @@ def _draw_permutation(cfg, rng, log, i, variant):
 
 
 def _draw_ybe(cfg, rng, log, i, variant):
-    return random_map_parameters(rng, 3, log=log), random_unit_vectors(rng, 3, variant[1]), None
+    return random_map_parameters(rng, 3, log=log), draw_unit_vectors(rng, 3, variant[1]), None
 
 
 def _draw_reversibility(cfg, rng, log, i, variant):
-    return random_map_parameters(rng, 2, log=log), random_unit_vectors(rng, 2, variant[1]), None
+    return random_map_parameters(rng, 2, log=log), draw_unit_vectors(rng, 2, variant[1]), None
 
 
 def _draw_yb_structure(cfg, rng, log, i, variant):
     n = (2, 3)[i % 2]
     ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-    return ks, random_unit_vectors(rng, 2, n), random_unitary(rng, n)
+    return ks, draw_unit_vectors(rng, 2, n), draw_unitary(rng, n)
 
 
-def _yb_structure(P, K, unitaries):
+def _yb_structure(P, K, draws):
     """Unitary-diagonal invariance and parameter-twist residuals per sample."""
-    V = np.array(unitaries)
+    V = unitaries(np.array(draws))
     rotated_after = np.einsum("sab,sjb->sja", V, yb_schedule(P, K, ((0, 1),)))
     after_rotated = yb_schedule(np.einsum("sab,sjb->sja", V, P), K, ((0, 1),))
     unitary = projective_distances(rotated_after, after_rotated).max(axis=1)
@@ -523,15 +529,15 @@ def _yb_structure(P, K, unitaries):
 
 
 def _draw_reflection_equation(cfg, rng, log, i, variant):
-    spec, n = _boundary_draw(cfg, rng, i, variant)
+    drawn, n = _boundary_draw(cfg, rng, i, variant)
     ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-    return ks, random_unit_vectors(rng, 2, n), spec
+    return ks, draw_unit_vectors(rng, 2, n), drawn
 
 
 def _draw_involution(cfg, rng, log, i, variant):
-    spec, n = _boundary_draw(cfg, rng, i, variant)
+    drawn, n = _boundary_draw(cfg, rng, i, variant)
     ks = random_map_parameters(rng, 1, mirrored=True, log=log)
-    return ks, random_unit_vectors(rng, 1, n), spec
+    return ks, draw_unit_vectors(rng, 1, n), drawn
 
 
 def _draw_collision(cfg, rng, log, i, variant):
@@ -572,16 +578,16 @@ def _pipeline_residual(data: SolitonData) -> float:
 
 
 def _mirror_kinds(cfg: RunConfig):
-    # the mirror suites draw the unrotated kinds only
+    # the mirror suites draw the unrotated kinds only: draw_boundary's specs
     return _boundary_kinds(cfg)[:2]
 
 
 def _mirror_halfline(cfg, rng, log, i: int, variant) -> HalfLineData:
     N, n = 1 + i % 3, (2, 3)[i % 2]
     data = random_soliton_data(rng, N, n, positive=True, log=log)
-    spec = _boundary_spec(rng, variant, n)
-    if (spec.n or n) != n:
-        data = random_soliton_data(rng, N, spec.n, positive=True, log=log)
+    spec, m = _boundary_spec(rng, variant, n)
+    if m != n:
+        data = random_soliton_data(rng, N, m, positive=True, log=log)
     return solve_mirror_norming(data, spec)
 
 
@@ -606,8 +612,8 @@ def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
 
 def _transfer_draw(rng, log, n: int) -> list:
     """One sample's drawn N = 2 and N = 3 states of n-component polarizations,
-    as (parameters, unit vectors) each."""
-    return [(random_map_parameters(rng, N, mirrored=True, log=log), random_unit_vectors(rng, N, n))
+    as (parameters, `draw_unit_vectors` draws) each."""
+    return [(random_map_parameters(rng, N, mirrored=True, log=log), draw_unit_vectors(rng, N, n))
             for N in (2, 3)]
 
 
@@ -618,8 +624,8 @@ def _transfer_worst(draws, b_plus, b_minus, diagonal: bool) -> list:
     (None: the identity boundary)."""
     worst = np.zeros(len(draws))
     for states in zip(*draws):
-        ks, ps = zip(*states)
-        K, P = np.array(ks), np.array(ps)
+        ks, raw = zip(*states)
+        K, P = np.array(ks), unit_vectors(np.array(raw))
         N = K.shape[1]
         for j in range(N):
             for l in range(j if diagonal else j + 1, N):
@@ -656,14 +662,16 @@ def _transfer_kinds(cfg: RunConfig, rng, log, n: int, both: bool) -> list:
     map in the b_plus slot and, if both, in the b_minus slot too.
 
     Each kind draws its spec, then its states, in kind order; the kinds are
-    then evaluated as one stacked state (drawn kinds share n, and a given
-    boundary is the only kind).
+    then derived and evaluated as one stacked state (drawn kinds share n,
+    and a given boundary is the only kind).
     """
     variants = _boundary_kinds(cfg)
-    specs, draws = [], []
+    drawn, draws = [], []
     for variant in variants:
-        specs.append(_boundary_spec(rng, variant, n))
-        draws.append(_transfer_draw(rng, log, specs[-1].n or n))
+        spec, m = _boundary_spec(rng, variant, n)
+        drawn.append(spec)
+        draws.append(_transfer_draw(rng, log, m))
+    specs = boundaries(drawn)
     worst = _transfer_worst(draws, specs, specs if both else None, False)
     return [(label, w) for (label, _), w in zip(variants, worst)]
 
@@ -753,11 +761,12 @@ _SUITES: Dict[str, Callable] = {
                              _draw_yb_structure, stacked=_yb_structure),
     "reflection-equation": _Sampled(
         100, (("reflection-equation[{}]", "algebraic"),), _draw_reflection_equation,
-        _boundary_kinds, stacked=lambda P, K, specs: (reflection_equation_residuals(P, K, specs),),
+        _boundary_kinds,
+        stacked=lambda P, K, drawn: (reflection_equation_residuals(P, K, boundaries(drawn)),),
     ),
     "involution": _Sampled(
         100, (("reflection-involution[{}]", "involution"),), _draw_involution, _boundary_kinds,
-        stacked=lambda P, K, specs: (involution_residuals(P, K, specs),),
+        stacked=lambda P, K, drawn: (involution_residuals(P, K, boundaries(drawn)),),
     ),
     "collision": _Sampled(20, (("pairwise-collision-relations", "algebraic"),
                                ("norm-ratio-symmetry", "involution"),

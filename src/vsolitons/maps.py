@@ -172,17 +172,16 @@ def reflection_maps(P, K, specs: Sequence[BoundarySpec]) -> tuple:
     return P, K
 
 
-def reflection_pair_safe(k1: complex, k2: complex) -> bool:
-    """All collision denominators of the two-soliton reflection identity are safe."""
-    k1, k2 = complex(k1), complex(k2)
-    pairs = (
-        (k1, k2),
-        (-k2.conjugate(), k1),
-        (-k1.conjugate(), k2),
-        (-k2.conjugate(), -k1.conjugate()),
-    )
-    off_axis = min(abs(k1.real), abs(k2.real)) > AXIS_TOL
-    return off_axis and all(abs(a - b) >= PAIR_POLE_TOL for a, b in pairs)
+def reflection_pairs_safe(K) -> np.ndarray:
+    """Per sample of an (S, 2) parameter stack: every collision denominator of
+    the two-soliton reflection identity is safe."""
+    k1, k2 = K[:, 0], K[:, 1]
+    m1, m2 = -k1.conj(), -k2.conj()
+    safe = np.minimum(np.abs(k1.real), np.abs(k2.real)) > AXIS_TOL
+    for a, b in ((k1, k2), (m2, k1), (m1, k2), (m2, m1)):
+        d = a - b
+        safe &= np.hypot(d.real, d.imag) >= PAIR_POLE_TOL  # abs(complex), bit for bit
+    return safe
 
 
 def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
@@ -191,9 +190,10 @@ def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.nda
     specs holds each sample's boundary.  Raises PoleError, naming the first
     unsafe sample, when a parameter configuration is unsafe.
     """
-    for k1, k2 in K.tolist():
-        if not reflection_pair_safe(k1, k2):
-            raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
+    safe = reflection_pairs_safe(K)
+    if not safe.all():
+        k1, k2 = K[np.argmin(safe)].tolist()
+        raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
     n = P.shape[-1]
     m1, m2 = _small_ms(specs, K[:, 0], n), _small_ms(specs, K[:, 1], n)
     (Pl, Kl), (Pr, Kr) = (P.copy(), K.copy()), (P.copy(), K.copy())

@@ -4,11 +4,17 @@ Draw ranges follow the workbench defaults: u in [-2,-0.1] u [0.1,2]
 (positive only for half-line data), v in [0.2, 2], norming vectors complex
 Gaussian.  Configurations too close to a factor pole are redrawn and the
 resamples counted.
+
+Stream contract: every generator makes the rng calls that drawing its
+scalars one at a time would make, in order.  Per sample only the draws and
+their accept tests run (nonzero vector, proper signs, pole-safe parameters);
+`unit_vectors`, `unitaries` and `boundaries` derive a stack of `draw_*`
+results at once, bit for bit as one at a time (`random_*`: one sample).
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -74,26 +80,38 @@ def random_norming_vector(
     raise SamplingError("could not draw a usable norming vector")
 
 
-def random_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, n) unit vectors in canonical phase (redraws are not counted).
-
-    Stream contract: the draws, vectors and generator state of count
-    `random_norming_vector` calls, each normalised.  One (missing, 2, n) draw
-    per pass is that stream; a vector of norm <= 1e-6 is dropped and the next
-    pass draws the missing ones, where one-at-a-time redraws would fall.
-    """
-    rows = []
+def draw_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, 2, n): the real and imaginary parts of count
+    `random_norming_vector` draws (redraws are not counted).  One (missing,
+    2, n) draw per pass; a vector of norm <= 1e-6 is dropped and the next
+    pass draws the missing ones, where one-at-a-time redraws would fall."""
+    kept = []
     for _ in range(_MAX_TRIES):
-        draws = rng.standard_normal((count - len(rows), 2, n))
-        for v in draws[:, 0] + 1j * draws[:, 1]:
-            # np.linalg.norm's sum, bit for bit, computed once per vector
-            re, im = v.real, v.imag
-            norm = math.sqrt(re.dot(re) + im.dot(im))
-            if norm > 1e-6:
-                rows.append(canonical_phase(v / norm))
-        if len(rows) == count:
-            return np.array(rows).reshape(count, n)
+        draws = rng.standard_normal((count - len(kept), 2, n))
+        # a first entry of modulus >= 1e-5 passes the norm test without the
+        # sum: a sum of nonnegative squares is at least each of its terms
+        usable = [i for i, x in enumerate(draws[:, 0, 0].tolist())
+                  if abs(x) >= 1e-5 or np.linalg.norm(draws[i, 0] + 1j * draws[i, 1]) > 1e-6]
+        if len(usable) == count:
+            return draws
+        kept += [draws[i] for i in usable]
+        if len(kept) == count:
+            return np.array(kept)
     raise SamplingError("could not draw a usable unit vector")
+
+
+def unit_vectors(draws: np.ndarray) -> np.ndarray:
+    """Unit vectors in canonical phase of a stack of (..., 2, n) draws from
+    `draw_unit_vectors`, each as `Polarization` makes it, bit for bit."""
+    v = draws[..., 0, :] + 1j * draws[..., 1, :]
+    # vecdot on the strided views is np.linalg.norm's ddot
+    u = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    return canonical_phase(u)
+
+
+def random_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, n) `random_norming_vector`s, normalised, in canonical phase."""
+    return unit_vectors(draw_unit_vectors(rng, count, n))
 
 
 def random_soliton_data(
@@ -121,14 +139,20 @@ def random_soliton_data(
     return SolitonData(n, points)
 
 
+def unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar-ish unitaries of (..., 2, n, n) draws, the real and imaginary parts
+    of complex Gaussian matrices: Q of QR with R's diagonal phases moved in."""
+    Q, R = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def draw_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((2, n, n))
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from the QR of a complex Gaussian matrix (its n^2 real
-    parts, then its n^2 imaginary parts, from one draw)."""
-    re, im = rng.standard_normal((2, n, n))
-    Z = re + 1j * im
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    return unitaries(draw_unitary(rng, n))
 
 
 def random_signs(rng: np.random.Generator, n: int, proper: bool = True) -> tuple:
@@ -144,25 +168,34 @@ def random_signs(rng: np.random.Generator, n: int, proper: bool = True) -> tuple
     raise SamplingError("could not draw a proper sign pattern")
 
 
-def random_boundary(rng: np.random.Generator, kind: str, n: int):
+def draw_boundary(rng: np.random.Generator, kind: str, n: int):
+    """A Robin or Mixed spec, or rotated_mixed's (unitary draws, signs) tuple."""
     if kind == "robin":
         return Robin(rng.uniform(-2.0, 2.0))
     if kind == "mixed":
         return Mixed(random_signs(rng, n))
     if kind == "rotated_mixed":
-        return RotatedMixed(random_unitary(rng, n), random_signs(rng, n))
+        return draw_unitary(rng, n), random_signs(rng, n)
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
+def boundaries(drawn) -> list:
+    """Specs of `draw_boundary` results in order; the rotated_mixed draws (all
+    of one n) are derived as one stack."""
+    rotated = [b for b in drawn if isinstance(b, tuple)]
+    if rotated:
+        draws, signs = zip(*rotated)
+        rotated = iter(RotatedMixed.stack(unitaries(np.array(draws)), signs))
+    return [next(rotated) if isinstance(b, tuple) else b for b in drawn]
+
+
+def random_boundary(rng: np.random.Generator, kind: str, n: int):
+    return boundaries([draw_boundary(rng, kind, n)])[0]
+
+
 def _pairs_safe(ks: List[complex], mirrored: bool) -> bool:
-    probes = list(ks)
-    if mirrored:
-        probes += [-k.conjugate() for k in ks]
-    for a in range(len(probes)):
-        for b in range(a + 1, len(probes)):
-            if abs(probes[a] - probes[b]) < POLE_MARGIN:
-                return False
-    return True
+    probes = ks + [-k.conjugate() for k in ks] if mirrored else ks
+    return all(abs(a - b) >= POLE_MARGIN for a, b in itertools.combinations(probes, 2))
 
 
 def random_map_parameters(

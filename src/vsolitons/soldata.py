@@ -79,15 +79,18 @@ def _norm(vec: np.ndarray) -> float:
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a nonzero vector so its largest-modulus entry is real >= 0.
+    """Rotate nonzero vectors (over the last axis) so each one's largest-modulus
+    entry is real >= 0.
 
     Ties break to the lowest index (argmax convention), so the result is a
     unique representative of the phase orbit.
     """
-    pivot = vec[np.abs(vec).argmax()]
-    if pivot == 0:
+    pivot = np.take_along_axis(vec, np.abs(vec).argmax(-1)[..., None], -1)
+    if not pivot.all():
         raise ValidationError("cannot fix the phase of the zero vector")
-    return vec * (abs(pivot) / pivot)
+    # hypot: scalar abs(pivot) bit for bit; named, so numpy cannot multiply into it in place
+    phase = np.hypot(pivot.real, pivot.imag) / pivot
+    return vec * phase
 
 
 @dataclass(frozen=True)
@@ -254,12 +257,6 @@ class SolitonData:
     def ks(self) -> np.ndarray:
         return np.array([pt.k for pt, _ in self.points], dtype=np.complex128)
 
-    def spectral_point(self, j: int) -> SpectralPoint:
-        return self.points[j][0]
-
-    def norming_vector(self, j: int) -> NormingVector:
-        return self.points[j][1]
-
     def subset(self, indices: Iterable[int]) -> "SolitonData":
         return SolitonData(self.n, tuple(self.points[i] for i in indices))
 
@@ -377,18 +374,31 @@ class RotatedMixed:
     def __post_init__(self):
         sg = _check_signs(self.signs)
         U = np.asarray(self.unitary, dtype=np.complex128)
-        n = len(sg)
-        if U.shape != (n, n):
-            raise ValidationError(f"unitary must be {n}x{n} to match the sign pattern")
-        defect = np.max(np.abs(U.conj().T @ U - np.eye(n)))
-        if defect > UNITARY_TOL:
+        if U.shape != (len(sg), len(sg)):
+            raise ValidationError(f"unitary must be {len(sg)}x{len(sg)} to match the sign pattern")
+        self.__dict__.update(vars(self.stack(U[None], (sg,))[0]))  # frozen: past __setattr__
+
+    @classmethod
+    def stack(cls, unitaries, signs) -> list:
+        """Specs of an (S, n, n) stack of unitaries and S sign patterns, checked
+        and derived at once; construction is the S = 1 case.  ValidationError
+        names the first U without max |U^dag U - I| <= UNITARY_TOL (nan too)."""
+        U = np.asarray(unitaries, dtype=np.complex128)
+        Uh = U.conj().swapaxes(-1, -2)
+        with np.errstate(invalid="ignore"):  # inf entries: a nan defect, rejected below
+            defect = np.abs(Uh @ U - np.eye(U.shape[-1])).max(axis=(-2, -1))
+        bad = ~(defect <= UNITARY_TOL)
+        if bad.any():
             raise ValidationError(
-                f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}"
+                f"matrix is not unitary: max |U^dag U - I| = {defect[np.argmax(bad)]:.3e}"
             )
-        s = np.asarray(sg, dtype=np.complex128)
-        object.__setattr__(self, "unitary", _frozen(U))
-        object.__setattr__(self, "signs", sg)
-        object.__setattr__(self, "m", _frozen((U.conj().T * s) @ U))
+        signs = [_check_signs(sg) for sg in signs]
+        s = np.asarray(signs, dtype=np.complex128)[:, None, :]
+        specs = []
+        for u, sg, m in zip(_frozen(U), signs, _frozen((Uh * s) @ U)):
+            specs.append(object.__new__(cls))
+            specs[-1].__dict__.update(unitary=u, signs=sg, m=m)
+        return specs
 
     @property
     def n(self) -> int:
@@ -438,9 +448,7 @@ class Mixed(RotatedMixed):
     def __init__(self, signs):
         sg = _check_signs(signs)
         unitary, m = _sign_matrices(sg)
-        object.__setattr__(self, "unitary", unitary)
-        object.__setattr__(self, "signs", sg)
-        object.__setattr__(self, "m", m)
+        self.__dict__.update(unitary=unitary, signs=sg, m=m)
 
     @classmethod
     def from_subset(cls, n: int, subset: Iterable[int]) -> "Mixed":

@@ -146,6 +146,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_nan_unitary_is_one_and_writes_nothing(self, tmp_path, capsys):
+        unitary = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]]
+        doc = {"suite": {"name": "involution", "samples": 2, "seed": 1},
+               "boundary": {"kind": "rotated_mixed", "signs": [1, -1], "unitary": unitary}}
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, doc)
+        assert "NaN" in Path(cfg).read_text()  # json writes and reads the NaN literal
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: boundary: matrix is not unitary")
+        assert not out.exists()
+
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -193,7 +205,7 @@ class TestNanResiduals:
         assert math.isnan(cli._worst([1e-3, math.nan, 1e-9]))
         monkeypatch.setattr(cli, "transfer_commutator_residuals",
                             lambda *a: np.array([1e-3, math.nan]))
-        state = (np.zeros(2, dtype=complex), np.zeros((2, 1), dtype=complex))
+        state = (np.zeros(2, dtype=complex), np.ones((2, 2, 1)))  # (ks, unit-vector draws)
         worst = cli._transfer_worst([[state], [state]], None, None, False)
         assert worst[0] == 1e-3 and math.isnan(worst[1])
 

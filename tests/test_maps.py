@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ from vsolitons.sampling import (
     BOUNDARY_KINDS,
     V_RANGE,
     SampleLog,
+    boundaries,
+    draw_boundary,
+    draw_unit_vectors,
+    draw_unitary,
     random_boundary,
     random_map_parameters,
     random_norming_vector,
@@ -39,8 +44,10 @@ from vsolitons.sampling import (
     random_u,
     random_unit_vectors,
     random_unitary,
+    unit_vectors,
+    unitaries,
 )
-from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL
+from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL, UNITARY_TOL
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -216,13 +223,35 @@ class TestReflectionEquation:
                       (0.7 + 0.5j, -0.3 + 0.8j))
         assert reflection_equation_residuals(P, K, (Robin(0.6),))[0] < 1e-12
 
+    def test_stacked_pair_check_matches_scalar_reference(self):
+        rng = np.random.default_rng(8)
+        ks = [random_map_parameters(rng, 2) for _ in range(200)]
+        k = 0.4 + 0.7j
+        edges = [(k, k), (k, -k.conjugate()), (k, k + 0.5 * PAIR_POLE_TOL),
+                 (k, -k.conjugate() + 2 * PAIR_POLE_TOL), (0.5 * AXIS_TOL + 1j, k),
+                 (k, 1j), (k, complex(math.nan, 1.0)), (complex(1.0, math.nan), k),
+                 (0.5 + 0j, complex(0.5, PAIR_POLE_TOL))]  # a gap of exactly PAIR_POLE_TOL
+        K = np.array(ks + edges, dtype=np.complex128)
+        got = maps.reflection_pairs_safe(K).tolist()
+        assert got == [_reference_pair_safe(a, b) for a, b in K.tolist()]
+        assert got[-len(edges):] == [False, False, False, True, False, False, False, False, True]
+
+    def test_unsafe_pair_names_the_first_unsafe_sample(self):
+        k = 0.5 + 0.5j
+        K = np.array([[0.3 + 0.9j, -0.7 + 0.4j], [k, -k.conjugate()], [k, k]])
+        P = np.ones((3, 2, 2), dtype=complex) / math.sqrt(2)
+        message = r"^unsafe reflection configuration for k1=\(0\.5\+0\.5j\), k2=\(-0\.5\+0\.5j\)$"
+        with pytest.raises(PoleError, match=message):
+            reflection_equation_residuals(P, K, [Mixed((1, -1))] * 3)
+
     def test_mirrored_draws_are_pair_safe(self):
         # the reflection-equation suite draws its parameters mirrored and
         # relies on every draw passing the kernel's pole check
         for seed in range(200):
             rng = np.random.default_rng(seed)
             for _ in range(20):
-                assert maps.reflection_pair_safe(*random_map_parameters(rng, 2, mirrored=True))
+                K = np.array([random_map_parameters(rng, 2, mirrored=True)])
+                assert maps.reflection_pairs_safe(K)[0]
 
 
 class TestTransferMaps:
@@ -325,7 +354,201 @@ class TestTransferMaps:
             self._transfer(0, *_stack((p1, p2), (k1, k2)), None, None)
 
 
+# --- reference: the one-sample-at-a-time draw path ---------------------------
+#
+# Unit vectors, unitaries and rotated boundaries drawn and derived one sample
+# at a time; the raw draws derived per stack must give the same bits and
+# leave the generator in the same state.
+
+
+def _frozen_canonical_phase(vec):
+    pivot = vec[np.abs(vec).argmax()]
+    return vec * (abs(pivot) / pivot)
+
+
+def _frozen_unit_vectors(rng, count, n):
+    rows = []
+    while True:
+        draws = rng.standard_normal((count - len(rows), 2, n))
+        for v in draws[:, 0] + 1j * draws[:, 1]:
+            re, im = v.real, v.imag
+            norm = math.sqrt(re.dot(re) + im.dot(im))
+            if norm > 1e-6:
+                rows.append(_frozen_canonical_phase(v / norm))
+        if len(rows) == count:
+            return np.array(rows).reshape(count, n)
+
+
+def _frozen_unitary(rng, n):
+    re, im = rng.standard_normal((2, n, n))
+    Q, R = np.linalg.qr(re + 1j * im)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
+
+
+def _frozen_rotated(U, signs):
+    """(U, signs, m) as RotatedMixed checked and derived them."""
+    n = len(signs)
+    defect = np.max(np.abs(U.conj().T @ U - np.eye(n)))
+    if defect > UNITARY_TOL:
+        raise ValidationError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
+    return U, signs, (U.conj().T * np.asarray(signs, dtype=np.complex128)) @ U
+
+
+def _frozen_boundary(rng, kind, n):
+    if kind == "rotated_mixed":
+        return _frozen_rotated(_frozen_unitary(rng, n), random_signs(rng, n))
+    return random_boundary(rng, kind, n)
+
+
+def _samples_both_ways(make_rng, samples, ns, kinds=BOUNDARY_KINDS):
+    """Each sample drawn as the reflection-equation suite draws it (n
+    interleaved as `cli._boundary_draw` does), plus a unitary, on two equal
+    generators: raw draws derived per n-stack against the frozen
+    one-at-a-time path.  Asserts equal bits, resamples and final rng states;
+    returns the two generators."""
+    new_rng, old_rng = make_rng(), make_rng()
+    new_log, old_log = SampleLog(), SampleLog()
+    new, old = [], []
+    for i in range(samples):
+        n, kind = ns[i % len(ns)], kinds[i % len(kinds)]
+        new.append((n, draw_boundary(new_rng, kind, n),
+                    random_map_parameters(new_rng, 2, mirrored=True, log=new_log),
+                    draw_unit_vectors(new_rng, 2, n), draw_unitary(new_rng, n)))
+        old.append((n, _frozen_boundary(old_rng, kind, n),
+                    random_map_parameters(old_rng, 2, mirrored=True, log=old_log),
+                    _frozen_unit_vectors(old_rng, 2, n), _frozen_unitary(old_rng, n)))
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert new_log.resamples == old_log.resamples
+    for n in set(ns):
+        idx = [i for i in range(samples) if new[i][0] == n]
+        if not idx:
+            continue
+        K = np.array([new[i][2] for i in idx])
+        P = unit_vectors(np.array([new[i][3] for i in idx]))
+        V = unitaries(np.array([new[i][4] for i in idx]))
+        specs = boundaries([new[i][1] for i in idx])
+        assert K.tobytes() == np.array([old[i][2] for i in idx]).tobytes()
+        for j, i in enumerate(idx):
+            _, spec, _, units, unitary = old[i]
+            assert P[j].tobytes() == units.tobytes()
+            assert V[j].tobytes() == unitary.tobytes()
+            if isinstance(spec, tuple):
+                assert type(specs[j]) is RotatedMixed and specs[j].signs == spec[1]
+                assert specs[j].unitary.tobytes() == spec[0].tobytes()
+                assert specs[j].m.tobytes() == spec[2].tobytes()
+            else:
+                assert specs[j].to_json() == spec.to_json()
+    return new_rng, new_log
+
+
+class _Scripted:
+    """A seeded generator whose draws are edited on chosen calls: ``edits``
+    maps (method, size, occurrence) to a function of the drawn array, where
+    occurrence counts the earlier calls with that method and size."""
+
+    def __init__(self, seed, edits=()):
+        self.rng, self.edits = np.random.default_rng(seed), dict(edits)
+        self.bit_generator = self.rng.bit_generator
+        self.seen, self.applied = {}, []
+
+    def _draw(self, name, size, draw):
+        key = (name, size, self.seen.get((name, size), 0))
+        self.seen[name, size] = key[2] + 1
+        out = draw()
+        if key in self.edits:
+            self.applied.append(key)
+            out = self.edits[key](out)
+        return out
+
+    def calls(self, name):
+        return sum(k for (method, _), k in self.seen.items() if method == name)
+
+    def standard_normal(self, size):
+        return self._draw("standard_normal", size, lambda: self.rng.standard_normal(size))
+
+    def random(self, size):
+        return self._draw("random", size, lambda: self.rng.random(size))
+
+    def uniform(self, low, high):
+        return self._draw("uniform", None, lambda: self.rng.uniform(low, high))
+
+
+def _scaled_to_norm(vec, norm):
+    return vec * (norm / np.linalg.norm(vec[0] + 1j * vec[1]))
+
+
+def _edit(fn):
+    def apply(out):
+        out = out.copy()
+        fn(out)
+        return out
+    return apply
+
+
+def _at_the_floor(d):
+    # both vectors reach the exact norm test: one just above 1e-6 is kept,
+    # one just below is redrawn
+    d[0] = _scaled_to_norm(d[0], 1e-6 * (1 + 2**-40))
+    d[1] = _scaled_to_norm(d[1], 1e-6 * (1 - 2**-40))
+
+
+#: Scripted edits of rotated_mixed samples with n = 1, 2, 3, 8, 1, ...
+SCRIPTS = {
+    # the first n = 8 sample's second unit vector is zero and is redrawn
+    "near-zero-vector": (("standard_normal", (2, 2, 8), 0), _edit(lambda d: d[1].fill(0.0))),
+    "norm-at-the-floor": (("standard_normal", (2, 2, 3), 0), _edit(_at_the_floor)),
+    # the first n = 3 sign pattern is all +1 and is redrawn
+    "improper-signs": (("random", 3, 0), _edit(lambda r: r.fill(0.0))),
+    # the third sample's two parameters coincide: a counted resample
+    "unsafe-pair": (("random", (2, 3), 2), _edit(lambda r: r.__setitem__(1, r[0]))),
+}
+
+
 class TestMapDraws:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_stacked_derivation_matches_the_one_sample_path(self, seed):
+        _samples_both_ways(lambda: np.random.default_rng(seed), 12, (1, 2, 3, 8))
+
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scripted_redraws_match_the_one_sample_path(self, script, seed):
+        key, edit = SCRIPTS[script]
+        args = (8, (1, 2, 3, 8), ("rotated_mixed",))
+        plain, plain_log = _samples_both_ways(lambda: _Scripted(seed), *args)
+        rng, log = _samples_both_ways(lambda: _Scripted(seed, {key: edit}), *args)
+        assert rng.applied == [key]
+        assert plain_log.resamples == 0 and log.resamples == (script == "unsafe-pair")
+        redrawn = script in ("near-zero-vector", "norm-at-the-floor")
+        assert rng.calls("standard_normal") == plain.calls("standard_normal") + redrawn
+        if script == "improper-signs":
+            assert rng.seen["random", 3] > 1
+
+    def test_large_one_component_stack_matches_one_at_a_time(self):
+        # above 256 KiB numpy may reuse a temporary in place, with other bits
+        draws = np.random.default_rng(9).standard_normal((20000, 2, 1))
+        vectors = draws[:, 0] + 1j * draws[:, 1]
+        ref = [_frozen_canonical_phase(v / np.linalg.norm(v)) for v in vectors]
+        assert unit_vectors(draws).tobytes() == np.array(ref).tobytes()
+
+    def test_a_small_first_entry_takes_the_exact_norm_test(self):
+        # both vectors are kept: their norms are far above 1e-6
+        edit = _edit(lambda d: d[:, 0, 0].fill(0.0))
+        edits = {("standard_normal", (2, 2, 3), 0): edit}
+        rng, _ = _samples_both_ways(lambda: _Scripted(3, edits), 2, (3,), ("rotated_mixed",))
+        assert rng.applied and rng.seen["standard_normal", (2, 2, 3)] == 2
+
+    @staticmethod
+    def _oracle_draws(rng, count, n):
+        """Unit-vector draws one part at a time: n real parts, then n imaginary
+        parts, each by its own call, redrawn while the norm is <= 1e-6."""
+        out = []
+        while len(out) < count:
+            re, im = rng.standard_normal(n), rng.standard_normal(n)
+            if np.linalg.norm(re + 1j * im) > 1e-6:
+                out.append((re, im))
+        return np.array(out)
+
     @staticmethod
     def _oracle_units(rng, count, n):
         """The per-object draw path: a NormingVector, then its Polarization."""
@@ -453,8 +676,8 @@ def test_map_suite_reports_match_scalar_draws(suite, tmp_path, monkeypatch):
     # the whole-array draws must leave every map-suite report as the
     # per-scalar draws leave it
     fast = _reports(tmp_path, suite, range(5))
+    monkeypatch.setattr(cli, "draw_unit_vectors", TestMapDraws._oracle_draws)
     for module in (cli, sampling):
-        monkeypatch.setattr(module, "random_unit_vectors", TestMapDraws._oracle_units)
         monkeypatch.setattr(module, "random_map_parameters", oracle_map_parameters)
     monkeypatch.setattr(sampling, "random_signs", TestMapDraws._oracle_signs)
     assert _reports(tmp_path, suite, range(5)) == fast
@@ -586,9 +809,22 @@ def _reference_reflection_map(k, p, spec):
     return _Point(Polarization(out), -k.conjugate())
 
 
+def _reference_pair_safe(k1, k2) -> bool:
+    """The two-soliton reflection identity's pole check, one pair at a time."""
+    k1, k2 = complex(k1), complex(k2)
+    pairs = (
+        (k1, k2),
+        (-k2.conjugate(), k1),
+        (-k1.conjugate(), k2),
+        (-k2.conjugate(), -k1.conjugate()),
+    )
+    off_axis = min(abs(k1.real), abs(k2.real)) > AXIS_TOL
+    return off_axis and all(abs(a - b) >= PAIR_POLE_TOL for a, b in pairs)
+
+
 def _reference_reflection_equation_residual(k1, k2, p1, p2, spec):
     k1, k2 = complex(k1), complex(k2)
-    if not maps.reflection_pair_safe(k1, k2):
+    if not _reference_pair_safe(k1, k2):
         raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
     state = _reference_state((p1, k1), (p2, k2))
     lhs, rhs = list(state), list(state)
@@ -754,27 +990,30 @@ class TestStackedKernelMatchesReference:
 def test_mixed_n_batch_matches_reference_in_sample_order(suite):
     # the suite runner evaluates one stacked call per component count and
     # must hand each sample its own residuals back in sample order
+    # instances are raw draws; each reference derives its own sample alone
     rng = np.random.default_rng(600)
     runner, instances, expect = _SUITES[suite], [], []
     for i in range(30):
         n = (2, 3, 8)[i % 3]
         ks = random_map_parameters(rng, 2, mirrored=True)
-        units = random_unit_vectors(rng, 2, n)
-        p1, p2 = Polarization(units[0]), Polarization(units[1])
+        draws = draw_unit_vectors(rng, 2, n)
+        p1, p2 = (Polarization(re + 1j * im) for re, im in draws)
         if suite == "yb-structure":
-            V = random_unitary(rng, n)
+            V_draws = draw_unitary(rng, n)
+            V = unitaries(V_draws)
             a = _reference_yb_map(ks[0], ks[1], p1, p2)
             b = _reference_yb_map(ks[0], ks[1], Polarization(V @ p1.p), Polarization(V @ p2.p))
             unitary = max(projective_distance(Polarization(V @ x.p), y) for x, y in zip(a, b))
-            instances.append((ks, units, V))
+            instances.append((ks, draws, V_draws))
             expect.append((unitary, _reference_s_twist_residual(ks[0], ks[1], p1, p2)))
             continue
-        spec = random_boundary(rng, BOUNDARY_KINDS[i % 3], n)
+        drawn = draw_boundary(rng, BOUNDARY_KINDS[i % 3], n)
+        spec = boundaries([drawn])[0]
         if suite == "involution":
-            instances.append((ks[:1], units[:1], spec))
+            instances.append((ks[:1], draws[:1], drawn))
             expect.append((_reference_involution_residual(ks[0], p1, spec),))
         else:
-            instances.append((ks, units, spec))
+            instances.append((ks, draws, drawn))
             expect.append((_reference_reflection_equation_residual(*ks, p1, p2, spec),))
     got = runner._evaluate(instances)
     assert len(got) == len(expect)

@@ -212,6 +212,35 @@ class TestBoundarySpec:
         spec = RotatedMixed(U, (1, -1))
         assert spec.n == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_rotated_mixed_rejects_non_finite_unitary(self, bad):
+        # a nan defect is not <= UNITARY_TOL, although it is not > it either
+        U = np.eye(2, dtype=complex)
+        U[1, 0] = bad
+        with pytest.raises(ValidationError, match="not unitary"):
+            RotatedMixed(U, (1, -1))
+        with pytest.raises(ValidationError, match="not unitary"):
+            RotatedMixed.stack(np.array([np.eye(2), U]), [(1, -1), (-1, 1)])
+
+    def test_stack_matches_one_at_a_time(self):
+        from vsolitons.sampling import random_signs, random_unitary
+
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 8):
+            Us = np.array([random_unitary(rng, n) for _ in range(7)])
+            signs = [random_signs(rng, n, proper=False) for _ in range(7)]
+            for spec, U, sg in zip(RotatedMixed.stack(Us, signs), Us, signs):
+                one = RotatedMixed(U, sg)
+                assert type(spec) is RotatedMixed and spec.signs == one.signs == sg
+                assert spec.unitary.tobytes() == one.unitary.tobytes() == U.tobytes()
+                assert spec.m.tobytes() == one.m.tobytes()
+                assert not spec.unitary.flags.writeable and not spec.m.flags.writeable
+
+    def test_stack_names_the_first_non_unitary(self):
+        U = np.array([np.eye(2), [[1.0, 1e-9], [0.0, 1.0]], [[1.0, 1e-6], [0.0, 1.0]]])
+        with pytest.raises(ValidationError, match=r"= 1\.000e-09$"):
+            RotatedMixed.stack(U, [(1, -1)] * 3)
+
     def test_robin_finite(self):
         with pytest.raises(ValidationError):
             Robin(float("nan"))
