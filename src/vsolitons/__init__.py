@@ -25,7 +25,6 @@ from .soldata import (
     SolitonData,
     SpectralPoint,
     canonical_phase,
-    polarization_of,
     projective_distance,
 )
 from .dressing import (

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dressing import _blaschke, _chain_apply, _unit, build_reduced_chain
+from .dressing import _blaschke, _dressed_beta, _unit
 from .errors import ValidationError
 from .soldata import NormingVector, SolitonData
 
@@ -44,11 +44,10 @@ def intermediate_gamma(j: int, spectators, data: SolitonData) -> np.ndarray:
     """
     j = int(j)
     sp = _spectator_tuple(j, spectators, data.N)
-    point, nv = data.points[j]
-    w = _chain_apply(build_reduced_chain(data, sp), point.k, nv.beta, dagger=True)
+    w = _dressed_beta(data, j, sp)
     pref = 1.0 + 0.0j
     excluded = set(sp) | {j}
-    kj_conj = point.k.conjugate()
+    kj_conj = data.points[j][0].k.conjugate()
     for p in range(data.N):
         if p not in excluded:
             pref *= _blaschke(data.points[p][0].k, kj_conj)

@@ -83,7 +83,6 @@ from .soldata import (
     Polarization,
     Robin,
     SolitonData,
-    polarization_of,
     projective_distance,
 )
 from .verification import (
@@ -111,7 +110,6 @@ class ReportCheck:
     name: str
     residual: float
     tolerance: Optional[float]
-    family: str = "algebraic"
     comparison: str = "<="
     informational: bool = False
     elapsed: float = 0.0  # console display only, never serialized
@@ -193,12 +191,12 @@ class RunConfig:
     output: Path = Path("out")
 
 
-def parse_run_config(doc: dict, path_hint: str = "config") -> RunConfig:
+def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path_hint}: top level must be a JSON object")
+        raise ConfigError("config: top level must be a JSON object")
     mode = doc.get("mode")
     if mode not in MODES:
-        raise ConfigError(f"{path_hint}.mode: expected one of {MODES}, got {mode!r}")
+        raise ConfigError(f"config.mode: expected one of {MODES}, got {mode!r}")
     cfg = RunConfig(mode=mode, raw=doc)
 
     if "data" in doc:
@@ -219,6 +217,8 @@ def parse_run_config(doc: dict, path_hint: str = "config") -> RunConfig:
         if not isinstance(suite, dict):
             raise ConfigError("suite: must be an object")
         cfg.suite_name = suite.get("name")
+        if cfg.suite_name is not None and not isinstance(cfg.suite_name, str):
+            raise ConfigError(f"suite.name: expected a string, got {cfg.suite_name!r}")
         if "samples" in suite:
             cfg.samples = _parse_count(suite["samples"], "suite.samples")
         if "seed" in suite:
@@ -227,7 +227,7 @@ def parse_run_config(doc: dict, path_hint: str = "config") -> RunConfig:
         if not isinstance(tols, dict):
             raise ConfigError("suite.tolerances: must be an object")
         for key, val in tols.items():
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or val < 0:
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not val >= 0:
                 raise ConfigError(f"suite.tolerances.{key}: must be a nonnegative number")
             cfg.tolerances[str(key)] = float(val)
         for key in ("n", "N"):
@@ -292,7 +292,7 @@ def _check(
     tol = tolerance
     if tol is None and not informational:
         tol = _tol(cfg, name, family)
-    chk = ReportCheck(name, float(residual), tol, family, comparison, informational)
+    chk = ReportCheck(name, float(residual), tol, comparison, informational)
     if report.clock is not None:
         # a check's time runs from the suite start or the previous check
         now = time.perf_counter()
@@ -541,16 +541,18 @@ def _draw_involution(cfg, rng, log, i, variant):
 
 
 def _draw_collision(cfg, rng, log, i, variant):
-    N = 2 + i % 2
-    data = random_soliton_data(rng, N, (2, 3)[i % 2], log=log)
-    rel, xi = [], []
-    for j in range(N):
-        for l in range(j + 1, N):
-            spect = tuple(m for m in range(N) if m not in (j, l))[: i % 2]
-            r, x = collision_pair_residuals(j, l, spect, data)
-            rel.append(r)
-            xi.append(x)
+    data = random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2], log=log)
+    rel, xi = zip(*_pair_residuals(data, i % 2))
     return _worst(rel), _worst(xi), _pipeline_residual(data)
+
+
+def _pair_residuals(data: SolitonData, spectators: int) -> list:
+    """collision_pair_residuals of each pair j < l, the first `spectators` others as spectators."""
+    out = []
+    for j, l in collision_orders(data.N)[0]:
+        others = tuple(m for m in range(data.N) if m not in (j, l))
+        out.append(collision_pair_residuals(j, l, others[:spectators], data))
+    return out
 
 
 def collision_orders(N: int):
@@ -561,13 +563,7 @@ def collision_orders(N: int):
 
 def _polarizations_of(data: SolitonData, which) -> np.ndarray:
     """(1, N, n) stacked state of the polarizations of which(j, data)."""
-    return np.array([[polarization_of(which(j, data)).p for j in range(data.N)]])
-
-
-def yb_pipeline(data: SolitonData, order_pairs) -> List[Polarization]:
-    """Drive the in-polarizations through a schedule of pairwise collisions."""
-    P = yb_schedule(_polarizations_of(data, beta_in), data.ks[None], order_pairs)
-    return [Polarization(p) for p in P[0]]
+    return np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]])
 
 
 def _pipeline_residual(data: SolitonData) -> float:
@@ -605,9 +601,7 @@ def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
     bumped = nv.beta.copy()
     bumped[0] += size * nv.norm
     pts[0] = (pt, NormingVector(bumped))
-    mirror = SolitonData(hl.n, tuple(pts))
-    combined = SolitonData(hl.n, hl.real_data.points + mirror.points)
-    return HalfLineData(hl.real_data, mirror, hl.spec, combined)
+    return HalfLineData(hl.real_data, SolitonData(hl.n, tuple(pts)), hl.spec)
 
 
 def _transfer_draw(rng, log, n: int) -> list:
@@ -726,7 +720,7 @@ def _draw_factorization(cfg, rng, log, i, variant):
     for j in range(data.N):
         for t, bfun in ((-T, beta_in), (T, beta_out)):
             pol, _ = extract_asymptotic_polarization(data, j, t)
-            dist.append(projective_distance(pol, polarization_of(bfun(j, data))))
+            dist.append(projective_distance(pol, Polarization(bfun(j, data).beta)))
     return _worst(dist), _pipeline_residual(data)
 
 
@@ -828,11 +822,7 @@ def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None or cfg.data.N < 2:
         raise ConfigError("data: collide mode needs at least two solitons")
     data = cfg.data
-    rel = []
-    for j in range(data.N):
-        for l in range(j + 1, data.N):
-            spect = tuple(m for m in range(data.N) if m not in (j, l))
-            rel.append(collision_pair_residuals(j, l, spect[:1], data)[0])
+    rel = [r for r, _ in _pair_residuals(data, 1)]
     _check(report, cfg, "pairwise-collision-relations", _worst(rel), family="algebraic")
     _check(report, cfg, "factorization-pipeline", _pipeline_residual(data), family="algebraic")
     doc = {
@@ -856,7 +846,7 @@ def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.boundary is None:
         raise ConfigError("boundary: required for reflect mode")
     # every soliton is one sample of a one-slot state
-    P = np.array([[polarization_of(nv).p] for _, nv in cfg.data.points])
+    P = np.array([[Polarization(nv.beta).p] for _, nv in cfg.data.points])
     K = cfg.data.ks[:, None]
     specs = (cfg.boundary,) * cfg.data.N
     Q, L = reflection_maps(P, K, specs)

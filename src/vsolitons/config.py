@@ -105,16 +105,14 @@ def parse_boundary(obj, where: str = "boundary") -> BoundarySpec:
             raise ConfigError(f"{where}.signs: entries must be +1 or -1")
         if kind == "mixed":
             return Mixed(tuple(signs))
-        rows = _expect(doc.get("unitary"), list, f"{where}.unitary")
-        U = np.array(
-            [
-                [_complex_entry(c, f"{where}.unitary[{r}][{c_i}]") for c_i, c in
-                 enumerate(_expect(row, list, f"{where}.unitary[{r}]"))]
-                for r, row in enumerate(rows)
-            ]
-        )
+        U = []
+        for r, row in enumerate(_expect(doc.get("unitary"), list, f"{where}.unitary")):
+            here = f"{where}.unitary[{r}]"
+            if len(_expect(row, list, here)) != len(signs):
+                raise ConfigError(f"{here}: expected {len(signs)} entries, one per sign")
+            U.append([_complex_entry(c, f"{here}[{i}]") for i, c in enumerate(row)])
         try:
-            return RotatedMixed(U, tuple(signs))
+            return RotatedMixed(np.array(U), tuple(signs))
         except ValidationError as exc:
             raise ConfigError(f"{where}: {exc}")
     raise ConfigError(
@@ -168,7 +166,7 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
             raise ConfigError(
                 f"{where}.solitons[{count + j}]: not the mirror of soliton {j}"
             )
-    hl = HalfLineData(real, mirror, spec, combined)
+    hl = HalfLineData(real, mirror, spec)
     residual = hl.constraint_residual
     if residual > CONSTRAINT_TOL:
         raise ConfigError(

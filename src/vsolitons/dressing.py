@@ -84,6 +84,12 @@ def build_reduced_chain(data: SolitonData, order=None) -> tuple:
     return tuple(chain)
 
 
+def _dressed_beta(data: SolitonData, j: int, sub) -> np.ndarray:
+    """d_sub(k_j)^dag beta_j: beta_j dressed by the reduced chain on indices sub."""
+    point, nv = data.points[j]
+    return _chain_apply(build_reduced_chain(data, sub), point.k, nv.beta, dagger=True)
+
+
 def eval_chain(chain, k) -> np.ndarray:
     """Ordered product d_{i_1}(k) ... d_{i_N}(k) of a chain of at least one
     factor, one per entry of k."""
@@ -178,7 +184,7 @@ def _field(data: SolitonData, idx, dirs, m: int) -> np.ndarray:
 FIELD_BLOCK_CELLS = 9 * 2048
 
 
-def reconstruct_field(data: SolitonData, x, t, order=None):
+def reconstruct_field(data: SolitonData, x, t):
     """Multi-soliton field R(x,t) from the full dressing chain.
 
     The value is the top-right block of sum_j i(k_j - k_j*) [Sigma3, P_j];
@@ -187,10 +193,9 @@ def reconstruct_field(data: SolitonData, x, t, order=None):
     and returns shape broadcast(x, t).shape + (n,).
 
     Points go through the chain in blocks of FIELD_BLOCK_CELLS cells.  A
-    point's value does not depend on the blocking, except in a block of one
-    point (a scalar call), where numpy sums the n+1 components pairwise.
+    point's value does not depend on the blocking or on the other points.
     """
-    idx = _normalized_order(data, order)
+    idx = tuple(range(data.N))
     xs = np.asarray(x, dtype=np.float64)
     ts = np.asarray(t, dtype=np.float64)
     if xs.shape != ts.shape:
@@ -201,8 +206,12 @@ def reconstruct_field(data: SolitonData, x, t, order=None):
     block = max(1, FIELD_BLOCK_CELLS // (data.n + 1))
     for lo in range(0, xf.size, block):
         xb, tb = xf[lo : lo + block], tf[lo : lo + block]
+        m = xb.size
+        if m == 1:
+            # a lone point goes as two: numpy rounds length-1 arrays its own way
+            xb, tb = np.repeat(xb, 2), np.repeat(tb, 2)
         # unnamed, so one block's directions are freed before the next is built
-        out[lo : lo + xb.size] = _field(data, idx, _full_directions(data, idx, xb, tb), xb.size).T
+        out[lo : lo + m] = _field(data, idx, _full_directions(data, idx, xb, tb), xb.size)[:, :m].T
     return out.reshape(xs.shape + (data.n,))
 
 

@@ -17,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dressing import _chain_apply, _chain_product, _unit, build_reduced_chain, reconstruct_field
+from .asymptotics import check_velocity_ordered
+from .dressing import (_chain_apply, _chain_product, _dressed_beta, _unit, build_reduced_chain,
+                       reconstruct_field)
 from .errors import DegeneracyError, DomainError, PoleError, ValidationError
 from .soldata import (
     AXIS_TOL,
@@ -42,7 +44,6 @@ class HalfLineData:
     real_data: SolitonData
     mirror_data: SolitonData
     spec: BoundarySpec
-    combined: SolitonData
 
     @property
     def N(self) -> int:
@@ -51,6 +52,11 @@ class HalfLineData:
     @property
     def n(self) -> int:
         return self.real_data.n
+
+    @cached_property
+    def combined(self) -> SolitonData:
+        """The 2N points, real first, derived from the two halves."""
+        return SolitonData(self.n, self.real_data.points + self.mirror_data.points)
 
     @cached_property
     def constraint_residual(self) -> float:
@@ -79,8 +85,7 @@ def check_halfline_real_data(data: SolitonData) -> None:
             )
         if u < 0:
             raise ValidationError(f"point {j}: half-line data needs u > 0, got {u}")
-    if any(b <= a for a, b in zip(us, us[1:])):
-        raise ValidationError(f"u values must be strictly increasing, got {us}")
+    check_velocity_ordered(data)
 
 
 def _pole_prefactor(ks: np.ndarray, j: int) -> complex:
@@ -97,19 +102,17 @@ def _pole_prefactor(ks: np.ndarray, j: int) -> complex:
     return complex(np.exp(acc))
 
 
-def a_matrix(j: int, data: SolitonData, chain=None) -> np.ndarray:
+def a_matrix(j: int, data: SolitonData, chain) -> np.ndarray:
     """Residue matrix of the inverse chain at k_j, in factored form.
 
     A_j = prod_{i != j} ((k_j-k_i)/(k_j-k_i*)) *
           d^-1_{M-1} ... d^-1_{j+1} * P_j * d^-1_{j-1} ... d^-1_0, all at k_j,
-    with factors from the canonical-order chain (built if not given).  As
+    with factors from the canonical-order chain of the data.  As
     d^-1(k) = d(k*)^dag, that is pref * (L^dag z_j)(R z_j)^dag with
     L = d_{j+1} ... d_{M-1} and R = d_0 ... d_{j-1} at k_j*: rank one by
     construction.
     """
     j = int(j)
-    if chain is None:
-        chain = build_reduced_chain(data)
     kjc = data.points[j][0].k.conjugate()
     z = chain[j][1][:, 0]
     left = _chain_apply(chain[j + 1 :], kjc, z, dagger=True)
@@ -157,9 +160,7 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
         beta = np.linalg.solve(adag, xi)
         mirror_points.append((real_data.points[j][0].mirror(), NormingVector(beta)))
 
-    mirror_data = SolitonData(n, tuple(mirror_points))
-    combined = SolitonData(n, real_data.points + mirror_data.points)
-    hl = HalfLineData(real_data, mirror_data, spec, combined)
+    hl = HalfLineData(real_data, SolitonData(n, tuple(mirror_points)), spec)
     residual = hl.constraint_residual
     if residual > CONSTRAINT_TOL:
         raise DegeneracyError(
@@ -199,19 +200,17 @@ def mirror_polarization_residual(hl: HalfLineData) -> float:
     chain = hl._combined_chain
     res = [0.0]
     for j in range(N):
-        kj, nv = hl.real_data.points[j][0].k, hl.real_data.points[j][1]
+        kj = hl.real_data.points[j][0].k
         m = hl.spec.small_m(kj, n)
 
         # canonical-prefix pattern: direction of the mirror factor itself
-        sub = build_reduced_chain(hl.real_data, range(j + 1, N))
-        g = _chain_apply(sub, kj, nv.beta, dagger=True)
+        g = _dressed_beta(hl.real_data, j, range(j + 1, N))
         res.append(projective_distance(chain[N + j][1][:, 0], _unit(m @ g)))
 
         # all-real-prefix pattern: real chain dagger applied to the mirror beta
         beta_m = hl.mirror_data.points[j][1].beta
         lhs_b = _chain_apply(chain[:N], -kj.conjugate(), beta_m, dagger=True)
-        sub_b = build_reduced_chain(hl.real_data, [i for i in range(N) if i != j])
-        g_b = _chain_apply(sub_b, kj, nv.beta, dagger=True)
+        g_b = _dressed_beta(hl.real_data, j, [i for i in range(N) if i != j])
         res.append(projective_distance(_unit(lhs_b), _unit(m @ g_b)))
     return float(np.max(res))
 

@@ -155,15 +155,15 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return unitaries(draw_unitary(rng, n))
 
 
-def random_signs(rng: np.random.Generator, n: int, proper: bool = True) -> tuple:
-    """A +1/-1 pattern; `proper` forces both signs to appear when n > 1.
+def random_signs(rng: np.random.Generator, n: int) -> tuple:
+    """A +1/-1 pattern with both signs when n > 1.
 
     Stream contract: one uniform per entry, +1 below 0.5, as n rng.random()
     calls would draw them; one rng.random(n) per try.
     """
     for _ in range(_MAX_TRIES):
         signs = tuple([1 if r < 0.5 else -1 for r in rng.random(n).tolist()])
-        if n == 1 or not proper or len(set(signs)) == 2:
+        if n == 1 or len(set(signs)) == 2:
             return signs
     raise SamplingError("could not draw a proper sign pattern")
 

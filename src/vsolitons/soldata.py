@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -122,18 +122,9 @@ class SpectralPoint:
     def velocity(self) -> float:
         return -2.0 * self.u
 
-    @property
-    def amplitude(self) -> float:
-        return self.v
-
     def mirror(self) -> "SpectralPoint":
         """The mirror eigenvalue -k*: same v, negated u."""
         return SpectralPoint(-self.u, self.v)
-
-    @classmethod
-    def from_k(cls, k: complex) -> "SpectralPoint":
-        k = complex(k)
-        return cls(2.0 * k.real, 2.0 * k.imag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,13 +181,6 @@ class Polarization:
     @property
     def n(self) -> int:
         return self.p.size
-
-
-def polarization_of(beta: Union[NormingVector, Sequence[complex], np.ndarray]) -> Polarization:
-    """Unit polarization beta/|beta| in canonical phase."""
-    if isinstance(beta, NormingVector):
-        return Polarization(beta.beta)
-    return Polarization(np.asarray(beta, dtype=np.complex128))
 
 
 def projective_distance(p, q) -> float:
@@ -296,7 +280,7 @@ def _check_distinct_poles(pts) -> None:
 def _robin_eye(n) -> np.ndarray:
     if n is None:
         raise ValidationError("Robin boundary matrices need the component count n")
-    return np.eye(int(n), dtype=np.complex128)
+    return _sign_matrices((1,) * int(n))[0]
 
 
 @dataclass(frozen=True)
@@ -449,14 +433,6 @@ class Mixed(RotatedMixed):
         sg = _check_signs(signs)
         unitary, m = _sign_matrices(sg)
         self.__dict__.update(unitary=unitary, signs=sg, m=m)
-
-    @classmethod
-    def from_subset(cls, n: int, subset: Iterable[int]) -> "Mixed":
-        """+1 on the components in `subset` (0-based), -1 elsewhere."""
-        chosen = set(int(i) for i in subset)
-        if not chosen <= set(range(n)):
-            raise ValidationError("subset indices must lie in 0..n-1")
-        return cls(tuple(1 if i in chosen else -1 for i in range(n)))
 
     def to_json(self) -> dict:
         return {"kind": "mixed", "signs": list(self.signs)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class FieldGrid:
     nx: int
     nt: int
     values: np.ndarray  # (nx, nt, n) complex
-    provenance: str = ""
 
     def __post_init__(self):
         if self.nx < 5 or self.nt < 5:
@@ -78,14 +77,13 @@ def sample_grid(
     t1: float,
     nx: int,
     nt: int,
-    provenance: str = "",
 ) -> FieldGrid:
     """Evaluate a vectorized field function on the lattice."""
     xs = np.linspace(x0, x1, nx)
     ts = np.linspace(t0, t1, nt)
     X, T = np.meshgrid(xs, ts, indexing="ij")
     values = np.asarray(field_fn(X, T), dtype=np.complex128)
-    return FieldGrid(x0, x1, t0, t1, nx, nt, values, provenance)
+    return FieldGrid(x0, x1, t0, t1, nx, nt, values)
 
 
 #: pde_residual evaluates the stencil over blocks of this many interior rows.
@@ -197,39 +195,35 @@ def _zoom_max(data: SolitonData, t: float, a: float, b: float, xtol: float) -> f
 
 
 def extract_asymptotic_polarization(
-    data: SolitonData,
-    j: int,
-    t: float,
-    window: Optional[float] = None,
-    coarse_factor: float = 0.1,
+    data: SolitonData, j: int, t: float
 ) -> Tuple[Polarization, float]:
     """Polarization and envelope peak position of soliton j at large |t|.
 
-    Scans the field along x around the ballistic position w_j * t (coarse
-    spacing ~ 1/(10 v_j)), then refines the envelope maximum by bracket zoom
+    Scans the field along x around the ballistic position w_j * t (spacing
+    1/(10 v_j), half-width the largest envelope shift plus 10/v_j, capped by
+    the other solitons), then refines the envelope maximum by bracket zoom
     (`_zoom_max`) to 1e-10 and reads the component ratios at the refined peak.
     """
     j = int(j)
     point = data.points[j][0]
     v, w = point.v, point.velocity
     center = w * float(t)
-    if window is None:
-        shifts = [abs(math.log(data.points[j][1].norm)) / v]
-        if data.N > 1:
-            try:
-                shifts.append(abs(beta_in(j, data).position_shift(point)))
-                shifts.append(abs(beta_out(j, data).position_shift(point)))
-            except ValidationError:
-                shifts.append(shifts[0] + 4.0 / v)  # unsorted data: widen instead
-        window = max(shifts) + 10.0 / v
-        if data.N > 1:
-            sep = min(
-                abs(pt.velocity - w) * abs(float(t))
-                for i, (pt, _) in enumerate(data.points)
-                if i != j
-            )
-            window = min(window, 0.45 * sep)
-    xs = np.arange(center - window, center + window, coarse_factor / v)
+    shifts = [abs(math.log(data.points[j][1].norm)) / v]
+    if data.N > 1:
+        try:
+            shifts.append(abs(beta_in(j, data).position_shift(point)))
+            shifts.append(abs(beta_out(j, data).position_shift(point)))
+        except ValidationError:
+            shifts.append(shifts[0] + 4.0 / v)  # unsorted data: widen instead
+    window = max(shifts) + 10.0 / v
+    if data.N > 1:
+        sep = min(
+            abs(pt.velocity - w) * abs(float(t))
+            for i, (pt, _) in enumerate(data.points)
+            if i != j
+        )
+        window = min(window, 0.45 * sep)
+    xs = np.arange(center - window, center + window, 0.1 / v)
     if xs.size < 5:
         raise WindowError("scan window is too narrow for the coarse pass")
     env = np.linalg.norm(reconstruct_field(data, xs, float(t)), axis=-1)

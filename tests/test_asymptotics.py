@@ -3,6 +3,7 @@ import pytest
 
 from vsolitons import (
     NormingVector,
+    Polarization,
     SolitonData,
     SpectralPoint,
     ValidationError,
@@ -12,9 +13,9 @@ from vsolitons import (
     collision_pair_residuals,
     intermediate_gamma,
     one_soliton_field,
-    polarization_of,
     projective_distance,
     reconstruct_field,
+    yb_schedule,
 )
 from vsolitons import asymptotics
 from vsolitons.asymptotics import _xi, check_velocity_ordered
@@ -244,13 +245,14 @@ class TestAsymptoticProfile:
 
 class TestFactorizationAcrossOrders:
     def test_beta_out_from_yb_pipeline(self):
-        from vsolitons.cli import collision_orders, yb_pipeline
+        from vsolitons.cli import collision_orders
 
         rng = np.random.default_rng(8)
         for N, n in [(2, 2), (3, 2), (3, 3)]:
             data = ordered_data(rng, N, n)
-            outs = [polarization_of(beta_out(j, data)) for j in range(N)]
+            ins = np.array([[Polarization(beta_in(j, data).beta).p for j in range(N)]])
+            outs = [Polarization(beta_out(j, data).beta) for j in range(N)]
             for schedule in collision_orders(N):
-                got = yb_pipeline(data, schedule)
+                got = yb_schedule(ins, data.ks[None], schedule)[0]
                 for a, b in zip(got, outs):
                     assert projective_distance(a, b) < 1e-10

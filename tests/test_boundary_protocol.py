@@ -206,7 +206,7 @@ class TestAgainstReference:
 def test_mixed_is_rotated_mixed_with_identity(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
-        signs = random_signs(rng, n, proper=False)
+        signs = tuple(rng.choice((-1, 1), n).tolist())
         mixed, rotated = Mixed(signs), RotatedMixed(np.eye(n), signs)
         assert isinstance(mixed, RotatedMixed)
         assert np.array_equal(mixed.unitary, rotated.unitary)

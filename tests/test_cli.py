@@ -158,6 +158,20 @@ class TestExitCodes:
         assert err.startswith("error: boundary: matrix is not unitary")
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc,where", [
+        ({"suite": {"name": ["ybe"], "seed": 1}}, "suite.name"),
+        ({"suite": {"name": "involution", "samples": 2, "seed": 1},
+          "boundary": {"kind": "rotated_mixed", "signs": [1, -1],
+                       "unitary": [[[1, 0]], [[0, 0], [1, 0]]]}}, "boundary.unitary[0]"),
+        ({"suite": {"name": "ybe", "samples": 2, "seed": 1,
+                    "tolerances": {"algebraic": math.nan}}}, "suite.tolerances.algebraic"),
+    ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance"])
+    def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, doc, where):
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+        assert not out.exists()
+
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
             tmp_path,

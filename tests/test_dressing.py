@@ -5,6 +5,7 @@ import pytest
 
 from vsolitons import (
     NormingVector,
+    Polarization,
     PoleError,
     SolitonData,
     SpectralPoint,
@@ -13,7 +14,6 @@ from vsolitons import (
     eval_chain,
     one_soliton_field,
     permutation_residuals,
-    polarization_of,
     reconstruct_field,
     solve_mirror_norming,
 )
@@ -80,7 +80,7 @@ class TestReducedChain:
     def test_single_factor_direction_is_polarization(self):
         data = SolitonData(2, ((SpectralPoint(0.5, 1.0), NormingVector([3.0, 4.0j])),))
         chain = build_reduced_chain(data)
-        expected = polarization_of(data.points[0][1]).p
+        expected = Polarization(data.points[0][1].beta).p
         ratio = direction(chain, 0)[0] / expected[0]
         assert np.allclose(direction(chain, 0), ratio * expected)
         assert abs(abs(ratio) - 1.0) < 1e-14
@@ -253,8 +253,8 @@ class TestReconstruction:
         data = random_data(rng, 2, 2)
         xs = rng.uniform(-3, 3, 20)
         ts = rng.uniform(-2, 2, 20)
-        a = reconstruct_field(data, xs, ts, order=(0, 1))
-        b = reconstruct_field(data, xs, ts, order=(1, 0))
+        a = reconstruct_field(data, xs, ts)
+        b = dressing._field(data, (1, 0), _full_directions(data, (1, 0), xs, ts), xs.size).T
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -426,8 +426,8 @@ def _reference_permutation_residual(data, order_a, order_b, ks, xts):
         for k in ks[:3]:
             diff = _ref_product(fa, k) - _ref_product(fb, k)
             res = max(res, np.max(np.abs(diff)))
-        ra = reconstruct_field(data, x, t, order=order_a)
-        rb = reconstruct_field(data, x, t, order=order_b)
+        ra = _reference_field(data, x, t, order=order_a)
+        rb = _reference_field(data, x, t, order=order_b)
         res = max(res, np.max(np.abs(ra - rb)))
     return float(res)
 
@@ -560,14 +560,13 @@ def _assert_same_bytes(a, b):
 
 
 class TestFieldBytes:
-    """reconstruct_field reproduces the frozen kernel bit for bit.
+    """reconstruct_field reproduces the frozen kernel's whole-array call bit
+    for bit, whatever the blocking.
 
-    A block of one point is the exception to block-size independence, as it
-    was for the frozen kernel: numpy sums an (n+1, 1) stack of components
-    along its only long axis, pairwise, which can round differently from the
-    row-by-row sum of a wider block.  So one-point blocks are compared with
-    the frozen kernel called point by point, every other blocking with one
-    whole-array call.
+    The frozen kernel called on one point can round differently: numpy sums
+    an (n+1, 1) stack of components along its only long axis, pairwise, and
+    multiplies length-1 arrays by its own path.  reconstruct_field evaluates
+    a lone point as two, so one-point blocks keep the whole-array bits.
     """
 
     @pytest.mark.parametrize("seed", range(8))
@@ -595,8 +594,6 @@ class TestFieldBytes:
             data = _seeded_data(seed)
             x, t = _grid_points(seed)
             x, t = x[-300:], t[-300:]
-            block = cells // (data.n + 1)
-            assert block >= 2 and x.size % block != 1  # no one-point block
             _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
 
     @pytest.mark.parametrize("cells", ["one", "below-n+1"])
@@ -606,9 +603,20 @@ class TestFieldBytes:
             monkeypatch.setattr(dressing, "FIELD_BLOCK_CELLS", 1 if cells == "one" else data.n)
             x, t = _grid_points(seed)
             x, t = x[-60:], t[-60:]
-            ref = np.concatenate([_complex_field(data, x[i : i + 1], t[i : i + 1])
-                                  for i in range(x.size)])
-            _assert_same_bytes(reconstruct_field(data, x, t), ref)
+            _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    def test_scalar_call_matches_its_batches(self, N, n):
+        rng = np.random.default_rng(10 * N + n)
+        data = random_data(rng, N, n)
+        x, t = rng.uniform(-10, 10, 100), rng.uniform(-3, 3, 100)
+        batch = reconstruct_field(data, x, t)
+        for i in range(100):
+            one = reconstruct_field(data, x[i], t[i])
+            _assert_same_bytes(one, batch[i])
+            _assert_same_bytes(one, reconstruct_field(data, x[[i, i - 1]], t[[i, i - 1]])[0])
+            _assert_same_bytes(one, reconstruct_field(data, x[i : i + 1], t[i : i + 1])[0])
 
     def test_empty_input(self):
         data = _seeded_data(5)

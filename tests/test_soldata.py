@@ -16,7 +16,6 @@ from vsolitons import (
     SpectralPoint,
     ValidationError,
     canonical_phase,
-    polarization_of,
     projective_distance,
 )
 
@@ -31,7 +30,6 @@ class TestSpectralPoint:
         pt = SpectralPoint(1.0, 2.0)
         assert pt.k == 0.5 + 1.0j
         assert pt.velocity == -2.0
-        assert pt.amplitude == 2.0
 
     def test_mirror_negates_u(self):
         pt = SpectralPoint(0.8, 1.2)
@@ -41,26 +39,19 @@ class TestSpectralPoint:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValidationError, match="lower half plane"):
             SpectralPoint(0.0, -1.0)
-        with pytest.raises(ValidationError, match="lower half plane"):
-            SpectralPoint.from_k(-0.5j)
-
-    def test_from_k_roundtrip(self):
-        pt = SpectralPoint.from_k(0.3 + 0.7j)
-        assert pt.u == pytest.approx(0.6)
-        assert pt.v == pytest.approx(1.4)
 
 
 class TestPolarization:
     def test_polarization_of_unit_vector(self):
-        p = polarization_of(NormingVector(E1))
+        p = Polarization(NormingVector(E1).beta)
         assert np.allclose(p.p, E1)
 
     def test_phase_quotient(self):
-        p = polarization_of(NormingVector([0.0, 2.0j]))
+        p = Polarization(NormingVector([0.0, 2.0j]).beta)
         assert np.allclose(p.p, E2)
 
     def test_normalization_by_five(self):
-        p = polarization_of(NormingVector([3.0, 4.0j]))
+        p = Polarization(NormingVector([3.0, 4.0j]).beta)
         assert projective_distance(p, np.array([0.6, 0.8j])) < 1e-14
         # canonical phase turns the largest component real: (0.6, 0.8i) ~ (-0.6i, 0.8)
         assert np.allclose(p.p, [-0.6j, 0.8])
@@ -168,8 +159,8 @@ class TestProjectiveDistance:
         scale = complex(rng.standard_normal(), rng.standard_normal())
         if abs(scale) < 1e-6:
             return
-        a = polarization_of(beta)
-        b = polarization_of(scale * beta)
+        a = Polarization(beta)
+        b = Polarization(scale * beta)
         assert projective_distance(a, b) < 1e-12
         assert np.allclose(a.p, b.p, atol=1e-12)  # canonical phase pins the rep
 
@@ -203,7 +194,6 @@ class TestBoundarySpec:
     def test_mixed_signs_validated(self):
         with pytest.raises(ValidationError):
             Mixed((1, 0))
-        assert Mixed.from_subset(3, [0, 2]).signs == (1, -1, 1)
 
     def test_rotated_mixed_requires_unitary(self):
         with pytest.raises(ValidationError, match="not unitary"):
@@ -223,12 +213,12 @@ class TestBoundarySpec:
             RotatedMixed.stack(np.array([np.eye(2), U]), [(1, -1), (-1, 1)])
 
     def test_stack_matches_one_at_a_time(self):
-        from vsolitons.sampling import random_signs, random_unitary
+        from vsolitons.sampling import random_unitary
 
         rng = np.random.default_rng(5)
         for n in (1, 2, 3, 8):
             Us = np.array([random_unitary(rng, n) for _ in range(7)])
-            signs = [random_signs(rng, n, proper=False) for _ in range(7)]
+            signs = [tuple(rng.choice((-1, 1), n).tolist()) for _ in range(7)]
             for spec, U, sg in zip(RotatedMixed.stack(Us, signs), Us, signs):
                 one = RotatedMixed(U, sg)
                 assert type(spec) is RotatedMixed and spec.signs == one.signs == sg

@@ -6,6 +6,7 @@ import pytest
 from vsolitons import (
     Mixed,
     NormingVector,
+    Polarization,
     Robin,
     SolitonData,
     SpectralPoint,
@@ -15,7 +16,6 @@ from vsolitons import (
     convergence_order,
     extract_asymptotic_polarization,
     pde_residual,
-    polarization_of,
     projective_distance,
     sample_grid,
     solve_mirror_norming,
@@ -198,7 +198,7 @@ class TestExtraction:
         nv = NormingVector([0.5, 1.2j])
         data = SolitonData(2, ((pt, nv),))
         pol, pos = extract_asymptotic_polarization(data, 0, 12.0)
-        assert projective_distance(pol, polarization_of(nv)) < 1e-10
+        assert projective_distance(pol, Polarization(nv.beta)) < 1e-10
         assert pos == pytest.approx(pt.velocity * 12.0 + nv.position_shift(pt), abs=1e-6)
 
     @pytest.mark.parametrize("tsign,which", [(-1.0, beta_in), (1.0, beta_out)])
@@ -207,14 +207,17 @@ class TestExtraction:
         for j in range(2):
             pol, pos = extract_asymptotic_polarization(TWO_SOLITON, j, t)
             b = which(j, TWO_SOLITON)
-            assert projective_distance(pol, polarization_of(b)) < 1e-4
+            assert projective_distance(pol, Polarization(b.beta)) < 1e-4
             pt = TWO_SOLITON.points[j][0]
             assert abs(pos - (pt.velocity * t + b.position_shift(pt))) < 1e-3
 
     def test_window_error_when_peak_outside(self):
-        data = SolitonData(2, ((SpectralPoint(0.3, 1.0), NormingVector([20.0, 0.0])),))
-        with pytest.raises(WindowError):
-            extract_asymptotic_polarization(data, 0, 10.0, window=0.5)
+        # |beta_0| = 1e8 shifts soliton 0 by ln(1e8) ~ 18 past the window's
+        # cap, 0.45 of the distance to soliton 1 at t = 10
+        data = SolitonData(2, ((SpectralPoint(0.3, 1.0), NormingVector([1e8, 0.0])),
+                               (SpectralPoint(1.3, 1.0), NormingVector([0.0, 1.0]))))
+        with pytest.raises(WindowError, match="envelope peak of soliton 0 not interior"):
+            extract_asymptotic_polarization(data, 0, 10.0)
 
 
 def _golden_max(fn, a, b, xtol):
@@ -285,7 +288,7 @@ class TestPeakRefinement:
         data = SolitonData(2, ((pt, nv),))
         t = -2e6
         pol, pos = extract_asymptotic_polarization(data, 0, t)
-        assert projective_distance(pol, polarization_of(nv)) < 1e-10
+        assert projective_distance(pol, Polarization(nv.beta)) < 1e-10
         assert pos == pytest.approx(pt.velocity * t + nv.position_shift(pt), abs=1e-6)
 
 
