@@ -232,7 +232,7 @@ def parse_run_config(doc: dict) -> RunConfig:
             cfg.tolerances[str(key)] = float(val)
         for key in ("n", "N"):
             if key in suite:
-                cfg.suite_params[key] = _parse_count(suite[key], f"suite.{key}")
+                cfg.suite_params[key] = _parse_count(suite[key], f"suite.{key}", positive=True)
     if cfg.samples is not None and cfg.samples > 0 and cfg.seed is None:
         raise ConfigError("suite.seed: required whenever samples > 0 (reproducibility)")
     if "output" in doc:
@@ -242,9 +242,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     return cfg
 
 
-def _parse_count(obj, where: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int) or obj < 0:
-        raise ConfigError(f"{where}: must be a nonnegative integer")
+def _parse_count(obj, where: str, positive: bool = False) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < int(positive):
+        kind = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{where}: must be a {kind} integer")
     return obj
 
 
@@ -716,11 +717,11 @@ def _suite_pde(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
 def _draw_factorization(cfg, rng, log, i, variant):
     data = _moderate_collision_data(rng, 2 + i % 2, (2, 3)[i % 2], log)
     T = 18.0 / (min(pt.v for pt, _ in data.points) * min_relative_velocity(data))
-    dist = []
-    for j in range(data.N):
-        for t, bfun in ((-T, beta_in), (T, beta_out)):
-            pol, _ = extract_asymptotic_polarization(data, j, t)
-            dist.append(projective_distance(pol, Polarization(bfun(j, data).beta)))
+    js, ts, bfuns = zip(*[(j, t, bfun) for j in range(data.N)
+                          for t, bfun in ((-T, beta_in), (T, beta_out))])
+    found = extract_asymptotic_polarization(data, js, ts)
+    dist = [projective_distance(pol, Polarization(bfun(j, data).beta))
+            for j, bfun, (pol, _) in zip(js, bfuns, found)]
     return _worst(dist), _pipeline_residual(data)
 
 

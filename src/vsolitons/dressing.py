@@ -68,20 +68,38 @@ def build_reduced_chain(data: SolitonData, order=None) -> tuple:
     The direction of factor i_j is the unit vector along
     d^dag_{i_1..i_{j-1}}(k_{i_j}) beta_{i_j}.  Returns (k, z, conj(z)) per
     factor, z of shape (n, 1), as `_chain_product` takes them.
+
+    A factor depends only on the indices before it, so each prefix of an
+    order is built once per dataset: a call extends the longest prefix of its
+    order already built and keeps every prefix it adds (`data._chains`).
+    Calls share the triples, whose arrays are read-only.  A degenerate factor
+    is never kept, so it raises DegeneracyError on every call.
     """
     idx = _normalized_order(data, order)
-    chain = []
-    for i in idx:
-        point, nv = data.points[i]
-        w = _chain_apply(chain, point.k, nv.beta, dagger=True)
-        nrm = float(np.linalg.norm(w))
-        if nrm < DEGENERATE_DIRECTION_TOL * nv.norm:
-            raise DegeneracyError(
-                f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
-            )
-        z = (w / nrm)[:, None]
-        chain.append((point.k, z, z.conj()))
-    return tuple(chain)
+    built = data._chains
+    done = len(idx)
+    while idx[:done] not in built:
+        done -= 1
+    chain = built[idx[:done]]
+    for end in range(done + 1, len(idx) + 1):
+        chain += (_reduced_factor(data, idx[end - 1], chain),)
+        built[idx[:end]] = chain
+    return chain
+
+
+def _reduced_factor(data: SolitonData, i: int, prefix) -> tuple:
+    """(k_i, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
+    point, nv = data.points[i]
+    w = _chain_apply(prefix, point.k, nv.beta, dagger=True)
+    nrm = float(np.linalg.norm(w))
+    if nrm < DEGENERATE_DIRECTION_TOL * nv.norm:
+        raise DegeneracyError(
+            f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
+        )
+    z = (w / nrm)[:, None]
+    zc = z.conj()
+    z.flags.writeable = zc.flags.writeable = False
+    return point.k, z, zc
 
 
 def _dressed_beta(data: SolitonData, j: int, sub) -> np.ndarray:
@@ -98,19 +116,35 @@ def eval_chain(chain, k) -> np.ndarray:
     return _chain_product(chain, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
 
 
-def _chain_product(dirs, ks: np.ndarray, d: int) -> np.ndarray:
+def _chain_product(dirs, ks: np.ndarray, d: int, lengths=None) -> np.ndarray:
     """Ordered factor products at stacked points x spectral parameters.
 
     dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (d, M);
     returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
-    (the identity for an empty chain).
+    (the identity for an empty chain).  With nondecreasing lengths, one per
+    entry of ks, entry e gets the prefix product F_1 ... F_{lengths[e]}: a
+    factor updates only the entries whose prefix it is in, each with the
+    arithmetic of the full product.
     """
     m = dirs[0][1].shape[1] if dirs else 1
     out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
-    for k0, z, zc in dirs:
-        coeff = np.array([_blaschke(k0, k) for k in ks.tolist()]) - 1.0
-        # out F(k) = out + (f(k) - 1) (out z) z^dag
-        out += (out @ z.T[:, None, :, None]) * (coeff[:, None, None] * zc.T[:, None, None, :])
+    spans, first = [(0, ks.size)], 0
+    for f, (k0, z, zc) in enumerate(dirs):
+        if lengths is not None:
+            while first < ks.size and lengths[first] <= f:
+                first += 1
+            if first == ks.size:
+                break
+            # numpy multiplies one-element operands without the fused
+            # multiply-add it uses on longer ones, so 1 x 1 prefix products
+            # go entry by entry, as each one's own product would
+            spans = [(e, e + 1) for e in range(first, ks.size)] if d == 1 else [(first, ks.size)]
+        for lo, hi in spans:
+            live = out[:, lo:hi]
+            coeff = np.array([_blaschke(k0, k) for k in ks[lo:hi].tolist()]) - 1.0
+            # out F(k) = out + (f(k) - 1) (out z) z^dag
+            live += (live @ z.T[:, None, :, None]) * (
+                coeff[:, None, None] * zc.T[:, None, None, :])
     return out
 
 

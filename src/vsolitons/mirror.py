@@ -6,12 +6,11 @@ first: k_{j+N} = -k_j* and beta_j beta_{j+N}^dag = M(k_j*) A_{j+N}, where
 A_{j+N} packages the residue of the inverse chain at k_{j+N}.  The coupled
 constraints are solved by a descending recursion that consumes only
 previously built mirror factors; the real norming vectors then recover
-beta_{j+N} through one linear solve per soliton.
+every beta_{j+N} from one pass over the chain and one stacked linear solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,8 +54,12 @@ class HalfLineData:
 
     @cached_property
     def combined(self) -> SolitonData:
-        """The 2N points, real first, derived from the two halves."""
-        return SolitonData(self.n, self.real_data.points + self.mirror_data.points)
+        """The 2N points, real first, derived from the two halves.  It starts
+        with the reduced chains the real half has built: an order of real
+        indices names the same points in both."""
+        data = SolitonData(self.n, self.real_data.points + self.mirror_data.points)
+        data._chains.update(self.real_data._chains)
+        return data
 
     @cached_property
     def constraint_residual(self) -> float:
@@ -67,12 +70,6 @@ class HalfLineData:
         with its own value.
         """
         return mirror_constraint_residual(self)
-
-    @cached_property
-    def _combined_chain(self) -> tuple:
-        """The canonical reduced chain of the combined data, built once from the
-        stored betas; its first N factors are the real data's canonical chain."""
-        return build_reduced_chain(self.combined)
 
 
 def check_halfline_real_data(data: SolitonData) -> None:
@@ -126,7 +123,11 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     For j = N..1 the direction of mirror factor j+N comes from
     v = [M(k_j*) c_{j+N} G]^{-1} beta_j with G the already-built mirror
     inverse factors at k_{j+N}; afterwards each beta_{j+N} is recovered from
-    d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  Deterministic.
+    d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  One pass over the chain
+    evaluates it at all N mirror parameters, each product complete once its
+    prefix is; one stacked condition check and one stacked solve finish.  A
+    condition number above CONDITION_LIMIT (or nan) raises DegeneracyError
+    for the first such index.  Deterministic.
     """
     check_halfline_real_data(real_data)
     n, N = real_data.n, real_data.N
@@ -147,18 +148,20 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
         mirror.insert(0, (ks[mj], z, z.conj()))
         xis.insert(0, w / nw**2)
 
+    # d_0 ... d_{mj-1}(k_mj) for every mj from one pass over the chain
     chain = build_reduced_chain(real_data) + tuple(mirror)
-    mirror_points = []
-    for j, xi in enumerate(xis):
-        mj = N + j
-        adag = _chain_product(chain[:mj], ks[mj : mj + 1], n)[0, 0].conj().T
-        cond = float(np.linalg.cond(adag))
-        if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise DegeneracyError(
-                f"norming-vector solve for index {mj} is ill conditioned ({cond:.3e})"
-            )
-        beta = np.linalg.solve(adag, xi)
-        mirror_points.append((real_data.points[j][0].mirror(), NormingVector(beta)))
+    adag = _chain_product(chain, ks[N:], n, range(N, 2 * N))[0].conj().swapaxes(-1, -2)
+    cond = np.linalg.cond(adag)
+    bad = ~(cond <= CONDITION_LIMIT)  # nan too
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DegeneracyError(
+            f"norming-vector solve for index {N + j} is ill conditioned ({cond[j]:.3e})"
+        )
+    # b as (N, n, 1): numpy >= 2 reads a 2-D b as one matrix of right-hand sides
+    betas = np.linalg.solve(adag, np.array(xis)[..., None])[..., 0]
+    mirror_points = [(pt.mirror(), NormingVector(beta))
+                     for (pt, _), beta in zip(real_data.points, betas)]
 
     hl = HalfLineData(real_data, SolitonData(n, tuple(mirror_points)), spec)
     residual = hl.constraint_residual
@@ -177,13 +180,14 @@ def mirror_constraint_residual(hl: HalfLineData) -> float:
     propagates.
     """
     N, n = hl.N, hl.n
+    chain = build_reduced_chain(hl.combined)
     res = [0.0]
     for j in range(N):
         nv_r = hl.real_data.points[j][1]
         nv_m = hl.mirror_data.points[j][1]
         lhs = np.outer(nv_r.beta, nv_m.beta.conj())
         kjc = hl.real_data.points[j][0].k.conjugate()
-        rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, hl._combined_chain)
+        rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, chain)
         res.append(float(np.max(np.abs(lhs - rhs))) / (nv_r.norm * nv_m.norm))
     return float(np.max(res))
 
@@ -197,7 +201,7 @@ def mirror_polarization_residual(hl: HalfLineData) -> float:
     A nan distance propagates.
     """
     N, n = hl.N, hl.n
-    chain = hl._combined_chain
+    chain = build_reduced_chain(hl.combined)
     res = [0.0]
     for j in range(N):
         kj = hl.real_data.points[j][0].k

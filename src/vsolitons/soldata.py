@@ -136,20 +136,19 @@ class NormingVector:
     """
 
     beta: np.ndarray
+    norm: float = field(init=False, repr=False)  # |beta|, taken once: beta is read-only
 
     def __post_init__(self):
         arr = _as_complex_vector(self.beta, "norming vector")
-        if _norm(arr) == 0.0:
+        norm = _norm(arr)
+        if norm == 0.0:
             raise ValidationError("degenerate norming constant: beta must be nonzero")
         object.__setattr__(self, "beta", arr)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def n(self) -> int:
         return self.beta.size
-
-    @property
-    def norm(self) -> float:
-        return _norm(self.beta)
 
     def position_shift(self, point: SpectralPoint) -> float:
         """Envelope position shift ln|beta| / v for the given eigenvalue."""
@@ -232,6 +231,12 @@ class SolitonData:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", pts)
         _check_distinct_poles(pts)
+
+    @functools.cached_property
+    def _chains(self) -> dict:
+        """Reduced chains built so far, by index order: `dressing.build_reduced_chain`
+        builds each prefix of an order once per dataset and keeps it here."""
+        return {(): ()}
 
     @property
     def N(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -177,37 +177,43 @@ def boundary_residual(hl: HalfLineData, times: Sequence[float], h: float = 0.005
 ZOOM_POINTS = 33
 
 
-def _zoom_max(data: SolitonData, t: float, a: float, b: float, xtol: float) -> float:
-    """Envelope maximizer on [a, b] by bracket zoom to position tolerance xtol.
+def _envelopes(data: SolitonData, scans, ts) -> list:
+    """|R(x, t)| along each scan xs at its time t, from one field call."""
+    sizes = [xs.size for xs in scans]
+    field = reconstruct_field(data, np.concatenate(scans), np.repeat(ts, sizes))
+    return [np.linalg.norm(part, axis=-1) for part in np.split(field, np.cumsum(sizes)[:-1])]
 
-    Each round samples ZOOM_POINTS points in one field call and keeps the two
-    neighbours of the maximum; it stops once the bracket is within xtol or
-    stops shrinking (float spacing at large |x|).
+
+def _zoom_max(data: SolitonData, ts, a, b, xtol: float) -> list:
+    """Envelope maximizers on the brackets [a_i, b_i] at times t_i, in lockstep,
+    each to position tolerance xtol.
+
+    Each round samples ZOOM_POINTS points in every bracket still in play, all
+    in one field call, and keeps the two neighbours of each maximum; a bracket
+    leaves play once it is within xtol or stops shrinking (float spacing at
+    large |x|).  Returns the final bracket midpoints.
     """
-    while b - a > xtol:
-        xs = np.linspace(a, b, ZOOM_POINTS)
-        i = int(np.argmax(np.linalg.norm(reconstruct_field(data, xs, t), axis=-1)))
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, ZOOM_POINTS - 1)]
-        if hi - lo >= b - a:
-            break
-        a, b = lo, hi
-    return 0.5 * (a + b)
+    a, b = list(a), list(b)
+    live = [i for i in range(len(a)) if b[i] - a[i] > xtol]
+    while live:
+        scans = [np.linspace(a[i], b[i], ZOOM_POINTS) for i in live]
+        envs = _envelopes(data, scans, [ts[i] for i in live])
+        still = []
+        for i, xs, env in zip(live, scans, envs):
+            top = int(np.argmax(env))
+            lo, hi = xs[max(top - 1, 0)], xs[min(top + 1, ZOOM_POINTS - 1)]
+            if hi - lo < b[i] - a[i]:
+                a[i], b[i] = lo, hi
+                if hi - lo > xtol:
+                    still.append(i)
+        live = still
+    return [0.5 * (lo + hi) for lo, hi in zip(a, b)]
 
 
-def extract_asymptotic_polarization(
-    data: SolitonData, j: int, t: float
-) -> Tuple[Polarization, float]:
-    """Polarization and envelope peak position of soliton j at large |t|.
-
-    Scans the field along x around the ballistic position w_j * t (spacing
-    1/(10 v_j), half-width the largest envelope shift plus 10/v_j, capped by
-    the other solitons), then refines the envelope maximum by bracket zoom
-    (`_zoom_max`) to 1e-10 and reads the component ratios at the refined peak.
-    """
-    j = int(j)
+def _coarse_scan(data: SolitonData, j: int, t: float) -> np.ndarray:
+    """Scan points around the ballistic position of soliton j at time t."""
     point = data.points[j][0]
     v, w = point.v, point.velocity
-    center = w * float(t)
     shifts = [abs(math.log(data.points[j][1].norm)) / v]
     if data.N > 1:
         try:
@@ -218,22 +224,55 @@ def extract_asymptotic_polarization(
     window = max(shifts) + 10.0 / v
     if data.N > 1:
         sep = min(
-            abs(pt.velocity - w) * abs(float(t))
+            abs(pt.velocity - w) * abs(t)
             for i, (pt, _) in enumerate(data.points)
             if i != j
         )
         window = min(window, 0.45 * sep)
-    xs = np.arange(center - window, center + window, 0.1 / v)
-    if xs.size < 5:
+    return np.arange(w * t - window, w * t + window, 0.1 / v)
+
+
+def extract_asymptotic_polarization(data: SolitonData, j, t):
+    """Polarization and envelope peak position of soliton j at large |t|.
+
+    Scans the field along x around the ballistic position w_j * t (spacing
+    1/(10 v_j), half-width the largest envelope shift plus 10/v_j, capped by
+    the other solitons), then refines the envelope maximum by bracket zoom
+    (`_zoom_max`) to 1e-10 and reads the component ratios at the refined peak.
+
+    j and t are one target (soliton index, time), which gives one
+    (Polarization, peak), or equal-length sequences of targets, which give a
+    list of them.  The targets go in lockstep: the coarse scans, each zoom
+    round and the peak read-out are one field call each over the targets
+    still in play.  A point's field value does not depend on its batch, so
+    each target gets the bits of its one-target call, and the first target
+    whose scan fails raises that call's WindowError.
+    """
+    single = np.ndim(j) == 0
+    targets = [(j, t)] if single else list(zip(j, t, strict=True))
+    ts = [float(tt) for _, tt in targets]
+    scans = []
+    for (jj, _), tt in zip(targets, ts):
+        xs = _coarse_scan(data, int(jj), tt)
+        if xs.size < 5:
+            break
+        scans.append(xs)
+    envs = _envelopes(data, scans, ts[: len(scans)]) if scans else []
+    a, b = [], []
+    for (jj, tt), xs, env in zip(targets, scans, envs):
+        imax = int(np.argmax(env))
+        if imax == 0 or imax == xs.size - 1:
+            raise WindowError(
+                f"envelope peak of soliton {int(jj)} not interior to the scan window at t={tt}"
+            )
+        a.append(xs[imax - 1])
+        b.append(xs[imax + 1])
+    if len(scans) < len(targets):
         raise WindowError("scan window is too narrow for the coarse pass")
-    env = np.linalg.norm(reconstruct_field(data, xs, float(t)), axis=-1)
-    imax = int(np.argmax(env))
-    if imax == 0 or imax == xs.size - 1:
-        raise WindowError(
-            f"envelope peak of soliton {j} not interior to the scan window at t={t}"
-        )
-    peak = _zoom_max(data, float(t), xs[imax - 1], xs[imax + 1], 1e-10)
-    return Polarization(reconstruct_field(data, peak, float(t))), float(peak)
+    peaks = _zoom_max(data, ts, a, b, 1e-10)
+    rows = reconstruct_field(data, peaks, ts)
+    found = [(Polarization(row), float(peak)) for row, peak in zip(rows, peaks)]
+    return found[0] if single else found
 
 
 def convergence_order(residual_fn: Callable[[float], float], h_sequence) -> float:

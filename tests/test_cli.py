@@ -165,7 +165,12 @@ class TestExitCodes:
                        "unitary": [[[1, 0]], [[0, 0], [1, 0]]]}}, "boundary.unitary[0]"),
         ({"suite": {"name": "ybe", "samples": 2, "seed": 1,
                     "tolerances": {"algebraic": math.nan}}}, "suite.tolerances.algebraic"),
-    ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance"])
+        ({"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
+        ({"suite": {"name": "involution", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
+        ({"suite": {"name": "permutation", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
+        ({"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 0}}, "suite.N"),
+    ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "ybe-n-0",
+            "involution-n-0", "permutation-n-0", "permutation-N-0"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, doc, where):
         out = tmp_path / "o"
         assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1

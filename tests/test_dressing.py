@@ -19,6 +19,7 @@ from vsolitons import (
 )
 from vsolitons import cli, dressing
 from vsolitons.dressing import _chain_product, _full_directions
+from vsolitons.errors import DegeneracyError
 from vsolitons.sampling import SampleLog, random_boundary, random_soliton_data
 
 E1 = np.array([1.0, 0.0])
@@ -632,3 +633,53 @@ class TestFieldBytes:
             data = _seeded_data(seed)
             x, t = _grid_points(seed)
             _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
+
+
+def _uncached(data, order):
+    """build_reduced_chain of order on a copy of data with nothing built yet."""
+    return build_reduced_chain(SolitonData(data.n, data.points), order)
+
+
+def _chain_bytes(chain):
+    return [(k, z.shape, z.tobytes(), zc.tobytes()) for k, z, zc in chain]
+
+
+class TestChainCache:
+    """build_reduced_chain builds each prefix of an order once per dataset."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_every_prefix_of_every_order_matches_an_uncached_build(self, N):
+        rng = np.random.default_rng(90 + N)
+        data = random_data(rng, N, 1 + N % 3)
+        orders = [p for size in range(N + 1) for p in itertools.permutations(range(N), size)]
+        rng.shuffle(orders)  # long orders before their prefixes, and after
+        chains = {order: build_reduced_chain(data, order) for order in orders}
+        for order in orders:
+            assert _chain_bytes(chains[order]) == _chain_bytes(_uncached(data, order))
+            assert build_reduced_chain(data, order) is chains[order]  # built once
+            assert build_reduced_chain(data, list(order)) is chains[order]
+
+    def test_canonical_default_order_shares_the_cache(self):
+        data = random_data(np.random.default_rng(96), 4, 2)
+        assert build_reduced_chain(data) is build_reduced_chain(data, range(4))
+        assert build_reduced_chain(data, (0, 1)) == build_reduced_chain(data)[:2]
+
+    def test_cached_arrays_are_read_only(self):
+        data = random_data(np.random.default_rng(97), 3, 2)
+        for _, z, zc in build_reduced_chain(data):
+            for arr in (z, zc):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.0
+
+    def test_degenerate_factor_raises_on_every_call(self):
+        # poles 1.5e-12 apart (past POLE_MERGE_TOL) with equal betas: the
+        # second direction is conj(f_0(k_1)) beta_1, |f_0(k_1)| = 7.5e-14
+        data = SolitonData.from_arrays([0.3, 0.3 + 3e-12], [20.0, 20.0], [[1.0, 0.5j]] * 2)
+        for _ in range(3):
+            with pytest.raises(DegeneracyError, match="direction for index 1 collapsed"):
+                build_reduced_chain(data)
+        assert _chain_bytes(build_reduced_chain(data, (0,))) == _chain_bytes(
+            _uncached(data, (0,)))
+        with pytest.raises(DegeneracyError, match="direction for index 0 collapsed"):
+            build_reduced_chain(data, (1, 0))

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from vsolitons import (
+    DegeneracyError,
     DomainError,
     Mixed,
     NormingVector,
@@ -21,6 +23,7 @@ from vsolitons import (
     reflection_maps,
     solve_mirror_norming,
 )
+from vsolitons import dressing as dressing_module
 from vsolitons import mirror as mirror_module
 from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
 from vsolitons.config import halfline_to_json, parse_halfline
@@ -230,23 +233,29 @@ class TestConstraintGate:
 
 class TestCanonicalChains:
     """The solve builds the real data's canonical chain and the gate the combined
-    data's, from the solved betas; the residuals reuse the combined one."""
+    data's mirror factors, from the solved betas; the residuals reuse what is
+    built."""
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
     def test_each_canonical_chain_built_once(self, kind, monkeypatch):
         builds = []
-        build = mirror_module.build_reduced_chain
+        build = dressing_module._reduced_factor
 
-        def counted(data, order=None):
-            if order is None or tuple(order) == tuple(range(data.N)):
-                builds.append(data)
-            return build(data, order)
+        def counted(data, i, prefix):
+            builds.append((id(data), tuple(k for k, _, _ in prefix), i))
+            return build(data, i, prefix)
 
-        monkeypatch.setattr(mirror_module, "build_reduced_chain", counted)
+        monkeypatch.setattr(dressing_module, "_reduced_factor", counted)
         hl = halfline_data(np.random.default_rng(80), 3, 2, kind)
         assert hl.constraint_residual <= 1e-8
         assert mirror_polarization_residual(hl) <= 1e-10
-        assert [id(d) for d in builds] == [id(hl.real_data), id(hl.combined)]
+        assert mirror_constraint_residual(hl) == hl.constraint_residual
+        assert len(set(builds)) == len(builds)  # no factor of any order built twice
+        real, combined, N = id(hl.real_data), id(hl.combined), hl.N
+        ks = tuple(hl.combined.ks.tolist())
+        assert {(real, ks[:i], i) for i in range(N)} <= set(builds)
+        # the combined data inherits the real chain and builds the mirror factors only
+        assert [b for b in builds if b[0] != real] == [(combined, ks[:i], i) for i in range(N, 2 * N)]
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
     def test_real_chain_is_combined_prefix(self, kind):
@@ -254,7 +263,10 @@ class TestCanonicalChains:
         for N, n in [(1, 2), (2, 3), (4, 2)]:
             hl = halfline_data(rng, N, n, kind)
             real = build_reduced_chain(hl.real_data)
-            for a, b in zip(real, hl._combined_chain[:N], strict=True):
+            assert build_reduced_chain(hl.combined)[:N] == real  # inherited, not rebuilt
+            # ... and what a combined build of its own would give, bit for bit
+            fresh = build_reduced_chain(SolitonData(hl.n, hl.combined.points))
+            for a, b in zip(real, fresh[:N], strict=True):
                 assert a[0] == b[0]
                 assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
 
@@ -270,6 +282,72 @@ class TestCanonicalChains:
         distances = iter([np.nan, 0.0, 0.0, 0.0])
         monkeypatch.setattr(mirror_module, "projective_distance", lambda *a: next(distances))
         assert np.isnan(mirror_polarization_residual(hl))
+
+
+def _per_index_mirror_betas(real_data, spec):
+    """The mirror betas and condition numbers as the solve once recovered
+    them: one prefix product d_0 ... d_{mj-1}(k_mj), one np.linalg.cond and
+    one np.linalg.solve per index, in a loop over j (frozen reference)."""
+    n, N = real_data.n, real_data.N
+    ks = np.concatenate([real_data.ks, -real_data.ks.conj()])
+    mirror, xis = [], []
+    for j in range(N - 1, -1, -1):
+        mj = N + j
+        pref = mirror_module._pole_prefactor(ks, mj)
+        w = spec.big_m_inv(ks[j].conjugate(), n) @ real_data.points[j][1].beta / pref
+        w = dressing_module._chain_apply(mirror, ks[mj], w)
+        nw = float(np.linalg.norm(w))
+        z = (w / nw)[:, None]
+        mirror.insert(0, (ks[mj], z, z.conj()))
+        xis.insert(0, w / nw**2)
+    chain = build_reduced_chain(real_data) + tuple(mirror)
+    betas, conds = [], []
+    for j, xi in enumerate(xis):
+        mj = N + j
+        out = np.eye(n, dtype=np.complex128)[None, None].copy()
+        for k0, z, zc in chain[:mj]:
+            coeff = np.array([dressing_module._blaschke(k0, complex(ks[mj]))]) - 1.0
+            out += (out @ z.T[:, None, :, None]) * (coeff[:, None, None] * zc.T[:, None, None, :])
+        adag = out[0, 0].conj().T
+        conds.append(float(np.linalg.cond(adag)))
+        betas.append(np.linalg.solve(adag, xi))
+    return betas, conds
+
+
+class TestStackedBetaRecovery:
+    """solve_mirror_norming recovers the N mirror betas from one chain pass and
+    one stacked cond and solve, with the bits of the per-index loop."""
+
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    def test_matches_per_index_loop_bit_for_bit(self, kind):
+        rng = np.random.default_rng(83)
+        for N in (1, 2, 3, 4):
+            for n in (1, 2, 3):
+                data = random_soliton_data(rng, N, n, positive=True)
+                spec = random_boundary(rng, kind, n)
+                hl = solve_mirror_norming(data, spec)
+                frozen, _ = _per_index_mirror_betas(data, spec)
+                for (_, nv), beta in zip(hl.mirror_data.points, frozen, strict=True):
+                    assert nv.beta.tobytes() == beta.tobytes()
+
+    def test_condition_guard_names_the_first_ill_conditioned_index(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        firsts = set()
+        for _ in range(12):
+            data = random_soliton_data(rng, 3, 2, positive=True)
+            spec = random_boundary(rng, "mixed", 2)
+            _, conds = _per_index_mirror_betas(data, spec)
+            limit = min(conds)
+            first = next((j for j, c in enumerate(conds) if c > limit), None)
+            if first is None:
+                continue
+            firsts.add(first)
+            monkeypatch.setattr(mirror_module, "CONDITION_LIMIT", limit)
+            message = f"norming-vector solve for index {3 + first} is ill conditioned ({conds[first]:.3e})"
+            with pytest.raises(DegeneracyError, match=re.escape(message) + "$"):
+                solve_mirror_norming(data, spec)
+            monkeypatch.undo()
+        assert firsts >= {0, 1}  # the first index and a later one both get named
 
 
 class TestMirrorPolarizations:

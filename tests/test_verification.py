@@ -20,9 +20,10 @@ from vsolitons import (
     sample_grid,
     solve_mirror_norming,
 )
-from vsolitons.asymptotics import beta_in, beta_out
+from vsolitons import cli
+from vsolitons.asymptotics import beta_in, beta_out, min_relative_velocity
 from vsolitons.dressing import reconstruct_field
-from vsolitons.sampling import random_soliton_data
+from vsolitons.sampling import SampleLog, random_soliton_data
 from vsolitons import verification
 from vsolitons.verification import FieldGrid, _zoom_max
 
@@ -255,7 +256,7 @@ class TestPeakRefinement:
             if i in (0, xs.size - 1):
                 continue
             a, b = xs[i - 1], xs[i + 1]
-            zoom = _zoom_max(data, t, a, b, 1e-10)
+            [zoom] = _zoom_max(data, [t], [a], [b], 1e-10)
             golden = _golden_max(
                 lambda x: float(np.linalg.norm(reconstruct_field(data, x, t))), a, b, 1e-10
             )
@@ -272,14 +273,14 @@ class TestPeakRefinement:
             exact = pt.velocity * t + nv.position_shift(pt)
             h = 0.1 / pt.v
             for xtol in (1e-4, 1e-10):
-                zoom = _zoom_max(data, t, exact - 0.7 * h, exact + 1.3 * h, xtol)
+                [zoom] = _zoom_max(data, [t], [exact - 0.7 * h], [exact + 1.3 * h], xtol)
                 assert abs(zoom - exact) <= max(0.5 * xtol, 1e-7 / pt.v)
 
     def test_terminates_when_bracket_cannot_shrink(self):
         data = SolitonData(2, ((SpectralPoint(0.5, 1.0), NormingVector([0.5, 1.2j])),))
         # float spacing at 1e12 is 1.2e-4: the bracket never reaches 1e-10
         a, b = 1e12, 1e12 + 1e-3
-        assert a <= _zoom_max(data, 0.0, a, b, 1e-10) <= b
+        assert a <= _zoom_max(data, [0.0], [a], [b], 1e-10)[0] <= b
 
     def test_extraction_terminates_at_large_x(self):
         # peak near x = 2e6, where float spacing (1.2e-10) exceeds the 1e-10 goal
@@ -290,6 +291,82 @@ class TestPeakRefinement:
         pol, pos = extract_asymptotic_polarization(data, 0, t)
         assert projective_distance(pol, Polarization(nv.beta)) < 1e-10
         assert pos == pytest.approx(pt.velocity * t + nv.position_shift(pt), abs=1e-6)
+
+
+def _one_at_a_time(data, js, ts):
+    """extract_asymptotic_polarization of each target alone, in order; the
+    first error's message instead if one fails."""
+    try:
+        return [extract_asymptotic_polarization(data, j, t) for j, t in zip(js, ts)]
+    except WindowError as exc:
+        return str(exc)
+
+
+def _lockstep(data, js, ts):
+    try:
+        return extract_asymptotic_polarization(data, js, ts)
+    except WindowError as exc:
+        return str(exc)
+
+
+def _assert_same_targets(together, alone):
+    assert len(together) == len(alone)
+    for (pol, peak), (pol1, peak1) in zip(together, alone):
+        assert pol.p.tobytes() == pol1.p.tobytes()
+        assert type(peak) is float and np.float64(peak).tobytes() == np.float64(peak1).tobytes()
+
+
+class TestLockstepExtraction:
+    """Several targets in one call get the bits of their one-target calls."""
+
+    def test_factorization_targets_match_one_target_calls(self):
+        rng = np.random.default_rng(71)
+        for draw in range(50):
+            N, n = 2 + draw % 2, 2 + draw // 2 % 2
+            data = cli._moderate_collision_data(rng, N, n, SampleLog())
+            T = 18.0 / (min(pt.v for pt, _ in data.points) * min_relative_velocity(data))
+            targets = [(j, t) for j in range(N) for t in (-T, T)]
+            if draw % 3 == 0:
+                targets += [(j, 1.5 * t) for j, t in targets[:2]]
+            rng.shuffle(targets)
+            js, ts = zip(*targets)
+            _assert_same_targets(extract_asymptotic_polarization(data, js, ts),
+                                 _one_at_a_time(data, js, ts))
+
+    def test_one_target_call_is_the_one_element_case(self):
+        pol, peak = extract_asymptotic_polarization(TWO_SOLITON, 1, 16.0)
+        [(pol1, peak1)] = extract_asymptotic_polarization(TWO_SOLITON, [1], [16.0])
+        _assert_same_targets([(pol, peak)], [(pol1, peak1)])
+
+    def test_stalled_bracket_next_to_normal_targets(self):
+        # at t = -2e6 the peak sits near x = 2e6, where float spacing (2.3e-10)
+        # exceeds the 1e-10 goal: that bracket stops shrinking and leaves the
+        # zoom while the targets at moderate t go on to 1e-10
+        pt = SpectralPoint(0.5, 1.0)
+        nv = NormingVector([0.5, 1.2j])
+        data = SolitonData(2, ((pt, nv),))
+        ts = [4.0, -2e6, -7.0, -2e6 + 3.0, 11.0]
+        js = [0] * len(ts)
+        together = extract_asymptotic_polarization(data, js, ts)
+        _assert_same_targets(together, _one_at_a_time(data, js, ts))
+        for (pol, peak), t in zip(together, ts):
+            assert projective_distance(pol, Polarization(nv.beta)) < 1e-10
+            assert peak == pytest.approx(pt.velocity * t + nv.position_shift(pt), abs=1e-6)
+
+    @pytest.mark.parametrize("js,ts", [
+        ((1, 0, 1), (10.0, 10.0, -10.0)),  # soliton 0's peak is outside its window
+        ((1, 1, 0), (-10.0, 10.0, 10.0)),
+        ((0, 1), (10.0, 0.01)),  # the first failure wins over a later narrow window
+        ((1, 1), (10.0, 0.01)),  # a narrow window after a good target
+        ((1, 0), (0.01, 10.0)),
+    ])
+    def test_first_failing_target_raises_its_own_error(self, js, ts):
+        # |beta_0| = 1e8 shifts soliton 0 past its window's cap at |t| = 10
+        data = SolitonData(2, ((SpectralPoint(0.3, 1.0), NormingVector([1e8, 0.0])),
+                               (SpectralPoint(1.3, 1.0), NormingVector([0.0, 1.0]))))
+        message = _one_at_a_time(data, js, ts)
+        assert isinstance(message, str)
+        assert _lockstep(data, js, ts) == message
 
 
 class TestConvergenceOrder:
