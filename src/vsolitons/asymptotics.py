@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dressing import _blaschke, _dressed_beta, _unit
+from .dressing import _blaschke, _blaschke_product, _dressed_beta, _unit
 from .errors import ValidationError
 from .soldata import NormingVector, SolitonData
 
@@ -45,13 +45,9 @@ def intermediate_gamma(j: int, spectators, data: SolitonData) -> np.ndarray:
     j = int(j)
     sp = _spectator_tuple(j, spectators, data.N)
     w = _dressed_beta(data, j, sp)
-    pref = 1.0 + 0.0j
     excluded = set(sp) | {j}
-    kj_conj = data.points[j][0].k.conjugate()
-    for p in range(data.N):
-        if p not in excluded:
-            pref *= _blaschke(data.points[p][0].k, kj_conj)
-    return pref * w
+    rest = [pt.k for p, (pt, _) in enumerate(data.points) if p not in excluded]
+    return _blaschke_product(rest, data.points[j][0].k.conjugate()) * w
 
 
 def beta_in(j: int, data: SolitonData) -> NormingVector:

@@ -269,6 +269,11 @@ def _parse_grid(obj) -> dict:
         out[key] = val
     if not (out["x1"] > out["x0"] and out["t1"] > out["t0"]):
         raise ConfigError("grid: bounds must satisfy x1 > x0 and t1 > t0")
+    # a normal h^2 keeps 1/h^2 and 1/(2h), the difference stencils' scales, finite
+    for name, a, b, count in (("hx", "x0", "x1", "nx"), ("ht", "t0", "t1", "nt")):
+        h = (out[b] - out[a]) / (out[count] - 1)
+        if not sys.float_info.min <= h * h <= sys.float_info.max:
+            raise ConfigError(f"grid: spacing {name} = {h!r} must square to a normal float")
     return out
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
+
 import numpy as np
 
 from .errors import ConfigError, ValidationError
@@ -25,6 +28,11 @@ from .soldata import (
     SolitonData,
     SpectralPoint,
 )
+
+
+#: Largest accepted |u| and |v|: two parameters then differ by at most twice
+#: this in each part, so every squared difference stays at most max/4.
+_PARAMETER_LIMIT = math.sqrt(sys.float_info.max) / 4
 
 
 def load_json(path) -> dict:
@@ -76,6 +84,9 @@ def parse_soliton_data(obj, where: str = "data") -> SolitonData:
                 raise ConfigError(f"{here}.{key}: missing")
         u = _number(rec["u"], f"{here}.u")
         v = _number(rec["v"], f"{here}.v")
+        for key, val in (("u", u), ("v", v)):
+            if abs(val) > _PARAMETER_LIMIT:
+                raise ConfigError(f"{here}.{key}: |{key}| must be at most {_PARAMETER_LIMIT!r}")
         beta_list = _expect(rec["beta"], list, f"{here}.beta")
         if len(beta_list) != n:
             raise ConfigError(f"{here}.beta: expected {n} components, got {len(beta_list)}")
@@ -152,7 +163,7 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
             raise ConfigError(f"{where}.{key}: missing for half-line data")
     combined = parse_soliton_data(obj, where)
     count = doc["real_count"]
-    if not isinstance(count, int) or 2 * count != combined.N:
+    if isinstance(count, bool) or not isinstance(count, int) or 2 * count != combined.N:
         raise ConfigError(
             f"{where}.real_count: must be half the soliton count {combined.N}"
         )

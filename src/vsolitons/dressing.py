@@ -30,6 +30,14 @@ def _blaschke(k0: complex, k: complex) -> complex:
     return (k - k0) / den
 
 
+def _blaschke_product(k0s, k: complex) -> complex:
+    """prod f_{k0}(k) over k0s, multiplied in their order from 1."""
+    out = 1.0 + 0.0j
+    for k0 in k0s:
+        out *= _blaschke(k0, k)
+    return out
+
+
 def blaschke_factor(point: SpectralPoint, k: complex) -> complex:
     """Blaschke factor (k - k0)/(k - k0*); unit modulus for real k."""
     return _blaschke(point.k, complex(k))
@@ -116,35 +124,19 @@ def eval_chain(chain, k) -> np.ndarray:
     return _chain_product(chain, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
 
 
-def _chain_product(dirs, ks: np.ndarray, d: int, lengths=None) -> np.ndarray:
+def _chain_product(dirs, ks: np.ndarray, d: int) -> np.ndarray:
     """Ordered factor products at stacked points x spectral parameters.
 
     dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (d, M);
     returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
-    (the identity for an empty chain).  With nondecreasing lengths, one per
-    entry of ks, entry e gets the prefix product F_1 ... F_{lengths[e]}: a
-    factor updates only the entries whose prefix it is in, each with the
-    arithmetic of the full product.
+    (the identity for an empty chain).
     """
     m = dirs[0][1].shape[1] if dirs else 1
     out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
-    spans, first = [(0, ks.size)], 0
-    for f, (k0, z, zc) in enumerate(dirs):
-        if lengths is not None:
-            while first < ks.size and lengths[first] <= f:
-                first += 1
-            if first == ks.size:
-                break
-            # numpy multiplies one-element operands without the fused
-            # multiply-add it uses on longer ones, so 1 x 1 prefix products
-            # go entry by entry, as each one's own product would
-            spans = [(e, e + 1) for e in range(first, ks.size)] if d == 1 else [(first, ks.size)]
-        for lo, hi in spans:
-            live = out[:, lo:hi]
-            coeff = np.array([_blaschke(k0, k) for k in ks[lo:hi].tolist()]) - 1.0
-            # out F(k) = out + (f(k) - 1) (out z) z^dag
-            live += (live @ z.T[:, None, :, None]) * (
-                coeff[:, None, None] * zc.T[:, None, None, :])
+    for k0, z, zc in dirs:
+        coeff = np.array([_blaschke(k0, k) for k in ks.tolist()]) - 1.0
+        # out F(k) = out + (f(k) - 1) (out z) z^dag
+        out += (out @ z.T[:, None, :, None]) * (coeff[:, None, None] * zc.T[:, None, None, :])
     return out
 
 

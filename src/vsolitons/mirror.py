@@ -5,8 +5,8 @@ x >= 0 of a 2N-soliton field whose second half of spectral data mirrors the
 first: k_{j+N} = -k_j* and beta_j beta_{j+N}^dag = M(k_j*) A_{j+N}, where
 A_{j+N} packages the residue of the inverse chain at k_{j+N}.  The coupled
 constraints are solved by a descending recursion that consumes only
-previously built mirror factors; the real norming vectors then recover
-every beta_{j+N} from one pass over the chain and one stacked linear solve.
+previously built mirror factors; every beta_{j+N} then follows from one
+chain application, as each factor obeys d(k)^-1 = d(k*)^dag.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import check_velocity_ordered
-from .dressing import (_chain_apply, _chain_product, _dressed_beta, _unit, build_reduced_chain,
+from .dressing import (_blaschke_product, _chain_apply, _dressed_beta, _unit, build_reduced_chain,
                        reconstruct_field)
-from .errors import DegeneracyError, DomainError, PoleError, ValidationError
+from .errors import DegeneracyError, DomainError, ValidationError
 from .soldata import (
     AXIS_TOL,
-    POLE_EVAL_TOL,
     BoundarySpec,
     NormingVector,
     SolitonData,
@@ -31,9 +30,6 @@ from .soldata import (
 
 #: Relative constraint residual a solved or stored dataset must meet.
 CONSTRAINT_TOL = 1e-8
-
-#: Condition-number guard for the final norming-vector solves.
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,20 +81,6 @@ def check_halfline_real_data(data: SolitonData) -> None:
     check_velocity_ordered(data)
 
 
-def _pole_prefactor(ks: np.ndarray, j: int) -> complex:
-    """prod_{i != j} (k_j - k_i)/(k_j - k_i*), accumulated in log space."""
-    kj = ks[j]
-    acc = 0.0 + 0.0j
-    for i, ki in enumerate(ks):
-        if i == j:
-            continue
-        den = kj - ki.conjugate()
-        if abs(den) < POLE_EVAL_TOL:
-            raise PoleError(f"pole collision between k[{j}] and conj(k[{i}])")
-        acc += np.log((kj - ki) / den)
-    return complex(np.exp(acc))
-
-
 def a_matrix(j: int, data: SolitonData, chain) -> np.ndarray:
     """Residue matrix of the inverse chain at k_j, in factored form.
 
@@ -110,11 +92,12 @@ def a_matrix(j: int, data: SolitonData, chain) -> np.ndarray:
     construction.
     """
     j = int(j)
-    kjc = data.points[j][0].k.conjugate()
+    kj = data.points[j][0].k
+    kjc = kj.conjugate()
     z = chain[j][1][:, 0]
     left = _chain_apply(chain[j + 1 :], kjc, z, dagger=True)
     right = _chain_apply(chain[:j], kjc, z)
-    return _pole_prefactor(data.ks, j) * np.outer(left, right.conj())
+    return _blaschke_product(np.delete(data.ks, j), kj) * np.outer(left, right.conj())
 
 
 def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLineData:
@@ -122,22 +105,21 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
 
     For j = N..1 the direction of mirror factor j+N comes from
     v = [M(k_j*) c_{j+N} G]^{-1} beta_j with G the already-built mirror
-    inverse factors at k_{j+N}; afterwards each beta_{j+N} is recovered from
-    d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  One pass over the chain
-    evaluates it at all N mirror parameters, each product complete once its
-    prefix is; one stacked condition check and one stacked solve finish.  A
-    condition number above CONDITION_LIMIT (or nan) raises DegeneracyError
-    for the first such index.  Deterministic.
+    inverse factors at k_{j+N}; afterwards each beta_{j+N} solves
+    d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  As d(k)^-1 = d(k*)^dag
+    for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: one chain
+    application, no matrix formed or inverted.  A relative constraint residual
+    above CONSTRAINT_TOL raises DegeneracyError.  Deterministic.
     """
     check_halfline_real_data(real_data)
     n, N = real_data.n, real_data.N
     ks = np.concatenate([real_data.ks, -real_data.ks.conj()])
 
-    # mirror factors are built right to left; xi keeps the solve scale
+    # mirror factors are built right to left
     mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        pref = _pole_prefactor(ks, mj)
+        pref = _blaschke_product(np.delete(ks, mj), ks[mj])
         w = spec.big_m_inv(ks[j].conjugate(), n) @ real_data.points[j][1].beta / pref
         # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
         w = _chain_apply(mirror, ks[mj], w)
@@ -148,20 +130,11 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
         mirror.insert(0, (ks[mj], z, z.conj()))
         xis.insert(0, w / nw**2)
 
-    # d_0 ... d_{mj-1}(k_mj) for every mj from one pass over the chain
     chain = build_reduced_chain(real_data) + tuple(mirror)
-    adag = _chain_product(chain, ks[N:], n, range(N, 2 * N))[0].conj().swapaxes(-1, -2)
-    cond = np.linalg.cond(adag)
-    bad = ~(cond <= CONDITION_LIMIT)  # nan too
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise DegeneracyError(
-            f"norming-vector solve for index {N + j} is ill conditioned ({cond[j]:.3e})"
-        )
-    # b as (N, n, 1): numpy >= 2 reads a 2-D b as one matrix of right-hand sides
-    betas = np.linalg.solve(adag, np.array(xis)[..., None])[..., 0]
-    mirror_points = [(pt.mirror(), NormingVector(beta))
-                     for (pt, _), beta in zip(real_data.points, betas)]
+    mirror_points = [
+        (pt.mirror(), NormingVector(_chain_apply(chain[: N + j], ks[N + j].conjugate(), xi)))
+        for j, ((pt, _), xi) in enumerate(zip(real_data.points, xis))
+    ]
 
     hl = HalfLineData(real_data, SolitonData(n, tuple(mirror_points)), spec)
     residual = hl.constraint_residual

@@ -27,6 +27,18 @@ ONE_SOLITON = {
     "solitons": [{"u": 0.0, "v": 1.0, "beta": [[1, 0], [0, 0]]}],
 }
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def _shipped(mode, **changes):
+    """configs/<mode>.json with the given top-level entries replaced."""
+    return dict(json.loads((CONFIGS / f"{mode}.json").read_text()), **changes)
+
+
+# a solved one-soliton half-line dataset, as mirror mode stores it
+_STORED_HALFLINE = halfline_to_json(solve_mirror_norming(
+    SolitonData(2, ((SpectralPoint(0.8, 1.0), NormingVector([0.8, 0.5 + 0.4j])),)), Mixed((1, -1))))
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -158,22 +170,29 @@ class TestExitCodes:
         assert err.startswith("error: boundary: matrix is not unitary")
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc,where", [
-        ({"suite": {"name": ["ybe"], "seed": 1}}, "suite.name"),
-        ({"suite": {"name": "involution", "samples": 2, "seed": 1},
-          "boundary": {"kind": "rotated_mixed", "signs": [1, -1],
-                       "unitary": [[[1, 0]], [[0, 0], [1, 0]]]}}, "boundary.unitary[0]"),
-        ({"suite": {"name": "ybe", "samples": 2, "seed": 1,
-                    "tolerances": {"algebraic": math.nan}}}, "suite.tolerances.algebraic"),
-        ({"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
-        ({"suite": {"name": "involution", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
-        ({"suite": {"name": "permutation", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
-        ({"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 0}}, "suite.N"),
+    @pytest.mark.parametrize("mode,doc,where", [
+        ("verify", {"suite": {"name": ["ybe"], "seed": 1}}, "suite.name"),
+        ("verify", {"suite": {"name": "involution", "samples": 2, "seed": 1},
+                    "boundary": {"kind": "rotated_mixed", "signs": [1, -1],
+                                 "unitary": [[[1, 0]], [[0, 0], [1, 0]]]}}, "boundary.unitary[0]"),
+        ("verify", {"suite": {"name": "ybe", "samples": 2, "seed": 1,
+                              "tolerances": {"algebraic": math.nan}}}, "suite.tolerances.algebraic"),
+        ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
+        ("verify", {"suite": {"name": "involution", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
+        ("verify", {"suite": {"name": "permutation", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
+        ("verify", {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 0}}, "suite.N"),
+        ("mirror", {"data": dict(_STORED_HALFLINE, real_count=True)}, "data.real_count"),
+        ("simulate", _shipped("simulate", grid={"x0": 0.0, "x1": 1e-300, "t0": -1.0,
+                                                 "t1": 1.0, "nx": 161, "nt": 41}), "grid"),
+        ("collide", _shipped("collide", data={"n": 1, "solitons": [
+            {"u": 1e300, "v": 1.0, "beta": [[1.0, 0.0]]},
+            {"u": 2e300, "v": 1.0, "beta": [[1.0, 0.0]]}]}), "data.solitons[0].u"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "ybe-n-0",
-            "involution-n-0", "permutation-n-0", "permutation-N-0"])
-    def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, doc, where):
+            "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
+            "subnormal-grid-spacing-squared", "overflowing-parameter-difference"])
+    def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
         out = tmp_path / "o"
-        assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
         assert not out.exists()
 
@@ -385,6 +404,18 @@ class TestCsvRowsMatchRepr:
         for seed in range(20):
             table = _random_doubles(1000 + seed, 500_000).reshape(-1, 10)
             assert bytes(cli._csv_rows(table)) == _repr_rows(table)
+
+
+class TestShippedConfigs:
+    """Every configs/*.json runs clean and writes the files its manifest lists."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_runs_and_writes_the_manifest_outputs(self, tmp_path, config):
+        out = tmp_path / "o"
+        assert main([config.stem, "--config", str(config), "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        # mirror mode lists manifest.json among its outputs, the other modes do not
+        assert sorted(p.name for p in out.iterdir()) == sorted({*outputs, "manifest.json"})
 
 
 class TestDeterminism:

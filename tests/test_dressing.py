@@ -122,6 +122,18 @@ class TestReducedChain:
             prod = np.prod([blaschke_factor(pt, k) for pt, _ in data.points])
             assert abs(det - prod) <= 1e-12 * abs(prod)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_inverse_is_adjoint_at_conjugate(self, N):
+        # each factor obeys d(k)^-1 = d(k*)^dag, so the whole chain does too;
+        # the mirror solve recovers its betas through this identity
+        rng = np.random.default_rng(40 + N)
+        for n in (1, 2, 3):
+            chain = build_reduced_chain(random_data(rng, N, n))
+            for _ in range(20):
+                k = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+                prod = eval_chain(chain, [k])[0] @ eval_chain(chain, [k.conjugate()])[0].conj().T
+                assert np.max(np.abs(prod - np.eye(n))) <= 1e-13
+
     def test_large_real_k_tends_to_identity(self):
         data = random_data(np.random.default_rng(2), 3, 3)
         chain = build_reduced_chain(data)
