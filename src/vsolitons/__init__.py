@@ -49,6 +49,7 @@ from .maps import (
     reversibility_residuals,
     s_twist_residuals,
     transfer_commutator_residuals,
+    transfer_commutators,
     yb_schedule,
     ybe_residuals,
 )

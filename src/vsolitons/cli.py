@@ -56,6 +56,7 @@ from .maps import (
     reversibility_residuals,
     s_twist_residuals,
     transfer_commutator_residuals,
+    transfer_commutators,
     yb_schedule,
     ybe_residuals,
 )
@@ -620,17 +621,16 @@ def _transfer_draw(rng, log, n: int) -> list:
 def _transfer_worst(draws, b_plus, b_minus, diagonal: bool) -> list:
     """Per sample of `draws`, the worst commutator over the pairs j < l
     (j <= l if diagonal) of its N = 2 and N = 3 states; each N is one stacked
-    call over all samples, with one boundary spec per sample in each slot
-    (None: the identity boundary)."""
+    `transfer_commutators` call over all samples and pairs, with one boundary
+    spec per sample in each slot (None: the identity boundary)."""
     worst = np.zeros(len(draws))
     for states in zip(*draws):
         ks, raw = zip(*states)
         K, P = np.array(ks), unit_vectors(np.array(raw))
         N = K.shape[1]
-        for j in range(N):
-            for l in range(j if diagonal else j + 1, N):
-                residual = transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)
-                worst = np.maximum(worst, residual)
+        pairs = [(j, l) for j in range(N) for l in range(j if diagonal else j + 1, N)]
+        rows = transfer_commutators(P, K, b_plus, b_minus, pairs)
+        worst = np.maximum(worst, np.max(rows, axis=0))
     return worst.tolist()
 
 
@@ -886,7 +886,7 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
     _check(report, cfg, "mirror-polarization", mirror_polarization_residual(hl),
            family="algebraic")
     _write_json(cfg.output / "halfline.json", halfline_to_json(hl))
-    outputs = ["halfline.json", "manifest.json"]
+    outputs = ["halfline.json"]
     if cfg.grid is not None:
         grid = _grid_from_cfg(cfg, lambda X, T: halfline_field(hl, X, T))
         export_grid(grid, cfg.output / "grid.csv")

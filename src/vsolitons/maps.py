@@ -247,6 +247,46 @@ def _transfer(P, K, j: int, b_plus, b_minus) -> None:
         _collide(P, K, m, j)
 
 
+def transfer_commutators(
+    P,
+    K,
+    b_plus: Optional[Sequence[BoundarySpec]],
+    b_minus: Optional[Sequence[BoundarySpec]],
+    pairs: Sequence[tuple],
+) -> np.ndarray:
+    """(len(pairs), S): row p is the per-sample max slotwise distance between
+    T_j T_l and T_l T_j for the p-th pair (j, l).
+
+    Each T_l P is computed once, and each T_j runs once over the stack of the
+    T_l P it must follow, so a state takes one transfer map per site and one
+    per following site, not four per pair.  A T_l P is computed when a stack
+    first needs it, which makes a one-pair call run T_l, T_j T_l, T_j, T_l T_j
+    in that order.  b_plus and b_minus each hold one boundary spec per
+    sample, or are None for the identity boundary.
+    """
+    follows = {}  # j -> the sites l whose T_l P it follows, in first-use order
+    for j, l in pairs:
+        follows.setdefault(j, {})[l] = None
+        follows.setdefault(l, {})[j] = None
+    S = len(K)
+    single = {}  # l -> T_l P and its parameters
+    both = {}  # (j, l) -> T_j T_l P and its parameters
+    for j, ls in follows.items():
+        for l in ls:
+            if l not in single:
+                single[l] = P.copy(), K.copy()
+                _transfer(*single[l], l, b_plus, b_minus)
+        Q, L = (np.concatenate(a) for a in zip(*[single[l] for l in ls]))
+        m = len(ls)
+        _transfer(Q, L, j, None if b_plus is None else tuple(b_plus) * m,
+                  None if b_minus is None else tuple(b_minus) * m)
+        for i, l in enumerate(ls):
+            both[j, l] = Q[i * S:(i + 1) * S], L[i * S:(i + 1) * S]
+    Pa, Ka = (np.concatenate(a) for a in zip(*[both[j, l] for j, l in pairs]))
+    Pb, Kb = (np.concatenate(a) for a in zip(*[both[l, j] for j, l in pairs]))
+    return _slot_residual(Pa, Ka, Pb, Kb).reshape(len(pairs), S)
+
+
 def transfer_commutator_residuals(
     j: int,
     l: int,
@@ -255,16 +295,6 @@ def transfer_commutator_residuals(
     b_plus: Optional[Sequence[BoundarySpec]],
     b_minus: Optional[Sequence[BoundarySpec]],
 ) -> np.ndarray:
-    """Per-sample max slotwise distance between T_j T_l and T_l T_j.
-
-    b_plus and b_minus each hold one boundary spec per sample, or are None
-    for the identity boundary.
-    """
-    Pa, Ka = P.copy(), K.copy()
-    _transfer(Pa, Ka, l, b_plus, b_minus)
-    _transfer(Pa, Ka, j, b_plus, b_minus)
-    Pb, Kb = P.copy(), K.copy()
-    _transfer(Pb, Kb, j, b_plus, b_minus)
-    _transfer(Pb, Kb, l, b_plus, b_minus)
-    return _slot_residual(Pa, Ka, Pb, Kb)
-
+    """Per-sample max slotwise distance between T_j T_l and T_l T_j: the
+    one-pair call of `transfer_commutators`."""
+    return transfer_commutators(P, K, b_plus, b_minus, [(j, l)])[0]

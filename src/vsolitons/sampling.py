@@ -194,8 +194,19 @@ def random_boundary(rng: np.random.Generator, kind: str, n: int):
 
 
 def _pairs_safe(ks: List[complex], mirrored: bool) -> bool:
-    probes = ks + [-k.conjugate() for k in ks] if mirrored else ks
-    return all(abs(a - b) >= POLE_MARGIN for a, b in itertools.combinations(probes, 2))
+    """Every two of ks, and if mirrored of ks and their mirrors -k*, lie at
+    least POLE_MARGIN apart.  Each mirrored distance is, bit for bit, one of
+    |a - b|, |a + b*| and |a + a*| = |2 Re a|, so each is tested once."""
+    for a, b in itertools.combinations(ks, 2):
+        if not abs(a - b) >= POLE_MARGIN:
+            return False
+        if mirrored and not abs(a + b.conjugate()) >= POLE_MARGIN:
+            return False
+    if mirrored:
+        for k in ks:
+            if not abs(2.0 * k.real) >= POLE_MARGIN:
+                return False
+    return True
 
 
 def random_map_parameters(

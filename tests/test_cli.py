@@ -241,8 +241,8 @@ class TestNanResiduals:
 
     def test_instance_and_transfer_folds_keep_nan(self, monkeypatch):
         assert math.isnan(cli._worst([1e-3, math.nan, 1e-9]))
-        monkeypatch.setattr(cli, "transfer_commutator_residuals",
-                            lambda *a: np.array([1e-3, math.nan]))
+        monkeypatch.setattr(cli, "transfer_commutators",
+                            lambda *a: np.array([[1e-3, 1e-9], [1e-9, math.nan]]))
         state = (np.zeros(2, dtype=complex), np.ones((2, 2, 1)))  # (ks, unit-vector draws)
         worst = cli._transfer_worst([[state], [state]], None, None, False)
         assert worst[0] == 1e-3 and math.isnan(worst[1])
@@ -414,8 +414,9 @@ class TestShippedConfigs:
         out = tmp_path / "o"
         assert main([config.stem, "--config", str(config), "--out", str(out)]) == 0
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
-        # mirror mode lists manifest.json among its outputs, the other modes do not
-        assert sorted(p.name for p in out.iterdir()) == sorted({*outputs, "manifest.json"})
+        # outputs lists every file a run writes except the manifest itself
+        assert "manifest.json" not in outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
 
 
 class TestDeterminism:

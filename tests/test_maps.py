@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -344,6 +345,26 @@ class TestTransferMaps:
                                       None if b_minus is None else b_minus[s:s + 1])
                 assert np.array_equal(Q[s:s + 1], q) and np.array_equal(L[s:s + 1], m)
 
+    @pytest.mark.parametrize("S", [1, 3, 6])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_commutator_rows_equal_one_sample_one_pair_calls(self, S, N):
+        # every T_l P is shared by all pairs and each T_j runs over a stack of
+        # several states: no sample of any row may move from its own S = 1,
+        # one-pair call (numpy can round a length-1 stack differently)
+        rng = np.random.default_rng(40 + 10 * S + N)
+        _, _, P, K = _draw(rng, S, N, 2)
+        specs = _specs(rng, S, 2)
+        pairs = [(j, l) for j in range(N) for l in range(N)]  # j < l, j = l, j > l
+        for b_plus, b_minus in ((None, None), (specs, None), (specs, specs)):
+            rows = maps.transfer_commutators(P, K, b_plus, b_minus, pairs)
+            assert rows.shape == (len(pairs), S)
+            for row, (j, l) in zip(rows, pairs):
+                for s in range(S):
+                    one = transfer_commutator_residuals(
+                        j, l, P[s:s + 1], K[s:s + 1],
+                        *(None if b is None else b[s:s + 1] for b in (b_plus, b_minus)))
+                    assert row[s].tobytes() == one[0].tobytes()
+
     def test_collision_pole_names_the_pair(self):
         k1 = 0.5 + 0.5j
         k2 = k1 + 0.1 * PAIR_POLE_TOL
@@ -646,11 +667,59 @@ class TestMapDraws:
             assert got_log.resamples == ref_log.resamples
 
 
+def oracle_pairs_safe(ks, mirrored):
+    """Every two entries of the probe list ks (+ their mirrors -k*) compared."""
+    probes = ks + [-k.conjugate() for k in ks] if mirrored else ks
+    return all(abs(a - b) >= sampling.POLE_MARGIN for a, b in itertools.combinations(probes, 2))
+
+
+def _near_margin_parameters(rng, count):
+    """count parameters, one of them placed within a few ulps-relative of a
+    POLE_MARGIN distance from another parameter, its mirror or its own mirror
+    (or exactly on it, or nan)."""
+    M = sampling.POLE_MARGIN
+    ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
+    i, j = rng.integers(count), rng.integers(count)
+    a = ks[j]
+    step = M * (1.0 + rng.choice([-1e-12, -1e-15, 0.0, 1e-15, 1e-12])) * np.exp(
+        2j * np.pi * rng.random())
+    how = rng.integers(6)
+    if how == 0:
+        ks[i] = a + step
+    elif how == 1:
+        ks[i] = -a.conjugate() + step
+    elif how == 2:
+        ks[i] = complex(math.copysign(abs(step) / 2.0, a.real), a.imag)
+    elif how == 3:
+        ks[i] = a
+    elif how == 4:
+        ks[i] = -a.conjugate()
+    else:
+        ks[i] = complex(math.nan, a.imag)
+    return ks
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_pairs_safe_matches_the_probe_list(count, mirrored):
+    # the mirrored probe list repeats |a - b|, |a + b*| and |2 Re a| bit for
+    # bit, so testing each once must make the probe list's decision
+    rng = np.random.default_rng(60 + 2 * count + mirrored)
+    decisions = set()
+    for _ in range(3000):
+        ks = _near_margin_parameters(rng, count)
+        expect = oracle_pairs_safe(ks, mirrored)
+        assert sampling._pairs_safe(ks, mirrored) == expect
+        decisions.add(expect)
+    # one parameter has no pair unless it is compared with its own mirror
+    assert decisions == ({True, False} if count > 1 or mirrored else {True})
+
+
 def oracle_map_parameters(rng, count, mirrored=False, log=None):
     """Per-scalar draws: |u|, its sign and v, one rng call each."""
     while True:
         ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
-        if sampling._pairs_safe(ks, mirrored):
+        if oracle_pairs_safe(ks, mirrored):
             return ks
         if log is not None:
             log.resamples += 1
@@ -711,7 +780,7 @@ def _reference_transfer_rows(seed, boundary):
 
 @pytest.mark.parametrize("boundary", [None, Mixed((1, -1, 1))])
 def test_transfer_suite_stacks_kinds_exactly(boundary):
-    for seed in range(4):
+    for seed in range(20):
         doc = {"mode": "transfer", "suite": {"name": "transfer", "seed": seed}, "output": "o"}
         if boundary is not None:
             doc["boundary"] = boundary.to_json()
@@ -1099,6 +1168,8 @@ class TestStackedErrorsMatchReference:
             transfer_commutator_residuals(0, 1, P, K, specs, None)
         with pytest.raises(ValidationError, match=match):
             transfer_commutator_residuals(0, 1, P, K, None, specs)
+        with pytest.raises(ValidationError, match=match):
+            maps.transfer_commutators(P, K, specs, specs, [(0, 1), (1, 0), (1, 1)])
 
     def test_boundary_component_mismatch(self):
         q, spec = Polarization([0.6, 0.8, 0.0]), Mixed((1, -1))
