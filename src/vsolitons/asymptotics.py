@@ -40,14 +40,21 @@ def intermediate_gamma(j: int, spectators, data: SolitonData) -> np.ndarray:
 
     gamma = prod_{p not in {j} u spectators} f_p(k_j*) * d^dag_spectators(k_j) beta_j.
     The product runs over the complement set; the chain is built on the
-    spectator indices (any order gives the same degree factor).
+    spectator indices (any order gives the same degree factor).  Each
+    (j, spectators) is built once per dataset (`data._gammas`); calls share
+    the read-only array.
     """
     j = int(j)
     sp = _spectator_tuple(j, spectators, data.N)
-    w = _dressed_beta(data, j, sp)
-    excluded = set(sp) | {j}
-    rest = [pt.k for p, (pt, _) in enumerate(data.points) if p not in excluded]
-    return _blaschke_product(rest, data.points[j][0].k.conjugate()) * w
+    gamma = data._gammas.get((j, sp))
+    if gamma is None:
+        w = _dressed_beta(data, j, sp)
+        excluded = set(sp) | {j}
+        rest = [pt.k for p, (pt, _) in enumerate(data.points) if p not in excluded]
+        gamma = _blaschke_product(rest, data.points[j][0].k.conjugate()) * w
+        gamma.flags.writeable = False
+        data._gammas[j, sp] = gamma
+    return gamma
 
 
 def beta_in(j: int, data: SolitonData) -> NormingVector:

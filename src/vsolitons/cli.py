@@ -392,12 +392,12 @@ class _Sampled:
     name takes the variant label.  ``variants(cfg)`` lists (label, payload)
     pairs, each run over all samples; ``tail`` appends fixed checks.
 
-    With ``stacked``, a draw returns the instance as drawn instead:
-    (parameters, `draw_unit_vectors` draws, extra) for one sample of a stacked
-    map state.  After all of a variant's draws, the instances of each
-    component count n are derived at once, and ``stacked(P, K, extras)``
-    evaluates them in one call (deriving its extras at once too) and returns
-    one array of per-sample residuals per check.
+    With ``stacked``, a draw returns the instance as drawn instead.  After
+    all of a variant's draws, the instances are grouped by ``group(instance)``
+    and ``stacked(instances)`` evaluates each group in one call, returning
+    one sequence of per-sample residuals per check.  The default group is
+    the component count n of a map-suite draw (parameters,
+    `draw_unit_vectors` draws, extra); see `_map_state`.
     """
 
     default: int  # samples when suite.samples is unset
@@ -406,6 +406,7 @@ class _Sampled:
     variants: Callable = lambda cfg: [("", None)]
     tail: Optional[Callable] = None
     stacked: Optional[Callable] = None
+    group: Callable = lambda instance: instance[1].shape[-1]
 
     def __call__(self, cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
         samples = cfg.samples if cfg.samples is not None else self.default
@@ -421,18 +422,26 @@ class _Sampled:
             self.tail(cfg, rng, report, log)
 
     def _evaluate(self, instances) -> list:
-        """Per-instance residuals in sample order, one stacked call per n."""
+        """Per-instance residuals in sample order, one stacked call per group."""
         out = [None] * len(instances)
-        by_n: Dict[int, List[int]] = {}
+        groups: Dict[object, List[int]] = {}
         for i, inst in enumerate(instances):
-            by_n.setdefault(inst[1].shape[-1], []).append(i)
-        for idx in by_n.values():
-            ks, draws, extras = zip(*(instances[i] for i in idx))
-            P = unit_vectors(np.array(draws))
-            columns = self.stacked(P, np.array(ks, dtype=np.complex128), extras)
-            for i, row in zip(idx, zip(*(c.tolist() for c in columns))):
+            groups.setdefault(self.group(inst), []).append(i)
+        for idx in groups.values():
+            columns = self.stacked([instances[i] for i in idx])
+            for i, row in zip(idx, zip(*(np.asarray(c).tolist() for c in columns))):
                 out[i] = row
         return out
+
+
+def _map_state(evaluate: Callable) -> Callable:
+    """A `_Sampled.stacked` for map-suite draws of one n: derives their unit
+    vectors and parameters as one (P, K) state and returns
+    evaluate(P, K, extras)."""
+    def stacked(instances):
+        ks, draws, extras = zip(*instances)
+        return evaluate(unit_vectors(np.array(draws)), np.array(ks, dtype=np.complex128), extras)
+    return stacked
 
 
 def _worst(residuals) -> float:
@@ -480,10 +489,11 @@ def _draw_one_soliton(cfg, rng, log, i, variant):
 def _draw_determinant(cfg, rng, log, i, variant):
     data = random_soliton_data(rng, 2 + i % 3, 2 + i % 2, log=log)
     chain = build_reduced_chain(data)
+    poles = [kk.conjugate() for kk in data.ks]
     ks = []
     for _ in range(20):
         k = complex(rng.uniform(-3, 3), rng.uniform(0, 2.5))
-        if any(abs(k - kk.conjugate()) < 1e-6 for kk in data.ks):
+        if any(abs(k - pole) < 1e-6 for pole in poles):
             log.resamples += 1
             continue
         ks.append(k)
@@ -550,7 +560,14 @@ def _draw_involution(cfg, rng, log, i, variant):
 def _draw_collision(cfg, rng, log, i, variant):
     data = random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2], log=log)
     rel, xi = zip(*_pair_residuals(data, i % 2))
-    return _worst(rel), _worst(xi), _pipeline_residual(data)
+    return _worst(rel), _worst(xi), data
+
+
+def _collision_stack(instances):
+    """The collision draws of one (N, n): their pair residuals and, from one
+    stacked pipeline, their factorization-pipeline residuals."""
+    rel, xi, datas = zip(*instances)
+    return rel, xi, _pipeline_residuals(datas)
 
 
 def _pair_residuals(data: SolitonData, spectators: int) -> list:
@@ -568,16 +585,18 @@ def collision_orders(N: int):
     return pairs, list(reversed(pairs))
 
 
-def _polarizations_of(data: SolitonData, which) -> np.ndarray:
-    """(1, N, n) stacked state of the polarizations of which(j, data)."""
-    return np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]])
-
-
-def _pipeline_residual(data: SolitonData) -> float:
-    """Worst distance of either collision schedule's output from the out-polarizations."""
-    ins, outs = _polarizations_of(data, beta_in), _polarizations_of(data, beta_out)
-    return float(np.max([projective_distances(yb_schedule(ins, data.ks[None], s), outs).max()
-                         for s in collision_orders(data.N)]))
+def _pipeline_residuals(datas) -> np.ndarray:
+    """Per dataset (all of one N and n), the worst distance of either collision
+    schedule's output from the out-polarizations: one `yb_schedule` per
+    schedule over the (S, N, n) stack of in-polarizations, one distance call
+    for both."""
+    ins, outs = (np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]
+                           for data in datas]) for which in (beta_in, beta_out))
+    schedules = collision_orders(datas[0].N)
+    K = np.array([data.ks for data in datas])
+    got = np.concatenate([yb_schedule(ins, K, s) for s in schedules])
+    dist = projective_distances(got, np.concatenate([outs] * len(schedules))).max(axis=-1)
+    return dist.reshape(len(schedules), len(datas)).max(axis=0)
 
 
 def _mirror_kinds(cfg: RunConfig):
@@ -618,24 +637,24 @@ def _transfer_draw(rng, log, n: int) -> list:
             for N in (2, 3)]
 
 
-def _transfer_worst(draws, b_plus, b_minus, diagonal: bool) -> list:
-    """Per sample of `draws`, the worst commutator over the pairs j < l
-    (j <= l if diagonal) of its N = 2 and N = 3 states; each N is one stacked
-    `transfer_commutators` call over all samples and pairs, with one boundary
-    spec per sample in each slot (None: the identity boundary)."""
+def _transfer_worst(draws, b_plus, b_minus) -> list:
+    """Per sample of `draws`, the worst commutator over the pairs j < l of its
+    N = 2 and N = 3 states; each N is one stacked `transfer_commutators` call
+    over all samples and pairs, with one boundary spec per sample in each slot
+    (None: the identity boundary)."""
     worst = np.zeros(len(draws))
     for states in zip(*draws):
         ks, raw = zip(*states)
         K, P = np.array(ks), unit_vectors(np.array(raw))
         N = K.shape[1]
-        pairs = [(j, l) for j in range(N) for l in range(j if diagonal else j + 1, N)]
+        pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
         rows = transfer_commutators(P, K, b_plus, b_minus, pairs)
         worst = np.maximum(worst, np.max(rows, axis=0))
     return worst.tolist()
 
 
 def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    worst = _transfer_worst([_transfer_draw(rng, log, 2)], None, None, True)[0]
+    worst = _transfer_worst([_transfer_draw(rng, log, 2)], None, None)[0]
     _check(report, cfg, "transfer-commutator[identity-boundary]", worst, family="involution")
 
     K = np.array([random_map_parameters(rng, 2, mirrored=True, log=log)])
@@ -672,7 +691,7 @@ def _transfer_kinds(cfg: RunConfig, rng, log, n: int, both: bool) -> list:
         drawn.append(spec)
         draws.append(_transfer_draw(rng, log, m))
     specs = boundaries(drawn)
-    worst = _transfer_worst(draws, specs, specs if both else None, False)
+    worst = _transfer_worst(draws, specs, specs if both else None)
     return [(label, w) for (label, _), w in zip(variants, worst)]
 
 
@@ -727,7 +746,7 @@ def _draw_factorization(cfg, rng, log, i, variant):
     found = extract_asymptotic_polarization(data, js, ts)
     dist = [projective_distance(pol, Polarization(bfun(j, data).beta))
             for j, bfun, (pol, _) in zip(js, bfuns, found)]
-    return _worst(dist), _pipeline_residual(data)
+    return _worst(dist), _pipeline_residuals([data])[0]
 
 
 def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
@@ -744,7 +763,7 @@ def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
 
 
 #: Every suite is a callable (cfg, rng, report, log); a sampled one is
-#: _Sampled(default samples, checks, draw[, variants[, tail]][, stacked]).
+#: _Sampled(default samples, checks, draw[, variants[, tail]][, stacked[, group]]).
 _SUITES: Dict[str, Callable] = {
     "one-soliton": _Sampled(20, (("one-soliton-oracle", "involution"),), _draw_one_soliton),
     "determinant": _Sampled(10, (("determinant-blaschke-product", "involution"),),
@@ -752,25 +771,26 @@ _SUITES: Dict[str, Callable] = {
     "permutation": _Sampled(5, (("permutation-factorization[{}]", "algebraic"),),
                             _draw_permutation, _permutation_variants),
     "ybe": _Sampled(100, (("yang-baxter-equation[{}]", "algebraic"),), _draw_ybe, _n_variants,
-                    stacked=lambda P, K, _: (ybe_residuals(P, K),)),
+                    stacked=_map_state(lambda P, K, _: (ybe_residuals(P, K),))),
     "reversibility": _Sampled(100, (("reversibility[{}]", "involution"),),
                               _draw_reversibility, _n_variants,
-                              stacked=lambda P, K, _: (reversibility_residuals(P, K),)),
+                              stacked=_map_state(lambda P, K, _: (reversibility_residuals(P, K),))),
     "yb-structure": _Sampled(50, (("unitary-diagonal-invariance", "involution"),
                                   ("parameter-twist-transpose", "involution")),
-                             _draw_yb_structure, stacked=_yb_structure),
+                             _draw_yb_structure, stacked=_map_state(_yb_structure)),
     "reflection-equation": _Sampled(
         100, (("reflection-equation[{}]", "algebraic"),), _draw_reflection_equation,
-        _boundary_kinds,
-        stacked=lambda P, K, drawn: (reflection_equation_residuals(P, K, boundaries(drawn)),),
+        _boundary_kinds, stacked=_map_state(
+            lambda P, K, drawn: (reflection_equation_residuals(P, K, boundaries(drawn)),)),
     ),
     "involution": _Sampled(
         100, (("reflection-involution[{}]", "involution"),), _draw_involution, _boundary_kinds,
-        stacked=lambda P, K, drawn: (involution_residuals(P, K, boundaries(drawn)),),
+        stacked=_map_state(lambda P, K, drawn: (involution_residuals(P, K, boundaries(drawn)),)),
     ),
     "collision": _Sampled(20, (("pairwise-collision-relations", "algebraic"),
                                ("norm-ratio-symmetry", "involution"),
-                               ("factorization-pipeline", "algebraic")), _draw_collision),
+                               ("factorization-pipeline", "algebraic")), _draw_collision,
+                          stacked=_collision_stack, group=lambda inst: (inst[2].N, inst[2].n)),
     "mirror-constraint": _Sampled(
         10, (("mirror-constraint[{}]", "mirror_constraint"),),
         lambda *a: (_mirror_halfline(*a).constraint_residual,),
@@ -830,7 +850,8 @@ def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
     data = cfg.data
     rel = [r for r, _ in _pair_residuals(data, 1)]
     _check(report, cfg, "pairwise-collision-relations", _worst(rel), family="algebraic")
-    _check(report, cfg, "factorization-pipeline", _pipeline_residual(data), family="algebraic")
+    _check(report, cfg, "factorization-pipeline", _pipeline_residuals([data])[0],
+           family="algebraic")
     doc = {
         "in": soliton_data_to_json(_replace_betas(data, beta_in)),
         "out": soliton_data_to_json(_replace_betas(data, beta_out)),

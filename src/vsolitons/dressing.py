@@ -17,7 +17,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, PoleError
-from .soldata import POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint
+from .soldata import POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _vector_norm
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -54,7 +54,7 @@ def _normalized_order(data: SolitonData, order) -> tuple:
 
 def _unit(vec: np.ndarray) -> np.ndarray:
     """vec over its 2-norm; a zero vector raises DegeneracyError."""
-    nrm = float(np.linalg.norm(vec))
+    nrm = _vector_norm(vec)
     if nrm == 0.0:
         raise DegeneracyError("zero vector has no direction")
     return vec / nrm
@@ -99,7 +99,7 @@ def _reduced_factor(data: SolitonData, i: int, prefix) -> tuple:
     """(k_i, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
     point, nv = data.points[i]
     w = _chain_apply(prefix, point.k, nv.beta, dagger=True)
-    nrm = float(np.linalg.norm(w))
+    nrm = _vector_norm(w)
     if nrm < DEGENERATE_DIRECTION_TOL * nv.norm:
         raise DegeneracyError(
             f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
@@ -124,17 +124,24 @@ def eval_chain(chain, k) -> np.ndarray:
     return _chain_product(chain, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
 
 
-def _chain_product(dirs, ks: np.ndarray, d: int) -> np.ndarray:
+def _coefficients(k0: complex, ks: np.ndarray) -> np.ndarray:
+    """f_{k0}(k) - 1 at every entry of ks: one factor's update coefficients."""
+    return np.array([_blaschke(k0, k) for k in ks.tolist()]) - 1.0
+
+
+def _chain_product(dirs, ks: np.ndarray, d: int, coeffs=None) -> np.ndarray:
     """Ordered factor products at stacked points x spectral parameters.
 
     dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (d, M);
     returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
-    (the identity for an empty chain).
+    (the identity for an empty chain).  coeffs, if given, holds each factor's
+    `_coefficients` at ks, in chain order.
     """
     m = dirs[0][1].shape[1] if dirs else 1
     out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
-    for k0, z, zc in dirs:
-        coeff = np.array([_blaschke(k0, k) for k in ks.tolist()]) - 1.0
+    if coeffs is None:
+        coeffs = [_coefficients(k0, ks) for k0, _, _ in dirs]
+    for (_, z, zc), coeff in zip(dirs, coeffs):
         # out F(k) = out + (f(k) - 1) (out z) z^dag
         out += (out @ z.T[:, None, :, None]) * (coeff[:, None, None] * zc.T[:, None, None, :])
     return out
@@ -168,16 +175,18 @@ def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> n
     return out
 
 
-def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
+def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds=None):
     """Unit full-chain directions for every factor, batched over (x, t).
 
     Returns (k_i, z_i, conj(z_i)) with z_i component-major, shape (n+1, M).
+    seeds, if given, maps each index to its `_seed_batch` at (x, t); it is
+    read, not written.
     """
     dirs = []
     for i in idx:
         point, nv = data.points[i]
         k = point.k
-        w = _seed_batch(nv.beta, k, x, t)
+        w = _seed_batch(nv.beta, k, x, t) if seeds is None else seeds[i].copy()
         for k_prev, z, zc in dirs:
             inner = np.add.reduce(zc * w, axis=0)
             inner *= _blaschke(k_prev, k).conjugate() - 1.0
@@ -248,7 +257,7 @@ def one_soliton_field(point: SpectralPoint, beta, x, t):
     (the field scales by the same unit scalar as beta).
     """
     b = beta.beta if isinstance(beta, NormingVector) else np.asarray(beta, np.complex128)
-    nrm = float(np.linalg.norm(b))
+    nrm = _vector_norm(b)
     if nrm == 0.0:
         raise ValueError("beta must be nonzero")
     pol = b / nrm
@@ -273,7 +282,8 @@ def permutation_residuals(
 
     Compares the reduced chain at every sample k and, at the supplied (x, t),
     both the full-chain products at the first three k and the field.  The
-    reference order's images are computed once.
+    reference order's images are computed once, and so are each factor's seed
+    at (x, t) and update coefficients at the ks, which every order shares.
     """
     ref = _normalized_order(data, reference)
     idxs = [_normalized_order(data, order) for order in orders]
@@ -281,22 +291,23 @@ def permutation_residuals(
         raise ValueError("orders must permute the same index set")
     ks = np.array([complex(k) for k in sample_ks], dtype=np.complex128)
     x, t = np.array(list(sample_xts), dtype=np.float64).reshape(-1, 2).T
-    images = _order_images(data, ref, ks, x, t)
-    return [
-        float(np.max([_maxabs(a - b) for a, b in zip(images, _order_images(data, idx, ks, x, t))]))
-        for idx in idxs
-    ]
+    build_reduced_chain(data, ref)  # first, so a degenerate chain raises before a pole sample
+    seeds = {i: _seed_batch(data.points[i][1].beta, data.points[i][0].k, x, t) for i in ref}
+    coeffs = {i: _coefficients(data.points[i][0].k, ks) for i in ref}
 
+    def images(idx) -> list:
+        """The reduced chain at every k and, if there are points (x, t), the
+        full-chain products at the first three k and the field there."""
+        out = [_chain_product(build_reduced_chain(data, idx), ks, data.n, [coeffs[i] for i in idx])]
+        if x.size:
+            dirs = _full_directions(data, idx, x, t, seeds)
+            out += [_chain_product(dirs, ks[:3], data.n + 1, [coeffs[i][:3] for i in idx]),
+                    _field(data, idx, dirs, x.size)]
+        return out
 
-def _order_images(data: SolitonData, idx, ks: np.ndarray, x: np.ndarray, t: np.ndarray) -> list:
-    """What permutation_residuals compares for one order: the reduced chain at
-    every k and, if there are points (x, t), the full-chain products at the
-    first three k and the field there."""
-    images = [_chain_product(build_reduced_chain(data, idx), ks, data.n)]
-    if x.size:
-        dirs = _full_directions(data, idx, x, t)
-        images += [_chain_product(dirs, ks[:3], data.n + 1), _field(data, idx, dirs, x.size)]
-    return images
+    reference_images = images(ref)
+    return [float(np.max([_maxabs(a - b) for a, b in zip(reference_images, images(idx))]))
+            for idx in idxs]
 
 
 def _maxabs(arr: np.ndarray) -> float:

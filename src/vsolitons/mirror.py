@@ -25,6 +25,7 @@ from .soldata import (
     BoundarySpec,
     NormingVector,
     SolitonData,
+    _vector_norm,
     projective_distance,
 )
 
@@ -97,7 +98,8 @@ def a_matrix(j: int, data: SolitonData, chain) -> np.ndarray:
     z = chain[j][1][:, 0]
     left = _chain_apply(chain[j + 1 :], kjc, z, dagger=True)
     right = _chain_apply(chain[:j], kjc, z)
-    return _blaschke_product(np.delete(data.ks, j), kj) * np.outer(left, right.conj())
+    ks = data.ks
+    return _blaschke_product((*ks[:j], *ks[j + 1 :]), kj) * np.outer(left, right.conj())
 
 
 def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLineData:
@@ -119,11 +121,11 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        pref = _blaschke_product(np.delete(ks, mj), ks[mj])
+        pref = _blaschke_product((*ks[:mj], *ks[mj + 1 :]), ks[mj])
         w = spec.big_m_inv(ks[j].conjugate(), n) @ real_data.points[j][1].beta / pref
         # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
         w = _chain_apply(mirror, ks[mj], w)
-        nw = float(np.linalg.norm(w))
+        nw = _vector_norm(w)
         if nw == 0.0:
             raise DegeneracyError(f"mirror direction for index {mj} collapsed")
         z = (w / nw)[:, None]

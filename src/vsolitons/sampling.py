@@ -28,6 +28,7 @@ from .soldata import (
     RotatedMixed,
     SolitonData,
     SpectralPoint,
+    _vector_norm,
     canonical_phase,
 )
 
@@ -74,7 +75,7 @@ def random_norming_vector(
     for _ in range(_MAX_TRIES):
         re, im = rng.standard_normal((2, n))
         vec = re + 1j * im
-        if np.linalg.norm(vec) > 1e-6:
+        if _vector_norm(vec) > 1e-6:
             return NormingVector(vec)
         _count(log)
     raise SamplingError("could not draw a usable norming vector")
@@ -91,7 +92,7 @@ def draw_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarra
         # a first entry of modulus >= 1e-5 passes the norm test without the
         # sum: a sum of nonnegative squares is at least each of its terms
         usable = [i for i, x in enumerate(draws[:, 0, 0].tolist())
-                  if abs(x) >= 1e-5 or np.linalg.norm(draws[i, 0] + 1j * draws[i, 1]) > 1e-6]
+                  if abs(x) >= 1e-5 or _vector_norm(draws[i, 0] + 1j * draws[i, 1]) > 1e-6]
         if len(usable) == count:
             return draws
         kept += [draws[i] for i in usable]

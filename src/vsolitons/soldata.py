@@ -63,19 +63,31 @@ def _pow2_scaled(vec: np.ndarray) -> tuple:
     return np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e), e
 
 
+def _vector_norm(vec: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D vector, bit for bit, without its wrapper:
+    numpy takes sqrt(re.re + im.im) (sqrt(x.x) if real) with ndarray.dot on
+    the vector's ravel, a contiguous copy of a strided view."""
+    if not vec.flags.c_contiguous:
+        vec = vec.ravel(order="K")
+    if vec.dtype.kind != "c":
+        return math.sqrt(vec.dot(vec))
+    re, im = vec.real, vec.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _norm(vec: np.ndarray) -> float:
     """2-norm of a finite complex vector at any scale.
 
-    Inside _SAFE_NORM this is np.linalg.norm, bit for bit.  Outside it the
-    squares may have underflowed (or overflowed, with numpy's warning), so the
-    norm is taken again of the vector scaled by an exact power of two: a
-    |beta| of 1e-200 keeps all its digits.
+    Inside _SAFE_NORM this is np.linalg.norm, bit for bit, as `_vector_norm`
+    takes it.  Outside it the squares may have underflowed (or overflowed,
+    with numpy's warning), so the norm is taken again of the vector scaled by
+    an exact power of two: a |beta| of 1e-200 keeps all its digits.
     """
-    nrm = float(np.linalg.norm(vec))
+    nrm = _vector_norm(vec)
     if _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
         return nrm
     scaled, e = _pow2_scaled(vec)
-    return float(np.ldexp(np.linalg.norm(scaled), e))
+    return float(np.ldexp(_vector_norm(scaled), e))
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -103,6 +115,7 @@ class SpectralPoint:
 
     u: float
     v: float
+    k: complex = field(init=False, compare=False, repr=False)  # (u + iv)/2, taken once
 
     def __post_init__(self):
         object.__setattr__(self, "u", float(self.u))
@@ -113,10 +126,7 @@ class SpectralPoint:
             raise ValidationError(
                 f"lower half plane: eigenvalue needs v > 0, got v={self.v!r}"
             )
-
-    @property
-    def k(self) -> complex:
-        return complex(self.u, self.v) / 2.0
+        object.__setattr__(self, "k", complex(self.u, self.v) / 2.0)
 
     @property
     def velocity(self) -> float:
@@ -167,10 +177,10 @@ class Polarization:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.p, "polarization")
-        nrm = float(np.linalg.norm(arr))
+        nrm = _vector_norm(arr)
         if not _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
             arr, _ = _pow2_scaled(arr)  # same direction, norm near 1 (or 0)
-            nrm = float(np.linalg.norm(arr))
+            nrm = _vector_norm(arr)
         if nrm == 0.0:
             raise ValidationError("zero vector has no polarization")
         arr = canonical_phase(arr / nrm)
@@ -196,10 +206,9 @@ def projective_distance(p, q) -> float:
         raise ValidationError("projective distance needs vectors of equal length")
     if a.size == 1:
         return 0.0  # one complex line only: the distance vanishes identically
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    rejection = b - a * np.vdot(a, b)
-    return min(1.0, float(np.linalg.norm(rejection)))
+    a = a / _vector_norm(a)
+    b = b / _vector_norm(b)
+    return min(1.0, _vector_norm(b - a * np.vdot(a, b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +246,12 @@ class SolitonData:
         """Reduced chains built so far, by index order: `dressing.build_reduced_chain`
         builds each prefix of an order once per dataset and keeps it here."""
         return {(): ()}
+
+    @functools.cached_property
+    def _gammas(self) -> dict:
+        """Intermediate norming vectors built so far, by (j, spectators):
+        `asymptotics.intermediate_gamma` builds each once per dataset."""
+        return {}
 
     @property
     def N(self) -> int:

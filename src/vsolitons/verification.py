@@ -90,6 +90,7 @@ def sample_grid(
 PDE_ROW_BLOCK = 32
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pde_residual(grid: FieldGrid) -> float:
     """Max interior residual of i R_t + R_xx + 2 (R^dag R) R, second order.
 
@@ -112,7 +113,8 @@ def pde_residual(grid: FieldGrid) -> float:
     2|V|^2 + 0j like numpy's cast of the real density.  The interior rows
     (fixed x) go PDE_ROW_BLOCK at a time through work arrays reused across
     blocks, so the temporaries stay in cache; np.max keeps a nan from any
-    block.
+    block.  A residual past the float range reads inf (nan where an
+    inf - inf meets it) without a numpy warning.
     """
     V = grid.values
     n = grid.n

@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vsolitons import NormingVector, SolitonData, SpectralPoint, cli, one_soliton_field
+from vsolitons import (NormingVector, Polarization, SolitonData, SpectralPoint, beta_in, beta_out,
+                       cli, one_soliton_field, projective_distances, yb_schedule)
 from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
@@ -18,6 +20,7 @@ from vsolitons.config import (
 )
 from vsolitons.errors import ConfigError
 from vsolitons.mirror import solve_mirror_norming
+from vsolitons.sampling import SampleLog, random_soliton_data
 from vsolitons.soldata import Mixed
 from vsolitons.verification import FieldGrid
 
@@ -196,6 +199,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
         assert not out.exists()
 
+    def test_overflowing_pde_residual_is_zero_without_warning(self, tmp_path, capfd):
+        # v = 1e153 and spacings of 5e-151 are in the domain, but the
+        # residual's terms leave the float range: no warning, the
+        # informational pde-residual is not finite
+        doc = _shipped("simulate", grid={"x0": -1e-150, "x1": 1e-150, "t0": 0.0,
+                                         "t1": 1e-150, "nx": 5, "nt": 5})
+        doc["data"]["solitons"][0]["v"] = 1e153
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would raise here
+            assert main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        (check,) = json.loads((out / "report.json").read_text())["checks"]
+        assert check["name"] == "pde-residual" and check["informational"]
+        assert not math.isfinite(check["residual"])
+
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -244,7 +264,7 @@ class TestNanResiduals:
         monkeypatch.setattr(cli, "transfer_commutators",
                             lambda *a: np.array([[1e-3, 1e-9], [1e-9, math.nan]]))
         state = (np.zeros(2, dtype=complex), np.ones((2, 2, 1)))  # (ks, unit-vector draws)
-        worst = cli._transfer_worst([[state], [state]], None, None, False)
+        worst = cli._transfer_worst([[state], [state]], None, None)
         assert worst[0] == 1e-3 and math.isnan(worst[1])
 
     def test_nan_collision_residual_fails_collide_mode(self, tmp_path, monkeypatch):
@@ -687,3 +707,31 @@ class TestSuites:
         assert main(["mirror", "--config", cfg, "--out", str(out)]) == 0
         hl = parse_halfline(json.loads((out / "halfline.json").read_text()))
         assert hl.N == 1
+
+
+def _oracle_pipeline_residual(data):
+    """The factorization pipeline of one dataset as one-sample states, one
+    schedule at a time."""
+    ins, outs = (np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]])
+                 for which in (beta_in, beta_out))
+    return float(np.max([projective_distances(yb_schedule(ins, data.ks[None], s), outs).max()
+                         for s in cli.collision_orders(data.N)]))
+
+
+class TestStackedCollisionPipeline:
+    def test_suite_draws_keep_their_one_sample_bits(self):
+        # the collision suite runs its pipeline once per (N, n) group after
+        # all draws; every sample keeps the bits of its S = 1 pipeline
+        rng, log = np.random.default_rng(5), SampleLog()
+        instances = [cli._draw_collision(None, rng, log, i, None) for i in range(20)]
+        rows = cli._SUITES["collision"]._evaluate(instances)
+        for (rel, xi, data), row in zip(instances, rows):
+            assert row == (rel, xi, _oracle_pipeline_residual(data))
+
+    def test_interleaved_groups_keep_their_one_sample_bits(self):
+        # N and n in {2, 3}, interleaved: four stacks of six, results in order
+        rng = np.random.default_rng(6)
+        datas = [random_soliton_data(rng, 2 + i % 2, 2 + i // 2 % 2) for i in range(24)]
+        rows = cli._SUITES["collision"]._evaluate([(0.0, 0.0, data) for data in datas])
+        for data, row in zip(datas, rows):
+            assert row[2] == _oracle_pipeline_residual(data)

@@ -476,6 +476,19 @@ class TestBatchedPermutationResidual:
         assert each == [permutation_residual(data, ref, o, ks, xts) for o in orders]
         assert worst == max([0.0, *each])
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_shared_seeds_and_coefficients_match_per_order_oracle(self, N):
+        # each factor's seed and coefficients are computed once per call and
+        # shared by every order; the oracle computes them afresh per order
+        rng = np.random.default_rng(60 + N)
+        for n in (1, 2, 3):
+            data = random_data(rng, N, n)
+            ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
+            xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
+            orders = list(itertools.permutations(range(N)))[:8]
+            got = permutation_residuals(data, orders[0], orders[1:], ks, xts)
+            assert got == _oracle_permutation_residuals(data, orders[0], orders[1:], ks, xts)
+
     def test_residuals_require_same_index_set(self):
         data = random_data(np.random.default_rng(47), 3, 2)
         with pytest.raises(ValueError):
@@ -493,6 +506,22 @@ class TestBatchedPermutationResidual:
         ks = [0.3 + 0.2j, data.points[1][0].k.conjugate(), -1.0 + 0.5j]
         with pytest.raises(PoleError):
             permutation_residual(data, (0, 1, 2), (2, 1, 0), ks, [(0.1, 0.2)])
+
+
+def _oracle_permutation_residuals(data, reference, orders, ks, xts):
+    """permutation_residuals with every order's seeds and update coefficients
+    computed afresh, inside `_full_directions` and `_chain_product`."""
+    ks = np.array(ks, dtype=np.complex128)
+    x, t = np.array(xts, dtype=np.float64).reshape(-1, 2).T
+
+    def images(idx):
+        dirs = _full_directions(data, idx, x, t)
+        return [_chain_product(build_reduced_chain(data, idx), ks, data.n),
+                _chain_product(dirs, ks[:3], data.n + 1), dressing._field(data, idx, dirs, x.size)]
+
+    ref = images(reference)
+    return [float(np.max([np.max(np.abs(a - b)) for a, b in zip(ref, images(idx))]))
+            for idx in orders]
 
 
 # --- field bytes against the complex-arithmetic kernel ------------------------------

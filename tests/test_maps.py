@@ -757,17 +757,17 @@ def _reference_transfer_rows(seed, boundary):
     as one-sample states, drawing in the suite's order."""
     rng, log = np.random.default_rng(seed), SampleLog()
 
-    def worst(b_plus, b_minus, n, diagonal=False):
+    def worst(b_plus, b_minus, n):
         w = 0.0
         for N in (2, 3):
             K = np.array([random_map_parameters(rng, N, mirrored=True, log=log)])
             P = random_unit_vectors(rng, N, n)[None]
             for j in range(N):
-                for l in range(j if diagonal else j + 1, N):
+                for l in range(j + 1, N):
                     w = max(w, float(transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)[0]))
         return w
 
-    rows = {"transfer-commutator[identity-boundary]": worst(None, None, 2, True)}
+    rows = {"transfer-commutator[identity-boundary]": worst(None, None, 2)}
     random_map_parameters(rng, 2, mirrored=True, log=log)  # the scalar row's parameters
     kinds = [("given", boundary)] if boundary else [(kind, None) for kind in BOUNDARY_KINDS]
     for row, n, both in (("vnls-reflection", 2, True), ("b-plus-reflection", 3, False)):

@@ -19,7 +19,7 @@ from vsolitons import (
     projective_distance,
 )
 
-from vsolitons.soldata import _norm
+from vsolitons.soldata import _norm, _vector_norm
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -124,6 +124,28 @@ class TestScaledNorm:
         assert _norm(np.zeros(3, dtype=np.complex128)) == 0.0
         with pytest.raises(ValidationError, match="degenerate"):
             NormingVector([0.0, -0.0])
+
+
+_ENTRIES = st.floats(1e-160, 1e160) | st.floats(-1e160, -1e-160)
+
+
+class TestVectorNorm:
+    @given(st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=1, max_size=8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_numpy_norm(self, entries, is_complex):
+        re, im = np.array(entries).T
+        vec = re + 1j * im if is_complex else re.copy()  # contiguous; views: below
+        with np.errstate(over="ignore"):  # squares past 1e308: both read inf
+            assert _vector_norm(vec) == float(np.linalg.norm(vec))
+
+    def test_strided_views_take_numpy_ravel(self):
+        # a strided real view's dot rounds differently from the contiguous
+        # copy numpy's norm takes; reversed views sum in memory order
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            for view in (v[::2], v[::-1], v.real, v.real[::3], v.imag[::-2]):
+                assert _vector_norm(view) == float(np.linalg.norm(view))
 
 
 class TestProjectiveDistance:
