@@ -48,7 +48,6 @@ from .maps import (
     reflection_maps,
     reversibility_residuals,
     s_twist_residuals,
-    transfer_commutator_residuals,
     transfer_commutators,
     yb_schedule,
     ybe_residuals,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import platform
 import sys
 import time
@@ -55,7 +56,6 @@ from .maps import (
     reflection_maps,
     reversibility_residuals,
     s_twist_residuals,
-    transfer_commutator_residuals,
     transfer_commutators,
     yb_schedule,
     ybe_residuals,
@@ -95,7 +95,7 @@ from .verification import (
     sample_grid,
 )
 
-#: Default tolerances by check family; each overridable per run.
+#: Default tolerances by check family; suite.tolerances overrides them by family.
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-10,
     "involution": 1e-12,
@@ -228,9 +228,12 @@ def parse_run_config(doc: dict) -> RunConfig:
         if not isinstance(tols, dict):
             raise ConfigError("suite.tolerances: must be an object")
         for key, val in tols.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"suite.tolerances.{key}: unknown check family; "
+                                  f"expected one of {sorted(DEFAULT_TOLERANCES)}")
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not val >= 0:
                 raise ConfigError(f"suite.tolerances.{key}: must be a nonnegative number")
-            cfg.tolerances[str(key)] = float(val)
+            cfg.tolerances[key] = float(val)
         for key in ("n", "N"):
             if key in suite:
                 cfg.suite_params[key] = _parse_count(suite[key], f"suite.{key}", positive=True)
@@ -278,14 +281,6 @@ def _parse_grid(obj) -> dict:
     return out
 
 
-def _tol(cfg: RunConfig, name: str, family: str) -> float:
-    if name in cfg.tolerances:
-        return cfg.tolerances[name]
-    if family in cfg.tolerances:
-        return cfg.tolerances[family]
-    return DEFAULT_TOLERANCES[family]
-
-
 def _check(
     report: ReportDocument,
     cfg: RunConfig,
@@ -298,7 +293,7 @@ def _check(
 ) -> ReportCheck:
     tol = tolerance
     if tol is None and not informational:
-        tol = _tol(cfg, name, family)
+        tol = cfg.tolerances.get(family, DEFAULT_TOLERANCES[family])
     chk = ReportCheck(name, float(residual), tol, comparison, informational)
     if report.clock is not None:
         # a check's time runs from the suite start or the previous check
@@ -365,7 +360,18 @@ def _csv_rows(table: np.ndarray) -> memoryview:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _strict(obj):
+    """obj with each non-finite float as repr(float) spells it ("nan", "inf",
+    "-inf"), as in grid.csv: strict JSON has no such number."""
+    if isinstance(obj, dict):
+        return {key: _strict(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(val) for val in obj]
+    return repr(float(obj)) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_manifest(cfg: RunConfig, digest_source, outputs: List[str]) -> None:
@@ -567,7 +573,8 @@ def _collision_stack(instances):
     """The collision draws of one (N, n): their pair residuals and, from one
     stacked pipeline, their factorization-pipeline residuals."""
     rel, xi, datas = zip(*instances)
-    return rel, xi, _pipeline_residuals(datas)
+    return rel, xi, _pipeline_residuals(np.array([_in_out(data) for data in datas]),
+                                        np.array([data.ks for data in datas]))
 
 
 def _pair_residuals(data: SolitonData, spectators: int) -> list:
@@ -585,18 +592,20 @@ def collision_orders(N: int):
     return pairs, list(reversed(pairs))
 
 
-def _pipeline_residuals(datas) -> np.ndarray:
-    """Per dataset (all of one N and n), the worst distance of either collision
-    schedule's output from the out-polarizations: one `yb_schedule` per
-    schedule over the (S, N, n) stack of in-polarizations, one distance call
-    for both."""
-    ins, outs = (np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]
-                           for data in datas]) for which in (beta_in, beta_out))
-    schedules = collision_orders(datas[0].N)
-    K = np.array([data.ks for data in datas])
-    got = np.concatenate([yb_schedule(ins, K, s) for s in schedules])
-    dist = projective_distances(got, np.concatenate([outs] * len(schedules))).max(axis=-1)
-    return dist.reshape(len(schedules), len(datas)).max(axis=0)
+def _in_out(data: SolitonData) -> np.ndarray:
+    """(2, N, n): every soliton's unit in- and out-polarization."""
+    return np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]
+                     for which in (beta_in, beta_out)])
+
+
+def _pipeline_residuals(pols, K) -> np.ndarray:
+    """Per sample of an (S, 2, N, n) stack of `_in_out` polarizations and their
+    (S, N) parameters, the worst distance of either collision schedule's output
+    from the out-polarizations: one `yb_schedule` per schedule, one distance call."""
+    schedules = collision_orders(K.shape[1])
+    got = np.concatenate([yb_schedule(pols[:, 0], K, s) for s in schedules])
+    dist = projective_distances(got, np.concatenate([pols[:, 1]] * len(schedules))).max(axis=-1)
+    return dist.reshape(len(schedules), len(K)).max(axis=0)
 
 
 def _mirror_kinds(cfg: RunConfig):
@@ -638,17 +647,13 @@ def _transfer_draw(rng, log, n: int) -> list:
 
 
 def _transfer_worst(draws, b_plus, b_minus) -> list:
-    """Per sample of `draws`, the worst commutator over the pairs j < l of its
-    N = 2 and N = 3 states; each N is one stacked `transfer_commutators` call
-    over all samples and pairs, with one boundary spec per sample in each slot
-    (None: the identity boundary)."""
+    """Per sample of `draws`, the worst commutator of its N = 2 and N = 3 states;
+    each N is one stacked `transfer_commutators` call over all samples, with one
+    boundary spec per sample in each slot (None: the identity boundary)."""
     worst = np.zeros(len(draws))
     for states in zip(*draws):
         ks, raw = zip(*states)
-        K, P = np.array(ks), unit_vectors(np.array(raw))
-        N = K.shape[1]
-        pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
-        rows = transfer_commutators(P, K, b_plus, b_minus, pairs)
+        rows = transfer_commutators(unit_vectors(np.array(raw)), np.array(ks), b_plus, b_minus)
         worst = np.maximum(worst, np.max(rows, axis=0))
     return worst.tolist()
 
@@ -659,9 +664,9 @@ def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog)
 
     K = np.array([random_map_parameters(rng, 2, mirrored=True, log=log)])
     robin = (Robin(0.5),)
-    residual = transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, robin, robin)
-    _check(report, cfg, "transfer-commutator[scalar]", float(residual[0]),
-           family="involution", tolerance=0.0)
+    residual = transfer_commutators(np.ones((1, 2, 1), complex), K, robin, robin)[0, 0]
+    _check(report, cfg, "transfer-commutator[scalar]", residual, family="involution",
+           tolerance=0.0)
 
     # exploratory: both boundary slots filled with the concrete reflection map;
     # the measured residual is recorded, not asserted (the b_minus slot needs
@@ -741,12 +746,12 @@ def _suite_pde(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
 def _draw_factorization(cfg, rng, log, i, variant):
     data = _moderate_collision_data(rng, 2 + i % 2, (2, 3)[i % 2], log)
     T = 18.0 / (min(pt.v for pt, _ in data.points) * min_relative_velocity(data))
-    js, ts, bfuns = zip(*[(j, t, bfun) for j in range(data.N)
-                          for t, bfun in ((-T, beta_in), (T, beta_out))])
+    js, ts, sides = zip(*[(j, t, side) for j in range(data.N) for side, t in enumerate((-T, T))])
     found = extract_asymptotic_polarization(data, js, ts)
-    dist = [projective_distance(pol, Polarization(bfun(j, data).beta))
-            for j, bfun, (pol, _) in zip(js, bfuns, found)]
-    return _worst(dist), _pipeline_residuals([data])[0]
+    pols = _in_out(data)
+    dist = [projective_distance(pol, pols[side, j])
+            for j, side, (pol, _) in zip(js, sides, found)]
+    return _worst(dist), _pipeline_residuals(pols[None], data.ks[None])[0]
 
 
 def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
@@ -850,8 +855,8 @@ def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
     data = cfg.data
     rel = [r for r, _ in _pair_residuals(data, 1)]
     _check(report, cfg, "pairwise-collision-relations", _worst(rel), family="algebraic")
-    _check(report, cfg, "factorization-pipeline", _pipeline_residuals([data])[0],
-           family="algebraic")
+    _check(report, cfg, "factorization-pipeline",
+           _pipeline_residuals(_in_out(data)[None], data.ks[None])[0], family="algebraic")
     doc = {
         "in": soliton_data_to_json(_replace_betas(data, beta_in)),
         "out": soliton_data_to_json(_replace_betas(data, beta_out)),

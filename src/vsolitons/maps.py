@@ -6,10 +6,11 @@ bounce acts on a single polarization and sends its parameter k to -k*.
 
 Both act on a stacked state of S samples with the same number of slots: P,
 an (S, slots, n) array of unit vectors, and K, the (S, slots) array of their
-spectral parameters.  Two in-place steps, `_collide` and `_bounce`, run over
-all samples at once, so the parametric bookkeeping of every composite is
-automatic: each step reads the parameters currently sitting in its slots.
-Each composite is written once over the stacked state.
+spectral parameters.  Two in-place steps, `_collide` and `_bounce`, make
+one rank-one update (`_pull`) over all samples at once, so the parametric
+bookkeeping of every composite is automatic: each step reads the parameters
+currently sitting in its slots.  Each composite is written once over the
+stacked state.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def _unit(v):
     return v / np.sqrt((v.conj() * v).real.sum(-1, keepdims=True))
 
 
+def _pull(a, b, w):
+    """The update step of both maps: a + w b per sample, renormalised."""
+    return _unit(a + w[:, None] * b)
+
+
 def _collide(P, K, i: int, j: int) -> None:
     """Collide slots i and j of every sample in place; the parameters ride along.
 
@@ -69,9 +75,7 @@ def _collide(P, K, i: int, j: int) -> None:
     nu = (k2 - k1c) / (k2 - k1)
     a1, a2 = P[:, i], P[:, j]
     c = _dot(a2, a1)
-    b1 = a1 + ((mu - 1.0) * c)[:, None] * a2
-    b2 = a2 + ((nu - 1.0) * c.conj())[:, None] * a1
-    P[:, i], P[:, j] = _unit(b1), _unit(b2)
+    P[:, i], P[:, j] = _pull(a1, a2, (mu - 1.0) * c), _pull(a2, a1, (nu - 1.0) * c.conj())
 
 
 def _small_ms(specs: Sequence[BoundarySpec], k, n: int) -> np.ndarray:
@@ -95,13 +99,16 @@ def _bounce(P, K, j: int, ms) -> None:
 
     p' = (I + (k - k*)/(k + k*) p p^dag) m(k) p, renormalised, and k' = -k*,
     with ms the stack of m(k) at each sample's current k (see `_small_ms`).
+
+    It is the first slot of the collision of the mirror image (m(k) p, -k*)
+    with (p, k) (Caudrelier and Zhang, Nonlinearity 2014): (k - k*)/(k + k*) is
+    that collision's mu - 1, formed directly, as mu - 1 would move last bits.
     """
     if ms is None:
         return
     k, p = K[:, j], P[:, j]
     q = np.einsum("sab,sb->sa", ms, p)
-    coeff = (k - k.conj()) / (k + k.conj())
-    P[:, j] = _unit(q + (coeff * _dot(p, q))[:, None] * p)
+    P[:, j] = _pull(q, p, (k - k.conj()) / (k + k.conj()) * _dot(p, q))
     K[:, j] = -k.conj()
 
 
@@ -125,10 +132,10 @@ def _slot_residual(Pa, Ka, Pb, Kb) -> np.ndarray:
 # --- Yang-Baxter maps ----------------------------------------------------------
 
 
-def yb_schedule(P, K, pairs) -> np.ndarray:
-    """Collide the slot pairs (i, j) in order, on a copy of P; returns the new P."""
+def yb_schedule(P, K, schedule) -> np.ndarray:
+    """Collide the slot pairs (i, j) of schedule in order on a copy of P; returns it."""
     P = P.copy()
-    for i, j in pairs:
+    for i, j in schedule:
         _collide(P, K, i, j)
     return P
 
@@ -161,39 +168,21 @@ def s_twist_residuals(P, K) -> np.ndarray:
 
 def reflection_maps(P, K, specs: Sequence[BoundarySpec]) -> tuple:
     """Bounce every slot of every sample off its sample's boundary, on copies;
-    returns the new (P, K).
-
-    (p, k) -> (p breve, -k*) with p breve = (I + (k-k*)/(k+k*) p p^dag) m(k) p;
-    undefined for k on the imaginary axis.
-    """
+    returns the new (P, K).  (p, k) -> (p breve, -k*) as `_bounce` writes it;
+    undefined for k on the imaginary axis."""
     P, K = P.copy(), K.copy()
     for j in range(K.shape[1]):
         _bounce(P, K, j, _small_ms(specs, K[:, j], P.shape[-1]))
     return P, K
 
 
-def reflection_pairs_safe(K) -> np.ndarray:
-    """Per sample of an (S, 2) parameter stack: every collision denominator of
-    the two-soliton reflection identity is safe."""
-    k1, k2 = K[:, 0], K[:, 1]
-    m1, m2 = -k1.conj(), -k2.conj()
-    safe = np.minimum(np.abs(k1.real), np.abs(k2.real)) > AXIS_TOL
-    for a, b in ((k1, k2), (m2, k1), (m1, k2), (m2, m1)):
-        d = a - b
-        safe &= np.hypot(d.real, d.imag) >= PAIR_POLE_TOL  # abs(complex), bit for bit
-    return safe
-
-
 def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
     """Per-sample residual of the two orderings of two bounces and two collisions.
 
-    specs holds each sample's boundary.  Raises PoleError, naming the first
-    unsafe sample, when a parameter configuration is unsafe.
+    specs holds each sample's boundary.  The four collisions raise PoleError
+    where their pairs (k1, k2), (-k2*, k1), (-k1*, k2), (-k2*, -k1*) are singular.
     """
-    safe = reflection_pairs_safe(K)
-    if not safe.all():
-        k1, k2 = K[np.argmin(safe)].tolist()
-        raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
+    _check_parameters(K)
     n = P.shape[-1]
     m1, m2 = _small_ms(specs, K[:, 0], n), _small_ms(specs, K[:, 1], n)
     (Pl, Kl), (Pr, Kr) = (P.copy(), K.copy()), (P.copy(), K.copy())
@@ -232,9 +221,6 @@ def _transfer(P, K, j: int, b_plus, b_minus) -> None:
     N = K.shape[1]
     if N < 2:
         raise ValidationError("transfer maps need at least two sites")
-    j = int(j)
-    if not 0 <= j < N:
-        raise ValidationError(f"transfer index {j} outside 0..{N-1}")
     n = P.shape[-1]
     for m in range(j - 1, -1, -1):
         _collide(P, K, m, j)
@@ -252,49 +238,29 @@ def transfer_commutators(
     K,
     b_plus: Optional[Sequence[BoundarySpec]],
     b_minus: Optional[Sequence[BoundarySpec]],
-    pairs: Sequence[tuple],
 ) -> np.ndarray:
-    """(len(pairs), S): row p is the per-sample max slotwise distance between
-    T_j T_l and T_l T_j for the p-th pair (j, l).
+    """(N(N-1)/2, S): row p is the per-sample max slotwise distance between
+    T_j T_l and T_l T_j for the p-th site pair j < l, in lexicographic order.
 
-    Each T_l P is computed once, and each T_j runs once over the stack of the
-    T_l P it must follow, so a state takes one transfer map per site and one
-    per following site, not four per pair.  A T_l P is computed when a stack
-    first needs it, which makes a one-pair call run T_l, T_j T_l, T_j, T_l T_j
-    in that order.  b_plus and b_minus each hold one boundary spec per
-    sample, or are None for the identity boundary.
+    Every T_l P is computed first; then each T_j runs once over the stack of
+    the other sites' T_l P, so a state takes 2N transfer maps, not four per
+    pair.  b_plus and b_minus each hold one boundary spec per sample, or are
+    None for the identity boundary.
     """
-    follows = {}  # j -> the sites l whose T_l P it follows, in first-use order
-    for j, l in pairs:
-        follows.setdefault(j, {})[l] = None
-        follows.setdefault(l, {})[j] = None
-    S = len(K)
-    single = {}  # l -> T_l P and its parameters
+    S, N = K.shape
+    single = []  # T_l P and its parameters, by site l
+    for l in range(N):
+        single.append((P.copy(), K.copy()))
+        _transfer(*single[l], l, b_plus, b_minus)
+    tiled = [None if b is None else tuple(b) * (N - 1) for b in (b_plus, b_minus)]
     both = {}  # (j, l) -> T_j T_l P and its parameters
-    for j, ls in follows.items():
-        for l in ls:
-            if l not in single:
-                single[l] = P.copy(), K.copy()
-                _transfer(*single[l], l, b_plus, b_minus)
-        Q, L = (np.concatenate(a) for a in zip(*[single[l] for l in ls]))
-        m = len(ls)
-        _transfer(Q, L, j, None if b_plus is None else tuple(b_plus) * m,
-                  None if b_minus is None else tuple(b_minus) * m)
-        for i, l in enumerate(ls):
+    for j in range(N):
+        others = [l for l in range(N) if l != j]
+        Q, L = (np.concatenate(a) for a in zip(*[single[l] for l in others]))
+        _transfer(Q, L, j, *tiled)
+        for i, l in enumerate(others):
             both[j, l] = Q[i * S:(i + 1) * S], L[i * S:(i + 1) * S]
+    pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
     Pa, Ka = (np.concatenate(a) for a in zip(*[both[j, l] for j, l in pairs]))
     Pb, Kb = (np.concatenate(a) for a in zip(*[both[l, j] for j, l in pairs]))
     return _slot_residual(Pa, Ka, Pb, Kb).reshape(len(pairs), S)
-
-
-def transfer_commutator_residuals(
-    j: int,
-    l: int,
-    P,
-    K,
-    b_plus: Optional[Sequence[BoundarySpec]],
-    b_minus: Optional[Sequence[BoundarySpec]],
-) -> np.ndarray:
-    """Per-sample max slotwise distance between T_j T_l and T_l T_j: the
-    one-pair call of `transfer_commutators`."""
-    return transfer_commutators(P, K, b_plus, b_minus, [(j, l)])[0]

@@ -43,6 +43,13 @@ _STORED_HALFLINE = halfline_to_json(solve_mirror_norming(
     SolitonData(2, ((SpectralPoint(0.8, 1.0), NormingVector([0.8, 0.5 + 0.4j])),)), Mixed((1, -1))))
 
 
+def _strict_json(path):
+    """A written JSON file, read as RFC 8259 allows: no NaN or Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: {token} is not strict JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -180,6 +187,8 @@ class TestExitCodes:
                                  "unitary": [[[1, 0]], [[0, 0], [1, 0]]]}}, "boundary.unitary[0]"),
         ("verify", {"suite": {"name": "ybe", "samples": 2, "seed": 1,
                               "tolerances": {"algebraic": math.nan}}}, "suite.tolerances.algebraic"),
+        ("verify", {"suite": {"name": "ybe", "samples": 2, "seed": 1,
+                              "tolerances": {"algebriac": 1e-30}}}, "suite.tolerances.algebriac"),
         ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
         ("verify", {"suite": {"name": "involution", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
         ("verify", {"suite": {"name": "permutation", "samples": 1, "seed": 1, "n": 0}}, "suite.n"),
@@ -190,7 +199,8 @@ class TestExitCodes:
         ("collide", _shipped("collide", data={"n": 1, "solitons": [
             {"u": 1e300, "v": 1.0, "beta": [[1.0, 0.0]]},
             {"u": 2e300, "v": 1.0, "beta": [[1.0, 0.0]]}]}), "data.solitons[0].u"),
-    ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "ybe-n-0",
+    ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
+            "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
             "subnormal-grid-spacing-squared", "overflowing-parameter-difference"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
@@ -212,9 +222,9 @@ class TestExitCodes:
             assert main(["simulate", "--config", write_config(tmp_path, doc),
                          "--out", str(out)]) == 0
         assert capfd.readouterr().err == ""
-        (check,) = json.loads((out / "report.json").read_text())["checks"]
+        (check,) = _strict_json(out / "report.json")["checks"]
         assert check["name"] == "pde-residual" and check["informational"]
-        assert not math.isfinite(check["residual"])
+        assert check["residual"] in ("nan", "inf", "-inf")  # repr(float), as in grid.csv
 
     def test_failed_check_is_two(self, tmp_path):
         cfg = write_config(
@@ -256,8 +266,8 @@ class TestNanResiduals:
         doc = {"suite": {"name": "determinant", "samples": 3, "seed": 1}}
         out = tmp_path / "o"
         assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
-        (check,) = json.loads((out / "report.json").read_text())["checks"]
-        assert check["passed"] is False and math.isnan(check["residual"])
+        (check,) = _strict_json(out / "report.json")["checks"]
+        assert check["passed"] is False and check["residual"] == "nan"
 
     def test_instance_and_transfer_folds_keep_nan(self, monkeypatch):
         assert math.isnan(cli._worst([1e-3, math.nan, 1e-9]))
@@ -274,8 +284,20 @@ class TestNanResiduals:
             {"u": u, "v": 1.0, "beta": [[1, 0], [0.5, 0.5]]} for u in (-0.5, 0.1, 0.6)]}}
         out = tmp_path / "o"
         assert main(["collide", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
-        check = json.loads((out / "report.json").read_text())["checks"][0]
+        check = _strict_json(out / "report.json")["checks"][0]
         assert check["name"] == "pairwise-collision-relations" and check["passed"] is False
+        assert check["residual"] == "nan"
+
+    def test_infinite_tolerance_is_written_as_strict_json(self, tmp_path):
+        # json reads Infinity in a config; every JSON output spells it "inf"
+        doc = {"suite": {"name": "ybe", "samples": 2, "seed": 1,
+                         "tolerances": {"algebraic": math.inf}}}
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = _strict_json(out / "report.json")
+        assert report["checks"][0]["tolerance"] == "inf"
+        assert report["config"]["suite"]["tolerances"] == {"algebraic": "inf"}
+        assert _strict_json(out / "manifest.json")["config"] == report["config"]
 
 
 class TestSimulateMode:

@@ -19,11 +19,12 @@ from vsolitons import (
     SpectralPoint,
     involution_residuals,
     projective_distance,
+    projective_distances,
     reflection_equation_residuals,
     reflection_maps,
     reversibility_residuals,
     s_twist_residuals,
-    transfer_commutator_residuals,
+    transfer_commutators,
     yb_schedule,
     ybe_residuals,
 )
@@ -225,6 +226,10 @@ class TestReflectionEquation:
         assert reflection_equation_residuals(P, K, (Robin(0.6),))[0] < 1e-12
 
     def test_stacked_pair_check_matches_scalar_reference(self):
+        # the parameter check and the four collisions' pole checks refuse
+        # exactly the pairs the reference pair check calls unsafe: an axis
+        # parameter as DomainError, a non-finite one as ValidationError and
+        # any other unsafe pair as PoleError
         rng = np.random.default_rng(8)
         ks = [random_map_parameters(rng, 2) for _ in range(200)]
         k = 0.4 + 0.7j
@@ -232,27 +237,70 @@ class TestReflectionEquation:
                  (k, -k.conjugate() + 2 * PAIR_POLE_TOL), (0.5 * AXIS_TOL + 1j, k),
                  (k, 1j), (k, complex(math.nan, 1.0)), (complex(1.0, math.nan), k),
                  (0.5 + 0j, complex(0.5, PAIR_POLE_TOL))]  # a gap of exactly PAIR_POLE_TOL
-        K = np.array(ks + edges, dtype=np.complex128)
-        got = maps.reflection_pairs_safe(K).tolist()
-        assert got == [_reference_pair_safe(a, b) for a, b in K.tolist()]
-        assert got[-len(edges):] == [False, False, False, True, False, False, False, False, True]
+        P = np.ones((1, 2, 2), dtype=complex) / math.sqrt(2)
+        got = []
+        for k1, k2 in ks + edges:
+            try:
+                reflection_equation_residuals(P, np.array([[k1, k2]]), [Mixed((1, -1))])
+                got.append(None)
+            except (DomainError, PoleError, ValidationError) as exc:
+                got.append(type(exc))
+        assert [g is None for g in got] == [_reference_pair_safe(a, b) for a, b in ks + edges]
+        assert got[-len(edges):] == [PoleError, PoleError, PoleError, None, DomainError,
+                                     DomainError, ValidationError, ValidationError, None]
 
     def test_unsafe_pair_names_the_first_unsafe_sample(self):
         k = 0.5 + 0.5j
-        K = np.array([[0.3 + 0.9j, -0.7 + 0.4j], [k, -k.conjugate()], [k, k]])
-        P = np.ones((3, 2, 2), dtype=complex) / math.sqrt(2)
-        message = r"^unsafe reflection configuration for k1=\(0\.5\+0\.5j\), k2=\(-0\.5\+0\.5j\)$"
+        K = np.array([[0.3 + 0.9j, -0.7 + 0.4j], [k, -k.conjugate()]])
+        P = np.ones((2, 2, 2), dtype=complex) / math.sqrt(2)
+        # the unsafe sample is named by the collision that meets its pole: the
+        # bounce sends -k* back to k, which then meets k in collision (1, 0)
+        message = (r"^pair \(1, 0\) with parameters \(\(0\.5\+0\.5j\), \(0\.5\+0\.5j\)\): "
+                   r"collision factors are singular")
         with pytest.raises(PoleError, match=message):
-            reflection_equation_residuals(P, K, [Mixed((1, -1))] * 3)
+            reflection_equation_residuals(P, K, [Mixed((1, -1))] * 2)
 
     def test_mirrored_draws_are_pair_safe(self):
         # the reflection-equation suite draws its parameters mirrored and
-        # relies on every draw passing the kernel's pole check
+        # relies on every draw passing the kernel's pole checks
         for seed in range(200):
             rng = np.random.default_rng(seed)
             for _ in range(20):
-                K = np.array([random_map_parameters(rng, 2, mirrored=True)])
-                assert maps.reflection_pairs_safe(K)[0]
+                assert _reference_pair_safe(*random_map_parameters(rng, 2, mirrored=True))
+
+
+class TestBounceIsMirrorCollision:
+    """The bounce is the collision of a soliton with its mirror image:
+    B(p, k) is slot 0 of the collision of (m(k) p, -k*) with (p, k)."""
+
+    @staticmethod
+    def _sides(kind, n):
+        """200 seeded one-slot samples: the bounce, the mirror collision and
+        the bounce at -k* instead of k, each as (P, K)."""
+        rng = np.random.default_rng(900 + 10 * BOUNDARY_KINDS.index(kind) + n)
+        P, K, specs = _samples(rng, 200, 1, n, mirrored=True, boundary=kind)
+        bounce = P.copy(), K.copy()
+        maps._bounce(*bounce, 0, maps._small_ms(specs, K[:, 0], n))
+        mirror = np.einsum("sab,sb->sa", maps._small_ms(specs, K[:, 0], n), P[:, 0])
+        collision = np.stack([mirror, P[:, 0]], axis=1), np.concatenate([-K.conj(), K], axis=1)
+        maps._collide(*collision, 0, 1)
+        flipped = P.copy(), -K.conj()
+        maps._bounce(*flipped, 0, maps._small_ms(specs, flipped[1][:, 0], n))
+        return bounce, collision, flipped
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    def test_bounce_is_slot_zero_of_the_mirror_collision(self, kind, n):
+        (Q, L), (R, M), _ = self._sides(kind, n)
+        assert np.array_equal(L[:, 0], M[:, 0])
+        assert projective_distances(Q[:, 0], R[:, 0]).max() <= AGREE
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mixed", "rotated_mixed"])
+    def test_bounce_at_the_mirror_parameter_misses(self, kind, n):
+        # negative control: the same identity with B applied at -k* fails
+        _, (R, _), (X, _) = self._sides(kind, n)
+        assert projective_distances(X[:, 0], R[:, 0]).max() >= 0.5
 
 
 class TestTransferMaps:
@@ -275,15 +323,14 @@ class TestTransferMaps:
     @pytest.mark.parametrize("N", [2, 3])
     def test_identity_boundary_commutators(self, N):
         P, K = self._state(np.random.default_rng(6 + N), N, 2)
-        for j in range(N):
-            for l in range(N):
-                assert transfer_commutator_residuals(j, l, P, K, None, None)[0] < 1e-12
+        rows = transfer_commutators(P, K, None, None)
+        assert rows.shape == (N * (N - 1) // 2, 1) and rows.max() < 1e-12
 
     def test_scalar_case_exactly_zero(self):
         rng = np.random.default_rng(9)
         K = np.array([random_map_parameters(rng, 2, mirrored=True)])
         B = Mixed((1,))
-        assert transfer_commutator_residuals(0, 1, np.ones((1, 2, 1), complex), K, (B,), (B,))[0] == 0.0
+        assert transfer_commutators(np.ones((1, 2, 1), complex), K, (B,), (B,))[0, 0] == 0.0
 
     def test_vnls_reflection_experiment_runs_and_is_deterministic(self):
         # exploratory: with the concrete reflection map in both boundary
@@ -291,10 +338,10 @@ class TestTransferMaps:
         rng = np.random.default_rng(10)
         spec = Mixed((1, -1))
         P, K = self._state(rng, 3, 2)
-        r1 = transfer_commutator_residuals(0, 2, P, K, (spec,), (spec,))[0]
-        r2 = transfer_commutator_residuals(0, 2, P, K, (spec,), (spec,))[0]
-        assert r1 == r2
-        assert np.isfinite(r1)
+        r1 = transfer_commutators(P, K, (spec,), (spec,))
+        r2 = transfer_commutators(P, K, (spec,), (spec,))
+        assert np.array_equal(r1, r2)
+        assert np.isfinite(r1).all()
 
     def test_parameters_travel_with_reflections(self):
         rng = np.random.default_rng(11)
@@ -314,11 +361,8 @@ class TestTransferMaps:
             spec = random_boundary(rng, kind, 3)
             for N in (2, 3, 4):
                 P, K = self._state(rng, N, 3)
-                for j in range(N):
-                    for l in range(j + 1, N):
-                        r = transfer_commutator_residuals(j, l, P, K, (spec,), None)[0]
-                        s = transfer_commutator_residuals(j, l, P, K, None, (spec,))[0]
-                        plus, swapped = max(plus, r), max(swapped, s)
+                plus = max(plus, transfer_commutators(P, K, (spec,), None).max())
+                swapped = max(swapped, transfer_commutators(P, K, None, (spec,)).max())
         assert plus <= 1e-12
         if kind != "robin":
             assert swapped >= 0.5
@@ -331,14 +375,11 @@ class TestTransferMaps:
         _, _, P, K = _draw(rng, 6, N, 2)
         specs = _specs(rng, 6, 2)
         for b_minus in (None, specs):
-            for j in range(N):
-                for l in range(N):
-                    stacked = transfer_commutator_residuals(j, l, P, K, specs, b_minus)
-                    for s in range(6):
-                        one = transfer_commutator_residuals(
-                            j, l, P[s:s + 1], K[s:s + 1], specs[s:s + 1],
-                            None if b_minus is None else b_minus[s:s + 1])
-                        assert stacked[s] == one[0]
+            stacked = transfer_commutators(P, K, specs, b_minus)
+            for s in range(6):
+                one = transfer_commutators(P[s:s + 1], K[s:s + 1], specs[s:s + 1],
+                                           None if b_minus is None else b_minus[s:s + 1])
+                assert np.array_equal(stacked[:, s:s + 1], one)
             Q, L = self._transfer(N - 1, P, K, specs, b_minus)
             for s in range(6):
                 q, m = self._transfer(N - 1, P[s:s + 1], K[s:s + 1], specs[s:s + 1],
@@ -349,21 +390,25 @@ class TestTransferMaps:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_commutator_rows_equal_one_sample_one_pair_calls(self, S, N):
         # every T_l P is shared by all pairs and each T_j runs over a stack of
-        # several states: no sample of any row may move from its own S = 1,
-        # one-pair call (numpy can round a length-1 stack differently)
+        # several states: no sample of any row may move from its own S = 1
+        # call, nor from T_j T_l against T_l T_j composed for that one pair
+        # (numpy can round a length-1 stack differently)
         rng = np.random.default_rng(40 + 10 * S + N)
         _, _, P, K = _draw(rng, S, N, 2)
         specs = _specs(rng, S, 2)
-        pairs = [(j, l) for j in range(N) for l in range(N)]  # j < l, j = l, j > l
+        pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
         for b_plus, b_minus in ((None, None), (specs, None), (specs, specs)):
-            rows = maps.transfer_commutators(P, K, b_plus, b_minus, pairs)
+            rows = transfer_commutators(P, K, b_plus, b_minus)
             assert rows.shape == (len(pairs), S)
-            for row, (j, l) in zip(rows, pairs):
-                for s in range(S):
-                    one = transfer_commutator_residuals(
-                        j, l, P[s:s + 1], K[s:s + 1],
-                        *(None if b is None else b[s:s + 1] for b in (b_plus, b_minus)))
-                    assert row[s].tobytes() == one[0].tobytes()
+            for s in range(S):
+                state = P[s:s + 1], K[s:s + 1]
+                slots = [None if b is None else b[s:s + 1] for b in (b_plus, b_minus)]
+                one = transfer_commutators(*state, *slots)
+                assert rows[:, s].tobytes() == one[:, 0].tobytes()
+                for row, (j, l) in zip(rows, pairs):
+                    a = self._transfer(j, *self._transfer(l, *state, *slots), *slots)
+                    b = self._transfer(l, *self._transfer(j, *state, *slots), *slots)
+                    assert row[s].tobytes() == maps._slot_residual(*a, *b)[0].tobytes()
 
     def test_collision_pole_names_the_pair(self):
         k1 = 0.5 + 0.5j
@@ -762,9 +807,7 @@ def _reference_transfer_rows(seed, boundary):
         for N in (2, 3):
             K = np.array([random_map_parameters(rng, N, mirrored=True, log=log)])
             P = random_unit_vectors(rng, N, n)[None]
-            for j in range(N):
-                for l in range(j + 1, N):
-                    w = max(w, float(transfer_commutator_residuals(j, l, P, K, b_plus, b_minus)[0]))
+            w = max(w, float(transfer_commutators(P, K, b_plus, b_minus).max()))
         return w
 
     rows = {"transfer-commutator[identity-boundary]": worst(None, None, 2)}
@@ -892,9 +935,6 @@ def _reference_pair_safe(k1, k2) -> bool:
 
 
 def _reference_reflection_equation_residual(k1, k2, p1, p2, spec):
-    k1, k2 = complex(k1), complex(k2)
-    if not _reference_pair_safe(k1, k2):
-        raise PoleError(f"unsafe reflection configuration for k1={k1}, k2={k2}")
     state = _reference_state((p1, k1), (p2, k2))
     lhs, rhs = list(state), list(state)
     _reference_collide(lhs, 0, 1)
@@ -1039,13 +1079,14 @@ class TestStackedKernelMatchesReference:
         ks, ps, P, K = _draw(rng, S, N, n)
         b_plus = random_boundary(rng, "rotated_mixed", n)
         b_minus = random_boundary(rng, "robin", n)
+        pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
         for slots in ((b_plus, b_minus), (b_plus, None), (None, b_plus)):
-            stacked = maps.transfer_commutator_residuals(
-                N - 1, 0, P, K, *((b,) * S if b is not None else None for b in slots))
+            rows = transfer_commutators(P, K, *((b,) * S if b is not None else None for b in slots))
             for s in range(S):
                 state = _reference_state(*zip(ps[s], ks[s]))
-                ref = _reference_transfer_commutator_residual(N - 1, 0, state, *slots)
-                assert abs(stacked[s] - ref) <= AGREE
+                for row, (j, l) in zip(rows, pairs):
+                    ref = _reference_transfer_commutator_residual(j, l, state, *slots)
+                    assert abs(row[s] - ref) <= AGREE
         Q, L = P.copy(), K.copy()
         maps._transfer(Q, L, 1, (b_plus,) * S, (b_minus,) * S)
         for s in range(S):
@@ -1105,7 +1146,7 @@ class TestStackedErrorsMatchReference:
             _reference_collide, list(state), 0, 1)
         assert _raised(reversibility_residuals, P, K) == _raised(
             _reference_reversibility_residual, k1, k2, p1, p2)
-        assert _raised(transfer_commutator_residuals, 0, 1, P, K, None, None) == _raised(
+        assert _raised(transfer_commutators, P, K, None, None) == _raised(
             _reference_transfer_commutator_residual, 0, 1, state, None, None)
         spec = Mixed((1, -1))
         assert _raised(reflection_equation_residuals, P, K, (spec,)) == _raised(
@@ -1165,11 +1206,9 @@ class TestStackedErrorsMatchReference:
         with pytest.raises(ValidationError, match=match):
             reflection_equation_residuals(P, K, specs)
         with pytest.raises(ValidationError, match=match):
-            transfer_commutator_residuals(0, 1, P, K, specs, None)
+            transfer_commutators(P, K, specs, None)
         with pytest.raises(ValidationError, match=match):
-            transfer_commutator_residuals(0, 1, P, K, None, specs)
-        with pytest.raises(ValidationError, match=match):
-            maps.transfer_commutators(P, K, specs, specs, [(0, 1), (1, 0), (1, 1)])
+            transfer_commutators(P, K, None, specs)
 
     def test_boundary_component_mismatch(self):
         q, spec = Polarization([0.6, 0.8, 0.0]), Mixed((1, -1))
