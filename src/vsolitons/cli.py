@@ -32,10 +32,15 @@ from .asymptotics import (
     min_relative_velocity,
 )
 from .config import (
+    _expect,
+    _integer,
+    _number,
+    _object,
     dataset_digest,
     halfline_to_json,
     load_json,
     parse_boundary,
+    parse_grid,
     parse_halfline,
     parse_soliton_data,
     soliton_data_to_json,
@@ -185,100 +190,51 @@ class RunConfig:
     boundary: Optional[object] = None
     grid: Optional[dict] = None
     suite_name: Optional[str] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    tolerances: Dict[str, float] = field(default_factory=dict)
+    #: the suite's integer entries (samples, seed, n, N) that the config sets
     suite_params: Dict[str, int] = field(default_factory=dict)
+    tolerances: Dict[str, float] = field(default_factory=dict)
     output: Path = Path("out")
 
 
+#: The optional top-level keys (besides the mode), the keys of "suite", and the
+#: least value of each suite integer.
+_TOP_KEYS = ("data", "boundary", "grid", "suite", "output")
+_SUITE_INTEGERS = {"samples": 0, "seed": 0, "n": 1, "N": 1}
+_SUITE_KEYS = ("name", *_SUITE_INTEGERS, "tolerances")
+
+
 def parse_run_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    mode = doc.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"config.mode: expected one of {MODES}, got {mode!r}")
-    cfg = RunConfig(mode=mode, raw=doc)
-
+    doc = _object(doc, "", ("mode",), _TOP_KEYS)
+    if doc["mode"] not in MODES:
+        raise ConfigError(f"config.mode: expected one of {MODES}, got {doc['mode']!r}")
+    cfg = RunConfig(mode=doc["mode"], raw=doc)
     if "data" in doc:
-        block = doc["data"]
-        if isinstance(block, dict) and "real_count" in block:
-            cfg.halfline = parse_halfline(block, "data")
-            cfg.data = cfg.halfline.combined
-            cfg.boundary = cfg.halfline.spec
+        # data with a real_count is a stored half-line dataset
+        if "real_count" in _expect(doc["data"], dict, "data"):
+            cfg.halfline = parse_halfline(doc["data"])
+            cfg.data, cfg.boundary = cfg.halfline.combined, cfg.halfline.spec
         else:
-            cfg.data = parse_soliton_data(block, "data")
-    if "boundary" in doc and cfg.boundary is None:
-        cfg.boundary = parse_boundary(doc["boundary"], "boundary")
+            cfg.data = parse_soliton_data(doc["data"])
+    if "boundary" in doc:
+        if cfg.halfline is not None:
+            raise ConfigError("boundary: stored half-line data carries its own boundary")
+        cfg.boundary = parse_boundary(doc["boundary"])
     if "grid" in doc:
-        cfg.grid = _parse_grid(doc["grid"])
+        cfg.grid = parse_grid(doc["grid"])
 
-    suite = doc.get("suite", {})
-    if suite:
-        if not isinstance(suite, dict):
-            raise ConfigError("suite: must be an object")
-        cfg.suite_name = suite.get("name")
-        if cfg.suite_name is not None and not isinstance(cfg.suite_name, str):
-            raise ConfigError(f"suite.name: expected a string, got {cfg.suite_name!r}")
-        if "samples" in suite:
-            cfg.samples = _parse_count(suite["samples"], "suite.samples")
-        if "seed" in suite:
-            cfg.seed = _parse_count(suite["seed"], "suite.seed")
-        tols = suite.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("suite.tolerances: must be an object")
-        for key, val in tols.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"suite.tolerances.{key}: unknown check family; "
-                                  f"expected one of {sorted(DEFAULT_TOLERANCES)}")
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not val >= 0:
-                raise ConfigError(f"suite.tolerances.{key}: must be a nonnegative number")
-            cfg.tolerances[key] = float(val)
-        for key in ("n", "N"):
-            if key in suite:
-                cfg.suite_params[key] = _parse_count(suite[key], f"suite.{key}", positive=True)
-    if cfg.samples is not None and cfg.samples > 0 and cfg.seed is None:
+    suite = _object(doc.get("suite", {}), "suite", (), _SUITE_KEYS)
+    if "name" in suite:
+        cfg.suite_name = _expect(suite["name"], str, "suite.name")
+    cfg.suite_params = {key: _integer(suite[key], f"suite.{key}", least)
+                        for key, least in _SUITE_INTEGERS.items() if key in suite}
+    tols = _object(suite.get("tolerances", {}), "suite.tolerances", (), DEFAULT_TOLERANCES)
+    cfg.tolerances = {key: _number(val, f"suite.tolerances.{key}", 0.0)
+                      for key, val in tols.items()}
+    if cfg.suite_params.get("samples", 0) > 0 and "seed" not in cfg.suite_params:
         raise ConfigError("suite.seed: required whenever samples > 0 (reproducibility)")
     if "output" in doc:
-        if not isinstance(doc["output"], str):
-            raise ConfigError("output: must be a directory path string")
-        cfg.output = Path(doc["output"])
+        cfg.output = Path(_expect(doc["output"], str, "output"))
     return cfg
-
-
-def _parse_count(obj, where: str, positive: bool = False) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int) or obj < int(positive):
-        kind = "positive" if positive else "nonnegative"
-        raise ConfigError(f"{where}: must be a {kind} integer")
-    return obj
-
-
-def _parse_grid(obj) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError("grid: must be an object")
-    out = {}
-    for key in ("x0", "x1", "t0", "t1"):
-        if key not in obj:
-            raise ConfigError(f"grid.{key}: missing")
-        val = obj[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"grid.{key}: must be a number")
-        out[key] = float(val)
-    for key in ("nx", "nt"):
-        if key not in obj:
-            raise ConfigError(f"grid.{key}: missing")
-        val = obj[key]
-        if isinstance(val, bool) or not isinstance(val, int) or val < 5:
-            raise ConfigError(f"grid.{key}: must be an integer >= 5")
-        out[key] = val
-    if not (out["x1"] > out["x0"] and out["t1"] > out["t0"]):
-        raise ConfigError("grid: bounds must satisfy x1 > x0 and t1 > t0")
-    # a normal h^2 keeps 1/h^2 and 1/(2h), the difference stencils' scales, finite
-    for name, a, b, count in (("hx", "x0", "x1", "nx"), ("ht", "t0", "t1", "nt")):
-        h = (out[b] - out[a]) / (out[count] - 1)
-        if not sys.float_info.min <= h * h <= sys.float_info.max:
-            raise ConfigError(f"grid: spacing {name} = {h!r} must square to a normal float")
-    return out
 
 
 def _check(
@@ -415,7 +371,7 @@ class _Sampled:
     group: Callable = lambda instance: instance[1].shape[-1]
 
     def __call__(self, cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-        samples = cfg.samples if cfg.samples is not None else self.default
+        samples = cfg.suite_params.get("samples", self.default)
         for variant in self.variants(cfg):
             drawn = [self.draw(cfg, rng, log, i, variant) for i in range(samples)]
             if self.stacked is not None:
@@ -822,8 +778,8 @@ def run_property_suite(cfg: RunConfig) -> ReportDocument:
         )
     report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
     log = SampleLog()
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
-    if cfg.samples != 0:
+    rng = np.random.default_rng(cfg.suite_params.get("seed", 0))
+    if cfg.suite_params.get("samples") != 0:
         report.clock = time.perf_counter()
         _SUITES[cfg.suite_name](cfg, rng, report, log)
     report.resamples = log.resamples
@@ -973,20 +929,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = load_json(args.config)
-        if not isinstance(doc, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        doc = dict(doc)
-        doc["mode"] = args.mode
+        doc = dict(_expect(load_json(args.config), dict, "config"), mode=args.mode)
         if args.out is not None:
             doc["output"] = args.out
-        if args.seed is not None or args.samples is not None:
-            suite = dict(doc.get("suite", {}))
-            if args.seed is not None:
-                suite["seed"] = args.seed
-            if args.samples is not None:
-                suite["samples"] = args.samples
-            doc["suite"] = suite
+        overrides = {key: val for key, val in (("seed", args.seed), ("samples", args.samples))
+                     if val is not None}
+        if overrides:
+            doc["suite"] = {**_object(doc.get("suite", {}), "suite", (), _SUITE_KEYS), **overrides}
         cfg = parse_run_config(doc)
         return run(cfg)
     except VsolitonsError as exc:

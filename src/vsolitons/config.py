@@ -3,8 +3,8 @@
 One JSON document drives every CLI mode.  Soliton data is written as
 {"n": ..., "solitons": [{"u": ..., "v": ..., "beta": [[re, im], ...]}, ...]};
 half-line datasets reuse the same layout for the combined 2N points plus a
-"boundary" block and "real_count".  Parse errors carry the JSON path of the
-offending field.
+"boundary" block and "real_count".  Every object accepts its listed keys and
+no others, and parse errors carry the JSON path of the offending field.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .soldata import (
     RotatedMixed,
     SolitonData,
     SpectralPoint,
+    _SAFE_NORM,
 )
 
 
@@ -47,15 +48,38 @@ def load_json(path) -> dict:
 
 def _expect(obj, typ, where: str):
     if not isinstance(obj, typ):
-        names = typ.__name__ if isinstance(typ, type) else "/".join(t.__name__ for t in typ)
-        raise ConfigError(f"{where}: expected {names}, got {type(obj).__name__}")
+        raise ConfigError(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
     return obj
 
 
-def _number(obj, where: str) -> float:
+def _object(obj, where: str, required=(), optional=()) -> dict:
+    """obj as a JSON object with every required key and no other key than
+    the optional ones.  where "" is the top level, whose keys are their paths."""
+    doc = _expect(obj, dict, where or "config")
+    for key in (*required, *doc):
+        here = f"{where}.{key}" if where else key
+        if key not in doc:
+            raise ConfigError(f"{here}: missing")
+        if key not in required and key not in optional:
+            raise ConfigError(f"{here}: unknown key; expected one of {[*required, *optional]}")
+    return doc
+
+
+def _number(obj, where: str, least=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {type(obj).__name__}")
-    return float(obj)
+    if least is not None and not obj >= least:
+        raise ConfigError(f"{where}: must be a number >= {least}")
+    try:
+        return float(obj)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{where}: must lie in the float range")
+
+
+def _integer(obj, where: str, least: int) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < least:
+        raise ConfigError(f"{where}: must be an integer >= {least}")
+    return obj
 
 
 def _complex_entry(obj, where: str) -> complex:
@@ -66,35 +90,34 @@ def _complex_entry(obj, where: str) -> complex:
 
 
 def parse_soliton_data(obj, where: str = "data") -> SolitonData:
-    doc = _expect(obj, dict, where)
-    if "n" not in doc:
-        raise ConfigError(f"{where}.n: missing component count")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"{where}.n: must be a positive integer, got {n!r}")
-    sols = _expect(doc.get("solitons"), list, f"{where}.solitons")
+    return _soliton_data(_object(obj, where, ("n", "solitons")), where)
+
+
+def _soliton_data(doc: dict, where: str, given=None) -> SolitonData:
+    """The soliton data of a checked object; the norming vectors of the first
+    `given` solitons (default all) must have |beta| inside _SAFE_NORM."""
+    n = _integer(doc["n"], f"{where}.n", 1)
+    sols = _expect(doc["solitons"], list, f"{where}.solitons")
     if not sols:
         raise ConfigError(f"{where}.solitons: needs at least one soliton")
     points = []
     for i, entry in enumerate(sols):
         here = f"{where}.solitons[{i}]"
-        rec = _expect(entry, dict, here)
-        for key in ("u", "v", "beta"):
-            if key not in rec:
-                raise ConfigError(f"{here}.{key}: missing")
-        u = _number(rec["u"], f"{here}.u")
-        v = _number(rec["v"], f"{here}.v")
-        for key, val in (("u", u), ("v", v)):
-            if abs(val) > _PARAMETER_LIMIT:
+        rec = _object(entry, here, ("u", "v", "beta"))
+        for key in ("u", "v"):
+            if abs(_number(rec[key], f"{here}.{key}")) > _PARAMETER_LIMIT:
                 raise ConfigError(f"{here}.{key}: |{key}| must be at most {_PARAMETER_LIMIT!r}")
         beta_list = _expect(rec["beta"], list, f"{here}.beta")
         if len(beta_list) != n:
             raise ConfigError(f"{here}.beta: expected {n} components, got {len(beta_list)}")
-        beta = np.array(
-            [_complex_entry(c, f"{here}.beta[{j}]") for j, c in enumerate(beta_list)]
-        )
+        beta = [_complex_entry(c, f"{here}.beta[{j}]") for j, c in enumerate(beta_list)]
+        # hypot scales: |beta| of any finite entries, without numpy's overflow warning
+        size = math.hypot(*(x for z in beta for x in (z.real, z.imag)))
+        if (given is None or i < given) and not _SAFE_NORM[0] <= size <= _SAFE_NORM[1]:
+            raise ConfigError(f"{here}.beta: |beta| = {size!r} must lie in "
+                              f"[{_SAFE_NORM[0]!r}, {_SAFE_NORM[1]!r}]")
         try:
-            points.append((SpectralPoint(u, v), NormingVector(beta)))
+            points.append((SpectralPoint(rec["u"], rec["v"]), NormingVector(np.array(beta))))
         except ValidationError as exc:
             raise ConfigError(f"{here}: {exc}")
     try:
@@ -103,32 +126,49 @@ def parse_soliton_data(obj, where: str = "data") -> SolitonData:
         raise ConfigError(f"{where}: {exc}")
 
 
+#: The keys of each boundary kind besides "kind".
+_BOUNDARY_KEYS = {"robin": ("alpha",), "mixed": ("signs",), "rotated_mixed": ("signs", "unitary")}
+
+
 def parse_boundary(obj, where: str = "boundary") -> BoundarySpec:
-    doc = _expect(obj, dict, where)
-    kind = doc.get("kind")
-    if kind == "robin":
-        if "alpha" not in doc:
-            raise ConfigError(f"{where}.alpha: missing Robin parameter")
-        return Robin(_number(doc["alpha"], f"{where}.alpha"))
-    if kind in ("mixed", "rotated_mixed"):
-        signs = _expect(doc.get("signs"), list, f"{where}.signs")
+    kind = _expect(obj, dict, where).get("kind")
+    if kind not in tuple(_BOUNDARY_KEYS):  # a tuple: an unhashable kind is unequal, not an error
+        raise ConfigError(
+            f"{where}.kind: expected one of robin/mixed/rotated_mixed, got {kind!r}"
+        )
+    doc = _object(obj, where, ("kind", *_BOUNDARY_KEYS[kind]))
+    try:
+        if kind == "robin":
+            return Robin(_number(doc["alpha"], f"{where}.alpha"))
+        signs = _expect(doc["signs"], list, f"{where}.signs")
         if any(isinstance(s, bool) or s not in (-1, 1) for s in signs):
             raise ConfigError(f"{where}.signs: entries must be +1 or -1")
         if kind == "mixed":
             return Mixed(tuple(signs))
         U = []
-        for r, row in enumerate(_expect(doc.get("unitary"), list, f"{where}.unitary")):
+        for r, row in enumerate(_expect(doc["unitary"], list, f"{where}.unitary")):
             here = f"{where}.unitary[{r}]"
             if len(_expect(row, list, here)) != len(signs):
                 raise ConfigError(f"{here}: expected {len(signs)} entries, one per sign")
             U.append([_complex_entry(c, f"{here}[{i}]") for i, c in enumerate(row)])
-        try:
-            return RotatedMixed(np.array(U), tuple(signs))
-        except ValidationError as exc:
-            raise ConfigError(f"{where}: {exc}")
-    raise ConfigError(
-        f"{where}.kind: expected one of robin/mixed/rotated_mixed, got {kind!r}"
-    )
+        return RotatedMixed(np.array(U), tuple(signs))
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
+def parse_grid(obj, where: str = "grid") -> dict:
+    """Bounds x0 < x1, t0 < t1 and node counts nx, nt >= 5 of a sampling lattice."""
+    doc = _object(obj, where, ("x0", "x1", "t0", "t1", "nx", "nt"))
+    out = {key: _number(doc[key], f"{where}.{key}") for key in ("x0", "x1", "t0", "t1")}
+    out.update((key, _integer(doc[key], f"{where}.{key}", 5)) for key in ("nx", "nt"))
+    if not (out["x1"] > out["x0"] and out["t1"] > out["t0"]):
+        raise ConfigError(f"{where}: bounds must satisfy x1 > x0 and t1 > t0")
+    # a normal h^2 keeps 1/h^2 and 1/(2h), the difference stencils' scales, finite
+    for name, a, b, count in (("hx", "x0", "x1", "nx"), ("ht", "t0", "t1", "nt")):
+        h = (out[b] - out[a]) / (out[count] - 1)
+        if not sys.float_info.min <= h * h <= sys.float_info.max:
+            raise ConfigError(f"{where}: spacing {name} = {h!r} must square to a normal float")
+    return out
 
 
 def _complex_pair(z: complex) -> list:
@@ -157,13 +197,12 @@ def halfline_to_json(hl: HalfLineData) -> dict:
 
 
 def parse_halfline(obj, where: str = "data") -> HalfLineData:
-    doc = _expect(obj, dict, where)
-    for key in ("real_count", "boundary"):
-        if key not in doc:
-            raise ConfigError(f"{where}.{key}: missing for half-line data")
-    combined = parse_soliton_data(obj, where)
-    count = doc["real_count"]
-    if isinstance(count, bool) or not isinstance(count, int) or 2 * count != combined.N:
+    """A stored half-line dataset: the combined 2N points, real first.  Only
+    the real half's |beta| is windowed: mirror norming vectors are derived."""
+    doc = _object(obj, where, ("n", "solitons", "real_count", "boundary"))
+    count = _integer(doc["real_count"], f"{where}.real_count", 1)
+    combined = _soliton_data(doc, where, given=count)
+    if 2 * count != combined.N:
         raise ConfigError(
             f"{where}.real_count: must be half the soliton count {combined.N}"
         )

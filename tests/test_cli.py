@@ -43,6 +43,13 @@ _STORED_HALFLINE = halfline_to_json(solve_mirror_norming(
     SolitonData(2, ((SpectralPoint(0.8, 1.0), NormingVector([0.8, 0.5 + 0.4j])),)), Mixed((1, -1))))
 
 
+def _scaled_last_beta(mode, size):
+    """configs/<mode>.json's data with the last soliton's |beta| = size."""
+    data = _shipped(mode)["data"]
+    data["solitons"][-1]["beta"] = [[0.6 * size, 0.0], [0.0, 0.8 * size]]
+    return data
+
+
 def _strict_json(path):
     """A written JSON file, read as RFC 8259 allows: no NaN or Infinity tokens."""
     def refuse(token):
@@ -199,15 +206,65 @@ class TestExitCodes:
         ("collide", _shipped("collide", data={"n": 1, "solitons": [
             {"u": 1e300, "v": 1.0, "beta": [[1.0, 0.0]]},
             {"u": 2e300, "v": 1.0, "beta": [[1.0, 0.0]]}]}), "data.solitons[0].u"),
+        # every object accepts its listed keys only
+        ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1}, "sutie": {}}, "sutie"),
+        ("verify", {"suite": {"name": "ybe", "sampels": 3, "seed": 1}}, "suite.sampels"),
+        ("simulate", _shipped("simulate", data=dict(_shipped("simulate")["data"], N=2)), "data.N"),
+        ("collide", _shipped("collide", data={"n": 1, "solitons": [
+            {"u": -0.5, "v": 1.0, "beta": [[1.0, 0.0]]},
+            {"u": 0.5, "v": 1.0, "beta": [[1.0, 0.0]], "w": 1.0}]}), "data.solitons[1].w"),
+        ("reflect", _shipped("reflect", boundary={"kind": "robin", "alpha": 0.8, "aplha": 0.8}),
+         "boundary.aplha"),
+        ("reflect", _shipped("reflect", boundary={"kind": "mixed", "signs": [1, -1],
+                                                  "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+         "boundary.unitary"),
+        ("reflect", _shipped("reflect", boundary={
+            "kind": "rotated_mixed", "signs": [1, -1], "alpha": 0.8,
+            "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), "boundary.alpha"),
+        ("simulate", _shipped("simulate", grid=dict(_shipped("simulate")["grid"], dx=0.05)),
+         "grid.dx"),
+        ("mirror", {"data": dict(_STORED_HALFLINE, real_cuont=1)}, "data.real_cuont"),
+        ("mirror", {"data": dict(_STORED_HALFLINE, boundary=dict(_STORED_HALFLINE["boundary"],
+                                                                 alpha=0.8))},
+         "data.boundary.alpha"),
+        # stored half-line data carries its boundary
+        ("mirror", {"data": _STORED_HALFLINE, "boundary": {"kind": "robin", "alpha": 0.3}},
+         "boundary"),
+        # a given |beta| outside [1e-150, 1e150]
+        *[(mode, _shipped(mode, data=_scaled_last_beta(mode, s)), "data.solitons[1].beta")
+          for mode in ("collide", "mirror") for s in (1e-160, 1e200)],
+        ("simulate", _shipped("simulate", grid=dict(_shipped("simulate")["grid"], x1=10**400)),
+         "grid.x1"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
             "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
-            "subnormal-grid-spacing-squared", "overflowing-parameter-difference"])
+            "subnormal-grid-spacing-squared", "overflowing-parameter-difference",
+            "top-level-key", "suite-key", "data-key", "soliton-key", "robin-key",
+            "mixed-key", "rotated-mixed-key", "grid-key", "halfline-key", "halfline-boundary-key",
+            "halfline-with-given-boundary", "collide-beta-1e-160", "collide-beta-1e200",
+            "mirror-beta-1e-160", "mirror-beta-1e200", "int-beyond-float-range"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
         out = tmp_path / "o"
         assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", [1.001e-150, 0.999e150])
+    def test_halfline_written_at_the_beta_window_edge_reloads(self, tmp_path, size):
+        doc = _shipped("mirror", data=_scaled_last_beta("mirror", size))
+        assert main(["mirror", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "a")]) == 0
+        stored = json.loads((tmp_path / "a" / "halfline.json").read_text())
+        mirror_sizes = [np.linalg.norm(np.array(sol["beta"]))
+                        for sol in stored["solitons"][stored["real_count"]:]]
+        if size > 1:
+            # mirror norming vectors are derived: only the real half is windowed
+            assert min(mirror_sizes) < 1e-150
+        reload = {"data": stored, "grid": doc["grid"]}
+        assert main(["mirror", "--config", write_config(tmp_path, reload, "reload.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "halfline.json").read_bytes() == \
+            (tmp_path / "a" / "halfline.json").read_bytes()
 
     def test_overflowing_pde_residual_is_zero_without_warning(self, tmp_path, capfd):
         # v = 1e153 and spacings of 5e-151 are in the domain, but the

@@ -1,8 +1,14 @@
 """The README's library quick start runs as written, so it cannot name an API
-the package no longer has."""
+the package no longer has, and its config example parses in every mode, so it
+names no key the reader refuses."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from vsolitons.cli import MODES, parse_run_config
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -15,3 +21,12 @@ def test_library_quick_start_runs():
     assert scope["R"].shape == (201, 2)
     # the reflection map in b_plus with the identity in b_minus commutes
     assert scope["rows"].shape == (3, 1) and scope["rows"].max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_config_example_parses_in_every_mode(mode):
+    section = README.read_text(encoding="utf-8").split("### Configuration document", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    doc = json.loads(re.sub(r"//.*", "", block))
+    cfg = parse_run_config(dict(doc, mode=mode))
+    assert cfg.suite_name == "reflection-equation" and cfg.data.N == 1
