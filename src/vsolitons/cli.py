@@ -197,9 +197,11 @@ class RunConfig:
 
 
 #: The optional top-level keys (besides the mode), the keys of "suite", and the
-#: least value of each suite integer.
+#: least and largest value of each suite integer (None: any).  The largest
+#: bound every suite's draws and stacks: 100 times the largest default sample
+#: count, and room past the suites' own n and N limits.
 _TOP_KEYS = ("data", "boundary", "grid", "suite", "output")
-_SUITE_INTEGERS = {"samples": 0, "seed": 0, "n": 1, "N": 1}
+_SUITE_INTEGERS = {"samples": (0, 10_000), "seed": (0, None), "n": (1, 16), "N": (1, 64)}
 _SUITE_KEYS = ("name", *_SUITE_INTEGERS, "tolerances")
 
 
@@ -225,8 +227,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     suite = _object(doc.get("suite", {}), "suite", (), _SUITE_KEYS)
     if "name" in suite:
         cfg.suite_name = _expect(suite["name"], str, "suite.name")
-    cfg.suite_params = {key: _integer(suite[key], f"suite.{key}", least)
-                        for key, least in _SUITE_INTEGERS.items() if key in suite}
+    cfg.suite_params = {key: _integer(suite[key], f"suite.{key}", *bounds)
+                        for key, bounds in _SUITE_INTEGERS.items() if key in suite}
     tols = _object(suite.get("tolerances", {}), "suite.tolerances", (), DEFAULT_TOLERANCES)
     cfg.tolerances = {key: _number(val, f"suite.tolerances.{key}", 0.0)
                       for key, val in tols.items()}
@@ -347,19 +349,27 @@ def _write_manifest(cfg: RunConfig, digest_source, outputs: List[str]) -> None:
 
 @dataclass(frozen=True)
 class _Sampled:
-    """A sampled suite: draw instances one at a time, keep each check's worst.
+    """A sampled suite: draw every variant's instances, keep each check's worst
+    per variant.
 
-    ``draw(cfg, rng, log, i, variant)`` draws instance i and returns one
-    residual per entry of ``checks`` (name template, family); ``{}`` in a
-    name takes the variant label.  ``variants(cfg)`` lists (label, payload)
-    pairs, each run over all samples; ``tail`` appends fixed checks.
+    ``draw(cfg, rng, log, i, variant)`` draws instance i of a variant and
+    returns one residual per entry of ``checks`` (name template, family); ``{}``
+    in a name takes the variant label.  ``variants(cfg)`` lists (label,
+    payload) pairs, each run over all samples; ``tail`` appends fixed checks.
 
     With ``stacked``, a draw returns the instance as drawn instead.  After
-    all of a variant's draws, the instances are grouped by ``group(instance)``
-    and ``stacked(instances)`` evaluates each group in one call, returning
-    one sequence of per-sample residuals per check.  The default group is
-    the component count n of a map-suite draw (parameters,
-    `draw_unit_vectors` draws, extra); see `_map_state`.
+    every variant's draws, in variant order, ``stacked(instances)`` evaluates
+    all of them in one call and returns one sequence of per-sample residuals
+    per check.  The map suites stack instances of several component counts
+    n by zero-padding each to the largest n, with m(k) and the unitaries
+    padded block-diagonally (`_map_state`).  A sample keeps its bits: every
+    padded term is an exact zero, and numpy sums a short trailing axis in
+    order, so the zeros come after the sample's own terms.  One n, as with
+    suite.n = 1, is not padded.
+
+    Each variant's checks share, evenly, its own draw time plus its sample
+    share of the stacked call and the folds, so the check times sum to the
+    suite time (console only).
     """
 
     default: int  # samples when suite.samples is unset
@@ -368,41 +378,64 @@ class _Sampled:
     variants: Callable = lambda cfg: [("", None)]
     tail: Optional[Callable] = None
     stacked: Optional[Callable] = None
-    group: Callable = lambda instance: instance[1].shape[-1]
 
     def __call__(self, cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
         samples = cfg.suite_params.get("samples", self.default)
-        for variant in self.variants(cfg):
-            drawn = [self.draw(cfg, rng, log, i, variant) for i in range(samples)]
-            if self.stacked is not None:
-                drawn = self._evaluate(drawn)
+        variants = self.variants(cfg)
+        drawn, drew, start = [], [], report.clock
+        for variant in variants:
+            drawn += [self.draw(cfg, rng, log, i, variant) for i in range(samples)]
+            drew.append(time.perf_counter())
+        if self.stacked is not None:
+            drawn = self._evaluate(drawn)
+        first = len(report.checks)
+        for v, variant in enumerate(variants):
             # np.max keeps a nan residual, where Python's max would drop it
-            worst = np.max([[0.0] * len(self.checks), *drawn], axis=0).tolist()
+            rows = drawn[v * samples:(v + 1) * samples]
+            worst = np.max([[0.0] * len(self.checks), *rows], axis=0).tolist()
             for (name, family), w in zip(self.checks, worst):
                 _check(report, cfg, name.format(variant[0]), w, family=family)
+        report.clock = time.perf_counter()
+        shared = (report.clock - drew[-1]) / len(variants)
+        count = len(self.checks)
+        for v, end in enumerate(drew):
+            own = (end - (drew[v - 1] if v else start) + shared) / count
+            for chk in report.checks[first + v * count:first + (v + 1) * count]:
+                chk.elapsed = own
         if self.tail is not None:
             self.tail(cfg, rng, report, log)
 
     def _evaluate(self, instances) -> list:
-        """Per-instance residuals in sample order, one stacked call per group."""
-        out = [None] * len(instances)
-        groups: Dict[object, List[int]] = {}
-        for i, inst in enumerate(instances):
-            groups.setdefault(self.group(inst), []).append(i)
-        for idx in groups.values():
-            columns = self.stacked([instances[i] for i in idx])
-            for i, row in zip(idx, zip(*(np.asarray(c).tolist() for c in columns))):
-                out[i] = row
-        return out
+        """Per-instance residual rows, in sample order, from one stacked call."""
+        return list(zip(*(np.asarray(c).tolist() for c in self.stacked(instances))))
+
+
+def _padded_stack(arrays, derive: Callable) -> np.ndarray:
+    """One stack of arrays that differ only in their trailing sizes: each group
+    of one shape is stacked and derived, derive(stack), then zero-padded at
+    the end of every axis to the largest derived shape; one shape is not padded."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    parts = [(idx, derive(np.array([arrays[i] for i in idx]))) for idx in groups.values()]
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.zeros((len(arrays), *np.max([part.shape[1:] for _, part in parts], axis=0)),
+                   dtype=parts[0][1].dtype)
+    for idx, part in parts:
+        out[(idx, *map(slice, part.shape[1:]))] = part
+    return out
 
 
 def _map_state(evaluate: Callable) -> Callable:
-    """A `_Sampled.stacked` for map-suite draws of one n: derives their unit
-    vectors and parameters as one (P, K) state and returns
+    """A `_Sampled.stacked` for map-suite draws (parameters,
+    `draw_unit_vectors` draws, extra): derives their unit vectors, zero-padded
+    to the largest n, and parameters as one (P, K) state and returns
     evaluate(P, K, extras)."""
     def stacked(instances):
         ks, draws, extras = zip(*instances)
-        return evaluate(unit_vectors(np.array(draws)), np.array(ks, dtype=np.complex128), extras)
+        return evaluate(_padded_stack(draws, unit_vectors), np.array(ks, dtype=np.complex128),
+                        extras)
     return stacked
 
 
@@ -500,7 +533,7 @@ def _draw_yb_structure(cfg, rng, log, i, variant):
 
 def _yb_structure(P, K, draws):
     """Unitary-diagonal invariance and parameter-twist residuals per sample."""
-    V = unitaries(np.array(draws))
+    V = _padded_stack(draws, unitaries)  # zero-padded: a padded component stays zero
     rotated_after = np.einsum("sab,sjb->sja", V, yb_schedule(P, K, ((0, 1),)))
     after_rotated = yb_schedule(np.einsum("sab,sjb->sja", V, P), K, ((0, 1),))
     unitary = projective_distances(rotated_after, after_rotated).max(axis=1)
@@ -526,11 +559,17 @@ def _draw_collision(cfg, rng, log, i, variant):
 
 
 def _collision_stack(instances):
-    """The collision draws of one (N, n): their pair residuals and, from one
-    stacked pipeline, their factorization-pipeline residuals."""
+    """The collision draws: their pair residuals and, from one stacked
+    pipeline per (N, n), their factorization-pipeline residuals."""
     rel, xi, datas = zip(*instances)
-    return rel, xi, _pipeline_residuals(np.array([_in_out(data) for data in datas]),
-                                        np.array([data.ks for data in datas]))
+    groups: Dict[tuple, List[int]] = {}
+    for i, data in enumerate(datas):
+        groups.setdefault((data.N, data.n), []).append(i)
+    pipeline = np.empty(len(datas))
+    for idx in groups.values():
+        pipeline[idx] = _pipeline_residuals(np.array([_in_out(datas[i]) for i in idx]),
+                                            np.array([datas[i].ks for i in idx]))
+    return rel, xi, pipeline
 
 
 def _pair_residuals(data: SolitonData, spectators: int) -> list:
@@ -724,7 +763,7 @@ def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
 
 
 #: Every suite is a callable (cfg, rng, report, log); a sampled one is
-#: _Sampled(default samples, checks, draw[, variants[, tail]][, stacked[, group]]).
+#: _Sampled(default samples, checks, draw[, variants[, tail]][, stacked]).
 _SUITES: Dict[str, Callable] = {
     "one-soliton": _Sampled(20, (("one-soliton-oracle", "involution"),), _draw_one_soliton),
     "determinant": _Sampled(10, (("determinant-blaschke-product", "involution"),),
@@ -742,16 +781,18 @@ _SUITES: Dict[str, Callable] = {
     "reflection-equation": _Sampled(
         100, (("reflection-equation[{}]", "algebraic"),), _draw_reflection_equation,
         _boundary_kinds, stacked=_map_state(
-            lambda P, K, drawn: (reflection_equation_residuals(P, K, boundaries(drawn)),)),
+            lambda P, K, drawn: (reflection_equation_residuals(
+                P, K, boundaries(drawn, P.shape[-1])),)),
     ),
     "involution": _Sampled(
         100, (("reflection-involution[{}]", "involution"),), _draw_involution, _boundary_kinds,
-        stacked=_map_state(lambda P, K, drawn: (involution_residuals(P, K, boundaries(drawn)),)),
+        stacked=_map_state(lambda P, K, drawn: (involution_residuals(
+            P, K, boundaries(drawn, P.shape[-1])),)),
     ),
     "collision": _Sampled(20, (("pairwise-collision-relations", "algebraic"),
                                ("norm-ratio-symmetry", "involution"),
                                ("factorization-pipeline", "algebraic")), _draw_collision,
-                          stacked=_collision_stack, group=lambda inst: (inst[2].N, inst[2].n)),
+                          stacked=_collision_stack),
     "mirror-constraint": _Sampled(
         10, (("mirror-constraint[{}]", "mirror_constraint"),),
         lambda *a: (_mirror_halfline(*a).constraint_residual,),
@@ -916,17 +957,20 @@ def run(cfg: RunConfig) -> int:
     return 0 if report.passed else 2
 
 
+#: Built once, at import: building a parser takes several times as long as a parse.
+_PARSER = argparse.ArgumentParser(
+    prog="vsolitons",
+    description="Vector NLS soliton workbench: constructions and property suites.",
+)
+_PARSER.add_argument("mode", choices=MODES)
+_PARSER.add_argument("--config", required=True, help="path to the JSON run config")
+_PARSER.add_argument("--out", help="output directory (overrides config)")
+_PARSER.add_argument("--seed", type=int, help="suite seed (overrides config)")
+_PARSER.add_argument("--samples", type=int, help="suite sample count (overrides config)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vsolitons",
-        description="Vector NLS soliton workbench: constructions and property suites.",
-    )
-    parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="suite seed (overrides config)")
-    parser.add_argument("--samples", type=int, help="suite sample count (overrides config)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         doc = dict(_expect(load_json(args.config), dict, "config"), mode=args.mode)

@@ -76,9 +76,11 @@ def _number(obj, where: str, least=None) -> float:
         raise ConfigError(f"{where}: must lie in the float range")
 
 
-def _integer(obj, where: str, least: int) -> int:
+def _integer(obj, where: str, least: int, most=None) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int) or obj < least:
         raise ConfigError(f"{where}: must be an integer >= {least}")
+    if most is not None and obj > most:
+        raise ConfigError(f"{where}: must be at most {most}")
     return obj
 
 

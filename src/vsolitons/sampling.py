@@ -180,14 +180,21 @@ def draw_boundary(rng: np.random.Generator, kind: str, n: int):
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
-def boundaries(drawn) -> list:
-    """Specs of `draw_boundary` results in order; the rotated_mixed draws (all
-    of one n) are derived as one stack."""
-    rotated = [b for b in drawn if isinstance(b, tuple)]
-    if rotated:
-        draws, signs = zip(*rotated)
-        rotated = iter(RotatedMixed.stack(unitaries(np.array(draws)), signs))
-    return [next(rotated) if isinstance(b, tuple) else b for b in drawn]
+def boundaries(drawn, n=None) -> list:
+    """Specs of `draw_boundary` results in order; the rotated_mixed draws of
+    each component count are derived as one stack.  With n, every drawn sign
+    pattern acts on n components, padded as `RotatedMixed.stack` pads."""
+    specs, rotated = list(drawn), {}
+    for i, b in enumerate(drawn):
+        if isinstance(b, tuple):
+            rotated.setdefault(len(b[1]), []).append(i)
+        elif isinstance(b, Mixed) and n is not None and b.n < n:
+            specs[i] = Mixed(b.signs + (1,) * (n - b.n))
+    for idx in rotated.values():
+        draws, signs = zip(*[drawn[i] for i in idx])
+        for i, spec in zip(idx, RotatedMixed.stack(unitaries(np.array(draws)), signs, n)):
+            specs[i] = spec
+    return specs
 
 
 def random_boundary(rng: np.random.Generator, kind: str, n: int):

@@ -46,21 +46,17 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
-def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.complex128)
+def _as_complex_vector(vec, name: str = "vector") -> tuple:
+    """(a read-only complex copy of vec, the largest |re| or |im| of its entries)."""
+    arr = np.array(vec, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty one-dimensional complex vector")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    # the finiteness scan: the largest modulus is nan or inf unless every entry is finite
+    top = float(np.abs(arr.view(np.float64)).max())
+    if not math.isfinite(top):
         raise ValidationError(f"{name} has non-finite entries")
-    arr = arr.copy()
     arr.flags.writeable = False
-    return arr
-
-
-def _pow2_scaled(vec: np.ndarray) -> tuple:
-    """(vec / 2^e, e) with e the binary exponent of the largest entry; exact."""
-    e = math.frexp(float(np.max(np.abs(vec.view(np.float64)))))[1]
-    return np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e), e
+    return arr, top
 
 
 def _vector_norm(vec: np.ndarray) -> float:
@@ -75,19 +71,36 @@ def _vector_norm(vec: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _norm(vec: np.ndarray) -> float:
-    """2-norm of a finite complex vector at any scale.
+def _scaled_norm(vec: np.ndarray, top: float) -> tuple:
+    """(v, e, |v|) with vec = 2^e v, for a finite complex vector whose largest
+    |re| or |im| is top.
 
-    Inside _SAFE_NORM this is np.linalg.norm, bit for bit, as `_vector_norm`
-    takes it.  Outside it the squares may have underflowed (or overflowed,
-    with numpy's warning), so the norm is taken again of the vector scaled by
-    an exact power of two: a |beta| of 1e-200 keeps all its digits.
+    Where |vec| lies inside _SAFE_NORM, v is vec and |v| is np.linalg.norm's,
+    bit for bit, as `_vector_norm` takes it.  Elsewhere the squares may
+    underflow or overflow, so v is vec scaled by 2^-e, e the binary exponent
+    of top: exact, and |v| keeps all its digits.  A top above _SAFE_NORM
+    puts the norm above it too, so such a vector is scaled before any square
+    is taken.
     """
-    nrm = _vector_norm(vec)
-    if _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
-        return nrm
-    scaled, e = _pow2_scaled(vec)
-    return float(np.ldexp(_vector_norm(scaled), e))
+    if top <= _SAFE_NORM[1]:
+        nrm = _vector_norm(vec)
+        if _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
+            return vec, 0, nrm
+    e = math.frexp(top)[1]
+    vec = np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e)
+    return vec, e, _vector_norm(vec)
+
+
+def _norm(vec: np.ndarray, top=None) -> float:
+    """2-norm of a finite complex vector at any scale (see `_scaled_norm`);
+    top is its largest |re| or |im|, taken here if not given."""
+    if top is None:
+        top = float(np.abs(vec.view(np.float64)).max())
+    _, e, nrm = _scaled_norm(vec, top)
+    try:
+        return math.ldexp(nrm, e)
+    except OverflowError:  # past the float range, where IEEE rounding gives inf
+        return math.inf
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -149,10 +162,12 @@ class NormingVector:
     norm: float = field(init=False, repr=False)  # |beta|, taken once: beta is read-only
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.beta, "norming vector")
-        norm = _norm(arr)
+        arr, top = _as_complex_vector(self.beta, "norming vector")
+        norm = _norm(arr, top)
         if norm == 0.0:
             raise ValidationError("degenerate norming constant: beta must be nonzero")
+        if norm == math.inf:
+            raise ValidationError("norming constant |beta| exceeds the float range")
         object.__setattr__(self, "beta", arr)
         object.__setattr__(self, "norm", norm)
 
@@ -176,11 +191,8 @@ class Polarization:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.p, "polarization")
-        nrm = _vector_norm(arr)
-        if not _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
-            arr, _ = _pow2_scaled(arr)  # same direction, norm near 1 (or 0)
-            nrm = _vector_norm(arr)
+        # out of _SAFE_NORM, arr is scaled: the same direction, norm near 1 (or 0)
+        arr, _, nrm = _scaled_norm(*_as_complex_vector(self.p, "polarization"))
         if nrm == 0.0:
             raise ValidationError("zero vector has no polarization")
         arr = canonical_phase(arr / nrm)
@@ -383,10 +395,15 @@ class RotatedMixed:
         self.__dict__.update(vars(self.stack(U[None], (sg,))[0]))  # frozen: past __setattr__
 
     @classmethod
-    def stack(cls, unitaries, signs) -> list:
-        """Specs of an (S, n, n) stack of unitaries and S sign patterns, checked
+    def stack(cls, unitaries, signs, n=None) -> list:
+        """Specs of an (S, k, k) stack of unitaries and S sign patterns, checked
         and derived at once; construction is the S = 1 case.  ValidationError
-        names the first U without max |U^dag U - I| <= UNITARY_TOL (nan too)."""
+        names the first U without max |U^dag U - I| <= UNITARY_TOL (nan too).
+
+        With n > k, each spec acts on n components: U and m gain an identity
+        block and the signs +1s, so a vector whose other components are zero
+        gets m p with the bits of the k-component product.
+        """
         U = np.asarray(unitaries, dtype=np.complex128)
         Uh = U.conj().swapaxes(-1, -2)
         with np.errstate(invalid="ignore"):  # inf entries: a nan defect, rejected below
@@ -398,8 +415,12 @@ class RotatedMixed:
             )
         signs = [_check_signs(sg) for sg in signs]
         s = np.asarray(signs, dtype=np.complex128)[:, None, :]
+        ms = (Uh * s) @ U
+        if n is not None and n > U.shape[-1]:
+            U, ms = _eye_padded(U, n), _eye_padded(ms, n)
+            signs = [sg + (1,) * (n - len(sg)) for sg in signs]
         specs = []
-        for u, sg, m in zip(_frozen(U), signs, _frozen((Uh * s) @ U)):
+        for u, sg, m in zip(_frozen(U), signs, _frozen(ms)):
             specs.append(object.__new__(cls))
             specs[-1].__dict__.update(unitary=u, signs=sg, m=m)
         return specs
@@ -438,6 +459,13 @@ class RotatedMixed:
             "signs": list(self.signs),
             "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in self.unitary],
         }
+
+
+def _eye_padded(stack: np.ndarray, n: int) -> np.ndarray:
+    """(S, n, n): each matrix of an (S, k, k) stack beside an identity block."""
+    out = np.tile(np.eye(n, dtype=stack.dtype), (len(stack), 1, 1))
+    out[:, :stack.shape[-1], :stack.shape[-1]] = stack
+    return out
 
 
 @functools.lru_cache(maxsize=256)

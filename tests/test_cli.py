@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -235,6 +238,15 @@ class TestExitCodes:
           for mode in ("collide", "mirror") for s in (1e-160, 1e200)],
         ("simulate", _shipped("simulate", grid=dict(_shipped("simulate")["grid"], x1=10**400)),
          "grid.x1"),
+        # the suite integers' largest values: refused before anything is drawn
+        ("verify", {"suite": {"name": "yb-structure", "samples": 10_001, "seed": 1}},
+         "suite.samples"),
+        ("verify", {"suite": {"name": "yb-structure", "samples": 10**400, "seed": 1}},
+         "suite.samples"),
+        ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 17}}, "suite.n"),
+        ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 10**400}}, "suite.n"),
+        ("verify", {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 65}},
+         "suite.N"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
             "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
@@ -242,12 +254,31 @@ class TestExitCodes:
             "top-level-key", "suite-key", "data-key", "soliton-key", "robin-key",
             "mixed-key", "rotated-mixed-key", "grid-key", "halfline-key", "halfline-boundary-key",
             "halfline-with-given-boundary", "collide-beta-1e-160", "collide-beta-1e200",
-            "mirror-beta-1e-160", "mirror-beta-1e200", "int-beyond-float-range"])
+            "mirror-beta-1e-160", "mirror-beta-1e200", "int-beyond-float-range",
+            "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
+            "N-past-bound"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
         out = tmp_path / "o"
         assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
         assert not out.exists()
+
+    def test_samples_override_past_its_bound_is_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"suite": {"name": "ybe", "seed": 1}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--samples", str(10**400),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: suite.samples: must be at most 10000\n"
+        assert not out.exists()
+
+    def test_suite_integers_at_their_bounds_are_taken(self, tmp_path):
+        # parsed only: 10,000 samples would be a long run, not a large allocation
+        cfg = parse_run_config({"mode": "verify", "suite": {
+            "name": "ybe", "samples": 10_000, "seed": 10**400, "n": 16, "N": 64}})
+        assert cfg.suite_params == {"samples": 10_000, "seed": 10**400, "n": 16, "N": 64}
+        doc = {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 16}}
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("size", [1.001e-150, 0.999e150])
     def test_halfline_written_at_the_beta_window_edge_reloads(self, tmp_path, size):
@@ -690,6 +721,24 @@ class TestSuites:
             for c in report["checks"]
         )
 
+    @pytest.mark.parametrize("suite,samples,times", [
+        # clock readings: the start, one per variant's draws, one per check, the end
+        ("reflection-equation", 3, [7 / 3] * 3),  # 1 tick of draws + 4/3 shared
+        ("yb-structure", 3, [2.0, 2.0]),  # one variant, (1 + 3) / 2 per check
+        ("mirror-constraint", 2, [2.5, 2.5, 1.0]),  # 1 + 3/2 per variant; the tail 1
+    ])
+    def test_check_times_share_the_suite_time(self, monkeypatch, suite, samples, times):
+        # a clock that ticks once per reading: each variant's checks share its
+        # own draws plus its sample share of the stacked call and the folds
+        cfg = parse_run_config({"mode": "verify",
+                                "suite": {"name": suite, "samples": samples, "seed": 2}})
+        ticks = itertools.count()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+            report = run_property_suite(cfg)
+        assert [c.elapsed for c in report.checks] == pytest.approx(times)
+        assert math.fsum(c.elapsed for c in report.checks) == pytest.approx(report.clock)
+
     def test_transfer_mode_records_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {"suite": {"samples": 1, "seed": 2}})
         out = tmp_path / "o"
@@ -814,3 +863,40 @@ class TestStackedCollisionPipeline:
         rows = cli._SUITES["collision"]._evaluate([(0.0, 0.0, data) for data in datas])
         for data, row in zip(datas, rows):
             assert row[2] == _oracle_pipeline_residual(data)
+
+
+class TestParser:
+    """main parses with one parser, built at import."""
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vsolitons ")
+
+    def test_unknown_flag_is_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"suite": {"name": "ybe", "seed": 1}})
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--config", cfg, "--sede", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --sede 3" in capsys.readouterr().err
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path):
+        # no override or mode may carry over from one call to the next
+        runs = [["verify", "--config", str(CONFIGS / "verify.json"), "--seed", "3",
+                 "--samples", "4"],
+                ["transfer", "--config", str(CONFIGS / "transfer.json")],
+                ["verify", "--config", str(CONFIGS / "verify.json"), "--samples", "5"]]
+        env = {"PYTHONPATH": str(Path(cli.__file__).parent.parent), "PATH": ""}
+        script = "import sys; from vsolitons.cli import main; sys.exit(main(sys.argv[1:]))"
+        for i, argv in enumerate(runs):
+            assert main([*argv, "--out", str(tmp_path / f"in-process-{i}")]) == 0
+        for i, argv in enumerate(runs):
+            subprocess.run([sys.executable, "-c", script, *argv,
+                            "--out", str(tmp_path / f"fresh-{i}")],
+                           env=env, check=True, capture_output=True)
+        for i in range(len(runs)):
+            ours, fresh = tmp_path / f"in-process-{i}", tmp_path / f"fresh-{i}"
+            assert sorted(p.name for p in ours.iterdir()) == ["manifest.json", "report.json"]
+            for path in ours.iterdir():
+                assert path.read_bytes() == (fresh / path.name).read_bytes()

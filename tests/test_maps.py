@@ -1210,6 +1210,20 @@ class TestStackedErrorsMatchReference:
         with pytest.raises(ValidationError, match=match):
             transfer_commutators(P, K, None, specs)
 
+    def test_small_ms_takes_stored_ms_and_names_the_first_failing_sample(self):
+        specs = [Robin(0.3), Mixed((1, -1)), _specs(np.random.default_rng(1), 3, 2)[2],
+                 Mixed((1, -1, 1)), Mixed((-1, 1))]
+        k = np.array([0.5 + 0.5j, -0.4 + 0.2j, 0.3 + 0.1j, 0.2 + 0.1j, 1e-13 + 0.2j])
+        ms = maps._small_ms(specs[:3], k[:3], 2)
+        assert ms.tobytes() == np.array([spec.small_m(kk, 2) for spec, kk in
+                                         zip(specs[:3], k[:3].tolist())]).tobytes()
+        # sample 3 acts on three components, before sample 4's axis parameter
+        with pytest.raises(ValidationError, match="acts on 3 components, expected 2"):
+            maps._small_ms(specs, k, 2)
+        k[1] = 0.2j
+        with pytest.raises(DomainError, match=r"undefined at k=0\.2j$"):
+            maps._small_ms(specs, k, 2)
+
     def test_boundary_component_mismatch(self):
         q, spec = Polarization([0.6, 0.8, 0.0]), Mixed((1, -1))
         P, K = _stack((q,), (0.5 + 0.5j,))
@@ -1217,3 +1231,98 @@ class TestStackedErrorsMatchReference:
             _reference_reflection_map, 0.5 + 0.5j, q, spec)
         assert _raised(involution_residuals, P, K, (spec,)) == _raised(
             _reference_involution_residual, 0.5 + 0.5j, q, spec)
+
+
+# --- one padded stack per map-suite job ----------------------------------------
+
+PADDED_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution")
+
+
+def _suite_draws(suite, seed, boundary=None, **params):
+    """(runner, instances, samples): a verify run's draws, every variant in order."""
+    doc = {"mode": "verify", "suite": {"name": suite, "seed": seed, **params}}
+    if boundary is not None:
+        doc["boundary"] = boundary.to_json()
+    cfg = cli.parse_run_config(doc)
+    runner, rng, log = _SUITES[suite], np.random.default_rng(seed), SampleLog()
+    samples = cfg.suite_params.get("samples", runner.default)
+    instances = [runner.draw(cfg, rng, log, i, variant)
+                 for variant in runner.variants(cfg) for i in range(samples)]
+    return runner, instances, samples
+
+
+def _per_variant(runner, instances, samples):
+    """The evaluation the padded stack replaced: each variant in turn, one
+    unpadded stacked call per component count n, in order of first sample."""
+    rows = []
+    for start in range(0, len(instances), samples):
+        block, by_n = instances[start:start + samples], {}
+        for i, inst in enumerate(block):
+            by_n.setdefault(inst[1].shape[-1], []).append(i)
+        out = [None] * len(block)
+        for idx in by_n.values():
+            for i, row in zip(idx, runner._evaluate([block[i] for i in idx])):
+                out[i] = row
+        rows += out
+    return rows
+
+
+def _assert_padded_stack_keeps_bits(suite, seed, boundary=None, **params) -> set:
+    """Every sample of the job's one padded stack has the bits of its per-variant
+    evaluation; returns the component counts drawn."""
+    runner, instances, samples = _suite_draws(suite, seed, boundary, **params)
+    got = np.array(runner._evaluate(instances))
+    assert got.tobytes() == np.array(_per_variant(runner, instances, samples)).tobytes()
+    return {inst[1].shape[-1] for inst in instances}
+
+
+def _on_axis(instance, i):
+    """instance with its parameters moved onto the imaginary axis, each one
+    distinct, so an error message names the sample."""
+    ks, draws, extra = instance
+    return [complex(0.0, 1.0 + i + j / 8) for j in range(len(ks))], draws, extra
+
+
+class TestPaddedMapStacks:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("suite", PADDED_SUITES)
+    def test_padded_samples_keep_their_per_variant_bits(self, suite, seed):
+        # n = 2 samples padded to n = 3 beside n = 3 samples, every boundary kind
+        assert _assert_padded_stack_keeps_bits(suite, seed) == {2, 3}
+
+    @pytest.mark.parametrize("boundary", [
+        Robin(-0.7), Mixed((1, -1, -1, 1)),
+        random_boundary(np.random.default_rng(9), "rotated_mixed", 4)], ids=BOUNDARY_KINDS)
+    @pytest.mark.parametrize("suite", ["reflection-equation", "involution"])
+    def test_given_four_component_boundary(self, suite, boundary):
+        assert _assert_padded_stack_keeps_bits(suite, 5, boundary, n=4, samples=30) == {4}
+
+    @pytest.mark.parametrize("suite", ["ybe", "reversibility", "reflection-equation", "involution"])
+    def test_one_component_stays_unpadded(self, suite):
+        # projective distances of one-component vectors are identically 0; padded
+        # to two components they would not be
+        runner, instances, _ = _suite_draws(suite, 6, n=1, samples=20)
+        assert cli._padded_stack([inst[1] for inst in instances], unit_vectors).shape[-1] == 1
+        assert np.array(runner._evaluate(instances)).tobytes() == bytes(8 * len(instances))
+
+    @pytest.mark.parametrize("suite", PADDED_SUITES)
+    def test_an_evaluation_error_names_the_per_variant_sample(self, suite):
+        runner, instances, samples = _suite_draws(suite, 4, samples=12)
+        last = len(instances) - 1
+        # one spoiled sample anywhere; two in different variants; two of one n
+        for spoiled in ([0], [5], [last], [3, last], [samples - 1, samples], [4, 6]):
+            if spoiled[-1] > last:  # yb-structure has one variant
+                continue
+            bad = list(instances)
+            for i in spoiled:
+                bad[i] = _on_axis(bad[i], i)
+            expect = _raised(_per_variant, runner, bad, samples)
+            assert expect[0] is DomainError and str(complex(0.0, 1.0 + spoiled[0])) in expect[1]
+            assert _raised(runner._evaluate, bad) == expect
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", PADDED_SUITES)
+def test_padded_stacks_keep_their_bits_on_every_seed(suite):
+    for seed in range(100):
+        assert _assert_padded_stack_keeps_bits(suite, seed) == {2, 3}

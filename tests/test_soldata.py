@@ -91,7 +91,6 @@ class TestScaledNorm:
             vec = _gaussian(rng, int(rng.integers(1, 9)), 10.0 ** rng.uniform(-100, 100))
             assert _norm(vec) == float(np.linalg.norm(vec))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_power_of_two_scaling_is_exact(self):
         # far outside the range where squaring is safe, the scaled norm is
         # still np.linalg.norm's value at unit scale, moved by the exact power
@@ -112,6 +111,22 @@ class TestScaledNorm:
         pt = SpectralPoint(0.5, 2.0)
         assert nv.position_shift(pt) == math.log(nv.norm) / 2.0
         assert np.max(np.abs(Polarization(vec).p - Polarization([1.0, 0.5j]).p)) < 1e-15
+
+    @pytest.mark.parametrize("size", [1e150, 1.5e154, 1e200, 1e300, 1e308])
+    def test_huge_vectors_take_the_scaled_path_without_warning(self, size):
+        # a RuntimeWarning fails the test run: no square may overflow
+        vec = size * np.array([1.0, -0.5j, 0.25 + 0.25j])
+        exact = _true_norm(vec)
+        assert abs(NormingVector(vec).norm - exact) <= math.ulp(exact)
+        assert abs(_norm(vec) - exact) <= math.ulp(exact)
+        assert np.max(np.abs(Polarization(vec).p - Polarization(vec / size).p)) < 1e-15
+
+    def test_norm_past_the_float_range_is_refused(self):
+        vec = np.full(4, 1e308, dtype=np.complex128)
+        assert _norm(vec) == math.inf
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            NormingVector(vec)
+        assert np.array_equal(Polarization(vec).p, Polarization(np.ones(4)).p)
 
     def test_smallest_subnormal(self):
         tiny = 5e-324
@@ -247,6 +262,27 @@ class TestBoundarySpec:
                 assert spec.unitary.tobytes() == one.unitary.tobytes() == U.tobytes()
                 assert spec.m.tobytes() == one.m.tobytes()
                 assert not spec.unitary.flags.writeable and not spec.m.flags.writeable
+
+    def test_stack_and_boundaries_pad_with_an_identity_block(self):
+        # a spec padded to more components keeps U and m as its top-left block
+        from vsolitons.sampling import boundaries, draw_boundary, random_unitary
+
+        rng = np.random.default_rng(6)
+        Us = np.array([random_unitary(rng, 2) for _ in range(3)])
+        signs = [(1, -1), (-1, 1), (-1, -1)]
+        plain, padded = RotatedMixed.stack(Us, signs), RotatedMixed.stack(Us, signs, 4)
+        drawn = [draw_boundary(rng, kind, 2) for kind in ("robin", "mixed", "rotated_mixed")]
+        given = boundaries(drawn)
+        for a, b in [*zip(plain, padded), *zip(given, boundaries(drawn, 4))]:
+            if isinstance(a, Robin):
+                assert b is a  # a Robin m is taken at any component count
+                continue
+            assert type(b) is type(a) and b.signs == (*a.signs, 1, 1)
+            for small, big in ((a.unitary, b.unitary), (a.m, b.m)):
+                assert big[:2, :2].tobytes() == small.tobytes()
+                assert np.array_equal(big[2:, 2:], np.eye(2))
+                assert not big[:2, 2:].any() and not big[2:, :2].any()
+                assert not big.flags.writeable
 
     def test_stack_names_the_first_non_unitary(self):
         U = np.array([np.eye(2), [[1.0, 1e-9], [0.0, 1.0]], [[1.0, 1e-6], [0.0, 1.0]]])
