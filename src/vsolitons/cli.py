@@ -46,7 +46,7 @@ from .config import (
     soliton_data_to_json,
 )
 from .dressing import (
-    blaschke_factor,
+    _blaschke_product,
     build_reduced_chain,
     eval_chain,
     one_soliton_field,
@@ -364,8 +364,7 @@ class _Sampled:
     n by zero-padding each to the largest n, with m(k) and the unitaries
     padded block-diagonally (`_map_state`).  A sample keeps its bits: every
     padded term is an exact zero, and numpy sums a short trailing axis in
-    order, so the zeros come after the sample's own terms.  One n, as with
-    suite.n = 1, is not padded.
+    order, so the zeros come after the sample's own terms.
 
     Each variant's checks share, evenly, its own draw time plus its sample
     share of the stacked call and the folds, so the check times sum to the
@@ -413,13 +412,11 @@ class _Sampled:
 def _padded_stack(arrays, derive: Callable) -> np.ndarray:
     """One stack of arrays that differ only in their trailing sizes: each group
     of one shape is stacked and derived, derive(stack), then zero-padded at
-    the end of every axis to the largest derived shape; one shape is not padded."""
+    the end of every axis to the largest derived shape."""
     groups: Dict[tuple, List[int]] = {}
     for i, a in enumerate(arrays):
         groups.setdefault(a.shape, []).append(i)
     parts = [(idx, derive(np.array([arrays[i] for i in idx]))) for idx in groups.values()]
-    if len(parts) == 1:
-        return parts[0][1]
     out = np.zeros((len(arrays), *np.max([part.shape[1:] for _, part in parts], axis=0)),
                    dtype=parts[0][1].dtype)
     for idx, part in parts:
@@ -494,7 +491,7 @@ def _draw_determinant(cfg, rng, log, i, variant):
         ks.append(k)
     rel = []
     for k, det in zip(ks, np.linalg.det(eval_chain(chain, ks))):
-        prod = np.prod([blaschke_factor(pt, k) for pt, _ in data.points])
+        prod = _blaschke_product([pt.k for pt, _ in data.points], k)
         rel.append(abs(det - prod) / abs(prod))
     return (_worst(rel),)
 
@@ -517,12 +514,15 @@ def _draw_permutation(cfg, rng, log, i, variant):
     return (_worst(permutation_residuals(data, reference, orders, ks, xts)),)
 
 
-def _draw_ybe(cfg, rng, log, i, variant):
-    return random_map_parameters(rng, 3, log=log), draw_unit_vectors(rng, 3, variant[1]), None
-
-
-def _draw_reversibility(cfg, rng, log, i, variant):
-    return random_map_parameters(rng, 2, log=log), draw_unit_vectors(rng, 2, variant[1]), None
+def _map_draw(slots: int, with_boundary: bool) -> Callable:
+    """A map-suite draw: slots parameters, then slots unit vectors.  With a
+    boundary, the boundary comes first and gives n, and the parameters are
+    pole-safe under k -> -k*; without, n is the variant's."""
+    def draw(cfg, rng, log, i, variant):
+        drawn, n = _boundary_draw(cfg, rng, i, variant) if with_boundary else (None, variant[1])
+        ks = random_map_parameters(rng, slots, mirrored=with_boundary, log=log)
+        return ks, draw_unit_vectors(rng, slots, n), drawn
+    return draw
 
 
 def _draw_yb_structure(cfg, rng, log, i, variant):
@@ -538,18 +538,6 @@ def _yb_structure(P, K, draws):
     after_rotated = yb_schedule(np.einsum("sab,sjb->sja", V, P), K, ((0, 1),))
     unitary = projective_distances(rotated_after, after_rotated).max(axis=1)
     return unitary, s_twist_residuals(P, K)
-
-
-def _draw_reflection_equation(cfg, rng, log, i, variant):
-    drawn, n = _boundary_draw(cfg, rng, i, variant)
-    ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-    return ks, draw_unit_vectors(rng, 2, n), drawn
-
-
-def _draw_involution(cfg, rng, log, i, variant):
-    drawn, n = _boundary_draw(cfg, rng, i, variant)
-    ks = random_map_parameters(rng, 1, mirrored=True, log=log)
-    return ks, draw_unit_vectors(rng, 1, n), drawn
 
 
 def _draw_collision(cfg, rng, log, i, variant):
@@ -770,22 +758,23 @@ _SUITES: Dict[str, Callable] = {
                             _draw_determinant),
     "permutation": _Sampled(5, (("permutation-factorization[{}]", "algebraic"),),
                             _draw_permutation, _permutation_variants),
-    "ybe": _Sampled(100, (("yang-baxter-equation[{}]", "algebraic"),), _draw_ybe, _n_variants,
+    "ybe": _Sampled(100, (("yang-baxter-equation[{}]", "algebraic"),), _map_draw(3, False),
+                    _n_variants,
                     stacked=_map_state(lambda P, K, _: (ybe_residuals(P, K),))),
     "reversibility": _Sampled(100, (("reversibility[{}]", "involution"),),
-                              _draw_reversibility, _n_variants,
+                              _map_draw(2, False), _n_variants,
                               stacked=_map_state(lambda P, K, _: (reversibility_residuals(P, K),))),
     "yb-structure": _Sampled(50, (("unitary-diagonal-invariance", "involution"),
                                   ("parameter-twist-transpose", "involution")),
                              _draw_yb_structure, stacked=_map_state(_yb_structure)),
     "reflection-equation": _Sampled(
-        100, (("reflection-equation[{}]", "algebraic"),), _draw_reflection_equation,
+        100, (("reflection-equation[{}]", "algebraic"),), _map_draw(2, True),
         _boundary_kinds, stacked=_map_state(
             lambda P, K, drawn: (reflection_equation_residuals(
                 P, K, boundaries(drawn, P.shape[-1])),)),
     ),
     "involution": _Sampled(
-        100, (("reflection-involution[{}]", "involution"),), _draw_involution, _boundary_kinds,
+        100, (("reflection-involution[{}]", "involution"),), _map_draw(1, True), _boundary_kinds,
         stacked=_map_state(lambda P, K, drawn: (involution_residuals(
             P, K, boundaries(drawn, P.shape[-1])),)),
     ),

@@ -228,11 +228,7 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
     return hl
 
 
-def canonical_dumps(obj) -> str:
-    """Deterministic JSON serialization: sorted keys, minimal separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def dataset_digest(obj) -> str:
-    """Stable sha256 of a canonical JSON rendering."""
-    return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
+    """Stable sha256 of the canonical JSON rendering: sorted keys, minimal separators."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -17,7 +17,8 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, PoleError
-from .soldata import POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _vector_norm
+from .soldata import (POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _norm,
+                      _scaled_norm, _vector_norm)
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -99,11 +100,13 @@ def _reduced_factor(data: SolitonData, i: int, prefix) -> tuple:
     """(k_i, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
     point, nv = data.points[i]
     w = _chain_apply(prefix, point.k, nv.beta, dagger=True)
-    nrm = _vector_norm(w)
+    top = max(map(abs, w.view(np.float64).tolist()))
+    nrm = _norm(w, top)  # scaled first where a square could overflow or underflow
     if nrm < DEGENERATE_DIRECTION_TOL * nv.norm:
         raise DegeneracyError(
             f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
         )
+    w, _, nrm = _scaled_norm(w, top)  # w / nrm overflows where nrm is subnormal
     z = (w / nrm)[:, None]
     zc = z.conj()
     z.flags.writeable = zc.flags.writeable = False
@@ -121,7 +124,9 @@ def eval_chain(chain, k) -> np.ndarray:
     factor, one per entry of k."""
     ks = np.asarray(k, dtype=np.complex128)
     d = chain[0][1].shape[0]
-    return _chain_product(chain, ks.reshape(-1), d)[0].reshape(ks.shape + (d, d))
+    # a lone k goes as two: numpy rounds length-1 stacks its own way
+    flat = np.repeat(ks.reshape(-1), 2) if ks.size == 1 else ks.reshape(-1)
+    return _chain_product(chain, flat, d)[0, : ks.size].reshape(ks.shape + (d, d))
 
 
 def _coefficients(k0: complex, ks: np.ndarray) -> np.ndarray:

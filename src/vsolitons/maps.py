@@ -81,25 +81,17 @@ def _collide(P, K, i: int, j: int) -> None:
 def _small_ms(specs: Sequence[BoundarySpec], k, n: int) -> np.ndarray:
     """(S, n, n) stack of each sample's m at its parameter k.
 
-    A sign-pattern spec gives its stored m and a Robin spec its small_m at
-    k.  The first sample that fails a check raises, as one sample at a time
-    would: off the imaginary axis first, then the spec's own checks (a Robin
-    pole or zero, a sign pattern's component count).
+    The first sample that fails a check raises: off the imaginary axis first,
+    then the spec's own checks (a Robin pole or zero, a sign pattern's
+    component count).
     """
     if len(specs) != len(k):
         raise ValidationError(f"{len(specs)} boundary specs for {len(k)} samples")
-    ms = [getattr(spec, "m", None) for spec in specs]
-    bad = np.abs(k.real) <= AXIS_TOL
-    bad |= [m is not None and len(m) != n for m in ms]
-    stop = int(np.argmax(bad)) if bad.any() else len(ms)
-    k = k.tolist()
-    for s in range(stop):
-        if ms[s] is None:
-            ms[s] = specs[s].small_m(k[s], n)
-    if stop < len(ms):
-        if abs(k[stop].real) <= AXIS_TOL:
-            raise DomainError(f"imaginary axis: reflection undefined at k={k[stop]}")
-        specs[stop].small_m(k[stop], n)  # raises the component-count error
+    ms = []
+    for spec, kk in zip(specs, k.tolist()):
+        if abs(kk.real) <= AXIS_TOL:
+            raise DomainError(f"imaginary axis: reflection undefined at k={kk}")
+        ms.append(spec.small_m(kk, n))
     return np.array(ms)
 
 

@@ -9,7 +9,7 @@ Stream contract: every generator makes the rng calls that drawing its
 scalars one at a time would make, in order.  Per sample only the draws and
 their accept tests run (nonzero vector, proper signs, pole-safe parameters);
 `unit_vectors`, `unitaries` and `boundaries` derive a stack of `draw_*`
-results at once, bit for bit as one at a time (`random_*`: one sample).
+results at once, bit for bit as one at a time; one sample is a stack of one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ POLE_MARGIN = 1e-8
 
 _MAX_TRIES = 1000
 
-#: Boundary kinds `random_boundary` draws, in the order the suites report them.
+#: Boundary kinds `draw_boundary` draws, in the order the suites report them.
 BOUNDARY_KINDS = ("robin", "mixed", "rotated_mixed")
 
 
@@ -110,11 +110,6 @@ def unit_vectors(draws: np.ndarray) -> np.ndarray:
     return canonical_phase(u)
 
 
-def random_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, n) `random_norming_vector`s, normalised, in canonical phase."""
-    return unit_vectors(draw_unit_vectors(rng, count, n))
-
-
 def random_soliton_data(
     rng: np.random.Generator,
     N: int,
@@ -150,10 +145,6 @@ def unitaries(draws: np.ndarray) -> np.ndarray:
 
 def draw_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((2, n, n))
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    return unitaries(draw_unitary(rng, n))
 
 
 def random_signs(rng: np.random.Generator, n: int) -> tuple:
@@ -195,10 +186,6 @@ def boundaries(drawn, n=None) -> list:
         for i, spec in zip(idx, RotatedMixed.stack(unitaries(np.array(draws)), signs, n)):
             specs[i] = spec
     return specs
-
-
-def random_boundary(rng: np.random.Generator, kind: str, n: int):
-    return boundaries([draw_boundary(rng, kind, n)])[0]
 
 
 def _pairs_safe(ks: List[complex], mirrored: bool) -> bool:

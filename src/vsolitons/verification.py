@@ -234,24 +234,22 @@ def _coarse_scan(data: SolitonData, j: int, t: float) -> np.ndarray:
     return np.arange(w * t - window, w * t + window, 0.1 / v)
 
 
-def extract_asymptotic_polarization(data: SolitonData, j, t):
-    """Polarization and envelope peak position of soliton j at large |t|.
+def extract_asymptotic_polarization(data: SolitonData, js, ts) -> list:
+    """(Polarization, envelope peak position) of soliton j at large |t|, for
+    each target (j, t) of the equal-length sequences js and ts.
 
     Scans the field along x around the ballistic position w_j * t (spacing
     1/(10 v_j), half-width the largest envelope shift plus 10/v_j, capped by
     the other solitons), then refines the envelope maximum by bracket zoom
     (`_zoom_max`) to 1e-10 and reads the component ratios at the refined peak.
 
-    j and t are one target (soliton index, time), which gives one
-    (Polarization, peak), or equal-length sequences of targets, which give a
-    list of them.  The targets go in lockstep: the coarse scans, each zoom
-    round and the peak read-out are one field call each over the targets
-    still in play.  A point's field value does not depend on its batch, so
-    each target gets the bits of its one-target call, and the first target
-    whose scan fails raises that call's WindowError.
+    The targets go in lockstep: the coarse scans, each zoom round and the
+    peak read-out are one field call each over the targets still in play.  A
+    point's field value does not depend on its batch, so each target gets
+    the bits of its one-element call, and the first target whose scan fails
+    raises that call's WindowError.
     """
-    single = np.ndim(j) == 0
-    targets = [(j, t)] if single else list(zip(j, t, strict=True))
+    targets = list(zip(js, ts, strict=True))
     ts = [float(tt) for _, tt in targets]
     scans = []
     for (jj, _), tt in zip(targets, ts):
@@ -273,8 +271,7 @@ def extract_asymptotic_polarization(data: SolitonData, j, t):
         raise WindowError("scan window is too narrow for the coarse pass")
     peaks = _zoom_max(data, ts, a, b, 1e-10)
     rows = reconstruct_field(data, peaks, ts)
-    found = [(Polarization(row), float(peak)) for row, peak in zip(rows, peaks)]
-    return found[0] if single else found
+    return [(Polarization(row), float(peak)) for row, peak in zip(rows, peaks)]
 
 
 def convergence_order(residual_fn: Callable[[float], float], h_sequence) -> float:

@@ -44,10 +44,12 @@ from vsolitons.asymptotics import min_relative_velocity
 from vsolitons.cli import _pde_order, collision_orders, main
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import (
-    random_boundary,
+    boundaries,
+    draw_boundary,
+    draw_unit_vectors,
     random_map_parameters,
     random_soliton_data,
-    random_unit_vectors,
+    unit_vectors,
 )
 from vsolitons.soldata import NormingVector
 
@@ -128,7 +130,7 @@ class TestCriterion04:
         for n in (2, 3):
             for _ in range(100):
                 K = np.array([random_map_parameters(rng, 3)])
-                P = random_unit_vectors(rng, 3, n)[None]
+                P = unit_vectors(draw_unit_vectors(rng, 3, n))[None]
                 worst = max(worst, ybe_residuals(P, K)[0])
         report(4, "parametric Yang-Baxter equation", worst, 1e-10, worst <= 1e-10)
 
@@ -138,7 +140,7 @@ class TestCriterion04:
         for n in (2, 3):
             for _ in range(100):
                 K = np.array([random_map_parameters(rng, 2)])
-                P = random_unit_vectors(rng, 2, n)[None]
+                P = unit_vectors(draw_unit_vectors(rng, 2, n))[None]
                 worst = max(worst, reversibility_residuals(P, K)[0])
         report(4, "collision-map reversibility", worst, 1e-12, worst <= 1e-12)
 
@@ -150,9 +152,9 @@ class TestCriterion05:
         worst = 0.0
         for n in (2, 3):
             for _ in range(50):
-                spec = random_boundary(rng, kind, n)
+                spec = boundaries([draw_boundary(rng, kind, n)])[0]
                 K = np.array([random_map_parameters(rng, 2, mirrored=True)])
-                P = random_unit_vectors(rng, 2, n)[None]
+                P = unit_vectors(draw_unit_vectors(rng, 2, n))[None]
                 worst = max(worst, reflection_equation_residuals(P, K, (spec,))[0])
         report(5, f"set-theoretical reflection equation [{kind}]", worst, 1e-10, worst <= 1e-10)
 
@@ -162,9 +164,9 @@ class TestCriterion05:
         worst = 0.0
         for n in (2, 3):
             for _ in range(50):
-                spec = random_boundary(rng, kind, n)
+                spec = boundaries([draw_boundary(rng, kind, n)])[0]
                 K = np.array([random_map_parameters(rng, 1, mirrored=True)])
-                P = random_unit_vectors(rng, 1, n)[None]
+                P = unit_vectors(draw_unit_vectors(rng, 1, n))[None]
                 worst = max(worst, involution_residuals(P, K, (spec,))[0])
         report(5, f"reflection involution [{kind}]", worst, 1e-12, worst <= 1e-12)
 
@@ -175,7 +177,7 @@ def _mirror_datasets(rng, kind):
         N = 1 + i % 3
         n = (2, 3)[i % 2]
         data = random_soliton_data(rng, N, n, positive=True)
-        out.append(solve_mirror_norming(data, random_boundary(rng, kind, n)))
+        out.append(solve_mirror_norming(data, boundaries([draw_boundary(rng, kind, n)])[0]))
     return out
 
 
@@ -310,7 +312,7 @@ class TestCriterion09:
             T = 18.0 / (min(pt.v for pt, _ in data.points) * min_relative_velocity(data))
             for j in range(N):
                 for t, which in ((-T, beta_in), (T, beta_out)):
-                    pol, _ = extract_asymptotic_polarization(data, j, t)
+                    [(pol, _)] = extract_asymptotic_polarization(data, [j], [t])
                     worst_pol = max(
                         worst_pol, projective_distance(pol, Polarization(which(j, data).beta))
                     )
@@ -332,7 +334,7 @@ class TestCriterion10:
         worst = 0.0
         for N in (2, 3):
             K = np.array([random_map_parameters(rng, N, mirrored=True)])
-            P = random_unit_vectors(rng, N, 2)[None]
+            P = unit_vectors(draw_unit_vectors(rng, N, 2))[None]
             worst = max(worst, transfer_commutators(P, K, None, None).max())
         report(10, "transfer commutators, identity boundary", worst, 1e-12, worst <= 1e-12)
 
@@ -348,7 +350,7 @@ class TestCriterion10:
         rng = np.random.default_rng(1101)
         spec = Mixed((1, -1))
         K = np.array([random_map_parameters(rng, 3, mirrored=True)])
-        P = random_unit_vectors(rng, 3, 2)[None]
+        P = unit_vectors(draw_unit_vectors(rng, 3, 2))[None]
         first = transfer_commutators(P, K, (spec,), (spec,))[1, 0]  # the pair (0, 2)
         second = transfer_commutators(P, K, (spec,), (spec,))[1, 0]
         print(

@@ -12,7 +12,14 @@ import pytest
 
 from vsolitons import Mixed, PoleError, Robin, RotatedMixed, ValidationError
 from vsolitons.config import _complex_pair, parse_boundary
-from vsolitons.sampling import BOUNDARY_KINDS, random_boundary, random_signs, random_unitary
+from vsolitons.sampling import (
+    BOUNDARY_KINDS,
+    boundaries,
+    draw_boundary,
+    draw_unitary,
+    random_signs,
+    unitaries,
+)
 from vsolitons.soldata import PAIR_POLE_TOL
 
 
@@ -122,7 +129,7 @@ def _specs():
     for n in NS:
         specs.append(Mixed(random_signs(rng, n)))
         specs.append(RotatedMixed(np.eye(n), random_signs(rng, n)))
-        specs.append(RotatedMixed(random_unitary(rng, n), random_signs(rng, n)))
+        specs.append(RotatedMixed(unitaries(draw_unitary(rng, n)), random_signs(rng, n)))
     return specs
 
 
@@ -232,6 +239,6 @@ def test_sign_pattern_matrices_are_involutions():
 def test_every_drawn_kind_round_trips():
     rng = np.random.default_rng(11)
     for kind in BOUNDARY_KINDS:
-        spec = random_boundary(rng, kind, 3)
+        spec = boundaries([draw_boundary(rng, kind, 3)])[0]
         assert spec.to_json()["kind"] == kind
         assert parse_boundary(spec.to_json()).to_json() == spec.to_json()

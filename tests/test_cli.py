@@ -53,6 +53,13 @@ def _scaled_last_beta(mode, size):
     return data
 
 
+def _scaled_mirror_beta(scale):
+    """_STORED_HALFLINE with its mirror soliton's beta times scale."""
+    solitons = [dict(sol) for sol in _STORED_HALFLINE["solitons"]]
+    solitons[-1]["beta"] = [[scale * a, scale * b] for a, b in solitons[-1]["beta"]]
+    return dict(_STORED_HALFLINE, solitons=solitons)
+
+
 def _strict_json(path):
     """A written JSON file, read as RFC 8259 allows: no NaN or Infinity tokens."""
     def refuse(token):
@@ -236,6 +243,9 @@ class TestExitCodes:
         # a given |beta| outside [1e-150, 1e150]
         *[(mode, _shipped(mode, data=_scaled_last_beta(mode, s)), "data.solitons[1].beta")
           for mode in ("collide", "mirror") for s in (1e-160, 1e200)],
+        # a stored mirror beta is not windowed: the constraint gate refuses it,
+        # its chain's norms taken without an overflowing or underflowing square
+        *[("mirror", {"data": _scaled_mirror_beta(s)}, "data") for s in (1e250, 1e-250, 1e-320)],
         ("simulate", _shipped("simulate", grid=dict(_shipped("simulate")["grid"], x1=10**400)),
          "grid.x1"),
         # the suite integers' largest values: refused before anything is drawn
@@ -254,7 +264,8 @@ class TestExitCodes:
             "top-level-key", "suite-key", "data-key", "soliton-key", "robin-key",
             "mixed-key", "rotated-mixed-key", "grid-key", "halfline-key", "halfline-boundary-key",
             "halfline-with-given-boundary", "collide-beta-1e-160", "collide-beta-1e200",
-            "mirror-beta-1e-160", "mirror-beta-1e200", "int-beyond-float-range",
+            "mirror-beta-1e-160", "mirror-beta-1e200", "stored-mirror-beta-1e250",
+            "stored-mirror-beta-1e-250", "stored-mirror-beta-1e-320", "int-beyond-float-range",
             "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
             "N-past-bound"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):

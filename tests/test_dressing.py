@@ -20,7 +20,7 @@ from vsolitons import (
 from vsolitons import cli, dressing
 from vsolitons.dressing import _chain_product, _full_directions
 from vsolitons.errors import DegeneracyError
-from vsolitons.sampling import SampleLog, random_boundary, random_soliton_data
+from vsolitons.sampling import SampleLog, boundaries, draw_boundary, random_soliton_data
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -425,6 +425,19 @@ class TestBatchedKernel:
             assert np.max(np.abs(b - _ref_product(full, k))) <= 1e-13
         assert np.max(np.abs(eval_chain(reduced, ks[0]) - stacked[0])) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_leading_ks_keep_their_bits(self, n):
+        # at n = 1 numpy rounds a one-k product its own way; eval_chain sends
+        # a lone k as two, so every k gets the bits it has inside a longer call
+        rng = np.random.default_rng(33 + n)
+        for c in range(100):
+            chain = build_reduced_chain(random_data(rng, 1 + c % 4, n))
+            ks = [complex(rng.uniform(-3, 3), rng.uniform(0, 2.5)) for _ in range(8)]
+            full = eval_chain(chain, ks)
+            for K in range(1, 8):
+                assert eval_chain(chain, ks[:K]).tobytes() == full[:K].tobytes()
+            assert eval_chain(chain, ks[0]).tobytes() == full[0].tobytes()
+
 
 def _reference_permutation_residual(data, order_a, order_b, ks, xts):
     """Per-k, per-point loop over explicit factor matrices."""
@@ -579,7 +592,8 @@ def _seeded_data(seed):
     N, n = 1 + seed % 4, (2, 3, 4, 8)[seed // 4 % 4]
     data = random_soliton_data(rng, N, n, positive=bool(seed % 2))
     if seed % 2:
-        spec = random_boundary(rng, ("robin", "mixed", "rotated_mixed")[seed % 3], n)
+        kind = ("robin", "mixed", "rotated_mixed")[seed % 3]
+        spec = boundaries([draw_boundary(rng, kind, n)])[0]
         data = solve_mirror_norming(data, spec).combined
     return data
 

@@ -39,13 +39,10 @@ from vsolitons.sampling import (
     draw_boundary,
     draw_unit_vectors,
     draw_unitary,
-    random_boundary,
     random_map_parameters,
     random_norming_vector,
     random_signs,
     random_u,
-    random_unit_vectors,
-    random_unitary,
     unit_vectors,
     unitaries,
 )
@@ -70,9 +67,9 @@ def _samples(rng, count, slots, n, mirrored=False, boundary=None):
     ps, ks, specs = [], [], []
     for _ in range(count):
         if boundary is not None:
-            specs.append(random_boundary(rng, boundary, n))
+            specs.append(boundaries([draw_boundary(rng, boundary, n)])[0])
         ks.append(random_map_parameters(rng, slots, mirrored=mirrored))
-        ps.append(random_unit_vectors(rng, slots, n))
+        ps.append(unit_vectors(draw_unit_vectors(rng, slots, n)))
     return np.array(ps), np.array(ks), specs
 
 
@@ -110,8 +107,8 @@ class TestYangBaxterMap:
         for n in (2, 3):
             for _ in range(10):
                 ks = random_map_parameters(rng, 2)
-                P, K = _stack(random_unit_vectors(rng, 2, n), ks)
-                V = random_unitary(rng, n)
+                P, K = _stack(unit_vectors(draw_unit_vectors(rng, 2, n)), ks)
+                V = unitaries(draw_unitary(rng, n))
                 a = yb_schedule(P, K, COLLIDE)[0]
                 b = yb_schedule(P @ V.T, K, COLLIDE)[0]
                 assert projective_distance(V @ a[0], b[0]) < 1e-12
@@ -155,7 +152,7 @@ class TestBoundaryMatrix:
 
     def test_unitary_and_involutive(self):
         rng = np.random.default_rng(1)
-        for spec in (Mixed((1, -1, 1)), RotatedMixed(random_unitary(rng, 3), (1, 1, -1))):
+        for spec in (Mixed((1, -1, 1)), RotatedMixed(unitaries(draw_unitary(rng, 3)), (1, 1, -1))):
             m = spec.small_m(0.4 + 0.9j, None)
             assert np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-12
             assert np.max(np.abs(m @ m - np.eye(3))) < 1e-12
@@ -181,7 +178,7 @@ class TestReflectionMap:
     def test_robin_is_projectively_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            p = random_unit_vectors(rng, 1, 3)
+            p = unit_vectors(draw_unit_vectors(rng, 1, 3))
             q, k = _reflect(p, [0.8 + 0.3j], Robin(1.3))
             assert projective_distance(q, p[0]) < 1e-14
             assert k == -(0.8 - 0.3j)
@@ -306,7 +303,7 @@ class TestBounceIsMirrorCollision:
 class TestTransferMaps:
     def _state(self, rng, N, n):
         K = np.array([random_map_parameters(rng, N, mirrored=True)])
-        return random_unit_vectors(rng, N, n)[None], K
+        return unit_vectors(draw_unit_vectors(rng, N, n))[None], K
 
     def _transfer(self, j, P, K, b_plus, b_minus):
         Q, L = P.copy(), K.copy()
@@ -358,7 +355,7 @@ class TestTransferMaps:
         rng = np.random.default_rng(21)
         plus = swapped = 0.0
         for _ in range(5):
-            spec = random_boundary(rng, kind, 3)
+            spec = boundaries([draw_boundary(rng, kind, 3)])[0]
             for N in (2, 3, 4):
                 P, K = self._state(rng, N, 3)
                 plus = max(plus, transfer_commutators(P, K, (spec,), None).max())
@@ -464,7 +461,7 @@ def _frozen_rotated(U, signs):
 def _frozen_boundary(rng, kind, n):
     if kind == "rotated_mixed":
         return _frozen_rotated(_frozen_unitary(rng, n), random_signs(rng, n))
-    return random_boundary(rng, kind, n)
+    return boundaries([draw_boundary(rng, kind, n)])[0]
 
 
 def _samples_both_ways(make_rng, samples, ns, kinds=BOUNDARY_KINDS):
@@ -630,7 +627,7 @@ class TestMapDraws:
         for seed in range(50):
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for count in (1, 2, 3):
-                got = random_unit_vectors(got_rng, count, n)
+                got = unit_vectors(draw_unit_vectors(got_rng, count, n))
                 ref = self._oracle_units(ref_rng, count, n)
                 assert got.shape == (count, n)
                 assert got.tobytes() == ref.tobytes()
@@ -652,7 +649,7 @@ class TestMapDraws:
                 return out
 
         got_rng, ref_rng = Scripted(3), Scripted(3)
-        got = random_unit_vectors(got_rng, 2, 3)
+        got = unit_vectors(draw_unit_vectors(got_rng, 2, 3))
         assert np.isfinite(got).all()
         assert got.tobytes() == self._oracle_units(ref_rng, 2, 3).tobytes()
         # one vector kept from the first pass, one redrawn in the second
@@ -692,7 +689,7 @@ class TestMapDraws:
             got = random_norming_vector(got_rng, n).beta
             ref = ref_rng.standard_normal(n) + 1j * ref_rng.standard_normal(n)
             assert got.tobytes() == ref.tobytes()
-            got = random_unitary(got_rng, n)
+            got = unitaries(draw_unitary(got_rng, n))
             Z = ref_rng.standard_normal((n, n)) + 1j * ref_rng.standard_normal((n, n))
             Q, R = np.linalg.qr(Z)
             ref = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
@@ -806,7 +803,7 @@ def _reference_transfer_rows(seed, boundary):
         w = 0.0
         for N in (2, 3):
             K = np.array([random_map_parameters(rng, N, mirrored=True, log=log)])
-            P = random_unit_vectors(rng, N, n)[None]
+            P = unit_vectors(draw_unit_vectors(rng, N, n))[None]
             w = max(w, float(transfer_commutators(P, K, b_plus, b_minus).max()))
         return w
 
@@ -815,7 +812,7 @@ def _reference_transfer_rows(seed, boundary):
     kinds = [("given", boundary)] if boundary else [(kind, None) for kind in BOUNDARY_KINDS]
     for row, n, both in (("vnls-reflection", 2, True), ("b-plus-reflection", 3, False)):
         for label, given in kinds:
-            spec = given or random_boundary(rng, label, n)
+            spec = given or boundaries([draw_boundary(rng, label, n)])[0]
             rows[f"transfer-commutator[{row}:{label}]"] = worst(
                 (spec,), (spec,) if both else None, spec.n or n)
     return rows, log.resamples
@@ -1002,14 +999,14 @@ AGREE = 1e-14
 def _draw(rng, S, slots, n, mirrored=True):
     """S seeded samples: (parameter lists, Polarization lists, P, K)."""
     ks = [random_map_parameters(rng, slots, mirrored=mirrored) for _ in range(S)]
-    P = np.array([random_unit_vectors(rng, slots, n) for _ in range(S)])
+    P = np.array([unit_vectors(draw_unit_vectors(rng, slots, n)) for _ in range(S)])
     ps = [[Polarization(p) for p in row] for row in P]
     return ks, ps, P, np.array(ks)
 
 
 def _specs(rng, S, n):
     """One boundary per sample, cycling through Robin, Mixed and RotatedMixed."""
-    return [random_boundary(rng, BOUNDARY_KINDS[s % 3], n) for s in range(S)]
+    return [boundaries([draw_boundary(rng, BOUNDARY_KINDS[s % 3], n)])[0] for s in range(S)]
 
 
 def _raised(fn, *args):
@@ -1077,8 +1074,8 @@ class TestStackedKernelMatchesReference:
     def test_transfer(self, S, n, N):
         rng = np.random.default_rng(500 + 10 * S + n + N)
         ks, ps, P, K = _draw(rng, S, N, n)
-        b_plus = random_boundary(rng, "rotated_mixed", n)
-        b_minus = random_boundary(rng, "robin", n)
+        b_plus = boundaries([draw_boundary(rng, "rotated_mixed", n)])[0]
+        b_minus = boundaries([draw_boundary(rng, "robin", n)])[0]
         pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
         for slots in ((b_plus, b_minus), (b_plus, None), (None, b_plus)):
             rows = transfer_commutators(P, K, *((b,) * S if b is not None else None for b in slots))
@@ -1292,7 +1289,8 @@ class TestPaddedMapStacks:
 
     @pytest.mark.parametrize("boundary", [
         Robin(-0.7), Mixed((1, -1, -1, 1)),
-        random_boundary(np.random.default_rng(9), "rotated_mixed", 4)], ids=BOUNDARY_KINDS)
+        *boundaries([draw_boundary(np.random.default_rng(9), "rotated_mixed", 4)])],
+        ids=BOUNDARY_KINDS)
     @pytest.mark.parametrize("suite", ["reflection-equation", "involution"])
     def test_given_four_component_boundary(self, suite, boundary):
         assert _assert_padded_stack_keeps_bits(suite, 5, boundary, n=4, samples=30) == {4}

@@ -27,7 +27,7 @@ from vsolitons import mirror as mirror_module
 from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
 from vsolitons.config import halfline_to_json, parse_halfline
 from vsolitons.mirror import HalfLineData
-from vsolitons.sampling import random_boundary, random_soliton_data
+from vsolitons.sampling import boundaries, draw_boundary, random_soliton_data
 from vsolitons.verification import extract_asymptotic_polarization
 
 E1 = np.array([1.0, 0.0])
@@ -35,7 +35,7 @@ E1 = np.array([1.0, 0.0])
 
 def halfline_data(rng, N, n, kind):
     data = random_soliton_data(rng, N, n, positive=True)
-    spec = random_boundary(rng, kind, n)
+    spec = boundaries([draw_boundary(rng, kind, n)])[0]
     return solve_mirror_norming(data, spec)
 
 
@@ -323,7 +323,7 @@ class TestBetaRecovery:
         for N in (1, 2, 3, 4):
             for n in (1, 2, 3):
                 data = random_soliton_data(rng, N, n, positive=True)
-                spec = random_boundary(rng, kind, n)
+                spec = boundaries([draw_boundary(rng, kind, n)])[0]
                 hl = solve_mirror_norming(data, spec)
                 frozen = _per_index_mirror_betas(data, spec)
                 for (_, nv), beta in zip(hl.mirror_data.points, frozen, strict=True):
@@ -401,8 +401,7 @@ class TestHalfLineField:
         hl = solve_mirror_norming(real, spec)
         srt = hl.combined.subset([1, 0])  # ascending u
         T = 16.0
-        pol_in, _ = extract_asymptotic_polarization(srt, 1, -T)
-        pol_out, _ = extract_asymptotic_polarization(srt, 0, T)
+        (pol_in, _), (pol_out, _) = extract_asymptotic_polarization(srt, [1, 0], [-T, T])
         predicted, _ = reflection_maps(pol_in.p[None, None], real.ks[None], (spec,))
         assert projective_distance(pol_out, predicted[0, 0]) < 1e-6
 
@@ -419,8 +418,8 @@ class TestHalfLineField:
         srt = comb.subset(order)
         pos = {ci: si for si, ci in enumerate(order)}
         T = 20.0
-        ins = [extract_asymptotic_polarization(srt, pos[j], -T)[0] for j in range(2)]
-        outs = [extract_asymptotic_polarization(srt, pos[2 + j], T)[0] for j in range(2)]
+        found = extract_asymptotic_polarization(srt, [pos[j] for j in range(4)], [-T, -T, T, T])
+        ins, outs = [pol for pol, _ in found[:2]], [pol for pol, _ in found[2:]]
 
         P = np.array([[ins[j].p for j in range(2)]])
         K = np.array([[comb.points[j][0].k for j in range(2)]])

@@ -250,11 +250,11 @@ class TestBoundarySpec:
             RotatedMixed.stack(np.array([np.eye(2), U]), [(1, -1), (-1, 1)])
 
     def test_stack_matches_one_at_a_time(self):
-        from vsolitons.sampling import random_unitary
+        from vsolitons.sampling import draw_unitary, unitaries
 
         rng = np.random.default_rng(5)
         for n in (1, 2, 3, 8):
-            Us = np.array([random_unitary(rng, n) for _ in range(7)])
+            Us = np.array([unitaries(draw_unitary(rng, n)) for _ in range(7)])
             signs = [tuple(rng.choice((-1, 1), n).tolist()) for _ in range(7)]
             for spec, U, sg in zip(RotatedMixed.stack(Us, signs), Us, signs):
                 one = RotatedMixed(U, sg)
@@ -265,10 +265,10 @@ class TestBoundarySpec:
 
     def test_stack_and_boundaries_pad_with_an_identity_block(self):
         # a spec padded to more components keeps U and m as its top-left block
-        from vsolitons.sampling import boundaries, draw_boundary, random_unitary
+        from vsolitons.sampling import boundaries, draw_boundary, draw_unitary, unitaries
 
         rng = np.random.default_rng(6)
-        Us = np.array([random_unitary(rng, 2) for _ in range(3)])
+        Us = np.array([unitaries(draw_unitary(rng, 2)) for _ in range(3)])
         signs = [(1, -1), (-1, 1), (-1, -1)]
         plain, padded = RotatedMixed.stack(Us, signs), RotatedMixed.stack(Us, signs, 4)
         drawn = [draw_boundary(rng, kind, 2) for kind in ("robin", "mixed", "rotated_mixed")]

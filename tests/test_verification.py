@@ -170,13 +170,13 @@ class TestBoundaryResidual:
 
     def test_generic_two_soliton_bounds(self):
         from vsolitons import RotatedMixed
-        from vsolitons.sampling import random_unitary
+        from vsolitons.sampling import draw_unitary, unitaries
 
         real = SolitonData.from_arrays(
             [0.5, 1.0], [1.0, 1.1], [[0.8, 0.5 + 0.4j], [1.0, -0.3 + 0.2j]]
         )
         ts = np.linspace(-0.8, 0.8, 5)
-        rotated = RotatedMixed(random_unitary(np.random.default_rng(0), 2), (1, -1))
+        rotated = RotatedMixed(unitaries(draw_unitary(np.random.default_rng(0), 2)), (1, -1))
         for spec in (Robin(0.6), Mixed((1, -1)), rotated):
             hl = solve_mirror_norming(real, spec)
             assert boundary_residual(hl, ts, h=1e-3) < 1e-4
@@ -198,7 +198,7 @@ class TestExtraction:
         pt = SpectralPoint(0.3, 1.1)
         nv = NormingVector([0.5, 1.2j])
         data = SolitonData(2, ((pt, nv),))
-        pol, pos = extract_asymptotic_polarization(data, 0, 12.0)
+        [(pol, pos)] = extract_asymptotic_polarization(data, [0], [12.0])
         assert projective_distance(pol, Polarization(nv.beta)) < 1e-10
         assert pos == pytest.approx(pt.velocity * 12.0 + nv.position_shift(pt), abs=1e-6)
 
@@ -206,7 +206,7 @@ class TestExtraction:
     def test_two_soliton_in_out(self, tsign, which):
         t = 16.0 * tsign
         for j in range(2):
-            pol, pos = extract_asymptotic_polarization(TWO_SOLITON, j, t)
+            [(pol, pos)] = extract_asymptotic_polarization(TWO_SOLITON, [j], [t])
             b = which(j, TWO_SOLITON)
             assert projective_distance(pol, Polarization(b.beta)) < 1e-4
             pt = TWO_SOLITON.points[j][0]
@@ -218,7 +218,7 @@ class TestExtraction:
         data = SolitonData(2, ((SpectralPoint(0.3, 1.0), NormingVector([1e8, 0.0])),
                                (SpectralPoint(1.3, 1.0), NormingVector([0.0, 1.0]))))
         with pytest.raises(WindowError, match="envelope peak of soliton 0 not interior"):
-            extract_asymptotic_polarization(data, 0, 10.0)
+            extract_asymptotic_polarization(data, [0], [10.0])
 
 
 def _golden_max(fn, a, b, xtol):
@@ -288,7 +288,7 @@ class TestPeakRefinement:
         nv = NormingVector([0.5, 1.2j])
         data = SolitonData(2, ((pt, nv),))
         t = -2e6
-        pol, pos = extract_asymptotic_polarization(data, 0, t)
+        [(pol, pos)] = extract_asymptotic_polarization(data, [0], [t])
         assert projective_distance(pol, Polarization(nv.beta)) < 1e-10
         assert pos == pytest.approx(pt.velocity * t + nv.position_shift(pt), abs=1e-6)
 
@@ -297,7 +297,7 @@ def _one_at_a_time(data, js, ts):
     """extract_asymptotic_polarization of each target alone, in order; the
     first error's message instead if one fails."""
     try:
-        return [extract_asymptotic_polarization(data, j, t) for j, t in zip(js, ts)]
+        return [extract_asymptotic_polarization(data, [j], [t])[0] for j, t in zip(js, ts)]
     except WindowError as exc:
         return str(exc)
 
@@ -332,11 +332,6 @@ class TestLockstepExtraction:
             js, ts = zip(*targets)
             _assert_same_targets(extract_asymptotic_polarization(data, js, ts),
                                  _one_at_a_time(data, js, ts))
-
-    def test_one_target_call_is_the_one_element_case(self):
-        pol, peak = extract_asymptotic_polarization(TWO_SOLITON, 1, 16.0)
-        [(pol1, peak1)] = extract_asymptotic_polarization(TWO_SOLITON, [1], [16.0])
-        _assert_same_targets([(pol, peak)], [(pol1, peak1)])
 
     def test_stalled_bracket_next_to_normal_targets(self):
         # at t = -2e6 the peak sits near x = 2e6, where float spacing (2.3e-10)
