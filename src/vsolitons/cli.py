@@ -358,13 +358,12 @@ class _Sampled:
     payload) pairs, each run over all samples; ``tail`` appends fixed checks.
 
     With ``stacked``, a draw returns the instance as drawn instead.  After
-    every variant's draws, in variant order, ``stacked(instances)`` evaluates
-    all of them in one call and returns one sequence of per-sample residuals
-    per check.  The map suites stack instances of several component counts
-    n by zero-padding each to the largest n, with m(k) and the unitaries
-    padded block-diagonally (`_map_state`).  A sample keeps its bits: every
-    padded term is an exact zero, and numpy sums a short trailing axis in
-    order, so the zeros come after the sample's own terms.
+    every variant's draws, in variant order, the instances are grouped by the
+    shapes of their ndarray members, and ``stacked(instances)`` evaluates one
+    group per call, the groups in order of their first sample.  It returns
+    one sequence of per-sample residuals per check, and the rows go back in
+    sample order, each with the bits of its own S = 1 call.  An evaluation
+    error names the first failing sample of the first group that raises.
 
     Each variant's checks share, evenly, its own draw time plus its sample
     share of the stacked call and the folds, so the check times sum to the
@@ -405,34 +404,32 @@ class _Sampled:
             self.tail(cfg, rng, report, log)
 
     def _evaluate(self, instances) -> list:
-        """Per-instance residual rows, in sample order, from one stacked call."""
-        return list(zip(*(np.asarray(c).tolist() for c in self.stacked(instances))))
-
-
-def _padded_stack(arrays, derive: Callable) -> np.ndarray:
-    """One stack of arrays that differ only in their trailing sizes: each group
-    of one shape is stacked and derived, derive(stack), then zero-padded at
-    the end of every axis to the largest derived shape."""
-    groups: Dict[tuple, List[int]] = {}
-    for i, a in enumerate(arrays):
-        groups.setdefault(a.shape, []).append(i)
-    parts = [(idx, derive(np.array([arrays[i] for i in idx]))) for idx in groups.values()]
-    out = np.zeros((len(arrays), *np.max([part.shape[1:] for _, part in parts], axis=0)),
-                   dtype=parts[0][1].dtype)
-    for idx, part in parts:
-        out[(idx, *map(slice, part.shape[1:]))] = part
-    return out
+        """Per-instance residual rows, in sample order: one stacked call per
+        group of instances whose ndarrays have the same shapes.  A suite's
+        instances share their layout, so the first one shows where they hold
+        ndarrays; the shapes are read column by column, at about a third of
+        the cost of one key built per instance."""
+        shapes = [[a.shape for a in column] for column in zip(*instances)
+                  if isinstance(column[0], np.ndarray)]
+        groups: Dict[tuple, List[int]] = {}
+        for i, key in enumerate(zip(*shapes)):
+            groups.setdefault(key, []).append(i)
+        rows = [()] * len(instances)
+        for idx in groups.values():
+            residuals = self.stacked([instances[i] for i in idx])
+            for i, row in zip(idx, zip(*(np.asarray(c).tolist() for c in residuals))):
+                rows[i] = row
+        return rows
 
 
 def _map_state(evaluate: Callable) -> Callable:
     """A `_Sampled.stacked` for map-suite draws (parameters,
-    `draw_unit_vectors` draws, extra): derives their unit vectors, zero-padded
-    to the largest n, and parameters as one (P, K) state and returns
+    `draw_unit_vectors` draws, extra) of one component count: derives their
+    unit vectors and parameters as one (P, K) state and returns
     evaluate(P, K, extras)."""
     def stacked(instances):
         ks, draws, extras = zip(*instances)
-        return evaluate(_padded_stack(draws, unit_vectors), np.array(ks, dtype=np.complex128),
-                        extras)
+        return evaluate(unit_vectors(np.array(draws)), np.array(ks, dtype=np.complex128), extras)
     return stacked
 
 
@@ -533,7 +530,7 @@ def _draw_yb_structure(cfg, rng, log, i, variant):
 
 def _yb_structure(P, K, draws):
     """Unitary-diagonal invariance and parameter-twist residuals per sample."""
-    V = _padded_stack(draws, unitaries)  # zero-padded: a padded component stays zero
+    V = unitaries(np.array(draws))
     rotated_after = np.einsum("sab,sjb->sja", V, yb_schedule(P, K, ((0, 1),)))
     after_rotated = yb_schedule(np.einsum("sab,sjb->sja", V, P), K, ((0, 1),))
     unitary = projective_distances(rotated_after, after_rotated).max(axis=1)
@@ -543,21 +540,14 @@ def _yb_structure(P, K, draws):
 def _draw_collision(cfg, rng, log, i, variant):
     data = random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2], log=log)
     rel, xi = zip(*_pair_residuals(data, i % 2))
-    return _worst(rel), _worst(xi), data
+    return _worst(rel), _worst(xi), _in_out(data), data.ks
 
 
 def _collision_stack(instances):
-    """The collision draws: their pair residuals and, from one stacked
-    pipeline per (N, n), their factorization-pipeline residuals."""
-    rel, xi, datas = zip(*instances)
-    groups: Dict[tuple, List[int]] = {}
-    for i, data in enumerate(datas):
-        groups.setdefault((data.N, data.n), []).append(i)
-    pipeline = np.empty(len(datas))
-    for idx in groups.values():
-        pipeline[idx] = _pipeline_residuals(np.array([_in_out(datas[i]) for i in idx]),
-                                            np.array([datas[i].ks for i in idx]))
-    return rel, xi, pipeline
+    """Collision draws of one (N, n): their pair residuals and, from one
+    stacked pipeline, their factorization-pipeline residuals."""
+    rel, xi, pols, ks = zip(*instances)
+    return rel, xi, _pipeline_residuals(np.array(pols), np.array(ks))
 
 
 def _pair_residuals(data: SolitonData, spectators: int) -> list:
@@ -768,15 +758,13 @@ _SUITES: Dict[str, Callable] = {
                                   ("parameter-twist-transpose", "involution")),
                              _draw_yb_structure, stacked=_map_state(_yb_structure)),
     "reflection-equation": _Sampled(
-        100, (("reflection-equation[{}]", "algebraic"),), _map_draw(2, True),
-        _boundary_kinds, stacked=_map_state(
-            lambda P, K, drawn: (reflection_equation_residuals(
-                P, K, boundaries(drawn, P.shape[-1])),)),
+        100, (("reflection-equation[{}]", "algebraic"),), _map_draw(2, True), _boundary_kinds,
+        stacked=_map_state(lambda P, K, drawn: (
+            reflection_equation_residuals(P, K, boundaries(drawn)),)),
     ),
     "involution": _Sampled(
         100, (("reflection-involution[{}]", "involution"),), _map_draw(1, True), _boundary_kinds,
-        stacked=_map_state(lambda P, K, drawn: (involution_residuals(
-            P, K, boundaries(drawn, P.shape[-1])),)),
+        stacked=_map_state(lambda P, K, drawn: (involution_residuals(P, K, boundaries(drawn)),)),
     ),
     "collision": _Sampled(20, (("pairwise-collision-relations", "algebraic"),
                                ("norm-ratio-symmetry", "involution"),

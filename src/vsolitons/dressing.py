@@ -17,8 +17,8 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, PoleError
-from .soldata import (POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _norm,
-                      _scaled_norm, _vector_norm)
+from .soldata import (POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _scaled_norm,
+                      _unscaled, _vector_norm)
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -101,12 +101,11 @@ def _reduced_factor(data: SolitonData, i: int, prefix) -> tuple:
     point, nv = data.points[i]
     w = _chain_apply(prefix, point.k, nv.beta, dagger=True)
     top = max(map(abs, w.view(np.float64).tolist()))
-    nrm = _norm(w, top)  # scaled first where a square could overflow or underflow
-    if nrm < DEGENERATE_DIRECTION_TOL * nv.norm:
-        raise DegeneracyError(
-            f"degenerate chain: direction for index {i} collapsed ({nrm:.3e})"
-        )
-    w, _, nrm = _scaled_norm(w, top)  # w / nrm overflows where nrm is subnormal
+    # scaled where a square could overflow or underflow, or w / nrm overflow
+    w, e, nrm = _scaled_norm(w, top)
+    norm = _unscaled(e, nrm)
+    if norm < DEGENERATE_DIRECTION_TOL * nv.norm:
+        raise DegeneracyError(f"degenerate chain: direction for index {i} collapsed ({norm:.3e})")
     z = (w / nrm)[:, None]
     zc = z.conj()
     z.flags.writeable = zc.flags.writeable = False

@@ -171,19 +171,16 @@ def draw_boundary(rng: np.random.Generator, kind: str, n: int):
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
-def boundaries(drawn, n=None) -> list:
+def boundaries(drawn) -> list:
     """Specs of `draw_boundary` results in order; the rotated_mixed draws of
-    each component count are derived as one stack.  With n, every drawn sign
-    pattern acts on n components, padded as `RotatedMixed.stack` pads."""
+    each component count are derived as one stack."""
     specs, rotated = list(drawn), {}
     for i, b in enumerate(drawn):
         if isinstance(b, tuple):
             rotated.setdefault(len(b[1]), []).append(i)
-        elif isinstance(b, Mixed) and n is not None and b.n < n:
-            specs[i] = Mixed(b.signs + (1,) * (n - b.n))
     for idx in rotated.values():
         draws, signs = zip(*[drawn[i] for i in idx])
-        for i, spec in zip(idx, RotatedMixed.stack(unitaries(np.array(draws)), signs, n)):
+        for i, spec in zip(idx, RotatedMixed.stack(unitaries(np.array(draws)), signs)):
             specs[i] = spec
     return specs
 

@@ -96,7 +96,12 @@ def _norm(vec: np.ndarray, top=None) -> float:
     top is its largest |re| or |im|, taken here if not given."""
     if top is None:
         top = float(np.abs(vec.view(np.float64)).max())
-    _, e, nrm = _scaled_norm(vec, top)
+    return _unscaled(*_scaled_norm(vec, top)[1:])
+
+
+def _unscaled(e: int, nrm: float) -> float:
+    """2^e nrm, inf past the float range: |vec| from the (e, |v|) of
+    `_scaled_norm`."""
     try:
         return math.ldexp(nrm, e)
     except OverflowError:  # past the float range, where IEEE rounding gives inf
@@ -395,15 +400,10 @@ class RotatedMixed:
         self.__dict__.update(vars(self.stack(U[None], (sg,))[0]))  # frozen: past __setattr__
 
     @classmethod
-    def stack(cls, unitaries, signs, n=None) -> list:
-        """Specs of an (S, k, k) stack of unitaries and S sign patterns, checked
+    def stack(cls, unitaries, signs) -> list:
+        """Specs of an (S, n, n) stack of unitaries and S sign patterns, checked
         and derived at once; construction is the S = 1 case.  ValidationError
-        names the first U without max |U^dag U - I| <= UNITARY_TOL (nan too).
-
-        With n > k, each spec acts on n components: U and m gain an identity
-        block and the signs +1s, so a vector whose other components are zero
-        gets m p with the bits of the k-component product.
-        """
+        names the first U without max |U^dag U - I| <= UNITARY_TOL (nan too)."""
         U = np.asarray(unitaries, dtype=np.complex128)
         Uh = U.conj().swapaxes(-1, -2)
         with np.errstate(invalid="ignore"):  # inf entries: a nan defect, rejected below
@@ -416,9 +416,6 @@ class RotatedMixed:
         signs = [_check_signs(sg) for sg in signs]
         s = np.asarray(signs, dtype=np.complex128)[:, None, :]
         ms = (Uh * s) @ U
-        if n is not None and n > U.shape[-1]:
-            U, ms = _eye_padded(U, n), _eye_padded(ms, n)
-            signs = [sg + (1,) * (n - len(sg)) for sg in signs]
         specs = []
         for u, sg, m in zip(_frozen(U), signs, _frozen(ms)):
             specs.append(object.__new__(cls))
@@ -459,13 +456,6 @@ class RotatedMixed:
             "signs": list(self.signs),
             "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in self.unitary],
         }
-
-
-def _eye_padded(stack: np.ndarray, n: int) -> np.ndarray:
-    """(S, n, n): each matrix of an (S, k, k) stack beside an identity block."""
-    out = np.tile(np.eye(n, dtype=stack.dtype), (len(stack), 1, 1))
-    out[:, :stack.shape[-1], :stack.shape[-1]] = stack
-    return out
 
 
 @functools.lru_cache(maxsize=256)

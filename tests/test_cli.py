@@ -863,15 +863,20 @@ class TestStackedCollisionPipeline:
         # all draws; every sample keeps the bits of its S = 1 pipeline
         rng, log = np.random.default_rng(5), SampleLog()
         instances = [cli._draw_collision(None, rng, log, i, None) for i in range(20)]
+        # the draws again: each sample's data is its one random_soliton_data call
+        rng = np.random.default_rng(5)
+        datas = [random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2]) for i in range(20)]
         rows = cli._SUITES["collision"]._evaluate(instances)
-        for (rel, xi, data), row in zip(instances, rows):
+        for (rel, xi, _, ks), data, row in zip(instances, datas, rows):
+            assert ks.tobytes() == data.ks.tobytes()
             assert row == (rel, xi, _oracle_pipeline_residual(data))
 
     def test_interleaved_groups_keep_their_one_sample_bits(self):
         # N and n in {2, 3}, interleaved: four stacks of six, results in order
         rng = np.random.default_rng(6)
         datas = [random_soliton_data(rng, 2 + i % 2, 2 + i // 2 % 2) for i in range(24)]
-        rows = cli._SUITES["collision"]._evaluate([(0.0, 0.0, data) for data in datas])
+        instances = [(0.0, 0.0, cli._in_out(data), data.ks) for data in datas]
+        rows = cli._SUITES["collision"]._evaluate(instances)
         for data, row in zip(datas, rows):
             assert row[2] == _oracle_pipeline_residual(data)
 

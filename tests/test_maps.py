@@ -1230,9 +1230,10 @@ class TestStackedErrorsMatchReference:
             _reference_involution_residual, 0.5 + 0.5j, q, spec)
 
 
-# --- one padded stack per map-suite job ----------------------------------------
+# --- stacked suites: one call per shape group, rows in sample order ------------
 
-PADDED_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution")
+STACKED_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution",
+                  "collision")
 
 
 def _suite_draws(suite, seed, boundary=None, **params):
@@ -1248,79 +1249,81 @@ def _suite_draws(suite, seed, boundary=None, **params):
     return runner, instances, samples
 
 
-def _per_variant(runner, instances, samples):
-    """The evaluation the padded stack replaced: each variant in turn, one
-    unpadded stacked call per component count n, in order of first sample."""
-    rows = []
-    for start in range(0, len(instances), samples):
-        block, by_n = instances[start:start + samples], {}
-        for i, inst in enumerate(block):
-            by_n.setdefault(inst[1].shape[-1], []).append(i)
-        out = [None] * len(block)
-        for idx in by_n.values():
-            for i, row in zip(idx, runner._evaluate([block[i] for i in idx])):
-                out[i] = row
-        rows += out
-    return rows
+def _n(instance) -> int:
+    """The component count of a drawn instance: the last axis of its first array."""
+    return next(a for a in instance if isinstance(a, np.ndarray)).shape[-1]
 
 
-def _assert_padded_stack_keeps_bits(suite, seed, boundary=None, **params) -> set:
-    """Every sample of the job's one padded stack has the bits of its per-variant
-    evaluation; returns the component counts drawn."""
-    runner, instances, samples = _suite_draws(suite, seed, boundary, **params)
+def _assert_samples_keep_their_bits(suite, seed, boundary=None, **params) -> set:
+    """Every sample of the job's stacked evaluation has the bits of its own
+    S = 1 evaluation, in sample order; returns the component counts drawn."""
+    runner, instances, _ = _suite_draws(suite, seed, boundary, **params)
     got = np.array(runner._evaluate(instances))
-    assert got.tobytes() == np.array(_per_variant(runner, instances, samples)).tobytes()
-    return {inst[1].shape[-1] for inst in instances}
+    one_at_a_time = [runner._evaluate([instance])[0] for instance in instances]
+    assert got.tobytes() == np.array(one_at_a_time).tobytes()
+    return {_n(instance) for instance in instances}
 
 
-def _on_axis(instance, i):
-    """instance with its parameters moved onto the imaginary axis, each one
-    distinct, so an error message names the sample."""
+def _spoiled(instance, i):
+    """instance with parameters its evaluation rejects, distinct per sample so
+    that the error message names the sample: a map draw's on the imaginary
+    axis, a collision draw's all equal (a singular collision)."""
+    if len(instance) == 4:  # collision: residuals, polarizations, parameters
+        rel, xi, pols, ks = instance
+        return rel, xi, pols, np.full_like(ks, complex(1.0 + i, 1.0))
     ks, draws, extra = instance
     return [complex(0.0, 1.0 + i + j / 8) for j in range(len(ks))], draws, extra
 
 
-class TestPaddedMapStacks:
+class TestStackedSuites:
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("suite", PADDED_SUITES)
-    def test_padded_samples_keep_their_per_variant_bits(self, suite, seed):
-        # n = 2 samples padded to n = 3 beside n = 3 samples, every boundary kind
-        assert _assert_padded_stack_keeps_bits(suite, seed) == {2, 3}
+    @pytest.mark.parametrize("suite", STACKED_SUITES)
+    def test_samples_keep_their_one_sample_bits(self, suite, seed):
+        # n = 2 and n = 3 samples, interleaved or one variant each, every boundary kind
+        assert _assert_samples_keep_their_bits(suite, seed) == {2, 3}
 
     @pytest.mark.parametrize("boundary", [
         Robin(-0.7), Mixed((1, -1, -1, 1)),
         *boundaries([draw_boundary(np.random.default_rng(9), "rotated_mixed", 4)])],
         ids=BOUNDARY_KINDS)
     @pytest.mark.parametrize("suite", ["reflection-equation", "involution"])
-    def test_given_four_component_boundary(self, suite, boundary):
-        assert _assert_padded_stack_keeps_bits(suite, 5, boundary, n=4, samples=30) == {4}
+    def test_four_component_boundary(self, suite, boundary):
+        assert _assert_samples_keep_their_bits(suite, 5, boundary, n=4, samples=30) == {4}
 
     @pytest.mark.parametrize("suite", ["ybe", "reversibility", "reflection-equation", "involution"])
-    def test_one_component_stays_unpadded(self, suite):
-        # projective distances of one-component vectors are identically 0; padded
-        # to two components they would not be
+    def test_one_component(self, suite):
+        # projective distances of one-component vectors are identically 0
+        assert _assert_samples_keep_their_bits(suite, 6, n=1, samples=20) == {1}
         runner, instances, _ = _suite_draws(suite, 6, n=1, samples=20)
-        assert cli._padded_stack([inst[1] for inst in instances], unit_vectors).shape[-1] == 1
         assert np.array(runner._evaluate(instances)).tobytes() == bytes(8 * len(instances))
 
-    @pytest.mark.parametrize("suite", PADDED_SUITES)
-    def test_an_evaluation_error_names_the_per_variant_sample(self, suite):
+    @pytest.mark.parametrize("suite", STACKED_SUITES)
+    def test_error_names_first_group_first_failure(self, suite):
         runner, instances, samples = _suite_draws(suite, 4, samples=12)
         last = len(instances) - 1
-        # one spoiled sample anywhere; two in different variants; two of one n
-        for spoiled in ([0], [5], [last], [3, last], [samples - 1, samples], [4, 6]):
-            if spoiled[-1] > last:  # yb-structure has one variant
+        # one spoiled sample anywhere; two in different variants; two of one n;
+        # two of different n, the later one in the earlier group
+        cases = ([0], [5], [last], [3, last], [samples - 1, samples], [4, 6], [3, 4])
+        groups = list(dict.fromkeys(_n(instance) for instance in instances))
+        for spoiled in cases:
+            if spoiled[-1] > last:  # yb-structure and collision have one variant
                 continue
             bad = list(instances)
             for i in spoiled:
-                bad[i] = _on_axis(bad[i], i)
-            expect = _raised(_per_variant, runner, bad, samples)
-            assert expect[0] is DomainError and str(complex(0.0, 1.0 + spoiled[0])) in expect[1]
+                bad[i] = _spoiled(bad[i], i)
+            # the rule: the first group, in order of first samples, holding a
+            # spoiled sample names its first one, as that sample's S = 1 call does
+            named = min(spoiled, key=lambda i: (groups.index(_n(instances[i])), i))
+            expect = _raised(runner._evaluate, [bad[named]])
+            if suite == "collision":
+                assert expect[0] is PoleError and str(complex(1.0 + named, 1.0)) in expect[1]
+            else:
+                assert expect[0] is DomainError and str(complex(0.0, 1.0 + named)) in expect[1]
             assert _raised(runner._evaluate, bad) == expect
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("suite", PADDED_SUITES)
-def test_padded_stacks_keep_their_bits_on_every_seed(suite):
+@pytest.mark.parametrize("suite", STACKED_SUITES)
+def test_stacked_suites_keep_their_bits_on_every_seed(suite):
     for seed in range(100):
-        assert _assert_padded_stack_keeps_bits(suite, seed) == {2, 3}
+        assert _assert_samples_keep_their_bits(suite, seed) == {2, 3}

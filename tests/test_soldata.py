@@ -263,27 +263,6 @@ class TestBoundarySpec:
                 assert spec.m.tobytes() == one.m.tobytes()
                 assert not spec.unitary.flags.writeable and not spec.m.flags.writeable
 
-    def test_stack_and_boundaries_pad_with_an_identity_block(self):
-        # a spec padded to more components keeps U and m as its top-left block
-        from vsolitons.sampling import boundaries, draw_boundary, draw_unitary, unitaries
-
-        rng = np.random.default_rng(6)
-        Us = np.array([unitaries(draw_unitary(rng, 2)) for _ in range(3)])
-        signs = [(1, -1), (-1, 1), (-1, -1)]
-        plain, padded = RotatedMixed.stack(Us, signs), RotatedMixed.stack(Us, signs, 4)
-        drawn = [draw_boundary(rng, kind, 2) for kind in ("robin", "mixed", "rotated_mixed")]
-        given = boundaries(drawn)
-        for a, b in [*zip(plain, padded), *zip(given, boundaries(drawn, 4))]:
-            if isinstance(a, Robin):
-                assert b is a  # a Robin m is taken at any component count
-                continue
-            assert type(b) is type(a) and b.signs == (*a.signs, 1, 1)
-            for small, big in ((a.unitary, b.unitary), (a.m, b.m)):
-                assert big[:2, :2].tobytes() == small.tobytes()
-                assert np.array_equal(big[2:, 2:], np.eye(2))
-                assert not big[:2, 2:].any() and not big[2:, :2].any()
-                assert not big.flags.writeable
-
     def test_stack_names_the_first_non_unitary(self):
         U = np.array([np.eye(2), [[1.0, 1e-9], [0.0, 1.0]], [[1.0, 1e-6], [0.0, 1.0]]])
         with pytest.raises(ValidationError, match=r"= 1\.000e-09$"):
