@@ -75,6 +75,7 @@ from .sampling import (
     BOUNDARY_KINDS,
     SampleLog,
     boundaries,
+    boundary_spec,
     draw_boundary,
     draw_unit_vectors,
     draw_unitary,
@@ -89,6 +90,7 @@ from .soldata import (
     Polarization,
     Robin,
     SolitonData,
+    boundary_stack,
     projective_distance,
 )
 from .verification import (
@@ -453,18 +455,12 @@ def _boundary_kinds(cfg: RunConfig):
     return [(label, None) for label in BOUNDARY_KINDS]
 
 
-def _boundary_spec(rng, variant, n: int):
-    """The given boundary or a `draw_boundary` of the variant's kind, and its n."""
+def _variant_boundary(rng, variant, n: int):
+    """The given spec or a `draw_boundary` of the variant's kind, and its n."""
     label, fixed = variant
     if fixed is not None:
         return fixed, fixed.n or n
     return draw_boundary(rng, label, n), n
-
-
-def _boundary_draw(cfg: RunConfig, rng, i: int, variant):
-    """Boundary of instance i as drawn and the component count it acts on."""
-    ns = _suite_ns(cfg)
-    return _boundary_spec(rng, variant, ns[i % len(ns)])
 
 
 def _draw_one_soliton(cfg, rng, log, i, variant):
@@ -516,7 +512,10 @@ def _map_draw(slots: int, with_boundary: bool) -> Callable:
     boundary, the boundary comes first and gives n, and the parameters are
     pole-safe under k -> -k*; without, n is the variant's."""
     def draw(cfg, rng, log, i, variant):
-        drawn, n = _boundary_draw(cfg, rng, i, variant) if with_boundary else (None, variant[1])
+        drawn, n = None, variant[1]
+        if with_boundary:
+            ns = _suite_ns(cfg)
+            drawn, n = _variant_boundary(rng, variant, ns[i % len(ns)])
         ks = random_map_parameters(rng, slots, mirrored=with_boundary, log=log)
         return ks, draw_unit_vectors(rng, slots, n), drawn
     return draw
@@ -582,17 +581,17 @@ def _pipeline_residuals(pols, K) -> np.ndarray:
 
 
 def _mirror_kinds(cfg: RunConfig):
-    # the mirror suites draw the unrotated kinds only: draw_boundary's specs
+    # the mirror suites draw the unrotated kinds only
     return _boundary_kinds(cfg)[:2]
 
 
 def _mirror_halfline(cfg, rng, log, i: int, variant) -> HalfLineData:
     N, n = 1 + i % 3, (2, 3)[i % 2]
     data = random_soliton_data(rng, N, n, positive=True, log=log)
-    spec, m = _boundary_spec(rng, variant, n)
+    drawn, m = _variant_boundary(rng, variant, n)
     if m != n:
         data = random_soliton_data(rng, N, m, positive=True, log=log)
-    return solve_mirror_norming(data, spec)
+    return solve_mirror_norming(data, boundary_spec(drawn))
 
 
 def _mirror_detector(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
@@ -622,7 +621,7 @@ def _transfer_draw(rng, log, n: int) -> list:
 def _transfer_worst(draws, b_plus, b_minus) -> list:
     """Per sample of `draws`, the worst commutator of its N = 2 and N = 3 states;
     each N is one stacked `transfer_commutators` call over all samples, with one
-    boundary spec per sample in each slot (None: the identity boundary)."""
+    boundary per sample in each slot (None: the identity boundary)."""
     worst = np.zeros(len(draws))
     for states in zip(*draws):
         ks, raw = zip(*states)
@@ -658,18 +657,18 @@ def _transfer_kinds(cfg: RunConfig, rng, log, n: int, both: bool) -> list:
     """(label, worst commutator) per boundary kind, with the kind's reflection
     map in the b_plus slot and, if both, in the b_minus slot too.
 
-    Each kind draws its spec, then its states, in kind order; the kinds are
-    then derived and evaluated as one stacked state (drawn kinds share n,
-    and a given boundary is the only kind).
+    Each kind draws its boundary, then its states, in kind order; the kinds
+    are then stacked and evaluated as one state (drawn kinds share n, and a
+    given boundary is the only kind).
     """
     variants = _boundary_kinds(cfg)
     drawn, draws = [], []
     for variant in variants:
-        spec, m = _boundary_spec(rng, variant, n)
-        drawn.append(spec)
-        draws.append(_transfer_draw(rng, log, m))
-    specs = boundaries(drawn)
-    worst = _transfer_worst(draws, specs, specs if both else None)
+        boundary, n = _variant_boundary(rng, variant, n)
+        drawn.append(boundary)
+        draws.append(_transfer_draw(rng, log, n))
+    stack = boundaries(drawn, n)
+    worst = _transfer_worst(draws, stack, stack if both else None)
     return [(label, w) for (label, _), w in zip(variants, worst)]
 
 
@@ -760,11 +759,12 @@ _SUITES: Dict[str, Callable] = {
     "reflection-equation": _Sampled(
         100, (("reflection-equation[{}]", "algebraic"),), _map_draw(2, True), _boundary_kinds,
         stacked=_map_state(lambda P, K, drawn: (
-            reflection_equation_residuals(P, K, boundaries(drawn)),)),
+            reflection_equation_residuals(P, K, boundaries(drawn, P.shape[-1])),)),
     ),
     "involution": _Sampled(
         100, (("reflection-involution[{}]", "involution"),), _map_draw(1, True), _boundary_kinds,
-        stacked=_map_state(lambda P, K, drawn: (involution_residuals(P, K, boundaries(drawn)),)),
+        stacked=_map_state(lambda P, K, drawn: (
+            involution_residuals(P, K, boundaries(drawn, P.shape[-1])),)),
     ),
     "collision": _Sampled(20, (("pairwise-collision-relations", "algebraic"),
                                ("norm-ratio-symmetry", "involution"),
@@ -854,8 +854,8 @@ def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
     # every soliton is one sample of a one-slot state
     P = np.array([[Polarization(nv.beta).p] for _, nv in cfg.data.points])
     K = cfg.data.ks[:, None]
-    specs = (cfg.boundary,) * cfg.data.N
-    Q, L = reflection_maps(P, K, specs)
+    stack = boundary_stack((cfg.boundary,) * cfg.data.N, P.shape[-1])
+    Q, L = reflection_maps(P, K, stack)
     records = []
     for j, (k, kr) in enumerate(zip(K[:, 0].tolist(), L[:, 0].tolist())):
         records.append(
@@ -867,7 +867,7 @@ def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
                 "reflected_polarization": [[z.real, z.imag] for z in Polarization(Q[j, 0]).p],
             }
         )
-    worst = _worst(involution_residuals(P, K, specs).tolist())
+    worst = _worst(involution_residuals(P, K, stack).tolist())
     _check(report, cfg, "reflection-involution", worst, family="involution")
     _write_json(cfg.output / "reflect.json", {"reflections": records})
     _write_manifest(cfg, soliton_data_to_json(cfg.data), ["reflect.json", "report.json"])

@@ -24,6 +24,10 @@ from .soldata import (
     AXIS_TOL,
     PAIR_POLE_TOL,
     BoundarySpec,
+    BoundaryStack,
+    _robin_eye,
+    _robin_phase,
+    boundary_stack,
 )
 
 
@@ -78,21 +82,29 @@ def _collide(P, K, i: int, j: int) -> None:
     P[:, i], P[:, j] = _pull(a1, a2, (mu - 1.0) * c), _pull(a2, a1, (nu - 1.0) * c.conj())
 
 
-def _small_ms(specs: Sequence[BoundarySpec], k, n: int) -> np.ndarray:
-    """(S, n, n) stack of each sample's m at its parameter k.
+def _small_ms(b: BoundaryStack, k) -> np.ndarray:
+    """(S, n, n): the m of each row of the stack b at its sample's k, in one
+    pass; only the Robin rows are computed, each by `_robin_phase`.
 
     The first sample that fails a check raises: off the imaginary axis first,
-    then the spec's own checks (a Robin pole or zero, a sign pattern's
-    component count).
+    then a Robin row's pole and zero checks.
     """
-    if len(specs) != len(k):
-        raise ValidationError(f"{len(specs)} boundary specs for {len(k)} samples")
-    ms = []
-    for spec, kk in zip(specs, k.tolist()):
-        if abs(kk.real) <= AXIS_TOL:
-            raise DomainError(f"imaginary axis: reflection undefined at k={kk}")
-        ms.append(spec.small_m(kk, n))
-    return np.array(ms)
+    S = len(b.m)
+    if S != len(k):
+        raise ValidationError(f"{S} boundary specs for {len(k)} samples")
+    on_axis = np.abs(k.real) <= AXIS_TOL
+    first = int(on_axis.argmax())
+    first = first if on_axis[first] else S
+    kl = k.tolist()
+    phases = [_robin_phase(kl[i], alpha) for i, alpha in zip(b.rows.tolist(), b.alpha)
+              if i < first]
+    if first < S:
+        raise DomainError(f"imaginary axis: reflection undefined at k={kl[first]}")
+    if not phases:
+        return b.m
+    ms = b.m.copy()
+    ms[b.rows] = np.array(phases)[:, None, None] * _robin_eye(b.m.shape[-1])
+    return ms
 
 
 def _bounce(P, K, j: int, ms) -> None:
@@ -171,9 +183,10 @@ def reflection_maps(P, K, specs: Sequence[BoundarySpec]) -> tuple:
     """Bounce every slot of every sample off its sample's boundary, on copies;
     returns the new (P, K).  (p, k) -> (p breve, -k*) as `_bounce` writes it;
     undefined for k on the imaginary axis."""
+    b = boundary_stack(specs, P.shape[-1])
     P, K = P.copy(), K.copy()
     for j in range(K.shape[1]):
-        _bounce(P, K, j, _small_ms(specs, K[:, j], P.shape[-1]))
+        _bounce(P, K, j, _small_ms(b, K[:, j]))
     return P, K
 
 
@@ -184,8 +197,8 @@ def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.nda
     where their pairs (k1, k2), (-k2*, k1), (-k1*, k2), (-k2*, -k1*) are singular.
     """
     _check_parameters(K)
-    n = P.shape[-1]
-    m1, m2 = _small_ms(specs, K[:, 0], n), _small_ms(specs, K[:, 1], n)
+    b = boundary_stack(specs, P.shape[-1])
+    m1, m2 = _small_ms(b, K[:, 0]), _small_ms(b, K[:, 1])
     (Pl, Kl), (Pr, Kr) = (P.copy(), K.copy()), (P.copy(), K.copy())
     _collide(Pl, Kl, 0, 1)
     _bounce(Pl, Kl, 1, m2)
@@ -203,7 +216,8 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
 
     specs holds each sample's boundary; every parameter must return exactly.
     """
-    Q, L = reflection_maps(*reflection_maps(P, K, specs), specs)
+    b = boundary_stack(specs, P.shape[-1])
+    Q, L = reflection_maps(*reflection_maps(P, K, b), b)
     moved = L[:, 0] != K[:, 0]
     if moved.any():
         s = np.argmax(moved)
@@ -216,20 +230,20 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
 # --- transfer maps -------------------------------------------------------------
 
 
-def _transfer(P, K, j: int, b_plus, b_minus) -> None:
-    """The j-th transfer composition of every sample, in place; a boundary
-    slot holds one spec per sample, or None for the identity boundary."""
+def _transfer(P, K, j: int, m_plus, m_minus) -> None:
+    """The j-th transfer composition of every sample, in place; slot j bounces
+    at its k with m_plus, then at -k* with m_minus, each an (S, n, n) stack of
+    m (see `_small_ms`), or None for the identity boundary."""
     N = K.shape[1]
     if N < 2:
         raise ValidationError("transfer maps need at least two sites")
-    n = P.shape[-1]
     for m in range(j - 1, -1, -1):
         _collide(P, K, m, j)
-    _bounce(P, K, j, None if b_plus is None else _small_ms(b_plus, K[:, j], n))
+    _bounce(P, K, j, m_plus)
     for m in range(N):
         if m != j:
             _collide(P, K, j, m)
-    _bounce(P, K, j, None if b_minus is None else _small_ms(b_minus, K[:, j], n))
+    _bounce(P, K, j, m_minus)
     for m in range(N - 1, j, -1):
         _collide(P, K, m, j)
 
@@ -245,20 +259,25 @@ def transfer_commutators(
 
     Every T_l P is computed first; then each T_j runs once over the stack of
     the other sites' T_l P, so a state takes 2N transfer maps, not four per
-    pair.  b_plus and b_minus each hold one boundary spec per sample, or are
-    None for the identity boundary.
+    pair.  b_plus and b_minus each hold one boundary per sample, or are None
+    for the identity boundary.  T_l returns k_l and leaves the other
+    parameters alone, so T_j bounces at k_j and -k_j* in every state: each
+    site's m is formed once and repeated for the stacks T_j follows.
     """
     S, N = K.shape
+    b_plus, b_minus = (None if b is None else boundary_stack(b, P.shape[-1])
+                       for b in (b_plus, b_minus))
+    ms = [[None if b is None else _small_ms(b, k) for b, k in
+           ((b_plus, K[:, j]), (b_minus, -K[:, j].conj()))] for j in range(N)]
     single = []  # T_l P and its parameters, by site l
     for l in range(N):
         single.append((P.copy(), K.copy()))
-        _transfer(*single[l], l, b_plus, b_minus)
-    tiled = [None if b is None else tuple(b) * (N - 1) for b in (b_plus, b_minus)]
+        _transfer(*single[l], l, *ms[l])
     both = {}  # (j, l) -> T_j T_l P and its parameters
     for j in range(N):
         others = [l for l in range(N) if l != j]
         Q, L = (np.concatenate(a) for a in zip(*[single[l] for l in others]))
-        _transfer(Q, L, j, *tiled)
+        _transfer(Q, L, j, *(None if m is None else np.concatenate([m] * (N - 1)) for m in ms[j]))
         for i, l in enumerate(others):
             both[j, l] = Q[i * S:(i + 1) * S], L[i * S:(i + 1) * S]
     pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]

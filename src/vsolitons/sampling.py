@@ -8,8 +8,9 @@ resamples counted.
 Stream contract: every generator makes the rng calls that drawing its
 scalars one at a time would make, in order.  Per sample only the draws and
 their accept tests run (nonzero vector, proper signs, pole-safe parameters);
-`unit_vectors`, `unitaries` and `boundaries` derive a stack of `draw_*`
-results at once, bit for bit as one at a time; one sample is a stack of one.
+`unit_vectors`, `unitaries` and `boundaries` (a `BoundaryStack`, no spec
+objects) derive a stack of `draw_*` results at once, bit for bit as one at a
+time; one sample is a stack of one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 
 from .errors import SamplingError
 from .soldata import (
+    BoundarySpec,
+    BoundaryStack,
     Mixed,
     NormingVector,
     Robin,
@@ -29,6 +32,7 @@ from .soldata import (
     SolitonData,
     SpectralPoint,
     _vector_norm,
+    boundary_stack,
     canonical_phase,
 )
 
@@ -161,28 +165,42 @@ def random_signs(rng: np.random.Generator, n: int) -> tuple:
 
 
 def draw_boundary(rng: np.random.Generator, kind: str, n: int):
-    """A Robin or Mixed spec, or rotated_mixed's (unitary draws, signs) tuple."""
+    """A boundary of the kind as drawn: Robin's alpha (a float), mixed's sign
+    pattern (a tuple), or rotated_mixed's (`draw_unitary` draws, sign
+    pattern).  `boundaries` stacks such draws, `boundary_spec` makes one spec."""
     if kind == "robin":
-        return Robin(rng.uniform(-2.0, 2.0))
+        return rng.uniform(-2.0, 2.0)
     if kind == "mixed":
-        return Mixed(random_signs(rng, n))
+        return random_signs(rng, n)
     if kind == "rotated_mixed":
         return draw_unitary(rng, n), random_signs(rng, n)
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
-def boundaries(drawn) -> list:
-    """Specs of `draw_boundary` results in order; the rotated_mixed draws of
-    each component count are derived as one stack."""
-    specs, rotated = list(drawn), {}
-    for i, b in enumerate(drawn):
-        if isinstance(b, tuple):
-            rotated.setdefault(len(b[1]), []).append(i)
-    for idx in rotated.values():
-        draws, signs = zip(*[drawn[i] for i in idx])
-        for i, spec in zip(idx, RotatedMixed.stack(unitaries(np.array(draws)), signs)):
-            specs[i] = spec
-    return specs
+def _rotated(b) -> bool:
+    return isinstance(b, tuple) and isinstance(b[0], np.ndarray)
+
+
+def boundaries(drawn, n: int) -> BoundaryStack:
+    """The `BoundaryStack` on n components of `draw_boundary` results (or
+    specs), in order, each row with the bits of its spec's `small_m`; the
+    rotated_mixed draws are derived as one stack."""
+    rows = list(drawn)
+    rotated = [i for i, b in enumerate(drawn) if _rotated(b)]
+    if rotated:
+        draws, signs = zip(*[drawn[i] for i in rotated])
+        for i, m in zip(rotated, RotatedMixed.stack(unitaries(np.array(draws)), signs)):
+            rows[i] = m
+    return boundary_stack(rows, n)
+
+
+def boundary_spec(drawn) -> BoundarySpec:
+    """The spec of one `draw_boundary` result; a spec is returned as it is."""
+    if isinstance(drawn, float):
+        return Robin(drawn)
+    if _rotated(drawn):
+        return RotatedMixed(unitaries(drawn[0]), drawn[1])
+    return Mixed(drawn) if isinstance(drawn, tuple) else drawn
 
 
 def _pairs_safe(ks: List[complex], mirrored: bool) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -320,6 +320,18 @@ def _robin_eye(n) -> np.ndarray:
     return _sign_matrices((1,) * int(n))[0]
 
 
+def _robin_phase(k: complex, alpha: float) -> complex:
+    """h/|h|, h = (k - i alpha)/(k + i alpha), in Python complex arithmetic
+    (numpy's complex division rounds otherwise); PoleError at h's pole and zero."""
+    den = k + 1j * alpha
+    if abs(den) < PAIR_POLE_TOL:
+        raise PoleError(f"boundary matrix has a pole at k = -i*alpha = {-1j * alpha}")
+    h = (k - 1j * alpha) / den
+    if abs(h) < PAIR_POLE_TOL:
+        raise PoleError(f"boundary matrix vanishes at k = i*alpha = {1j * alpha}")
+    return h / abs(h)
+
+
 @dataclass(frozen=True)
 class Robin:
     """Robin boundary R_x(0,t) = 2*alpha*R(0,t); alpha real.
@@ -338,14 +350,7 @@ class Robin:
 
     def small_m(self, k: complex, n: int) -> np.ndarray:
         eye = _robin_eye(n)
-        k = complex(k)
-        den = k + 1j * self.alpha
-        if abs(den) < PAIR_POLE_TOL:
-            raise PoleError(f"boundary matrix has a pole at k = -i*alpha = {-1j * self.alpha}")
-        h = (k - 1j * self.alpha) / den
-        if abs(h) < PAIR_POLE_TOL:
-            raise PoleError(f"boundary matrix vanishes at k = i*alpha = {1j * self.alpha}")
-        return (h / abs(h)) * eye
+        return _robin_phase(complex(k), self.alpha) * eye
 
     def big_m(self, k: complex, n: int) -> np.ndarray:
         eye = _robin_eye(n)
@@ -397,12 +402,13 @@ class RotatedMixed:
         U = np.asarray(self.unitary, dtype=np.complex128)
         if U.shape != (len(sg), len(sg)):
             raise ValidationError(f"unitary must be {len(sg)}x{len(sg)} to match the sign pattern")
-        self.__dict__.update(vars(self.stack(U[None], (sg,))[0]))  # frozen: past __setattr__
+        m = _frozen(self.stack(U[None], (sg,))[0])
+        self.__dict__.update(unitary=_frozen(U), signs=sg, m=m)  # frozen: past __setattr__
 
-    @classmethod
-    def stack(cls, unitaries, signs) -> list:
-        """Specs of an (S, n, n) stack of unitaries and S sign patterns, checked
-        and derived at once; construction is the S = 1 case.  ValidationError
+    @staticmethod
+    def stack(unitaries, signs) -> np.ndarray:
+        """The (S, n, n) m = U^dag diag(s) U of S unitaries and sign patterns,
+        unitarity checked once; construction is the S = 1 case.  ValidationError
         names the first U without max |U^dag U - I| <= UNITARY_TOL (nan too)."""
         U = np.asarray(unitaries, dtype=np.complex128)
         Uh = U.conj().swapaxes(-1, -2)
@@ -413,14 +419,7 @@ class RotatedMixed:
             raise ValidationError(
                 f"matrix is not unitary: max |U^dag U - I| = {defect[np.argmax(bad)]:.3e}"
             )
-        signs = [_check_signs(sg) for sg in signs]
-        s = np.asarray(signs, dtype=np.complex128)[:, None, :]
-        ms = (Uh * s) @ U
-        specs = []
-        for u, sg, m in zip(_frozen(U), signs, _frozen(ms)):
-            specs.append(object.__new__(cls))
-            specs[-1].__dict__.update(unitary=u, signs=sg, m=m)
-        return specs
+        return (Uh * np.asarray(signs, dtype=np.complex128)[:, None, :]) @ U
 
     @property
     def n(self) -> int:
@@ -477,3 +476,32 @@ class Mixed(RotatedMixed):
 
 
 BoundarySpec = Union[Robin, RotatedMixed]
+
+
+class BoundaryStack(NamedTuple):
+    """S boundaries on n components as a bounce reads them: m (S, n, n) is each
+    sign-pattern row's m and the identity on the Robin rows, listed in rows
+    with their alphas."""
+
+    m: np.ndarray
+    rows: np.ndarray
+    alpha: tuple
+
+
+def boundary_stack(rows, n: int) -> BoundaryStack:
+    """The stack on n components of S boundaries, each a spec, a Robin alpha, a
+    sign pattern or a checked m ((n, n) array); a stack is returned as it is."""
+    if isinstance(rows, BoundaryStack):
+        return rows
+    ms, robin = [], {}
+    for i, row in enumerate(rows):
+        if isinstance(row, Robin):
+            row = row.alpha
+        if isinstance(row, float):
+            robin[i], row = row, _robin_eye(n)
+        elif isinstance(row, tuple):
+            row = _sign_matrices(row)[1]
+        elif isinstance(row, RotatedMixed):
+            row = row.small_m(None, n)
+        ms.append(row)
+    return BoundaryStack(np.array(ms), np.array(list(robin), dtype=np.intp), tuple(robin.values()))

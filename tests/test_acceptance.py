@@ -44,7 +44,7 @@ from vsolitons.asymptotics import min_relative_velocity
 from vsolitons.cli import _pde_order, collision_orders, main
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import (
-    boundaries,
+    boundary_spec,
     draw_boundary,
     draw_unit_vectors,
     random_map_parameters,
@@ -152,7 +152,7 @@ class TestCriterion05:
         worst = 0.0
         for n in (2, 3):
             for _ in range(50):
-                spec = boundaries([draw_boundary(rng, kind, n)])[0]
+                spec = boundary_spec(draw_boundary(rng, kind, n))
                 K = np.array([random_map_parameters(rng, 2, mirrored=True)])
                 P = unit_vectors(draw_unit_vectors(rng, 2, n))[None]
                 worst = max(worst, reflection_equation_residuals(P, K, (spec,))[0])
@@ -164,7 +164,7 @@ class TestCriterion05:
         worst = 0.0
         for n in (2, 3):
             for _ in range(50):
-                spec = boundaries([draw_boundary(rng, kind, n)])[0]
+                spec = boundary_spec(draw_boundary(rng, kind, n))
                 K = np.array([random_map_parameters(rng, 1, mirrored=True)])
                 P = unit_vectors(draw_unit_vectors(rng, 1, n))[None]
                 worst = max(worst, involution_residuals(P, K, (spec,))[0])
@@ -177,7 +177,7 @@ def _mirror_datasets(rng, kind):
         N = 1 + i % 3
         n = (2, 3)[i % 2]
         data = random_soliton_data(rng, N, n, positive=True)
-        out.append(solve_mirror_norming(data, boundaries([draw_boundary(rng, kind, n)])[0]))
+        out.append(solve_mirror_norming(data, boundary_spec(draw_boundary(rng, kind, n))))
     return out
 
 

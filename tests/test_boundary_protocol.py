@@ -14,7 +14,7 @@ from vsolitons import Mixed, PoleError, Robin, RotatedMixed, ValidationError
 from vsolitons.config import _complex_pair, parse_boundary
 from vsolitons.sampling import (
     BOUNDARY_KINDS,
-    boundaries,
+    boundary_spec,
     draw_boundary,
     draw_unitary,
     random_signs,
@@ -239,6 +239,6 @@ def test_sign_pattern_matrices_are_involutions():
 def test_every_drawn_kind_round_trips():
     rng = np.random.default_rng(11)
     for kind in BOUNDARY_KINDS:
-        spec = boundaries([draw_boundary(rng, kind, 3)])[0]
+        spec = boundary_spec(draw_boundary(rng, kind, 3))
         assert spec.to_json()["kind"] == kind
         assert parse_boundary(spec.to_json()).to_json() == spec.to_json()

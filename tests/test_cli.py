@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -904,6 +905,9 @@ class TestParser:
                 ["transfer", "--config", str(CONFIGS / "transfer.json")],
                 ["verify", "--config", str(CONFIGS / "verify.json"), "--samples", "5"]]
         env = {"PYTHONPATH": str(Path(cli.__file__).parent.parent), "PATH": ""}
+        # a checkout tested without bytecode caches keeps none after this test either
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         script = "import sys; from vsolitons.cli import main; sys.exit(main(sys.argv[1:]))"
         for i, argv in enumerate(runs):
             assert main([*argv, "--out", str(tmp_path / f"in-process-{i}")]) == 0

@@ -20,7 +20,7 @@ from vsolitons import (
 from vsolitons import cli, dressing
 from vsolitons.dressing import _chain_product, _full_directions
 from vsolitons.errors import DegeneracyError
-from vsolitons.sampling import SampleLog, boundaries, draw_boundary, random_soliton_data
+from vsolitons.sampling import SampleLog, boundary_spec, draw_boundary, random_soliton_data
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -593,7 +593,7 @@ def _seeded_data(seed):
     data = random_soliton_data(rng, N, n, positive=bool(seed % 2))
     if seed % 2:
         kind = ("robin", "mixed", "rotated_mixed")[seed % 3]
-        spec = boundaries([draw_boundary(rng, kind, n)])[0]
+        spec = boundary_spec(draw_boundary(rng, kind, n))
         data = solve_mirror_norming(data, spec).combined
     return data
 

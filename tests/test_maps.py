@@ -36,6 +36,7 @@ from vsolitons.sampling import (
     V_RANGE,
     SampleLog,
     boundaries,
+    boundary_spec,
     draw_boundary,
     draw_unit_vectors,
     draw_unitary,
@@ -46,7 +47,7 @@ from vsolitons.sampling import (
     unit_vectors,
     unitaries,
 )
-from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL, UNITARY_TOL
+from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL, UNITARY_TOL, boundary_stack
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -67,7 +68,7 @@ def _samples(rng, count, slots, n, mirrored=False, boundary=None):
     ps, ks, specs = [], [], []
     for _ in range(count):
         if boundary is not None:
-            specs.append(boundaries([draw_boundary(rng, boundary, n)])[0])
+            specs.append(boundary_spec(draw_boundary(rng, boundary, n)))
         ks.append(random_map_parameters(rng, slots, mirrored=mirrored))
         ps.append(unit_vectors(draw_unit_vectors(rng, slots, n)))
     return np.array(ps), np.array(ks), specs
@@ -276,13 +277,13 @@ class TestBounceIsMirrorCollision:
         the bounce at -k* instead of k, each as (P, K)."""
         rng = np.random.default_rng(900 + 10 * BOUNDARY_KINDS.index(kind) + n)
         P, K, specs = _samples(rng, 200, 1, n, mirrored=True, boundary=kind)
-        bounce = P.copy(), K.copy()
-        maps._bounce(*bounce, 0, maps._small_ms(specs, K[:, 0], n))
-        mirror = np.einsum("sab,sb->sa", maps._small_ms(specs, K[:, 0], n), P[:, 0])
+        stack, bounce = boundary_stack(specs, n), (P.copy(), K.copy())
+        maps._bounce(*bounce, 0, maps._small_ms(stack, K[:, 0]))
+        mirror = np.einsum("sab,sb->sa", maps._small_ms(stack, K[:, 0]), P[:, 0])
         collision = np.stack([mirror, P[:, 0]], axis=1), np.concatenate([-K.conj(), K], axis=1)
         maps._collide(*collision, 0, 1)
         flipped = P.copy(), -K.conj()
-        maps._bounce(*flipped, 0, maps._small_ms(specs, flipped[1][:, 0], n))
+        maps._bounce(*flipped, 0, maps._small_ms(stack, flipped[1][:, 0]))
         return bounce, collision, flipped
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -300,14 +301,22 @@ class TestBounceIsMirrorCollision:
         assert projective_distances(X[:, 0], R[:, 0]).max() >= 0.5
 
 
+def _site_ms(P, K, j, b_plus, b_minus):
+    """The boundary matrices T_j bounces slot j with, at k_j and -k_j*; each
+    boundary slot a spec sequence or None."""
+    return [None if b is None else maps._small_ms(boundary_stack(b, P.shape[-1]), k)
+            for b, k in ((b_plus, K[:, j]), (b_minus, -K[:, j].conj()))]
+
+
 class TestTransferMaps:
     def _state(self, rng, N, n):
         K = np.array([random_map_parameters(rng, N, mirrored=True)])
         return unit_vectors(draw_unit_vectors(rng, N, n))[None], K
 
     def _transfer(self, j, P, K, b_plus, b_minus):
+        """T_j on copies; each boundary slot a spec sequence or None."""
         Q, L = P.copy(), K.copy()
-        maps._transfer(Q, L, j, b_plus, b_minus)
+        maps._transfer(Q, L, j, *_site_ms(P, K, j, b_plus, b_minus))
         return Q, L
 
     def test_identity_boundaries_give_identity_map(self):
@@ -355,7 +364,7 @@ class TestTransferMaps:
         rng = np.random.default_rng(21)
         plus = swapped = 0.0
         for _ in range(5):
-            spec = boundaries([draw_boundary(rng, kind, 3)])[0]
+            spec = boundary_spec(draw_boundary(rng, kind, 3))
             for N in (2, 3, 4):
                 P, K = self._state(rng, N, 3)
                 plus = max(plus, transfer_commutators(P, K, (spec,), None).max())
@@ -461,12 +470,12 @@ def _frozen_rotated(U, signs):
 def _frozen_boundary(rng, kind, n):
     if kind == "rotated_mixed":
         return _frozen_rotated(_frozen_unitary(rng, n), random_signs(rng, n))
-    return boundaries([draw_boundary(rng, kind, n)])[0]
+    return Robin(rng.uniform(-2.0, 2.0)) if kind == "robin" else Mixed(random_signs(rng, n))
 
 
 def _samples_both_ways(make_rng, samples, ns, kinds=BOUNDARY_KINDS):
     """Each sample drawn as the reflection-equation suite draws it (n
-    interleaved as `cli._boundary_draw` does), plus a unitary, on two equal
+    interleaved as `cli._map_draw` does), plus a unitary, on two equal
     generators: raw draws derived per n-stack against the frozen
     one-at-a-time path.  Asserts equal bits, resamples and final rng states;
     returns the two generators."""
@@ -490,18 +499,25 @@ def _samples_both_ways(make_rng, samples, ns, kinds=BOUNDARY_KINDS):
         K = np.array([new[i][2] for i in idx])
         P = unit_vectors(np.array([new[i][3] for i in idx]))
         V = unitaries(np.array([new[i][4] for i in idx]))
-        specs = boundaries([new[i][1] for i in idx])
+        stack = boundaries([new[i][1] for i in idx], n)
+        robin = dict(zip(stack.rows.tolist(), stack.alpha))
         assert K.tobytes() == np.array([old[i][2] for i in idx]).tobytes()
         for j, i in enumerate(idx):
             _, spec, _, units, unitary = old[i]
             assert P[j].tobytes() == units.tobytes()
             assert V[j].tobytes() == unitary.tobytes()
+            # the stack row and the spec the mirror suites build from the same draw
+            one, row = boundary_spec(new[i][1]), stack.m[j].tobytes()
             if isinstance(spec, tuple):
-                assert type(specs[j]) is RotatedMixed and specs[j].signs == spec[1]
-                assert specs[j].unitary.tobytes() == spec[0].tobytes()
-                assert specs[j].m.tobytes() == spec[2].tobytes()
+                assert type(one) is RotatedMixed and one.signs == spec[1]
+                assert one.unitary.tobytes() == spec[0].tobytes()
+                assert j not in robin and row == one.m.tobytes() == spec[2].tobytes()
+            elif isinstance(spec, Robin):
+                assert one == spec and robin[j] == spec.alpha
+                assert row == np.eye(n, dtype=complex).tobytes()
             else:
-                assert specs[j].to_json() == spec.to_json()
+                assert one.to_json() == spec.to_json()
+                assert j not in robin and row == spec.m.tobytes()
     return new_rng, new_log
 
 
@@ -812,7 +828,7 @@ def _reference_transfer_rows(seed, boundary):
     kinds = [("given", boundary)] if boundary else [(kind, None) for kind in BOUNDARY_KINDS]
     for row, n, both in (("vnls-reflection", 2, True), ("b-plus-reflection", 3, False)):
         for label, given in kinds:
-            spec = given or boundaries([draw_boundary(rng, label, n)])[0]
+            spec = given or boundary_spec(draw_boundary(rng, label, n))
             rows[f"transfer-commutator[{row}:{label}]"] = worst(
                 (spec,), (spec,) if both else None, spec.n or n)
     return rows, log.resamples
@@ -1006,7 +1022,7 @@ def _draw(rng, S, slots, n, mirrored=True):
 
 def _specs(rng, S, n):
     """One boundary per sample, cycling through Robin, Mixed and RotatedMixed."""
-    return [boundaries([draw_boundary(rng, BOUNDARY_KINDS[s % 3], n)])[0] for s in range(S)]
+    return [boundary_spec(draw_boundary(rng, BOUNDARY_KINDS[s % 3], n)) for s in range(S)]
 
 
 def _raised(fn, *args):
@@ -1049,7 +1065,7 @@ class TestStackedKernelMatchesReference:
         specs = _specs(rng, S, n)
         R, M = reflection_maps(P, K, specs)  # on copies: P and K stay as drawn
         Q, L = P.copy(), K.copy()
-        maps._bounce(Q, L, 0, maps._small_ms(specs, L[:, 0], n))
+        maps._bounce(Q, L, 0, maps._small_ms(boundary_stack(specs, n), L[:, 0]))
         for s in range(S):
             ref = _reference_reflection_map(ks[s][0], ps[s][0], specs[s])
             assert complex(L[s, 0]) == ref.k
@@ -1074,8 +1090,8 @@ class TestStackedKernelMatchesReference:
     def test_transfer(self, S, n, N):
         rng = np.random.default_rng(500 + 10 * S + n + N)
         ks, ps, P, K = _draw(rng, S, N, n)
-        b_plus = boundaries([draw_boundary(rng, "rotated_mixed", n)])[0]
-        b_minus = boundaries([draw_boundary(rng, "robin", n)])[0]
+        b_plus = boundary_spec(draw_boundary(rng, "rotated_mixed", n))
+        b_minus = boundary_spec(draw_boundary(rng, "robin", n))
         pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]
         for slots in ((b_plus, b_minus), (b_plus, None), (None, b_plus)):
             rows = transfer_commutators(P, K, *((b,) * S if b is not None else None for b in slots))
@@ -1085,7 +1101,7 @@ class TestStackedKernelMatchesReference:
                     ref = _reference_transfer_commutator_residual(j, l, state, *slots)
                     assert abs(row[s] - ref) <= AGREE
         Q, L = P.copy(), K.copy()
-        maps._transfer(Q, L, 1, (b_plus,) * S, (b_minus,) * S)
+        maps._transfer(Q, L, 1, *_site_ms(P, K, 1, (b_plus,) * S, (b_minus,) * S))
         for s in range(S):
             state = _reference_state(*zip(ps[s], ks[s]))
             for slot, e in enumerate(_reference_transfer_map(1, state, b_plus, b_minus)):
@@ -1115,7 +1131,7 @@ def test_mixed_n_batch_matches_reference_in_sample_order(suite):
             expect.append((unitary, _reference_s_twist_residual(ks[0], ks[1], p1, p2)))
             continue
         drawn = draw_boundary(rng, BOUNDARY_KINDS[i % 3], n)
-        spec = boundaries([drawn])[0]
+        spec = boundary_spec(drawn)
         if suite == "involution":
             instances.append((ks[:1], draws[:1], drawn))
             expect.append((_reference_involution_residual(ks[0], p1, spec),))
@@ -1209,17 +1225,25 @@ class TestStackedErrorsMatchReference:
 
     def test_small_ms_takes_stored_ms_and_names_the_first_failing_sample(self):
         specs = [Robin(0.3), Mixed((1, -1)), _specs(np.random.default_rng(1), 3, 2)[2],
-                 Mixed((1, -1, 1)), Mixed((-1, 1))]
-        k = np.array([0.5 + 0.5j, -0.4 + 0.2j, 0.3 + 0.1j, 0.2 + 0.1j, 1e-13 + 0.2j])
-        ms = maps._small_ms(specs[:3], k[:3], 2)
+                 Robin(1.0), Mixed((-1, 1))]
+        # sample 3 sits at Robin(1.0)'s zero (|h| = 5.5e-13), sample 4 on the axis
+        k = np.array([0.5 + 0.5j, -0.4 + 0.2j, 0.3 + 0.1j, 1.1e-12 + 1j, 1e-13 + 0.2j])
+        stack = boundary_stack(specs, 2)
+        ms = maps._small_ms(boundary_stack(specs[:3], 2), k[:3])
         assert ms.tobytes() == np.array([spec.small_m(kk, 2) for spec, kk in
                                          zip(specs[:3], k[:3].tolist())]).tobytes()
-        # sample 3 acts on three components, before sample 4's axis parameter
-        with pytest.raises(ValidationError, match="acts on 3 components, expected 2"):
-            maps._small_ms(specs, k, 2)
+        with pytest.raises(PoleError, match=r"vanishes at k = i\*alpha = 1j$"):
+            maps._small_ms(stack, k)
         k[1] = 0.2j
         with pytest.raises(DomainError, match=r"undefined at k=0\.2j$"):
-            maps._small_ms(specs, k, 2)
+            maps._small_ms(stack, k)
+        # the axis check comes first within a sample too
+        k[1], k[3] = -0.4 + 0.2j, 1e-13 + 1j
+        with pytest.raises(DomainError, match=r"undefined at k=\(1e-13\+1j\)$"):
+            maps._small_ms(stack, k)
+        # a spec on another component count cannot join the stack
+        with pytest.raises(ValidationError, match="acts on 3 components, expected 2"):
+            boundary_stack([*specs, Mixed((1, -1, 1))], 2)
 
     def test_boundary_component_mismatch(self):
         q, spec = Polarization([0.6, 0.8, 0.0]), Mixed((1, -1))
@@ -1228,6 +1252,104 @@ class TestStackedErrorsMatchReference:
             _reference_reflection_map, 0.5 + 0.5j, q, spec)
         assert _raised(involution_residuals, P, K, (spec,)) == _raised(
             _reference_involution_residual, 0.5 + 0.5j, q, spec)
+
+
+# --- boundary stacks: m(k) of every row, bit for bit --------------------------
+
+
+def _frozen_small_m(spec, k: complex, n: int) -> np.ndarray:
+    """spec.small_m(k, n) as the specs computed it before boundary stacks: the
+    Robin phase in Python complex arithmetic, a sign pattern's stored m."""
+    if not isinstance(spec, Robin):
+        if spec.n != n:
+            raise ValidationError(f"boundary spec acts on {spec.n} components, expected {n}")
+        return spec.m
+    den = k + 1j * spec.alpha
+    if abs(den) < PAIR_POLE_TOL:
+        raise PoleError(f"boundary matrix has a pole at k = -i*alpha = {-1j * spec.alpha}")
+    h = (k - 1j * spec.alpha) / den
+    if abs(h) < PAIR_POLE_TOL:
+        raise PoleError(f"boundary matrix vanishes at k = i*alpha = {1j * spec.alpha}")
+    return (h / abs(h)) * np.eye(n, dtype=complex)
+
+
+def _frozen_small_ms(specs, k, n: int) -> np.ndarray:
+    """The per-sample loop `maps._small_ms` ran before boundary stacks."""
+    if len(specs) != len(k):
+        raise ValidationError(f"{len(specs)} boundary specs for {len(k)} samples")
+    ms = []
+    for spec, kk in zip(specs, k.tolist()):
+        if abs(kk.real) <= AXIS_TOL:
+            raise DomainError(f"imaginary axis: reflection undefined at k={kk}")
+        ms.append(_frozen_small_m(spec, kk, n))
+    return np.array(ms)
+
+
+def _pinned_stack(seed: int, n: int):
+    """(drawn, specs, k): 60 boundaries drawn as the suites draw them, the
+    kinds interleaved, with a given spec of each kind among them, and one
+    parameter per row off the imaginary axis."""
+    rng = np.random.default_rng(seed)
+    drawn = [draw_boundary(rng, BOUNDARY_KINDS[i % 3], n) for i in range(57)]
+    given = (Robin(-0.7), Mixed(random_signs(rng, n)),
+             boundary_spec(draw_boundary(rng, "rotated_mixed", n)))
+    for i, spec in zip((5, 30, 56), given):
+        drawn.insert(i, spec)
+    u = rng.uniform(*sampling.U_RANGE, len(drawn)) * rng.choice((-1.0, 1.0), len(drawn))
+    k = (u + 1j * rng.uniform(*V_RANGE, len(drawn))) / 2.0
+    return drawn, [boundary_spec(d) for d in drawn], k
+
+
+def _assert_stack_matches_frozen_loop(seed: int, n: int) -> None:
+    drawn, specs, k = _pinned_stack(seed, n)
+    alphas = [spec.alpha for spec in specs if isinstance(spec, Robin)]
+    assert min(alphas) < 0.0 < max(alphas)
+    stack = boundaries(drawn, n)
+    for kk in (k, -k.conj()):
+        ms = maps._small_ms(stack, kk)
+        assert ms.shape == (len(specs), n, n)
+        assert ms.tobytes() == _frozen_small_ms(specs, kk, n).tobytes()
+        assert ms.tobytes() == np.array([spec.small_m(x, n) for spec, x in
+                                         zip(specs, kk.tolist())]).tobytes()
+        # transfer_commutators repeats each site's matrices for its N - 1 followers
+        for N in (2, 3):
+            tiled = np.concatenate([ms] * (N - 1))
+            assert tiled.tobytes() == _frozen_small_ms(
+                specs * (N - 1), np.tile(kk, N - 1), n).tobytes()
+    # errors: the first failing sample raises, its axis check before its Robin checks
+    robin = [i for i, spec in enumerate(specs) if isinstance(spec, Robin) and abs(spec.alpha) > 0.6]
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        bad = k.copy()
+        r, a = rng.choice(robin), rng.integers(len(k))
+        # |h| = 1.1e-12 / |k + i alpha| < PAIR_POLE_TOL at Robin row r: its zero
+        bad[r] = complex(1.1e-12, specs[r].alpha)
+        bad[a] = complex(0.5 * AXIS_TOL, bad[a].imag)
+        assert _raised(maps._small_ms, stack, bad) == _raised(_frozen_small_ms, specs, bad, n)
+
+
+class TestBoundaryStackPin:
+    """Each row of a boundary stack's m(k) has the bits of its own spec's
+    small_m, Robin rows included: numpy's complex division would move them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_the_frozen_per_sample_loop(self, seed, n):
+        _assert_stack_matches_frozen_loop(seed, n)
+
+    def test_robin_zero_and_axis_on_one_sample(self):
+        _, specs, k = _pinned_stack(0, 2)
+        assert specs[5] == Robin(-0.7)
+        k[5] = complex(0.5 * AXIS_TOL, -0.7)  # on the axis at the zero of row 5's h
+        assert _raised(maps._small_ms, boundaries(specs, 2), k) == (
+            DomainError, f"imaginary axis: reflection undefined at k={complex(k[5])}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boundary_stacks_match_the_frozen_loop_on_every_seed(n):
+    for seed in range(100):
+        _assert_stack_matches_frozen_loop(seed, n)
 
 
 # --- stacked suites: one call per shape group, rows in sample order ------------
@@ -1284,7 +1406,7 @@ class TestStackedSuites:
 
     @pytest.mark.parametrize("boundary", [
         Robin(-0.7), Mixed((1, -1, -1, 1)),
-        *boundaries([draw_boundary(np.random.default_rng(9), "rotated_mixed", 4)])],
+        boundary_spec(draw_boundary(np.random.default_rng(9), "rotated_mixed", 4))],
         ids=BOUNDARY_KINDS)
     @pytest.mark.parametrize("suite", ["reflection-equation", "involution"])
     def test_four_component_boundary(self, suite, boundary):

@@ -27,7 +27,7 @@ from vsolitons import mirror as mirror_module
 from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
 from vsolitons.config import halfline_to_json, parse_halfline
 from vsolitons.mirror import HalfLineData
-from vsolitons.sampling import boundaries, draw_boundary, random_soliton_data
+from vsolitons.sampling import boundary_spec, draw_boundary, random_soliton_data
 from vsolitons.verification import extract_asymptotic_polarization
 
 E1 = np.array([1.0, 0.0])
@@ -35,7 +35,7 @@ E1 = np.array([1.0, 0.0])
 
 def halfline_data(rng, N, n, kind):
     data = random_soliton_data(rng, N, n, positive=True)
-    spec = boundaries([draw_boundary(rng, kind, n)])[0]
+    spec = boundary_spec(draw_boundary(rng, kind, n))
     return solve_mirror_norming(data, spec)
 
 
@@ -323,7 +323,7 @@ class TestBetaRecovery:
         for N in (1, 2, 3, 4):
             for n in (1, 2, 3):
                 data = random_soliton_data(rng, N, n, positive=True)
-                spec = boundaries([draw_boundary(rng, kind, n)])[0]
+                spec = boundary_spec(draw_boundary(rng, kind, n))
                 hl = solve_mirror_norming(data, spec)
                 frozen = _per_index_mirror_betas(data, spec)
                 for (_, nv), beta in zip(hl.mirror_data.points, frozen, strict=True):
@@ -407,6 +407,7 @@ class TestHalfLineField:
 
     def test_two_soliton_scattering_matches_composite(self):
         from vsolitons.maps import _bounce, _collide, _small_ms
+        from vsolitons.soldata import boundary_stack
 
         real = SolitonData.from_arrays(
             [0.5, 1.0], [1.0, 1.1], [[0.8, 0.5 + 0.4j], [1.0, -0.3 + 0.2j]]
@@ -424,8 +425,8 @@ class TestHalfLineField:
         P = np.array([[ins[j].p for j in range(2)]])
         K = np.array([[comb.points[j][0].k for j in range(2)]])
         _collide(P, K, 0, 1)
-        _bounce(P, K, 1, _small_ms([spec], K[:, 1], 2))
+        _bounce(P, K, 1, _small_ms(boundary_stack([spec], 2), K[:, 1]))
         _collide(P, K, 1, 0)
-        _bounce(P, K, 0, _small_ms([spec], K[:, 0], 2))
+        _bounce(P, K, 0, _small_ms(boundary_stack([spec], 2), K[:, 0]))
         for j in range(2):
             assert projective_distance(outs[j], P[0, j]) < 1e-6

@@ -256,12 +256,13 @@ class TestBoundarySpec:
         for n in (1, 2, 3, 8):
             Us = np.array([unitaries(draw_unitary(rng, n)) for _ in range(7)])
             signs = [tuple(rng.choice((-1, 1), n).tolist()) for _ in range(7)]
-            for spec, U, sg in zip(RotatedMixed.stack(Us, signs), Us, signs):
+            ms = RotatedMixed.stack(Us, signs)
+            assert ms.shape == (7, n, n)
+            for m, U, sg in zip(ms, Us, signs):
                 one = RotatedMixed(U, sg)
-                assert type(spec) is RotatedMixed and spec.signs == one.signs == sg
-                assert spec.unitary.tobytes() == one.unitary.tobytes() == U.tobytes()
-                assert spec.m.tobytes() == one.m.tobytes()
-                assert not spec.unitary.flags.writeable and not spec.m.flags.writeable
+                assert one.signs == sg and one.unitary.tobytes() == U.tobytes()
+                assert m.tobytes() == one.m.tobytes()
+                assert not one.unitary.flags.writeable and not one.m.flags.writeable
 
     def test_stack_names_the_first_non_unitary(self):
         U = np.array([np.eye(2), [[1.0, 1e-9], [0.0, 1.0]], [[1.0, 1e-6], [0.0, 1.0]]])
