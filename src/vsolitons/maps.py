@@ -10,7 +10,9 @@ spectral parameters.  Two in-place steps, `_collide` and `_bounce`, make
 one rank-one update (`_pull`) over all samples at once, so the parametric
 bookkeeping of every composite is automatic: each step reads the parameters
 currently sitting in its slots.  Each composite is written once over the
-stacked state.
+stacked state.  A bounce reads m(k) as the boundaries' `BoundaryStack` forms
+it (`soldata.BoundaryStack.m_at`); every composite checks its parameters
+before any arithmetic, and S = 0 gives empty results.
 """
 
 from __future__ import annotations
@@ -20,28 +22,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleError, ValidationError
-from .soldata import (
-    AXIS_TOL,
-    PAIR_POLE_TOL,
-    BoundarySpec,
-    BoundaryStack,
-    _robin_eye,
-    _robin_phase,
-    boundary_stack,
-)
+from .soldata import AXIS_TOL, PAIR_POLE_TOL, BoundarySpec, _first, boundary_stack
 
 
 def _check_parameters(K) -> None:
     """Raise DomainError for the first parameter on the imaginary axis, then
-    ValidationError for the first non-finite one."""
-    bad = np.abs(np.ravel(K).real) <= AXIS_TOL
-    if bad.any():
-        k = complex(np.ravel(K)[np.argmax(bad)])
-        raise DomainError(f"imaginary axis: parameter {k} has |Re k| <= {AXIS_TOL}")
-    bad = ~np.isfinite(np.ravel(K))
-    if bad.any():
-        k = complex(np.ravel(K)[np.argmax(bad)])
-        raise ValidationError(f"spectral parameter {k} is not finite")
+    ValidationError for the first non-finite one (`_check_finite`)."""
+    k = np.ravel(K)
+    if (i := _first(np.abs(k.real) <= AXIS_TOL)) < len(k):
+        raise DomainError(f"imaginary axis: parameter {complex(k[i])} has |Re k| <= {AXIS_TOL}")
+    _check_finite(k)
+
+
+def _check_finite(K) -> None:
+    """Raise ValidationError for the first non-finite parameter."""
+    k = np.ravel(K)
+    if (i := _first(~np.isfinite(k))) < len(k):
+        raise ValidationError(f"spectral parameter {complex(k[i])} is not finite")
 
 
 # --- the stacked state ---------------------------------------------------------
@@ -69,9 +66,8 @@ def _collide(P, K, i: int, j: int) -> None:
     the orthogonal projector on a polarization; both are renormalised.
     """
     k1, k2 = K[:, i], K[:, j]
-    bad = np.abs(k1 - k2) < PAIR_POLE_TOL
-    if bad.any():
-        a, b = complex(k1[np.argmax(bad)]), complex(k2[np.argmax(bad)])
+    if (s := _first(np.abs(k1 - k2) < PAIR_POLE_TOL)) < len(k1):
+        a, b = complex(k1[s]), complex(k2[s])
         raise PoleError(f"pair ({i}, {j}) with parameters ({a}, {b}): "
                         f"collision factors are singular for k1={a} ~ k2={b}")
     k1c = k1.conj()
@@ -82,36 +78,11 @@ def _collide(P, K, i: int, j: int) -> None:
     P[:, i], P[:, j] = _pull(a1, a2, (mu - 1.0) * c), _pull(a2, a1, (nu - 1.0) * c.conj())
 
 
-def _small_ms(b: BoundaryStack, k) -> np.ndarray:
-    """(S, n, n): the m of each row of the stack b at its sample's k, in one
-    pass; only the Robin rows are computed, each by `_robin_phase`.
-
-    The first sample that fails a check raises: off the imaginary axis first,
-    then a Robin row's pole and zero checks.
-    """
-    S = len(b.m)
-    if S != len(k):
-        raise ValidationError(f"{S} boundary specs for {len(k)} samples")
-    on_axis = np.abs(k.real) <= AXIS_TOL
-    first = int(on_axis.argmax())
-    first = first if on_axis[first] else S
-    kl = k.tolist()
-    phases = [_robin_phase(kl[i], alpha) for i, alpha in zip(b.rows.tolist(), b.alpha)
-              if i < first]
-    if first < S:
-        raise DomainError(f"imaginary axis: reflection undefined at k={kl[first]}")
-    if not phases:
-        return b.m
-    ms = b.m.copy()
-    ms[b.rows] = np.array(phases)[:, None, None] * _robin_eye(b.m.shape[-1])
-    return ms
-
-
 def _bounce(P, K, j: int, ms) -> None:
     """Bounce slot j of every sample off the boundary in place; ms None is the identity.
 
     p' = (I + (k - k*)/(k + k*) p p^dag) m(k) p, renormalised, and k' = -k*,
-    with ms the stack of m(k) at each sample's current k (see `_small_ms`).
+    with ms the stack of m(k) at each sample's current k (`BoundaryStack.m_at`).
 
     It is the first slot of the collision of the mirror image (m(k) p, -k*)
     with (p, k) (Caudrelier and Zhang, Nonlinearity 2014): (k - k*)/(k + k*) is
@@ -182,11 +153,13 @@ def s_twist_residuals(P, K) -> np.ndarray:
 def reflection_maps(P, K, specs: Sequence[BoundarySpec]) -> tuple:
     """Bounce every slot of every sample off its sample's boundary, on copies;
     returns the new (P, K).  (p, k) -> (p breve, -k*) as `_bounce` writes it;
-    undefined for k on the imaginary axis."""
+    undefined for k on the imaginary axis.  Every slot's m(k) is formed, and
+    its parameters checked, before the first bounce."""
     b = boundary_stack(specs, P.shape[-1])
+    ms = [b.m_at(k) for k in K.T]
     P, K = P.copy(), K.copy()
-    for j in range(K.shape[1]):
-        _bounce(P, K, j, _small_ms(b, K[:, j]))
+    for j, m in enumerate(ms):
+        _bounce(P, K, j, m)
     return P, K
 
 
@@ -198,7 +171,7 @@ def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.nda
     """
     _check_parameters(K)
     b = boundary_stack(specs, P.shape[-1])
-    m1, m2 = _small_ms(b, K[:, 0]), _small_ms(b, K[:, 1])
+    m1, m2 = b.m_at(K[:, 0]), b.m_at(K[:, 1])
     (Pl, Kl), (Pr, Kr) = (P.copy(), K.copy()), (P.copy(), K.copy())
     _collide(Pl, Kl, 0, 1)
     _bounce(Pl, Kl, 1, m2)
@@ -218,9 +191,7 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
     """
     b = boundary_stack(specs, P.shape[-1])
     Q, L = reflection_maps(*reflection_maps(P, K, b), b)
-    moved = L[:, 0] != K[:, 0]
-    if moved.any():
-        s = np.argmax(moved)
+    if (s := _first(L[:, 0] != K[:, 0])) < len(L):
         raise ValidationError(
             f"double reflection moved the parameter: {complex(L[s, 0])} != {complex(K[s, 0])}"
         )
@@ -233,7 +204,7 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
 def _transfer(P, K, j: int, m_plus, m_minus) -> None:
     """The j-th transfer composition of every sample, in place; slot j bounces
     at its k with m_plus, then at -k* with m_minus, each an (S, n, n) stack of
-    m (see `_small_ms`), or None for the identity boundary."""
+    m (`BoundaryStack.m_at`), or None for the identity boundary."""
     N = K.shape[1]
     if N < 2:
         raise ValidationError("transfer maps need at least two sites")
@@ -267,8 +238,9 @@ def transfer_commutators(
     S, N = K.shape
     b_plus, b_minus = (None if b is None else boundary_stack(b, P.shape[-1])
                        for b in (b_plus, b_minus))
-    ms = [[None if b is None else _small_ms(b, k) for b, k in
+    ms = [[None if b is None else b.m_at(k) for b, k in
            ((b_plus, K[:, j]), (b_minus, -K[:, j].conj()))] for j in range(N)]
+    _check_finite(K)  # identity boundaries form no m(k), which would check K
     single = []  # T_l P and its parameters, by site l
     for l in range(N):
         single.append((P.copy(), K.copy()))

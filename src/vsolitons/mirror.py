@@ -26,6 +26,7 @@ from .soldata import (
     NormingVector,
     SolitonData,
     _vector_norm,
+    boundary_stack,
     projective_distance,
 )
 
@@ -173,14 +174,15 @@ def mirror_polarization_residual(hl: HalfLineData) -> float:
     Checks, for every j, that the mirror chain direction equals m(k_j) times
     the matching real-soliton polarization for both index patterns: the
     canonical prefix (mirror factor direction itself) and the all-real prefix.
-    A nan distance propagates.
+    The N matrices m(k_j) come from one stack of the boundary.  A nan
+    distance propagates.
     """
     N, n = hl.N, hl.n
     chain = build_reduced_chain(hl.combined)
+    ms = boundary_stack([hl.spec] * N, n).m_at(hl.real_data.ks)
     res = [0.0]
-    for j in range(N):
+    for j, m in enumerate(ms):
         kj = hl.real_data.points[j][0].k
-        m = hl.spec.small_m(kj, n)
 
         # canonical-prefix pattern: direction of the mirror factor itself
         g = _dressed_beta(hl.real_data, j, range(j + 1, N))

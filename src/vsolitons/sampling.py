@@ -6,7 +6,10 @@ Gaussian.  Configurations too close to a factor pole are redrawn and the
 resamples counted.
 
 Stream contract: every generator makes the rng calls that drawing its
-scalars one at a time would make, in order.  Per sample only the draws and
+scalars one at a time would make, in order, through one whole-array path per
+quantity: one rng.random call per try for the u's of `random_soliton_data`
+and the parameters of `random_map_parameters`, `draw_unit_vectors` for every
+norming or unit vector.  Per sample only the draws and
 their accept tests run (nonzero vector, proper signs, pole-safe parameters);
 `unit_vectors`, `unitaries` and `boundaries` (a `BoundaryStack`, no spec
 objects) derive a stack of `draw_*` results at once, bit for bit as one at a
@@ -63,33 +66,13 @@ def _count(log: Optional[SampleLog]) -> None:
         log.resamples += 1
 
 
-def random_u(rng: np.random.Generator, positive: bool = False) -> float:
-    lo, hi = U_RANGE
-    mag = rng.uniform(lo, hi)
-    if positive:
-        return mag
-    return mag if rng.random() < 0.5 else -mag
-
-
-def random_norming_vector(
-    rng: np.random.Generator, n: int, log: Optional[SampleLog] = None
-) -> NormingVector:
-    """Complex Gaussian: n real parts, then n imaginary parts, from one draw;
-    redrawn (and counted) while its norm is <= 1e-6."""
-    for _ in range(_MAX_TRIES):
-        re, im = rng.standard_normal((2, n))
-        vec = re + 1j * im
-        if _vector_norm(vec) > 1e-6:
-            return NormingVector(vec)
-        _count(log)
-    raise SamplingError("could not draw a usable norming vector")
-
-
-def draw_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, 2, n): the real and imaginary parts of count
-    `random_norming_vector` draws (redraws are not counted).  One (missing,
-    2, n) draw per pass; a vector of norm <= 1e-6 is dropped and the next
-    pass draws the missing ones, where one-at-a-time redraws would fall."""
+def draw_unit_vectors(
+    rng: np.random.Generator, count: int, n: int, log: Optional[SampleLog] = None
+) -> np.ndarray:
+    """(count, 2, n): the real and imaginary parts of count complex Gaussian
+    vectors, each redrawn (and counted in log) while its norm is <= 1e-6.
+    One (missing, 2, n) draw per pass; a dropped vector is drawn again in the
+    next pass, where one-at-a-time redraws would fall."""
     kept = []
     for _ in range(_MAX_TRIES):
         draws = rng.standard_normal((count - len(kept), 2, n))
@@ -99,6 +82,8 @@ def draw_unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarra
                   if abs(x) >= 1e-5 or _vector_norm(draws[i, 0] + 1j * draws[i, 1]) > 1e-6]
         if len(usable) == count:
             return draws
+        if log is not None:
+            log.resamples += len(draws) - len(usable)
         kept += [draws[i] for i in usable]
         if len(kept) == count:
             return np.array(kept)
@@ -121,22 +106,28 @@ def random_soliton_data(
     positive: bool = False,
     log: Optional[SampleLog] = None,
 ) -> SolitonData:
-    """Velocity-ordered data: u strictly increasing with gaps >= MIN_U_GAP."""
+    """Velocity-ordered data: u strictly increasing with gaps >= MIN_U_GAP.
+
+    Stream contract: per u its magnitude and, unless positive, its sign, one
+    rng.random((N, 1 or 2)) per try, mapped as in `random_map_parameters`;
+    then per point v and its norming vector (`draw_unit_vectors`).
+    """
+    lo, hi = U_RANGE
     for _ in range(_MAX_TRIES):
-        us = sorted(random_u(rng, positive) for _ in range(N))
+        draws = rng.random((N, 1 if positive else 2)).tolist()
+        us = sorted((lo + (hi - lo) * r[0]) * (1.0 if positive or r[1] < 0.5 else -1.0)
+                    for r in draws)
         if all(b - a >= MIN_U_GAP for a, b in zip(us, us[1:])):
             break
         _count(log)
     else:
         raise SamplingError("could not draw separated velocities")
-    points = tuple(
-        (
-            SpectralPoint(u, rng.uniform(*V_RANGE)),
-            random_norming_vector(rng, n, log),
-        )
-        for u in us
-    )
-    return SolitonData(n, points)
+    points = []
+    for u in us:
+        v = rng.uniform(*V_RANGE)
+        re, im = draw_unit_vectors(rng, 1, n, log)[0]
+        points.append((SpectralPoint(u, v), NormingVector(re + 1j * im)))
+    return SolitonData(n, tuple(points))
 
 
 def unitaries(draws: np.ndarray) -> np.ndarray:
@@ -183,7 +174,7 @@ def _rotated(b) -> bool:
 
 def boundaries(drawn, n: int) -> BoundaryStack:
     """The `BoundaryStack` on n components of `draw_boundary` results (or
-    specs), in order, each row with the bits of its spec's `small_m`; the
+    specs), in order, each row as its spec's one-row stack has it; the
     rotated_mixed draws are derived as one stack."""
     rows = list(drawn)
     rotated = [i for i, b in enumerate(drawn) if _rotated(b)]
@@ -227,8 +218,8 @@ def random_map_parameters(
 ) -> List[complex]:
     """Spectral parameters for map identities, pole-safe (also under k -> -k*).
 
-    Stream contract: per parameter |u|, its sign and v, as `random_u` and
-    rng.uniform draw them one at a time: one rng.random((count, 3)) per try,
+    Stream contract: per parameter |u|, its sign and v, as rng.uniform and
+    rng.random draw them one at a time: one rng.random((count, 3)) per try,
     mapped as Generator.uniform maps a uniform r, lo + (hi - lo) * r.
     """
     (ulo, uhi), (vlo, vhi) = U_RANGE, V_RANGE

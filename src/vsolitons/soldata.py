@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import PoleError, ValidationError
+from .errors import DomainError, PoleError, ValidationError
 
 #: Two eigenvalues closer than this are treated as coincident poles.
 POLE_MERGE_TOL = 1e-12
@@ -38,6 +38,14 @@ UNITARY_TOL = 1e-12
 #: Norms inside this range are taken as np.linalg.norm computes them; outside
 #: it the squares could underflow or overflow, so the vector is scaled first.
 _SAFE_NORM = (1e-150, 1e150)
+
+
+def _first(mask) -> int:
+    """The index of the first True of a 1-D mask, len(mask) if none: argmax
+    and one index, which cost half of ndarray.any()."""
+    if len(mask) and mask[i := int(mask.argmax())]:
+        return i
+    return len(mask)
 
 
 def _frozen(arr) -> np.ndarray:
@@ -308,10 +316,12 @@ def _check_distinct_poles(pts) -> None:
 
 # --- boundary specifications -------------------------------------------------
 #
-# A boundary spec owns everything that depends on its kind: the unitary m(k)
-# acting on polarizations, the mirror-constraint matrix M(k) and its inverse,
-# the x = 0 residual of the boundary condition, and its JSON wire form.  `n`
-# is the component count it acts on, None for Robin (any count).
+# A boundary spec owns everything that depends on its kind: the mirror-constraint
+# matrix M(k) and its inverse, the x = 0 residual of the boundary condition,
+# and its JSON wire form.  `n` is the component count it acts on, None for
+# Robin (any count).  The unitary m(k) acting on polarizations is formed only
+# by a `BoundaryStack` of S boundaries (`BoundaryStack.m_at`); one boundary is
+# a stack of one.
 
 
 def _robin_eye(n) -> np.ndarray:
@@ -347,10 +357,6 @@ class Robin:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not math.isfinite(self.alpha):
             raise ValidationError("Robin parameter alpha must be finite")
-
-    def small_m(self, k: complex, n: int) -> np.ndarray:
-        eye = _robin_eye(n)
-        return _robin_phase(complex(k), self.alpha) * eye
 
     def big_m(self, k: complex, n: int) -> np.ndarray:
         eye = _robin_eye(n)
@@ -414,11 +420,9 @@ class RotatedMixed:
         Uh = U.conj().swapaxes(-1, -2)
         with np.errstate(invalid="ignore"):  # inf entries: a nan defect, rejected below
             defect = np.abs(Uh @ U - np.eye(U.shape[-1])).max(axis=(-2, -1))
-        bad = ~(defect <= UNITARY_TOL)
-        if bad.any():
-            raise ValidationError(
-                f"matrix is not unitary: max |U^dag U - I| = {defect[np.argmax(bad)]:.3e}"
-            )
+        bad = _first(~(defect <= UNITARY_TOL))
+        if bad < len(defect):
+            raise ValidationError(f"matrix is not unitary: max |U^dag U - I| = {defect[bad]:.3e}")
         return (Uh * np.asarray(signs, dtype=np.complex128)[:, None, :]) @ U
 
     @property
@@ -428,10 +432,6 @@ class RotatedMixed:
     def _check_n(self, n) -> None:
         if n is not None and int(n) != self.n:
             raise ValidationError(f"boundary spec acts on {self.n} components, expected {n}")
-
-    def small_m(self, k: complex, n: int) -> np.ndarray:
-        self._check_n(n)
-        return self.m
 
     def big_m(self, k: complex, n: int) -> np.ndarray:
         self._check_n(n)
@@ -487,6 +487,32 @@ class BoundaryStack(NamedTuple):
     rows: np.ndarray
     alpha: tuple
 
+    def m_at(self, k) -> np.ndarray:
+        """(S, n, n): the m(k) of each row at its sample's k, in one pass; the
+        sign-pattern rows are their stored m, only the Robin rows are computed,
+        each by `_robin_phase`.
+
+        The first sample that fails a check raises: off the imaginary axis
+        first, then finite, then a Robin row's pole and zero checks.
+        """
+        S = len(self.m)
+        if S != len(k):
+            raise ValidationError(f"{S} boundary specs for {len(k)} samples")
+        axis = _first(np.abs(k.real) <= AXIS_TOL)
+        first = min(axis, _first(~np.isfinite(k)))
+        kl = k.tolist()
+        phases = [_robin_phase(kl[i], alpha) for i, alpha in zip(self.rows.tolist(), self.alpha)
+                  if i < first]
+        if first < S:
+            if first == axis:
+                raise DomainError(f"imaginary axis: reflection undefined at k={kl[first]}")
+            raise ValidationError(f"spectral parameter {kl[first]} is not finite")
+        if not phases:
+            return self.m
+        ms = self.m.copy()
+        ms[self.rows] = np.array(phases)[:, None, None] * _robin_eye(self.m.shape[-1])
+        return ms
+
 
 def boundary_stack(rows, n: int) -> BoundaryStack:
     """The stack on n components of S boundaries, each a spec, a Robin alpha, a
@@ -502,6 +528,8 @@ def boundary_stack(rows, n: int) -> BoundaryStack:
         elif isinstance(row, tuple):
             row = _sign_matrices(row)[1]
         elif isinstance(row, RotatedMixed):
-            row = row.small_m(None, n)
+            row._check_n(n)
+            row = row.m
         ms.append(row)
-    return BoundaryStack(np.array(ms), np.array(list(robin), dtype=np.intp), tuple(robin.values()))
+    m = np.array(ms) if ms else np.empty((0, n, n), np.complex128)
+    return BoundaryStack(m, np.array(list(robin), dtype=np.intp), tuple(robin.values()))

@@ -10,7 +10,7 @@ and error paths they produced.
 import numpy as np
 import pytest
 
-from vsolitons import Mixed, PoleError, Robin, RotatedMixed, ValidationError
+from vsolitons import DomainError, Mixed, PoleError, Robin, RotatedMixed, ValidationError
 from vsolitons.config import _complex_pair, parse_boundary
 from vsolitons.sampling import (
     BOUNDARY_KINDS,
@@ -20,7 +20,7 @@ from vsolitons.sampling import (
     random_signs,
     unitaries,
 )
-from vsolitons.soldata import PAIR_POLE_TOL
+from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL, boundary_stack
 
 
 def ref_big_m(k, spec, n=None):
@@ -81,6 +81,11 @@ def ref_small_m(k, spec, n=None):
             f"boundary spec acts on {m.shape[0]} components, expected {n}"
         )
     return m
+
+
+def stack_m(k, spec, n=None):
+    """The m(k) of spec: the S = 1 row of its boundary stack."""
+    return boundary_stack([spec], n).m_at(np.array([k], dtype=np.complex128))[0]
 
 
 def ref_boundary_residual(spec, R0, Rx0):
@@ -150,7 +155,7 @@ KS = _ks()
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (PoleError, ValidationError) as exc:
+    except (DomainError, PoleError, ValidationError) as exc:
         return type(exc)
 
 
@@ -163,9 +168,14 @@ def _same(a, b) -> bool:
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{type(s).__name__}-{s.n}")
 class TestAgainstReference:
     def test_small_m(self, spec):
+        # the S = 1 row of a stack: ref_small_m, except that a parameter on
+        # the imaginary axis is refused once the stack is built
         for n in NS + (None,):
             for k in KS:
-                assert _same(_outcome(spec.small_m, k, n), _outcome(ref_small_m, k, spec, n))
+                want = _outcome(ref_small_m, k, spec, n)
+                if want is not ValidationError and abs(complex(k).real) <= AXIS_TOL:
+                    want = DomainError
+                assert _same(_outcome(stack_m, k, spec, n), want)
 
     def test_big_m(self, spec):
         for n in NS + (None,):
@@ -205,7 +215,7 @@ class TestAgainstReference:
         back = parse_boundary(doc)
         assert type(back) is type(spec) and back.to_json() == doc
         n = spec.n or 2
-        assert np.array_equal(back.small_m(0.3 + 0.7j, n), spec.small_m(0.3 + 0.7j, n))
+        assert np.array_equal(stack_m(0.3 + 0.7j, back, n), stack_m(0.3 + 0.7j, spec, n))
         assert np.array_equal(back.big_m(0.3 + 0.7j, n), spec.big_m(0.3 + 0.7j, n))
 
 
@@ -218,7 +228,8 @@ def test_mixed_is_rotated_mixed_with_identity(n):
         assert isinstance(mixed, RotatedMixed)
         assert np.array_equal(mixed.unitary, rotated.unitary)
         for k in KS:
-            for name in ("small_m", "big_m", "big_m_inv"):
+            assert _same(_outcome(stack_m, k, mixed, n), _outcome(stack_m, k, rotated, n))
+            for name in ("big_m", "big_m_inv"):
                 assert np.array_equal(getattr(mixed, name)(k, n), getattr(rotated, name)(k, n))
         R0, Rx0 = rng.standard_normal((2, 7, n)) + 1j * rng.standard_normal((2, 7, n))
         assert mixed.boundary_residual(R0, Rx0) == rotated.boundary_residual(R0, Rx0)
@@ -229,11 +240,12 @@ def test_sign_pattern_matrices_are_involutions():
     for spec in SPECS:
         if spec.n is None:
             continue
-        m, M = spec.small_m(0.4 + 0.9j, None), spec.big_m(0.4 + 0.9j, None)
+        m, M = stack_m(0.4 + 0.9j, spec, None), spec.big_m(0.4 + 0.9j, None)
         eye = np.eye(spec.n)
         assert np.max(np.abs(m @ m - eye)) < 1e-12
         assert np.max(np.abs(M @ spec.big_m_inv(0.1 + 0.2j, spec.n) - eye)) < 1e-12
-        assert not m.flags.writeable
+        # the row is the spec's stored m, which is read-only
+        assert m.tobytes() == spec.m.tobytes() and not spec.m.flags.writeable
 
 
 def test_every_drawn_kind_round_trips():

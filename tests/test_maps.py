@@ -41,13 +41,19 @@ from vsolitons.sampling import (
     draw_unit_vectors,
     draw_unitary,
     random_map_parameters,
-    random_norming_vector,
     random_signs,
-    random_u,
+    random_soliton_data,
     unit_vectors,
     unitaries,
 )
-from vsolitons.soldata import AXIS_TOL, PAIR_POLE_TOL, UNITARY_TOL, boundary_stack
+from vsolitons.soldata import (
+    AXIS_TOL,
+    PAIR_POLE_TOL,
+    UNITARY_TOL,
+    SolitonData,
+    _vector_norm,
+    boundary_stack,
+)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -60,6 +66,11 @@ def _stack(ps, ks):
     """One sample (S = 1) of a stacked state: P (1, slots, n) and K (1, slots)."""
     P = np.array([[getattr(p, "p", p) for p in ps]], dtype=np.complex128)
     return P, np.array([ks], dtype=np.complex128)
+
+
+def _stack_m(spec, k, n):
+    """The m(k) of one boundary: the S = 1 row of its stack."""
+    return boundary_stack([spec], n).m_at(np.array([k], dtype=np.complex128))[0]
 
 
 def _samples(rng, count, slots, n, mirrored=False, boundary=None):
@@ -139,34 +150,34 @@ class TestEquationResiduals:
 
 class TestBoundaryMatrix:
     def test_mixed_diagonal(self):
-        m = Mixed((1, -1)).small_m(0.3 + 0.2j, None)
+        m = _stack_m(Mixed((1, -1)), 0.3 + 0.2j, None)
         assert np.allclose(m, np.diag([1.0, -1.0]))
 
     def test_robin_frozen_scalar(self):
-        m = Robin(1.0).small_m(K1, 2)
+        m = _stack_m(Robin(1.0), K1, 2)
         expect = (-0.447213595499958 - 0.8944271909999159j) * np.eye(2)
         assert np.allclose(m, expect, atol=1e-12)
 
     def test_rotated_identity_reduces_to_mixed(self):
         spec = RotatedMixed(np.eye(2), (1, -1))
-        assert np.allclose(spec.small_m(1j + 0.5, None), np.diag([1.0, -1.0]))
+        assert np.allclose(_stack_m(spec, 1j + 0.5, None), np.diag([1.0, -1.0]))
 
     def test_unitary_and_involutive(self):
         rng = np.random.default_rng(1)
         for spec in (Mixed((1, -1, 1)), RotatedMixed(unitaries(draw_unitary(rng, 3)), (1, 1, -1))):
-            m = spec.small_m(0.4 + 0.9j, None)
+            m = _stack_m(spec, 0.4 + 0.9j, None)
             assert np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-12
             assert np.max(np.abs(m @ m - np.eye(3))) < 1e-12
 
     def test_robin_unitary(self):
-        m = Robin(-0.8).small_m(0.7 + 0.4j, 3)
+        m = _stack_m(Robin(-0.8), 0.7 + 0.4j, 3)
         assert np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-12
 
     def test_robin_needs_dimension(self):
         from vsolitons.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            Robin(1.0).small_m(K1, None)
+            _stack_m(Robin(1.0), K1, None)
 
 
 def _reflect(ps, ks, spec):
@@ -278,12 +289,12 @@ class TestBounceIsMirrorCollision:
         rng = np.random.default_rng(900 + 10 * BOUNDARY_KINDS.index(kind) + n)
         P, K, specs = _samples(rng, 200, 1, n, mirrored=True, boundary=kind)
         stack, bounce = boundary_stack(specs, n), (P.copy(), K.copy())
-        maps._bounce(*bounce, 0, maps._small_ms(stack, K[:, 0]))
-        mirror = np.einsum("sab,sb->sa", maps._small_ms(stack, K[:, 0]), P[:, 0])
+        maps._bounce(*bounce, 0, stack.m_at(K[:, 0]))
+        mirror = np.einsum("sab,sb->sa", stack.m_at(K[:, 0]), P[:, 0])
         collision = np.stack([mirror, P[:, 0]], axis=1), np.concatenate([-K.conj(), K], axis=1)
         maps._collide(*collision, 0, 1)
         flipped = P.copy(), -K.conj()
-        maps._bounce(*flipped, 0, maps._small_ms(stack, flipped[1][:, 0]))
+        maps._bounce(*flipped, 0, stack.m_at(flipped[1][:, 0]))
         return bounce, collision, flipped
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -304,7 +315,7 @@ class TestBounceIsMirrorCollision:
 def _site_ms(P, K, j, b_plus, b_minus):
     """The boundary matrices T_j bounces slot j with, at k_j and -k_j*; each
     boundary slot a spec sequence or None."""
-    return [None if b is None else maps._small_ms(boundary_stack(b, P.shape[-1]), k)
+    return [None if b is None else boundary_stack(b, P.shape[-1]).m_at(k)
             for b, k in ((b_plus, K[:, j]), (b_minus, -K[:, j].conj()))]
 
 
@@ -451,6 +462,36 @@ def _frozen_unit_vectors(rng, count, n):
             return np.array(rows).reshape(count, n)
 
 
+def _frozen_random_u(rng, positive=False):
+    """sampling.random_u as it was: |u| by rng.uniform, then its sign by rng.random()."""
+    mag = rng.uniform(*sampling.U_RANGE)
+    if positive:
+        return mag
+    return mag if rng.random() < 0.5 else -mag
+
+
+def _frozen_random_norming_vector(rng, n, log):
+    """sampling.random_norming_vector as it was: one (2, n) draw per try,
+    redrawn and counted while its norm is <= 1e-6."""
+    while True:
+        re, im = rng.standard_normal((2, n))
+        vec = re + 1j * im
+        if _vector_norm(vec) > 1e-6:
+            return NormingVector(vec)
+        log.resamples += 1
+
+
+def _frozen_random_soliton_data(rng, N, n, positive, log):
+    """sampling.random_soliton_data as it drew one scalar or vector at a time."""
+    while True:
+        us = sorted(_frozen_random_u(rng, positive) for _ in range(N))
+        if all(b - a >= sampling.MIN_U_GAP for a, b in zip(us, us[1:])):
+            break
+        log.resamples += 1
+    return SolitonData(n, tuple((SpectralPoint(u, rng.uniform(*V_RANGE)),
+                                 _frozen_random_norming_vector(rng, n, log)) for u in us))
+
+
 def _frozen_unitary(rng, n):
     re, im = rng.standard_normal((2, n, n))
     Q, R = np.linalg.qr(re + 1j * im)
@@ -546,7 +587,7 @@ class _Scripted:
     def standard_normal(self, size):
         return self._draw("standard_normal", size, lambda: self.rng.standard_normal(size))
 
-    def random(self, size):
+    def random(self, size=None):
         return self._draw("random", size, lambda: self.rng.random(size))
 
     def uniform(self, low, high):
@@ -677,7 +718,8 @@ class TestMapDraws:
     def test_map_parameters_match_spectral_points(self, seed):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_map_parameters(got_rng, 3)
-        ref = [SpectralPoint(random_u(ref_rng), ref_rng.uniform(*V_RANGE)).k for _ in range(3)]
+        ref = [SpectralPoint(_frozen_random_u(ref_rng), ref_rng.uniform(*V_RANGE)).k
+               for _ in range(3)]
         assert got == ref
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -702,7 +744,8 @@ class TestMapDraws:
         # real parts, then imaginary parts, each once drawn by its own call
         for seed in range(50):
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = random_norming_vector(got_rng, n).beta
+            re, im = draw_unit_vectors(got_rng, 1, n)[0]
+            got = NormingVector(re + 1j * im).beta
             ref = ref_rng.standard_normal(n) + 1j * ref_rng.standard_normal(n)
             assert got.tobytes() == ref.tobytes()
             got = unitaries(draw_unitary(got_rng, n))
@@ -736,7 +779,7 @@ def _near_margin_parameters(rng, count):
     POLE_MARGIN distance from another parameter, its mirror or its own mirror
     (or exactly on it, or nan)."""
     M = sampling.POLE_MARGIN
-    ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
+    ks = [complex(_frozen_random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
     i, j = rng.integers(count), rng.integers(count)
     a = ks[j]
     step = M * (1.0 + rng.choice([-1e-12, -1e-15, 0.0, 1e-15, 1e-12])) * np.exp(
@@ -776,11 +819,62 @@ def test_pairs_safe_matches_the_probe_list(count, mirrored):
 def oracle_map_parameters(rng, count, mirrored=False, log=None):
     """Per-scalar draws: |u|, its sign and v, one rng call each."""
     while True:
-        ks = [complex(random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
+        ks = [complex(_frozen_random_u(rng), rng.uniform(*V_RANGE)) / 2.0 for _ in range(count)]
         if oracle_pairs_safe(ks, mirrored):
             return ks
         if log is not None:
             log.resamples += 1
+
+
+def _assert_same_data(got, ref) -> None:
+    assert (got.n, got.N) == (ref.n, ref.N)
+    for (p, a), (q, b) in zip(got.points, ref.points):
+        assert (p.u, p.v) == (q.u, q.v) and a.beta.tobytes() == b.beta.tobytes()
+
+
+def _assert_soliton_draws_match_frozen(seed: int) -> int:
+    """random_soliton_data against the frozen scalar draws for N = 1-6 and
+    n = 1-4, positive and signed u, one generator pair per sign: equal data,
+    resamples and final rng states.  Returns the resamples."""
+    resamples = 0
+    for positive in (False, True):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_log, ref_log = SampleLog(), SampleLog()
+        for N, n in itertools.product(range(1, 7), range(1, 5)):
+            _assert_same_data(random_soliton_data(got_rng, N, n, positive, got_log),
+                              _frozen_random_soliton_data(ref_rng, N, n, positive, ref_log))
+        assert got_log.resamples == ref_log.resamples
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        resamples += got_log.resamples
+    return resamples
+
+
+class TestSolitonDraws:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_soliton_data_match_the_frozen_scalar_draws(self, seed):
+        assert _assert_soliton_draws_match_frozen(seed) > 0  # velocity redraws among them
+
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_a_zero_first_normal_draw_is_redrawn_and_counted(self, positive):
+        # the first norming vector is drawn as zeros: it is redrawn, and the
+        # redraw counted, as the frozen draws do
+        zero = _edit(lambda d: d.fill(0.0))
+        got_rng = _Scripted(4, {("standard_normal", (1, 2, 3), 0): zero})
+        ref_rng = _Scripted(4, {("standard_normal", (2, 3), 0): zero})
+        got_log, ref_log, plain_log = SampleLog(), SampleLog(), SampleLog()
+        got = random_soliton_data(got_rng, 3, 3, positive, got_log)
+        _assert_same_data(got, _frozen_random_soliton_data(ref_rng, 3, 3, positive, ref_log))
+        random_soliton_data(np.random.default_rng(4), 3, 3, positive, plain_log)
+        assert got_rng.applied and ref_rng.applied
+        assert got_rng.calls("standard_normal") == 4
+        assert got_log.resamples == ref_log.resamples == plain_log.resamples + 1
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.slow
+def test_soliton_data_match_the_frozen_scalar_draws_on_every_seed():
+    for seed in range(100):
+        _assert_soliton_draws_match_frozen(seed)
 
 
 MAP_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution",
@@ -927,7 +1021,7 @@ def _reference_reflection_map(k, p, spec):
     k = complex(k)
     if abs(k.real) <= AXIS_TOL:
         raise DomainError(f"imaginary axis: reflection undefined at k={k}")
-    m = spec.small_m(k, p.n)
+    m = _frozen_small_m(spec, k, p.n)
     q = m @ p.p
     coeff = (k - k.conjugate()) / (k + k.conjugate())
     out = q + coeff * np.vdot(p.p, q) * p.p
@@ -1065,7 +1159,7 @@ class TestStackedKernelMatchesReference:
         specs = _specs(rng, S, n)
         R, M = reflection_maps(P, K, specs)  # on copies: P and K stay as drawn
         Q, L = P.copy(), K.copy()
-        maps._bounce(Q, L, 0, maps._small_ms(boundary_stack(specs, n), L[:, 0]))
+        maps._bounce(Q, L, 0, boundary_stack(specs, n).m_at(L[:, 0]))
         for s in range(S):
             ref = _reference_reflection_map(ks[s][0], ps[s][0], specs[s])
             assert complex(L[s, 0]) == ref.k
@@ -1229,18 +1323,18 @@ class TestStackedErrorsMatchReference:
         # sample 3 sits at Robin(1.0)'s zero (|h| = 5.5e-13), sample 4 on the axis
         k = np.array([0.5 + 0.5j, -0.4 + 0.2j, 0.3 + 0.1j, 1.1e-12 + 1j, 1e-13 + 0.2j])
         stack = boundary_stack(specs, 2)
-        ms = maps._small_ms(boundary_stack(specs[:3], 2), k[:3])
-        assert ms.tobytes() == np.array([spec.small_m(kk, 2) for spec, kk in
+        ms = boundary_stack(specs[:3], 2).m_at(k[:3])
+        assert ms.tobytes() == np.array([_stack_m(spec, kk, 2) for spec, kk in
                                          zip(specs[:3], k[:3].tolist())]).tobytes()
         with pytest.raises(PoleError, match=r"vanishes at k = i\*alpha = 1j$"):
-            maps._small_ms(stack, k)
+            stack.m_at(k)
         k[1] = 0.2j
         with pytest.raises(DomainError, match=r"undefined at k=0\.2j$"):
-            maps._small_ms(stack, k)
+            stack.m_at(k)
         # the axis check comes first within a sample too
         k[1], k[3] = -0.4 + 0.2j, 1e-13 + 1j
         with pytest.raises(DomainError, match=r"undefined at k=\(1e-13\+1j\)$"):
-            maps._small_ms(stack, k)
+            stack.m_at(k)
         # a spec on another component count cannot join the stack
         with pytest.raises(ValidationError, match="acts on 3 components, expected 2"):
             boundary_stack([*specs, Mixed((1, -1, 1))], 2)
@@ -1252,6 +1346,80 @@ class TestStackedErrorsMatchReference:
             _reference_reflection_map, 0.5 + 0.5j, q, spec)
         assert _raised(involution_residuals, P, K, (spec,)) == _raised(
             _reference_involution_residual, 0.5 + 0.5j, q, spec)
+
+
+NON_FINITE = (complex(math.nan, 1.0), complex(0.3, math.nan), complex(math.inf, 1.0),
+              complex(-math.inf, 1.0), complex(0.3, math.inf), complex(0.3, -math.inf))
+
+
+class TestBoundaryCompositeParameters:
+    """reflection_maps, involution_residuals and transfer_commutators refuse a
+    non-finite parameter as the other composites do, before any arithmetic
+    (a numpy RuntimeWarning fails these tests); the axis error comes first."""
+
+    @staticmethod
+    def _calls(kind, bad):
+        """(the boundary composites, as calls) on three samples of two slots
+        whose sample 1 has the parameter bad in slot 1 (in slot 0 for the
+        one-slot involution)."""
+        rng = np.random.default_rng(70)
+        _, _, P, K = _draw(rng, 3, 2, 2)
+        K[1, 1] = bad
+        specs = None if kind is None else [
+            boundary_spec(draw_boundary(rng, kind, 2)) for _ in range(3)]
+        calls = [lambda: transfer_commutators(P, K, specs, specs)]
+        if kind is not None:
+            calls += [lambda: reflection_maps(P, K, specs),
+                      lambda: involution_residuals(P[:, 1:], K[:, 1:], specs)]
+        return calls
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("kind", [*BOUNDARY_KINDS, None])
+    def test_non_finite_parameters_raise_validation_error(self, kind, bad):
+        for call in self._calls(kind, bad):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == f"spectral parameter {bad} is not finite"
+
+    @pytest.mark.parametrize("imag", [math.nan, math.inf, 1.0])
+    @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+    def test_the_axis_error_comes_first_and_keeps_its_message(self, kind, imag):
+        bad = complex(0.5 * AXIS_TOL, imag)
+        for call in self._calls(kind, bad):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == f"imaginary axis: reflection undefined at k={bad}"
+
+    def test_one_boundary_slot_checks_the_other_sites(self):
+        # T_j bounces at k_j and -k_j*: with one identity slot a non-finite
+        # parameter is still refused, at the parameter that slot bounces at
+        rng = np.random.default_rng(71)
+        _, _, P, K = _draw(rng, 2, 3, 2)
+        K[0, 2] = complex(0.3, math.inf)
+        specs = _specs(rng, 2, 2)
+        for b_plus, b_minus, shown in ((specs, None, K[0, 2]), (None, specs, -K[0, 2].conj())):
+            with pytest.raises(ValidationError) as info:
+                transfer_commutators(P, K, b_plus, b_minus)
+            assert str(info.value) == f"spectral parameter {complex(shown)} is not finite"
+
+
+def test_every_composite_returns_empty_arrays_at_s_zero():
+    n = 3
+    P, K = np.empty((0, 3, n), np.complex128), np.empty((0, 3), np.complex128)
+    assert boundary_stack([], n).m.shape == (0, n, n)
+    for b in ([], boundary_stack([], n)):
+        Q, L = reflection_maps(P, K, b)
+        assert Q.shape == P.shape and L.shape == K.shape
+        assert involution_residuals(P[:, :1], K[:, :1], b).shape == (0,)
+        assert reflection_equation_residuals(P[:, :2], K[:, :2], b).shape == (0,)
+        for b_plus, b_minus in ((b, b), (b, None), (None, b)):
+            assert transfer_commutators(P, K, b_plus, b_minus).shape == (3, 0)
+    assert transfer_commutators(P, K, None, None).shape == (3, 0)
+    assert ybe_residuals(P, K).shape == (0,)
+    assert reversibility_residuals(P[:, :2], K[:, :2]).shape == (0,)
+    assert s_twist_residuals(P[:, :2], K[:, :2]).shape == (0,)
+    assert yb_schedule(P, K, ((0, 1), (1, 2))).shape == P.shape
+    assert projective_distances(P, P).shape == (0, 3)
 
 
 # --- boundary stacks: m(k) of every row, bit for bit --------------------------
@@ -1274,7 +1442,7 @@ def _frozen_small_m(spec, k: complex, n: int) -> np.ndarray:
 
 
 def _frozen_small_ms(specs, k, n: int) -> np.ndarray:
-    """The per-sample loop `maps._small_ms` ran before boundary stacks."""
+    """The per-sample loop the map suites' m(k) ran before boundary stacks."""
     if len(specs) != len(k):
         raise ValidationError(f"{len(specs)} boundary specs for {len(k)} samples")
     ms = []
@@ -1306,10 +1474,10 @@ def _assert_stack_matches_frozen_loop(seed: int, n: int) -> None:
     assert min(alphas) < 0.0 < max(alphas)
     stack = boundaries(drawn, n)
     for kk in (k, -k.conj()):
-        ms = maps._small_ms(stack, kk)
+        ms = stack.m_at(kk)
         assert ms.shape == (len(specs), n, n)
         assert ms.tobytes() == _frozen_small_ms(specs, kk, n).tobytes()
-        assert ms.tobytes() == np.array([spec.small_m(x, n) for spec, x in
+        assert ms.tobytes() == np.array([_stack_m(spec, x, n) for spec, x in
                                          zip(specs, kk.tolist())]).tobytes()
         # transfer_commutators repeats each site's matrices for its N - 1 followers
         for N in (2, 3):
@@ -1325,12 +1493,13 @@ def _assert_stack_matches_frozen_loop(seed: int, n: int) -> None:
         # |h| = 1.1e-12 / |k + i alpha| < PAIR_POLE_TOL at Robin row r: its zero
         bad[r] = complex(1.1e-12, specs[r].alpha)
         bad[a] = complex(0.5 * AXIS_TOL, bad[a].imag)
-        assert _raised(maps._small_ms, stack, bad) == _raised(_frozen_small_ms, specs, bad, n)
+        assert _raised(stack.m_at, bad) == _raised(_frozen_small_ms, specs, bad, n)
 
 
 class TestBoundaryStackPin:
     """Each row of a boundary stack's m(k) has the bits of its own spec's
-    small_m, Robin rows included: numpy's complex division would move them."""
+    one-row stack and of the frozen small_m, Robin rows included: numpy's
+    complex division would move them."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(3))
@@ -1341,7 +1510,7 @@ class TestBoundaryStackPin:
         _, specs, k = _pinned_stack(0, 2)
         assert specs[5] == Robin(-0.7)
         k[5] = complex(0.5 * AXIS_TOL, -0.7)  # on the axis at the zero of row 5's h
-        assert _raised(maps._small_ms, boundaries(specs, 2), k) == (
+        assert _raised(boundaries(specs, 2).m_at, k) == (
             DomainError, f"imaginary axis: reflection undefined at k={complex(k[5])}")
 
 

@@ -26,7 +26,9 @@ from vsolitons import dressing as dressing_module
 from vsolitons import mirror as mirror_module
 from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
 from vsolitons.config import halfline_to_json, parse_halfline
+from vsolitons.dressing import _chain_apply, _dressed_beta, _unit
 from vsolitons.mirror import HalfLineData
+from vsolitons.soldata import BoundaryStack
 from vsolitons.sampling import boundary_spec, draw_boundary, random_soliton_data
 from vsolitons.verification import extract_asymptotic_polarization
 
@@ -358,6 +360,67 @@ class TestMirrorPolarizations:
         assert projective_distance(mirror_dir, real_pol.p) < 1e-10
 
 
+def _frozen_mirror_polarization_residual(hl):
+    """mirror_polarization_residual as it ran with one spec.small_m(k_j, n)
+    per j: a sign pattern's stored m, or the Robin phase h/|h| of
+    h = (k - i alpha)/(k + i alpha) in Python complex arithmetic."""
+    N, n = hl.N, hl.n
+    chain = build_reduced_chain(hl.combined)
+    res = [0.0]
+    for j in range(N):
+        kj = hl.real_data.points[j][0].k
+        if isinstance(hl.spec, Robin):
+            h = (kj - 1j * hl.spec.alpha) / (kj + 1j * hl.spec.alpha)
+            m = (h / abs(h)) * np.eye(n, dtype=np.complex128)
+        else:
+            m = hl.spec.m
+        g = _dressed_beta(hl.real_data, j, range(j + 1, N))
+        res.append(projective_distance(chain[N + j][1][:, 0], _unit(m @ g)))
+        beta_m = hl.mirror_data.points[j][1].beta
+        lhs_b = _chain_apply(chain[:N], -kj.conjugate(), beta_m, dagger=True)
+        g_b = _dressed_beta(hl.real_data, j, [i for i in range(N) if i != j])
+        res.append(projective_distance(_unit(lhs_b), _unit(m @ g_b)))
+    return float(np.max(res))
+
+
+def _assert_mirror_polarizations_match_frozen(seed: int) -> None:
+    """Robin (alpha of both signs), Mixed and RotatedMixed on N = 1-3 and
+    n = 1-4: the residual has the bits of the frozen per-j loop."""
+    rng = np.random.default_rng(seed)
+    for N in range(1, 4):
+        for n in range(1, 5):
+            data = random_soliton_data(rng, N, n, positive=True)
+            alpha = abs(draw_boundary(rng, "robin", n))
+            specs = [Robin(alpha), Robin(-alpha)] + [
+                boundary_spec(draw_boundary(rng, kind, n)) for kind in ("mixed", "rotated_mixed")]
+            for spec in specs:
+                hl = solve_mirror_norming(data, spec)
+                assert mirror_polarization_residual(hl).hex() == (
+                    _frozen_mirror_polarization_residual(hl).hex())
+
+
+class TestMirrorPolarizationPin:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residual_matches_the_frozen_per_index_loop(self, seed):
+        _assert_mirror_polarizations_match_frozen(seed)
+
+    @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
+    def test_one_boundary_matrix_call_per_dataset(self, kind, monkeypatch):
+        calls = []
+        m_at = BoundaryStack.m_at
+        monkeypatch.setattr(BoundaryStack, "m_at", lambda b, k: calls.append(len(k)) or m_at(b, k))
+        hl = halfline_data(np.random.default_rng(7), 3, 2, kind)
+        calls.clear()
+        mirror_polarization_residual(hl)
+        assert calls == [3]
+
+
+@pytest.mark.slow
+def test_mirror_polarizations_match_the_frozen_loop_on_every_seed():
+    for seed in range(100):
+        _assert_mirror_polarizations_match_frozen(seed)
+
+
 class TestHalfLineField:
     def test_negative_x_rejected(self):
         rng = np.random.default_rng(7)
@@ -406,7 +469,7 @@ class TestHalfLineField:
         assert projective_distance(pol_out, predicted[0, 0]) < 1e-6
 
     def test_two_soliton_scattering_matches_composite(self):
-        from vsolitons.maps import _bounce, _collide, _small_ms
+        from vsolitons.maps import _bounce, _collide
         from vsolitons.soldata import boundary_stack
 
         real = SolitonData.from_arrays(
@@ -425,8 +488,8 @@ class TestHalfLineField:
         P = np.array([[ins[j].p for j in range(2)]])
         K = np.array([[comb.points[j][0].k for j in range(2)]])
         _collide(P, K, 0, 1)
-        _bounce(P, K, 1, _small_ms(boundary_stack([spec], 2), K[:, 1]))
+        _bounce(P, K, 1, boundary_stack([spec], 2).m_at(K[:, 1]))
         _collide(P, K, 1, 0)
-        _bounce(P, K, 0, _small_ms(boundary_stack([spec], 2), K[:, 0]))
+        _bounce(P, K, 0, boundary_stack([spec], 2).m_at(K[:, 0]))
         for j in range(2):
             assert projective_distance(outs[j], P[0, j]) < 1e-6
