@@ -220,7 +220,7 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
             )
     hl = HalfLineData(real, mirror, spec)
     residual = hl.constraint_residual
-    if residual > CONSTRAINT_TOL:
+    if not residual <= CONSTRAINT_TOL:  # a nan residual fails too
         raise ConfigError(
             f"{where}: stored mirror norming vectors violate the constraint "
             f"(residual {residual:.3e} > {CONSTRAINT_TOL})"

@@ -151,27 +151,41 @@ def _chain_product(dirs, ks: np.ndarray, d: int, coeffs=None) -> np.ndarray:
     return out
 
 
-def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stabilized seed exp(-i phi(x,t,k*) Sigma3) (beta; -1), scaled projectively.
+def _unit_phase(a: np.ndarray) -> np.ndarray:
+    """e^{ia} over the elements of a, from numpy's cos and sin."""
+    e = np.empty(a.shape, dtype=np.complex128)
+    np.cos(a, out=e.real)
+    np.sin(a, out=e.imag)
+    return e
 
-    The exponent phi = k* x + 2 k*^2 t = a + ib is formed in real arithmetic.
-    The block with the larger exponent gets scale 1 and the other exp(-2|b|),
-    so both stay representable for any exponent size; directions (all that
-    enter projectors) are exact.  Component-major: shape (n+1, M).
+
+def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Stabilized seed exp(-i phi(x,t,k*) Sigma3) (beta; -1), scaled projectively,
+    at the M points of broadcast(x, t) in C order: shape (n+1, M), component-major.
+
+    The exponent phi = k* x + 2 k*^2 t = a + ib splits into an x-term and a
+    t-term.  The unit phase e^{ia} is the product of e^{i Re(k*) x} and
+    e^{i Re(2k*^2) t}, each evaluated over the elements of its own operand:
+    grid lines x (nx, 1) and t (1, nt) cost nx + nt cos/sin pairs, not
+    nx * nt.  numpy multiplies a broadcast factor by the same rule as a
+    full array's, so a point gets the same bits whether its coordinates come
+    as grid lines, as full arrays or as scattered points (two cos/sin pairs
+    each).
+
+    The damping is formed per point: the block with the larger exponent gets
+    scale 1 and the other exp(-2|b|), so both stay representable for any
+    exponent size; directions (all that enter projectors) are exact.
 
     A complex array times a real one (numpy multiplies by s + 0i) gives
     re * s and im * s, up to the sign of a zero part.
     """
     kc = k.conjugate()
     k2 = 2.0 * kc * kc
-    a = kc.real * x + k2.real * t
-    b = kc.imag * x + k2.imag * t
+    e = (_unit_phase(kc.real * x) * _unit_phase(k2.real * t)).reshape(-1)  # exp(ia)
+    b = (kc.imag * x + k2.imag * t).reshape(-1)
     damp = np.exp(-2.0 * np.abs(b))
     neg = b < 0.0
-    e = np.empty(a.size, dtype=np.complex128)  # exp(ia)
-    e.real = np.cos(a)
-    e.imag = np.sin(a)
-    out = np.empty((beta.size + 1, a.size), dtype=np.complex128)
+    out = np.empty((beta.size + 1, b.size), dtype=np.complex128)
     top = np.conjugate(e)
     top *= np.where(neg, damp, 1.0)
     np.multiply(beta[:, None], top, out=out[: beta.size])
@@ -180,7 +194,8 @@ def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> n
 
 
 def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds=None):
-    """Unit full-chain directions for every factor, batched over (x, t).
+    """Unit full-chain directions for every factor, batched over the M points
+    of broadcast(x, t).
 
     Returns (k_i, z_i, conj(z_i)) with z_i component-major, shape (n+1, M).
     seeds, if given, maps each index to its `_seed_batch` at (x, t); it is
@@ -223,6 +238,25 @@ def _field(data: SolitonData, idx, dirs, m: int) -> np.ndarray:
 FIELD_BLOCK_CELLS = 9 * 2048
 
 
+def _lines(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """Operand a of the broadcast shape as a 2-D operand of its (rows, columns)
+    view: shape[0] rows (one for a scalar shape) of prod(shape[1:]) points.  An
+    axis along which a broadcasts keeps length 1, so grid lines stay lines."""
+    a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+    rows = a.shape[0] if a.ndim else 1
+    if a.size == rows:
+        return a.reshape(rows, 1)
+    if a.shape[1:] != shape[1:]:
+        a = np.broadcast_to(a, a.shape[:1] + shape[1:])
+    return a.reshape(rows, -1)
+
+
+def _piece(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """The part of a `_lines` operand under rows x cols; an axis of length 1
+    broadcasts and is kept whole."""
+    return a[rows if a.shape[0] > 1 else slice(None), cols if a.shape[1] > 1 else slice(None)]
+
+
 def reconstruct_field(data: SolitonData, x, t):
     """Multi-soliton field R(x,t) from the full dressing chain.
 
@@ -231,27 +265,42 @@ def reconstruct_field(data: SolitonData, x, t):
     internal factor order.  Accepts scalars or broadcastable arrays for x, t
     and returns shape broadcast(x, t).shape + (n,).
 
-    Points go through the chain in blocks of FIELD_BLOCK_CELLS cells.  A
-    point's value does not depend on the blocking or on the other points.
+    The points go through the chain in blocks of at most FIELD_BLOCK_CELLS
+    cells: whole rows of the broadcast shape (its first axis) or, where a row
+    is longer, pieces of one row.  Each block hands `_seed_batch` the parts
+    of x and t it covers without broadcasting them, so grid lines x (nx, 1)
+    and t (1, nt) cost one cos/sin pair per line and soliton, not one per
+    point.  A point's value does not depend on the blocking, on the
+    other points, or on whether it comes as a grid line, a full array or a
+    scattered point.
     """
     idx = tuple(range(data.N))
     xs = np.asarray(x, dtype=np.float64)
     ts = np.asarray(t, dtype=np.float64)
-    if xs.shape != ts.shape:
-        xs, ts = np.broadcast_arrays(xs, ts)
-    xf = xs.reshape(-1)
-    tf = ts.reshape(-1)
-    out = np.empty((xf.size, data.n), dtype=np.complex128)
+    shape = np.broadcast(xs, ts).shape
+    out = np.empty(shape + (data.n,), dtype=np.complex128)
+    if not out.size:
+        return out
+    xs, ts = _lines(xs, shape), _lines(ts, shape)
+    grid = out.reshape(max(len(xs), len(ts)), -1, data.n)
+    rows, cols = grid.shape[:2]
     block = max(1, FIELD_BLOCK_CELLS // (data.n + 1))
-    for lo in range(0, xf.size, block):
-        xb, tb = xf[lo : lo + block], tf[lo : lo + block]
-        m = xb.size
-        if m == 1:
-            # a lone point goes as two: numpy rounds length-1 arrays its own way
-            xb, tb = np.repeat(xb, 2), np.repeat(tb, 2)
-        # unnamed, so one block's directions are freed before the next is built
-        out[lo : lo + m] = _field(data, idx, _full_directions(data, idx, xb, tb), xb.size)[:, :m].T
-    return out.reshape(xs.shape + (data.n,))
+    step = max(1, block // cols)
+    for r in range(0, rows, step):
+        for c in range(0, cols, block):
+            piece = slice(r, r + step), slice(c, c + block)
+            part = grid[piece]
+            xb, tb = _piece(xs, *piece), _piece(ts, *piece)
+            if xb.shape == tb.shape:  # nothing to broadcast: flat is numpy's fast path
+                xb, tb = xb.reshape(-1), tb.reshape(-1)
+            m = part.shape[0] * part.shape[1]
+            if m == 1:
+                # a lone point goes as two: numpy rounds length-1 arrays its own way
+                xb, tb = xb.repeat(2), tb.repeat(2)
+            # unnamed, so one block's directions are freed before the next is built
+            vals = _field(data, idx, _full_directions(data, idx, xb, tb), max(m, 2))
+            part[...] = vals[:, :m].T.reshape(part.shape)
+    return out
 
 
 def one_soliton_field(point: SpectralPoint, beta, x, t):

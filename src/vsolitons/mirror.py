@@ -112,7 +112,7 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  As d(k)^-1 = d(k*)^dag
     for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: one chain
     application, no matrix formed or inverted.  A relative constraint residual
-    above CONSTRAINT_TOL raises DegeneracyError.  Deterministic.
+    above CONSTRAINT_TOL, or a nan one, raises DegeneracyError.  Deterministic.
     """
     check_halfline_real_data(real_data)
     n, N = real_data.n, real_data.N
@@ -141,7 +141,7 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
 
     hl = HalfLineData(real_data, SolitonData(n, tuple(mirror_points)), spec)
     residual = hl.constraint_residual
-    if residual > CONSTRAINT_TOL:
+    if not residual <= CONSTRAINT_TOL:  # a nan residual fails too
         raise DegeneracyError(
             f"mirror constraint residual {residual:.3e} exceeds {CONSTRAINT_TOL}"
         )

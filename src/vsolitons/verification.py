@@ -78,11 +78,16 @@ def sample_grid(
     nx: int,
     nt: int,
 ) -> FieldGrid:
-    """Evaluate a vectorized field function on the lattice."""
+    """Evaluate a field function on the nx x nt lattice.
+
+    field_fn gets the grid lines as broadcastable operands, x of shape
+    (nx, 1) and t of shape (1, nt), and must return the (nx, nt, n) field at
+    broadcast(x, t); the field functions of this package do, and evaluate
+    the seed phase once per grid line.
+    """
     xs = np.linspace(x0, x1, nx)
     ts = np.linspace(t0, t1, nt)
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    values = np.asarray(field_fn(X, T), dtype=np.complex128)
+    values = np.asarray(field_fn(xs[:, None], ts[None, :]), dtype=np.complex128)
     return FieldGrid(x0, x1, t0, t1, nx, nt, values)
 
 

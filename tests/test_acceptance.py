@@ -275,7 +275,7 @@ class TestPdeGridNesting:
 
     @pytest.mark.parametrize("x0, x1", BOXES)
     def test_coarse_nodes_are_fine_subgrid(self, x0, x1):
-        nodes = lambda X, T: np.stack([X, T], axis=-1)
+        nodes = lambda X, T: np.stack(np.broadcast_arrays(X, T), -1)
         fine = _box_grid(nodes, x0, x1, HS[-1])
         for s, h in ((4, 0.04), (2, 0.02)):
             coarse = _box_grid(nodes, x0, x1, h)

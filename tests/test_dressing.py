@@ -17,6 +17,7 @@ from vsolitons import (
     reconstruct_field,
     solve_mirror_norming,
 )
+from vsolitons import DomainError, halfline_field, sample_grid
 from vsolitons import cli, dressing
 from vsolitons.dressing import _chain_product, _full_directions
 from vsolitons.errors import DegeneracyError
@@ -540,7 +541,8 @@ def _oracle_permutation_residuals(data, reference, orders, ks, xts):
 # --- field bytes against the complex-arithmetic kernel ------------------------------
 # A frozen copy of the component-major kernel before its seed phase was formed in
 # real arithmetic and its normalisations became products with reciprocals: the
-# phase through complex temporaries, and complex division by the real divisors.
+# exponent through complex temporaries, and complex division by the real divisors.
+# Its unit phase is the product of an x factor and a t factor, as the kernel's.
 
 
 def _complex_seed_batch(beta, k, x, t):
@@ -548,7 +550,11 @@ def _complex_seed_batch(beta, k, x, t):
     ph = kc * np.asarray(x) + (2.0 * kc * kc) * np.asarray(t)
     a, b = ph.real, ph.imag
     damp = np.exp(-2.0 * np.abs(b))
-    cos, sin = np.cos(a), np.sin(a)
+    ex, et = (np.empty(np.shape(v), dtype=np.complex128) for v in (x, t))
+    for f, p in ((ex, kc.real * np.asarray(x)), (et, (2.0 * kc * kc).real * np.asarray(t))):
+        np.cos(p, out=f.real)
+        np.sin(p, out=f.imag)
+    cos, sin = (ex * et).real, (ex * et).imag
     neg = b < 0.0
     top_scale = np.where(neg, damp, 1.0)
     bot_scale = np.where(neg, 1.0, damp)
@@ -688,6 +694,111 @@ class TestFieldBytes:
             data = _seeded_data(seed)
             x, t = _grid_points(seed)
             _assert_same_bytes(reconstruct_field(data, x, t), _complex_field(data, x, t))
+
+
+# --- one seed formula for every caller ------------------------------------------------
+
+
+def _one_path_field(rng, N, n, half):
+    """The field function of random line data, or of the half-line dataset of
+    N real solitons (2N points) with a drawn mixed boundary."""
+    data = random_soliton_data(rng, N, n, positive=half, log=SampleLog())
+    if not half:
+        return lambda x, t: reconstruct_field(data, x, t)
+    hl = solve_mirror_norming(data, boundary_spec(draw_boundary(rng, "mixed", n)))
+    return lambda x, t: halfline_field(hl, x, t)
+
+
+def _three_ways(field_fn, xs, ts):
+    """field_fn on the grid lines (nx, 1) and (1, nt), on the same grid as
+    meshgrid arrays, and on its nodes as scattered points."""
+    X, T = np.meshgrid(xs, ts, indexing="ij")
+    return field_fn(xs[:, None], ts[None, :]), field_fn(X, T), field_fn(X.ravel(), T.ravel())
+
+
+ONE_PATH_XS = np.linspace(0.0, 6.0, 13)
+ONE_PATH_TS = np.linspace(-2.0, 2.0, 7)
+
+
+class TestOnePath:
+    """A point's field bytes do not depend on whether it comes as a grid line, a
+    meshgrid array or a scattered point, nor on the blocking: the seed's x and
+    t phase factors go through one formula for every caller."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    @pytest.mark.parametrize("half", [False, True], ids=["line", "half-line"])
+    def test_lines_meshgrid_and_points_agree(self, N, n, half):
+        field_fn = _one_path_field(np.random.default_rng(100 + 10 * N + n), N, n, half)
+        xs, ts = ONE_PATH_XS - (0.0 if half else 3.0), ONE_PATH_TS
+        lines, mesh, flat = _three_ways(field_fn, xs, ts)
+        assert lines.shape == (xs.size, ts.size, n)
+        _assert_same_bytes(mesh, lines)
+        _assert_same_bytes(flat, lines.reshape(-1, n))
+        _assert_same_bytes(field_fn(xs[None, :], ts[:, None]), lines.transpose(1, 0, 2))
+        for i, j in [(0, 0), (6, 3), (12, 6)]:  # lone points, one line, one column
+            _assert_same_bytes(field_fn(xs[i], ts[j]), lines[i, j])
+            _assert_same_bytes(field_fn(xs[i : i + 1, None], ts[None, :]), lines[i : i + 1])
+            _assert_same_bytes(field_fn(xs, ts[j]), lines[:, j])
+
+    @pytest.mark.parametrize("points", [1, 2, 6, 7, 8, 15, 90])
+    def test_block_boundaries(self, monkeypatch, points):
+        # blocks of whole rows (7 points each), of pieces of one row, and of
+        # rows plus a remainder
+        rng = np.random.default_rng(120 + points)
+        for N, n, half in [(1, 1, False), (3, 2, True), (6, 8, False)]:
+            field_fn = _one_path_field(rng, N, n, half)
+            xs = ONE_PATH_XS - (0.0 if half else 3.0)
+            want = field_fn(xs[:, None], ONE_PATH_TS[None, :])
+            with monkeypatch.context() as m:
+                m.setattr(dressing, "FIELD_BLOCK_CELLS", points * (n + 1))
+                lines, mesh, flat = _three_ways(field_fn, xs, ONE_PATH_TS)
+            _assert_same_bytes(lines, want)
+            _assert_same_bytes(mesh, want)
+            _assert_same_bytes(flat, want.reshape(-1, n))
+
+    def test_other_broadcast_shapes(self):
+        field_fn = _one_path_field(np.random.default_rng(130), 3, 2, False)
+        rng = np.random.default_rng(131)
+        for xshape, tshape in [((2, 3, 1), (1, 1, 4)), ((4,), (3, 1)), ((), (5,)), ((2, 1, 3), (3,))]:
+            x, t = rng.uniform(-4, 4, xshape), rng.uniform(-2, 2, tshape)
+            got = field_fn(x, t)
+            X, T = np.broadcast_arrays(x, t)
+            assert got.shape == X.shape + (2,)
+            _assert_same_bytes(got.reshape(-1, 2), field_fn(X.ravel(), T.ravel()))
+
+    def test_sample_grid_hands_field_fn_grid_lines(self):
+        field_fn = _one_path_field(np.random.default_rng(140), 2, 2, True)
+        seen = []
+
+        def spy(x, t):
+            seen.append((x.shape, t.shape))
+            return field_fn(x, t)
+
+        grid = sample_grid(spy, 0.0, 2.0, -1.0, 1.0, 9, 5)
+        assert seen == [((9, 1), (1, 5))]
+        X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
+        _assert_same_bytes(grid.values, field_fn(X, T))
+
+    def test_halfline_field_rejects_negative_x_in_a_column(self):
+        rng = np.random.default_rng(150)
+        hl = solve_mirror_norming(random_soliton_data(rng, 2, 2, positive=True, log=SampleLog()),
+                                  boundary_spec(draw_boundary(rng, "robin", 2)))
+        with pytest.raises(DomainError):
+            halfline_field(hl, np.array([0.0, -0.5, 1.0])[:, None], ONE_PATH_TS[None, :])
+
+    @pytest.mark.slow
+    def test_sweep_of_seeded_datasets(self):
+        # grid lines against the frozen kernel at the grid's nodes, and the
+        # transposed grid, on the line and half-line data of _seeded_data
+        for seed in range(100):
+            data = _seeded_data(seed)
+            xs = np.linspace(0.0 if seed % 2 else -6.0, 8.0, 61)
+            ts = np.linspace(-2.0, 2.0, 41)
+            X, T = np.meshgrid(xs, ts, indexing="ij")
+            got = reconstruct_field(data, xs[:, None], ts[None, :])
+            _assert_same_bytes(got.reshape(-1, data.n), _complex_field(data, X.ravel(), T.ravel()))
+            _assert_same_bytes(reconstruct_field(data, xs[None, :], ts[:, None]), got.transpose(1, 0, 2))
 
 
 def _uncached(data, order):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vsolitons import (
+    ConfigError,
     DegeneracyError,
     DomainError,
     Mixed,
@@ -222,6 +223,26 @@ class TestConstraintGate:
         assert bad.constraint_residual.hex() == mirror_constraint_residual(bad).hex()
         assert bad.constraint_residual >= 1e-4 > before
         assert hl.constraint_residual == before
+
+    def test_solver_gate_rejects_nan_residual(self, monkeypatch):
+        # nan > tol is False: the gate must ask for residual <= tol instead
+        monkeypatch.setattr(mirror_module, "mirror_constraint_residual", lambda hl: float("nan"))
+        rng = np.random.default_rng(71)
+        data = random_soliton_data(rng, 2, 2, positive=True)
+        with pytest.raises(DegeneracyError, match=r"^mirror constraint residual nan exceeds 1e-08$"):
+            solve_mirror_norming(data, boundary_spec(draw_boundary(rng, "mixed", 2)))
+
+    def test_parser_gate_rejects_nan_residual(self, tmp_path, monkeypatch, capsys):
+        doc = halfline_to_json(halfline_data(np.random.default_rng(72), 2, 2, "robin"))
+        monkeypatch.setattr(mirror_module, "mirror_constraint_residual", lambda hl: float("nan"))
+        with pytest.raises(ConfigError, match=r"violate the constraint \(residual nan > 1e-08\)"):
+            parse_halfline(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": doc}))
+        capsys.readouterr()
+        assert main(["mirror", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "violate the constraint (residual nan > 1e-08)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_detector_check_fires(self, seed):
