@@ -688,7 +688,8 @@ def _pde_order(field_fn, x0: float, x1: float, hs) -> float:
 
     def residual(h):
         s = int(round(h / hs[-1]))
-        values = fine.values[::s, ::s]
+        # a contiguous copy: the same bits, and a faster stencil than the strided view
+        values = np.ascontiguousarray(fine.values[::s, ::s])
         return pde_residual(FieldGrid(x0, x1, -1, 1, *values.shape[:2], values))
 
     return convergence_order(residual, hs)
@@ -885,7 +886,8 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
            family="mirror_constraint")
     _check(report, cfg, "mirror-polarization", mirror_polarization_residual(hl),
            family="algebraic")
-    _write_json(cfg.output / "halfline.json", halfline_to_json(hl))
+    doc = halfline_to_json(hl)
+    _write_json(cfg.output / "halfline.json", doc)
     outputs = ["halfline.json"]
     if cfg.grid is not None:
         grid = _grid_from_cfg(cfg, lambda X, T: halfline_field(hl, X, T))
@@ -895,7 +897,7 @@ def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
         _check(report, cfg, "boundary-residual", boundary_residual(hl, ts),
                informational=True)
         outputs.append("grid.csv")
-    _write_manifest(cfg, halfline_to_json(hl), outputs + ["report.json"])
+    _write_manifest(cfg, doc, outputs + ["report.json"])
 
 
 _MODES = {

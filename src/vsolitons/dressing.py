@@ -7,6 +7,15 @@ triples with z of shape (d, M): d = n and M = 1 for a reduced chain, d = n + 1
 and one column per point (x, t) for the full chain of the field kernel.  The
 ordered product over any permutation of the eigenvalues yields the same
 degree-N factor, which is what `permutation_residuals` certifies numerically.
+
+The field kernel forms each soliton's seed from per-line factors, phase and
+damping alike: one cos/sin pair and one exp pair per x line and per t line,
+then n + 2 complex products per point (`_seed_batch`).  It normalises each
+direction in one squared-norm pass (`_full_directions`).  Two safety
+fallbacks are chosen per point from that point's own values: a point whose
+two line exponents are both too large for the product takes the per-point
+stabilized seed, and a point whose squared norm leaves the range of
+`soldata._SAFE_NORM` squared is first scaled by its largest |re| or |im|.
 """
 
 from __future__ import annotations
@@ -17,8 +26,8 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, PoleError
-from .soldata import (POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint, _scaled_norm,
-                      _unscaled, _vector_norm)
+from .soldata import (_SAFE_NORM, POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint,
+                      _scaled_norm, _unscaled, _vector_norm)
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -159,38 +168,87 @@ def _unit_phase(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _seed_batch(beta: np.ndarray, k: complex, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stabilized seed exp(-i phi(x,t,k*) Sigma3) (beta; -1), scaled projectively,
-    at the M points of broadcast(x, t) in C order: shape (n+1, M), component-major.
+def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
+    """Yield the stabilized seed exp(-i phi(x,t,k_i*) Sigma3) (beta_i; -1), scaled
+    projectively, of each soliton i of idx in turn, at the M points of
+    broadcast(x, t) in C order: shape (n+1, M), component-major.
 
-    The exponent phi = k* x + 2 k*^2 t = a + ib splits into an x-term and a
-    t-term.  The unit phase e^{ia} is the product of e^{i Re(k*) x} and
-    e^{i Re(2k*^2) t}, each evaluated over the elements of its own operand:
-    grid lines x (nx, 1) and t (1, nt) cost nx + nt cos/sin pairs, not
-    nx * nt.  numpy multiplies a broadcast factor by the same rule as a
-    full array's, so a point gets the same bits whether its coordinates come
-    as grid lines, as full arrays or as scattered points (two cos/sin pairs
-    each).
+    The exponent phi = k* x + 2 k*^2 t = a + ib is the sum of an x-term
+    p_x + i q_x and a t-term p_t + i q_t, so the seed is a product of line
+    factors: the top block beta (e^{-ip_x} e^{q_x-|q_x|}) (e^{-ip_t} e^{q_t-|q_t|})
+    and the bottom (-e^{ip_x} e^{-q_x-|q_x|}) (e^{ip_t} e^{-q_t-|q_t|}), the
+    minus sign on the x factor.  Each factor is evaluated over the elements
+    of its own operand, for every soliton of idx in one (len(idx), x.size +
+    t.size) array: grid lines x (nx, 1) and t (1, nt) cost nx + nt cos/sin
+    pairs and exp pairs per soliton, not nx * nt, and a point costs n + 2
+    complex products.  numpy multiplies a broadcast factor by the same rule
+    as a full array's, so a point gets the same bits whether its
+    coordinates come as grid lines, as full arrays or as scattered points.
 
-    The damping is formed per point: the block with the larger exponent gets
-    scale 1 and the other exp(-2|b|), so both stay representable for any
-    exponent size; directions (all that enter projectors) are exact.
+    The product damps both blocks by e^{-(|q_x|+|q_t|)}: e^{-|b|}, times
+    e^{-2 min(|q_x|, |q_t|)} where q_x and q_t differ in sign.  While one of
+    |q_x|, |q_t| is at most ln(1/_SAFE_NORM[0]) - |ln|beta||/2, the larger
+    block's largest |re| or |im| stays above _SAFE_NORM[0]^2 / sqrt(2n), and
+    so far above an underflowed factor's error, even times beta.  A point
+    where both pass that limit (chosen from its own q_x and q_t) takes the
+    per-point stabilized seed instead: e^{ia} = e^{ip_x} e^{ip_t}, and the
+    block with the larger exponent gets scale 1, the other exp(-2|b|).
+    Either way the directions (all that enter projectors) are exact.
 
     A complex array times a real one (numpy multiplies by s + 0i) gives
     re * s and im * s, up to the sign of a zero part.
     """
-    kc = k.conjugate()
-    k2 = 2.0 * kc * kc
-    e = (_unit_phase(kc.real * x) * _unit_phase(k2.real * t)).reshape(-1)  # exp(ia)
-    b = (kc.imag * x + k2.imag * t).reshape(-1)
-    damp = np.exp(-2.0 * np.abs(b))
-    neg = b < 0.0
-    out = np.empty((beta.size + 1, b.size), dtype=np.complex128)
+    cut = x.size
+    coef = []
+    for i in idx:
+        kc = data.points[i][0].k.conjugate()
+        k2 = 2.0 * kc * kc
+        coef.append((complex(kc.real, 2.0 * kc.imag), complex(k2.real, 2.0 * k2.imag)))
+    coef = np.array(coef, dtype=np.complex128).reshape(-1, 2)
+    # p + 2iq over x's elements, then t's: the phase and twice the damping exponent
+    pq = np.repeat(coef, (cut, t.size), axis=1) * np.concatenate((x.reshape(-1), t.reshape(-1)))
+    e = _unit_phase(pq.real)
     top = np.conjugate(e)
-    top *= np.where(neg, damp, 1.0)
-    np.multiply(beta[:, None], top, out=out[: beta.size])
-    np.multiply(e, np.where(neg, -1.0, -damp), out=out[beta.size])
-    return out
+    top *= np.exp(np.minimum(pq.imag, 0.0))
+    bot = e * np.exp(-np.maximum(pq.imag, 0.0))
+    np.negative(bot[:, :cut], out=bot[:, :cut])
+    far = np.abs(pq.imag)
+    peaks = np.fmax.reduce(far, axis=1, initial=0.0).tolist()  # fmax: a nan hides no point
+    for j, i in enumerate(idx):
+        nv = data.points[i][1]
+        n = nv.n
+        seed = top[j, :cut].reshape(x.shape) * top[j, cut:].reshape(t.shape)
+        shape = seed.shape
+        out = np.empty((n + 1, seed.size), dtype=np.complex128)
+        np.multiply(nv.beta[:, None], seed.reshape(-1), out=out[:n])
+        np.multiply(bot[j, :cut].reshape(x.shape), bot[j, cut:].reshape(t.shape),
+                    out=out[n].reshape(shape))
+        limit = 2.0 * (-math.log(_SAFE_NORM[0]) - 0.5 * abs(math.log(nv.norm)))  # on 2|q|
+        if peaks[j] > limit:
+            both = far[j] > limit
+            at = np.flatnonzero(both[:cut].reshape(x.shape) & both[cut:].reshape(t.shape))
+            where = np.unravel_index(at, shape)
+
+            def pick(v):
+                """Line array v's x and t values at the fallback points."""
+                return (np.broadcast_to(v[j, :cut].reshape(x.shape), shape)[where],
+                        np.broadcast_to(v[j, cut:].reshape(t.shape), shape)[where])
+
+            (e_x, e_t), (b_x, b_t) = pick(e), pick(pq.imag)
+            phase = e_x * e_t
+            b2 = b_x + b_t  # 2b, exactly
+            damp = np.exp(-np.abs(b2))
+            neg = b2 < 0.0
+            seed = np.conjugate(phase)
+            seed *= np.where(neg, damp, 1.0)
+            out[:n, at] = nv.beta[:, None] * seed
+            out[n, at] = phase * np.where(neg, -1.0, -damp)
+        yield out
+
+
+#: The squares of _SAFE_NORM: a squared norm between them is summed without
+#: underflow or overflow that could change its digits.
+_SAFE_SQUARES = (_SAFE_NORM[0] ** 2, _SAFE_NORM[1] ** 2)
 
 
 def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds=None):
@@ -198,31 +256,52 @@ def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds
     of broadcast(x, t).
 
     Returns (k_i, z_i, conj(z_i)) with z_i component-major, shape (n+1, M).
-    seeds, if given, maps each index to its `_seed_batch` at (x, t); it is
-    read, not written.
+    seeds, if given, maps each index to its seed from `_seed_batch` at
+    (x, t); it is read, not written.
+
+    Each direction is normalised in one pass, by the reciprocal square root
+    of its squared norm, wherever that lies inside _SAFE_SQUARES; only the
+    points outside (`_rescale`) are first scaled by their largest |re| or
+    |im|, as `soldata._scaled_norm` scales a vector out of _SAFE_NORM.
     """
     dirs = []
-    for i in idx:
-        point, nv = data.points[i]
-        k = point.k
-        w = _seed_batch(nv.beta, k, x, t) if seeds is None else seeds[i].copy()
+    fresh = _seed_batch(data, idx, x, t) if seeds is None else (seeds[i].copy() for i in idx)
+    for i, w in zip(idx, fresh):
+        k = data.points[i][0].k
         for k_prev, z, zc in dirs:
             inner = np.add.reduce(zc * w, axis=0)
             inner *= _blaschke(k_prev, k).conjugate() - 1.0
             w += inner * z
-        # scale guard: max |re|, |im| per point, then the 2-norm
-        parts = w.view(np.float64)
-        mag = np.maximum.reduce(np.abs(parts), axis=0)
-        mag = np.maximum(mag[0::2], mag[1::2])
-        if not mag.all():
-            raise DegeneracyError("full-chain direction collapsed to zero")
+        sq = _squared_norms(w)
+        if not (_SAFE_SQUARES[0] <= sq.min() and sq.max() <= _SAFE_SQUARES[1]):
+            _rescale(w, sq)
         # the bits of w /= s up to the sign of a zero part: numpy divides by
         # a real s as (re + im*0) * (1/s) and (im - re*0) * (1/s)
-        w *= 1.0 / mag
-        sq = np.add.reduce(np.square(parts), axis=0)
-        w *= 1.0 / np.sqrt(sq[0::2] + sq[1::2])
+        w *= 1.0 / np.sqrt(sq)
         dirs.append((k, w, w.conj()))
     return dirs
+
+
+def _squared_norms(w: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each column of a component-major (d, M) stack."""
+    sq = np.add.reduce(np.square(w.view(np.float64)), axis=0)
+    return sq[0::2] + sq[1::2]
+
+
+def _rescale(w: np.ndarray, sq: np.ndarray) -> None:
+    """Scale each column of w whose squared norm sq lies outside _SAFE_SQUARES
+    (nan included) by its largest |re| or |im|, and put its new squared norm
+    in sq; both in place.  A zero column raises DegeneracyError."""
+    far = np.flatnonzero(~((sq >= _SAFE_SQUARES[0]) & (sq <= _SAFE_SQUARES[1])))
+    # a lone column goes as two: numpy reduces a (d, 1) stack its own way
+    part = w.take(far if far.size > 1 else far.repeat(2), axis=1)
+    mag = np.maximum.reduce(np.abs(part.view(np.float64)), axis=0)
+    mag = np.maximum(mag[0::2], mag[1::2])
+    if not mag.all():
+        raise DegeneracyError("full-chain direction collapsed to zero")
+    part *= 1.0 / mag
+    w[:, far] = part[:, : far.size]
+    sq[far] = _squared_norms(part)[: far.size]
 
 
 def _field(data: SolitonData, idx, dirs, m: int) -> np.ndarray:
@@ -269,10 +348,10 @@ def reconstruct_field(data: SolitonData, x, t):
     cells: whole rows of the broadcast shape (its first axis) or, where a row
     is longer, pieces of one row.  Each block hands `_seed_batch` the parts
     of x and t it covers without broadcasting them, so grid lines x (nx, 1)
-    and t (1, nt) cost one cos/sin pair per line and soliton, not one per
-    point.  A point's value does not depend on the blocking, on the
-    other points, or on whether it comes as a grid line, a full array or a
-    scattered point.
+    and t (1, nt) cost one cos/sin pair and one exp pair per line and
+    soliton, not one per point.  A point's value does not depend on the
+    blocking, on the other points, or on whether it comes as a grid line, a
+    full array or a scattered point.
     """
     idx = tuple(range(data.N))
     xs = np.asarray(x, dtype=np.float64)
@@ -345,7 +424,7 @@ def permutation_residuals(
     ks = np.array([complex(k) for k in sample_ks], dtype=np.complex128)
     x, t = np.array(list(sample_xts), dtype=np.float64).reshape(-1, 2).T
     build_reduced_chain(data, ref)  # first, so a degenerate chain raises before a pole sample
-    seeds = {i: _seed_batch(data.points[i][1].beta, data.points[i][0].k, x, t) for i in ref}
+    seeds = dict(zip(ref, _seed_batch(data, ref, x, t)))
     coeffs = {i: _coefficients(data.points[i][0].k, ks) for i in ref}
 
     def images(idx) -> list:

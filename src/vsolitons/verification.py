@@ -185,10 +185,21 @@ ZOOM_POINTS = 33
 
 
 def _envelopes(data: SolitonData, scans, ts) -> list:
-    """|R(x, t)| along each scan xs at its time t, from one field call."""
-    sizes = [xs.size for xs in scans]
-    field = reconstruct_field(data, np.concatenate(scans), np.repeat(ts, sizes))
-    return [np.linalg.norm(part, axis=-1) for part in np.split(field, np.cumsum(sizes)[:-1])]
+    """|R(x, t)| along each scan xs at its time t: one field call per distinct
+    time, over the group's scans with that time as a single t line, so the
+    seed's t factors are formed once per group, not once per point.  A
+    point's value does not depend on its call, so each scan gets the bits
+    of one flat call over all scans."""
+    groups = {}
+    for i, tt in enumerate(ts):
+        groups.setdefault(tt, []).append(i)
+    out = [None] * len(scans)
+    for tt, members in groups.items():
+        sizes = [scans[i].size for i in members]
+        field = reconstruct_field(data, np.concatenate([scans[i] for i in members]), tt)
+        for i, part in zip(members, np.split(field, np.cumsum(sizes)[:-1])):
+            out[i] = np.linalg.norm(part, axis=-1)
+    return out
 
 
 def _zoom_max(data: SolitonData, ts, a, b, xtol: float) -> list:
@@ -196,15 +207,17 @@ def _zoom_max(data: SolitonData, ts, a, b, xtol: float) -> list:
     each to position tolerance xtol.
 
     Each round samples ZOOM_POINTS points in every bracket still in play, all
-    in one field call, and keeps the two neighbours of each maximum; a bracket
-    leaves play once it is within xtol or stops shrinking (float spacing at
-    large |x|).  Returns the final bracket midpoints.
+    in one field call over the rows of brackets with each row's time as its
+    t line, and keeps the two neighbours of each maximum; a bracket leaves
+    play once it is within xtol or stops shrinking (float spacing at large
+    |x|).  Returns the final bracket midpoints.
     """
     a, b = list(a), list(b)
     live = [i for i in range(len(a)) if b[i] - a[i] > xtol]
     while live:
-        scans = [np.linspace(a[i], b[i], ZOOM_POINTS) for i in live]
-        envs = _envelopes(data, scans, [ts[i] for i in live])
+        scans = np.stack([np.linspace(a[i], b[i], ZOOM_POINTS) for i in live])
+        rows = np.array([ts[i] for i in live], dtype=np.float64)[:, None]
+        envs = np.linalg.norm(reconstruct_field(data, scans, rows), axis=-1)
         still = []
         for i, xs, env in zip(live, scans, envs):
             top = int(np.argmax(env))
@@ -248,11 +261,12 @@ def extract_asymptotic_polarization(data: SolitonData, js, ts) -> list:
     the other solitons), then refines the envelope maximum by bracket zoom
     (`_zoom_max`) to 1e-10 and reads the component ratios at the refined peak.
 
-    The targets go in lockstep: the coarse scans, each zoom round and the
-    peak read-out are one field call each over the targets still in play.  A
-    point's field value does not depend on its batch, so each target gets
-    the bits of its one-element call, and the first target whose scan fails
-    raises that call's WindowError.
+    The targets go in lockstep: the coarse scans take one field call per
+    distinct time (`_envelopes`), and each zoom round and the peak read-out
+    one field call each over the targets still in play.  A point's field
+    value does not depend on its batch, so each target gets the bits of its
+    one-element call, and the first target whose scan fails raises that
+    call's WindowError.
     """
     targets = list(zip(js, ts, strict=True))
     ts = [float(tt) for _, tt in targets]

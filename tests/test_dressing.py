@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -440,6 +441,62 @@ class TestBatchedKernel:
             assert eval_chain(chain, ks[0]).tobytes() == full[0].tobytes()
 
 
+def _scaled_data(data, size):
+    """data with every |beta_j| set to size, its polarizations kept."""
+    return SolitonData(data.n, tuple((pt, NormingVector(size * nv.beta / nv.norm))
+                                     for pt, nv in data.points))
+
+
+def _fallback_grid():
+    """A 121 x 41 grid with x = -800, 800 and t = -100, 100 among its lines."""
+    xs, ts = np.linspace(-6.0, 6.0, 121), np.linspace(-2.0, 2.0, 41)
+    xs[[30, 90]] = -800.0, 800.0
+    ts[[10, 30]] = -100.0, 100.0
+    return xs, ts
+
+
+def _seed_fallback_points(data, xs, ts):
+    """How many (point, soliton) pairs have both line exponents |q_x|, |q_t|
+    past the seed's limit ln(1e150) - |ln|beta||/2."""
+    count = 0
+    for pt, nv in data.points:
+        kc = pt.k.conjugate()
+        limit = -math.log(1e-150) - 0.5 * abs(math.log(nv.norm))
+        count += np.sum(np.abs(kc.imag * xs) > limit) * np.sum(np.abs((2 * kc * kc).imag * ts) > limit)
+    return count
+
+
+class TestPerPointFallbacks:
+    """The kernel's two safety fallbacks, the per-point stabilized seed and the
+    scaled normalisation, are chosen per point from the point's own values:
+    extreme points mixed into ordinary grid blocks get the bits of their
+    lone-point calls at any blocking, and stay within the reference bound."""
+
+    @pytest.mark.parametrize("size,N,n,seed", [(1e-160, 3, 2, 170), (1e150, 2, 8, 150)])
+    def test_extreme_points_in_grid_blocks(self, monkeypatch, size, N, n, seed):
+        data = _scaled_data(random_data(np.random.default_rng(seed), N, n), size)
+        xs, ts = _fallback_grid()
+        assert _seed_fallback_points(data, xs, ts) > 0
+        rescaled, real_rescale = [], dressing._rescale
+
+        def rescale(w, sq):
+            rescaled.append(sq.size)
+            return real_rescale(w, sq)
+
+        want = reconstruct_field(data, xs[:, None], ts[None, :])
+        with monkeypatch.context() as m:
+            m.setattr(dressing, "_rescale", rescale)
+            for cells in (dressing.FIELD_BLOCK_CELLS, 45, 31, 1):
+                m.setattr(dressing, "FIELD_BLOCK_CELLS", cells)
+                _assert_same_bytes(reconstruct_field(data, xs[:, None], ts[None, :]), want)
+        assert rescaled  # some points took the scaled normalisation
+        for i, j in itertools.product(range(xs.size), range(ts.size)):
+            _assert_same_bytes(reconstruct_field(data, xs[i], ts[j]), want[i, j])
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        _assert_same_bytes(_assert_matches_reference(data, X, T), want)
+        _assert_same_bytes(_complex_field(data, X.ravel(), T.ravel()), want.reshape(-1, n))
+
+
 def _reference_permutation_residual(data, order_a, order_b, ks, xts):
     """Per-k, per-point loop over explicit factor matrices."""
     ca = build_reduced_chain(data, order_a)
@@ -542,30 +599,51 @@ def _oracle_permutation_residuals(data, reference, orders, ks, xts):
 # A frozen copy of the component-major kernel before its seed phase was formed in
 # real arithmetic and its normalisations became products with reciprocals: the
 # exponent through complex temporaries, and complex division by the real divisors.
-# Its unit phase is the product of an x factor and a t factor, as the kernel's.
+# Its seed is the product of an x factor and a t factor, damping and unit phase
+# alike, as the kernel's, and each direction is divided by the square root of its
+# unscaled squared norm.  The kernel's two per-point fallbacks are selected with
+# np.where: points whose |q_x| and |q_t| both pass ln(1e150) - |ln|beta||/2 take the
+# per-point stabilized seed, and points whose squared norm lies outside
+# [1e-150^2, 1e150^2] are first divided by their largest |re| or |im|.
 
 
-def _complex_seed_batch(beta, k, x, t):
+def _complex_line_factors(c, a, sign):
+    """One operand's top and bottom seed factors, its unit phase and its q."""
+    q = (c * np.asarray(a)).imag
+    e = np.empty(q.shape, dtype=np.complex128)
+    np.cos(c.real * np.asarray(a), out=e.real)
+    np.sin(c.real * np.asarray(a), out=e.imag)
+    damp = np.exp(-2.0 * np.abs(q))
+    neg = q < 0.0
+    top, bot = np.empty_like(e), np.empty_like(e)
+    top.real = e.real * np.where(neg, damp, 1.0)
+    top.imag = -e.imag * np.where(neg, damp, 1.0)
+    bot.real = sign * e.real * np.where(neg, 1.0, damp)
+    bot.imag = sign * e.imag * np.where(neg, 1.0, damp)
+    return top, bot, e, q
+
+
+def _complex_seed_batch(nv, k, x, t):
     kc = k.conjugate()
-    ph = kc * np.asarray(x) + (2.0 * kc * kc) * np.asarray(t)
-    a, b = ph.real, ph.imag
-    damp = np.exp(-2.0 * np.abs(b))
-    ex, et = (np.empty(np.shape(v), dtype=np.complex128) for v in (x, t))
-    for f, p in ((ex, kc.real * np.asarray(x)), (et, (2.0 * kc * kc).real * np.asarray(t))):
-        np.cos(p, out=f.real)
-        np.sin(p, out=f.imag)
+    top_x, bot_x, ex, qx = _complex_line_factors(kc, x, -1.0)
+    top_t, bot_t, et, qt = _complex_line_factors(2.0 * kc * kc, t, 1.0)
+    out = np.empty((nv.n + 1, np.size(x)), dtype=np.complex128)
+    np.multiply(nv.beta[:, None], top_x * top_t, out=out[: nv.n])
+    out[nv.n] = bot_x * bot_t
+    # the per-point stabilized seed: the block with the larger exponent gets scale 1
     cos, sin = (ex * et).real, (ex * et).imag
+    b = qx + qt
+    damp = np.exp(-2.0 * np.abs(b))
     neg = b < 0.0
-    top_scale = np.where(neg, damp, 1.0)
-    bot_scale = np.where(neg, 1.0, damp)
-    out = np.empty((beta.size + 1, a.size), dtype=np.complex128)
-    top = np.empty(a.size, dtype=np.complex128)
-    top.real = cos * top_scale
-    top.imag = -sin * top_scale
-    np.multiply(beta[:, None], top, out=out[: beta.size])
-    out[beta.size].real = -cos * bot_scale
-    out[beta.size].imag = -sin * bot_scale
-    return out
+    top = np.empty(b.size, dtype=np.complex128)
+    top.real = cos * np.where(neg, damp, 1.0)
+    top.imag = -sin * np.where(neg, damp, 1.0)
+    point = np.empty_like(out)
+    np.multiply(nv.beta[:, None], top, out=point[: nv.n])
+    point[nv.n].real = -cos * np.where(neg, 1.0, damp)
+    point[nv.n].imag = -sin * np.where(neg, 1.0, damp)
+    limit = -math.log(1e-150) - 0.5 * abs(math.log(nv.norm))
+    return np.where((np.abs(qx) > limit) & (np.abs(qt) > limit), point, out)
 
 
 def _complex_field(data, x, t):
@@ -573,17 +651,21 @@ def _complex_field(data, x, t):
     dirs = []
     for point, nv in data.points:
         k = point.k
-        w = _complex_seed_batch(nv.beta, k, x, t)
+        w = _complex_seed_batch(nv, k, x, t)
         for k_prev, z, zc in dirs:
             inner = (zc * w).sum(axis=0)
             inner *= _ref_blaschke(k_prev, k).conjugate() - 1.0
             w += inner * z
         parts = w.view(np.float64)
+        sq = np.square(parts).sum(axis=0)
+        sq = sq[0::2] + sq[1::2]
         mag = np.abs(parts).max(axis=0)
         mag = np.maximum(mag[0::2], mag[1::2])
-        w /= mag
-        sq = np.square(parts).sum(axis=0)
-        w /= np.sqrt(sq[0::2] + sq[1::2])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = w / mag
+            sq_scaled = np.square(scaled.view(np.float64)).sum(axis=0)
+            scaled /= np.sqrt(sq_scaled[0::2] + sq_scaled[1::2])
+            w = np.where((sq >= 1e-150 ** 2) & (sq <= 1e150 ** 2), w / np.sqrt(sq), scaled)
         dirs.append((k, w, w.conj()))
     field = np.zeros((data.n, x.size), dtype=np.complex128)
     for (point, _), (_, z, zc) in zip(data.points, dirs):

@@ -150,6 +150,36 @@ class TestPdeResidualRowBlocks:
         assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
+class TestPdeResidualContiguousCopy:
+    """`cli._pde_order` hands pde_residual contiguous copies of its coarse
+    strided views: the copy must give the view's bits, nan and inf included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_strided_view_and_its_copy_agree(self, n):
+        data = TWO_SOLITON if n == 2 else random_soliton_data(np.random.default_rng(40 + n), 2, n)
+        nx, nt = 4 * ROWS + 21, 41
+        values = grid_for_data(data, -4, 4, -1, 1, nx, nt).values.copy()
+        cells = {"nan": (8, 12), "inf": (4 * ROWS + 3, 21)}  # the inf in an edge row at s = 2
+        values[cells["nan"] + (0,)] = np.nan
+        values[cells["inf"] + (n - 1,)] = complex(np.inf, 0.5)
+        seen = set()
+        for s in (2, 4):
+            for a in range(s):
+                for b in range(s):
+                    view = values[a::s, b::s]
+                    copy = np.ascontiguousarray(view)
+                    assert not view.flags.c_contiguous and copy.flags.c_contiguous
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        got, want = (pde_residual(FieldGrid(-4, 4, -1, 1, *v.shape[:2], v))
+                                     for v in (copy, view))
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    held = tuple(name for name, (r, c) in cells.items()
+                                 if r % s == a and c % s == b)
+                    assert math.isfinite(got) == (not held)
+                    seen.add(held)
+        assert seen == {(), ("nan",), ("inf",)}
+
+
 class TestBoundaryResidual:
     def test_mixed_eigenvector_dirichlet_component_silent(self):
         real = SolitonData(2, ((SpectralPoint(0.8, 1.0), NormingVector(E1)),))
@@ -362,6 +392,37 @@ class TestLockstepExtraction:
         message = _one_at_a_time(data, js, ts)
         assert isinstance(message, str)
         assert _lockstep(data, js, ts) == message
+
+
+class TestEnvelopeGroups:
+    """_envelopes makes one field call per distinct scan time, with that time
+    as a single t line, and gives each scan the bits of one flat call."""
+
+    def test_grouped_calls_match_the_flat_concatenated_call(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        for draw in range(6):
+            data = random_soliton_data(rng, 1 + draw % 3, (1, 2, 8)[draw % 3])
+            T = 12.0 + draw
+            ts = [-T, T, 0.5, -T, T, T]
+            scans = [np.sort(rng.uniform(-40, 40, size)) for size in (33, 1, 60, 7, 2, 33)]
+            sizes = [xs.size for xs in scans]
+            flat = reconstruct_field(data, np.concatenate(scans), np.repeat(ts, sizes))
+            want = [np.linalg.norm(part, axis=-1)
+                    for part in np.split(flat, np.cumsum(sizes)[:-1])]
+            calls = []
+
+            def spy(data, x, t):
+                calls.append((np.shape(x), np.shape(t)))
+                return reconstruct_field(data, x, t)
+
+            with monkeypatch.context() as m:
+                m.setattr(verification, "reconstruct_field", spy)
+                got = verification._envelopes(data, scans, ts)
+            assert calls == [((sum(sizes[i] for i in group),), ())
+                             for group in ((0, 3), (1, 4, 5), (2,))]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestConvergenceOrder:
