@@ -634,11 +634,9 @@ def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog)
     worst = _transfer_worst([_transfer_draw(rng, log, 2)], None, None)[0]
     _check(report, cfg, "transfer-commutator[identity-boundary]", worst, family="involution")
 
-    K = np.array([random_map_parameters(rng, 2, mirrored=True, log=log)])
-    robin = (Robin(0.5),)
-    residual = transfer_commutators(np.ones((1, 2, 1), complex), K, robin, robin)[0, 0]
-    _check(report, cfg, "transfer-commutator[scalar]", residual, family="involution",
-           tolerance=0.0)
+    # the draw of a retired n = 1 check, which read 0 by construction: kept,
+    # so every later row keeps its draws
+    random_map_parameters(rng, 2, mirrored=True, log=log)
 
     # exploratory: both boundary slots filled with the concrete reflection map;
     # the measured residual is recorded, not asserted (the b_minus slot needs

@@ -10,9 +10,17 @@ spectral parameters.  Two in-place steps, `_collide` and `_bounce`, make
 one rank-one update (`_pull`) over all samples at once, so the parametric
 bookkeeping of every composite is automatic: each step reads the parameters
 currently sitting in its slots.  Each composite is written once over the
-stacked state.  A bounce reads m(k) as the boundaries' `BoundaryStack` forms
-it (`soldata.BoundaryStack.m_at`); every composite checks its parameters
-before any arithmetic, and S = 0 gives empty results.
+stacked state.  Every composite checks its parameters once, before any
+arithmetic, and S = 0 gives empty results.
+
+A bounce reads each sample's boundary as its constant m, the (S, n, n) stack
+of `soldata.boundary_stack`: a sign pattern's U^dag diag(s) U, and I for
+Robin.  Robin's m(k) is the unit scalar h/|h| times I, but every use of m is
+projective (the bounce renormalises, every residual is a projective distance,
+reflected polarizations are stored in canonical phase), so its phase cannot
+be observed and the Robin reflection map keeps the polarization, sending only
+k to -k*.  Robin's M(k) = ((k + i alpha)/(k - i alpha)) I is no unit phase:
+it scales norming vectors, so it stays in the mirror solver and constraint.
 """
 
 from __future__ import annotations
@@ -25,18 +33,16 @@ from .errors import DomainError, PoleError, ValidationError
 from .soldata import AXIS_TOL, PAIR_POLE_TOL, BoundarySpec, _first, boundary_stack
 
 
-def _check_parameters(K) -> None:
-    """Raise DomainError for the first parameter on the imaginary axis, then
-    ValidationError for the first non-finite one (`_check_finite`)."""
+def _check_parameters(K, *ms) -> None:
+    """Raise ValidationError for a boundary stack of ms (None: the identity)
+    without one m per sample, then DomainError for the first parameter on the
+    imaginary axis, then ValidationError for the first non-finite one."""
+    for m in ms:
+        if m is not None and len(m) != len(K):
+            raise ValidationError(f"{len(m)} boundary specs for {len(K)} samples")
     k = np.ravel(K)
     if (i := _first(np.abs(k.real) <= AXIS_TOL)) < len(k):
         raise DomainError(f"imaginary axis: parameter {complex(k[i])} has |Re k| <= {AXIS_TOL}")
-    _check_finite(k)
-
-
-def _check_finite(K) -> None:
-    """Raise ValidationError for the first non-finite parameter."""
-    k = np.ravel(K)
     if (i := _first(~np.isfinite(k))) < len(k):
         raise ValidationError(f"spectral parameter {complex(k[i])} is not finite")
 
@@ -81,10 +87,10 @@ def _collide(P, K, i: int, j: int) -> None:
 def _bounce(P, K, j: int, ms) -> None:
     """Bounce slot j of every sample off the boundary in place; ms None is the identity.
 
-    p' = (I + (k - k*)/(k + k*) p p^dag) m(k) p, renormalised, and k' = -k*,
-    with ms the stack of m(k) at each sample's current k (`BoundaryStack.m_at`).
+    p' = (I + (k - k*)/(k + k*) p p^dag) m p, renormalised, and k' = -k*,
+    with ms the (S, n, n) stack of each sample's m.
 
-    It is the first slot of the collision of the mirror image (m(k) p, -k*)
+    It is the first slot of the collision of the mirror image (m p, -k*)
     with (p, k) (Caudrelier and Zhang, Nonlinearity 2014): (k - k*)/(k + k*) is
     that collision's mu - 1, formed directly, as mu - 1 would move last bits.
     """
@@ -153,12 +159,17 @@ def s_twist_residuals(P, K) -> np.ndarray:
 def reflection_maps(P, K, specs: Sequence[BoundarySpec]) -> tuple:
     """Bounce every slot of every sample off its sample's boundary, on copies;
     returns the new (P, K).  (p, k) -> (p breve, -k*) as `_bounce` writes it;
-    undefined for k on the imaginary axis.  Every slot's m(k) is formed, and
-    its parameters checked, before the first bounce."""
-    b = boundary_stack(specs, P.shape[-1])
-    ms = [b.m_at(k) for k in K.T]
+    undefined for k on the imaginary axis.  specs holds each sample's
+    boundary, or is their `boundary_stack`."""
+    m = boundary_stack(specs, P.shape[-1])
+    _check_parameters(K, m)
+    return _reflect(P, K, m)
+
+
+def _reflect(P, K, m) -> tuple:
+    """`reflection_maps` with its boundary stack m, parameters unchecked."""
     P, K = P.copy(), K.copy()
-    for j, m in enumerate(ms):
+    for j in range(K.shape[1]):
         _bounce(P, K, j, m)
     return P, K
 
@@ -169,17 +180,16 @@ def reflection_equation_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.nda
     specs holds each sample's boundary.  The four collisions raise PoleError
     where their pairs (k1, k2), (-k2*, k1), (-k1*, k2), (-k2*, -k1*) are singular.
     """
-    _check_parameters(K)
-    b = boundary_stack(specs, P.shape[-1])
-    m1, m2 = b.m_at(K[:, 0]), b.m_at(K[:, 1])
+    m = boundary_stack(specs, P.shape[-1])
+    _check_parameters(K, m)
     (Pl, Kl), (Pr, Kr) = (P.copy(), K.copy()), (P.copy(), K.copy())
     _collide(Pl, Kl, 0, 1)
-    _bounce(Pl, Kl, 1, m2)
+    _bounce(Pl, Kl, 1, m)
     _collide(Pl, Kl, 1, 0)
-    _bounce(Pl, Kl, 0, m1)
-    _bounce(Pr, Kr, 0, m1)
+    _bounce(Pl, Kl, 0, m)
+    _bounce(Pr, Kr, 0, m)
     _collide(Pr, Kr, 0, 1)
-    _bounce(Pr, Kr, 1, m2)
+    _bounce(Pr, Kr, 1, m)
     _collide(Pr, Kr, 1, 0)
     return _slot_residual(Pl, Kl, Pr, Kr)
 
@@ -189,8 +199,9 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
 
     specs holds each sample's boundary; every parameter must return exactly.
     """
-    b = boundary_stack(specs, P.shape[-1])
-    Q, L = reflection_maps(*reflection_maps(P, K, b), b)
+    m = boundary_stack(specs, P.shape[-1])
+    _check_parameters(K, m)
+    Q, L = _reflect(*_reflect(P, K, m), m)
     if (s := _first(L[:, 0] != K[:, 0])) < len(L):
         raise ValidationError(
             f"double reflection moved the parameter: {complex(L[s, 0])} != {complex(K[s, 0])}"
@@ -204,7 +215,7 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
 def _transfer(P, K, j: int, m_plus, m_minus) -> None:
     """The j-th transfer composition of every sample, in place; slot j bounces
     at its k with m_plus, then at -k* with m_minus, each an (S, n, n) stack of
-    m (`BoundaryStack.m_at`), or None for the identity boundary."""
+    m, or None for the identity boundary."""
     N = K.shape[1]
     if N < 2:
         raise ValidationError("transfer maps need at least two sites")
@@ -230,26 +241,23 @@ def transfer_commutators(
 
     Every T_l P is computed first; then each T_j runs once over the stack of
     the other sites' T_l P, so a state takes 2N transfer maps, not four per
-    pair.  b_plus and b_minus each hold one boundary per sample, or are None
-    for the identity boundary.  T_l returns k_l and leaves the other
-    parameters alone, so T_j bounces at k_j and -k_j* in every state: each
-    site's m is formed once and repeated for the stacks T_j follows.
+    pair.  b_plus and b_minus each hold one boundary per sample (or are their
+    `boundary_stack`), or are None for the identity boundary; each stack is
+    repeated once for the N - 1 states every T_j follows.
     """
     S, N = K.shape
-    b_plus, b_minus = (None if b is None else boundary_stack(b, P.shape[-1])
-                       for b in (b_plus, b_minus))
-    ms = [[None if b is None else b.m_at(k) for b, k in
-           ((b_plus, K[:, j]), (b_minus, -K[:, j].conj()))] for j in range(N)]
-    _check_finite(K)  # identity boundaries form no m(k), which would check K
+    ms = [None if b is None else boundary_stack(b, P.shape[-1]) for b in (b_plus, b_minus)]
+    _check_parameters(K, *ms)
     single = []  # T_l P and its parameters, by site l
     for l in range(N):
         single.append((P.copy(), K.copy()))
-        _transfer(*single[l], l, *ms[l])
+        _transfer(*single[l], l, *ms)
+    tiled = [None if m is None else np.concatenate([m] * (N - 1)) for m in ms]
     both = {}  # (j, l) -> T_j T_l P and its parameters
     for j in range(N):
         others = [l for l in range(N) if l != j]
         Q, L = (np.concatenate(a) for a in zip(*[single[l] for l in others]))
-        _transfer(Q, L, j, *(None if m is None else np.concatenate([m] * (N - 1)) for m in ms[j]))
+        _transfer(Q, L, j, *tiled)
         for i, l in enumerate(others):
             both[j, l] = Q[i * S:(i + 1) * S], L[i * S:(i + 1) * S]
     pairs = [(j, l) for j in range(N) for l in range(j + 1, N)]

@@ -171,17 +171,17 @@ def mirror_constraint_residual(hl: HalfLineData) -> float:
 def mirror_polarization_residual(hl: HalfLineData) -> float:
     """Mirror-symmetry of intermediate polarizations, in projective distance.
 
-    Checks, for every j, that the mirror chain direction equals m(k_j) times
-    the matching real-soliton polarization for both index patterns: the
+    Checks, for every j, that the mirror chain direction equals m times the
+    matching real-soliton polarization for both index patterns: the
     canonical prefix (mirror factor direction itself) and the all-real prefix.
-    The N matrices m(k_j) come from one stack of the boundary.  A nan
-    distance propagates.
+    m is the boundary's constant m, the one row of its stack, for every j.  A
+    nan distance propagates.
     """
     N, n = hl.N, hl.n
     chain = build_reduced_chain(hl.combined)
-    ms = boundary_stack([hl.spec] * N, n).m_at(hl.real_data.ks)
+    m = boundary_stack([hl.spec], n)[0]
     res = [0.0]
-    for j, m in enumerate(ms):
+    for j in range(N):
         kj = hl.real_data.points[j][0].k
 
         # canonical-prefix pattern: direction of the mirror factor itself

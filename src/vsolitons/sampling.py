@@ -9,11 +9,11 @@ Stream contract: every generator makes the rng calls that drawing its
 scalars one at a time would make, in order, through one whole-array path per
 quantity: one rng.random call per try for the u's of `random_soliton_data`
 and the parameters of `random_map_parameters`, `draw_unit_vectors` for every
-norming or unit vector.  Per sample only the draws and
-their accept tests run (nonzero vector, proper signs, pole-safe parameters);
-`unit_vectors`, `unitaries` and `boundaries` (a `BoundaryStack`, no spec
-objects) derive a stack of `draw_*` results at once, bit for bit as one at a
-time; one sample is a stack of one.
+norming or unit vector.  Per sample only the draws and their accept tests
+run (nonzero vector, proper signs, pole-safe parameters); `unit_vectors`,
+`unitaries` and `boundaries` (an (S, n, n) boundary stack, no spec objects)
+derive a stack of `draw_*` results at once, bit for bit as one at a time;
+one sample is a stack of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import SamplingError
 from .soldata import (
     BoundarySpec,
-    BoundaryStack,
     Mixed,
     NormingVector,
     Robin,
@@ -172,8 +171,8 @@ def _rotated(b) -> bool:
     return isinstance(b, tuple) and isinstance(b[0], np.ndarray)
 
 
-def boundaries(drawn, n: int) -> BoundaryStack:
-    """The `BoundaryStack` on n components of `draw_boundary` results (or
+def boundaries(drawn, n: int) -> np.ndarray:
+    """The `boundary_stack` on n components of `draw_boundary` results (or
     specs), in order, each row as its spec's one-row stack has it; the
     rotated_mixed draws are derived as one stack."""
     rows = list(drawn)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import DomainError, PoleError, ValidationError
+from .errors import PoleError, ValidationError
 
 #: Two eigenvalues closer than this are treated as coincident poles.
 POLE_MERGE_TOL = 1e-12
@@ -24,8 +24,7 @@ POLE_MERGE_TOL = 1e-12
 #: Evaluation closer than this to a pole (of a chain factor or of M(k)) raises PoleError.
 POLE_EVAL_TOL = 1e-13
 
-#: Parameter pairs with a collision-factor denominator below this are poles;
-#: also the pole and zero margin of the Robin m(k).
+#: Parameter pairs with a collision-factor denominator below this are poles.
 PAIR_POLE_TOL = 1e-12
 
 #: Real parts at or below this put a parameter on the imaginary axis, where
@@ -319,9 +318,9 @@ def _check_distinct_poles(pts) -> None:
 # A boundary spec owns everything that depends on its kind: the mirror-constraint
 # matrix M(k) and its inverse, the x = 0 residual of the boundary condition,
 # and its JSON wire form.  `n` is the component count it acts on, None for
-# Robin (any count).  The unitary m(k) acting on polarizations is formed only
-# by a `BoundaryStack` of S boundaries (`BoundaryStack.m_at`); one boundary is
-# a stack of one.
+# Robin (any count).  The unitary m acting on polarizations is constant per
+# boundary and read only from a stack of S boundaries (`boundary_stack`, an
+# (S, n, n) array); one boundary is a stack of one.
 
 
 def _robin_eye(n) -> np.ndarray:
@@ -330,24 +329,15 @@ def _robin_eye(n) -> np.ndarray:
     return _sign_matrices((1,) * int(n))[0]
 
 
-def _robin_phase(k: complex, alpha: float) -> complex:
-    """h/|h|, h = (k - i alpha)/(k + i alpha), in Python complex arithmetic
-    (numpy's complex division rounds otherwise); PoleError at h's pole and zero."""
-    den = k + 1j * alpha
-    if abs(den) < PAIR_POLE_TOL:
-        raise PoleError(f"boundary matrix has a pole at k = -i*alpha = {-1j * alpha}")
-    h = (k - 1j * alpha) / den
-    if abs(h) < PAIR_POLE_TOL:
-        raise PoleError(f"boundary matrix vanishes at k = i*alpha = {1j * alpha}")
-    return h / abs(h)
-
-
 @dataclass(frozen=True)
 class Robin:
     """Robin boundary R_x(0,t) = 2*alpha*R(0,t); alpha real.
 
-    m(k) = (h/|h|) I with h = (k - i alpha)/(k + i alpha), and
     M(k) = ((k + i alpha)/(k - i alpha)) I; alpha = 0 is all-Neumann, M = I.
+    On polarizations m(k) is the unit scalar h/|h| times I, h = (k - i alpha)/
+    (k + i alpha): every use of m is projective, so the phase cannot be seen
+    and a stack takes m = I.  M(k) is no unit phase: it scales norming
+    vectors, so the mirror solver and the constraint keep it.
     """
 
     alpha: float
@@ -478,58 +468,20 @@ class Mixed(RotatedMixed):
 BoundarySpec = Union[Robin, RotatedMixed]
 
 
-class BoundaryStack(NamedTuple):
-    """S boundaries on n components as a bounce reads them: m (S, n, n) is each
-    sign-pattern row's m and the identity on the Robin rows, listed in rows
-    with their alphas."""
-
-    m: np.ndarray
-    rows: np.ndarray
-    alpha: tuple
-
-    def m_at(self, k) -> np.ndarray:
-        """(S, n, n): the m(k) of each row at its sample's k, in one pass; the
-        sign-pattern rows are their stored m, only the Robin rows are computed,
-        each by `_robin_phase`.
-
-        The first sample that fails a check raises: off the imaginary axis
-        first, then finite, then a Robin row's pole and zero checks.
-        """
-        S = len(self.m)
-        if S != len(k):
-            raise ValidationError(f"{S} boundary specs for {len(k)} samples")
-        axis = _first(np.abs(k.real) <= AXIS_TOL)
-        first = min(axis, _first(~np.isfinite(k)))
-        kl = k.tolist()
-        phases = [_robin_phase(kl[i], alpha) for i, alpha in zip(self.rows.tolist(), self.alpha)
-                  if i < first]
-        if first < S:
-            if first == axis:
-                raise DomainError(f"imaginary axis: reflection undefined at k={kl[first]}")
-            raise ValidationError(f"spectral parameter {kl[first]} is not finite")
-        if not phases:
-            return self.m
-        ms = self.m.copy()
-        ms[self.rows] = np.array(phases)[:, None, None] * _robin_eye(self.m.shape[-1])
-        return ms
-
-
-def boundary_stack(rows, n: int) -> BoundaryStack:
-    """The stack on n components of S boundaries, each a spec, a Robin alpha, a
-    sign pattern or a checked m ((n, n) array); a stack is returned as it is."""
-    if isinstance(rows, BoundaryStack):
+def boundary_stack(rows, n: int) -> np.ndarray:
+    """The (S, n, n) m of S boundaries on n components, each a spec, a Robin
+    alpha, a sign pattern or a checked m ((n, n) array): a sign-pattern row's
+    stored m, the identity on a Robin row.  An array is returned as it is."""
+    if isinstance(rows, np.ndarray):
         return rows
-    ms, robin = [], {}
-    for i, row in enumerate(rows):
-        if isinstance(row, Robin):
-            row = row.alpha
-        if isinstance(row, float):
-            robin[i], row = row, _robin_eye(n)
+    ms = []
+    for row in rows:
+        if isinstance(row, (Robin, float)):
+            row = _robin_eye(n)
         elif isinstance(row, tuple):
             row = _sign_matrices(row)[1]
         elif isinstance(row, RotatedMixed):
             row._check_n(n)
             row = row.m
         ms.append(row)
-    m = np.array(ms) if ms else np.empty((0, n, n), np.complex128)
-    return BoundaryStack(m, np.array(list(robin), dtype=np.intp), tuple(robin.values()))
+    return np.array(ms) if ms else np.empty((0, n, n), np.complex128)

@@ -638,7 +638,6 @@ SUITE_SCHEMAS = {
     ],
     "transfer": [
         ("transfer-commutator[identity-boundary]", 1e-12, "<=", False),
-        ("transfer-commutator[scalar]", 0.0, "<=", False),
         ("transfer-commutator[vnls-reflection:robin]", None, "<=", True),
         ("transfer-commutator[vnls-reflection:mixed]", None, "<=", True),
         ("transfer-commutator[vnls-reflection:rotated_mixed]", None, "<=", True),
@@ -758,7 +757,8 @@ class TestSuites:
         report = json.loads((out / "report.json").read_text())
         names = [c["name"] for c in report["checks"]]
         assert "transfer-commutator[identity-boundary]" in names
-        assert "transfer-commutator[scalar]" in names
+        # the n = 1 scalar row read 0 by construction and is retired
+        assert "transfer-commutator[scalar]" not in names
         info = [c for c in report["checks"] if c["informational"]]
         assert info and all(c["passed"] is None for c in info)
 
@@ -787,7 +787,6 @@ class TestSuites:
         names = [c.name for c in run_property_suite(cfg).checks]
         assert names == [
             "transfer-commutator[identity-boundary]",
-            "transfer-commutator[scalar]",
             "transfer-commutator[vnls-reflection:given]",
             "transfer-commutator[b-plus-reflection:given]",
         ]

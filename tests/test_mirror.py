@@ -29,7 +29,6 @@ from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_propert
 from vsolitons.config import halfline_to_json, parse_halfline
 from vsolitons.dressing import _chain_apply, _dressed_beta, _unit
 from vsolitons.mirror import HalfLineData
-from vsolitons.soldata import BoundaryStack
 from vsolitons.sampling import boundary_spec, draw_boundary, random_soliton_data
 from vsolitons.verification import extract_asymptotic_polarization
 
@@ -382,19 +381,15 @@ class TestMirrorPolarizations:
 
 
 def _frozen_mirror_polarization_residual(hl):
-    """mirror_polarization_residual as it ran with one spec.small_m(k_j, n)
-    per j: a sign pattern's stored m, or the Robin phase h/|h| of
-    h = (k - i alpha)/(k + i alpha) in Python complex arithmetic."""
+    """mirror_polarization_residual as a per-j loop with the boundary's m: a
+    sign pattern's stored m, the identity for Robin (its phase h/|h| is
+    projectively invisible)."""
     N, n = hl.N, hl.n
     chain = build_reduced_chain(hl.combined)
     res = [0.0]
+    m = np.eye(n, dtype=np.complex128) if isinstance(hl.spec, Robin) else hl.spec.m
     for j in range(N):
         kj = hl.real_data.points[j][0].k
-        if isinstance(hl.spec, Robin):
-            h = (kj - 1j * hl.spec.alpha) / (kj + 1j * hl.spec.alpha)
-            m = (h / abs(h)) * np.eye(n, dtype=np.complex128)
-        else:
-            m = hl.spec.m
         g = _dressed_beta(hl.real_data, j, range(j + 1, N))
         res.append(projective_distance(chain[N + j][1][:, 0], _unit(m @ g)))
         beta_m = hl.mirror_data.points[j][1].beta
@@ -427,13 +422,15 @@ class TestMirrorPolarizationPin:
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
     def test_one_boundary_matrix_call_per_dataset(self, kind, monkeypatch):
+        # one stack of one row, the boundary's m, serves every j
         calls = []
-        m_at = BoundaryStack.m_at
-        monkeypatch.setattr(BoundaryStack, "m_at", lambda b, k: calls.append(len(k)) or m_at(b, k))
+        stack = mirror_module.boundary_stack
+        monkeypatch.setattr(mirror_module, "boundary_stack",
+                            lambda rows, n: calls.append(len(rows)) or stack(rows, n))
         hl = halfline_data(np.random.default_rng(7), 3, 2, kind)
         calls.clear()
         mirror_polarization_residual(hl)
-        assert calls == [3]
+        assert calls == [1]
 
 
 @pytest.mark.slow
@@ -509,8 +506,8 @@ class TestHalfLineField:
         P = np.array([[ins[j].p for j in range(2)]])
         K = np.array([[comb.points[j][0].k for j in range(2)]])
         _collide(P, K, 0, 1)
-        _bounce(P, K, 1, boundary_stack([spec], 2).m_at(K[:, 1]))
+        _bounce(P, K, 1, boundary_stack([spec], 2))
         _collide(P, K, 1, 0)
-        _bounce(P, K, 0, boundary_stack([spec], 2).m_at(K[:, 0]))
+        _bounce(P, K, 0, boundary_stack([spec], 2))
         for j in range(2):
             assert projective_distance(outs[j], P[0, j]) < 1e-6
