@@ -4,7 +4,9 @@ With velocities ordered (u strictly increasing), the multi-soliton field
 splits as |t| grows into one-soliton profiles whose norming vectors are
 dressed versions of the originals.  Intermediate spectator sets interpolate
 between the in and out configurations and obey exact pairwise relations,
-which `collision_pair_residuals` measures.
+which `collision_pair_residuals` measures.  It and `intermediate_gamma` take
+S same-shape datasets as one `SolitonStack`, each sample's scalars in its
+own arithmetic; one dataset is a stack of one.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from .errors import ValidationError
 from .soldata import NormingVector, SolitonData
 
 
-def check_velocity_ordered(data: SolitonData) -> None:
-    """Require u_1 < u_2 < ... (distinct velocities, canonical ordering)."""
-    us = [pt.u for pt, _ in data.points]
-    if any(b <= a for a, b in zip(us, us[1:])):
-        raise ValidationError(f"u values must be strictly increasing, got {us}")
+def check_velocity_ordered(data) -> None:
+    """Require u_1 < u_2 < ... (distinct velocities, canonical ordering) of a
+    dataset, or of every sample of a `SolitonStack`, in sample order."""
+    for points in data.stack.points:
+        us = [pt.u for pt, _ in points]
+        if any(b <= a for a, b in zip(us, us[1:])):
+            raise ValidationError(f"u values must be strictly increasing, got {us}")
 
 
 def _spectator_tuple(j: int, spectators, N: int) -> tuple:
@@ -35,26 +39,29 @@ def _spectator_tuple(j: int, spectators, N: int) -> tuple:
     return sp
 
 
-def intermediate_gamma(j: int, spectators, data: SolitonData) -> np.ndarray:
-    """Intermediate-time norming vector for soliton j with the given spectators.
+def intermediate_gamma(j: int, spectators, data) -> np.ndarray:
+    """Intermediate-time norming vector for soliton j with the given spectators;
+    (S, n) for a `SolitonStack`.
 
     gamma = prod_{p not in {j} u spectators} f_p(k_j*) * d^dag_spectators(k_j) beta_j.
     The product runs over the complement set; the chain is built on the
     spectator indices (any order gives the same degree factor).  Each
-    (j, spectators) is built once per dataset (`data._gammas`); calls share
-    the read-only array.
+    (j, spectators) is built once per stack (`SolitonStack.gammas`); calls
+    share the read-only array.
     """
     j = int(j)
-    sp = _spectator_tuple(j, spectators, data.N)
-    gamma = data._gammas.get((j, sp))
+    stack = data.stack
+    sp = _spectator_tuple(j, spectators, stack.N)
+    gamma = stack.gammas.get((j, sp))
     if gamma is None:
-        w = _dressed_beta(data, j, sp)
+        w = _dressed_beta(stack, j, sp)
         excluded = set(sp) | {j}
-        rest = [pt.k for p, (pt, _) in enumerate(data.points) if p not in excluded]
-        gamma = _blaschke_product(rest, data.points[j][0].k.conjugate()) * w
+        scale = [_blaschke_product([pt.k for p, (pt, _) in enumerate(points) if p not in excluded],
+                                   points[j][0].k.conjugate()) for points in stack.points]
+        gamma = np.array(scale)[:, None] * w
         gamma.flags.writeable = False
-        data._gammas[j, sp] = gamma
-    return gamma
+        stack.gammas[j, sp] = gamma
+    return gamma if data is stack else gamma[0]
 
 
 def beta_in(j: int, data: SolitonData) -> NormingVector:
@@ -69,25 +76,26 @@ def beta_out(j: int, data: SolitonData) -> NormingVector:
     return NormingVector(intermediate_gamma(j, range(0, j), data))
 
 
-def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, data: SolitonData) -> float:
-    """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form.
+def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, stack) -> list:
+    """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form,
+    one per sample of the stack.
 
     Xi^2 = |f_l(k_j*)|^2 (1 + v_j v_l / |k_l - k_j|^2 * |p|^2) with
     p = p_{l,rho}^dag p_{j, l rho}, from those two unit vectors; symmetric
     under j <-> l.
     """
-    kj = data.points[j][0].k
-    kl = data.points[l][0].k
-    flj = _blaschke(kl, kj.conjugate())
-    coeff = (data.points[j][0].v * data.points[l][0].v) / abs(kl - kj) ** 2
-    overlap = abs(np.vdot(p_l_rho, p_j_lrho)) ** 2
-    return abs(flj) * math.sqrt(1.0 + coeff * overlap)
+    out = []
+    for points, dot in zip(stack.points, np.vecdot(p_l_rho, p_j_lrho).tolist()):
+        (pj, _), (pl, _) = points[j], points[l]
+        flj = _blaschke(pl.k, pj.k.conjugate())
+        coeff = (pj.v * pl.v) / abs(pl.k - pj.k) ** 2
+        out.append(abs(flj) * math.sqrt(1.0 + coeff * abs(dot) ** 2))
+    return out
 
 
-def collision_pair_residuals(
-    j: int, l: int, spectators, data: SolitonData
-) -> Tuple[float, float]:
-    """(collision-relation residual, |Xi_jl - Xi_lj|) for j overtaking l.
+def collision_pair_residuals(j: int, l: int, spectators, data) -> Tuple:
+    """(collision-relation residual, |Xi_jl - Xi_lj|) for j overtaking l; two
+    (S,) arrays for a `SolitonStack`.
 
     Requires u_j < u_l and j, l outside the spectator set.  The first entry
     is the max infinity-norm residual of the two vector relations, with the
@@ -96,30 +104,29 @@ def collision_pair_residuals(
     build of the pair's four intermediate gammas.
     """
     j, l = int(j), int(l)
-    sp = _spectator_tuple(j, spectators, data.N)
+    stack = data.stack
+    sp = _spectator_tuple(j, spectators, stack.N)
     if l in sp or l == j:
         raise ValidationError("l must be distinct from j and the spectators")
-    if not data.points[j][0].u < data.points[l][0].u:
+    if not all(points[j][0].u < points[l][0].u for points in stack.points):
         raise ValidationError("relations assume u_j < u_l")
-    kj = data.points[j][0].k
-    kl = data.points[l][0].k
 
-    p_l_rho = _unit(intermediate_gamma(l, sp, data))
-    p_j_lrho = _unit(intermediate_gamma(j, sp + (l,), data))
-    p_l_jrho = _unit(intermediate_gamma(l, sp + (j,), data))
-    p_j_rho = _unit(intermediate_gamma(j, sp, data))
+    pairs = ((l, sp), (j, sp + (l,)), (l, sp + (j,)), (j, sp))
+    p_l_rho, p_j_lrho, p_l_jrho, p_j_rho = _unit(np.stack([
+        intermediate_gamma(m, rho, stack) for m, rho in pairs]))
+    xi = _xi(j, l, p_l_rho, p_j_lrho, stack)
 
-    fjl = _blaschke(kj, kl.conjugate())  # f_j(k_l*)
-    flj = _blaschke(kl, kj.conjugate())  # f_l(k_j*)
-    xi = _xi(j, l, p_l_rho, p_j_lrho, data)
-
-    cj = fjl.conjugate()
-    rhs_l = (cj / xi) * (p_l_rho + (cj - 1.0) * np.vdot(p_j_lrho, p_l_rho) * p_j_lrho)
-    res_l = float(np.max(np.abs(p_l_jrho - rhs_l)))
-
-    rhs_j = (flj / xi) * (p_j_lrho + (flj - 1.0) * np.vdot(p_l_rho, p_j_lrho) * p_l_rho)
-    res_j = float(np.max(np.abs(p_j_rho - rhs_j)))
-    return float(np.maximum(res_l, res_j)), abs(xi - _xi(l, j, p_j_rho, p_l_jrho, data))
+    ks = list(zip(stack.k(j), stack.k(l)))
+    cj = [_blaschke(kj, kl.conjugate()).conjugate() for kj, kl in ks]  # conj(f_j(k_l*))
+    flj = [_blaschke(kl, kj.conjugate()) for kj, kl in ks]  # f_l(k_j*)
+    res = []  # per relation: p' = (c / xi) (p + (c - 1) <q, p> q), sample by sample
+    for c, p, q, lhs in ((cj, p_l_rho, p_j_lrho, p_l_jrho), (flj, p_j_lrho, p_l_rho, p_j_rho)):
+        inner = [(f - 1.0) * dot for f, dot in zip(c, np.vecdot(q, p).tolist())]
+        rhs = np.array([f / x for f, x in zip(c, xi)])[:, None] * (p + np.array(inner)[:, None] * q)
+        res.append(np.max(np.abs(lhs - rhs), axis=1))
+    rel = np.maximum(*res)
+    sym = [abs(a - b) for a, b in zip(xi, _xi(l, j, p_j_rho, p_l_jrho, stack))]
+    return (rel, np.array(sym)) if data is stack else (float(rel[0]), sym[0])
 
 
 def min_relative_velocity(data: SolitonData) -> float:

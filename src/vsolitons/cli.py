@@ -28,7 +28,9 @@ from . import __version__
 from .asymptotics import (
     beta_in,
     beta_out,
+    check_velocity_ordered,
     collision_pair_residuals,
+    intermediate_gamma,
     min_relative_velocity,
 )
 from .config import (
@@ -90,6 +92,8 @@ from .soldata import (
     Polarization,
     Robin,
     SolitonData,
+    SolitonStack,
+    _polarizations,
     boundary_stack,
     projective_distance,
 )
@@ -538,24 +542,26 @@ def _yb_structure(P, K, draws):
 
 def _draw_collision(cfg, rng, log, i, variant):
     data = random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2], log=log)
-    rel, xi = zip(*_pair_residuals(data, i % 2))
-    return _worst(rel), _worst(xi), _in_out(data), data.ks
+    return data, data.stack.betas[0]  # the (N, n) betas key the stacking group
 
 
 def _collision_stack(instances):
-    """Collision draws of one (N, n): their pair residuals and, from one
-    stacked pipeline, their factorization-pipeline residuals."""
-    rel, xi, pols, ks = zip(*instances)
-    return rel, xi, _pipeline_residuals(np.array(pols), np.array(ks))
+    """Collision draws of one (N, n) as one stack, each gamma built once: per
+    sample, its worst pair residuals and its pipeline residual."""
+    stack = SolitonStack(tuple(data.points for data, _ in instances))
+    pols = _in_out(stack)  # first: it names a sample with unordered velocities
+    return (*_pair_residuals(stack), _pipeline_residuals(pols, stack.ks))
 
 
-def _pair_residuals(data: SolitonData, spectators: int) -> list:
-    """collision_pair_residuals of each pair j < l, the first `spectators` others as spectators."""
-    out = []
-    for j, l in collision_orders(data.N)[0]:
-        others = tuple(m for m in range(data.N) if m not in (j, l))
-        out.append(collision_pair_residuals(j, l, others[:spectators], data))
-    return out
+def _pair_residuals(data) -> tuple:
+    """Per sample, the worst collision_pair_residuals over the pairs j < l,
+    the first other index a spectator: (relations, norm-ratio asymmetry)."""
+    stack = data.stack
+    out = [np.zeros((2, len(stack.points)))]
+    for j, l in collision_orders(stack.N)[0]:
+        others = tuple(m for m in range(stack.N) if m not in (j, l))
+        out.append(collision_pair_residuals(j, l, others[:1], stack))
+    return tuple(np.max(out, axis=0))
 
 
 def collision_orders(N: int):
@@ -564,10 +570,16 @@ def collision_orders(N: int):
     return pairs, list(reversed(pairs))
 
 
-def _in_out(data: SolitonData) -> np.ndarray:
-    """(2, N, n): every soliton's unit in- and out-polarization."""
-    return np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]
-                     for which in (beta_in, beta_out)])
+def _in_out(data) -> np.ndarray:
+    """(S, 2, N, n): every soliton's unit in- and out-polarization per sample,
+    each as `Polarization` makes it from `beta_in` or `beta_out`."""
+    stack = data.stack
+    check_velocity_ordered(stack)
+    N = stack.N
+    ins = [intermediate_gamma(j, range(j + 1, N), stack) for j in range(N)]
+    outs = [intermediate_gamma(j, range(j), stack) for j in range(N)]
+    pols = _polarizations(np.concatenate(ins + outs)).reshape(2, N, -1, ins[0].shape[-1])
+    return np.ascontiguousarray(pols.transpose(2, 0, 1, 3))
 
 
 def _pipeline_residuals(pols, K) -> np.ndarray:
@@ -585,13 +597,19 @@ def _mirror_kinds(cfg: RunConfig):
     return _boundary_kinds(cfg)[:2]
 
 
-def _mirror_halfline(cfg, rng, log, i: int, variant) -> HalfLineData:
+def _draw_mirror(cfg, rng, log, i: int, variant) -> tuple:
     N, n = 1 + i % 3, (2, 3)[i % 2]
     data = random_soliton_data(rng, N, n, positive=True, log=log)
     drawn, m = _variant_boundary(rng, variant, n)
     if m != n:
         data = random_soliton_data(rng, N, m, positive=True, log=log)
-    return solve_mirror_norming(data, boundary_spec(drawn))
+    return data, data.stack.betas[0], drawn  # the real data, as the collision draw, and a boundary
+
+
+def _mirror_solve(instances) -> tuple:
+    """Mirror draws of one (N, n) solved as one stack (`solve_mirror_norming`)."""
+    datasets, _, drawn = zip(*instances)
+    return solve_mirror_norming(datasets, [boundary_spec(d) for d in drawn])
 
 
 def _mirror_detector(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
@@ -720,9 +738,9 @@ def _draw_factorization(cfg, rng, log, i, variant):
     js, ts, sides = zip(*[(j, t, side) for j in range(data.N) for side, t in enumerate((-T, T))])
     found = extract_asymptotic_polarization(data, js, ts)
     pols = _in_out(data)
-    dist = [projective_distance(pol, pols[side, j])
+    dist = [projective_distance(pol, pols[0, side, j])
             for j, side, (pol, _) in zip(js, sides, found)]
-    return _worst(dist), _pipeline_residuals(pols[None], data.ks[None])[0]
+    return _worst(dist), _pipeline_residuals(pols, data.ks[None])[0]
 
 
 def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
@@ -770,13 +788,13 @@ _SUITES: Dict[str, Callable] = {
                                ("factorization-pipeline", "algebraic")), _draw_collision,
                           stacked=_collision_stack),
     "mirror-constraint": _Sampled(
-        10, (("mirror-constraint[{}]", "mirror_constraint"),),
-        lambda *a: (_mirror_halfline(*a).constraint_residual,),
-        _mirror_kinds, _mirror_detector,
+        10, (("mirror-constraint[{}]", "mirror_constraint"),), _draw_mirror, _mirror_kinds,
+        _mirror_detector,
+        stacked=lambda group: ([hl.constraint_residual for hl in _mirror_solve(group)[0]],),
     ),
     "mirror-polarization": _Sampled(
-        10, (("mirror-polarization[{}]", "algebraic"),),
-        lambda *a: (mirror_polarization_residual(_mirror_halfline(*a)),), _mirror_kinds,
+        10, (("mirror-polarization[{}]", "algebraic"),), _draw_mirror, _mirror_kinds,
+        stacked=lambda group: (mirror_polarization_residual(_mirror_solve(group)),),
     ),
     "transfer": _suite_transfer,
     "pde": _suite_pde,
@@ -826,10 +844,10 @@ def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
     if cfg.data is None or cfg.data.N < 2:
         raise ConfigError("data: collide mode needs at least two solitons")
     data = cfg.data
-    rel = [r for r, _ in _pair_residuals(data, 1)]
-    _check(report, cfg, "pairwise-collision-relations", _worst(rel), family="algebraic")
+    _check(report, cfg, "pairwise-collision-relations", _pair_residuals(data)[0][0],
+           family="algebraic")
     _check(report, cfg, "factorization-pipeline",
-           _pipeline_residuals(_in_out(data)[None], data.ks[None])[0], family="algebraic")
+           _pipeline_residuals(_in_out(data), data.ks[None])[0], family="algebraic")
     doc = {
         "in": soliton_data_to_json(_replace_betas(data, beta_in)),
         "out": soliton_data_to_json(_replace_betas(data, beta_out)),

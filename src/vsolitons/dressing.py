@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegeneracyError, PoleError
 from .soldata import (_SAFE_NORM, POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint,
-                      _scaled_norm, _unscaled, _vector_norm)
+                      _scaled_norms, _vector_norm, _vector_norms)
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -53,88 +53,93 @@ def blaschke_factor(point: SpectralPoint, k: complex) -> complex:
     return _blaschke(point.k, complex(k))
 
 
-def _normalized_order(data: SolitonData, order) -> tuple:
+def _normalized_order(N: int, order) -> tuple:
     if order is None:
-        return tuple(range(data.N))
+        return tuple(range(N))
     idx = tuple(int(i) for i in order)
-    if len(set(idx)) != len(idx) or not set(idx) <= set(range(data.N)):
+    if len(set(idx)) != len(idx) or not set(idx) <= set(range(N)):
         raise ValueError(f"order {idx} is not a sequence of distinct indices into the data")
     return idx
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    """vec over its 2-norm; a zero vector raises DegeneracyError."""
-    nrm = _vector_norm(vec)
-    if nrm == 0.0:
+def _unit(vecs: np.ndarray) -> np.ndarray:
+    """Vectors (last axis) over their 2-norms; a zero vector raises DegeneracyError."""
+    nrm = _vector_norms(vecs)
+    if not nrm.all():
         raise DegeneracyError("zero vector has no direction")
-    return vec / nrm
+    return vecs / nrm[..., None]
 
 
-def _chain_apply(chain, k: complex, vec: np.ndarray, dagger: bool = False) -> np.ndarray:
-    """(F_1 ... F_m)(k) vec, F_m acting first; with dagger, (F_1 ... F_m)(k)^dag
-    vec, F_1^dag acting first.  Never forms a matrix."""
-    for k0, z, _ in chain if dagger else reversed(chain):
-        c = _blaschke(k0, k)
-        z = z[:, 0]
-        vec = vec + ((c.conjugate() if dagger else c) - 1.0) * np.vdot(z, vec) * z
-    return vec
+def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False) -> np.ndarray:
+    """(F_1 ... F_m)(k_s) v_s, F_m acting first, for each sample s of a chain
+    with one k_s per sample and vecs (S, n); with dagger, (F_1 ... F_m)(k_s)^dag
+    v_s, F_1^dag acting first.  Never forms a matrix.  Each coefficient
+    (f - 1) <z_s, v_s> is one sample's scalar product, as numpy rounds scalar
+    and array complex products differently; only the vector work is stacked."""
+    for k0s, z, _ in chain if dagger else reversed(chain):
+        # Python's complex product has numpy's scalar bits
+        coeffs = [((f.conjugate() if dagger else f) - 1.0) * dot
+                  for f, dot in zip(map(_blaschke, k0s, ks), np.vecdot(z, vecs).tolist())]
+        vecs = vecs + np.array(coeffs).reshape(-1, 1) * z
+    return vecs
 
 
-def build_reduced_chain(data: SolitonData, order=None) -> tuple:
-    """Recursively build the reduced chain for the given index order.
+def build_reduced_chain(data, order=None) -> tuple:
+    """Recursively build the reduced chain of a dataset, or of each sample of a
+    `SolitonStack`, for the given index order.
 
     The direction of factor i_j is the unit vector along
-    d^dag_{i_1..i_{j-1}}(k_{i_j}) beta_{i_j}.  Returns (k, z, conj(z)) per
-    factor, z of shape (n, 1), as `_chain_product` takes them.
+    d^dag_{i_1..i_{j-1}}(k_{i_j}) beta_{i_j}.  Returns (ks, z, conj(z)) per
+    factor: the S samples' k_{i_j} and (S, n) unit directions; S = 1 for data.
 
     A factor depends only on the indices before it, so each prefix of an
-    order is built once per dataset: a call extends the longest prefix of its
-    order already built and keeps every prefix it adds (`data._chains`).
+    order is built once per stack: a call extends the longest prefix of its
+    order already built and keeps every prefix it adds (`SolitonStack.chains`).
     Calls share the triples, whose arrays are read-only.  A degenerate factor
     is never kept, so it raises DegeneracyError on every call.
     """
-    idx = _normalized_order(data, order)
-    built = data._chains
+    stack = data.stack
+    idx = _normalized_order(stack.N, order)
+    built = stack.chains
     done = len(idx)
     while idx[:done] not in built:
         done -= 1
     chain = built[idx[:done]]
     for end in range(done + 1, len(idx) + 1):
-        chain += (_reduced_factor(data, idx[end - 1], chain),)
+        chain += (_reduced_factor(stack, idx[end - 1], chain),)
         built[idx[:end]] = chain
     return chain
 
 
-def _reduced_factor(data: SolitonData, i: int, prefix) -> tuple:
-    """(k_i, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
-    point, nv = data.points[i]
-    w = _chain_apply(prefix, point.k, nv.beta, dagger=True)
-    top = max(map(abs, w.view(np.float64).tolist()))
+def _reduced_factor(stack, i: int, prefix) -> tuple:
+    """(ks, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
+    ks = stack.k(i)
     # scaled where a square could overflow or underflow, or w / nrm overflow
-    w, e, nrm = _scaled_norm(w, top)
-    norm = _unscaled(e, nrm)
-    if norm < DEGENERATE_DIRECTION_TOL * nv.norm:
-        raise DegeneracyError(f"degenerate chain: direction for index {i} collapsed ({norm:.3e})")
-    z = (w / nrm)[:, None]
+    w, nrm, norm = _scaled_norms(_chain_apply(prefix, ks, stack.betas[:, i], dagger=True))
+    for points, size in zip(stack.points, norm):
+        if size < DEGENERATE_DIRECTION_TOL * points[i][1].norm:
+            raise DegeneracyError(
+                f"degenerate chain: direction for index {i} collapsed ({size:.3e})")
+    z = w / nrm.reshape(-1, 1)
     zc = z.conj()
     z.flags.writeable = zc.flags.writeable = False
-    return point.k, z, zc
+    return ks, z, zc
 
 
-def _dressed_beta(data: SolitonData, j: int, sub) -> np.ndarray:
+def _dressed_beta(stack, j: int, sub) -> np.ndarray:
     """d_sub(k_j)^dag beta_j: beta_j dressed by the reduced chain on indices sub."""
-    point, nv = data.points[j]
-    return _chain_apply(build_reduced_chain(data, sub), point.k, nv.beta, dagger=True)
+    return _chain_apply(build_reduced_chain(stack, sub), stack.k(j), stack.betas[:, j], dagger=True)
 
 
 def eval_chain(chain, k) -> np.ndarray:
-    """Ordered product d_{i_1}(k) ... d_{i_N}(k) of a chain of at least one
-    factor, one per entry of k."""
+    """Ordered product d_{i_1}(k) ... d_{i_N}(k) of one dataset's chain of at
+    least one factor, one per entry of k."""
     ks = np.asarray(k, dtype=np.complex128)
-    d = chain[0][1].shape[0]
+    d = chain[0][1].shape[1]
     # a lone k goes as two: numpy rounds length-1 stacks its own way
     flat = np.repeat(ks.reshape(-1), 2) if ks.size == 1 else ks.reshape(-1)
-    return _chain_product(chain, flat, d)[0, : ks.size].reshape(ks.shape + (d, d))
+    coeffs = [_coefficients(k0s[0], flat) for k0s, _, _ in chain]
+    return _chain_product(chain, flat, d, coeffs)[0, : ks.size].reshape(ks.shape + (d, d))
 
 
 def _coefficients(k0: complex, ks: np.ndarray) -> np.ndarray:
@@ -142,21 +147,19 @@ def _coefficients(k0: complex, ks: np.ndarray) -> np.ndarray:
     return np.array([_blaschke(k0, k) for k in ks.tolist()]) - 1.0
 
 
-def _chain_product(dirs, ks: np.ndarray, d: int, coeffs=None) -> np.ndarray:
+def _chain_product(dirs, ks: np.ndarray, d: int, coeffs) -> np.ndarray:
     """Ordered factor products at stacked points x spectral parameters.
 
-    dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (d, M);
+    dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (M, d);
     returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
-    (the identity for an empty chain).  coeffs, if given, holds each factor's
+    (the identity for an empty chain).  coeffs holds each factor's
     `_coefficients` at ks, in chain order.
     """
-    m = dirs[0][1].shape[1] if dirs else 1
+    m = dirs[0][1].shape[0] if dirs else 1
     out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
-    if coeffs is None:
-        coeffs = [_coefficients(k0, ks) for k0, _, _ in dirs]
     for (_, z, zc), coeff in zip(dirs, coeffs):
         # out F(k) = out + (f(k) - 1) (out z) z^dag
-        out += (out @ z.T[:, None, :, None]) * (coeff[:, None, None] * zc.T[:, None, None, :])
+        out += (out @ z[:, None, :, None]) * (coeff[:, None, None] * zc[:, None, None, :])
     return out
 
 
@@ -417,8 +420,8 @@ def permutation_residuals(
     reference order's images are computed once, and so are each factor's seed
     at (x, t) and update coefficients at the ks, which every order shares.
     """
-    ref = _normalized_order(data, reference)
-    idxs = [_normalized_order(data, order) for order in orders]
+    ref = _normalized_order(data.N, reference)
+    idxs = [_normalized_order(data.N, order) for order in orders]
     if any(set(idx) != set(ref) for idx in idxs):
         raise ValueError("orders must permute the same index set")
     ks = np.array([complex(k) for k in sample_ks], dtype=np.complex128)
@@ -433,7 +436,8 @@ def permutation_residuals(
         out = [_chain_product(build_reduced_chain(data, idx), ks, data.n, [coeffs[i] for i in idx])]
         if x.size:
             dirs = _full_directions(data, idx, x, t, seeds)
-            out += [_chain_product(dirs, ks[:3], data.n + 1, [coeffs[i][:3] for i in idx]),
+            out += [_chain_product([(k, z.T, zc.T) for k, z, zc in dirs], ks[:3], data.n + 1,
+                                   [coeffs[i][:3] for i in idx]),
                     _field(data, idx, dirs, x.size)]
         return out
 

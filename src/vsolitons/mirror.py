@@ -6,7 +6,9 @@ first: k_{j+N} = -k_j* and beta_j beta_{j+N}^dag = M(k_j*) A_{j+N}, where
 A_{j+N} packages the residue of the inverse chain at k_{j+N}.  The coupled
 constraints are solved by a descending recursion that consumes only
 previously built mirror factors; every beta_{j+N} then follows from one
-chain application, as each factor obeys d(k)^-1 = d(k*)^dag.
+chain application, as each factor obeys d(k)^-1 = d(k*)^dag.  S same-shape
+datasets, one boundary each, are solved and checked as one stack; one
+dataset is a stack of one.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .soldata import (
     BoundarySpec,
     NormingVector,
     SolitonData,
-    _vector_norm,
-    boundary_stack,
+    SolitonStack,
     projective_distance,
+    _vector_norms,
+    boundary_stack,
 )
 
 #: Relative constraint residual a solved or stored dataset must meet.
@@ -56,7 +59,7 @@ class HalfLineData:
         with the reduced chains the real half has built: an order of real
         indices names the same points in both."""
         data = SolitonData(self.n, self.real_data.points + self.mirror_data.points)
-        data._chains.update(self.real_data._chains)
+        data.stack.chains.update(self.real_data.stack.chains)
         return data
 
     @cached_property
@@ -83,8 +86,9 @@ def check_halfline_real_data(data: SolitonData) -> None:
     check_velocity_ordered(data)
 
 
-def a_matrix(j: int, data: SolitonData, chain) -> np.ndarray:
-    """Residue matrix of the inverse chain at k_j, in factored form.
+def a_matrix(j: int, data, chain) -> np.ndarray:
+    """Residue matrix of the inverse chain at k_j, in factored form; (S, n, n)
+    for a `SolitonStack` and its chain.
 
     A_j = prod_{i != j} ((k_j-k_i)/(k_j-k_i*)) *
           d^-1_{M-1} ... d^-1_{j+1} * P_j * d^-1_{j-1} ... d^-1_0, all at k_j,
@@ -94,16 +98,18 @@ def a_matrix(j: int, data: SolitonData, chain) -> np.ndarray:
     construction.
     """
     j = int(j)
-    kj = data.points[j][0].k
-    kjc = kj.conjugate()
-    z = chain[j][1][:, 0]
+    stack = data.stack
+    kj = stack.k(j)
+    kjc = [k.conjugate() for k in kj]
+    z = chain[j][1]
     left = _chain_apply(chain[j + 1 :], kjc, z, dagger=True)
     right = _chain_apply(chain[:j], kjc, z)
-    ks = data.ks
-    return _blaschke_product((*ks[:j], *ks[j + 1 :]), kj) * np.outer(left, right.conj())
+    pref = [_blaschke_product((*ks[:j], *ks[j + 1 :]), k) for ks, k in zip(stack.ks, kj)]
+    out = np.array(pref)[:, None, None] * (left[:, :, None] * right.conj()[:, None, :])
+    return out if data is stack else out[0]
 
 
-def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLineData:
+def solve_mirror_norming(real_data, spec):
     """Solve the coupled mirror constraints by the descending recursion.
 
     For j = N..1 the direction of mirror factor j+N comes from
@@ -113,87 +119,101 @@ def solve_mirror_norming(real_data: SolitonData, spec: BoundarySpec) -> HalfLine
     for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: one chain
     application, no matrix formed or inverted.  A relative constraint residual
     above CONSTRAINT_TOL, or a nan one, raises DegeneracyError.  Deterministic.
+
+    S same-shape datasets and S boundaries are solved as one stack into S
+    HalfLineData and the stack of their combined data.
     """
-    check_halfline_real_data(real_data)
-    n, N = real_data.n, real_data.N
-    ks = np.concatenate([real_data.ks, -real_data.ks.conj()])
+    one = isinstance(real_data, SolitonData)
+    reals, specs = ([real_data], [spec]) if one else (real_data, spec)
+    for data in reals:
+        check_halfline_real_data(data)
+    real = real_data.stack if one else SolitonStack(tuple(data.points for data in reals))
+    N, n = real.N, reals[0].n
+    ks = np.concatenate([real.ks, -real.ks.conj()], axis=1)
 
     # mirror factors are built right to left
     mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        pref = _blaschke_product((*ks[:mj], *ks[mj + 1 :]), ks[mj])
-        w = spec.big_m_inv(ks[j].conjugate(), n) @ real_data.points[j][1].beta / pref
+        pref = [_blaschke_product((*k[:mj], *k[mj + 1 :]), k[mj]) for k in ks]
+        m_inv = np.array([sp.big_m_inv(k[j].conjugate(), n) for sp, k in zip(specs, ks)])
+        w = (m_inv @ real.betas[:, j, :, None])[..., 0] / np.array(pref)[:, None]
         # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
-        w = _chain_apply(mirror, ks[mj], w)
-        nw = _vector_norm(w)
-        if nw == 0.0:
+        w = _chain_apply(mirror, ks[:, mj], w)
+        nw = _vector_norms(w)
+        if not nw.all():
             raise DegeneracyError(f"mirror direction for index {mj} collapsed")
-        z = (w / nw)[:, None]
-        mirror.insert(0, (ks[mj], z, z.conj()))
-        xis.insert(0, w / nw**2)
+        z = w / nw[:, None]
+        mirror.insert(0, (tuple(ks[:, mj]), z, z.conj()))
+        xis.insert(0, w / np.array([x**2 for x in nw.tolist()])[:, None])  # C pow, not x*x
 
-    chain = build_reduced_chain(real_data) + tuple(mirror)
-    mirror_points = [
-        (pt.mirror(), NormingVector(_chain_apply(chain[: N + j], ks[N + j].conjugate(), xi)))
-        for j, ((pt, _), xi) in enumerate(zip(real_data.points, xis))
-    ]
+    chain = build_reduced_chain(real) + tuple(mirror)
+    betas = [_chain_apply(chain[: N + j], ks[:, N + j].conj(), xi) for j, xi in enumerate(xis)]
+    hls = [HalfLineData(data, SolitonData(n, tuple(
+        (pt.mirror(), NormingVector(beta[s])) for (pt, _), beta in zip(data.points, betas))), sp)
+        for s, (data, sp) in enumerate(zip(reals, specs))]
+    combined = hls[0].combined.stack if one else SolitonStack(
+        tuple(hl.real_data.points + hl.mirror_data.points for hl in hls))
+    combined.chains.update(real.chains)
+    for hl, residual in zip(hls, mirror_constraint_residual((hls, combined)).tolist()):
+        vars(hl)["constraint_residual"] = residual  # the cached property's slot
+        if not residual <= CONSTRAINT_TOL:  # a nan residual fails too
+            raise DegeneracyError(
+                f"mirror constraint residual {residual:.3e} exceeds {CONSTRAINT_TOL}")
+    return hls[0] if one else (hls, combined)
 
-    hl = HalfLineData(real_data, SolitonData(n, tuple(mirror_points)), spec)
-    residual = hl.constraint_residual
-    if not residual <= CONSTRAINT_TOL:  # a nan residual fails too
-        raise DegeneracyError(
-            f"mirror constraint residual {residual:.3e} exceeds {CONSTRAINT_TOL}"
-        )
-    return hl
 
-
-def mirror_constraint_residual(hl: HalfLineData) -> float:
+def mirror_constraint_residual(hl):
     """max_j || beta_j beta_{j+N}^dag - M(k_j*) A_{j+N} ||_inf / (|beta_j| |beta_{j+N}|).
 
     Relative to the size of beta_j beta_{j+N}^dag, so the residual does not
     shrink with the mirror |beta|, which falls with N.  A nan residual
-    propagates.
+    propagates.  Of S datasets and their combined stack, as the solve gives
+    them, it is an (S,) array.
     """
-    N, n = hl.N, hl.n
-    chain = build_reduced_chain(hl.combined)
-    res = [0.0]
+    hls, combined = ([hl], hl.combined.stack) if isinstance(hl, HalfLineData) else hl
+    N, n = hls[0].N, hls[0].n
+    chain = build_reduced_chain(combined)
+    res = [np.zeros(len(hls))]
     for j in range(N):
-        nv_r = hl.real_data.points[j][1]
-        nv_m = hl.mirror_data.points[j][1]
-        lhs = np.outer(nv_r.beta, nv_m.beta.conj())
-        kjc = hl.real_data.points[j][0].k.conjugate()
-        rhs = hl.spec.big_m(kjc, n) @ a_matrix(N + j, hl.combined, chain)
-        res.append(float(np.max(np.abs(lhs - rhs))) / (nv_r.norm * nv_m.norm))
-    return float(np.max(res))
+        beta_r, beta_m = combined.betas[:, j], combined.betas[:, N + j]
+        lhs = beta_r[:, :, None] * beta_m.conj()[:, None, :]
+        big_m = np.array([h.spec.big_m(k.conjugate(), n) for h, k in zip(hls, combined.k(j))])
+        rhs = big_m @ a_matrix(N + j, combined, chain)
+        # in Python floats, which neither warn past the float range nor divide by 0
+        res.append([a / (p[j][1].norm * p[N + j][1].norm) for a, p in
+                    zip(np.max(np.abs(lhs - rhs), axis=(1, 2)).tolist(), combined.points)])
+    out = np.max(res, axis=0)
+    return float(out[0]) if isinstance(hl, HalfLineData) else out
 
 
-def mirror_polarization_residual(hl: HalfLineData) -> float:
+def mirror_polarization_residual(hl):
     """Mirror-symmetry of intermediate polarizations, in projective distance.
 
     Checks, for every j, that the mirror chain direction equals m times the
     matching real-soliton polarization for both index patterns: the
     canonical prefix (mirror factor direction itself) and the all-real prefix.
     m is the boundary's constant m, the one row of its stack, for every j.  A
-    nan distance propagates.
+    nan distance propagates.  Of S datasets and their combined stack, as the
+    solve gives them, it is an (S,) array.
     """
-    N, n = hl.N, hl.n
-    chain = build_reduced_chain(hl.combined)
-    m = boundary_stack([hl.spec], n)[0]
-    res = [0.0]
+    hls, combined = ([hl], hl.combined.stack) if isinstance(hl, HalfLineData) else hl
+    N, n = hls[0].N, hls[0].n
+    chain = build_reduced_chain(combined)
+    m = boundary_stack([h.spec for h in hls], n)
+    lhs, rhs = [], []  # each pattern's two sides, for every j; compared in one pass
     for j in range(N):
-        kj = hl.real_data.points[j][0].k
-
         # canonical-prefix pattern: direction of the mirror factor itself
-        g = _dressed_beta(hl.real_data, j, range(j + 1, N))
-        res.append(projective_distance(chain[N + j][1][:, 0], _unit(m @ g)))
-
+        lhs.append(chain[N + j][1])
+        rhs.append(_dressed_beta(combined, j, range(j + 1, N)))
         # all-real-prefix pattern: real chain dagger applied to the mirror beta
-        beta_m = hl.mirror_data.points[j][1].beta
-        lhs_b = _chain_apply(chain[:N], -kj.conjugate(), beta_m, dagger=True)
-        g_b = _dressed_beta(hl.real_data, j, [i for i in range(N) if i != j])
-        res.append(projective_distance(_unit(lhs_b), _unit(m @ g_b)))
-    return float(np.max(res))
+        kb = [-k.conjugate() for k in combined.k(j)]
+        lhs.append(_unit(_chain_apply(chain[:N], kb, combined.betas[:, N + j], dagger=True)))
+        rhs.append(_dressed_beta(combined, j, [i for i in range(N) if i != j]))
+    rhs = _unit((np.concatenate([m] * 2 * N) @ np.concatenate(rhs)[..., None])[..., 0])
+    dist = projective_distance(np.concatenate(lhs), rhs).reshape(2 * N, -1)
+    out = np.max([np.zeros(len(hls)), *dist], axis=0)
+    return float(out[0]) if isinstance(hl, HalfLineData) else out
 
 
 def halfline_field(hl: HalfLineData, x, t):

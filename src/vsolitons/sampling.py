@@ -34,6 +34,7 @@ from .soldata import (
     SolitonData,
     SpectralPoint,
     _vector_norm,
+    _vector_norms,
     boundary_stack,
     canonical_phase,
 )
@@ -93,8 +94,7 @@ def unit_vectors(draws: np.ndarray) -> np.ndarray:
     """Unit vectors in canonical phase of a stack of (..., 2, n) draws from
     `draw_unit_vectors`, each as `Polarization` makes it, bit for bit."""
     v = draws[..., 0, :] + 1j * draws[..., 1, :]
-    # vecdot on the strided views is np.linalg.norm's ddot
-    u = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    u = v / _vector_norms(v)[..., None]
     return canonical_phase(u)
 
 

@@ -78,6 +78,26 @@ def _vector_norm(vec: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _vector_norms(vecs: np.ndarray) -> np.ndarray:
+    """`_vector_norm` of each vector over the last axis of a stack, bit for
+    bit: vecdot on the strided real and imaginary views is its ddot."""
+    return np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
+
+
+def _scaled_norms(vecs: np.ndarray) -> tuple:
+    """(v, |v|, |vec|) for each row of an (S, n) stack, as `_scaled_norm` and
+    `_unscaled` give them (|vec| as a list): one stacked pass where every row
+    lies inside _SAFE_NORM, and `_scaled_norm` for each row elsewhere."""
+    tops = [max(map(abs, row)) for row in vecs.view(np.float64).tolist()]
+    if max(tops) <= _SAFE_NORM[1]:  # no square can overflow
+        nrm = _vector_norms(vecs)
+        if _SAFE_NORM[0] <= min(sizes := nrm.tolist()) and max(sizes) <= _SAFE_NORM[1]:
+            return vecs, nrm, sizes
+    rows = [_scaled_norm(vec, top) for vec, top in zip(vecs, tops)]
+    return (np.array([v for v, _, _ in rows]), np.array([nrm for _, _, nrm in rows]),
+            [_unscaled(e, nrm) for _, e, nrm in rows])
+
+
 def _scaled_norm(vec: np.ndarray, top: float) -> tuple:
     """(v, e, |v|) with vec = 2^e v, for a finite complex vector whose largest
     |re| or |im| is top.
@@ -203,11 +223,7 @@ class Polarization:
     p: np.ndarray
 
     def __post_init__(self):
-        # out of _SAFE_NORM, arr is scaled: the same direction, norm near 1 (or 0)
-        arr, _, nrm = _scaled_norm(*_as_complex_vector(self.p, "polarization"))
-        if nrm == 0.0:
-            raise ValidationError("zero vector has no polarization")
-        arr = canonical_phase(arr / nrm)
+        arr = _polarizations(_as_complex_vector(self.p, "polarization")[0][None])[0]
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 
@@ -216,23 +232,37 @@ class Polarization:
         return self.p.size
 
 
-def projective_distance(p, q) -> float:
-    """Fubini-Study-type distance sqrt(1 - |p^dag q|^2) between unit vectors.
+def _polarizations(vecs: np.ndarray) -> np.ndarray:
+    """Each row of an (S, n) stack as `Polarization` makes it, bit for bit:
+    over its norm (a row out of _SAFE_NORM is scaled first: the same
+    direction, norm near 1 or 0), in canonical phase."""
+    if not np.isfinite(vecs).all():
+        raise ValidationError("polarization has non-finite entries")
+    vecs, nrm, _ = _scaled_norms(vecs)
+    if not nrm.all():
+        raise ValidationError("zero vector has no polarization")
+    return canonical_phase(vecs / nrm[:, None])
 
-    Zero iff the two directions agree projectively; one iff orthogonal.
-    Phase-invariant and symmetric.  Evaluated as the norm of q minus its
-    projection on p, which resolves distances near zero to machine epsilon
-    instead of the sqrt(eps) floor of the naive formula.
+
+def projective_distance(p, q):
+    """Fubini-Study-type distance sqrt(1 - |p^dag q|^2) between unit vectors;
+    between the rows of two (S, n) stacks, an (S,) array.
+
+    Zero iff the two directions agree projectively; one iff orthogonal (and
+    for a nan distance).  Phase-invariant and symmetric.  Evaluated as the
+    norm of q minus its projection on p, which resolves distances near zero
+    to machine epsilon instead of the sqrt(eps) floor of the naive formula.
     """
     a = p.p if isinstance(p, Polarization) else np.asarray(p, dtype=np.complex128)
     b = q.p if isinstance(q, Polarization) else np.asarray(q, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValidationError("projective distance needs vectors of equal length")
-    if a.size == 1:
-        return 0.0  # one complex line only: the distance vanishes identically
-    a = a / _vector_norm(a)
-    b = b / _vector_norm(b)
-    return min(1.0, _vector_norm(b - a * np.vdot(a, b)))
+    if a.shape[-1] == 1:  # one complex line only: the distance vanishes identically
+        return np.zeros(a.shape[:-1])[()]
+    a = a / _vector_norms(a)[..., None]
+    b = b / _vector_norms(b)[..., None]
+    dist = _vector_norms(b - a * np.vecdot(a, b)[..., None])
+    return np.where(dist < 1.0, dist, 1.0)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,17 +295,8 @@ class SolitonData:
         object.__setattr__(self, "points", pts)
         _check_distinct_poles(pts)
 
-    @functools.cached_property
-    def _chains(self) -> dict:
-        """Reduced chains built so far, by index order: `dressing.build_reduced_chain`
-        builds each prefix of an order once per dataset and keeps it here."""
-        return {(): ()}
-
-    @functools.cached_property
-    def _gammas(self) -> dict:
-        """Intermediate norming vectors built so far, by (j, spectators):
-        `asymptotics.intermediate_gamma` builds each once per dataset."""
-        return {}
+    #: this dataset as a stack of one, where its chains are built, once each
+    stack = functools.cached_property(lambda self: SolitonStack((self.points,)))
 
     @property
     def N(self) -> int:
@@ -300,6 +321,28 @@ class SolitonData:
         if len(pts) != len(betas):
             raise ValidationError("u, v, beta lists must have equal length")
         return cls(n, pts)
+
+
+class SolitonStack:
+    """The points of S validated datasets of one shape (N points, n components),
+    whose reduced chains and intermediate gammas are built together, once each,
+    and kept here.  One dataset is a stack of one: `SolitonData.stack`."""
+
+    def __init__(self, points: tuple):
+        self.points, self.chains, self.gammas = points, {(): ()}, {}
+
+    stack = property(lambda self: self)
+    N = property(lambda self: len(self.points[0]))
+
+    def k(self, i: int) -> tuple:
+        """Every sample's eigenvalue i, each a Python complex."""
+        return tuple([points[i][0].k for points in self.points])
+
+    # (S, N) eigenvalues and (S, N, n) norming vectors
+    ks = functools.cached_property(
+        lambda self: np.array([[pt.k for pt, _ in p] for p in self.points]))
+    betas = functools.cached_property(
+        lambda self: np.array([[nv.beta for _, nv in p] for p in self.points]))
 
 
 def _check_distinct_poles(pts) -> None:
@@ -471,17 +514,26 @@ BoundarySpec = Union[Robin, RotatedMixed]
 def boundary_stack(rows, n: int) -> np.ndarray:
     """The (S, n, n) m of S boundaries on n components, each a spec, a Robin
     alpha, a sign pattern or a checked m ((n, n) array): a sign-pattern row's
-    stored m, the identity on a Robin row.  An array is returned as it is."""
-    if isinstance(rows, np.ndarray):
-        return rows
-    ms = []
-    for row in rows:
-        if isinstance(row, (Robin, float)):
-            row = _robin_eye(n)
-        elif isinstance(row, tuple):
-            row = _sign_matrices(row)[1]
-        elif isinstance(row, RotatedMixed):
-            row._check_n(n)
-            row = row.m
-        ms.append(row)
-    return np.array(ms) if ms else np.empty((0, n, n), np.complex128)
+    stored m, the identity on a Robin row.  A nonempty array is returned as it
+    is.  ValidationError names the first row that is not n x n."""
+    ms = rows
+    if not isinstance(rows, np.ndarray):
+        ms = []
+        for row in rows:
+            if isinstance(row, (Robin, float)):
+                row = _robin_eye(n)
+            elif isinstance(row, tuple):
+                row = _sign_matrices(row)[1]
+            elif isinstance(row, RotatedMixed):
+                row._check_n(n)
+                row = row.m
+            ms.append(row)
+    try:
+        stack = np.asarray(ms) if len(ms) else np.empty((0, n, n), np.complex128)
+    except ValueError:  # rows of different shapes
+        stack = np.empty(0)
+    if n is not None and stack.shape[1:] != (n, n):
+        bad = next(s for s, m in enumerate(ms) if np.shape(m) != (n, n))
+        raise ValidationError(f"boundary row {bad} of shape {np.shape(ms[bad])}: "
+                              f"m must be {n}x{n} on {n} components")
+    return stack

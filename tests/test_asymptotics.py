@@ -30,7 +30,7 @@ def xi_factor(j, l, spectators, data):
     from the two intermediate gammas it needs."""
     p_l_rho = _unit(intermediate_gamma(l, spectators, data))
     p_j_lrho = _unit(intermediate_gamma(j, tuple(spectators) + (l,), data))
-    return _xi(j, l, p_l_rho, p_j_lrho, data)
+    return _xi(j, l, p_l_rho[None], p_j_lrho[None], data.stack)[0]
 
 
 def asymptotic_profile(data, x, t, direction):

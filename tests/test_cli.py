@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from vsolitons import (NormingVector, Polarization, SolitonData, SpectralPoint, beta_in, beta_out,
-                       cli, one_soliton_field, projective_distances, yb_schedule)
+                       cli, collision_pair_residuals, intermediate_gamma, one_soliton_field,
+                       projective_distances, yb_schedule)
 from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
@@ -25,7 +26,7 @@ from vsolitons.config import (
 from vsolitons.errors import ConfigError
 from vsolitons.mirror import solve_mirror_norming
 from vsolitons.sampling import SampleLog, random_soliton_data
-from vsolitons.soldata import Mixed
+from vsolitons.soldata import Mixed, SolitonStack
 from vsolitons.verification import FieldGrid
 
 
@@ -351,6 +352,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and "separated velocities" in err
 
 
+class TestUnsortedData:
+    """Data whose velocities are not increasing exit 1, with the message of
+    the first check that refuses them, and write nothing."""
+
+    @pytest.mark.parametrize("mode, us, extra, message", [
+        ("collide", (0.6, -0.5, 0.1), {}, "relations assume u_j < u_l"),
+        ("mirror", (0.9, 0.4), {"boundary": {"kind": "mixed", "signs": [1, -1]}},
+         "u values must be strictly increasing, got [0.9, 0.4]"),
+        ("mirror", (0.9, 0.4), {"boundary": {"kind": "robin", "alpha": 0.5}},
+         "u values must be strictly increasing, got [0.9, 0.4]"),
+    ], ids=["collide", "mirror-mixed", "mirror-robin"])
+    def test_exit_one_with_the_first_refusal(self, tmp_path, capsys, mode, us, extra, message):
+        doc = {"data": {"n": 2, "solitons": [
+            {"u": u, "v": 1.0, "beta": [[1, 0], [0.5, 0.5]]} for u in us]}, **extra}
+        out = tmp_path / "o"
+        assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestNanResiduals:
     """A nan residual fails its check wherever it falls: Python's max(0.0, nan)
     is 0.0, so every fold of residuals must keep the nan."""
@@ -379,7 +400,8 @@ class TestNanResiduals:
 
     def test_nan_collision_residual_fails_collide_mode(self, tmp_path, monkeypatch):
         calls = iter([(1e-16, 0.0), (math.nan, 0.0), (1e-16, 0.0)])
-        monkeypatch.setattr(cli, "collision_pair_residuals", lambda *a: next(calls))
+        monkeypatch.setattr(cli, "collision_pair_residuals",
+                            lambda *a: tuple(np.array([r]) for r in next(calls)))
         doc = {"data": {"n": 2, "solitons": [
             {"u": u, "v": 1.0, "beta": [[1, 0], [0.5, 0.5]]} for u in (-0.5, 0.1, 0.6)]}}
         out = tmp_path / "o"
@@ -867,18 +889,41 @@ class TestStackedCollisionPipeline:
         rng = np.random.default_rng(5)
         datas = [random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2]) for i in range(20)]
         rows = cli._SUITES["collision"]._evaluate(instances)
-        for (rel, xi, _, ks), data, row in zip(instances, datas, rows):
-            assert ks.tobytes() == data.ks.tobytes()
-            assert row == (rel, xi, _oracle_pipeline_residual(data))
+        for (drawn, betas), data, row in zip(instances, datas, rows):
+            assert drawn.ks.tobytes() == data.ks.tobytes()
+            assert betas.tobytes() == np.array([nv.beta for _, nv in data.points]).tobytes()
+            pairs = [collision_pair_residuals(j, l, [m for m in range(data.N) if m not in (j, l)][:1],
+                                              data) for j, l in cli.collision_orders(data.N)[0]]
+            rel, xi = zip(*pairs)
+            assert row == (cli._worst(rel), cli._worst(xi), _oracle_pipeline_residual(data))
 
     def test_interleaved_groups_keep_their_one_sample_bits(self):
         # N and n in {2, 3}, interleaved: four stacks of six, results in order
         rng = np.random.default_rng(6)
         datas = [random_soliton_data(rng, 2 + i % 2, 2 + i // 2 % 2) for i in range(24)]
-        instances = [(0.0, 0.0, cli._in_out(data), data.ks) for data in datas]
-        rows = cli._SUITES["collision"]._evaluate(instances)
+        rows = cli._SUITES["collision"]._evaluate([(data, data.stack.betas[0]) for data in datas])
         for data, row in zip(datas, rows):
             assert row[2] == _oracle_pipeline_residual(data)
+
+    @pytest.mark.parametrize("N, n", [(2, 2), (3, 3), (4, 2)])
+    def test_stacked_gammas_and_in_out_keep_their_one_sample_bits(self, N, n):
+        # every (j, spectators) gamma of a stack, and its in/out polarizations,
+        # has the bits of the S = 1 build on a dataset of its own
+        rng = np.random.default_rng(7 + N + n)
+        datas = [random_soliton_data(rng, N, n) for _ in range(6)]
+        stack = SolitonStack(tuple(data.points for data in datas))
+        pols = cli._in_out(stack)
+        spectator_sets = [(j, sp) for j in range(N) for size in range(N)
+                          for sp in itertools.permutations(set(range(N)) - {j}, size)]
+        for s, data in enumerate(datas):
+            fresh = SolitonData(data.n, data.points)
+            for j, sp in spectator_sets:
+                assert (intermediate_gamma(j, sp, stack)[s].tobytes()
+                        == intermediate_gamma(j, sp, fresh).tobytes())
+            frozen = [[Polarization(which(j, data).beta).p for j in range(N)]
+                      for which in (beta_in, beta_out)]
+            assert pols[s].tobytes() == np.array(frozen).tobytes()
+            assert pols[s].tobytes() == cli._in_out(fresh)[0].tobytes()
 
 
 class TestParser:

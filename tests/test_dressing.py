@@ -28,14 +28,22 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
+def columns(chain):
+    """(k, z, conj(z)) triples with z of shape (d, 1), of a one-dataset reduced
+    chain (its factors' ks a 1-tuple, z one (1, n) row) or a one-point full chain."""
+    return [(k[0], z.T, zc.T) if isinstance(k, tuple) else (k, z, zc) for k, z, zc in chain]
+
+
 def direction(chain, i):
     """Unit direction of factor i of a reduced or one-point full chain."""
-    return chain[i][1][:, 0]
+    return columns(chain)[i][1][:, 0]
 
 
 def full_chain(data, x, t):
-    """The full chain's (k, z, conj(z)) triples at the single point (x, t)."""
-    return _full_directions(data, range(data.N), np.array([float(x)]), np.array([float(t)]))
+    """The full chain at the single point (x, t), laid out as a one-dataset
+    reduced chain, which `eval_chain` takes: ((k,), z, conj(z)), z one row."""
+    dirs = _full_directions(data, range(data.N), np.array([float(x)]), np.array([float(t)]))
+    return [((k,), z.T, zc.T) for k, z, zc in dirs]
 
 
 def permutation_residual(data, order_a, order_b, ks, xts=()):
@@ -110,7 +118,7 @@ class TestReducedChain:
         data = random_data(np.random.default_rng(0), 2, 2)
         chain = build_reduced_chain(data, ())
         assert chain == ()
-        product = _chain_product(chain, np.array([0.3 + 0.1j, -1.0]), 2)
+        product = _chain_product(chain, np.array([0.3 + 0.1j, -1.0]), 2, [])
         assert product.shape == (1, 2, 2, 2)
         assert np.array_equal(product[0], [np.eye(2)] * 2)
 
@@ -167,8 +175,9 @@ class TestChainApply:
         vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for k in rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.1, 2, 3):
             prod = _ref_product(chain, k)
-            assert np.allclose(dressing._chain_apply(chain, k, vec), prod @ vec, atol=1e-13)
-            got = dressing._chain_apply(chain, k, vec, dagger=True)
+            got = dressing._chain_apply(chain, [k], vec[None])[0]
+            assert np.allclose(got, prod @ vec, atol=1e-13)
+            got = dressing._chain_apply(chain, [k], vec[None], dagger=True)[0]
             assert np.allclose(got, prod.conj().T @ vec, atol=1e-13)
         assert dressing._chain_apply((), 0.5j, vec) is vec
 
@@ -371,6 +380,7 @@ def _assert_matches_reference(data, x, t):
 
 def _ref_product(chain, k):
     """The chain's product at k from explicit factor matrices."""
+    chain = columns(chain)
     out = np.eye(chain[0][1].shape[0], dtype=np.complex128)
     for k0, z, zc in chain:
         out = out @ (np.eye(z.shape[0]) + (_ref_blaschke(k0, k) - 1.0) * (z @ zc.T))
@@ -587,8 +597,12 @@ def _oracle_permutation_residuals(data, reference, orders, ks, xts):
 
     def images(idx):
         dirs = _full_directions(data, idx, x, t)
-        return [_chain_product(build_reduced_chain(data, idx), ks, data.n),
-                _chain_product(dirs, ks[:3], data.n + 1), dressing._field(data, idx, dirs, x.size)]
+        reduced = build_reduced_chain(data, idx)
+        return [_chain_product(reduced, ks, data.n,
+                               [dressing._coefficients(k[0], ks) for k, _, _ in reduced]),
+                _chain_product([(k, z.T, zc.T) for k, z, zc in dirs], ks[:3], data.n + 1,
+                               [dressing._coefficients(k, ks[:3]) for k, _, _ in dirs]),
+                dressing._field(data, idx, dirs, x.size)]
 
     ref = images(reference)
     return [float(np.max([np.max(np.abs(a - b)) for a, b in zip(ref, images(idx))]))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from vsolitons import (
 )
 from vsolitons import cli, maps, sampling
 from vsolitons.cli import _SUITES
-from vsolitons.errors import ValidationError
+from vsolitons.errors import DegeneracyError, ValidationError
 from vsolitons.sampling import (
     BOUNDARY_KINDS,
     V_RANGE,
@@ -322,7 +323,8 @@ class TestReflectionMapClassification:
     7.2e-16; a Hermitian unitary read at most 3.6e-14 in the reflection
     equation and 4.3e-14 in the involution; a Haar-random unitary read at
     least 5.1e-6 in the reflection equation, 6 draws below 1e-4 and 0.1%
-    below 1.3e-3."""
+    below 1.3e-3, and at least 6.6e-6 in the involution, 12 draws below
+    1e-4."""
 
     S = 100
 
@@ -355,6 +357,12 @@ class TestReflectionMapClassification:
         m = unitaries(rng.standard_normal((self.S, 2, n, n)))
         assert np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(1, 2)).min() > 0.1
         assert reflection_equation_residuals(P, K, m).min() >= 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_hermitian_unitary_fails_the_involution(self, n):
+        rng, P, K = self._draws(n)
+        m = unitaries(rng.standard_normal((self.S, 2, n, n)))
+        assert involution_residuals(P[:, :1], K[:, :1], m).min() >= 1e-4
 
 
 def _site_ms(P, b_plus, b_minus):
@@ -1548,6 +1556,36 @@ class TestBoundaryStackPin:
             _axis_message(k[5]))
 
 
+class TestBoundaryStackShape:
+    """A boundary row that is not n x n is refused with a ValidationError
+    naming the first such row, by the stack and by the bounce, whatever the
+    row's kind."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, -1), (1, -1, 1), (1, 1, 1)], "boundary row 1 of shape (3, 3)"),
+        ([0.4, Robin(1.0), np.eye(3, dtype=complex)], "boundary row 2 of shape (3, 3)"),
+        ([np.eye(2), np.eye(2)[0]], "boundary row 1 of shape (2,)"),
+        (np.tile(np.eye(3, dtype=complex), (3, 1, 1)), "boundary row 0 of shape (3, 3)"),
+        (np.ones((3, 2), dtype=complex), "boundary row 0 of shape (2,)"),
+        ([(1, -1), Mixed((1, -1, 1)), (1,)], "boundary spec acts on 3 components, expected 2"),
+    ], ids=["sign-pattern", "checked-m", "vector-row", "raw-stack", "raw-vectors",
+            "spec"])
+    def test_first_bad_row_is_named(self, rows, message):
+        expect = (ValidationError, message if "spec" in message else
+                  f"{message}: m must be 2x2 on 2 components")
+        assert _raised(boundary_stack, rows, 2) == expect
+        S = len(rows)
+        P = np.full((S, 1, 2), 0.5 ** 0.5, dtype=complex)
+        K = np.full((S, 1), 0.5 + 0.5j)
+        for composite in (reflection_maps, involution_residuals):
+            assert _raised(composite, P, K, rows) == expect
+
+    def test_the_bounce_of_a_three_component_pattern_on_two(self):
+        P, K = _stack((Polarization([0.6, 0.8]),), (0.5 + 0.5j,))
+        assert _raised(reflection_maps, P, K, [(1, -1, 1)]) == (
+            ValidationError, "boundary row 0 of shape (3, 3): m must be 2x2 on 2 components")
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_boundary_stacks_match_the_frozen_loop_on_every_seed(n):
@@ -1558,7 +1596,8 @@ def test_boundary_stacks_match_the_frozen_loop_on_every_seed(n):
 # --- stacked suites: one call per shape group, rows in sample order ------------
 
 STACKED_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution",
-                  "collision")
+                  "collision", "mirror-constraint", "mirror-polarization")
+MIRROR_SUITES = ("mirror-constraint", "mirror-polarization")
 
 
 def _suite_draws(suite, seed, boundary=None, **params):
@@ -1579,6 +1618,11 @@ def _n(instance) -> int:
     return next(a for a in instance if isinstance(a, np.ndarray)).shape[-1]
 
 
+def _group(instance) -> tuple:
+    """The shapes of a drawn instance's arrays, which key its stacking group."""
+    return tuple(a.shape for a in instance if isinstance(a, np.ndarray))
+
+
 def _assert_samples_keep_their_bits(suite, seed, boundary=None, **params) -> set:
     """Every sample of the job's stacked evaluation has the bits of its own
     S = 1 evaluation, in sample order; returns the component counts drawn."""
@@ -1589,13 +1633,35 @@ def _assert_samples_keep_their_bits(suite, seed, boundary=None, **params) -> set
     return {_n(instance) for instance in instances}
 
 
-def _spoiled(instance, i):
-    """instance with parameters its evaluation rejects, distinct per sample so
-    that the error message names the sample: a map draw's on the imaginary
-    axis, a collision draw's all equal (a singular collision)."""
-    if len(instance) == 4:  # collision: residuals, polarizations, parameters
-        rel, xi, pols, ks = instance
-        return rel, xi, pols, np.full_like(ks, complex(1.0 + i, 1.0))
+@dataclass(frozen=True)
+class _ScaledRobin(Robin):
+    """A Robin boundary whose M(k) is scaled by `scale` and whose M(k)^-1 by
+    `inverse`: its solved mirror data miss the constraint by a residual that
+    the scale sets (nan for a nan scale), and a zero inverse collapses the
+    mirror directions."""
+
+    scale: float = 1.0
+    inverse: float = 1.0
+
+    def big_m(self, k, n):
+        return self.scale * super().big_m(k, n)
+
+    def big_m_inv(self, k, n):
+        return self.inverse * super().big_m_inv(k, n)
+
+
+def _spoiled(suite, instance, i):
+    """instance as its evaluation rejects it, distinct per sample so that the
+    error message names the sample: a map draw's parameters on the imaginary
+    axis, a collision draw's velocities in reverse order (the message lists
+    them), a mirror draw's boundary with M(k) scaled by 2 + i (the message
+    gives the constraint residual)."""
+    if suite == "collision":
+        data, betas = instance
+        return SolitonData(data.n, data.points[::-1]), betas
+    if suite in MIRROR_SUITES:
+        data, betas, _ = instance
+        return data, betas, _ScaledRobin(0.5, scale=2.0 + i)
     ks, draws, extra = instance
     return [complex(0.0, 1.0 + i + j / 8) for j in range(len(ks))], draws, extra
 
@@ -1629,22 +1695,50 @@ class TestStackedSuites:
         # one spoiled sample anywhere; two in different variants; two of one n;
         # two of different n, the later one in the earlier group
         cases = ([0], [5], [last], [3, last], [samples - 1, samples], [4, 6], [3, 4])
-        groups = list(dict.fromkeys(_n(instance) for instance in instances))
+        groups = list(dict.fromkeys(_group(instance) for instance in instances))
         for spoiled in cases:
             if spoiled[-1] > last:  # yb-structure and collision have one variant
                 continue
             bad = list(instances)
             for i in spoiled:
-                bad[i] = _spoiled(bad[i], i)
+                bad[i] = _spoiled(suite, bad[i], i)
             # the rule: the first group, in order of first samples, holding a
             # spoiled sample names its first one, as that sample's S = 1 call does
-            named = min(spoiled, key=lambda i: (groups.index(_n(instances[i])), i))
+            named = min(spoiled, key=lambda i: (groups.index(_group(instances[i])), i))
             expect = _raised(runner._evaluate, [bad[named]])
             if suite == "collision":
-                assert expect[0] is PoleError and str(complex(1.0 + named, 1.0)) in expect[1]
+                us = [pt.u for pt, _ in bad[named][0].points]
+                assert expect == (ValidationError, f"u values must be strictly increasing, got {us}")
+            elif suite in MIRROR_SUITES:
+                assert expect[0] is DegeneracyError
+                assert expect[1].startswith("mirror constraint residual ")
+                # each spoiled sample's residual, so its message, is its own
+                assert len({_raised(runner._evaluate, [bad[i]]) for i in spoiled}) == len(spoiled)
             else:
                 assert expect[0] is DomainError and str(complex(0.0, 1.0 + named)) in expect[1]
             assert _raised(runner._evaluate, bad) == expect
+
+    @pytest.mark.parametrize("spoil, message", [
+        (dict(inverse=0.0), r"^mirror direction for index \d collapsed$"),
+        (dict(scale=math.nan), r"^mirror constraint residual nan exceeds 1e-08$")])
+    @pytest.mark.parametrize("suite", MIRROR_SUITES)
+    def test_mirror_failures_name_the_first_failing_sample(self, suite, spoil, message):
+        # a collapsed mirror direction and a nan constraint residual, in one
+        # sample or two of one group: the group names the first, as its own
+        # S = 1 call does, and each sample alone keeps its rows
+        runner, instances, _ = _suite_draws(suite, 11, samples=12)
+        group = [i for i, instance in enumerate(instances) if _group(instance) == _group(instances[4])]
+        for spoiled in ([group[1]], group[1:3]):
+            bad = list(instances)
+            for i in spoiled:
+                data, betas, _ = bad[i]
+                bad[i] = data, betas, _ScaledRobin(0.5, **spoil)
+            expect = _raised(runner._evaluate, [bad[spoiled[0]]])
+            assert expect[0] is DegeneracyError and re.match(message, expect[1])
+            assert _raised(runner._evaluate, [bad[i] for i in group]) == expect
+            assert _raised(runner._evaluate, bad) == expect
+            rows = runner._evaluate([instances[i] for i in group if i not in spoiled])
+            assert rows == [runner._evaluate([instances[i]])[0] for i in group if i not in spoiled]
 
 
 @pytest.mark.slow

@@ -49,7 +49,7 @@ class TestAMatrix:
         )
         chain = build_reduced_chain(data)
         k1, k2 = data.points[0][0].k, data.points[1][0].k
-        d, d1 = chain[1][1][:, 0], chain[0][1][:, 0]
+        d, d1 = chain[1][1][0], chain[0][1][0]
         pref = (k2 - k1) / (k2 - k1.conjugate())
         d1_inv = np.eye(2) + (1.0 / pref - 1.0) * np.outer(d1, d1.conj())
         expected = pref * np.outer(d, d.conj()) @ d1_inv
@@ -91,7 +91,7 @@ class TestAMatrix:
         for j in range(N):
             kj = data.points[j][0].k
             inv = [np.linalg.inv(eval_chain(chain[m : m + 1], kj)) for m in range(N)]
-            z = chain[j][1]
+            z = chain[j][1].T
             expected = np.eye(n, dtype=complex)
             for m in range(N - 1, j, -1):
                 expected = expected @ inv[m]
@@ -179,7 +179,8 @@ class TestConstraintGate:
         fresh = mirror_module.mirror_constraint_residual
 
         def counted(hl):
-            calls.append(hl)
+            # one dataset, or the solve's (datasets, stack of their combined data)
+            calls.extend(hl[0] if isinstance(hl, tuple) else [hl])
             return fresh(hl)
 
         monkeypatch.setattr(mirror_module, "mirror_constraint_residual", counted)
@@ -225,7 +226,8 @@ class TestConstraintGate:
 
     def test_solver_gate_rejects_nan_residual(self, monkeypatch):
         # nan > tol is False: the gate must ask for residual <= tol instead
-        monkeypatch.setattr(mirror_module, "mirror_constraint_residual", lambda hl: float("nan"))
+        monkeypatch.setattr(mirror_module, "mirror_constraint_residual",
+                            lambda hl: np.full(len(hl[0]), np.nan))
         rng = np.random.default_rng(71)
         data = random_soliton_data(rng, 2, 2, positive=True)
         with pytest.raises(DegeneracyError, match=r"^mirror constraint residual nan exceeds 1e-08$"):
@@ -262,9 +264,9 @@ class TestCanonicalChains:
         builds = []
         build = dressing_module._reduced_factor
 
-        def counted(data, i, prefix):
-            builds.append((id(data), tuple(k for k, _, _ in prefix), i))
-            return build(data, i, prefix)
+        def counted(stack, i, prefix):
+            builds.append((id(stack), tuple(k for (k,), _, _ in prefix), i))
+            return build(stack, i, prefix)
 
         monkeypatch.setattr(dressing_module, "_reduced_factor", counted)
         hl = halfline_data(np.random.default_rng(80), 3, 2, kind)
@@ -272,11 +274,15 @@ class TestCanonicalChains:
         assert mirror_polarization_residual(hl) <= 1e-10
         assert mirror_constraint_residual(hl) == hl.constraint_residual
         assert len(set(builds)) == len(builds)  # no factor of any order built twice
-        real, combined, N = id(hl.real_data), id(hl.combined), hl.N
+        real, combined, N = id(hl.real_data.stack), id(hl.combined.stack), hl.N
         ks = tuple(hl.combined.ks.tolist())
         assert {(real, ks[:i], i) for i in range(N)} <= set(builds)
-        # the combined data inherits the real chain and builds the mirror factors only
-        assert [b for b in builds if b[0] != real] == [(combined, ks[:i], i) for i in range(N, 2 * N)]
+        # the combined data inherits the real chain and builds, of the canonical
+        # order, the mirror factors only; its other builds are the polarization
+        # residual's orders of real indices
+        assert {b[0] for b in builds} == {real, combined}
+        assert [b for b in builds if b[0] == combined and b[1] == ks[:b[2]]] == [
+            (combined, ks[:i], i) for i in range(N, 2 * N)]
 
     @pytest.mark.parametrize("kind", ["robin", "mixed", "rotated_mixed"])
     def test_real_chain_is_combined_prefix(self, kind):
@@ -300,8 +306,9 @@ class TestCanonicalChains:
             lambda j, *a: np.full((2, 2), np.nan) if j == 2 else fresh(j, *a),
         )
         assert np.isnan(mirror_constraint_residual(hl))
-        distances = iter([np.nan, 0.0, 0.0, 0.0])
-        monkeypatch.setattr(mirror_module, "projective_distance", lambda *a: next(distances))
+        # the 2N distances of the one stacked call, the first nan
+        monkeypatch.setattr(mirror_module, "projective_distance",
+                            lambda *a: np.array([np.nan, 0.0, 0.0, 0.0]))
         assert np.isnan(mirror_polarization_residual(hl))
 
 
@@ -325,10 +332,10 @@ def _per_index_mirror_betas(real_data, spec):
         mj = N + j
         pref = _log_pole_prefactor(ks, mj)
         w = spec.big_m_inv(ks[j].conjugate(), n) @ real_data.points[j][1].beta / pref
-        w = dressing_module._chain_apply(mirror, ks[mj], w)
+        w = dressing_module._chain_apply(mirror, [ks[mj]], w[None])[0]
         nw = float(np.linalg.norm(w))
-        z = (w / nw)[:, None]
-        mirror.insert(0, (ks[mj], z, z.conj()))
+        z = (w / nw)[None]
+        mirror.insert(0, ((ks[mj],), z, z.conj()))
         xis.insert(0, w / nw**2)
     chain = build_reduced_chain(real_data) + tuple(mirror)
     return [np.linalg.solve(eval_chain(chain[: N + j], ks[N + j]).conj().T, xi)
@@ -375,7 +382,7 @@ class TestMirrorPolarizations:
     def test_robin_mirror_equals_real_projectively(self):
         rng = np.random.default_rng(6)
         hl = halfline_data(rng, 1, 3, "robin")
-        mirror_dir = build_reduced_chain(hl.combined)[1][1][:, 0]
+        mirror_dir = build_reduced_chain(hl.combined)[1][1][0]
         real_pol = Polarization(hl.real_data.points[0][1].beta)
         assert projective_distance(mirror_dir, real_pol.p) < 1e-10
 
@@ -390,11 +397,11 @@ def _frozen_mirror_polarization_residual(hl):
     m = np.eye(n, dtype=np.complex128) if isinstance(hl.spec, Robin) else hl.spec.m
     for j in range(N):
         kj = hl.real_data.points[j][0].k
-        g = _dressed_beta(hl.real_data, j, range(j + 1, N))
-        res.append(projective_distance(chain[N + j][1][:, 0], _unit(m @ g)))
+        g = _dressed_beta(hl.real_data.stack, j, range(j + 1, N))[0]
+        res.append(projective_distance(chain[N + j][1][0], _unit(m @ g)))
         beta_m = hl.mirror_data.points[j][1].beta
-        lhs_b = _chain_apply(chain[:N], -kj.conjugate(), beta_m, dagger=True)
-        g_b = _dressed_beta(hl.real_data, j, [i for i in range(N) if i != j])
+        lhs_b = _chain_apply(chain[:N], [-kj.conjugate()], beta_m[None], dagger=True)[0]
+        g_b = _dressed_beta(hl.real_data.stack, j, [i for i in range(N) if i != j])[0]
         res.append(projective_distance(_unit(lhs_b), _unit(m @ g_b)))
     return float(np.max(res))
 
