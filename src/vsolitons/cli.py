@@ -18,9 +18,9 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -238,6 +238,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     tols = _object(suite.get("tolerances", {}), "suite.tolerances", (), DEFAULT_TOLERANCES)
     cfg.tolerances = {key: _number(val, f"suite.tolerances.{key}", 0.0)
                       for key, val in tols.items()}
+    if cfg.mode == "transfer":
+        if cfg.suite_name not in (None, "transfer"):
+            raise ConfigError(f"suite.name: transfer mode runs 'transfer', got {cfg.suite_name!r}")
+        cfg.suite_name = "transfer"
     if cfg.suite_params.get("samples", 0) > 0 and "seed" not in cfg.suite_params:
         raise ConfigError("suite.seed: required whenever samples > 0 (reproducibility)")
     if "output" in doc:
@@ -254,17 +258,11 @@ def _check(
     tolerance: Optional[float] = None,
     comparison: str = "<=",
     informational: bool = False,
-) -> ReportCheck:
+) -> None:
     tol = tolerance
     if tol is None and not informational:
         tol = cfg.tolerances.get(family, DEFAULT_TOLERANCES[family])
-    chk = ReportCheck(name, float(residual), tol, comparison, informational)
-    if report.clock is not None:
-        # a check's time runs from the suite start or the previous check
-        now = time.perf_counter()
-        chk.elapsed, report.clock = now - report.clock, now
-    report.checks.append(chk)
-    return chk
+    report.checks.append(ReportCheck(name, float(residual), tol, comparison, informational))
 
 
 # --- grid export ---------------------------------------------------------------
@@ -355,13 +353,15 @@ def _write_manifest(cfg: RunConfig, digest_source, outputs: List[str]) -> None:
 
 @dataclass(frozen=True)
 class _Sampled:
-    """A sampled suite: draw every variant's instances, keep each check's worst
-    per variant.
+    """A sampled suite, or one part of a `_Parts` suite: draw every variant's
+    instances, keep each check's worst per variant.
 
     ``draw(cfg, rng, log, i, variant)`` draws instance i of a variant and
-    returns one residual per entry of ``checks`` (name template, family); ``{}``
-    in a name takes the variant label.  ``variants(cfg)`` lists (label,
-    payload) pairs, each run over all samples; ``tail`` appends fixed checks.
+    returns one residual per check: (name template, family[, settings]), the
+    settings being `_check` keywords the check fixes for itself.  ``{}`` in a
+    name takes the variant label.  A ``>=`` check keeps its least residual,
+    any other its largest (from 0.0); either keeps a nan.  ``variants(cfg)``
+    lists (label, payload) pairs, each run over all samples.
 
     With ``stacked``, a draw returns the instance as drawn instead.  After
     every variant's draws, in variant order, the instances are grouped by the
@@ -373,18 +373,18 @@ class _Sampled:
 
     Each variant's checks share, evenly, its own draw time plus its sample
     share of the stacked call and the folds, so the check times sum to the
-    suite time (console only).
+    part's time (console only).
     """
 
-    default: int  # samples when suite.samples is unset
-    checks: Tuple[Tuple[str, str], ...]
+    default: int  # samples when suite.samples is unset or the part is fixed
+    checks: tuple
     draw: Callable
     variants: Callable = lambda cfg: [("", None)]
-    tail: Optional[Callable] = None
     stacked: Optional[Callable] = None
+    fixed: bool = False
 
     def __call__(self, cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-        samples = cfg.suite_params.get("samples", self.default)
+        samples = self.default if self.fixed else cfg.suite_params.get("samples", self.default)
         variants = self.variants(cfg)
         drawn, drew, start = [], [], report.clock
         for variant in variants:
@@ -394,11 +394,14 @@ class _Sampled:
             drawn = self._evaluate(drawn)
         first = len(report.checks)
         for v, variant in enumerate(variants):
-            # np.max keeps a nan residual, where Python's max would drop it
+            # np.max and np.min keep a nan residual, where Python's max would drop it
             rows = drawn[v * samples:(v + 1) * samples]
-            worst = np.max([[0.0] * len(self.checks), *rows], axis=0).tolist()
-            for (name, family), w in zip(self.checks, worst):
-                _check(report, cfg, name.format(variant[0]), w, family=family)
+            most = np.max([[0.0] * len(self.checks), *rows], axis=0).tolist()
+            least = np.min(rows, axis=0).tolist()
+            for (name, family, *settings), hi, lo in zip(self.checks, most, least):
+                settings = dict(*settings)
+                worst = lo if settings.get("comparison") == ">=" else hi
+                _check(report, cfg, name.format(variant[0]), worst, family, **settings)
         report.clock = time.perf_counter()
         shared = (report.clock - drew[-1]) / len(variants)
         count = len(self.checks)
@@ -406,8 +409,6 @@ class _Sampled:
             own = (end - (drew[v - 1] if v else start) + shared) / count
             for chk in report.checks[first + v * count:first + (v + 1) * count]:
                 chk.elapsed = own
-        if self.tail is not None:
-            self.tail(cfg, rng, report, log)
 
     def _evaluate(self, instances) -> list:
         """Per-instance residual rows, in sample order: one stacked call per
@@ -612,12 +613,11 @@ def _mirror_solve(instances) -> tuple:
     return solve_mirror_norming(datasets, [boundary_spec(d) for d in drawn])
 
 
-def _mirror_detector(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
+def _draw_mirror_detector(cfg, rng, log, i, variant):
     """Detector sanity: a corrupted mirror norming vector must be flagged."""
     data = random_soliton_data(rng, 2, 2, positive=True, log=log)
     hl_bad = _perturb_halfline(solve_mirror_norming(data, Mixed((1, -1))), 1e-3)
-    _check(report, cfg, "mirror-constraint-detector", hl_bad.constraint_residual,
-           family="asymptotic", tolerance=1e-4, comparison=">=")
+    return (hl_bad.constraint_residual,)
 
 
 def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
@@ -629,63 +629,37 @@ def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
     return HalfLineData(hl.real_data, SolitonData(hl.n, tuple(pts)), hl.spec)
 
 
-def _transfer_draw(rng, log, n: int) -> list:
-    """One sample's drawn N = 2 and N = 3 states of n-component polarizations,
-    as (parameters, `draw_unit_vectors` draws) each."""
-    return [(random_map_parameters(rng, N, mirrored=True, log=log), draw_unit_vectors(rng, N, n))
-            for N in (2, 3)]
+def _draw_transfer(n: int) -> Callable:
+    """A transfer draw: the variant's boundary (which gives n; none for the
+    unlabelled variant, the identity), then an N = 2 and an N = 3 state, each
+    as parameters and `draw_unit_vectors` draws."""
+    def draw(cfg, rng, log, i, variant):
+        drawn, m = _variant_boundary(rng, variant, n) if variant[0] else (None, n)
+        states = [state for N in (2, 3) for state in (
+            random_map_parameters(rng, N, mirrored=True, log=log), draw_unit_vectors(rng, N, m))]
+        if not variant[0]:
+            # the draw of a retired n = 1 check, which read 0 by construction:
+            # kept, so every later row keeps its draws
+            random_map_parameters(rng, 2, mirrored=True, log=log)
+        return (*states, drawn)
+    return draw
 
 
-def _transfer_worst(draws, b_plus, b_minus) -> list:
-    """Per sample of `draws`, the worst commutator of its N = 2 and N = 3 states;
-    each N is one stacked `transfer_commutators` call over all samples, with one
-    boundary per sample in each slot (None: the identity boundary)."""
-    worst = np.zeros(len(draws))
-    for states in zip(*draws):
-        ks, raw = zip(*states)
-        rows = transfer_commutators(unit_vectors(np.array(raw)), np.array(ks), b_plus, b_minus)
-        worst = np.maximum(worst, np.max(rows, axis=0))
-    return worst.tolist()
-
-
-def _suite_transfer(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
-    worst = _transfer_worst([_transfer_draw(rng, log, 2)], None, None)[0]
-    _check(report, cfg, "transfer-commutator[identity-boundary]", worst, family="involution")
-
-    # the draw of a retired n = 1 check, which read 0 by construction: kept,
-    # so every later row keeps its draws
-    random_map_parameters(rng, 2, mirrored=True, log=log)
-
-    # exploratory: both boundary slots filled with the concrete reflection map;
-    # the measured residual is recorded, not asserted (the b_minus slot needs
-    # a dual map that is not derived yet)
-    for label, worst in _transfer_kinds(cfg, rng, log, 2, True):
-        _check(report, cfg, f"transfer-commutator[vnls-reflection:{label}]", worst,
-               informational=True)
-
-    # the concrete reflection map is a valid b_plus with the identity as b_minus
-    for label, worst in _transfer_kinds(cfg, rng, log, 3, False):
-        _check(report, cfg, f"transfer-commutator[b-plus-reflection:{label}]", worst,
-               family="involution")
-
-
-def _transfer_kinds(cfg: RunConfig, rng, log, n: int, both: bool) -> list:
-    """(label, worst commutator) per boundary kind, with the kind's reflection
-    map in the b_plus slot and, if both, in the b_minus slot too.
-
-    Each kind draws its boundary, then its states, in kind order; the kinds
-    are then stacked and evaluated as one state (drawn kinds share n, and a
-    given boundary is the only kind).
-    """
-    variants = _boundary_kinds(cfg)
-    drawn, draws = [], []
-    for variant in variants:
-        boundary, n = _variant_boundary(rng, variant, n)
-        drawn.append(boundary)
-        draws.append(_transfer_draw(rng, log, n))
-    stack = boundaries(drawn, n)
-    worst = _transfer_worst(draws, stack, stack if both else None)
-    return [(label, w) for (label, _), w in zip(variants, worst)]
+def _transfer_stack(both: bool) -> Callable:
+    """A `_Sampled.stacked` for transfer draws: per sample, the worst
+    commutator of its N = 2 and N = 3 states, one `transfer_commutators` call
+    per N, with the sample's boundary (None: the identity) in the b_plus slot
+    and, if both, in the b_minus slot too."""
+    def stacked(instances):
+        *states, drawn = zip(*instances)
+        stack = None if drawn[0] is None else boundaries(drawn, states[1][0].shape[-1])
+        worst = 0.0
+        for ks, raw in zip(states[::2], states[1::2]):
+            rows = transfer_commutators(unit_vectors(np.array(raw)), np.array(ks),
+                                        stack, stack if both else None)
+            worst = np.maximum(worst, rows.max(axis=0))
+        return (worst,)
+    return stacked
 
 
 def _pde_order(field_fn, x0: float, x1: float, hs) -> float:
@@ -711,25 +685,17 @@ def _pde_order(field_fn, x0: float, x1: float, hs) -> float:
     return convergence_order(residual, hs)
 
 
-def _suite_pde(cfg: RunConfig, rng, report: ReportDocument, log: SampleLog):
+def _draw_pde(cfg, rng, log, i, variant):
+    """PDE orders of a line and a half-line (Mixed) field; boundary orders."""
     hs = [0.04, 0.02, 0.01]
     data = random_soliton_data(rng, 2, 2, log=log)
-    order = _pde_order(lambda X, T: reconstruct_field(data, X, T), -4, 4, hs)
-    _check(report, cfg, "pde-order[line-2-soliton]", abs(order - 2.0),
-           family="asymptotic", tolerance=0.3)
-
+    line = _pde_order(lambda X, T: reconstruct_field(data, X, T), -4, 4, hs)
     hdata = random_soliton_data(rng, 2, 2, positive=True, log=log)
-    hl_mixed = solve_mirror_norming(hdata, Mixed((1, -1)))
-    hl_robin = solve_mirror_norming(hdata, Robin(0.8))
-    order = _pde_order(lambda X, T: halfline_field(hl_mixed, X, T), 0, 6, hs)
-    _check(report, cfg, "pde-order[half-line-2-soliton]", abs(order - 2.0),
-           family="asymptotic", tolerance=0.3)
-
+    mixed, robin = (solve_mirror_norming(hdata, spec) for spec in (Mixed((1, -1)), Robin(0.8)))
+    half = _pde_order(lambda X, T: halfline_field(mixed, X, T), 0, 6, hs)
     ts = np.linspace(-1.0, 1.0, 9)
-    for label, hl in (("robin", hl_robin), ("mixed", hl_mixed)):
-        order = convergence_order(lambda h: boundary_residual(hl, ts, h=h), hs)
-        _check(report, cfg, f"boundary-order[{label}]", order,
-               family="asymptotic", tolerance=1.7, comparison=">=")
+    return (abs(line - 2.0), abs(half - 2.0), *[
+        convergence_order(lambda h: boundary_residual(hl, ts, h=h), hs) for hl in (robin, mixed)])
 
 
 def _draw_factorization(cfg, rng, log, i, variant):
@@ -756,8 +722,17 @@ def _moderate_collision_data(rng, N: int, n: int, log) -> SolitonData:
         log.resamples += 1
 
 
-#: Every suite is a callable (cfg, rng, report, log); a sampled one is
-#: _Sampled(default samples, checks, draw[, variants[, tail]][, stacked]).
+class _Parts(tuple):
+    """A suite of ordered `_Sampled` parts that share rng, report and sample log."""
+
+    def __call__(self, *args):
+        for part in self:
+            part(*args)
+
+
+#: Every suite is a callable (cfg, rng, report, log): a
+#: _Sampled(default samples, checks, draw[, variants][, stacked][, fixed]), or
+#: a _Parts of them when its checks' names or settings differ between groups.
 _SUITES: Dict[str, Callable] = {
     "one-soliton": _Sampled(20, (("one-soliton-oracle", "involution"),), _draw_one_soliton),
     "determinant": _Sampled(10, (("determinant-blaschke-product", "involution"),),
@@ -787,17 +762,37 @@ _SUITES: Dict[str, Callable] = {
                                ("norm-ratio-symmetry", "involution"),
                                ("factorization-pipeline", "algebraic")), _draw_collision,
                           stacked=_collision_stack),
-    "mirror-constraint": _Sampled(
-        10, (("mirror-constraint[{}]", "mirror_constraint"),), _draw_mirror, _mirror_kinds,
-        _mirror_detector,
-        stacked=lambda group: ([hl.constraint_residual for hl in _mirror_solve(group)[0]],),
-    ),
+    "mirror-constraint": _Parts((
+        _Sampled(10, (("mirror-constraint[{}]", "mirror_constraint"),), _draw_mirror,
+                 _mirror_kinds, lambda group: (
+                     [hl.constraint_residual for hl in _mirror_solve(group)[0]],)),
+        _Sampled(1, (("mirror-constraint-detector", "asymptotic",
+                      {"tolerance": 1e-4, "comparison": ">="}),),
+                 _draw_mirror_detector, fixed=True),
+    )),
     "mirror-polarization": _Sampled(
         10, (("mirror-polarization[{}]", "algebraic"),), _draw_mirror, _mirror_kinds,
         stacked=lambda group: (mirror_polarization_residual(_mirror_solve(group)),),
     ),
-    "transfer": _suite_transfer,
-    "pde": _suite_pde,
+    "transfer": _Parts((
+        _Sampled(1, (("transfer-commutator[identity-boundary]", "involution"),),
+                 _draw_transfer(2), stacked=_transfer_stack(False), fixed=True),
+        # exploratory: both boundary slots filled with the concrete reflection
+        # map; the measured residual is recorded, not asserted (the b_minus
+        # slot needs a dual map that is not derived yet)
+        _Sampled(1, (("transfer-commutator[vnls-reflection:{}]", "algebraic",
+                      {"informational": True}),),
+                 _draw_transfer(2), _boundary_kinds, _transfer_stack(True), fixed=True),
+        # the concrete reflection map is a valid b_plus with the identity as b_minus
+        _Sampled(1, (("transfer-commutator[b-plus-reflection:{}]", "involution"),),
+                 _draw_transfer(3), _boundary_kinds, _transfer_stack(False), fixed=True),
+    )),
+    "pde": _Sampled(
+        1, (("pde-order[line-2-soliton]", "asymptotic", {"tolerance": 0.3}),
+            ("pde-order[half-line-2-soliton]", "asymptotic", {"tolerance": 0.3}),
+            ("boundary-order[robin]", "asymptotic", {"tolerance": 1.7, "comparison": ">="}),
+            ("boundary-order[mixed]", "asymptotic", {"tolerance": 1.7, "comparison": ">="})),
+        _draw_pde, fixed=True),
     "factorization": _Sampled(2, (("asymptotic-polarization-match", "asymptotic"),
                                   ("factorization-pipeline", "algebraic")),
                               _draw_factorization),
@@ -935,9 +930,7 @@ def run(cfg: RunConfig) -> int:
         report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
         _MODES[cfg.mode](cfg, report)
     else:
-        if cfg.mode == "transfer":
-            cfg = replace(cfg, suite_name="transfer")
-        elif cfg.suite_name is None:
+        if cfg.suite_name is None:
             raise ConfigError("suite.name: required for verify mode")
         report = run_property_suite(cfg)
         _write_manifest(cfg, cfg.raw.get("suite", {}), ["report.json"])

@@ -259,6 +259,8 @@ class TestExitCodes:
         ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 10**400}}, "suite.n"),
         ("verify", {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 65}},
          "suite.N"),
+        # transfer mode runs the transfer suite only
+        ("transfer", {"suite": {"name": "ybe", "seed": 1}}, "suite.name"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
             "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
@@ -269,7 +271,7 @@ class TestExitCodes:
             "mirror-beta-1e-160", "mirror-beta-1e200", "stored-mirror-beta-1e250",
             "stored-mirror-beta-1e-250", "stored-mirror-beta-1e-320", "int-beyond-float-range",
             "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
-            "N-past-bound"])
+            "N-past-bound", "transfer-mode-other-suite"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
         out = tmp_path / "o"
         assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
@@ -390,13 +392,43 @@ class TestNanResiduals:
         (check,) = _strict_json(out / "report.json")["checks"]
         assert check["passed"] is False and check["residual"] == "nan"
 
-    def test_instance_and_transfer_folds_keep_nan(self, monkeypatch):
+    def test_instance_and_transfer_folds_keep_nan(self, tmp_path, monkeypatch):
         assert math.isnan(cli._worst([1e-3, math.nan, 1e-9]))
-        monkeypatch.setattr(cli, "transfer_commutators",
-                            lambda *a: np.array([[1e-3, 1e-9], [1e-9, math.nan]]))
-        state = (np.zeros(2, dtype=complex), np.ones((2, 2, 1)))  # (ks, unit-vector draws)
-        worst = cli._transfer_worst([[state], [state]], None, None)
-        assert worst[0] == 1e-3 and math.isnan(worst[1])
+
+        def commutators(P, K, b_plus, b_minus):
+            # one pair row per call: 1e-3 at N = 2; at N = 3 1e-9, and nan
+            # for the second sample (the mixed kind) of a stacked call
+            rows = np.full((1, len(K)), 1e-3 if K.shape[1] == 2 else 1e-9)
+            if K.shape[1] == 3:
+                rows[0, 1:2] = math.nan
+            return rows
+
+        monkeypatch.setattr(cli, "transfer_commutators", commutators)
+        doc = {"suite": {"name": "transfer", "seed": 1}}
+        out = tmp_path / "o"
+        assert main(["transfer", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        checks = _strict_json(out / "report.json")["checks"]
+        assert [(c["residual"], c["passed"]) for c in checks] == [
+            (1e-3, False),
+            (1e-3, None), ("nan", None), (1e-3, None),
+            (1e-3, False), ("nan", False), (1e-3, False)]
+
+    @pytest.mark.parametrize("order, pde, boundary", [(-0.5, 2.5, -0.5),
+                                                      (math.nan, "nan", "nan")])
+    def test_order_checks_keep_negative_and_nan_orders(self, tmp_path, monkeypatch,
+                                                       order, pde, boundary):
+        # a >= check folds to its least residual: a negative fitted order is
+        # not clipped at 0.0, and a nan stays nan
+        monkeypatch.setattr(cli, "convergence_order", lambda *a: order)
+        out = tmp_path / "o"
+        doc = {"suite": {"name": "pde", "seed": 3}}
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        checks = _strict_json(out / "report.json")["checks"]
+        assert [(c["name"], c["residual"], c["comparison"], c["passed"]) for c in checks] == [
+            ("pde-order[line-2-soliton]", pde, "<=", False),
+            ("pde-order[half-line-2-soliton]", pde, "<=", False),
+            ("boundary-order[robin]", boundary, ">=", False),
+            ("boundary-order[mixed]", boundary, ">=", False)]
 
     def test_nan_collision_residual_fails_collide_mode(self, tmp_path, monkeypatch):
         calls = iter([(1e-16, 0.0), (math.nan, 0.0), (1e-16, 0.0)])
@@ -755,10 +787,14 @@ class TestSuites:
         )
 
     @pytest.mark.parametrize("suite,samples,times", [
-        # clock readings: the start, one per variant's draws, one per check, the end
-        ("reflection-equation", 3, [7 / 3] * 3),  # 1 tick of draws + 4/3 shared
-        ("yb-structure", 3, [2.0, 2.0]),  # one variant, (1 + 3) / 2 per check
-        ("mirror-constraint", 2, [2.5, 2.5, 1.0]),  # 1 + 3/2 per variant; the tail 1
+        # clock readings: the start, then per part one per variant's draws and the end
+        ("reflection-equation", 3, [4 / 3] * 3),  # 1 tick of draws + 1/3 shared
+        ("yb-structure", 3, [1.0, 1.0]),  # one variant, (1 + 1) / 2 per check
+        # 1 + 1/2 per variant; the detector part's own 1 + 1
+        ("mirror-constraint", 2, [1.5, 1.5, 2.0]),
+        # three parts: 1 + 1 for the identity row, then 1 + 1/3 per kind, twice
+        ("transfer", 1, [2.0] + [4 / 3] * 6),
+        ("pde", 1, [0.5] * 4),  # one part of four checks: (1 + 1) / 4 each
     ])
     def test_check_times_share_the_suite_time(self, monkeypatch, suite, samples, times):
         # a clock that ticks once per reading: each variant's checks share its
@@ -771,6 +807,27 @@ class TestSuites:
             report = run_property_suite(cfg)
         assert [c.elapsed for c in report.checks] == pytest.approx(times)
         assert math.fsum(c.elapsed for c in report.checks) == pytest.approx(report.clock)
+
+    def test_fixed_parts_ignore_the_sample_count(self, monkeypatch):
+        def checks(suite, samples):
+            cfg = parse_run_config(
+                {"mode": "verify", "suite": {"name": suite, "samples": samples, "seed": 4}})
+            return [chk.to_json() for chk in run_property_suite(cfg).checks]
+
+        # pde and transfer read suite.samples only as 0 = empty
+        for suite in ("pde", "transfer"):
+            assert checks(suite, 1) == checks(suite, 3)
+        # the detector part draws one instance at any count, after the sampled draws
+        perturbed = []
+        perturb = cli._perturb_halfline
+        monkeypatch.setattr(cli, "_perturb_halfline",
+                            lambda hl, size: perturbed.append(size) or perturb(hl, size))
+        one, three = checks("mirror-constraint", 1), checks("mirror-constraint", 3)
+        assert perturbed == [1e-3, 1e-3]
+        names = ["mirror-constraint[robin]", "mirror-constraint[mixed]",
+                 "mirror-constraint-detector"]
+        assert [c["name"] for c in one] == [c["name"] for c in three] == names
+        assert one[:2] != three[:2]
 
     def test_transfer_mode_records_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {"suite": {"samples": 1, "seed": 2}})

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from vsolitons.cli import MODES, parse_run_config
+from vsolitons.errors import ConfigError
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -28,5 +29,12 @@ def test_config_example_parses_in_every_mode(mode):
     section = README.read_text(encoding="utf-8").split("### Configuration document", 1)[1]
     block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
     doc = json.loads(re.sub(r"//.*", "", block))
+    name = "reflection-equation"
+    if mode == "transfer":
+        # transfer mode runs the transfer suite: any other suite.name is refused
+        with pytest.raises(ConfigError, match="^suite.name: transfer mode runs 'transfer'"):
+            parse_run_config(dict(doc, mode=mode))
+        del doc["suite"]["name"]
+        name = "transfer"
     cfg = parse_run_config(dict(doc, mode=mode))
-    assert cfg.suite_name == "reflection-equation" and cfg.data.N == 1
+    assert cfg.suite_name == name and cfg.data.N == 1

@@ -18,13 +18,18 @@ from vsolitons import (
     Robin,
     RotatedMixed,
     SpectralPoint,
+    boundary_residual,
+    convergence_order,
+    halfline_field,
     involution_residuals,
     projective_distance,
     projective_distances,
     reflection_equation_residuals,
+    reconstruct_field,
     reflection_maps,
     reversibility_residuals,
     s_twist_residuals,
+    solve_mirror_norming,
     transfer_commutators,
     yb_schedule,
     ybe_residuals,
@@ -979,16 +984,62 @@ def _reference_transfer_rows(seed, boundary):
     return rows, log.resamples
 
 
-@pytest.mark.parametrize("boundary", [None, Mixed((1, -1, 1))])
-def test_transfer_suite_stacks_kinds_exactly(boundary):
-    for seed in range(20):
-        doc = {"mode": "transfer", "suite": {"name": "transfer", "seed": seed}, "output": "o"}
+def _reference_pde_rows(seed):
+    """The pde suite's rows as its checks were drawn and evaluated one after
+    another: the line data and its order, the half-line data solved at Mixed
+    and at Robin and the Mixed field's order, then the Robin and Mixed
+    boundary orders."""
+    rng, log, hs = np.random.default_rng(seed), SampleLog(), [0.04, 0.02, 0.01]
+    data = random_soliton_data(rng, 2, 2, log=log)
+    line = cli._pde_order(lambda X, T: reconstruct_field(data, X, T), -4, 4, hs)
+    hdata = random_soliton_data(rng, 2, 2, positive=True, log=log)
+    hl_mixed = solve_mirror_norming(hdata, Mixed((1, -1)))
+    hl_robin = solve_mirror_norming(hdata, Robin(0.8))
+    half = cli._pde_order(lambda X, T: halfline_field(hl_mixed, X, T), 0, 6, hs)
+    rows = {"pde-order[line-2-soliton]": abs(line - 2.0),
+            "pde-order[half-line-2-soliton]": abs(half - 2.0)}
+    ts = np.linspace(-1.0, 1.0, 9)
+    for label, hl in (("robin", hl_robin), ("mixed", hl_mixed)):
+        rows[f"boundary-order[{label}]"] = convergence_order(
+            lambda h: boundary_residual(hl, ts, h=h), hs)
+    return rows, log.resamples
+
+
+def _assert_suite_rows(suite, reference, seeds, boundary=None):
+    """Every row and the resample count of the suite's report, on each seed,
+    equal the reference's, bit for bit and in the reference's order."""
+    for seed in seeds:
+        doc = {"mode": "verify", "suite": {"name": suite, "seed": seed}}
         if boundary is not None:
             doc["boundary"] = boundary.to_json()
         report = cli.run_property_suite(cli.parse_run_config(doc))
-        rows, resamples = _reference_transfer_rows(seed, boundary)
-        got = {c.name: c.residual for c in report.checks if c.name in rows}
-        assert got == rows and report.resamples == resamples
+        rows, resamples = reference(seed)
+        assert [(c.name, c.residual) for c in report.checks] == list(rows.items())
+        assert report.resamples == resamples
+
+
+@pytest.mark.parametrize("boundary", [None, Mixed((1, -1, 1))])
+def test_transfer_suite_stacks_kinds_exactly(boundary):
+    _assert_suite_rows("transfer", lambda seed: _reference_transfer_rows(seed, boundary),
+                       range(20), boundary)
+
+
+def test_pde_suite_matches_its_reference():
+    _assert_suite_rows("pde", _reference_pde_rows, range(5))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("boundary", [None, Mixed((1, -1, 1)), Robin(0.8)])
+def test_transfer_suite_matches_its_reference_on_every_seed(boundary):
+    _assert_suite_rows("transfer", lambda seed: _reference_transfer_rows(seed, boundary),
+                       range(100), boundary)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("boundary", [None, Robin(0.8)])
+def test_pde_suite_matches_its_reference_on_every_seed(boundary):
+    # the pde suite takes no boundary: a given one leaves its rows as they are
+    _assert_suite_rows("pde", _reference_pde_rows, range(100), boundary)
 
 
 # --- reference: the per-object map path the stacked kernel replaced ----------
@@ -1607,6 +1658,8 @@ def _suite_draws(suite, seed, boundary=None, **params):
         doc["boundary"] = boundary.to_json()
     cfg = cli.parse_run_config(doc)
     runner, rng, log = _SUITES[suite], np.random.default_rng(seed), SampleLog()
+    if isinstance(runner, cli._Parts):
+        runner = runner[0]  # mirror-constraint: the sampled part, before its detector
     samples = cfg.suite_params.get("samples", runner.default)
     instances = [runner.draw(cfg, rng, log, i, variant)
                  for variant in runner.variants(cfg) for i in range(samples)]
