@@ -43,7 +43,6 @@ from .asymptotics import (
 )
 from .maps import (
     involution_residuals,
-    projective_distances,
     reflection_equation_residuals,
     reflection_maps,
     reversibility_residuals,

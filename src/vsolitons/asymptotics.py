@@ -5,8 +5,7 @@ splits as |t| grows into one-soliton profiles whose norming vectors are
 dressed versions of the originals.  Intermediate spectator sets interpolate
 between the in and out configurations and obey exact pairwise relations,
 which `collision_pair_residuals` measures.  It and `intermediate_gamma` take
-S same-shape datasets as one `SolitonStack`, each sample's scalars in its
-own arithmetic; one dataset is a stack of one.
+S same-shape datasets as one `SolitonStack`; one dataset is a stack of one.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .dressing import _blaschke, _blaschke_product, _dressed_beta, _unit
+from .dressing import _blaschke, _dressed_beta, _product
 from .errors import ValidationError
-from .soldata import NormingVector, SolitonData
+from .soldata import NormingVector, SolitonData, _unit
 
 
 def check_velocity_ordered(data) -> None:
@@ -55,10 +54,8 @@ def intermediate_gamma(j: int, spectators, data) -> np.ndarray:
     gamma = stack.gammas.get((j, sp))
     if gamma is None:
         w = _dressed_beta(stack, j, sp)
-        excluded = set(sp) | {j}
-        scale = [_blaschke_product([pt.k for p, (pt, _) in enumerate(points) if p not in excluded],
-                                   points[j][0].k.conjugate()) for points in stack.points]
-        gamma = np.array(scale)[:, None] * w
+        others = [p for p in range(stack.N) if p not in sp and p != j]
+        gamma = _product(_blaschke(stack.ks[:, others], stack.ks[:, j, None].conj()))[:, None] * w
         gamma.flags.writeable = False
         stack.gammas[j, sp] = gamma
     return gamma if data is stack else gamma[0]
@@ -76,7 +73,7 @@ def beta_out(j: int, data: SolitonData) -> NormingVector:
     return NormingVector(intermediate_gamma(j, range(0, j), data))
 
 
-def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, stack) -> list:
+def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, stack) -> np.ndarray:
     """Positive norm ratio |gamma_{j,rho}| / |gamma_{j, l rho}| in closed form,
     one per sample of the stack.
 
@@ -84,13 +81,10 @@ def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, stack) -> lis
     p = p_{l,rho}^dag p_{j, l rho}, from those two unit vectors; symmetric
     under j <-> l.
     """
-    out = []
-    for points, dot in zip(stack.points, np.vecdot(p_l_rho, p_j_lrho).tolist()):
-        (pj, _), (pl, _) = points[j], points[l]
-        flj = _blaschke(pl.k, pj.k.conjugate())
-        coeff = (pj.v * pl.v) / abs(pl.k - pj.k) ** 2
-        out.append(abs(flj) * math.sqrt(1.0 + coeff * abs(dot) ** 2))
-    return out
+    kj, kl = stack.ks[:, j], stack.ks[:, l]
+    coeff = (4.0 * kj.imag * kl.imag) / abs(kl - kj) ** 2  # v = 2 Im k, exactly
+    dot = abs(np.vecdot(p_l_rho, p_j_lrho))
+    return abs(_blaschke(kl, kj.conj())) * np.sqrt(1.0 + coeff * dot**2)
 
 
 def collision_pair_residuals(j: int, l: int, spectators, data) -> Tuple:
@@ -112,21 +106,20 @@ def collision_pair_residuals(j: int, l: int, spectators, data) -> Tuple:
         raise ValidationError("relations assume u_j < u_l")
 
     pairs = ((l, sp), (j, sp + (l,)), (l, sp + (j,)), (j, sp))
-    p_l_rho, p_j_lrho, p_l_jrho, p_j_rho = _unit(np.stack([
+    p_l_rho, p_j_lrho, p_l_jrho, p_j_rho = _unit(np.array([
         intermediate_gamma(m, rho, stack) for m, rho in pairs]))
     xi = _xi(j, l, p_l_rho, p_j_lrho, stack)
 
-    ks = list(zip(stack.k(j), stack.k(l)))
-    cj = [_blaschke(kj, kl.conjugate()).conjugate() for kj, kl in ks]  # conj(f_j(k_l*))
-    flj = [_blaschke(kl, kj.conjugate()) for kj, kl in ks]  # f_l(k_j*)
-    res = []  # per relation: p' = (c / xi) (p + (c - 1) <q, p> q), sample by sample
+    kj, kl = stack.ks[:, j], stack.ks[:, l]
+    cj = _blaschke(kj, kl.conj()).conj()  # conj(f_j(k_l*))
+    flj = _blaschke(kl, kj.conj())  # f_l(k_j*)
+    res = []  # per relation: p' = (c / xi) (p + (c - 1) <q, p> q)
     for c, p, q, lhs in ((cj, p_l_rho, p_j_lrho, p_l_jrho), (flj, p_j_lrho, p_l_rho, p_j_rho)):
-        inner = [(f - 1.0) * dot for f, dot in zip(c, np.vecdot(q, p).tolist())]
-        rhs = np.array([f / x for f, x in zip(c, xi)])[:, None] * (p + np.array(inner)[:, None] * q)
+        rhs = (c / xi)[:, None] * (p + ((c - 1.0) * np.vecdot(q, p))[:, None] * q)
         res.append(np.max(np.abs(lhs - rhs), axis=1))
     rel = np.maximum(*res)
-    sym = [abs(a - b) for a, b in zip(xi, _xi(l, j, p_j_rho, p_l_jrho, stack))]
-    return (rel, np.array(sym)) if data is stack else (float(rel[0]), sym[0])
+    sym = abs(xi - _xi(l, j, p_j_rho, p_l_jrho, stack))
+    return (rel, sym) if data is stack else (float(rel[0]), float(sym[0]))
 
 
 def min_relative_velocity(data: SolitonData) -> float:

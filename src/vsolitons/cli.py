@@ -48,7 +48,8 @@ from .config import (
     soliton_data_to_json,
 )
 from .dressing import (
-    _blaschke_product,
+    _blaschke,
+    _product,
     build_reduced_chain,
     eval_chain,
     one_soliton_field,
@@ -58,7 +59,6 @@ from .dressing import (
 from .errors import ConfigError, VsolitonsError
 from .maps import (
     involution_residuals,
-    projective_distances,
     reflection_equation_residuals,
     reflection_maps,
     reversibility_residuals,
@@ -487,11 +487,8 @@ def _draw_determinant(cfg, rng, log, i, variant):
             log.resamples += 1
             continue
         ks.append(k)
-    rel = []
-    for k, det in zip(ks, np.linalg.det(eval_chain(chain, ks))):
-        prod = _blaschke_product([pt.k for pt, _ in data.points], k)
-        rel.append(abs(det - prod) / abs(prod))
-    return (_worst(rel),)
+    prod = _product(_blaschke(data.ks, np.array(ks)[:, None]))
+    return (_worst(abs(np.linalg.det(eval_chain(chain, ks)) - prod) / abs(prod)),)
 
 
 def _permutation_variants(cfg: RunConfig):
@@ -537,7 +534,7 @@ def _yb_structure(P, K, draws):
     V = unitaries(np.array(draws))
     rotated_after = np.einsum("sab,sjb->sja", V, yb_schedule(P, K, ((0, 1),)))
     after_rotated = yb_schedule(np.einsum("sab,sjb->sja", V, P), K, ((0, 1),))
-    unitary = projective_distances(rotated_after, after_rotated).max(axis=1)
+    unitary = projective_distance(rotated_after, after_rotated).max(axis=1)
     return unitary, s_twist_residuals(P, K)
 
 
@@ -589,7 +586,7 @@ def _pipeline_residuals(pols, K) -> np.ndarray:
     from the out-polarizations: one `yb_schedule` per schedule, one distance call."""
     schedules = collision_orders(K.shape[1])
     got = np.concatenate([yb_schedule(pols[:, 0], K, s) for s in schedules])
-    dist = projective_distances(got, np.concatenate([pols[:, 1]] * len(schedules))).max(axis=-1)
+    dist = projective_distance(got, np.concatenate([pols[:, 1]] * len(schedules))).max(axis=-1)
     return dist.reshape(len(schedules), len(K)).max(axis=0)
 
 
@@ -704,8 +701,7 @@ def _draw_factorization(cfg, rng, log, i, variant):
     js, ts, sides = zip(*[(j, t, side) for j in range(data.N) for side, t in enumerate((-T, T))])
     found = extract_asymptotic_polarization(data, js, ts)
     pols = _in_out(data)
-    dist = [projective_distance(pol, pols[0, side, j])
-            for j, side, (pol, _) in zip(js, sides, found)]
+    dist = projective_distance(np.array([pol.p for pol, _ in found]), pols[0, sides, js])
     return _worst(dist), _pipeline_residuals(pols, data.ks[None])[0]
 
 

@@ -28,6 +28,7 @@ from .soldata import (
     SolitonData,
     SpectralPoint,
     _SAFE_NORM,
+    _norms,
 )
 
 
@@ -113,8 +114,7 @@ def _soliton_data(doc: dict, where: str, given=None) -> SolitonData:
         if len(beta_list) != n:
             raise ConfigError(f"{here}.beta: expected {n} components, got {len(beta_list)}")
         beta = [_complex_entry(c, f"{here}.beta[{j}]") for j, c in enumerate(beta_list)]
-        # hypot scales: |beta| of any finite entries, without numpy's overflow warning
-        size = math.hypot(*(x for z in beta for x in (z.real, z.imag)))
+        size = float(_norms(np.array(beta)))
         if (given is None or i < given) and not _SAFE_NORM[0] <= size <= _SAFE_NORM[1]:
             raise ConfigError(f"{here}.beta: |beta| = {size!r} must lie in "
                               f"[{_SAFE_NORM[0]!r}, {_SAFE_NORM[1]!r}]")

@@ -27,24 +27,33 @@ import numpy as np
 
 from .errors import DegeneracyError, PoleError
 from .soldata import (_SAFE_NORM, POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint,
-                      _scaled_norms, _vector_norm, _vector_norms)
+                      _first, _norms, _scaled, _unit)
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
 
 
-def _blaschke(k0: complex, k: complex) -> complex:
+def _blaschke(k0, k):
+    """f_{k0}(k) = (k - k0)/(k - k0*): of two Python complex numbers in
+    Python's arithmetic (the field kernel's), elementwise over arrays that
+    broadcast in numpy's.  PoleError names the first k within POLE_EVAL_TOL
+    of its pole."""
     den = k - k0.conjugate()
-    if abs(den) < POLE_EVAL_TOL:
+    gap = abs(den)
+    if (gap if isinstance(gap, float) else gap.min(initial=math.inf)) < POLE_EVAL_TOL:
+        i = np.argmax(np.ravel(gap) < POLE_EVAL_TOL)  # the first, in C order
+        k0, k = (complex(np.broadcast_to(a, np.shape(den)).flat[i]) for a in (k0, k))
         raise PoleError(f"evaluation point {k} hits the pole at conj({k0})")
     return (k - k0) / den
 
 
-def _blaschke_product(k0s, k: complex) -> complex:
-    """prod f_{k0}(k) over k0s, multiplied in their order from 1."""
-    out = 1.0 + 0.0j
-    for k0 in k0s:
-        out *= _blaschke(k0, k)
+def _product(f: np.ndarray) -> np.ndarray:
+    """The product over the last axis of f, in its order from 1, one
+    elementwise product per factor: np.prod would multiply a stack of one in
+    its scalar reduction loop, which rounds otherwise."""
+    out = np.ones(f.shape[:-1], dtype=np.complex128)
+    for i in range(f.shape[-1]):
+        out = out * f[..., i]
     return out
 
 
@@ -62,25 +71,20 @@ def _normalized_order(N: int, order) -> tuple:
     return idx
 
 
-def _unit(vecs: np.ndarray) -> np.ndarray:
-    """Vectors (last axis) over their 2-norms; a zero vector raises DegeneracyError."""
-    nrm = _vector_norms(vecs)
-    if not nrm.all():
-        raise DegeneracyError("zero vector has no direction")
-    return vecs / nrm[..., None]
-
-
-def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False) -> np.ndarray:
+def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False, coeffs=None) -> np.ndarray:
     """(F_1 ... F_m)(k_s) v_s, F_m acting first, for each sample s of a chain
     with one k_s per sample and vecs (S, n); with dagger, (F_1 ... F_m)(k_s)^dag
-    v_s, F_1^dag acting first.  Never forms a matrix.  Each coefficient
-    (f - 1) <z_s, v_s> is one sample's scalar product, as numpy rounds scalar
-    and array complex products differently; only the vector work is stacked."""
-    for k0s, z, _ in chain if dagger else reversed(chain):
-        # Python's complex product has numpy's scalar bits
-        coeffs = [((f.conjugate() if dagger else f) - 1.0) * dot
-                  for f, dot in zip(map(_blaschke, k0s, ks), np.vecdot(z, vecs).tolist())]
-        vecs = vecs + np.array(coeffs).reshape(-1, 1) * z
+    v_s, F_1^dag acting first.  Never forms a matrix; every factor's update
+    coefficients f(k_s) - 1 (conjugated with dagger) are taken in one pass, in
+    the order of action, unless given as coeffs, an (m, S) array."""
+    steps = chain if dagger else chain[::-1]
+    if not steps:
+        return vecs
+    if coeffs is None:
+        coeffs = _blaschke(np.array([k0s for k0s, _, _ in steps]), np.asarray(ks)) - 1.0
+        coeffs = coeffs.conj() if dagger else coeffs
+    for (_, z, _), c in zip(steps, coeffs):
+        vecs = vecs + (c * np.vecdot(z, vecs))[:, None] * z
     return vecs
 
 
@@ -106,29 +110,44 @@ def build_reduced_chain(data, order=None) -> tuple:
         done -= 1
     chain = built[idx[:done]]
     for end in range(done + 1, len(idx) + 1):
-        chain += (_reduced_factor(stack, idx[end - 1], chain),)
+        chain += (_reduced_factor(stack, idx[:end], chain),)
         built[idx[:end]] = chain
     return chain
 
 
-def _reduced_factor(stack, i: int, prefix) -> tuple:
-    """(ks, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
-    ks = stack.k(i)
-    # scaled where a square could overflow or underflow, or w / nrm overflow
-    w, nrm, norm = _scaled_norms(_chain_apply(prefix, ks, stack.betas[:, i], dagger=True))
-    for points, size in zip(stack.points, norm):
-        if size < DEGENERATE_DIRECTION_TOL * points[i][1].norm:
-            raise DegeneracyError(
-                f"degenerate chain: direction for index {i} collapsed ({size:.3e})")
-    z = w / nrm.reshape(-1, 1)
+def _reduced_factor(stack, idx: tuple, prefix) -> tuple:
+    """(ks, z, conj(z)) of factor idx[-1] after the chain prefix on idx[:-1],
+    arrays read-only."""
+    i = idx[-1]
+    ks = stack.ks[:, i]
+    w = _dressed_beta(stack, i, idx[:-1], prefix)
+    v, nrm, e = _scaled(w)  # one pass for the direction and |w|
+    size = nrm if e is None else _norms(w)
+    if (s := _first(size < DEGENERATE_DIRECTION_TOL * stack.norms[:, i])) < len(size):
+        raise DegeneracyError(
+            f"degenerate chain: direction for index {i} collapsed ({size[s]:.3e})")
+    z = v / nrm[:, None]
     zc = z.conj()
     z.flags.writeable = zc.flags.writeable = False
     return ks, z, zc
 
 
-def _dressed_beta(stack, j: int, sub) -> np.ndarray:
-    """d_sub(k_j)^dag beta_j: beta_j dressed by the reduced chain on indices sub."""
-    return _chain_apply(build_reduced_chain(stack, sub), stack.k(j), stack.betas[:, j], dagger=True)
+def _dressed_beta(stack, j: int, sub, chain=None) -> np.ndarray:
+    """d_sub(k_j)^dag beta_j: beta_j dressed by the reduced chain on indices sub
+    (built, unless given), its coefficients read from `_factors`."""
+    sub = list(sub)
+    chain = build_reduced_chain(stack, sub) if chain is None else chain
+    coeffs = _factors(stack)[j, sub].conj() - 1.0
+    return _chain_apply(chain, stack.ks[:, j], stack.betas[:, j], True, coeffs)
+
+
+def _factors(stack) -> np.ndarray:
+    """(N, N, S): f_l(k_j) at [j, l], every factor at every point's own k, for
+    every sample; taken once per stack (`SolitonStack.factors`)."""
+    if stack.factors is None:
+        ks = stack.ks.T
+        stack.factors = _blaschke(ks[None], ks[:, None])
+    return stack.factors
 
 
 def eval_chain(chain, k) -> np.ndarray:
@@ -136,15 +155,11 @@ def eval_chain(chain, k) -> np.ndarray:
     least one factor, one per entry of k."""
     ks = np.asarray(k, dtype=np.complex128)
     d = chain[0][1].shape[1]
-    # a lone k goes as two: numpy rounds length-1 stacks its own way
+    # a lone k goes as two: at d = 1 numpy rounds the broadcast product of
+    # `_chain_product` for a one-k stack its own way
     flat = np.repeat(ks.reshape(-1), 2) if ks.size == 1 else ks.reshape(-1)
-    coeffs = [_coefficients(k0s[0], flat) for k0s, _, _ in chain]
+    coeffs = _blaschke(np.array([k0s[0] for k0s, _, _ in chain])[:, None], flat) - 1.0
     return _chain_product(chain, flat, d, coeffs)[0, : ks.size].reshape(ks.shape + (d, d))
-
-
-def _coefficients(k0: complex, ks: np.ndarray) -> np.ndarray:
-    """f_{k0}(k) - 1 at every entry of ks: one factor's update coefficients."""
-    return np.array([_blaschke(k0, k) for k in ks.tolist()]) - 1.0
 
 
 def _chain_product(dirs, ks: np.ndarray, d: int, coeffs) -> np.ndarray:
@@ -152,8 +167,8 @@ def _chain_product(dirs, ks: np.ndarray, d: int, coeffs) -> np.ndarray:
 
     dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (M, d);
     returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
-    (the identity for an empty chain).  coeffs holds each factor's
-    `_coefficients` at ks, in chain order.
+    (the identity for an empty chain).  coeffs holds each factor's update
+    coefficients f_j(k) - 1 at ks, in chain order.
     """
     m = dirs[0][1].shape[0] if dirs else 1
     out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
@@ -265,7 +280,7 @@ def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds
     Each direction is normalised in one pass, by the reciprocal square root
     of its squared norm, wherever that lies inside _SAFE_SQUARES; only the
     points outside (`_rescale`) are first scaled by their largest |re| or
-    |im|, as `soldata._scaled_norm` scales a vector out of _SAFE_NORM.
+    |im|, as `soldata._scaled` scales a vector out of _SAFE_NORM.
     """
     dirs = []
     fresh = _seed_batch(data, idx, x, t) if seeds is None else (seeds[i].copy() for i in idx)
@@ -392,10 +407,10 @@ def one_soliton_field(point: SpectralPoint, beta, x, t):
     (the field scales by the same unit scalar as beta).
     """
     b = beta.beta if isinstance(beta, NormingVector) else np.asarray(beta, np.complex128)
-    nrm = _vector_norm(b)
+    nrm = beta.norm if isinstance(beta, NormingVector) else float(_norms(b))
     if nrm == 0.0:
         raise ValueError("beta must be nonzero")
-    pol = b / nrm
+    pol = _unit(b)
     u, v = point.u, point.v
     dx = math.log(nrm) / v
     xs = np.asarray(x, dtype=np.float64)
@@ -428,7 +443,7 @@ def permutation_residuals(
     x, t = np.array(list(sample_xts), dtype=np.float64).reshape(-1, 2).T
     build_reduced_chain(data, ref)  # first, so a degenerate chain raises before a pole sample
     seeds = dict(zip(ref, _seed_batch(data, ref, x, t)))
-    coeffs = {i: _coefficients(data.points[i][0].k, ks) for i in ref}
+    coeffs = dict(zip(ref, _blaschke(data.ks[list(ref), None], ks) - 1.0))
 
     def images(idx) -> list:
         """The reduced chain at every k and, if there are points (x, t), the

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleError, ValidationError
-from .soldata import AXIS_TOL, PAIR_POLE_TOL, BoundarySpec, _first, boundary_stack
+from .soldata import (AXIS_TOL, PAIR_POLE_TOL, BoundarySpec, _first, _unit, boundary_stack,
+                      projective_distance)
 
 
 def _check_parameters(K, *ms) -> None:
@@ -50,18 +51,9 @@ def _check_parameters(K, *ms) -> None:
 # --- the stacked state ---------------------------------------------------------
 
 
-def _dot(a, b):
-    """a^dag b over the last axis."""
-    return (a.conj() * b).sum(-1)
-
-
-def _unit(v):
-    return v / np.sqrt((v.conj() * v).real.sum(-1, keepdims=True))
-
-
 def _pull(a, b, w):
-    """The update step of both maps: a + w b per sample, renormalised."""
-    return _unit(a + w[:, None] * b)
+    """The update step of both maps: a + w b per vector, renormalised."""
+    return _unit(a + w[..., None] * b)
 
 
 def _collide(P, K, i: int, j: int) -> None:
@@ -79,9 +71,9 @@ def _collide(P, K, i: int, j: int) -> None:
     k1c = k1.conj()
     mu = (k1c - k2) / (k1c - k2.conj())
     nu = (k2 - k1c) / (k2 - k1)
-    a1, a2 = P[:, i], P[:, j]
-    c = _dot(a2, a1)
-    P[:, i], P[:, j] = _pull(a1, a2, (mu - 1.0) * c), _pull(a2, a1, (nu - 1.0) * c.conj())
+    a = P[:, [i, j]]
+    c = np.vecdot(a[:, 1], a[:, 0])
+    P[:, [i, j]] = _pull(a, a[:, ::-1], np.array(((mu - 1.0) * c, (nu - 1.0) * c.conj())).T)
 
 
 def _bounce(P, K, j: int, ms) -> None:
@@ -98,16 +90,8 @@ def _bounce(P, K, j: int, ms) -> None:
         return
     k, p = K[:, j], P[:, j]
     q = np.einsum("sab,sb->sa", ms, p)
-    P[:, j] = _pull(q, p, (k - k.conj()) / (k + k.conj()) * _dot(p, q))
+    P[:, j] = _pull(q, p, (k - k.conj()) / (k + k.conj()) * np.vecdot(p, q))
     K[:, j] = -k.conj()
-
-
-def projective_distances(a, b) -> np.ndarray:
-    """`soldata.projective_distance` over the last axis of two stacks of vectors."""
-    a, b = _unit(a), _unit(b)
-    dist = np.fmin(1.0, np.linalg.norm(b - a * _dot(a, b)[..., None], axis=-1))
-    # one complex line only: the distance vanishes identically
-    return dist if a.shape[-1] > 1 else np.zeros_like(dist)
 
 
 def _slot_residual(Pa, Ka, Pb, Kb) -> np.ndarray:
@@ -116,7 +100,7 @@ def _slot_residual(Pa, Ka, Pb, Kb) -> np.ndarray:
     if bad.size:
         a, b = complex(Ka[tuple(bad[0])]), complex(Kb[tuple(bad[0])])
         raise ValidationError(f"parameter mismatch between composite sides: {a} vs {b}")
-    return projective_distances(Pa, Pb).max(axis=1)
+    return projective_distance(Pa, Pb).max(axis=1)
 
 
 # --- Yang-Baxter maps ----------------------------------------------------------
@@ -206,7 +190,7 @@ def involution_residuals(P, K, specs: Sequence[BoundarySpec]) -> np.ndarray:
         raise ValidationError(
             f"double reflection moved the parameter: {complex(L[s, 0])} != {complex(K[s, 0])}"
         )
-    return projective_distances(Q[:, 0], P[:, 0])
+    return projective_distance(Q[:, 0], P[:, 0])
 
 
 # --- transfer maps -------------------------------------------------------------

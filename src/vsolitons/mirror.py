@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import check_velocity_ordered
-from .dressing import (_blaschke_product, _chain_apply, _dressed_beta, _unit, build_reduced_chain,
-                       reconstruct_field)
+from .dressing import (_blaschke, _chain_apply, _dressed_beta, _factors, _product,
+                       build_reduced_chain, reconstruct_field)
 from .errors import DegeneracyError, DomainError, ValidationError
 from .soldata import (
     AXIS_TOL,
@@ -28,9 +28,10 @@ from .soldata import (
     NormingVector,
     SolitonData,
     SolitonStack,
-    projective_distance,
-    _vector_norms,
+    _norms,
+    _scaled,
     boundary_stack,
+    projective_distance,
 )
 
 #: Relative constraint residual a solved or stored dataset must meet.
@@ -99,13 +100,12 @@ def a_matrix(j: int, data, chain) -> np.ndarray:
     """
     j = int(j)
     stack = data.stack
-    kj = stack.k(j)
-    kjc = [k.conjugate() for k in kj]
+    kj = stack.ks[:, j]
     z = chain[j][1]
-    left = _chain_apply(chain[j + 1 :], kjc, z, dagger=True)
-    right = _chain_apply(chain[:j], kjc, z)
-    pref = [_blaschke_product((*ks[:j], *ks[j + 1 :]), k) for ks, k in zip(stack.ks, kj)]
-    out = np.array(pref)[:, None, None] * (left[:, :, None] * right.conj()[:, None, :])
+    left = _chain_apply(chain[j + 1 :], kj.conj(), z, dagger=True)
+    right = _chain_apply(chain[:j], kj.conj(), z)
+    pref = _product(_factors(stack)[j, [i for i in range(stack.N) if i != j]].T)
+    out = pref[:, None, None] * (left[:, :, None] * right.conj()[:, None, :])
     return out if data is stack else out[0]
 
 
@@ -130,22 +130,23 @@ def solve_mirror_norming(real_data, spec):
     real = real_data.stack if one else SolitonStack(tuple(data.points for data in reals))
     N, n = real.N, reals[0].n
     ks = np.concatenate([real.ks, -real.ks.conj()], axis=1)
+    factors = _blaschke(ks.T[None], ks.T[:, None])  # the combined stack's `_factors`
 
     # mirror factors are built right to left
     mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        pref = [_blaschke_product((*k[:mj], *k[mj + 1 :]), k[mj]) for k in ks]
+        pref = _product(factors[mj, [i for i in range(2 * N) if i != mj]].T)
         m_inv = np.array([sp.big_m_inv(k[j].conjugate(), n) for sp, k in zip(specs, ks)])
-        w = (m_inv @ real.betas[:, j, :, None])[..., 0] / np.array(pref)[:, None]
+        w = (m_inv @ real.betas[:, j, :, None])[..., 0] / pref[:, None]
         # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
         w = _chain_apply(mirror, ks[:, mj], w)
-        nw = _vector_norms(w)
-        if not nw.all():
+        v, nrm, e = _scaled(w)  # one pass for the direction and |w|
+        if not nrm.all():
             raise DegeneracyError(f"mirror direction for index {mj} collapsed")
-        z = w / nw[:, None]
-        mirror.insert(0, (tuple(ks[:, mj]), z, z.conj()))
-        xis.insert(0, w / np.array([x**2 for x in nw.tolist()])[:, None])  # C pow, not x*x
+        z = v / nrm[:, None]
+        mirror.insert(0, (ks[:, mj], z, z.conj()))
+        xis.insert(0, z / (nrm if e is None else _norms(w))[:, None])  # w / |w|^2
 
     chain = build_reduced_chain(real) + tuple(mirror)
     betas = [_chain_apply(chain[: N + j], ks[:, N + j].conj(), xi) for j, xi in enumerate(xis)]
@@ -155,6 +156,7 @@ def solve_mirror_norming(real_data, spec):
     combined = hls[0].combined.stack if one else SolitonStack(
         tuple(hl.real_data.points + hl.mirror_data.points for hl in hls))
     combined.chains.update(real.chains)
+    combined.factors = factors
     for hl, residual in zip(hls, mirror_constraint_residual((hls, combined)).tolist()):
         vars(hl)["constraint_residual"] = residual  # the cached property's slot
         if not residual <= CONSTRAINT_TOL:  # a nan residual fails too
@@ -178,11 +180,11 @@ def mirror_constraint_residual(hl):
     for j in range(N):
         beta_r, beta_m = combined.betas[:, j], combined.betas[:, N + j]
         lhs = beta_r[:, :, None] * beta_m.conj()[:, None, :]
-        big_m = np.array([h.spec.big_m(k.conjugate(), n) for h, k in zip(hls, combined.k(j))])
+        big_m = np.array([h.spec.big_m(k, n) for h, k in zip(hls, combined.ks[:, j].conj())])
         rhs = big_m @ a_matrix(N + j, combined, chain)
-        # in Python floats, which neither warn past the float range nor divide by 0
-        res.append([a / (p[j][1].norm * p[N + j][1].norm) for a, p in
-                    zip(np.max(np.abs(lhs - rhs), axis=(1, 2)).tolist(), combined.points)])
+        err = np.max(np.abs(lhs - rhs), axis=(1, 2))
+        with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf
+            res.append(err / (combined.norms[:, j] * combined.norms[:, N + j]))
     out = np.max(res, axis=0)
     return float(out[0]) if isinstance(hl, HalfLineData) else out
 
@@ -207,10 +209,11 @@ def mirror_polarization_residual(hl):
         lhs.append(chain[N + j][1])
         rhs.append(_dressed_beta(combined, j, range(j + 1, N)))
         # all-real-prefix pattern: real chain dagger applied to the mirror beta
-        kb = [-k.conjugate() for k in combined.k(j)]
-        lhs.append(_unit(_chain_apply(chain[:N], kb, combined.betas[:, N + j], dagger=True)))
+        kb = -combined.ks[:, j].conj()
+        lhs.append(_chain_apply(chain[:N], kb, combined.betas[:, N + j], dagger=True))
         rhs.append(_dressed_beta(combined, j, [i for i in range(N) if i != j]))
-    rhs = _unit((np.concatenate([m] * 2 * N) @ np.concatenate(rhs)[..., None])[..., 0])
+    # the distance is projective: neither side needs its norm
+    rhs = (np.concatenate([m] * 2 * N) @ np.concatenate(rhs)[..., None])[..., 0]
     dist = projective_distance(np.concatenate(lhs), rhs).reshape(2 * N, -1)
     out = np.max([np.zeros(len(hls)), *dist], axis=0)
     return float(out[0]) if isinstance(hl, HalfLineData) else out

@@ -33,8 +33,8 @@ from .soldata import (
     RotatedMixed,
     SolitonData,
     SpectralPoint,
-    _vector_norm,
-    _vector_norms,
+    _norms,
+    _unit,
     boundary_stack,
     canonical_phase,
 )
@@ -79,7 +79,7 @@ def draw_unit_vectors(
         # a first entry of modulus >= 1e-5 passes the norm test without the
         # sum: a sum of nonnegative squares is at least each of its terms
         usable = [i for i, x in enumerate(draws[:, 0, 0].tolist())
-                  if abs(x) >= 1e-5 or _vector_norm(draws[i, 0] + 1j * draws[i, 1]) > 1e-6]
+                  if abs(x) >= 1e-5 or _norms(draws[i, 0] + 1j * draws[i, 1]) > 1e-6]
         if len(usable) == count:
             return draws
         if log is not None:
@@ -93,9 +93,7 @@ def draw_unit_vectors(
 def unit_vectors(draws: np.ndarray) -> np.ndarray:
     """Unit vectors in canonical phase of a stack of (..., 2, n) draws from
     `draw_unit_vectors`, each as `Polarization` makes it, bit for bit."""
-    v = draws[..., 0, :] + 1j * draws[..., 1, :]
-    u = v / _vector_norms(v)[..., None]
-    return canonical_phase(u)
+    return canonical_phase(_unit(draws[..., 0, :] + 1j * draws[..., 1, :]))
 
 
 def random_soliton_data(

@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import PoleError, ValidationError
+from .errors import DegeneracyError, PoleError, ValidationError
 
 #: Two eigenvalues closer than this are treated as coincident poles.
 POLE_MERGE_TOL = 1e-12
@@ -53,86 +53,72 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
-def _as_complex_vector(vec, name: str = "vector") -> tuple:
-    """(a read-only complex copy of vec, the largest |re| or |im| of its entries)."""
+def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
+    """A read-only complex copy of vec, checked one-dimensional, nonempty and finite."""
     arr = np.array(vec, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty one-dimensional complex vector")
-    # the finiteness scan: the largest modulus is nan or inf unless every entry is finite
-    top = float(np.abs(arr.view(np.float64)).max())
-    if not math.isfinite(top):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
     arr.flags.writeable = False
-    return arr, top
+    return arr
 
 
-def _vector_norm(vec: np.ndarray) -> float:
-    """np.linalg.norm of a 1-D vector, bit for bit, without its wrapper:
-    numpy takes sqrt(re.re + im.im) (sqrt(x.x) if real) with ndarray.dot on
-    the vector's ravel, a contiguous copy of a strided view."""
-    if not vec.flags.c_contiguous:
-        vec = vec.ravel(order="K")
-    if vec.dtype.kind != "c":
-        return math.sqrt(vec.dot(vec))
-    re, im = vec.real, vec.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+# --- the numeric layer: the one norm, unit vector and projective distance, each
+# over the last axis of a stack with any leading axes (a vector is a stack of
+# one); only the field kernel keeps its own (`dressing._squared_norms`, `_rescale`)
 
 
-def _vector_norms(vecs: np.ndarray) -> np.ndarray:
-    """`_vector_norm` of each vector over the last axis of a stack, bit for
-    bit: vecdot on the strided real and imaginary views is its ddot."""
+def _scaled(vecs) -> tuple:
+    """(v, |v|, e) of a finite stack, vecs = 2^e v row by row; e is None
+    where no row is scaled.
+
+    Where a row's norm lies inside _SAFE_NORM, v is the row and |v| is
+    np.linalg.norm's, bit for bit: numpy takes sqrt(re.re + im.im) (sqrt(x.x)
+    if real) on a contiguous copy, and vecdot on a contiguous stack is that
+    ddot row by row.  Elsewhere the squares may underflow or overflow, so v
+    is the row scaled by 2^-e, e the binary exponent of its largest |re| or
+    |im|: exact, and |v| keeps all its digits (a zero row stays as it is).
+    """
+    vecs = np.asarray(vecs)
+    if not vecs.flags.c_contiguous:
+        vecs = np.ascontiguousarray(vecs)
+    nrm = _unscaled_norms(vecs)
+    # the extremes: every norm of a small stack, as Python floats, is cheaper
+    sizes = nrm.ravel().tolist() if nrm.size <= 16 else (nrm.min(), nrm.max())
+    if not sizes or (_SAFE_NORM[0] <= min(sizes) and max(sizes) <= _SAFE_NORM[1]):
+        return vecs, nrm, None
+    safe = (nrm >= _SAFE_NORM[0]) & (nrm <= _SAFE_NORM[1])
+    e = np.where(safe, 0, np.frexp(np.abs(vecs.view(np.float64)).max(axis=-1))[1])
+    vecs = np.ldexp(vecs.view(np.float64), -e[..., None]).view(vecs.dtype)
+    return vecs, _unscaled_norms(vecs), e
+
+
+@np.errstate(over="ignore")  # an overflowed square puts its row out of range
+def _unscaled_norms(vecs: np.ndarray) -> np.ndarray:
+    """sqrt(re.re + im.im) over the last axis of a contiguous stack (a real
+    stack's im is 0, which leaves the sum as it is)."""
     return np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
 
 
-def _scaled_norms(vecs: np.ndarray) -> tuple:
-    """(v, |v|, |vec|) for each row of an (S, n) stack, as `_scaled_norm` and
-    `_unscaled` give them (|vec| as a list): one stacked pass where every row
-    lies inside _SAFE_NORM, and `_scaled_norm` for each row elsewhere."""
-    tops = [max(map(abs, row)) for row in vecs.view(np.float64).tolist()]
-    if max(tops) <= _SAFE_NORM[1]:  # no square can overflow
-        nrm = _vector_norms(vecs)
-        if _SAFE_NORM[0] <= min(sizes := nrm.tolist()) and max(sizes) <= _SAFE_NORM[1]:
-            return vecs, nrm, sizes
-    rows = [_scaled_norm(vec, top) for vec, top in zip(vecs, tops)]
-    return (np.array([v for v, _, _ in rows]), np.array([nrm for _, _, nrm in rows]),
-            [_unscaled(e, nrm) for _, e, nrm in rows])
+def _norms(vecs) -> np.ndarray:
+    """The 2-norm over the last axis of a finite stack at any scale (see
+    `_scaled`): np.linalg.norm's bits inside _SAFE_NORM, an exact power of
+    two times a norm near 1 outside it, inf past the float range."""
+    _, nrm, e = _scaled(vecs)
+    if e is None:
+        return nrm
+    with np.errstate(over="ignore"):  # past the float range, where IEEE rounding gives inf
+        return np.ldexp(nrm, e)
 
 
-def _scaled_norm(vec: np.ndarray, top: float) -> tuple:
-    """(v, e, |v|) with vec = 2^e v, for a finite complex vector whose largest
-    |re| or |im| is top.
-
-    Where |vec| lies inside _SAFE_NORM, v is vec and |v| is np.linalg.norm's,
-    bit for bit, as `_vector_norm` takes it.  Elsewhere the squares may
-    underflow or overflow, so v is vec scaled by 2^-e, e the binary exponent
-    of top: exact, and |v| keeps all its digits.  A top above _SAFE_NORM
-    puts the norm above it too, so such a vector is scaled before any square
-    is taken.
-    """
-    if top <= _SAFE_NORM[1]:
-        nrm = _vector_norm(vec)
-        if _SAFE_NORM[0] <= nrm <= _SAFE_NORM[1]:
-            return vec, 0, nrm
-    e = math.frexp(top)[1]
-    vec = np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e)
-    return vec, e, _vector_norm(vec)
-
-
-def _norm(vec: np.ndarray, top=None) -> float:
-    """2-norm of a finite complex vector at any scale (see `_scaled_norm`);
-    top is its largest |re| or |im|, taken here if not given."""
-    if top is None:
-        top = float(np.abs(vec.view(np.float64)).max())
-    return _unscaled(*_scaled_norm(vec, top)[1:])
-
-
-def _unscaled(e: int, nrm: float) -> float:
-    """2^e nrm, inf past the float range: |vec| from the (e, |v|) of
-    `_scaled_norm`."""
-    try:
-        return math.ldexp(nrm, e)
-    except OverflowError:  # past the float range, where IEEE rounding gives inf
-        return math.inf
+def _unit(vecs) -> np.ndarray:
+    """Each vector of a finite stack over its norm, scaled first where the
+    norm leaves _SAFE_NORM (see `_scaled`); a zero vector raises DegeneracyError."""
+    vecs, nrm, e = _scaled(vecs)
+    if e is not None and not nrm.all():  # a zero norm is out of range
+        raise DegeneracyError("zero vector has no direction")
+    return vecs / nrm[..., None]
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -194,8 +180,8 @@ class NormingVector:
     norm: float = field(init=False, repr=False)  # |beta|, taken once: beta is read-only
 
     def __post_init__(self):
-        arr, top = _as_complex_vector(self.beta, "norming vector")
-        norm = _norm(arr, top)
+        arr = _as_complex_vector(self.beta, "norming vector")
+        norm = float(_norms(arr))
         if norm == 0.0:
             raise ValidationError("degenerate norming constant: beta must be nonzero")
         if norm == math.inf:
@@ -223,7 +209,7 @@ class Polarization:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _polarizations(_as_complex_vector(self.p, "polarization")[0][None])[0]
+        arr = _polarizations(_as_complex_vector(self.p, "polarization")[None])[0]
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 
@@ -234,19 +220,19 @@ class Polarization:
 
 def _polarizations(vecs: np.ndarray) -> np.ndarray:
     """Each row of an (S, n) stack as `Polarization` makes it, bit for bit:
-    over its norm (a row out of _SAFE_NORM is scaled first: the same
-    direction, norm near 1 or 0), in canonical phase."""
+    its `_unit`, in canonical phase."""
     if not np.isfinite(vecs).all():
         raise ValidationError("polarization has non-finite entries")
-    vecs, nrm, _ = _scaled_norms(vecs)
-    if not nrm.all():
-        raise ValidationError("zero vector has no polarization")
-    return canonical_phase(vecs / nrm[:, None])
+    try:
+        return canonical_phase(_unit(vecs))
+    except DegeneracyError:
+        raise ValidationError("zero vector has no polarization") from None
 
 
 def projective_distance(p, q):
-    """Fubini-Study-type distance sqrt(1 - |p^dag q|^2) between unit vectors;
-    between the rows of two (S, n) stacks, an (S,) array.
+    """Fubini-Study-type distance sqrt(1 - |p^dag q|^2) between the directions
+    of p and q, over the last axis of two stacks of equal shape (any leading
+    axes; a pair of vectors gives a scalar).
 
     Zero iff the two directions agree projectively; one iff orthogonal (and
     for a nan distance).  Phase-invariant and symmetric.  Evaluated as the
@@ -259,10 +245,8 @@ def projective_distance(p, q):
         raise ValidationError("projective distance needs vectors of equal length")
     if a.shape[-1] == 1:  # one complex line only: the distance vanishes identically
         return np.zeros(a.shape[:-1])[()]
-    a = a / _vector_norms(a)[..., None]
-    b = b / _vector_norms(b)[..., None]
-    dist = _vector_norms(b - a * np.vecdot(a, b)[..., None])
-    return np.where(dist < 1.0, dist, 1.0)[()]
+    a, b = _unit(np.array((a, b)))
+    return np.fmin(_norms(b - a * np.vecdot(a, b)[..., None]), 1.0)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,24 +309,23 @@ class SolitonData:
 
 class SolitonStack:
     """The points of S validated datasets of one shape (N points, n components),
-    whose reduced chains and intermediate gammas are built together, once each,
-    and kept here.  One dataset is a stack of one: `SolitonData.stack`."""
+    whose reduced chains, Blaschke factors at their own points and intermediate
+    gammas are built together, once each, and kept here.  One dataset is a
+    stack of one: `SolitonData.stack`."""
 
     def __init__(self, points: tuple):
-        self.points, self.chains, self.gammas = points, {(): ()}, {}
+        self.points, self.chains, self.gammas, self.factors = points, {(): ()}, {}, None
 
     stack = property(lambda self: self)
     N = property(lambda self: len(self.points[0]))
 
-    def k(self, i: int) -> tuple:
-        """Every sample's eigenvalue i, each a Python complex."""
-        return tuple([points[i][0].k for points in self.points])
-
-    # (S, N) eigenvalues and (S, N, n) norming vectors
+    # (S, N) eigenvalues, (S, N, n) norming vectors and (S, N) their norms
     ks = functools.cached_property(
         lambda self: np.array([[pt.k for pt, _ in p] for p in self.points]))
     betas = functools.cached_property(
         lambda self: np.array([[nv.beta for _, nv in p] for p in self.points]))
+    norms = functools.cached_property(
+        lambda self: np.array([[nv.norm for _, nv in p] for p in self.points]))
 
 
 def _check_distinct_poles(pts) -> None:

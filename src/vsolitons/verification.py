@@ -21,7 +21,7 @@ from .asymptotics import beta_in, beta_out
 from .dressing import reconstruct_field
 from .errors import ValidationError, WindowError
 from .mirror import HalfLineData, halfline_field
-from .soldata import Polarization, SolitonData
+from .soldata import Polarization, SolitonData, _norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +198,7 @@ def _envelopes(data: SolitonData, scans, ts) -> list:
         sizes = [scans[i].size for i in members]
         field = reconstruct_field(data, np.concatenate([scans[i] for i in members]), tt)
         for i, part in zip(members, np.split(field, np.cumsum(sizes)[:-1])):
-            out[i] = np.linalg.norm(part, axis=-1)
+            out[i] = _norms(part)
     return out
 
 
@@ -217,7 +217,7 @@ def _zoom_max(data: SolitonData, ts, a, b, xtol: float) -> list:
     while live:
         scans = np.stack([np.linspace(a[i], b[i], ZOOM_POINTS) for i in live])
         rows = np.array([ts[i] for i in live], dtype=np.float64)[:, None]
-        envs = np.linalg.norm(reconstruct_field(data, scans, rows), axis=-1)
+        envs = _norms(reconstruct_field(data, scans, rows))
         still = []
         for i, xs, env in zip(live, scans, envs):
             top = int(np.argmax(env))

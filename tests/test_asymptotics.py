@@ -19,7 +19,8 @@ from vsolitons import (
 )
 from vsolitons import asymptotics
 from vsolitons.asymptotics import _xi, check_velocity_ordered
-from vsolitons.dressing import _blaschke, _unit
+from vsolitons.dressing import _blaschke
+from vsolitons.soldata import _unit
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -172,20 +173,21 @@ class TestCollisionRelations:
 
 
 def _reference_relations(j, l, sp, data):
-    """The two relations' residual, every gamma built where it is used."""
+    """The two relations' residual, every gamma built where it is used, each
+    scalar a one-element array."""
 
     def unit(m, spect):
         g = intermediate_gamma(m, spect, data)
         return g / np.linalg.norm(g)
 
-    kj, kl = data.points[j][0].k, data.points[l][0].k
+    kj, kl = data.ks[[j]], data.ks[[l]]
     p_l_rho, p_j_lrho = unit(l, sp), unit(j, sp + (l,))
     p_l_jrho, p_j_rho = unit(l, sp + (j,)), unit(j, sp)
-    fjl, flj = _blaschke(kj, kl.conjugate()), _blaschke(kl, kj.conjugate())
-    xi = xi_factor(j, l, sp, data)
-    cj = fjl.conjugate()
-    rhs_l = (cj / xi) * (p_l_rho + (cj - 1.0) * np.vdot(p_j_lrho, p_l_rho) * p_j_lrho)
-    rhs_j = (flj / xi) * (p_j_lrho + (flj - 1.0) * np.vdot(p_l_rho, p_j_lrho) * p_l_rho)
+    fjl, flj = _blaschke(kj, kl.conj()), _blaschke(kl, kj.conj())
+    xi = np.array([xi_factor(j, l, sp, data)])
+    cj = fjl.conj()
+    rhs_l = (cj / xi) * (p_l_rho + (cj - 1.0) * np.vdot(p_j_lrho, p_l_rho)[None] * p_j_lrho)
+    rhs_j = (flj / xi) * (p_j_lrho + (flj - 1.0) * np.vdot(p_l_rho, p_j_lrho)[None] * p_l_rho)
     return max(float(np.max(np.abs(p_l_jrho - rhs_l))), float(np.max(np.abs(p_j_rho - rhs_j))))
 
 

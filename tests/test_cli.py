@@ -13,7 +13,7 @@ import pytest
 
 from vsolitons import (NormingVector, Polarization, SolitonData, SpectralPoint, beta_in, beta_out,
                        cli, collision_pair_residuals, intermediate_gamma, one_soliton_field,
-                       projective_distances, yb_schedule)
+                       projective_distance, yb_schedule)
 from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
@@ -932,7 +932,7 @@ def _oracle_pipeline_residual(data):
     schedule at a time."""
     ins, outs = (np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]])
                  for which in (beta_in, beta_out))
-    return float(np.max([projective_distances(yb_schedule(ins, data.ks[None], s), outs).max()
+    return float(np.max([projective_distance(yb_schedule(ins, data.ks[None], s), outs).max()
                          for s in cli.collision_orders(data.N)]))
 
 

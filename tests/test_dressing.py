@@ -30,8 +30,8 @@ E2 = np.array([0.0, 1.0])
 
 def columns(chain):
     """(k, z, conj(z)) triples with z of shape (d, 1), of a one-dataset reduced
-    chain (its factors' ks a 1-tuple, z one (1, n) row) or a one-point full chain."""
-    return [(k[0], z.T, zc.T) if isinstance(k, tuple) else (k, z, zc) for k, z, zc in chain]
+    chain (its factors' ks one-element, z one (1, n) row) or a one-point full chain."""
+    return [(k[0], z.T, zc.T) if np.ndim(k) else (k, z, zc) for k, z, zc in chain]
 
 
 def direction(chain, i):
@@ -182,13 +182,13 @@ class TestChainApply:
         assert dressing._chain_apply((), 0.5j, vec) is vec
 
     def test_unit_is_shared_and_raises_on_zero(self):
-        from vsolitons import asymptotics, mirror
+        from vsolitons import asymptotics, maps, sampling, soldata
         from vsolitons.errors import DegeneracyError
 
-        assert asymptotics._unit is mirror._unit is dressing._unit
-        assert np.allclose(dressing._unit(np.array([3.0, 4.0j])), [0.6, 0.8j], rtol=0, atol=1e-15)
+        assert all(module._unit is soldata._unit for module in (asymptotics, dressing, maps, sampling))
+        assert np.allclose(soldata._unit(np.array([3.0, 4.0j])), [0.6, 0.8j], rtol=0, atol=1e-15)
         with pytest.raises(DegeneracyError):
-            dressing._unit(np.zeros(2, dtype=complex))
+            soldata._unit(np.zeros(2, dtype=complex))
 
 
 class TestFullChain:
@@ -257,6 +257,19 @@ class TestReconstruction:
                 np.abs(reconstruct_field(data, xs, ts) - one_soliton_field(pt, nv, xs, ts))
             )
             assert dev < 1e-12
+
+    @pytest.mark.parametrize("size", [1.1e-170, 1.1e170])
+    def test_closed_form_at_extreme_beta_scales(self, size):
+        # |beta| outside _SAFE_NORM, where its squares underflow or overflow;
+        # the envelope sits at ln|beta|/v = +-391.5
+        pt = SpectralPoint(0.5, 1.0)
+        nv = NormingVector(size * np.array([0.6, 0.8j]))
+        data = SolitonData(2, ((pt, nv),))
+        xs = np.sign(math.log(size)) * 390.0 + np.linspace(-3.0, 3.0, 13)
+        want = reconstruct_field(data, xs, 0.0)
+        assert np.max(np.linalg.norm(want, axis=-1)) > 0.7  # the peak is in the window
+        for beta in (nv, nv.beta):
+            assert np.max(np.abs(one_soliton_field(pt, beta, xs, 0.0) - want)) < 1e-12
 
     def test_beta_phase_scales_field(self):
         pt = SpectralPoint(0.4, 1.1)
@@ -599,9 +612,9 @@ def _oracle_permutation_residuals(data, reference, orders, ks, xts):
         dirs = _full_directions(data, idx, x, t)
         reduced = build_reduced_chain(data, idx)
         return [_chain_product(reduced, ks, data.n,
-                               [dressing._coefficients(k[0], ks) for k, _, _ in reduced]),
+                               [dressing._blaschke(k[0], ks) - 1.0 for k, _, _ in reduced]),
                 _chain_product([(k, z.T, zc.T) for k, z, zc in dirs], ks[:3], data.n + 1,
-                               [dressing._coefficients(k, ks[:3]) for k, _, _ in dirs]),
+                               [dressing._blaschke(k, ks[:3]) - 1.0 for k, _, _ in dirs]),
                 dressing._field(data, idx, dirs, x.size)]
 
     ref = images(reference)

@@ -23,7 +23,6 @@ from vsolitons import (
     halfline_field,
     involution_residuals,
     projective_distance,
-    projective_distances,
     reflection_equation_residuals,
     reconstruct_field,
     reflection_maps,
@@ -57,7 +56,6 @@ from vsolitons.soldata import (
     PAIR_POLE_TOL,
     UNITARY_TOL,
     SolitonData,
-    _vector_norm,
     boundary_stack,
 )
 
@@ -310,14 +308,14 @@ class TestBounceIsMirrorCollision:
     def test_bounce_is_slot_zero_of_the_mirror_collision(self, kind, n):
         (Q, L), (R, M), _ = self._sides(kind, n)
         assert np.array_equal(L[:, 0], M[:, 0])
-        assert projective_distances(Q[:, 0], R[:, 0]).max() <= AGREE
+        assert projective_distance(Q[:, 0], R[:, 0]).max() <= AGREE
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["mixed", "rotated_mixed"])
     def test_bounce_at_the_mirror_parameter_misses(self, kind, n):
         # negative control: the same identity with B applied at -k* fails
         _, (R, _), (X, _) = self._sides(kind, n)
-        assert projective_distances(X[:, 0], R[:, 0]).max() >= 0.5
+        assert projective_distance(X[:, 0], R[:, 0]).max() >= 0.5
 
 
 class TestReflectionMapClassification:
@@ -344,7 +342,7 @@ class TestReflectionMapClassification:
     def test_robin_keeps_the_polarization_and_mirrors_k(self, n):
         rng, P, K = self._draws(n)
         Q, L = reflection_maps(P, K, boundary_stack(rng.uniform(-2.0, 2.0, self.S).tolist(), n))
-        assert projective_distances(Q, P).max() <= 1e-15
+        assert projective_distance(Q, P).max() <= 1e-15
         assert np.array_equal(L, -K.conj())
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -533,7 +531,7 @@ def _frozen_random_norming_vector(rng, n, log):
     while True:
         re, im = rng.standard_normal((2, n))
         vec = re + 1j * im
-        if _vector_norm(vec) > 1e-6:
+        if np.linalg.norm(vec) > 1e-6:
             return NormingVector(vec)
         log.resamples += 1
 
@@ -1527,7 +1525,7 @@ def test_every_composite_returns_empty_arrays_at_s_zero():
     assert reversibility_residuals(P[:, :2], K[:, :2]).shape == (0,)
     assert s_twist_residuals(P[:, :2], K[:, :2]).shape == (0,)
     assert yb_schedule(P, K, ((0, 1), (1, 2))).shape == P.shape
-    assert projective_distances(P, P).shape == (0, 3)
+    assert projective_distance(P, P).shape == (0, 3)
 
 
 # --- boundary stacks: the m of every row, bit for bit --------------------------

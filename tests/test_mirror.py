@@ -27,7 +27,7 @@ from vsolitons import dressing as dressing_module
 from vsolitons import mirror as mirror_module
 from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
 from vsolitons.config import halfline_to_json, parse_halfline
-from vsolitons.dressing import _chain_apply, _dressed_beta, _unit
+from vsolitons.dressing import _chain_apply, _dressed_beta
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import boundary_spec, draw_boundary, random_soliton_data
 from vsolitons.verification import extract_asymptotic_polarization
@@ -264,9 +264,9 @@ class TestCanonicalChains:
         builds = []
         build = dressing_module._reduced_factor
 
-        def counted(stack, i, prefix):
-            builds.append((id(stack), tuple(k for (k,), _, _ in prefix), i))
-            return build(stack, i, prefix)
+        def counted(stack, idx, prefix):
+            builds.append((id(stack), tuple(k for (k,), _, _ in prefix), idx[-1]))
+            return build(stack, idx, prefix)
 
         monkeypatch.setattr(dressing_module, "_reduced_factor", counted)
         hl = halfline_data(np.random.default_rng(80), 3, 2, kind)
@@ -335,7 +335,7 @@ def _per_index_mirror_betas(real_data, spec):
         w = dressing_module._chain_apply(mirror, [ks[mj]], w[None])[0]
         nw = float(np.linalg.norm(w))
         z = (w / nw)[None]
-        mirror.insert(0, ((ks[mj],), z, z.conj()))
+        mirror.insert(0, (ks[mj:mj + 1], z, z.conj()))
         xis.insert(0, w / nw**2)
     chain = build_reduced_chain(real_data) + tuple(mirror)
     return [np.linalg.solve(eval_chain(chain[: N + j], ks[N + j]).conj().T, xi)
@@ -398,11 +398,11 @@ def _frozen_mirror_polarization_residual(hl):
     for j in range(N):
         kj = hl.real_data.points[j][0].k
         g = _dressed_beta(hl.real_data.stack, j, range(j + 1, N))[0]
-        res.append(projective_distance(chain[N + j][1][0], _unit(m @ g)))
+        res.append(projective_distance(chain[N + j][1][0], m @ g))
         beta_m = hl.mirror_data.points[j][1].beta
         lhs_b = _chain_apply(chain[:N], [-kj.conjugate()], beta_m[None], dagger=True)[0]
         g_b = _dressed_beta(hl.real_data.stack, j, [i for i in range(N) if i != j])[0]
-        res.append(projective_distance(_unit(lhs_b), _unit(m @ g_b)))
+        res.append(projective_distance(lhs_b, m @ g_b))
     return float(np.max(res))
 
 

@@ -19,7 +19,7 @@ from vsolitons import (
     projective_distance,
 )
 
-from vsolitons.soldata import _norm, _vector_norm
+from vsolitons.soldata import _SAFE_NORM, _norms, _unit
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -89,7 +89,7 @@ class TestScaledNorm:
         rng = np.random.default_rng(0)
         for _ in range(20000):
             vec = _gaussian(rng, int(rng.integers(1, 9)), 10.0 ** rng.uniform(-100, 100))
-            assert _norm(vec) == float(np.linalg.norm(vec))
+            assert _norms(vec) == float(np.linalg.norm(vec))
 
     def test_power_of_two_scaling_is_exact(self):
         # far outside the range where squaring is safe, the scaled norm is
@@ -99,7 +99,7 @@ class TestScaledNorm:
             vec = _gaussian(rng, int(rng.integers(1, 9)), 10.0 ** rng.uniform(-10, 10))
             ref = float(np.linalg.norm(vec))
             for e in (-900, -560, 560, 900):
-                assert _norm(vec * 2.0**e) == math.ldexp(ref, e)
+                assert _norms(vec * 2.0**e) == math.ldexp(ref, e)
 
     @pytest.mark.parametrize("size", [1e-160, 1e-200, 1e-300])
     def test_tiny_norming_vectors(self, size):
@@ -118,12 +118,12 @@ class TestScaledNorm:
         vec = size * np.array([1.0, -0.5j, 0.25 + 0.25j])
         exact = _true_norm(vec)
         assert abs(NormingVector(vec).norm - exact) <= math.ulp(exact)
-        assert abs(_norm(vec) - exact) <= math.ulp(exact)
+        assert abs(_norms(vec) - exact) <= math.ulp(exact)
         assert np.max(np.abs(Polarization(vec).p - Polarization(vec / size).p)) < 1e-15
 
     def test_norm_past_the_float_range_is_refused(self):
         vec = np.full(4, 1e308, dtype=np.complex128)
-        assert _norm(vec) == math.inf
+        assert _norms(vec) == math.inf
         with pytest.raises(ValidationError, match="exceeds the float range"):
             NormingVector(vec)
         assert np.array_equal(Polarization(vec).p, Polarization(np.ones(4)).p)
@@ -132,11 +132,25 @@ class TestScaledNorm:
         tiny = 5e-324
         assert NormingVector([tiny, 0.0]).norm == tiny
         assert NormingVector([0.0, 1j * tiny]).norm == tiny
-        assert _norm(np.array([tiny, tiny * 1j])) == _true_norm(np.array([tiny, tiny * 1j]))
+        assert _norms(np.array([tiny, tiny * 1j])) == _true_norm(np.array([tiny, tiny * 1j]))
         assert np.array_equal(Polarization([0.0, tiny]).p, E2)
 
+    def test_stack_rows_keep_their_one_vector_bits(self):
+        # every row of a stack, in range or scaled, gets the norm and unit
+        # vector it gets alone, whatever the other rows need
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            S, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            rows = np.array([_gaussian(rng, n, 10.0 ** rng.choice([-300, -170, 0, 90, 170, 300]))
+                             for _ in range(S)])
+            norms, units = _norms(rows), _unit(rows)
+            for row, norm, unit in zip(rows, norms, units):
+                assert norm == _norms(row) == _norms(row[None])[0]
+                assert unit.tobytes() == _unit(row).tobytes()
+            assert _norms(rows.reshape(S, 1, n)).tobytes() == norms.tobytes()
+
     def test_zero_stays_degenerate(self):
-        assert _norm(np.zeros(3, dtype=np.complex128)) == 0.0
+        assert _norms(np.zeros(3, dtype=np.complex128)) == 0.0
         with pytest.raises(ValidationError, match="degenerate"):
             NormingVector([0.0, -0.0])
 
@@ -150,8 +164,14 @@ class TestVectorNorm:
     def test_bit_equal_to_numpy_norm(self, entries, is_complex):
         re, im = np.array(entries).T
         vec = re + 1j * im if is_complex else re.copy()  # contiguous; views: below
-        with np.errstate(over="ignore"):  # squares past 1e308: both read inf
-            assert _vector_norm(vec) == float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # squares past 1e308: numpy reads inf
+            ref = float(np.linalg.norm(vec))
+        if _SAFE_NORM[0] <= ref <= _SAFE_NORM[1]:
+            assert _norms(vec) == ref
+        else:  # squares may underflow or overflow: numpy's bits at unit scale, moved exactly
+            e = math.frexp(float(np.abs(vec.view(np.float64)).max()))[1]
+            unit_scale = np.ldexp(vec.view(np.float64), -e).view(vec.dtype)
+            assert _norms(vec) == math.ldexp(float(np.linalg.norm(unit_scale)), e)
 
     def test_strided_views_take_numpy_ravel(self):
         # a strided real view's dot rounds differently from the contiguous
@@ -160,7 +180,7 @@ class TestVectorNorm:
         for _ in range(2000):
             v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             for view in (v[::2], v[::-1], v.real, v.real[::3], v.imag[::-2]):
-                assert _vector_norm(view) == float(np.linalg.norm(view))
+                assert _norms(view) == float(np.linalg.norm(view))
 
 
 class TestProjectiveDistance:
@@ -173,6 +193,19 @@ class TestProjectiveDistance:
     def test_half_angle(self):
         q = (E1 + E2) / np.sqrt(2.0)
         assert projective_distance(E1, q) == pytest.approx(1.0 / np.sqrt(2.0))
+
+    def test_stack_rows_keep_their_pair_bits(self):
+        # any leading axes: each pair of rows has the bits of its own call
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 5):
+            p = _gaussian(rng, (4, 3, n), 1.0)
+            q = p + _gaussian(rng, (4, 3, n), 1e-9)  # near-equal pairs too
+            for a, b in ((p, q), (p, _gaussian(rng, (4, 3, n), 1.0))):
+                got = projective_distance(a, b)
+                assert got.shape == (4, 3)
+                for idx in np.ndindex(4, 3):
+                    assert got[idx] == projective_distance(a[idx], b[idx])
+                    assert got[idx] == projective_distance(a[idx][None], b[idx][None])[0]
 
     @given(st.integers(0, 2**32 - 1), st.floats(-np.pi, np.pi))
     @settings(max_examples=50, deadline=None)

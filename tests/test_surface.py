@@ -59,3 +59,37 @@ def test_a_function_named_only_in_prose_or_by_itself_is_unused():
         "b.py": "TABLE = {'x': __import__('a').documented}\n",
     }
     assert unused_functions(sources) == ["a.recursive", "a.stale"]
+
+
+#: The last word of a function name that names a norm, unit-vector,
+#: inner-product or projective-distance helper (or a rescaling for one).
+_NUMERIC_NOUNS = {"norm", "norms", "unit", "units", "dot", "dots", "inner", "distance",
+                  "distances", "rescale", "unscaled", "normalize", "normalise"}
+
+#: The field kernel's own squared norm and rescaling, kept out of soldata.
+_KERNEL_HELPERS = ["dressing._squared_norms", "dressing._rescale"]
+
+
+def numeric_helpers(sources: dict) -> list:
+    """'module.function' for each module-level function outside soldata.py
+    whose name ends in one of _NUMERIC_NOUNS."""
+    return [f"{name[:-3]}.{node.name}"
+            for name, text in sources.items() if name != "soldata.py"
+            for node in ast.parse(text).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.strip("_").split("_")[-1] in _NUMERIC_NOUNS]
+
+
+def test_soldata_holds_the_one_numeric_layer():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert numeric_helpers(sources) == _KERNEL_HELPERS
+
+
+def test_numeric_helpers_are_named_by_their_last_word():
+    sources = {
+        "soldata.py": "def _norms(v):\n    pass\n",
+        "a.py": ("def _unit(v):\n    pass\n\ndef _unit_phase(a):\n    pass\n\n"
+                 "def projective_distances(a, b):\n    pass\n\ndef unit_vectors(d):\n    pass\n"),
+        "b.py": "def _dot(a, b):\n    pass\n\ndef solve_mirror_norming(d):\n    pass\n",
+    }
+    assert numeric_helpers(sources) == ["a._unit", "a.projective_distances", "b._dot"]

@@ -24,6 +24,7 @@ from vsolitons import cli
 from vsolitons.asymptotics import beta_in, beta_out, min_relative_velocity
 from vsolitons.dressing import reconstruct_field
 from vsolitons.sampling import SampleLog, random_soliton_data
+from vsolitons.soldata import _norms
 from vsolitons import verification
 from vsolitons.verification import FieldGrid, _zoom_max
 
@@ -407,8 +408,7 @@ class TestEnvelopeGroups:
             scans = [np.sort(rng.uniform(-40, 40, size)) for size in (33, 1, 60, 7, 2, 33)]
             sizes = [xs.size for xs in scans]
             flat = reconstruct_field(data, np.concatenate(scans), np.repeat(ts, sizes))
-            want = [np.linalg.norm(part, axis=-1)
-                    for part in np.split(flat, np.cumsum(sizes)[:-1])]
+            want = [_norms(part) for part in np.split(flat, np.cumsum(sizes)[:-1])]
             calls = []
 
             def spy(data, x, t):
