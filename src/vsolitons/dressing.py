@@ -71,19 +71,17 @@ def _normalized_order(N: int, order) -> tuple:
     return idx
 
 
-def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False, coeffs=None) -> np.ndarray:
+def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False) -> np.ndarray:
     """(F_1 ... F_m)(k_s) v_s, F_m acting first, for each sample s of a chain
     with one k_s per sample and vecs (S, n); with dagger, (F_1 ... F_m)(k_s)^dag
     v_s, F_1^dag acting first.  Never forms a matrix; every factor's update
     coefficients f(k_s) - 1 (conjugated with dagger) are taken in one pass, in
-    the order of action, unless given as coeffs, an (m, S) array."""
+    the order of action."""
     steps = chain if dagger else chain[::-1]
     if not steps:
         return vecs
-    if coeffs is None:
-        coeffs = _blaschke(np.array([k0s for k0s, _, _ in steps]), np.asarray(ks)) - 1.0
-        coeffs = coeffs.conj() if dagger else coeffs
-    for (_, z, _), c in zip(steps, coeffs):
+    coeffs = _blaschke(np.array([k0s for k0s, _, _ in steps]), np.asarray(ks)) - 1.0
+    for (_, z, _), c in zip(steps, coeffs.conj() if dagger else coeffs):
         vecs = vecs + (c * np.vecdot(z, vecs))[:, None] * z
     return vecs
 
@@ -110,19 +108,15 @@ def build_reduced_chain(data, order=None) -> tuple:
         done -= 1
     chain = built[idx[:done]]
     for end in range(done + 1, len(idx) + 1):
-        chain += (_reduced_factor(stack, idx[:end], chain),)
+        chain += (_reduced_factor(stack, idx[end - 1], chain),)
         built[idx[:end]] = chain
     return chain
 
 
-def _reduced_factor(stack, idx: tuple, prefix) -> tuple:
-    """(ks, z, conj(z)) of factor idx[-1] after the chain prefix on idx[:-1],
-    arrays read-only."""
-    i = idx[-1]
+def _reduced_factor(stack, i: int, prefix) -> tuple:
+    """(ks, z, conj(z)) of factor i after the chain prefix, arrays read-only."""
     ks = stack.ks[:, i]
-    w = _dressed_beta(stack, i, idx[:-1], prefix)
-    v, nrm, e = _scaled(w)  # one pass for the direction and |w|
-    size = nrm if e is None else _norms(w)
+    v, nrm, size = _scaled(_chain_apply(prefix, ks, stack.betas[:, i], dagger=True))
     if (s := _first(size < DEGENERATE_DIRECTION_TOL * stack.norms[:, i])) < len(size):
         raise DegeneracyError(
             f"degenerate chain: direction for index {i} collapsed ({size[s]:.3e})")
@@ -132,22 +126,10 @@ def _reduced_factor(stack, idx: tuple, prefix) -> tuple:
     return ks, z, zc
 
 
-def _dressed_beta(stack, j: int, sub, chain=None) -> np.ndarray:
-    """d_sub(k_j)^dag beta_j: beta_j dressed by the reduced chain on indices sub
-    (built, unless given), its coefficients read from `_factors`."""
-    sub = list(sub)
-    chain = build_reduced_chain(stack, sub) if chain is None else chain
-    coeffs = _factors(stack)[j, sub].conj() - 1.0
-    return _chain_apply(chain, stack.ks[:, j], stack.betas[:, j], True, coeffs)
-
-
-def _factors(stack) -> np.ndarray:
-    """(N, N, S): f_l(k_j) at [j, l], every factor at every point's own k, for
-    every sample; taken once per stack (`SolitonStack.factors`)."""
-    if stack.factors is None:
-        ks = stack.ks.T
-        stack.factors = _blaschke(ks[None], ks[:, None])
-    return stack.factors
+def _dressed_beta(stack, j: int, sub) -> np.ndarray:
+    """d_sub(k_j)^dag beta_j: beta_j dressed by the reduced chain on indices sub."""
+    chain = build_reduced_chain(stack, sub)
+    return _chain_apply(chain, stack.ks[:, j], stack.betas[:, j], dagger=True)
 
 
 def eval_chain(chain, k) -> np.ndarray:

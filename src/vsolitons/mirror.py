@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import check_velocity_ordered
-from .dressing import (_blaschke, _chain_apply, _dressed_beta, _factors, _product,
-                       build_reduced_chain, reconstruct_field)
+from .dressing import (_blaschke, _chain_apply, _dressed_beta, _product, build_reduced_chain,
+                       reconstruct_field)
 from .errors import DegeneracyError, DomainError, ValidationError
 from .soldata import (
     AXIS_TOL,
@@ -28,7 +28,6 @@ from .soldata import (
     NormingVector,
     SolitonData,
     SolitonStack,
-    _norms,
     _scaled,
     boundary_stack,
     projective_distance,
@@ -104,7 +103,8 @@ def a_matrix(j: int, data, chain) -> np.ndarray:
     z = chain[j][1]
     left = _chain_apply(chain[j + 1 :], kj.conj(), z, dagger=True)
     right = _chain_apply(chain[:j], kj.conj(), z)
-    pref = _product(_factors(stack)[j, [i for i in range(stack.N) if i != j]].T)
+    others = [i for i in range(stack.N) if i != j]
+    pref = _product(_blaschke(stack.ks[:, others], kj[:, None]))
     out = pref[:, None, None] * (left[:, :, None] * right.conj()[:, None, :])
     return out if data is stack else out[0]
 
@@ -130,23 +130,23 @@ def solve_mirror_norming(real_data, spec):
     real = real_data.stack if one else SolitonStack(tuple(data.points for data in reals))
     N, n = real.N, reals[0].n
     ks = np.concatenate([real.ks, -real.ks.conj()], axis=1)
-    factors = _blaschke(ks.T[None], ks.T[:, None])  # the combined stack's `_factors`
 
     # mirror factors are built right to left
     mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        pref = _product(factors[mj, [i for i in range(2 * N) if i != mj]].T)
+        others = [i for i in range(2 * N) if i != mj]
+        pref = _product(_blaschke(ks[:, others], ks[:, mj, None]))
         m_inv = np.array([sp.big_m_inv(k[j].conjugate(), n) for sp, k in zip(specs, ks)])
         w = (m_inv @ real.betas[:, j, :, None])[..., 0] / pref[:, None]
         # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
         w = _chain_apply(mirror, ks[:, mj], w)
-        v, nrm, e = _scaled(w)  # one pass for the direction and |w|
+        v, nrm, size = _scaled(w)  # one pass for the direction and |w|
         if not nrm.all():
             raise DegeneracyError(f"mirror direction for index {mj} collapsed")
         z = v / nrm[:, None]
         mirror.insert(0, (ks[:, mj], z, z.conj()))
-        xis.insert(0, z / (nrm if e is None else _norms(w))[:, None])  # w / |w|^2
+        xis.insert(0, z / size[:, None])  # w / |w|^2
 
     chain = build_reduced_chain(real) + tuple(mirror)
     betas = [_chain_apply(chain[: N + j], ks[:, N + j].conj(), xi) for j, xi in enumerate(xis)]
@@ -156,7 +156,6 @@ def solve_mirror_norming(real_data, spec):
     combined = hls[0].combined.stack if one else SolitonStack(
         tuple(hl.real_data.points + hl.mirror_data.points for hl in hls))
     combined.chains.update(real.chains)
-    combined.factors = factors
     for hl, residual in zip(hls, mirror_constraint_residual((hls, combined)).tolist()):
         vars(hl)["constraint_residual"] = residual  # the cached property's slot
         if not residual <= CONSTRAINT_TOL:  # a nan residual fails too

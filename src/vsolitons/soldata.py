@@ -70,28 +70,31 @@ def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
 
 
 def _scaled(vecs) -> tuple:
-    """(v, |v|, e) of a finite stack, vecs = 2^e v row by row; e is None
-    where no row is scaled.
+    """(v, |v|, |vecs|) of a finite stack, row by row: v / |v| is the row's
+    unit vector and |vecs| its norm, inf past the float range.
 
-    Where a row's norm lies inside _SAFE_NORM, v is the row and |v| is
-    np.linalg.norm's, bit for bit: numpy takes sqrt(re.re + im.im) (sqrt(x.x)
-    if real) on a contiguous copy, and vecdot on a contiguous stack is that
-    ddot row by row.  Elsewhere the squares may underflow or overflow, so v
-    is the row scaled by 2^-e, e the binary exponent of its largest |re| or
-    |im|: exact, and |v| keeps all its digits (a zero row stays as it is).
+    Where a row's norm lies inside _SAFE_NORM, v is the row and |v| = |vecs|
+    is np.linalg.norm's, bit for bit: numpy takes sqrt(re.re + im.im)
+    (sqrt(x.x) if real) on a contiguous copy, and vecdot on a contiguous
+    stack is that ddot row by row.  Elsewhere the squares may underflow or
+    overflow, so v is the row scaled by 2^-e, e the binary exponent of its
+    largest |re| or |im|: exact, |v| keeps all its digits and |vecs| is
+    2^e |v| (a zero row stays as it is).  |v| and |vecs| are one array
+    where no row is scaled.
     """
     vecs = np.asarray(vecs)
     if not vecs.flags.c_contiguous:
         vecs = np.ascontiguousarray(vecs)
     nrm = _unscaled_norms(vecs)
-    # the extremes: every norm of a small stack, as Python floats, is cheaper
-    sizes = nrm.ravel().tolist() if nrm.size <= 16 else (nrm.min(), nrm.max())
-    if not sizes or (_SAFE_NORM[0] <= min(sizes) and max(sizes) <= _SAFE_NORM[1]):
-        return vecs, nrm, None
-    safe = (nrm >= _SAFE_NORM[0]) & (nrm <= _SAFE_NORM[1])
-    e = np.where(safe, 0, np.frexp(np.abs(vecs.view(np.float64)).max(axis=-1))[1])
+    lo, hi = _SAFE_NORM  # an empty stack reads as in range
+    if lo <= nrm.min(initial=hi) and nrm.max(initial=lo) <= hi:
+        return vecs, nrm, nrm
+    top = np.abs(vecs.view(np.float64)).max(axis=-1)
+    e = np.where((nrm >= lo) & (nrm <= hi), 0, np.frexp(top)[1])
     vecs = np.ldexp(vecs.view(np.float64), -e[..., None]).view(vecs.dtype)
-    return vecs, _unscaled_norms(vecs), e
+    nrm = _unscaled_norms(vecs)
+    with np.errstate(over="ignore"):  # past the float range, where IEEE rounding gives inf
+        return vecs, nrm, np.ldexp(nrm, e)
 
 
 @np.errstate(over="ignore")  # an overflowed square puts its row out of range
@@ -105,18 +108,14 @@ def _norms(vecs) -> np.ndarray:
     """The 2-norm over the last axis of a finite stack at any scale (see
     `_scaled`): np.linalg.norm's bits inside _SAFE_NORM, an exact power of
     two times a norm near 1 outside it, inf past the float range."""
-    _, nrm, e = _scaled(vecs)
-    if e is None:
-        return nrm
-    with np.errstate(over="ignore"):  # past the float range, where IEEE rounding gives inf
-        return np.ldexp(nrm, e)
+    return _scaled(vecs)[2]
 
 
 def _unit(vecs) -> np.ndarray:
     """Each vector of a finite stack over its norm, scaled first where the
     norm leaves _SAFE_NORM (see `_scaled`); a zero vector raises DegeneracyError."""
-    vecs, nrm, e = _scaled(vecs)
-    if e is not None and not nrm.all():  # a zero norm is out of range
+    vecs, nrm, size = _scaled(vecs)
+    if size is not nrm and not nrm.all():  # a zero row is out of range, so scaled
         raise DegeneracyError("zero vector has no direction")
     return vecs / nrm[..., None]
 
@@ -309,12 +308,11 @@ class SolitonData:
 
 class SolitonStack:
     """The points of S validated datasets of one shape (N points, n components),
-    whose reduced chains, Blaschke factors at their own points and intermediate
-    gammas are built together, once each, and kept here.  One dataset is a
-    stack of one: `SolitonData.stack`."""
+    whose reduced chains and intermediate gammas are built together, once each,
+    and kept here.  One dataset is a stack of one: `SolitonData.stack`."""
 
     def __init__(self, points: tuple):
-        self.points, self.chains, self.gammas, self.factors = points, {(): ()}, {}, None
+        self.points, self.chains, self.gammas = points, {(): ()}, {}
 
     stack = property(lambda self: self)
     N = property(lambda self: len(self.points[0]))

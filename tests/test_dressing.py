@@ -160,6 +160,18 @@ class TestReducedChain:
             prod = eval_chain(chain, ks) @ eval_chain(chain, ks.conj()).conj().transpose(0, 2, 1)
             assert np.max(np.abs(prod - np.eye(n))) < 1e-12
 
+    def test_amplitude_below_the_pole_tolerance_builds(self):
+        # v = 5e-14 puts k within POLE_EVAL_TOL of its own conjugate; a chain
+        # never evaluates a factor at its own point, so every order builds
+        data = SolitonData.from_arrays([0.3, 0.9], [5e-14, 0.8], [[1.0, 0.5j], [0.2, 1.0]])
+        for order in ((0, 1), (1, 0)):
+            chain = build_reduced_chain(data, order)
+            for i in order:
+                z = direction(chain, i)
+                assert np.isfinite(z).all() and abs(np.linalg.norm(z) - 1.0) < 1e-15
+        first = direction(build_reduced_chain(data, (0, 1)), 0)
+        assert np.array_equal(first, Polarization(data.points[0][1].beta).p)
+
     def test_degenerate_chain_impossible_for_distinct_poles(self):
         # orthogonal beta annihilated by the projector still leaves |xi| = |beta|
         data = SolitonData.from_arrays([0.3, 0.9], [1.0, 1.0], [E1, E2])

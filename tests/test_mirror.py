@@ -156,6 +156,15 @@ class TestMirrorSolve:
             b = again.mirror_data.points[j][1].beta
             assert np.max(np.abs(a - b)) < 1e-12 * np.linalg.norm(a)
 
+    def test_amplitude_below_the_pole_tolerance_solves(self):
+        # v = 5e-14 puts k_0 within POLE_EVAL_TOL of its own conjugate; the
+        # solve, the residue matrices and both residuals evaluate no factor
+        # at its own point
+        real = SolitonData.from_arrays([0.3, 0.9], [5e-14, 0.8], [[1.0, 0.5j], [0.2, 1.0]])
+        hl = solve_mirror_norming(real, Robin(0.8))
+        assert hl.constraint_residual <= 1e-14
+        assert mirror_polarization_residual(hl) <= 1e-12
+
     def test_imaginary_axis_rejected(self):
         real = SolitonData(2, ((SpectralPoint(0.0, 1.0), NormingVector(E1)),))
         with pytest.raises(DomainError, match="imaginary axis"):
@@ -264,9 +273,9 @@ class TestCanonicalChains:
         builds = []
         build = dressing_module._reduced_factor
 
-        def counted(stack, idx, prefix):
-            builds.append((id(stack), tuple(k for (k,), _, _ in prefix), idx[-1]))
-            return build(stack, idx, prefix)
+        def counted(stack, i, prefix):
+            builds.append((id(stack), tuple(k for (k,), _, _ in prefix), i))
+            return build(stack, i, prefix)
 
         monkeypatch.setattr(dressing_module, "_reduced_factor", counted)
         hl = halfline_data(np.random.default_rng(80), 3, 2, kind)
