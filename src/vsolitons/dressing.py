@@ -20,6 +20,7 @@ stabilized seed, and a point whose squared norm leaves the range of
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Tuple
 
@@ -76,14 +77,36 @@ def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False) -> np.ndarra
     with one k_s per sample and vecs (S, n); with dagger, (F_1 ... F_m)(k_s)^dag
     v_s, F_1^dag acting first.  Never forms a matrix; every factor's update
     coefficients f(k_s) - 1 (conjugated with dagger) are taken in one pass, in
-    the order of action."""
+    the order of action.  R rows, ks (R, S) and vecs (R, S, n), are one sweep:
+    row q joins after q steps, and no coefficient is taken for a row before it
+    joins, so a sweep of a chain's own points never meets a factor's own pole.
+    """
     steps = chain if dagger else chain[::-1]
     if not steps:
         return vecs
-    coeffs = _blaschke(np.array([k0s for k0s, _, _ in steps]), np.asarray(ks)) - 1.0
-    for (_, z, _), c in zip(steps, coeffs.conj() if dagger else coeffs):
-        vecs = vecs + (c * np.vecdot(z, vecs))[:, None] * z
-    return vecs
+    ks = np.asarray(ks)
+    one = ks.ndim == 1  # one row: a row axis of one
+    ks, out = (ks[None], vecs[None]) if one else (ks, vecs.copy())
+    rows = len(ks)
+    k0s = np.array([k0s for k0s, _, _ in steps])
+    if rows > 1:  # the (step, row) pairs q <= t, in the order of action
+        t, q = _sweep_pairs(len(steps), rows)
+        k0s, ks = k0s[t], ks[q]
+    coeffs = _blaschke(k0s, ks) - 1.0
+    coeffs = coeffs.conj() if dagger else coeffs
+    # z[None]: the factors of a one-element product have one shape, as (S, 1) * (S, 1)
+    # have for one row alone; numpy rounds a one-element broadcast its own way
+    for i, (_, z, _) in enumerate(steps[: rows - 1]):  # rows 0..i act, the rest wait
+        c = coeffs[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
+        out[: i + 1] += (c * np.vecdot(z, out[: i + 1]))[..., None] * z[None]
+    joined = rows * (rows - 1) // 2  # from here on every row acts
+    for (_, z, _), c in zip(steps[rows - 1 :], coeffs[joined:].reshape(-1, *out.shape[:2])):
+        out = out + (c * np.vecdot(z, out))[..., None] * z[None]
+    return out[0] if one else out
+
+
+#: (t, q) of every (step, row) pair q <= t of a sweep, in the order of action
+_sweep_pairs = functools.lru_cache(maxsize=None)(lambda m, rows: np.tril_indices(m, 0, rows))
 
 
 def build_reduced_chain(data, order=None) -> tuple:

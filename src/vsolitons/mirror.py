@@ -14,7 +14,7 @@ dataset is a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,27 +86,30 @@ def check_halfline_real_data(data: SolitonData) -> None:
     check_velocity_ordered(data)
 
 
-def a_matrix(j: int, data, chain) -> np.ndarray:
+def a_matrix(j, data, chain) -> np.ndarray:
     """Residue matrix of the inverse chain at k_j, in factored form; (S, n, n)
-    for a `SolitonStack` and its chain.
+    for a `SolitonStack` and its chain, and of a range of consecutive indices
+    j, one row each, (R, S, n, n) (one dataset: (R, n, n)).
 
     A_j = prod_{i != j} ((k_j-k_i)/(k_j-k_i*)) *
           d^-1_{M-1} ... d^-1_{j+1} * P_j * d^-1_{j-1} ... d^-1_0, all at k_j,
     with factors from the canonical-order chain of the data.  As
     d^-1(k) = d(k*)^dag, that is pref * (L^dag z_j)(R z_j)^dag with
     L = d_{j+1} ... d_{M-1} and R = d_0 ... d_{j-1} at k_j*: rank one by
-    construction.
+    construction.  The rows' L^dag z_j are one ascending sweep over the chain
+    (row j joins at factor j+1) and their R z_j one descending sweep (row j
+    takes factors j-1 ... 0); no factor is evaluated at its own point.
     """
-    j = int(j)
+    rows = j if isinstance(j, range) else range(int(j), int(j) + 1)
     stack = data.stack
-    kj = stack.ks[:, j]
-    z = chain[j][1]
-    left = _chain_apply(chain[j + 1 :], kj.conj(), z, dagger=True)
-    right = _chain_apply(chain[:j], kj.conj(), z)
-    others = [i for i in range(stack.N) if i != j]
-    pref = _product(_blaschke(stack.ks[:, others], kj[:, None]))
-    out = pref[:, None, None] * (left[:, :, None] * right.conj()[:, None, :])
-    return out if data is stack else out[0]
+    kc = stack.ks[:, rows.start : rows.stop].T.conj()  # (R, S): each row's k_j*
+    z = np.array([chain[r][1] for r in rows])
+    left = _chain_apply(chain[rows.start + 1 :], kc, z, dagger=True)
+    right = _chain_apply(chain[: rows.stop - 1], kc[::-1], z[::-1])[::-1]
+    pref = _prefactors(stack.ks, rows)
+    out = pref[..., None, None] * (left[..., :, None] * right.conj()[..., None, :])
+    out = out if data is stack else out[:, 0]
+    return out if rows is j else out[0]
 
 
 def solve_mirror_norming(real_data, spec):
@@ -130,15 +133,14 @@ def solve_mirror_norming(real_data, spec):
     real = real_data.stack if one else SolitonStack(tuple(data.points for data in reals))
     N, n = real.N, reals[0].n
     ks = np.concatenate([real.ks, -real.ks.conj()], axis=1)
+    prefs = _prefactors(ks, range(N, 2 * N))
 
-    # mirror factors are built right to left
+    # mirror factors are built right to left; xis in that order
     mirror, xis = [], []
     for j in range(N - 1, -1, -1):
         mj = N + j
-        others = [i for i in range(2 * N) if i != mj]
-        pref = _product(_blaschke(ks[:, others], ks[:, mj, None]))
         m_inv = np.array([sp.big_m_inv(k[j].conjugate(), n) for sp, k in zip(specs, ks)])
-        w = (m_inv @ real.betas[:, j, :, None])[..., 0] / pref[:, None]
+        w = (m_inv @ real.betas[:, j, :, None])[..., 0] / prefs[j][:, None]
         # G^{-1} = d_{mj+1} ... d_{2N-1} at k_mj
         w = _chain_apply(mirror, ks[:, mj], w)
         v, nrm, size = _scaled(w)  # one pass for the direction and |w|
@@ -146,12 +148,15 @@ def solve_mirror_norming(real_data, spec):
             raise DegeneracyError(f"mirror direction for index {mj} collapsed")
         z = v / nrm[:, None]
         mirror.insert(0, (ks[:, mj], z, z.conj()))
-        xis.insert(0, z / size[:, None])  # w / |w|^2
+        xis.append(z / size[:, None])  # w / |w|^2
 
+    # beta_{j+N} = d_0 ... d_{j+N-1}(k_{j+N}*) xi_{j+N}: one descending sweep, row j+N
+    # joining at factor j+N-1
     chain = build_reduced_chain(real) + tuple(mirror)
-    betas = [_chain_apply(chain[: N + j], ks[:, N + j].conj(), xi) for j, xi in enumerate(xis)]
+    betas = _chain_apply(chain[:-1], ks[:, :N - 1:-1].T.conj(), np.array(xis))[::-1]
+    nvs = NormingVector.stack(betas.transpose(1, 0, 2).reshape(-1, n))
     hls = [HalfLineData(data, SolitonData(n, tuple(
-        (pt.mirror(), NormingVector(beta[s])) for (pt, _), beta in zip(data.points, betas))), sp)
+        (pt.mirror(), nv) for (pt, _), nv in zip(data.points, nvs[s * N:]))), sp)
         for s, (data, sp) in enumerate(zip(reals, specs))]
     combined = hls[0].combined.stack if one else SolitonStack(
         tuple(hl.real_data.points + hl.mirror_data.points for hl in hls))
@@ -164,27 +169,36 @@ def solve_mirror_norming(real_data, spec):
     return hls[0] if one else (hls, combined)
 
 
+def _prefactors(ks, rows: range) -> np.ndarray:
+    """(R, S): prod_{i != j} f_i(k_j) over the (S, M) points ks of each row j."""
+    others = _others(ks.shape[1], rows.start, rows.stop)
+    return _product(_blaschke(ks[:, others], ks[:, rows.start : rows.stop, None])).T
+
+
+#: (R, M - 1): the indices i != j of 0..M-1, ascending, for each row j of start..stop-1
+_others = lru_cache(maxsize=None)(lambda M, start, stop: np.array(
+    [[i for i in range(M) if i != j] for j in range(start, stop)], np.intp).reshape(stop - start, -1))
+
+
 def mirror_constraint_residual(hl):
     """max_j || beta_j beta_{j+N}^dag - M(k_j*) A_{j+N} ||_inf / (|beta_j| |beta_{j+N}|).
 
     Relative to the size of beta_j beta_{j+N}^dag, so the residual does not
     shrink with the mirror |beta|, which falls with N.  A nan residual
     propagates.  Of S datasets and their combined stack, as the solve gives
-    them, it is an (S,) array.
+    them, it is an (S,) array.  The N residue matrices are one `a_matrix` call.
     """
     hls, combined = ([hl], hl.combined.stack) if isinstance(hl, HalfLineData) else hl
     N, n = hls[0].N, hls[0].n
     chain = build_reduced_chain(combined)
-    res = [np.zeros(len(hls))]
-    for j in range(N):
-        beta_r, beta_m = combined.betas[:, j], combined.betas[:, N + j]
-        lhs = beta_r[:, :, None] * beta_m.conj()[:, None, :]
-        big_m = np.array([h.spec.big_m(k, n) for h, k in zip(hls, combined.ks[:, j].conj())])
-        rhs = big_m @ a_matrix(N + j, combined, chain)
-        err = np.max(np.abs(lhs - rhs), axis=(1, 2))
-        with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf
-            res.append(err / (combined.norms[:, j] * combined.norms[:, N + j]))
-    out = np.max(res, axis=0)
+    betas = combined.betas.transpose(1, 0, 2)  # (2N, S, n), a row per point
+    lhs = betas[:N, :, :, None] * betas[N:].conj()[:, :, None, :]
+    big_m = np.array([[h.spec.big_m(k, n) for h, k in zip(hls, ks)]
+                      for ks in combined.ks[:, :N].T.conj()])
+    err = np.abs(lhs - big_m @ a_matrix(range(N, 2 * N), combined, chain)).max(axis=(2, 3))
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf
+        res = err / (combined.norms[:, :N] * combined.norms[:, N:]).T
+    out = res.max(axis=0, initial=0.0)
     return float(out[0]) if isinstance(hl, HalfLineData) else out
 
 

@@ -119,12 +119,13 @@ def random_soliton_data(
         _count(log)
     else:
         raise SamplingError("could not draw separated velocities")
-    points = []
-    for u in us:
-        v = rng.uniform(*V_RANGE)
-        re, im = draw_unit_vectors(rng, 1, n, log)[0]
-        points.append((SpectralPoint(u, v), NormingVector(re + 1j * im)))
-    return SolitonData(n, tuple(points))
+    vs, draws = [], []
+    for _ in us:
+        vs.append(rng.uniform(*V_RANGE))
+        draws.append(draw_unit_vectors(rng, 1, n, log)[0])
+    draws = np.array(draws)
+    betas = NormingVector.stack(draws[:, 0] + 1j * draws[:, 1])
+    return SolitonData(n, tuple(zip(map(SpectralPoint, us, vs), betas)))
 
 
 def unitaries(draws: np.ndarray) -> np.ndarray:

@@ -54,13 +54,11 @@ def _frozen(arr) -> np.ndarray:
 
 
 def _as_complex_vector(vec, name: str = "vector") -> np.ndarray:
-    """A read-only complex copy of vec, checked one-dimensional, nonempty and finite."""
+    """A complex copy of vec, checked one-dimensional and nonempty (its stack
+    checks it finite)."""
     arr = np.array(vec, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty one-dimensional complex vector")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} has non-finite entries")
-    arr.flags.writeable = False
     return arr
 
 
@@ -180,13 +178,22 @@ class NormingVector:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.beta, "norming vector")
-        norm = float(_norms(arr))
-        if norm == 0.0:
-            raise ValidationError("degenerate norming constant: beta must be nonzero")
-        if norm == math.inf:
-            raise ValidationError("norming constant |beta| exceeds the float range")
-        object.__setattr__(self, "beta", arr)
-        object.__setattr__(self, "norm", norm)
+        (norm,) = _checked_norms(arr[None])
+        arr.flags.writeable = False
+        self.__dict__.update(beta=arr, norm=norm)
+
+    @classmethod
+    def stack(cls, betas) -> list:
+        """The NormingVector of each row of an (R, n) stack, as construction
+        makes it from that row, bit for bit, with one finiteness test and one
+        norm pass for all rows; construction is the stack of one."""
+        arr = np.array(betas, dtype=np.complex128)
+        norms = _checked_norms(arr)
+        arr.flags.writeable = False
+        out = [cls.__new__(cls) for _ in norms]
+        for nv, beta, norm in zip(out, arr, norms):
+            nv.__dict__.update(beta=beta, norm=norm)
+        return out
 
     @property
     def n(self) -> int:
@@ -215,6 +222,21 @@ class Polarization:
     @property
     def n(self) -> int:
         return self.p.size
+
+
+def _checked_norms(betas: np.ndarray) -> list:
+    """The norms of the rows of a complex (R, n) stack of norming vectors, as
+    floats.  ValidationError names what is wrong with the first row that is
+    non-finite, zero or past the float range."""
+    ok = len(betas) if np.isfinite(betas).all() else _first(~np.isfinite(betas).all(axis=-1))
+    norms = _norms(betas[:ok]).tolist()
+    if 0.0 in norms or math.inf in norms:
+        if next(v for v in norms if v in (0.0, math.inf)) == 0.0:
+            raise ValidationError("degenerate norming constant: beta must be nonzero")
+        raise ValidationError("norming constant |beta| exceeds the float range")
+    if ok < len(betas):
+        raise ValidationError("norming vector has non-finite entries")
+    return norms
 
 
 def _polarizations(vecs: np.ndarray) -> np.ndarray:

@@ -26,10 +26,11 @@ from vsolitons import (
 from vsolitons import dressing as dressing_module
 from vsolitons import mirror as mirror_module
 from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
-from vsolitons.config import halfline_to_json, parse_halfline
-from vsolitons.dressing import _chain_apply, _dressed_beta
+from vsolitons.config import _complex_pair, halfline_to_json, parse_halfline
+from vsolitons.dressing import _blaschke, _chain_apply, _dressed_beta, _product
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import boundary_spec, draw_boundary, random_soliton_data
+from vsolitons.soldata import _scaled
 from vsolitons.verification import extract_asymptotic_polarization
 
 E1 = np.array([1.0, 0.0])
@@ -310,10 +311,13 @@ class TestCanonicalChains:
         # Python's max(0.0, nan) is 0.0; each residual must keep the nan
         hl = halfline_data(np.random.default_rng(82), 2, 2, "mixed")
         fresh = mirror_module.a_matrix
-        monkeypatch.setattr(
-            mirror_module, "a_matrix",
-            lambda j, *a: np.full((2, 2), np.nan) if j == 2 else fresh(j, *a),
-        )
+
+        def first_row_nan(j, *a):  # the residue matrix at k_2, the first of the N rows
+            out = fresh(j, *a).copy()
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(mirror_module, "a_matrix", first_row_nan)
         assert np.isnan(mirror_constraint_residual(hl))
         # the 2N distances of the one stacked call, the first nan
         monkeypatch.setattr(mirror_module, "projective_distance",
@@ -373,6 +377,134 @@ class TestBetaRecovery:
         real = SolitonData.from_arrays([1e-11, 0.6], [1.0, 1.2], [[1.0, 0.3j], [0.2, 1.0]])
         with pytest.raises(DegeneracyError, match=r"^mirror constraint residual \S+ exceeds 1e-08$"):
             solve_mirror_norming(real, Mixed((1, -1)))
+
+
+def _frozen_chain_apply(chain, ks, vecs, dagger=False):
+    """One row of `_chain_apply` as a loop over the factors, each factor's
+    coefficient from one broadcast `_blaschke` pass (frozen reference)."""
+    steps = chain if dagger else chain[::-1]
+    if not steps:
+        return vecs
+    coeffs = _blaschke(np.array([k0s for k0s, _, _ in steps]), np.asarray(ks)) - 1.0
+    for (_, z, _), c in zip(steps, coeffs.conj() if dagger else coeffs):
+        vecs = vecs + (c * np.vecdot(z, vecs))[:, None] * z
+    return vecs
+
+
+def _frozen_a_matrix(j, stack, chain):
+    """a_matrix of one index, its two chain products one row each (frozen reference)."""
+    kj = stack.ks[:, j]
+    z = chain[j][1]
+    left = _frozen_chain_apply(chain[j + 1:], kj.conj(), z, dagger=True)
+    right = _frozen_chain_apply(chain[:j], kj.conj(), z)
+    others = [i for i in range(stack.N) if i != j]
+    pref = _product(_blaschke(stack.ks[:, others], kj[:, None]))
+    return pref[:, None, None] * (left[:, :, None] * right.conj()[:, None, :])
+
+
+def _frozen_mirror_constraint_residual(hl):
+    """mirror_constraint_residual as a per-j loop of one residue matrix each
+    (frozen reference)."""
+    combined = hl.combined.stack
+    N, n = hl.N, hl.n
+    chain = build_reduced_chain(combined)
+    res = [np.zeros(1)]
+    for j in range(N):
+        lhs = combined.betas[:, j, :, None] * combined.betas[:, N + j].conj()[:, None, :]
+        big_m = np.array([hl.spec.big_m(k, n) for k in combined.ks[:, j].conj()])
+        err = np.max(np.abs(lhs - big_m @ _frozen_a_matrix(N + j, combined, chain)), axis=(1, 2))
+        with np.errstate(over="ignore", divide="ignore"):
+            res.append(err / (combined.norms[:, j] * combined.norms[:, N + j]))
+    return float(np.max(res, axis=0)[0])
+
+
+def _frozen_mirror_betas(real, spec):
+    """The mirror betas of the descending recursion, each recovered by its own
+    chain application (frozen reference)."""
+    stack, N, n = real.stack, real.N, real.n
+    ks = np.concatenate([stack.ks, -stack.ks.conj()], axis=1)
+    mirror, xis = [], []
+    for j in range(N - 1, -1, -1):
+        mj = N + j
+        others = [i for i in range(2 * N) if i != mj]
+        pref = _product(_blaschke(ks[:, others], ks[:, mj, None]))
+        m_inv = spec.big_m_inv(ks[0, j].conjugate(), n)[None]
+        w = (m_inv @ stack.betas[:, j, :, None])[..., 0] / pref[:, None]
+        v, nrm, size = _scaled(_frozen_chain_apply(mirror, ks[:, mj], w))
+        z = v / nrm[:, None]
+        mirror.insert(0, (ks[:, mj], z, z.conj()))
+        xis.insert(0, z / size[:, None])
+    chain = build_reduced_chain(real) + tuple(mirror)
+    return [_frozen_chain_apply(chain[:N + j], ks[:, N + j].conj(), xi)[0]
+            for j, xi in enumerate(xis)]
+
+
+def _assert_mirror_constraints_match_frozen(seed: int) -> None:
+    """Every boundary kind on N = 1-4 and n = 1-4, solved one dataset at a
+    time and as one stack of the three kinds: the constraint residual has the
+    bits of the frozen per-j loop, and the stored mirror betas those of the
+    per-index recovery."""
+    rng = np.random.default_rng(seed)
+    for N in range(1, 5):
+        for n in range(1, 5):
+            cases = []
+            for kind in ("robin", "mixed", "rotated_mixed"):
+                data = random_soliton_data(rng, N, n, positive=True)
+                cases.append((data, boundary_spec(draw_boundary(rng, kind, n))))
+            hls, _ = solve_mirror_norming(*zip(*cases))
+            for (data, spec), stacked in zip(cases, hls, strict=True):
+                hl = solve_mirror_norming(data, spec)
+                frozen = _frozen_mirror_constraint_residual(hl)
+                assert hl.constraint_residual.hex() == frozen.hex()
+                assert stacked.constraint_residual.hex() == frozen.hex()
+                betas = [[_complex_pair(z) for z in beta] for beta in _frozen_mirror_betas(data, spec)]
+                for doc in (halfline_to_json(hl), halfline_to_json(stacked)):
+                    assert [s["beta"] for s in doc["solitons"][N:]] == betas
+                for (_, nv), beta in zip(hl.mirror_data.points, _frozen_mirror_betas(data, spec)):
+                    assert nv.beta.tobytes() == beta.tobytes()
+
+
+class TestMirrorConstraintPin:
+    """The residual's N residue matrices are one sweep each way, and the
+    solve's N beta recoveries one descending sweep; both keep the bits of one
+    chain application per row."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_frozen_per_index_loops(self, seed):
+        _assert_mirror_constraints_match_frozen(seed)
+
+    @pytest.mark.parametrize("N,n", [(1, 2), (3, 2), (4, 3)])
+    def test_one_row_is_a_matrix_of_one_index(self, N, n):
+        hl = halfline_data(np.random.default_rng(90 + N), N, n, "rotated_mixed")
+        stack = hl.combined.stack
+        chain = build_reduced_chain(stack)
+        rows = a_matrix(range(0, 2 * N), stack, chain)
+        for j in range(2 * N):
+            one = a_matrix(j, stack, chain)
+            assert one.tobytes() == rows[j].tobytes() == _frozen_a_matrix(j, stack, chain).tobytes()
+            assert a_matrix(j, hl.combined, chain).tobytes() == one[0].tobytes()
+        assert a_matrix(range(N, 2 * N), hl.combined, chain).tobytes() == rows[N:, 0].tobytes()
+
+    def test_sweep_rows_join_in_turn(self):
+        # row q of a sweep takes the steps from its q-th on, as one row alone does
+        hl = halfline_data(np.random.default_rng(95), 3, 3, "mixed")
+        stack = hl.combined.stack
+        chain = build_reduced_chain(stack)
+        rng = np.random.default_rng(96)
+        vecs = rng.standard_normal((4, 1, 3)) + 1j * rng.standard_normal((4, 1, 3))
+        ks = np.array([[0.3 + 0.2j], [-0.1 + 0.5j], [0.7 + 0.1j], [0.2 + 0.9j]])
+        for dagger in (False, True):
+            swept = _chain_apply(chain, ks, vecs, dagger)
+            steps = chain if dagger else chain[::-1]
+            for q in range(4):
+                rest = steps[q:] if dagger else steps[q:][::-1]
+                one = _frozen_chain_apply(rest, ks[q], vecs[q], dagger)
+                assert swept[q].tobytes() == one.tobytes()
+
+    @pytest.mark.slow
+    def test_matches_the_frozen_per_index_loops_on_every_seed(self):
+        for seed in range(100):
+            _assert_mirror_constraints_match_frozen(seed)
 
 
 class TestMirrorPolarizations:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -153,6 +154,72 @@ class TestScaledNorm:
         assert _norms(np.zeros(3, dtype=np.complex128)) == 0.0
         with pytest.raises(ValidationError, match="degenerate"):
             NormingVector([0.0, -0.0])
+
+
+class TestNormingVectorStack:
+    """NormingVector.stack builds every row of a stack as construction builds
+    it from that row alone; construction is the stack of one."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_keep_their_one_vector_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            R, n = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+            rows = np.array([_gaussian(rng, n, rng.choice([1.1e-170, 1e-100, 1.0, 1e100, 1.1e170]))
+                             for _ in range(R)])
+            stacked = NormingVector.stack(rows)
+            assert len(stacked) == R
+            for row, nv in zip(rows, stacked):
+                one = NormingVector(row)
+                assert nv.beta.tobytes() == one.beta.tobytes() == row.tobytes()
+                assert nv.norm.hex() == one.norm.hex()
+                assert type(nv.norm) is float
+                assert not nv.beta.flags.writeable and not one.beta.flags.writeable
+                assert nv.n == n
+
+    def test_rows_at_the_edges_of_the_safe_range(self):
+        for size in (1.1e-170, 1.1e170):
+            rows = size * np.array([[1.0, 0.5j], [-0.25, 2.0 + 1j], [3.0j, 0.0]])
+            for row, nv in zip(rows, NormingVector.stack(rows)):
+                exact = _true_norm(row)
+                assert nv.norm.hex() == NormingVector(row).norm.hex()
+                assert abs(nv.norm - exact) <= math.ulp(exact)
+
+    def test_the_stack_is_a_copy(self):
+        rows = np.array([[1.0, 2.0j], [3.0, 4.0]])
+        stacked = NormingVector.stack(rows)
+        rows[0, 0] = 7.0
+        assert stacked[0].beta[0] == 1.0
+
+    @pytest.mark.parametrize("bad,message", [
+        ([0.0, -0.0], "degenerate norming constant: beta must be nonzero"),
+        ([np.nan, 1.0], "norming vector has non-finite entries"),
+        ([1.0, np.inf * 1j], "norming vector has non-finite entries"),
+        ([1.5e308, 1.5e308j], r"norming constant \|beta\| exceeds the float range"),
+    ])
+    def test_a_bad_row_raises_its_one_vector_message(self, bad, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            NormingVector(bad)
+        for where in (0, 1, 3):
+            rows = np.ones((4, 2), dtype=np.complex128)
+            rows[where] = bad
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                NormingVector.stack(rows)
+
+    @pytest.mark.parametrize("first,second", [
+        ([0.0, 0.0], [np.nan, 1.0]), ([np.nan, 1.0], [0.0, 0.0]),
+        ([1.5e308, 1.5e308j], [0.0, 0.0]), ([0.0, 0.0], [1.5e308, 1.5e308j]),
+        ([np.inf, 0.0], [1.5e308, 1.5e308j]), ([1.5e308, 1.5e308j], [np.inf, 0.0]),
+    ])
+    def test_the_first_bad_row_names_the_error(self, first, second):
+        rows = np.array([[1.0, 2.0], first, [3.0, 1j], second], dtype=np.complex128)
+        with pytest.raises(ValidationError) as expected:
+            NormingVector(first)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+            NormingVector.stack(rows)
+
+    def test_empty_stack(self):
+        assert NormingVector.stack(np.empty((0, 3), dtype=np.complex128)) == []
 
 
 _ENTRIES = st.floats(1e-160, 1e160) | st.floats(-1e160, -1e-160)
