@@ -88,14 +88,15 @@ def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, stack) -> np.
 
 
 def collision_pair_residuals(j: int, l: int, spectators, data) -> Tuple:
-    """(collision-relation residual, |Xi_jl - Xi_lj|) for j overtaking l; two
-    (S,) arrays for a `SolitonStack`.
+    """(collision-relation residual, |Xi_jl - Xi_lj| / max(Xi_jl, Xi_lj)) for j
+    overtaking l; two (S,) arrays for a `SolitonStack`.
 
     Requires u_j < u_l and j, l outside the spectator set.  The first entry
     is the max infinity-norm residual of the two vector relations, with the
     norm ratio taken as the positive root of its closed form; the second is
-    the asymmetry of that closed form under j <-> l.  Both come from one
-    build of the pair's four intermediate gammas.
+    the asymmetry of that closed form under j <-> l, relative to the larger
+    root, as Xi grows when the velocities close.  Both come from one build
+    of the pair's four intermediate gammas.
     """
     j, l = int(j), int(l)
     stack = data.stack
@@ -118,7 +119,8 @@ def collision_pair_residuals(j: int, l: int, spectators, data) -> Tuple:
         rhs = (c / xi)[:, None] * (p + ((c - 1.0) * np.vecdot(q, p))[:, None] * q)
         res.append(np.max(np.abs(lhs - rhs), axis=1))
     rel = np.maximum(*res)
-    sym = abs(xi - _xi(l, j, p_j_rho, p_l_jrho, stack))
+    xi_lj = _xi(l, j, p_j_rho, p_l_jrho, stack)
+    sym = abs(xi - xi_lj) / np.maximum(xi, xi_lj)
     return (rel, sym) if data is stack else (float(rel[0]), float(sym[0]))
 
 

@@ -17,7 +17,7 @@ from vsolitons import (
     reconstruct_field,
     yb_schedule,
 )
-from vsolitons import asymptotics
+from vsolitons import asymptotics, cli
 from vsolitons.asymptotics import _xi, check_velocity_ordered
 from vsolitons.dressing import _blaschke
 from vsolitons.soldata import _unit
@@ -202,7 +202,8 @@ class TestCollisionPairResiduals:
                     sp = tuple(m for m in range(N) if m not in (j, l))[:1]
                     rel, asym = collision_pair_residuals(j, l, sp, data)
                     assert rel == _reference_relations(j, l, sp, data)
-                    assert asym == abs(xi_factor(j, l, sp, data) - xi_factor(l, j, sp, data))
+                    xi_jl, xi_lj = xi_factor(j, l, sp, data), xi_factor(l, j, sp, data)
+                    assert asym == abs(xi_jl - xi_lj) / max(xi_jl, xi_lj)
 
     def test_four_gammas_per_pair(self, monkeypatch):
         calls = []
@@ -212,6 +213,30 @@ class TestCollisionPairResiduals:
         )
         collision_pair_residuals(0, 2, (1,), ordered_data(np.random.default_rng(9), 3, 2))
         assert sorted(calls) == [(0, (1,)), (0, (1, 2)), (2, (1,)), (2, (1, 0))]
+
+
+class TestNormRatioSymmetryIsRelative:
+    """norm-ratio-symmetry compares the two roots Xi_jl and Xi_lj relative to
+    the larger: Xi grows as the velocities close, and an absolute gap with it."""
+
+    @staticmethod
+    def _check(seed):
+        cfg = cli.parse_run_config({"mode": "verify", "suite": {"name": "collision", "seed": seed}})
+        return {c.name: c for c in cli.run_property_suite(cfg).checks}["norm-ratio-symmetry"]
+
+    def test_a_large_ratio_passes(self):
+        # close velocities put Xi near 211; the absolute gap read 1.5e-12
+        check = self._check(1649181705)
+        assert check.passed and check.residual <= 1e-13
+
+    def test_a_relative_defect_of_1e_9_fails(self, monkeypatch):
+        xi = asymptotics._xi  # the second root of each pair is the one with j > l
+        monkeypatch.setattr(asymptotics, "_xi",
+                            lambda j, l, *a: xi(j, l, *a) * (1.0 + 1e-9 if j > l else 1.0))
+        for seed in (0, 1649181705):
+            check = self._check(seed)
+            assert not check.passed
+            assert 0.5e-9 <= check.residual <= 2e-9
 
 
 class TestAsymptoticProfile:
