@@ -5,8 +5,8 @@ x >= 0 of a 2N-soliton field whose second half of spectral data mirrors the
 first: k_{j+N} = -k_j* and beta_j beta_{j+N}^dag = M(k_j*) A_{j+N}, where
 A_{j+N} packages the residue of the inverse chain at k_{j+N}.  The coupled
 constraints are solved by a descending recursion that consumes only
-previously built mirror factors; every beta_{j+N} then follows from one
-chain application, as each factor obeys d(k)^-1 = d(k*)^dag.  S same-shape
+previously built mirror factors; the betas_{j+N} then follow from one
+chain sweep, as each factor obeys d(k)^-1 = d(k*)^dag.  S same-shape
 datasets, one boundary each, are solved and checked as one stack; one
 dataset is a stack of one.
 """
@@ -119,8 +119,8 @@ def solve_mirror_norming(real_data, spec):
     v = [M(k_j*) c_{j+N} G]^{-1} beta_j with G the already-built mirror
     inverse factors at k_{j+N}; afterwards each beta_{j+N} solves
     d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  As d(k)^-1 = d(k*)^dag
-    for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: one chain
-    application, no matrix formed or inverted.  A relative constraint residual
+    for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: the N of
+    them one chain sweep, no matrix formed or inverted.  A relative constraint residual
     above CONSTRAINT_TOL, or a nan one, raises DegeneracyError.  Deterministic.
 
     S same-shape datasets and S boundaries are solved as one stack into S
@@ -177,7 +177,8 @@ def _prefactors(ks, rows: range) -> np.ndarray:
 
 #: (R, M - 1): the indices i != j of 0..M-1, ascending, for each row j of start..stop-1
 _others = lru_cache(maxsize=None)(lambda M, start, stop: np.array(
-    [[i for i in range(M) if i != j] for j in range(start, stop)], np.intp).reshape(stop - start, -1))
+    [[i for i in range(M) if i != j] for j in range(start, stop)], np.intp
+).reshape(stop - start, -1))
 
 
 def mirror_constraint_residual(hl):
