@@ -119,8 +119,8 @@ def solve_mirror_norming(real_data, spec):
     v = [M(k_j*) c_{j+N} G]^{-1} beta_j with G the already-built mirror
     inverse factors at k_{j+N}; afterwards each beta_{j+N} solves
     d^dag_{1..j+N-1}(k_{j+N}) beta_{j+N} = xi_{j+N}.  As d(k)^-1 = d(k*)^dag
-    for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: the N of
-    them one chain sweep, no matrix formed or inverted.  A relative constraint residual
+    for every factor, beta_{j+N} = d_{1..j+N-1}(k_{j+N}*) xi_{j+N}: all N in one
+    chain sweep, no matrix formed or inverted.  A relative constraint residual
     above CONSTRAINT_TOL, or a nan one, raises DegeneracyError.  Deterministic.
 
     S same-shape datasets and S boundaries are solved as one stack into S
