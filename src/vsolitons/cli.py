@@ -369,7 +369,9 @@ class _Sampled:
     group per call, the groups in order of their first sample.  It returns
     one sequence of per-sample residuals per check, and the rows go back in
     sample order, each with the bits of its own S = 1 call.  An evaluation
-    error names the first failing sample of the first group that raises.
+    error names the first failing sample of the first group that raises: a
+    group that raises is evaluated again one sample at a time, so the error
+    is that sample's own S = 1 error.
 
     Each variant's checks share, evenly, its own draw time plus its sample
     share of the stacked call and the folds, so the check times sum to the
@@ -423,7 +425,13 @@ class _Sampled:
             groups.setdefault(key, []).append(i)
         rows = [()] * len(instances)
         for idx in groups.values():
-            residuals = self.stacked([instances[i] for i in idx])
+            group = [instances[i] for i in idx]
+            try:
+                residuals = self.stacked(group)
+            except VsolitonsError:
+                for instance in group:  # the first sample that raises alone raises here
+                    self.stacked([instance])
+                raise
             for i, row in zip(idx, zip(*(np.asarray(c).tolist() for c in residuals))):
                 rows[i] = row
         return rows
@@ -504,9 +512,18 @@ def _draw_permutation(cfg, rng, log, i, variant):
         raise ConfigError(f"suite.N: the permutation suite needs 2 <= N <= 6, got {N}")
     ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
     xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
-    reference = tuple(range(N))
-    orders = [order for order in itertools.permutations(range(N)) if order != reference]
-    return (_worst(permutation_residuals(data, reference, orders, ks, xts)),)
+    return data, data.stack.betas[0], np.array(ks), np.array(xts)
+
+
+def _permutation_stack(instances):
+    """Permutation draws of one (N, n) as one stack: per sample, the worst
+    disagreement of every other factor order with the identity order."""
+    datasets, _, ks, xts = zip(*instances)
+    stack = SolitonStack(tuple(data.points for data in datasets))
+    reference = tuple(range(stack.N))
+    orders = [order for order in itertools.permutations(reference) if order != reference]
+    residuals = permutation_residuals(stack, reference, orders, np.array(ks), np.array(xts))
+    return (np.max([np.zeros(len(datasets)), *residuals], axis=0),)
 
 
 def _map_draw(slots: int, with_boundary: bool) -> Callable:
@@ -734,7 +751,7 @@ _SUITES: Dict[str, Callable] = {
     "determinant": _Sampled(10, (("determinant-blaschke-product", "involution"),),
                             _draw_determinant),
     "permutation": _Sampled(5, (("permutation-factorization[{}]", "algebraic"),),
-                            _draw_permutation, _permutation_variants),
+                            _draw_permutation, _permutation_variants, _permutation_stack),
     "ybe": _Sampled(100, (("yang-baxter-equation[{}]", "algebraic"),), _map_draw(3, False),
                     _n_variants,
                     stacked=_map_state(lambda P, K, _: (ybe_residuals(P, K),))),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -170,16 +169,18 @@ def eval_chain(chain, k) -> np.ndarray:
 def _chain_product(dirs, ks: np.ndarray, d: int, coeffs) -> np.ndarray:
     """Ordered factor products at stacked points x spectral parameters.
 
-    dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (M, d);
-    returns the (M, K, d, d) products F_1(k) ... F_m(k) for the K entries of ks
-    (the identity for an empty chain).  coeffs holds each factor's update
-    coefficients f_j(k) - 1 at ks, in chain order.
+    dirs holds (k_j, z_j, conj(z_j)) with unit directions z_j of shape (*M, d);
+    returns the (*M, K, d, d) products F_1(k) ... F_m(k) for the K entries of
+    the last axis of ks (the identity for an empty chain, with M = (1,)).
+    coeffs holds each factor's update coefficients f_j(k) - 1 at ks, in chain
+    order, each of a shape that broadcasts to (*M, K): one row for every
+    point, or one row per sample.
     """
-    m = dirs[0][1].shape[0] if dirs else 1
-    out = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, ks.size, d, d)).copy()
+    m = dirs[0][1].shape[:-1] if dirs else (1,)
+    out = np.broadcast_to(np.eye(d, dtype=np.complex128), (*m, ks.shape[-1], d, d)).copy()
     for (_, z, zc), coeff in zip(dirs, coeffs):
         # out F(k) = out + (f(k) - 1) (out z) z^dag
-        out += (out @ z[:, None, :, None]) * (coeff[:, None, None] * zc[:, None, None, :])
+        out += (out @ z[..., None, :, None]) * (coeff[..., None, None] * zc[..., None, None, :])
     return out
 
 
@@ -191,10 +192,21 @@ def _unit_phase(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
+def _phase_coefficients(k: complex) -> tuple:
+    """p + 2iq per unit x and per unit t of phi = k* x + 2 k*^2 t, in Python's
+    complex arithmetic."""
+    kc = k.conjugate()
+    k2 = 2.0 * kc * kc
+    return complex(kc.real, 2.0 * kc.imag), complex(k2.real, 2.0 * k2.imag)
+
+
+def _seed_batch(data, idx, x: np.ndarray, t: np.ndarray):
     """Yield the stabilized seed exp(-i phi(x,t,k_i*) Sigma3) (beta_i; -1), scaled
     projectively, of each soliton i of idx in turn, at the M points of
-    broadcast(x, t) in C order: shape (n+1, M), component-major.
+    broadcast(x, t) in C order: shape (n+1, M), component-major.  Of a
+    `SolitonStack` of S datasets, x and t hold S equal parts in C order, the
+    part s of each (its row s, when they are (S, P)) the points of sample s,
+    which take that sample's k and beta.
 
     The exponent phi = k* x + 2 k*^2 t = a + ib is the sum of an x-term
     p_x + i q_x and a t-term p_t + i q_t, so the seed is a product of line
@@ -206,7 +218,8 @@ def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
     pairs and exp pairs per soliton, not nx * nt, and a point costs n + 2
     complex products.  numpy multiplies a broadcast factor by the same rule
     as a full array's, so a point gets the same bits whether its
-    coordinates come as grid lines, as full arrays or as scattered points.
+    coordinates come as grid lines, as full arrays or as scattered points,
+    and whether its sample comes alone or in a stack.
 
     The product damps both blocks by e^{-(|q_x|+|q_t|)}: e^{-|b|}, times
     e^{-2 min(|q_x|, |q_t|)} where q_x and q_t differ in sign.  While one of
@@ -221,15 +234,15 @@ def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
     A complex array times a real one (numpy multiplies by s + 0i) gives
     re * s and im * s, up to the sign of a zero part.
     """
-    cut = x.size
-    coef = []
-    for i in idx:
-        kc = data.points[i][0].k.conjugate()
-        k2 = 2.0 * kc * kc
-        coef.append((complex(kc.real, 2.0 * kc.imag), complex(k2.real, 2.0 * k2.imag)))
-    coef = np.array(coef, dtype=np.complex128).reshape(-1, 2)
+    stack = data.stack
+    samples = stack.points
+    rows, cut = len(samples), x.size
+    parts = (cut // rows,) * rows + (t.size // rows,) * rows  # each sample's x, then t
+    coef = np.array([[_phase_coefficients(p[i][0].k) for p in samples] for i in idx],
+                    dtype=np.complex128).reshape(len(idx), rows, 2)
     # p + 2iq over x's elements, then t's: the phase and twice the damping exponent
-    pq = np.repeat(coef, (cut, t.size), axis=1) * np.concatenate((x.reshape(-1), t.reshape(-1)))
+    pq = (np.repeat(coef.transpose(0, 2, 1).reshape(len(idx), -1), parts, axis=1)
+          * np.concatenate((x.reshape(-1), t.reshape(-1))))
     e = _unit_phase(pq.real)
     top = np.conjugate(e)
     top *= np.exp(np.minimum(pq.imag, 0.0))
@@ -238,17 +251,18 @@ def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
     far = np.abs(pq.imag)
     peaks = np.fmax.reduce(far, axis=1, initial=0.0).tolist()  # fmax: a nan hides no point
     for j, i in enumerate(idx):
-        nv = data.points[i][1]
-        n = nv.n
+        beta = stack.betas[:, i].T[..., None]  # (n, S, 1): one column per sample
+        n = len(beta)
         seed = top[j, :cut].reshape(x.shape) * top[j, cut:].reshape(t.shape)
         shape = seed.shape
         out = np.empty((n + 1, seed.size), dtype=np.complex128)
-        np.multiply(nv.beta[:, None], seed.reshape(-1), out=out[:n])
+        np.multiply(beta, seed.reshape(rows, -1), out=out[:n].reshape(n, rows, -1))
         np.multiply(bot[j, :cut].reshape(x.shape), bot[j, cut:].reshape(t.shape),
                     out=out[n].reshape(shape))
-        limit = 2.0 * (-math.log(_SAFE_NORM[0]) - 0.5 * abs(math.log(nv.norm)))  # on 2|q|
-        if peaks[j] > limit:
-            both = far[j] > limit
+        limits = [2.0 * (-math.log(_SAFE_NORM[0]) - 0.5 * abs(math.log(p[i][1].norm)))
+                  for p in samples]  # on 2|q|, per sample
+        if peaks[j] > min(limits):
+            both = far[j] > np.repeat(limits * 2, parts)  # each element's sample's limit
             at = np.flatnonzero(both[:cut].reshape(x.shape) & both[cut:].reshape(t.shape))
             where = np.unravel_index(at, shape)
 
@@ -264,7 +278,7 @@ def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
             neg = b2 < 0.0
             seed = np.conjugate(phase)
             seed *= np.where(neg, damp, 1.0)
-            out[:n, at] = nv.beta[:, None] * seed
+            out[:n, at] = beta[:, at // (out.shape[1] // rows), 0] * seed
             out[n, at] = phase * np.where(neg, -1.0, -damp)
         yield out
 
@@ -274,26 +288,29 @@ def _seed_batch(data: SolitonData, idx, x: np.ndarray, t: np.ndarray):
 _SAFE_SQUARES = (_SAFE_NORM[0] ** 2, _SAFE_NORM[1] ** 2)
 
 
-def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds=None):
+def _full_directions(data, idx, x: np.ndarray, t: np.ndarray, seeds=None):
     """Unit full-chain directions for every factor, batched over the M points
-    of broadcast(x, t).
+    of broadcast(x, t), of a dataset or of each sample of a `SolitonStack`
+    (its points as `_seed_batch` takes them).
 
-    Returns (k_i, z_i, conj(z_i)) with z_i component-major, shape (n+1, M).
-    seeds, if given, maps each index to its seed from `_seed_batch` at
-    (x, t); it is read, not written.
+    Returns (ks, z_i, conj(z_i)) with the S samples' k_i and z_i
+    component-major, shape (n+1, M).  seeds, if given, maps each index to its
+    seed from `_seed_batch` at (x, t); it is read, not written.
 
     Each direction is normalised in one pass, by the reciprocal square root
     of its squared norm, wherever that lies inside _SAFE_SQUARES; only the
     points outside (`_rescale`) are first scaled by their largest |re| or
     |im|, as `soldata._scaled` scales a vector out of _SAFE_NORM.
     """
+    stack = data.stack
+    rows = len(stack.points)
     dirs = []
     fresh = _seed_batch(data, idx, x, t) if seeds is None else (seeds[i].copy() for i in idx)
     for i, w in zip(idx, fresh):
-        k = data.points[i][0].k
-        for k_prev, z, zc in dirs:
+        for j, (_, z, zc) in zip(idx, dirs):
             inner = np.add.reduce(zc * w, axis=0)
-            inner *= _blaschke(k_prev, k).conjugate() - 1.0
+            each = inner.reshape(rows, -1)  # a view: each sample's points, times its coefficient
+            each *= _update(stack, j, i)
             w += inner * z
         sq = _squared_norms(w)
         if not (_SAFE_SQUARES[0] <= sq.min() and sq.max() <= _SAFE_SQUARES[1]):
@@ -301,8 +318,26 @@ def _full_directions(data: SolitonData, idx, x: np.ndarray, t: np.ndarray, seeds
         # the bits of w /= s up to the sign of a zero part: numpy divides by
         # a real s as (re + im*0) * (1/s) and (im - re*0) * (1/s)
         w *= 1.0 / np.sqrt(sq)
-        dirs.append((k, w, w.conj()))
+        dirs.append((np.array([p[i][0].k for p in stack.points]), w, w.conj()))
     return dirs
+
+
+def _update(stack, j: int, i: int):
+    """conj(f_j(k_i)) - 1 of each sample, in Python's complex arithmetic, as
+    `_rows`, taken once per stack (`SolitonStack.updates`)."""
+    coeff = stack.updates.get((j, i))
+    if coeff is None:
+        coeff = stack.updates[j, i] = _rows(
+            [_blaschke(p[j][0].k, p[i][0].k).conjugate() - 1.0 for p in stack.points])
+    return coeff
+
+
+def _rows(values):
+    """S per-sample numbers as one factor of an (S, P) view of the points,
+    each sample's row: the number itself for one sample, else an (S, 1)
+    array.  numpy multiplies an array by a number with the bits of the
+    product by a broadcast array of it, so a sample keeps its bits in a stack."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
 def _squared_norms(w: np.ndarray) -> np.ndarray:
@@ -327,11 +362,15 @@ def _rescale(w: np.ndarray, sq: np.ndarray) -> None:
     sq[far] = _squared_norms(part)[: far.size]
 
 
-def _field(data: SolitonData, idx, dirs, m: int) -> np.ndarray:
-    """Component-major (n, M) field sum_j -2 v_j z_j[:n] conj(z_j[n])."""
-    field = np.zeros((data.n, m), dtype=np.complex128)
+def _field(data, idx, dirs) -> np.ndarray:
+    """Component-major (n, M) field sum_j -2 v_j z_j[:n] conj(z_j[n]), each
+    sample's v_j on its own points."""
+    samples = data.stack.points
+    d, m = dirs[0][1].shape
+    field = np.zeros((d - 1, m), dtype=np.complex128)
     for i, (_, z, zc) in zip(idx, dirs):
-        field += z[: data.n] * ((-2.0 * data.points[i][0].v) * zc[data.n])
+        scale = _rows([-2.0 * p[i][0].v for p in samples])
+        field += z[:-1] * (scale * zc[-1].reshape(len(samples), -1)).reshape(-1)
     return field
 
 
@@ -400,7 +439,7 @@ def reconstruct_field(data: SolitonData, x, t):
                 # a lone point goes as two: numpy rounds length-1 arrays its own way
                 xb, tb = xb.repeat(2), tb.repeat(2)
             # unnamed, so one block's directions are freed before the next is built
-            vals = _field(data, idx, _full_directions(data, idx, xb, tb), max(m, 2))
+            vals = _field(data, idx, _full_directions(data, idx, xb, tb))
             part[...] = vals[:, :m].T.reshape(part.shape)
     return out
 
@@ -426,45 +465,52 @@ def one_soliton_field(point: SpectralPoint, beta, x, t):
     return np.asarray(q)[..., None] * pol
 
 
-def permutation_residuals(
-    data: SolitonData,
-    reference,
-    orders,
-    sample_ks: Iterable[complex],
-    sample_xts: Iterable[Tuple[float, float]] = (),
-) -> list:
+def permutation_residuals(data, reference, orders, sample_ks, sample_xts=()):
     """Max entrywise disagreement of each of the orders with the reference.
 
     Compares the reduced chain at every sample k and, at the supplied (x, t),
     both the full-chain products at the first three k and the field.  The
     reference order's images are computed once, and so are each factor's seed
     at (x, t) and update coefficients at the ks, which every order shares.
+
+    Of a `SolitonStack` of S datasets, sample_ks is (S, K) and sample_xts
+    (S, P, 2), each sample's own, and the residuals are one (len(orders), S)
+    array in which each sample has the bits of its own S = 1 call; of one
+    dataset, a list.
     """
-    ref = _normalized_order(data.N, reference)
-    idxs = [_normalized_order(data.N, order) for order in orders]
+    stack = data.stack
+    rows = len(stack.points)
+    ref = _normalized_order(stack.N, reference)
+    idxs = [_normalized_order(stack.N, order) for order in orders]
     if any(set(idx) != set(ref) for idx in idxs):
         raise ValueError("orders must permute the same index set")
-    ks = np.array([complex(k) for k in sample_ks], dtype=np.complex128)
-    x, t = np.array(list(sample_xts), dtype=np.float64).reshape(-1, 2).T
-    build_reduced_chain(data, ref)  # first, so a degenerate chain raises before a pole sample
-    seeds = dict(zip(ref, _seed_batch(data, ref, x, t)))
-    coeffs = dict(zip(ref, _blaschke(data.ks[list(ref), None], ks) - 1.0))
+    ks = np.array(list(sample_ks), dtype=np.complex128).reshape(rows, -1)
+    xts = np.array(list(sample_xts), dtype=np.float64).reshape(rows, -1, 2)
+    # a lone k or point per sample goes as two: numpy rounds a length-1 array
+    # its own way, and a stack of such samples is no longer of length 1
+    ks, xts = (a.repeat(2, axis=1) if a.shape[1] == 1 else a for a in (ks, xts))
+    x, t = xts[..., 0], xts[..., 1]
+    build_reduced_chain(stack, ref)  # first, so a degenerate chain raises before a pole sample
+    coeffs = _blaschke(stack.ks[:, list(ref), None], ks[:, None]) - 1.0  # (S, N, K)
+    coeffs = dict(zip(ref, coeffs.swapaxes(0, 1)))
+    seeds = dict(zip(ref, _seed_batch(stack, ref, x, t))) if x.size else {}
 
     def images(idx) -> list:
-        """The reduced chain at every k and, if there are points (x, t), the
-        full-chain products at the first three k and the field there."""
-        out = [_chain_product(build_reduced_chain(data, idx), ks, data.n, [coeffs[i] for i in idx])]
+        """Per sample, the reduced chain at every k and, if there are points
+        (x, t), the full-chain products at the first three k and the field
+        there, each flattened."""
+        out = [_chain_product(build_reduced_chain(stack, idx), ks, stack.betas.shape[-1],
+                              [coeffs[i] for i in idx])]
         if x.size:
-            dirs = _full_directions(data, idx, x, t, seeds)
-            out += [_chain_product([(k, z.T, zc.T) for k, z, zc in dirs], ks[:3], data.n + 1,
-                                   [coeffs[i][:3] for i in idx]),
-                    _field(data, idx, dirs, x.size)]
-        return out
+            dirs = _full_directions(stack, idx, x, t, seeds)
+            full = [(k, z.T.reshape(*x.shape, -1), zc.T.reshape(*x.shape, -1)) for k, z, zc in dirs]
+            out += [_chain_product(full, ks[:, :3], len(dirs[0][1]),
+                                   [coeffs[i][:, None, :3] for i in idx]),
+                    _field(stack, idx, dirs).T]
+        return [a.reshape(rows, -1) for a in out]
 
     reference_images = images(ref)
-    return [float(np.max([_maxabs(a - b) for a, b in zip(reference_images, images(idx))]))
-            for idx in idxs]
-
-
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    worst = np.array([np.max([np.abs(a - b).max(axis=1, initial=0.0)
+                              for a, b in zip(reference_images, images(idx))], axis=0)
+                      for idx in idxs]).reshape(len(idxs), rows)
+    return worst if data is stack else worst[:, 0].tolist()

@@ -330,11 +330,12 @@ class SolitonData:
 
 class SolitonStack:
     """The points of S validated datasets of one shape (N points, n components),
-    whose reduced chains and intermediate gammas are built together, once each,
-    and kept here.  One dataset is a stack of one: `SolitonData.stack`."""
+    whose reduced chains, intermediate gammas and full-chain update
+    coefficients are built together, once each, and kept here.  One dataset
+    is a stack of one: `SolitonData.stack`."""
 
     def __init__(self, points: tuple):
-        self.points, self.chains, self.gammas = points, {(): ()}, {}
+        self.points, self.chains, self.gammas, self.updates = points, {(): ()}, {}, {}
 
     stack = property(lambda self: self)
     N = property(lambda self: len(self.points[0]))
@@ -342,8 +343,8 @@ class SolitonStack:
     # (S, N) eigenvalues, (S, N, n) norming vectors and (S, N) their norms
     ks = functools.cached_property(
         lambda self: np.array([[pt.k for pt, _ in p] for p in self.points]))
-    betas = functools.cached_property(
-        lambda self: np.array([[nv.beta for _, nv in p] for p in self.points]))
+    betas = functools.cached_property(lambda self: np.array(
+        [nv.beta for p in self.points for _, nv in p]).reshape(len(self.points), self.N, -1))
     norms = functools.cached_property(
         lambda self: np.array([[nv.norm for _, nv in p] for p in self.points]))
 

@@ -23,6 +23,7 @@ from vsolitons import cli, dressing
 from vsolitons.dressing import _chain_product, _full_directions
 from vsolitons.errors import DegeneracyError
 from vsolitons.sampling import SampleLog, boundary_spec, draw_boundary, random_soliton_data
+from vsolitons.soldata import SolitonStack
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -30,8 +31,9 @@ E2 = np.array([0.0, 1.0])
 
 def columns(chain):
     """(k, z, conj(z)) triples with z of shape (d, 1), of a one-dataset reduced
-    chain (its factors' ks one-element, z one (1, n) row) or a one-point full chain."""
-    return [(k[0], z.T, zc.T) if np.ndim(k) else (k, z, zc) for k, z, zc in chain]
+    chain (its factors' ks one-element, z one (1, n) row) or a one-point full
+    chain laid out as one (`full_chain`)."""
+    return [(k[0], z.T, zc.T) for k, z, zc in chain]
 
 
 def direction(chain, i):
@@ -39,11 +41,12 @@ def direction(chain, i):
     return columns(chain)[i][1][:, 0]
 
 
-def full_chain(data, x, t):
+def full_chain(data, x, t, order=None):
     """The full chain at the single point (x, t), laid out as a one-dataset
-    reduced chain, which `eval_chain` takes: ((k,), z, conj(z)), z one row."""
-    dirs = _full_directions(data, range(data.N), np.array([float(x)]), np.array([float(t)]))
-    return [((k,), z.T, zc.T) for k, z, zc in dirs]
+    reduced chain, which `eval_chain` takes: (ks, z, conj(z)), z one row."""
+    order = range(data.N) if order is None else order
+    dirs = _full_directions(data, order, np.array([float(x)]), np.array([float(t)]))
+    return [(k, z.T, zc.T) for k, z, zc in dirs]
 
 
 def permutation_residual(data, order_a, order_b, ks, xts=()):
@@ -303,7 +306,7 @@ class TestReconstruction:
         xs = rng.uniform(-3, 3, 20)
         ts = rng.uniform(-2, 2, 20)
         a = reconstruct_field(data, xs, ts)
-        b = dressing._field(data, (1, 0), _full_directions(data, (1, 0), xs, ts), xs.size).T
+        b = dressing._field(data, (1, 0), _full_directions(data, (1, 0), xs, ts)).T
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -540,8 +543,7 @@ def _reference_permutation_residual(data, order_a, order_b, ks, xts):
     for k in ks:
         res = max(res, np.max(np.abs(_ref_product(ca, k) - _ref_product(cb, k))))
     for x, t in xts:
-        fa = _full_directions(data, order_a, np.array([x]), np.array([t]))
-        fb = _full_directions(data, order_b, np.array([x]), np.array([t]))
+        fa, fb = full_chain(data, x, t, order_a), full_chain(data, x, t, order_b)
         for k in ks[:3]:
             diff = _ref_product(fa, k) - _ref_product(fb, k)
             res = max(res, np.max(np.abs(diff)))
@@ -571,7 +573,8 @@ class TestBatchedPermutationResidual:
         # reference images computed once; each value must be the two-order one
         n = 2
         draw_rng = np.random.default_rng(50 + N)
-        worst = cli._draw_permutation(None, draw_rng, SampleLog(), 0, ("", (N, n)))[0]
+        instance = cli._draw_permutation(None, draw_rng, SampleLog(), 0, ("", (N, n)))
+        worst = cli._permutation_stack([instance])[0][0]
         rng = np.random.default_rng(50 + N)
         data = random_soliton_data(rng, N, n, log=SampleLog())
         ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
@@ -626,12 +629,110 @@ def _oracle_permutation_residuals(data, reference, orders, ks, xts):
         return [_chain_product(reduced, ks, data.n,
                                [dressing._blaschke(k[0], ks) - 1.0 for k, _, _ in reduced]),
                 _chain_product([(k, z.T, zc.T) for k, z, zc in dirs], ks[:3], data.n + 1,
-                               [dressing._blaschke(k, ks[:3]) - 1.0 for k, _, _ in dirs]),
-                dressing._field(data, idx, dirs, x.size)]
+                               [dressing._blaschke(k[0], ks[:3]) - 1.0 for k, _, _ in dirs]),
+                dressing._field(data, idx, dirs)]
 
     ref = images(reference)
     return [float(np.max([np.max(np.abs(a - b)) for a, b in zip(ref, images(idx))]))
             for idx in orders]
+
+
+# --- permutation residuals: the one-dataset call and every stack row against a pin ---
+# A frozen copy of the one-dataset permutation residuals before they were stacked:
+# each full-chain update coefficient and field scale a Python number, one (K,) row
+# of reduced-chain coefficients per factor.  The seeds are the kernel's own, whose
+# bits `TestFieldBytes` pins.
+
+
+def _frozen_permutation_residuals(data, reference, orders, ks, xts):
+    ks = np.array([complex(k) for k in ks], dtype=np.complex128)
+    x, t = np.array(list(xts), dtype=np.float64).reshape(-1, 2).T
+    build_reduced_chain(data, reference)
+    seeds = dict(zip(reference, dressing._seed_batch(data, reference, x, t)))
+    coeffs = dict(zip(reference, dressing._blaschke(data.ks[list(reference), None], ks) - 1.0))
+
+    def product(dirs, kk, d, rows):
+        out = np.broadcast_to(np.eye(d, dtype=np.complex128), (len(dirs[0][1]), kk.size, d, d))
+        out = out.copy()
+        for (_, z, zc), c in zip(dirs, rows):
+            out += (out @ z[:, None, :, None]) * (c[:, None, None] * zc[:, None, None, :])
+        return out
+
+    def images(idx):
+        dirs = []
+        for i in idx:
+            w, k = seeds[i].copy(), data.points[i][0].k
+            for k_prev, z, zc in dirs:
+                inner = np.add.reduce(zc * w, axis=0)
+                inner *= dressing._blaschke(k_prev, k).conjugate() - 1.0
+                w += inner * z
+            sq = dressing._squared_norms(w)
+            lo, hi = dressing._SAFE_SQUARES
+            if not (lo <= sq.min() and sq.max() <= hi):
+                dressing._rescale(w, sq)
+            w *= 1.0 / np.sqrt(sq)
+            dirs.append((k, w, w.conj()))
+        field = np.zeros((data.n, x.size), dtype=np.complex128)
+        for i, (_, z, zc) in zip(idx, dirs):
+            field += z[: data.n] * ((-2.0 * data.points[i][0].v) * zc[data.n])
+        return [product(build_reduced_chain(data, idx), ks, data.n, [coeffs[i] for i in idx]),
+                product([(k, z.T, zc.T) for k, z, zc in dirs], ks[:3], data.n + 1,
+                        [coeffs[i][:3] for i in idx]),
+                field]
+
+    ref = images(reference)
+    return [float(np.max([np.max(np.abs(a - b), initial=0.0) for a, b in zip(ref, images(idx))]))
+            for idx in orders]
+
+
+def _permutation_case(seed, N, n, S, K=20, P=5):
+    """S random datasets of one shape with their (S, K) ks and (S, P, 2) points,
+    drawn as the suite draws them, and the orders the suite compares."""
+    rng = np.random.default_rng(seed)
+    datasets = [random_soliton_data(rng, N, n, log=SampleLog()) for _ in range(S)]
+    ks = rng.uniform(-2, 2, (S, K)) + 1j * rng.uniform(0.0, 2.0, (S, K))
+    xts = np.stack([rng.uniform(-3, 3, (S, P)), rng.uniform(-2, 2, (S, P))], axis=-1)
+    ref = tuple(range(N))
+    return datasets, ks, xts, ref, [o for o in itertools.permutations(ref) if o != ref]
+
+
+def _assert_permutation_rows_match_pin(seed, N, n, S, **sizes):
+    datasets, ks, xts, ref, orders = _permutation_case(seed, N, n, S, **sizes)
+    stack = SolitonStack(tuple(data.points for data in datasets))
+    rows = permutation_residuals(stack, ref, orders, ks, xts)
+    assert rows.shape == (len(orders), S)
+    for s, data in enumerate(datasets):
+        one = permutation_residuals(data, ref, orders, ks[s], xts[s])
+        assert np.array(one).tobytes() == rows[:, s].tobytes()
+        if sizes.get("P", 5) > 1 and sizes.get("K", 20) > 1:
+            assert one == _frozen_permutation_residuals(data, ref, orders, ks[s], xts[s])
+
+
+class TestPermutationPin:
+    """The one-dataset call keeps the bits of the per-dataset computation it
+    replaced, and each row of a stacked call the bits of its one-dataset call."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_the_frozen_one_dataset_call(self, N, n):
+        _assert_permutation_rows_match_pin(70 + 10 * N + n, N, n, S=(1, 3, 5)[n - 1])
+
+    @pytest.mark.parametrize("K,P", [(1, 5), (20, 1), (1, 1), (2, 2), (20, 0), (0, 5)])
+    def test_few_ks_and_points(self, K, P):
+        # a lone k or point goes as two, so a stack of such samples keeps each
+        # one's bits; the pin holds from two of each
+        for n in (1, 2):
+            _assert_permutation_rows_match_pin(90 + K + P + n, 3, n, S=4, K=K, P=P)
+
+    def test_one_dataset_returns_a_list(self):
+        datasets, ks, xts, ref, orders = _permutation_case(99, 3, 2, 1)
+        got = permutation_residuals(datasets[0], ref, orders, ks[0].tolist(), xts[0].tolist())
+        assert type(got) is list and all(type(r) is float for r in got) and len(got) == 5
+
+    @pytest.mark.slow
+    def test_rows_match_the_frozen_one_dataset_call_on_every_seed(self):
+        for seed in range(100):
+            _assert_permutation_rows_match_pin(seed, 2 + seed % 4, 1 + seed % 3, S=1 + seed % 6)
 
 
 # --- field bytes against the complex-arithmetic kernel ------------------------------

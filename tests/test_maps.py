@@ -1706,7 +1706,13 @@ def _spoiled(suite, instance, i):
     error message names the sample: a map draw's parameters on the imaginary
     axis, a collision draw's velocities in reverse order (the message lists
     them), a mirror draw's boundary with M(k) scaled by 2 + i (the message
-    gives the constraint residual)."""
+    gives the constraint residual), a permutation draw's sample k 3 on the
+    pole conj(k_j) of a factor j (the message gives k)."""
+    if suite == "permutation":
+        data, betas, ks, xts = instance
+        ks = ks.copy()
+        ks[3] = data.points[i % data.N][0].k.conjugate()
+        return data, betas, ks, xts
     if suite == "collision":
         data, betas = instance
         return SolitonData(data.n, data.points[::-1]), betas
@@ -1739,7 +1745,7 @@ class TestStackedSuites:
         runner, instances, _ = _suite_draws(suite, 6, n=1, samples=20)
         assert np.array(runner._evaluate(instances)).tobytes() == bytes(8 * len(instances))
 
-    @pytest.mark.parametrize("suite", STACKED_SUITES)
+    @pytest.mark.parametrize("suite", STACKED_SUITES + ("permutation",))
     def test_error_names_first_group_first_failure(self, suite):
         runner, instances, samples = _suite_draws(suite, 4, samples=12)
         last = len(instances) - 1
@@ -1760,6 +1766,10 @@ class TestStackedSuites:
             if suite == "collision":
                 us = [pt.u for pt, _ in bad[named][0].points]
                 assert expect == (ValidationError, f"u values must be strictly increasing, got {us}")
+            elif suite == "permutation":
+                k = bad[named][2][3]
+                assert expect == (PoleError,
+                                  f"evaluation point {k} hits the pole at conj({k.conjugate()})")
             elif suite in MIRROR_SUITES:
                 assert expect[0] is DegeneracyError
                 assert expect[1].startswith("mirror constraint residual ")
@@ -1791,9 +1801,48 @@ class TestStackedSuites:
             rows = runner._evaluate([instances[i] for i in group if i not in spoiled])
             assert rows == [runner._evaluate([instances[i]])[0] for i in group if i not in spoiled]
 
+    @pytest.mark.parametrize("samples", [0, 1, 5, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_permutation_samples_keep_their_one_sample_bits(self, N, n, samples):
+        got = _assert_samples_keep_their_bits("permutation", 20 + N + n, N=N, n=n, samples=samples)
+        assert got == ({n} if samples else set())
+
+    def test_permutation_error_of_another_kind_names_the_first_failing_sample(self):
+        # a degenerate reference chain is found before any pole sample in a
+        # stack, but a sample with a pole before it is named first, as its own
+        # S = 1 call raises; and the other way round
+        runner, instances, _ = _suite_draws("permutation", 8, samples=6)
+        for pole, degenerate in ((1, 4), (4, 1)):
+            bad = list(instances)
+            bad[pole] = _spoiled("permutation", bad[pole], pole)
+            bad[degenerate] = _degenerate_permutation_draw(bad[degenerate])
+            first = min(pole, degenerate)
+            expect = _raised(runner._evaluate, [bad[first]])
+            assert expect[0] is (PoleError if first == pole else DegeneracyError)
+            assert _raised(runner._evaluate, bad) == expect
+
+
+def _degenerate_permutation_draw(instance):
+    """A permutation draw whose first two eigenvalues lie 1.5e-12 apart (past
+    the pole-merge tolerance) at v = 20, with parallel norming vectors: the
+    direction of the reference chain's second factor falls below the
+    degeneracy tolerance."""
+    data, betas, ks, xts = instance
+    beta = data.points[0][1].beta
+    twins = ((SpectralPoint(0.3, 20.0), NormingVector(beta)),
+             (SpectralPoint(0.3 + 3e-12, 20.0), NormingVector(2.0 * beta)))
+    return SolitonData(data.n, twins + data.points[2:]), betas, ks, xts
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("suite", STACKED_SUITES)
 def test_stacked_suites_keep_their_bits_on_every_seed(suite):
     for seed in range(100):
         assert _assert_samples_keep_their_bits(suite, seed) == {2, 3}
+
+
+@pytest.mark.slow
+def test_permutation_suite_keeps_its_bits_on_every_seed():
+    for seed in range(100):
+        assert _assert_samples_keep_their_bits("permutation", seed) == {2}
