@@ -812,6 +812,11 @@ _SUITES: Dict[str, Callable] = {
 }
 
 
+#: The suites that read suite.n and suite.N; any other suite refuses them.
+_SIZE_READERS = {"n": ("ybe", "reversibility", "reflection-equation", "involution", "permutation"),
+                 "N": ("permutation",)}
+
+
 def run_property_suite(cfg: RunConfig) -> ReportDocument:
     """Execute one named suite deterministically under the configured seed."""
     if cfg.suite_name not in _SUITES:
@@ -819,6 +824,10 @@ def run_property_suite(cfg: RunConfig) -> ReportDocument:
             f"suite.name: unknown suite {cfg.suite_name!r}; "
             f"available: {sorted(_SUITES)}"
         )
+    for key, readers in _SIZE_READERS.items():
+        if key in cfg.suite_params and cfg.suite_name not in readers:
+            raise ConfigError(f"suite.{key}: the {cfg.suite_name} suite does not read it; "
+                              f"only {', '.join(readers)} do")
     report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
     log = SampleLog()
     rng = np.random.default_rng(cfg.suite_params.get("seed", 0))

@@ -261,6 +261,14 @@ class TestExitCodes:
          "suite.N"),
         # transfer mode runs the transfer suite only
         ("transfer", {"suite": {"name": "ybe", "seed": 1}}, "suite.name"),
+        # suite.n and suite.N only where the suite reads them, whatever the sample count
+        ("verify", {"suite": {"name": "collision", "seed": 2, "n": 4}}, "suite.n"),
+        ("verify", {"suite": {"name": "yb-structure", "seed": 2, "n": 2}}, "suite.n"),
+        ("verify", {"suite": {"name": "mirror-polarization", "seed": 2, "samples": 0, "n": 3}},
+         "suite.n"),
+        ("transfer", {"suite": {"seed": 2, "n": 2}}, "suite.n"),
+        ("verify", {"suite": {"name": "ybe", "seed": 2, "N": 3}}, "suite.N"),
+        ("verify", {"suite": {"name": "determinant", "seed": 2, "samples": 0, "N": 3}}, "suite.N"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
             "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
@@ -271,12 +279,32 @@ class TestExitCodes:
             "mirror-beta-1e-160", "mirror-beta-1e200", "stored-mirror-beta-1e250",
             "stored-mirror-beta-1e-250", "stored-mirror-beta-1e-320", "int-beyond-float-range",
             "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
-            "N-past-bound", "transfer-mode-other-suite"])
+            "N-past-bound", "transfer-mode-other-suite", "collision-n", "yb-structure-n",
+            "mirror-polarization-n-no-samples", "transfer-n", "ybe-N", "determinant-N-no-samples"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
         out = tmp_path / "o"
         assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
         assert not out.exists()
+
+    def test_size_key_error_names_the_suite_and_the_readers(self, tmp_path, capsys):
+        doc = {"suite": {"name": "collision", "seed": 2, "n": 4}}
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: suite.n: the collision suite does not read it; "
+            "only ybe, reversibility, reflection-equation, involution, permutation do\n")
+
+    @pytest.mark.parametrize("suite,key", [("ybe", "n"), ("reversibility", "n"),
+                                           ("reflection-equation", "n"), ("involution", "n"),
+                                           ("permutation", "n"), ("permutation", "N")])
+    def test_size_key_is_read_where_the_suite_reads_it(self, suite, key):
+        value = 3 + (key == "N")  # n = 3 components, or N = 4 solitons
+        report = run_property_suite(parse_run_config(
+            {"mode": "verify", "suite": {"name": suite, "seed": 2, "samples": 1, key: value}}))
+        assert report.passed and report.checks
+        if suite in ("ybe", "reversibility", "permutation"):  # their labels give the size
+            assert all(f"{key}={value}" in chk.name for chk in report.checks)
 
     def test_samples_override_past_its_bound_is_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"suite": {"name": "ybe", "seed": 1}})
