@@ -628,8 +628,11 @@ def _mirror_solve(instances) -> tuple:
 
 
 def _draw_mirror_detector(cfg, rng, log, i, variant):
-    """Detector sanity: a corrupted mirror norming vector must be flagged."""
-    data = random_soliton_data(rng, 2, 2, positive=True, log=log)
+    """Detector sanity: a corrupted mirror norming vector must be flagged.  It
+    draws from its own stream of the suite seed, not after the sampled rows,
+    so its row does not move with suite.samples."""
+    own = np.random.SeedSequence(cfg.suite_params.get("seed", 0)).spawn(1)[0]
+    data = random_soliton_data(np.random.default_rng(own), 2, 2, positive=True, log=log)
     hl_bad = _perturb_halfline(solve_mirror_norming(data, Mixed((1, -1))), 1e-3)
     return (hl_bad.constraint_residual,)
 

@@ -845,7 +845,7 @@ class TestSuites:
         # pde and transfer read suite.samples only as 0 = empty
         for suite in ("pde", "transfer"):
             assert checks(suite, 1) == checks(suite, 3)
-        # the detector part draws one instance at any count, after the sampled draws
+        # the detector part draws one instance at any count, from its own stream
         perturbed = []
         perturb = cli._perturb_halfline
         monkeypatch.setattr(cli, "_perturb_halfline",
@@ -855,7 +855,19 @@ class TestSuites:
         names = ["mirror-constraint[robin]", "mirror-constraint[mixed]",
                  "mirror-constraint-detector"]
         assert [c["name"] for c in one] == [c["name"] for c in three] == names
-        assert one[:2] != three[:2]
+        assert one[:2] != three[:2] and one[2] == three[2]
+
+    def test_mirror_constraint_detector_row_does_not_move_with_samples(self):
+        # it drew from the shared stream after the sampled rows: seed 2 read
+        # 1.336e-3, 4.975e-4 and 4.962e-4 at samples 1, 3 and 10
+        rows = []
+        for samples in (1, 3, 10):
+            cfg = parse_run_config({"mode": "verify", "suite": {
+                "name": "mirror-constraint", "samples": samples, "seed": 2}})
+            rows += [c.to_json() for c in run_property_suite(cfg).checks
+                     if c.name == "mirror-constraint-detector"]
+        assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
+        assert rows[0]["residual"] >= 1e-4 and rows[0]["passed"]
 
     def test_transfer_mode_records_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {"suite": {"samples": 1, "seed": 2}})
