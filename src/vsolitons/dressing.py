@@ -334,8 +334,9 @@ def _update(stack, j: int, i: int):
 
 def _rows(values):
     """S per-sample numbers as one factor of an (S, P) view of the points,
-    each sample's row: the number itself for one sample, else an (S, 1)
-    array.  numpy multiplies an array by a number with the bits of the
+    each sample's row: the number itself for one sample (numpy's faster
+    scalar product, which a one-dataset field call takes per factor), else an
+    (S, 1) array.  numpy multiplies an array by a number with the bits of the
     product by a broadcast array of it, so a sample keeps its bits in a stack."""
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
