@@ -192,14 +192,6 @@ def _unit_phase(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _phase_coefficients(k: complex) -> tuple:
-    """p + 2iq per unit x and per unit t of phi = k* x + 2 k*^2 t, in Python's
-    complex arithmetic."""
-    kc = k.conjugate()
-    k2 = 2.0 * kc * kc
-    return complex(kc.real, 2.0 * kc.imag), complex(k2.real, 2.0 * k2.imag)
-
-
 def _seed_batch(data, idx, x: np.ndarray, t: np.ndarray):
     """Yield the stabilized seed exp(-i phi(x,t,k_i*) Sigma3) (beta_i; -1), scaled
     projectively, of each soliton i of idx in turn, at the M points of
@@ -238,8 +230,13 @@ def _seed_batch(data, idx, x: np.ndarray, t: np.ndarray):
     samples = stack.points
     rows, cut = len(samples), x.size
     parts = (cut // rows,) * rows + (t.size // rows,) * rows  # each sample's x, then t
-    coef = np.array([[_phase_coefficients(p[i][0].k) for p in samples] for i in idx],
-                    dtype=np.complex128).reshape(len(idx), rows, 2)
+    coef = []
+    for i in idx:
+        for p in samples:
+            kc = p[i][0].k.conjugate()
+            k2 = 2.0 * kc * kc
+            coef.append((complex(kc.real, 2.0 * kc.imag), complex(k2.real, 2.0 * k2.imag)))
+    coef = np.array(coef, dtype=np.complex128).reshape(len(idx), rows, 2)
     # p + 2iq over x's elements, then t's: the phase and twice the damping exponent
     pq = (np.repeat(coef.transpose(0, 2, 1).reshape(len(idx), -1), parts, axis=1)
           * np.concatenate((x.reshape(-1), t.reshape(-1))))
