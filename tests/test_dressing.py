@@ -534,6 +534,43 @@ class TestPerPointFallbacks:
         _assert_same_bytes(_assert_matches_reference(data, X, T), want)
         _assert_same_bytes(_complex_field(data, X.ravel(), T.ravel()), want.reshape(-1, n))
 
+    def test_stack_rows_take_their_own_fallbacks(self):
+        # three samples of one shape whose |beta| (1e150, 1, 1e-160) set three
+        # seed limits: each row of the stacked seeds, directions and field has
+        # the bits of its sample alone, at extreme and ordinary points alike
+        rng = np.random.default_rng(180)
+        datasets = [_scaled_data(random_data(rng, 3, 2), size) for size in (1e150, 1.0, 1e-160)]
+        x, t = (a.ravel() for a in np.meshgrid([-3000.0, 3000.0, -400.0, 400.0, 0.3, -1.2],
+                                               [-400.0, 400.0, 0.7], indexing="ij"))
+        order = np.array([rng.permutation(x.size) for _ in datasets])
+        X, T = x[order], t[order]  # (S, P): each sample's points in its own order
+
+        def fallbacks(data, x, t):
+            """Points where both line exponents pass one soliton's seed limit."""
+            count = 0
+            for pt, nv in data.points:
+                lim = -math.log(1e-150) - 0.5 * abs(math.log(nv.norm))
+                past = (np.abs(pt.k.imag * x) > lim) & (np.abs((2 * pt.k ** 2).imag * t) > lim)
+                count += int(np.sum(past))
+            return count
+
+        counts = [fallbacks(d, x, t) for d, x, t in zip(datasets, X, T)]
+        assert len(set(counts)) > 1 and max(counts) > 0
+        stack = SolitonStack(tuple(data.points for data in datasets))
+        idx = (2, 0, 1)
+        seeds = list(dressing._seed_batch(stack, idx, X, T))
+        dirs = _full_directions(stack, idx, X, T)
+        field = dressing._field(stack, idx, dirs).reshape(2, 3, -1)
+        for s, data in enumerate(datasets):
+            one = _full_directions(data, idx, X[s], T[s])
+            cols = slice(s * X.shape[1], (s + 1) * X.shape[1])
+            for a, b in zip(seeds, dressing._seed_batch(data, idx, X[s], T[s])):
+                _assert_same_bytes(a[:, cols], b)
+            for (ka, za, _), (kb, zb, _) in zip(dirs, one):
+                assert ka[s] == kb[0]
+                _assert_same_bytes(za[:, cols], zb)
+            _assert_same_bytes(field[:, s], dressing._field(data, idx, one))
+
 
 def _reference_permutation_residual(data, order_a, order_b, ks, xts):
     """Per-k, per-point loop over explicit factor matrices."""
