@@ -202,13 +202,12 @@ class RunConfig:
     output: Path = Path("out")
 
 
-#: The optional top-level keys (besides the mode), the keys of "suite", and the
-#: least and largest value of each suite integer (None: any).  The largest
-#: bound every suite's draws and stacks: 100 times the largest default sample
-#: count, and room past the suites' own n and N limits.
+#: The optional top-level keys (besides the mode), and the least and largest
+#: value of each suite integer (None: any).  The largest bound every suite's
+#: draws and stacks: 100 times the largest default sample count, room past the
+#: suites' own n limits, and permutation's own N range.
 _TOP_KEYS = ("data", "boundary", "grid", "suite", "output")
-_SUITE_INTEGERS = {"samples": (0, 10_000), "seed": (0, None), "n": (1, 16), "N": (1, 64)}
-_SUITE_KEYS = ("name", *_SUITE_INTEGERS, "tolerances")
+_SUITE_INTEGERS = {"samples": (0, 10_000), "seed": (0, None), "n": (1, 16), "N": (2, 6)}
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -230,7 +229,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     if "grid" in doc:
         cfg.grid = parse_grid(doc["grid"])
 
-    suite = _object(doc.get("suite", {}), "suite", (), _SUITE_KEYS)
+    suite = _object(doc.get("suite", {}), "suite", (), ("name", *_SUITE_INTEGERS, "tolerances"))
     if "name" in suite:
         cfg.suite_name = _expect(suite["name"], str, "suite.name")
     cfg.suite_params = {key: _integer(suite[key], f"suite.{key}", *bounds)
@@ -246,6 +245,22 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError("suite.seed: required whenever samples > 0 (reproducibility)")
     if "output" in doc:
         cfg.output = Path(_expect(doc["output"], str, "output"))
+    # what the mode needs, in the order the mode reaches it: a config that parses runs
+    for need in _MODE_NEEDS.get(cfg.mode, ()):
+        if getattr(cfg, need.replace(".", "_")) is None:
+            raise ConfigError(f"{need}: required for {cfg.mode} mode")
+    if cfg.mode == "collide" and (cfg.data is None or cfg.data.N < 2):
+        raise ConfigError("data: collide mode needs at least two solitons")
+    if cfg.mode == "mirror" and cfg.grid is not None and cfg.grid["x0"] < 0:
+        raise ConfigError("grid.x0: half-line grids need x0 >= 0")
+    if cfg.mode in ("verify", "transfer"):
+        if cfg.suite_name not in _SUITES:
+            raise ConfigError(f"suite.name: unknown suite {cfg.suite_name!r}; "
+                              f"available: {sorted(_SUITES)}")
+        for key, readers in _SIZE_READERS.items():
+            if key in cfg.suite_params and cfg.suite_name not in readers:
+                raise ConfigError(f"suite.{key}: the {cfg.suite_name} suite does not read it; "
+                                  f"only {', '.join(readers)} do")
     return cfg
 
 
@@ -507,9 +522,6 @@ def _permutation_variants(cfg: RunConfig):
 def _draw_permutation(cfg, rng, log, i, variant):
     N, n = variant[1]
     data = random_soliton_data(rng, N, n, log=log)
-    # checked after the draw: an N past the sampler's reach is a SamplingError
-    if not 2 <= N <= 6:
-        raise ConfigError(f"suite.N: the permutation suite needs 2 <= N <= 6, got {N}")
     ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
     xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
     return data, data.stack.betas[0], np.array(ks), np.array(xts)
@@ -818,19 +830,14 @@ _SUITES: Dict[str, Callable] = {
 #: The suites that read suite.n and suite.N; any other suite refuses them.
 _SIZE_READERS = {"n": ("ybe", "reversibility", "reflection-equation", "involution", "permutation"),
                  "N": ("permutation",)}
+#: The sections (RunConfig fields, as the config spells them) a mode cannot run
+#: without.  Collide needs two solitons, mirror's grid x0 >= 0.
+_MODE_NEEDS = {"simulate": ("data", "grid"), "reflect": ("data", "boundary"),
+               "mirror": ("data", "boundary"), "verify": ("suite.name",)}
 
 
 def run_property_suite(cfg: RunConfig) -> ReportDocument:
     """Execute one named suite deterministically under the configured seed."""
-    if cfg.suite_name not in _SUITES:
-        raise ConfigError(
-            f"suite.name: unknown suite {cfg.suite_name!r}; "
-            f"available: {sorted(_SUITES)}"
-        )
-    for key, readers in _SIZE_READERS.items():
-        if key in cfg.suite_params and cfg.suite_name not in readers:
-            raise ConfigError(f"suite.{key}: the {cfg.suite_name} suite does not read it; "
-                              f"only {', '.join(readers)} do")
     report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
     log = SampleLog()
     rng = np.random.default_rng(cfg.suite_params.get("seed", 0))
@@ -850,10 +857,6 @@ def _grid_from_cfg(cfg: RunConfig, field_fn) -> FieldGrid:
 
 
 def _mode_simulate(cfg: RunConfig, report: ReportDocument) -> None:
-    if cfg.data is None:
-        raise ConfigError("data: required for simulate mode")
-    if cfg.grid is None:
-        raise ConfigError("grid: required for simulate mode")
     grid = _grid_from_cfg(cfg, lambda X, T: reconstruct_field(cfg.data, X, T))
     export_grid(grid, cfg.output / "grid.csv")
     _check(report, cfg, "pde-residual", pde_residual(grid), informational=True)
@@ -861,8 +864,6 @@ def _mode_simulate(cfg: RunConfig, report: ReportDocument) -> None:
 
 
 def _mode_collide(cfg: RunConfig, report: ReportDocument) -> None:
-    if cfg.data is None or cfg.data.N < 2:
-        raise ConfigError("data: collide mode needs at least two solitons")
     data = cfg.data
     _check(report, cfg, "pairwise-collision-relations", _pair_residuals(data)[0][0],
            family="algebraic")
@@ -884,10 +885,6 @@ def _replace_betas(data: SolitonData, which) -> SolitonData:
 
 
 def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
-    if cfg.data is None:
-        raise ConfigError("data: required for reflect mode")
-    if cfg.boundary is None:
-        raise ConfigError("boundary: required for reflect mode")
     # every soliton is one sample of a one-slot state
     P = np.array([[Polarization(nv.beta).p] for _, nv in cfg.data.points])
     K = cfg.data.ks[:, None]
@@ -911,12 +908,6 @@ def _mode_reflect(cfg: RunConfig, report: ReportDocument) -> None:
 
 
 def _mode_mirror(cfg: RunConfig, report: ReportDocument) -> None:
-    if cfg.data is None:
-        raise ConfigError("data: required for mirror mode")
-    if cfg.boundary is None:
-        raise ConfigError("boundary: required for mirror mode")
-    if cfg.grid is not None and cfg.grid["x0"] < 0:
-        raise ConfigError("grid.x0: half-line grids need x0 >= 0")
     hl = cfg.halfline or solve_mirror_norming(cfg.data, cfg.boundary)
     _check(report, cfg, "mirror-constraint", hl.constraint_residual,
            family="mirror_constraint")
@@ -949,14 +940,12 @@ def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns the process exit code.
 
     The output directory is made by the first write, so a run that stops on
-    a config error leaves none behind.
+    an error before it leaves none behind.
     """
     if cfg.mode in _MODES:
         report = ReportDocument(mode=cfg.mode, config_echo=config_echo(cfg.raw))
         _MODES[cfg.mode](cfg, report)
     else:
-        if cfg.suite_name is None:
-            raise ConfigError("suite.name: required for verify mode")
         report = run_property_suite(cfg)
         _write_manifest(cfg, cfg.raw.get("suite", {}), ["report.json"])
     _write_json(cfg.output / "report.json", report.to_json())
@@ -992,7 +981,7 @@ def main(argv=None) -> int:
         overrides = {key: val for key, val in (("seed", args.seed), ("samples", args.samples))
                      if val is not None}
         if overrides:
-            doc["suite"] = {**_object(doc.get("suite", {}), "suite", (), _SUITE_KEYS), **overrides}
+            doc["suite"] = {**_expect(doc.get("suite", {}), dict, "suite"), **overrides}
         cfg = parse_run_config(doc)
         return run(cfg)
     except VsolitonsError as exc:

@@ -13,7 +13,7 @@ import pytest
 
 from vsolitons import (NormingVector, Polarization, SolitonData, SpectralPoint, beta_in, beta_out,
                        cli, collision_pair_residuals, intermediate_gamma, one_soliton_field,
-                       projective_distance, yb_schedule)
+                       projective_distance, sampling, yb_schedule)
 from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
@@ -259,6 +259,8 @@ class TestExitCodes:
         ("verify", {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 10**400}}, "suite.n"),
         ("verify", {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 65}},
          "suite.N"),
+        # past the sampler's reach: refused at parse, not by a failed draw
+        ("verify", {"suite": {"name": "permutation", "seed": 1, "N": 30}}, "suite.N"),
         # transfer mode runs the transfer suite only
         ("transfer", {"suite": {"name": "ybe", "seed": 1}}, "suite.name"),
         # suite.n and suite.N only where the suite reads them, whatever the sample count
@@ -279,13 +281,22 @@ class TestExitCodes:
             "mirror-beta-1e-160", "mirror-beta-1e200", "stored-mirror-beta-1e250",
             "stored-mirror-beta-1e-250", "stored-mirror-beta-1e-320", "int-beyond-float-range",
             "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
-            "N-past-bound", "transfer-mode-other-suite", "collision-n", "yb-structure-n",
+            "N-past-bound", "N-30", "transfer-mode-other-suite", "collision-n", "yb-structure-n",
             "mirror-polarization-n-no-samples", "transfer-n", "ybe-N", "determinant-N-no-samples"])
-    def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, mode, doc, where):
+    def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                         mode, doc, where):
+        def no_draw(*args):
+            raise AssertionError("a refused config made an rng")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         out = tmp_path / "o"
         assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ")
         assert not out.exists()
+        # the parser alone refuses it, with the same message
+        with pytest.raises(ConfigError) as refused:
+            parse_run_config(dict(doc, mode=mode, output=str(out)))
+        assert err == f"error: {refused.value}\n"
 
     def test_size_key_error_names_the_suite_and_the_readers(self, tmp_path, capsys):
         doc = {"suite": {"name": "collision", "seed": 2, "n": 4}}
@@ -317,8 +328,8 @@ class TestExitCodes:
     def test_suite_integers_at_their_bounds_are_taken(self, tmp_path):
         # parsed only: 10,000 samples would be a long run, not a large allocation
         cfg = parse_run_config({"mode": "verify", "suite": {
-            "name": "ybe", "samples": 10_000, "seed": 10**400, "n": 16, "N": 64}})
-        assert cfg.suite_params == {"samples": 10_000, "seed": 10**400, "n": 16, "N": 64}
+            "name": "permutation", "samples": 10_000, "seed": 10**400, "n": 16, "N": 6}})
+        assert cfg.suite_params == {"samples": 10_000, "seed": 10**400, "n": 16, "N": 6}
         doc = {"suite": {"name": "ybe", "samples": 1, "seed": 1, "n": 16}}
         assert main(["verify", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == 0
@@ -372,10 +383,11 @@ class TestExitCodes:
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_sampling_failure_is_one(self, tmp_path, capsys):
-        # 40 velocities cannot be drawn with the minimum separation
+    def test_sampling_failure_is_one(self, tmp_path, capsys, monkeypatch):
+        # a sampler that gives up at once: no velocities are drawn
+        monkeypatch.setattr(sampling, "_MAX_TRIES", 0)
         cfg = write_config(
-            tmp_path, {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 40}}
+            tmp_path, {"suite": {"name": "permutation", "samples": 1, "seed": 1, "N": 3}}
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

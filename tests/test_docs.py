@@ -29,12 +29,17 @@ def test_config_example_parses_in_every_mode(mode):
     section = README.read_text(encoding="utf-8").split("### Configuration document", 1)[1]
     block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
     doc = json.loads(re.sub(r"//.*", "", block))
-    name = "reflection-equation"
+    name = "permutation"
     if mode == "transfer":
-        # transfer mode runs the transfer suite: any other suite.name is refused
+        # transfer mode runs the transfer suite: any other suite.name is refused,
+        # and so are the sizes it does not read
         with pytest.raises(ConfigError, match="^suite.name: transfer mode runs 'transfer'"):
             parse_run_config(dict(doc, mode=mode))
         del doc["suite"]["name"]
+        for key in ("n", "N"):
+            with pytest.raises(ConfigError, match=f"^suite.{key}: the transfer suite does not"):
+                parse_run_config(dict(doc, mode=mode))
+            del doc["suite"][key]
         name = "transfer"
     cfg = parse_run_config(dict(doc, mode=mode))
-    assert cfg.suite_name == name and cfg.data.N == 1
+    assert cfg.suite_name == name and cfg.data.N == 2
