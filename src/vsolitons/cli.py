@@ -548,14 +548,14 @@ def _map_draw(slots: int, with_boundary: bool) -> Callable:
             ns = _suite_ns(cfg)
             drawn, n = _variant_boundary(rng, variant, ns[i % len(ns)])
         ks = random_map_parameters(rng, slots, mirrored=with_boundary, log=log)
-        return ks, draw_unit_vectors(rng, slots, n), drawn
+        return ks, draw_unit_vectors(rng, slots, n, log), drawn
     return draw
 
 
 def _draw_yb_structure(cfg, rng, log, i, variant):
     n = (2, 3)[i % 2]
     ks = random_map_parameters(rng, 2, mirrored=True, log=log)
-    return ks, draw_unit_vectors(rng, 2, n), draw_unitary(rng, n)
+    return ks, draw_unit_vectors(rng, 2, n, log), draw_unitary(rng, n)
 
 
 def _yb_structure(P, K, draws):
@@ -665,7 +665,8 @@ def _draw_transfer(n: int) -> Callable:
     def draw(cfg, rng, log, i, variant):
         drawn, m = _variant_boundary(rng, variant, n) if variant[0] else (None, n)
         states = [state for N in (2, 3) for state in (
-            random_map_parameters(rng, N, mirrored=True, log=log), draw_unit_vectors(rng, N, m))]
+            random_map_parameters(rng, N, mirrored=True, log=log),
+            draw_unit_vectors(rng, N, m, log))]
         if not variant[0]:
             # the draw of a retired n = 1 check, which read 0 by construction:
             # kept, so every later row keeps its draws

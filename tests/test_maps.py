@@ -698,6 +698,22 @@ class TestMapDraws:
         if script == "improper-signs":
             assert rng.seen["random", 3] > 1
 
+    @pytest.mark.parametrize("draw,variant,size", [
+        (cli._map_draw(3, False), ("n=2", 2), (3, 2, 2)),
+        (cli._map_draw(1, True), ("robin", None), (1, 2, 2)),
+        (cli._draw_yb_structure, ("", None), (2, 2, 2)),
+        (cli._draw_transfer(2), ("", None), (3, 2, 2)),
+    ], ids=["ybe", "involution", "yb-structure", "transfer"])
+    def test_map_suite_draws_count_unit_vector_redraws(self, draw, variant, size):
+        # a zero vector in a map suite's unit-vector draw is redrawn and
+        # counted in the suite's log, as a soliton-data draw counts it
+        cfg = cli.parse_run_config({"mode": "verify", "suite": {"name": "ybe", "seed": 4}})
+        zero = {("standard_normal", size, 0): _edit(lambda d: d[0].fill(0.0))}
+        (plain, plain_log), (rng, log) = [(_Scripted(4, edits), SampleLog()) for edits in ({}, zero)]
+        draw(cfg, plain, plain_log, 0, variant)
+        draw(cfg, rng, log, 0, variant)
+        assert rng.applied and log.resamples == plain_log.resamples + 1
+
     def test_large_one_component_stack_matches_one_at_a_time(self):
         # above 256 KiB numpy may reuse a temporary in place, with other bits
         draws = np.random.default_rng(9).standard_normal((20000, 2, 1))
@@ -713,14 +729,17 @@ class TestMapDraws:
         assert rng.applied and rng.seen["standard_normal", (2, 2, 3)] == 2
 
     @staticmethod
-    def _oracle_draws(rng, count, n):
+    def _oracle_draws(rng, count, n, log=None):
         """Unit-vector draws one part at a time: n real parts, then n imaginary
-        parts, each by its own call, redrawn while the norm is <= 1e-6."""
+        parts, each by its own call, redrawn (and counted in log) while the
+        norm is <= 1e-6."""
         out = []
         while len(out) < count:
             re, im = rng.standard_normal(n), rng.standard_normal(n)
             if np.linalg.norm(re + 1j * im) > 1e-6:
                 out.append((re, im))
+            elif log is not None:
+                log.resamples += 1
         return np.array(out)
 
     @staticmethod
@@ -1723,6 +1742,7 @@ def _spoiled(suite, instance, i):
     return [complex(0.0, 1.0 + i + j / 8) for j in range(len(ks))], draws, extra
 
 
+@pytest.mark.numpy_floor
 class TestStackedSuites:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("suite", STACKED_SUITES)
@@ -1842,6 +1862,7 @@ def test_stacked_suites_keep_their_bits_on_every_seed(suite):
         assert _assert_samples_keep_their_bits(suite, seed) == {2, 3}
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.slow
 def test_permutation_suite_keeps_its_bits_on_every_seed():
     for seed in range(100):
