@@ -415,6 +415,7 @@ def _ref_product(chain, k):
     return out
 
 
+@pytest.mark.numpy_floor
 class TestBatchedKernel:
     @pytest.mark.parametrize("points", [1, 2047, 2048, 2049])
     def test_matches_reference_kernel(self, points):
@@ -504,6 +505,7 @@ def _seed_fallback_points(data, xs, ts):
     return count
 
 
+@pytest.mark.numpy_floor
 class TestPerPointFallbacks:
     """The kernel's two safety fallbacks, the per-point stabilized seed and the
     scaled normalisation, are chosen per point from the point's own values:
@@ -745,6 +747,7 @@ def _assert_permutation_rows_match_pin(seed, N, n, S, **sizes):
             assert one == _frozen_permutation_residuals(data, ref, orders, ks[s], xts[s])
 
 
+@pytest.mark.numpy_floor
 class TestPermutationPin:
     """The one-dataset call keeps the bits of the per-dataset computation it
     replaced, and each row of a stacked call the bits of its one-dataset call."""
@@ -880,6 +883,7 @@ def _assert_same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.numpy_floor
 class TestFieldBytes:
     """reconstruct_field reproduces the frozen kernel's whole-array call bit
     for bit, whatever the blocking.
@@ -979,6 +983,7 @@ ONE_PATH_XS = np.linspace(0.0, 6.0, 13)
 ONE_PATH_TS = np.linspace(-2.0, 2.0, 7)
 
 
+@pytest.mark.numpy_floor
 class TestOnePath:
     """A point's field bytes do not depend on whether it comes as a grid line, a
     meshgrid array or a scattered point, nor on the blocking: the seed's x and

@@ -464,6 +464,7 @@ def _assert_mirror_constraints_match_frozen(seed: int) -> None:
                     assert nv.beta.tobytes() == beta.tobytes()
 
 
+@pytest.mark.numpy_floor
 class TestMirrorConstraintPin:
     """The residual's N residue matrices are one sweep each way, and the
     solve's N beta recoveries one descending sweep; both keep the bits of one

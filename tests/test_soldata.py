@@ -85,6 +85,7 @@ def _true_norm(vec) -> float:
         return float(mpmath.sqrt(sum(mpmath.mpf(float(x)) ** 2 for x in vec.view(np.float64))))
 
 
+@pytest.mark.numpy_floor
 class TestScaledNorm:
     def test_bit_equal_to_numpy_norm(self):
         rng = np.random.default_rng(0)
@@ -156,6 +157,7 @@ class TestScaledNorm:
             NormingVector([0.0, -0.0])
 
 
+@pytest.mark.numpy_floor
 class TestNormingVectorStack:
     """NormingVector.stack builds every row of a stack as construction builds
     it from that row alone; construction is the stack of one."""
@@ -225,6 +227,7 @@ class TestNormingVectorStack:
 _ENTRIES = st.floats(1e-160, 1e160) | st.floats(-1e160, -1e-160)
 
 
+@pytest.mark.numpy_floor
 class TestVectorNorm:
     @given(st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=1, max_size=8), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -249,6 +252,7 @@ class TestVectorNorm:
                 assert _norms(view) == float(np.linalg.norm(view))
 
 
+@pytest.mark.numpy_floor
 class TestProjectiveDistance:
     def test_identity(self):
         assert projective_distance(E1, E1) == 0.0
