@@ -832,7 +832,7 @@ _SUITES: Dict[str, Callable] = {
 _SIZE_READERS = {"n": ("ybe", "reversibility", "reflection-equation", "involution", "permutation"),
                  "N": ("permutation",)}
 #: The sections (RunConfig fields, as the config spells them) a mode cannot run
-#: without.  Collide needs two solitons, mirror's grid x0 >= 0.
+#: without; collide's two solitons and mirror's x0 >= 0 are checked after them.
 _MODE_NEEDS = {"simulate": ("data", "grid"), "reflect": ("data", "boundary"),
                "mirror": ("data", "boundary"), "verify": ("suite.name",)}
 
