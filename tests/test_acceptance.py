@@ -41,7 +41,8 @@ from vsolitons import (
     ybe_residuals,
 )
 from vsolitons.asymptotics import min_relative_velocity
-from vsolitons.cli import _pde_order, collision_orders, main
+from vsolitons.cli import main
+from vsolitons.suites import _pde_order, collision_orders
 from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import (
     boundary_spec,

@@ -272,7 +272,7 @@ class TestAsymptoticProfile:
 
 class TestFactorizationAcrossOrders:
     def test_beta_out_from_yb_pipeline(self):
-        from vsolitons.cli import collision_orders
+        from vsolitons.suites import collision_orders
 
         rng = np.random.default_rng(8)
         for N, n in [(2, 2), (3, 2), (3, 3)]:

@@ -13,7 +13,7 @@ import pytest
 
 from vsolitons import (NormingVector, Polarization, SolitonData, SpectralPoint, beta_in, beta_out,
                        cli, collision_pair_residuals, intermediate_gamma, one_soliton_field,
-                       projective_distance, sampling, yb_schedule)
+                       projective_distance, sampling, suites, yb_schedule)
 from vsolitons.cli import export_grid, main, parse_run_config, run_property_suite
 from vsolitons.config import (
     dataset_digest,
@@ -423,8 +423,8 @@ class TestNanResiduals:
         residuals = [1e-16, 1e-16, 1e-16]
         residuals[where] = math.nan
         draws = iter(residuals)
-        suite = cli._SUITES["determinant"]
-        monkeypatch.setitem(cli._SUITES, "determinant",
+        suite = suites._SUITES["determinant"]
+        monkeypatch.setitem(suites._SUITES, "determinant",
                             replace(suite, draw=lambda *a: (next(draws),)))
         doc = {"suite": {"name": "determinant", "samples": 3, "seed": 1}}
         out = tmp_path / "o"
@@ -433,7 +433,7 @@ class TestNanResiduals:
         assert check["passed"] is False and check["residual"] == "nan"
 
     def test_instance_and_transfer_folds_keep_nan(self, tmp_path, monkeypatch):
-        assert math.isnan(cli._worst([1e-3, math.nan, 1e-9]))
+        assert math.isnan(suites._worst([1e-3, math.nan, 1e-9]))
 
         def commutators(P, K, b_plus, b_minus):
             # one pair row per call: 1e-3 at N = 2; at N = 3 1e-9, and nan
@@ -443,7 +443,7 @@ class TestNanResiduals:
                 rows[0, 1:2] = math.nan
             return rows
 
-        monkeypatch.setattr(cli, "transfer_commutators", commutators)
+        monkeypatch.setattr(suites, "transfer_commutators", commutators)
         doc = {"suite": {"name": "transfer", "seed": 1}}
         out = tmp_path / "o"
         assert main(["transfer", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
@@ -459,7 +459,7 @@ class TestNanResiduals:
                                                        order, pde, boundary):
         # a >= check folds to its least residual: a negative fitted order is
         # not clipped at 0.0, and a nan stays nan
-        monkeypatch.setattr(cli, "convergence_order", lambda *a: order)
+        monkeypatch.setattr(suites, "convergence_order", lambda *a: order)
         out = tmp_path / "o"
         doc = {"suite": {"name": "pde", "seed": 3}}
         assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
@@ -472,7 +472,7 @@ class TestNanResiduals:
 
     def test_nan_collision_residual_fails_collide_mode(self, tmp_path, monkeypatch):
         calls = iter([(1e-16, 0.0), (math.nan, 0.0), (1e-16, 0.0)])
-        monkeypatch.setattr(cli, "collision_pair_residuals",
+        monkeypatch.setattr(suites, "collision_pair_residuals",
                             lambda *a: tuple(np.array([r]) for r in next(calls)))
         doc = {"data": {"n": 2, "solitons": [
             {"u": u, "v": 1.0, "beta": [[1, 0], [0.5, 0.5]]} for u in (-0.5, 0.1, 0.6)]}}
@@ -753,7 +753,7 @@ SUITE_SCHEMAS = {
 
 
 class TestSuites:
-    @pytest.mark.parametrize("suite", list(cli._SUITES))
+    @pytest.mark.parametrize("suite", list(suites._SUITES))
     def test_report_schema(self, suite):
         params = {"name": suite, "seed": 0}
         if suite not in ("pde", "transfer"):  # these two ignore the count
@@ -766,10 +766,10 @@ class TestSuites:
         assert got == SUITE_SCHEMAS[suite]
 
     def test_schema_table_covers_every_suite(self):
-        assert list(SUITE_SCHEMAS) == list(cli._SUITES)
+        assert list(SUITE_SCHEMAS) == list(suites._SUITES)
 
     def test_empty_suite_report(self, tmp_path):
-        for suite in cli._SUITES:
+        for suite in suites._SUITES:
             cfg = write_config(
                 tmp_path, {"suite": {"name": suite, "samples": 0, "seed": 0}}
             )
@@ -843,7 +843,7 @@ class TestSuites:
                                 "suite": {"name": suite, "samples": samples, "seed": 2}})
         ticks = itertools.count()
         with monkeypatch.context() as patch:
-            patch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+            patch.setattr(suites.time, "perf_counter", lambda: float(next(ticks)))
             report = run_property_suite(cfg)
         assert [c.elapsed for c in report.checks] == pytest.approx(times)
         assert math.fsum(c.elapsed for c in report.checks) == pytest.approx(report.clock)
@@ -859,8 +859,8 @@ class TestSuites:
             assert checks(suite, 1) == checks(suite, 3)
         # the detector part draws one instance at any count, from its own stream
         perturbed = []
-        perturb = cli._perturb_halfline
-        monkeypatch.setattr(cli, "_perturb_halfline",
+        perturb = suites._perturb_halfline
+        monkeypatch.setattr(suites, "_perturb_halfline",
                             lambda hl, size: perturbed.append(size) or perturb(hl, size))
         one, three = checks("mirror-constraint", 1), checks("mirror-constraint", 3)
         assert perturbed == [1e-3, 1e-3]
@@ -985,7 +985,7 @@ def _oracle_pipeline_residual(data):
     ins, outs = (np.array([[Polarization(which(j, data).beta).p for j in range(data.N)]])
                  for which in (beta_in, beta_out))
     return float(np.max([projective_distance(yb_schedule(ins, data.ks[None], s), outs).max()
-                         for s in cli.collision_orders(data.N)]))
+                         for s in suites.collision_orders(data.N)]))
 
 
 class TestStackedCollisionPipeline:
@@ -993,24 +993,24 @@ class TestStackedCollisionPipeline:
         # the collision suite runs its pipeline once per (N, n) group after
         # all draws; every sample keeps the bits of its S = 1 pipeline
         rng, log = np.random.default_rng(5), SampleLog()
-        instances = [cli._draw_collision(None, rng, log, i, None) for i in range(20)]
+        instances = [suites._draw_collision(None, rng, log, i, None) for i in range(20)]
         # the draws again: each sample's data is its one random_soliton_data call
         rng = np.random.default_rng(5)
         datas = [random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2]) for i in range(20)]
-        rows = cli._SUITES["collision"]._evaluate(instances)
+        rows = suites._SUITES["collision"]._evaluate(instances)
         for (drawn, betas), data, row in zip(instances, datas, rows):
             assert drawn.ks.tobytes() == data.ks.tobytes()
             assert betas.tobytes() == np.array([nv.beta for _, nv in data.points]).tobytes()
             pairs = [collision_pair_residuals(j, l, [m for m in range(data.N) if m not in (j, l)][:1],
-                                              data) for j, l in cli.collision_orders(data.N)[0]]
+                                              data) for j, l in suites.collision_orders(data.N)[0]]
             rel, xi = zip(*pairs)
-            assert row == (cli._worst(rel), cli._worst(xi), _oracle_pipeline_residual(data))
+            assert row == (suites._worst(rel), suites._worst(xi), _oracle_pipeline_residual(data))
 
     def test_interleaved_groups_keep_their_one_sample_bits(self):
         # N and n in {2, 3}, interleaved: four stacks of six, results in order
         rng = np.random.default_rng(6)
         datas = [random_soliton_data(rng, 2 + i % 2, 2 + i // 2 % 2) for i in range(24)]
-        rows = cli._SUITES["collision"]._evaluate([(data, data.stack.betas[0]) for data in datas])
+        rows = suites._SUITES["collision"]._evaluate([(data, data.stack.betas[0]) for data in datas])
         for data, row in zip(datas, rows):
             assert row[2] == _oracle_pipeline_residual(data)
 
@@ -1021,7 +1021,7 @@ class TestStackedCollisionPipeline:
         rng = np.random.default_rng(7 + N + n)
         datas = [random_soliton_data(rng, N, n) for _ in range(6)]
         stack = SolitonStack(tuple(data.points for data in datas))
-        pols = cli._in_out(stack)
+        pols = suites._in_out(stack)
         spectator_sets = [(j, sp) for j in range(N) for size in range(N)
                           for sp in itertools.permutations(set(range(N)) - {j}, size)]
         for s, data in enumerate(datas):
@@ -1032,7 +1032,7 @@ class TestStackedCollisionPipeline:
             frozen = [[Polarization(which(j, data).beta).p for j in range(N)]
                       for which in (beta_in, beta_out)]
             assert pols[s].tobytes() == np.array(frozen).tobytes()
-            assert pols[s].tobytes() == cli._in_out(fresh)[0].tobytes()
+            assert pols[s].tobytes() == suites._in_out(fresh)[0].tobytes()
 
 
 class TestParser:

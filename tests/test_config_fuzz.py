@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsolitons.cli import _SUITES, main
+from vsolitons.cli import main
+from vsolitons.suites import _SUITES
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 MODES = sorted(path.stem for path in CONFIGS.glob("*.json"))

@@ -19,7 +19,7 @@ from vsolitons import (
     solve_mirror_norming,
 )
 from vsolitons import DomainError, halfline_field, sample_grid
-from vsolitons import cli, dressing
+from vsolitons import dressing, suites
 from vsolitons.dressing import _chain_product, _full_directions
 from vsolitons.errors import DegeneracyError
 from vsolitons.sampling import SampleLog, boundary_spec, draw_boundary, random_soliton_data
@@ -612,8 +612,8 @@ class TestBatchedPermutationResidual:
         # reference images computed once; each value must be the two-order one
         n = 2
         draw_rng = np.random.default_rng(50 + N)
-        instance = cli._draw_permutation(None, draw_rng, SampleLog(), 0, ("", (N, n)))
-        worst = cli._permutation_stack([instance])[0][0]
+        instance = suites._draw_permutation(None, draw_rng, SampleLog(), 0, ("", (N, n)))
+        worst = suites._permutation_stack([instance])[0][0]
         rng = np.random.default_rng(50 + N)
         data = random_soliton_data(rng, N, n, log=SampleLog())
         ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]

@@ -33,8 +33,8 @@ from vsolitons import (
     yb_schedule,
     ybe_residuals,
 )
-from vsolitons import cli, maps, sampling
-from vsolitons.cli import _SUITES
+from vsolitons import cli, maps, sampling, suites
+from vsolitons.suites import _SUITES
 from vsolitons.errors import DegeneracyError, ValidationError
 from vsolitons.sampling import (
     BOUNDARY_KINDS,
@@ -571,7 +571,7 @@ def _frozen_boundary(rng, kind, n):
 
 def _samples_both_ways(make_rng, samples, ns, kinds=BOUNDARY_KINDS):
     """Each sample drawn as the reflection-equation suite draws it (n
-    interleaved as `cli._map_draw` does), plus a unitary, on two equal
+    interleaved as `suites._map_draw` does), plus a unitary, on two equal
     generators: raw draws derived per n-stack against the frozen
     one-at-a-time path.  Asserts equal bits, resamples and final rng states;
     returns the two generators."""
@@ -699,10 +699,10 @@ class TestMapDraws:
             assert rng.seen["random", 3] > 1
 
     @pytest.mark.parametrize("draw,variant,size", [
-        (cli._map_draw(3, False), ("n=2", 2), (3, 2, 2)),
-        (cli._map_draw(1, True), ("robin", None), (1, 2, 2)),
-        (cli._draw_yb_structure, ("", None), (2, 2, 2)),
-        (cli._draw_transfer(2), ("", None), (3, 2, 2)),
+        (suites._map_draw(3, False), ("n=2", 2), (3, 2, 2)),
+        (suites._map_draw(1, True), ("robin", None), (1, 2, 2)),
+        (suites._draw_yb_structure, ("", None), (2, 2, 2)),
+        (suites._draw_transfer(2), ("", None), (3, 2, 2)),
     ], ids=["ybe", "involution", "yb-structure", "transfer"])
     def test_map_suite_draws_count_unit_vector_redraws(self, draw, variant, size):
         # a zero vector in a map suite's unit-vector draw is redrawn and
@@ -970,8 +970,8 @@ def test_map_suite_reports_match_scalar_draws(suite, tmp_path, monkeypatch):
     # the whole-array draws must leave every map-suite report as the
     # per-scalar draws leave it
     fast = _reports(tmp_path, suite, range(5))
-    monkeypatch.setattr(cli, "draw_unit_vectors", TestMapDraws._oracle_draws)
-    for module in (cli, sampling):
+    monkeypatch.setattr(suites, "draw_unit_vectors", TestMapDraws._oracle_draws)
+    for module in (suites, sampling):
         monkeypatch.setattr(module, "random_map_parameters", oracle_map_parameters)
     monkeypatch.setattr(sampling, "random_signs", TestMapDraws._oracle_signs)
     assert _reports(tmp_path, suite, range(5)) == fast
@@ -1008,11 +1008,11 @@ def _reference_pde_rows(seed):
     boundary orders."""
     rng, log, hs = np.random.default_rng(seed), SampleLog(), [0.04, 0.02, 0.01]
     data = random_soliton_data(rng, 2, 2, log=log)
-    line = cli._pde_order(lambda X, T: reconstruct_field(data, X, T), -4, 4, hs)
+    line = suites._pde_order(lambda X, T: reconstruct_field(data, X, T), -4, 4, hs)
     hdata = random_soliton_data(rng, 2, 2, positive=True, log=log)
     hl_mixed = solve_mirror_norming(hdata, Mixed((1, -1)))
     hl_robin = solve_mirror_norming(hdata, Robin(0.8))
-    half = cli._pde_order(lambda X, T: halfline_field(hl_mixed, X, T), 0, 6, hs)
+    half = suites._pde_order(lambda X, T: halfline_field(hl_mixed, X, T), 0, 6, hs)
     rows = {"pde-order[line-2-soliton]": abs(line - 2.0),
             "pde-order[half-line-2-soliton]": abs(half - 2.0)}
     ts = np.linspace(-1.0, 1.0, 9)
@@ -1675,7 +1675,7 @@ def _suite_draws(suite, seed, boundary=None, **params):
         doc["boundary"] = boundary.to_json()
     cfg = cli.parse_run_config(doc)
     runner, rng, log = _SUITES[suite], np.random.default_rng(seed), SampleLog()
-    if isinstance(runner, cli._Parts):
+    if isinstance(runner, suites._Parts):
         runner = runner[0]  # mirror-constraint: the sampled part, before its detector
     samples = cfg.suite_params.get("samples", runner.default)
     instances = [runner.draw(cfg, rng, log, i, variant)

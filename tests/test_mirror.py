@@ -25,7 +25,8 @@ from vsolitons import (
 )
 from vsolitons import dressing as dressing_module
 from vsolitons import mirror as mirror_module
-from vsolitons.cli import _perturb_halfline, main, parse_run_config, run_property_suite
+from vsolitons.cli import main, parse_run_config, run_property_suite
+from vsolitons.suites import _perturb_halfline
 from vsolitons.config import _complex_pair, halfline_to_json, parse_halfline
 from vsolitons.dressing import _blaschke, _chain_apply, _dressed_beta, _product
 from vsolitons.mirror import HalfLineData

@@ -1,7 +1,7 @@
 """Every module-level function of the package is used by the package itself.
 
 A function counts as used when code elsewhere in `src/vsolitons` names it: a
-call, an entry in a table such as `cli._SUITES`, or an import in
+call, an entry in a table such as `suites._SUITES`, or an import in
 `vsolitons/__init__.py`, which makes it public.  Comments and docstrings do
 not count.  A helper that only the tests call belongs in the tests.
 """

@@ -13,7 +13,8 @@ import math
 
 import pytest
 
-from vsolitons.cli import _SUITES, parse_run_config, run_property_suite
+from vsolitons.cli import parse_run_config, run_property_suite
+from vsolitons.suites import _SUITES
 
 SEEDS = range(100)
 

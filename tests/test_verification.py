@@ -20,7 +20,7 @@ from vsolitons import (
     sample_grid,
     solve_mirror_norming,
 )
-from vsolitons import cli
+from vsolitons import suites
 from vsolitons.asymptotics import beta_in, beta_out, min_relative_velocity
 from vsolitons.dressing import reconstruct_field
 from vsolitons.sampling import SampleLog, random_soliton_data
@@ -151,7 +151,7 @@ class TestPdeResidualRowBlocks:
 
 
 class TestPdeResidualContiguousCopy:
-    """`cli._pde_order` hands pde_residual contiguous copies of its coarse
+    """`suites._pde_order` hands pde_residual contiguous copies of its coarse
     strided views: the copy must give the view's bits, nan and inf included."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -353,7 +353,7 @@ class TestLockstepExtraction:
         rng = np.random.default_rng(71)
         for draw in range(50):
             N, n = 2 + draw % 2, 2 + draw // 2 % 2
-            data = cli._moderate_collision_data(rng, N, n, SampleLog())
+            data = suites._moderate_collision_data(rng, N, n, SampleLog())
             T = 18.0 / (min(pt.v for pt, _ in data.points) * min_relative_velocity(data))
             targets = [(j, t) for j in range(N) for t in (-T, T)]
             if draw % 3 == 0:
