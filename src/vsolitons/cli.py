@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .asymptotics import beta_in, beta_out
+from .asymptotics import beta_in, beta_out, check_velocity_ordered
 from .config import (
     _expect,
     _integer,
@@ -40,10 +40,11 @@ from .config import (
     soliton_data_to_json,
 )
 from .dressing import reconstruct_field
-from .errors import ConfigError, VsolitonsError
-from .maps import involution_residuals, reflection_maps
+from .errors import ConfigError, DomainError, ValidationError, VsolitonsError
+from .maps import _check_parameters, involution_residuals, reflection_maps
 from .mirror import (
     HalfLineData,
+    check_halfline_real_data,
     halfline_field,
     mirror_polarization_residual,
     solve_mirror_norming,
@@ -172,6 +173,15 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError("data: collide mode needs at least two solitons")
     if cfg.mode == "mirror" and cfg.grid is not None and cfg.grid["x0"] < 0:
         raise ConfigError("grid.x0: half-line grids need x0 >= 0")
+    try:  # the data rules the mode's own layers apply, with their messages
+        if cfg.mode == "collide":
+            check_velocity_ordered(cfg.data)
+        elif cfg.mode == "mirror" and cfg.halfline is None:  # mirror solves given data only
+            check_halfline_real_data(cfg.data)
+        elif cfg.mode == "reflect":
+            _check_parameters(cfg.data.ks)
+    except (DomainError, ValidationError) as exc:
+        raise ConfigError(f"data: {exc}") from None
     if cfg.mode in ("verify", "transfer"):
         if cfg.suite_name not in _SUITES:
             raise ConfigError(f"suite.name: unknown suite {cfg.suite_name!r}; "
@@ -270,7 +280,8 @@ def _write_manifest(cfg: RunConfig, digest_source, outputs: List[str]) -> None:
 
 
 #: The sections (RunConfig fields, as the config spells them) a mode cannot run
-#: without; collide's two solitons and mirror's x0 >= 0 are checked after them.
+#: without; collide's two solitons, mirror's x0 >= 0 and the data rules of
+#: collide, mirror and reflect are checked after them.
 _MODE_NEEDS = {"simulate": ("data", "grid"), "reflect": ("data", "boundary"),
                "mirror": ("data", "boundary"), "verify": ("suite.name",)}
 

@@ -38,6 +38,7 @@ from .maps import (
     ybe_residuals,
 )
 from .mirror import (
+    CONSTRAINT_TOL,
     HalfLineData,
     halfline_field,
     mirror_polarization_residual,
@@ -80,7 +81,7 @@ from .verification import (
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-10,
     "involution": 1e-12,
-    "mirror_constraint": 1e-8,
+    "mirror_constraint": CONSTRAINT_TOL,
     "asymptotic": 1e-4,
 }
 

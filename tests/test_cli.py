@@ -55,6 +55,16 @@ def _scaled_last_beta(mode, size):
     return data
 
 
+def _shipped_data(mode, solitons=slice(None), u=None):
+    """configs/<mode>.json's data with its solitons taken by the slice, and
+    the first one's u replaced if u is given."""
+    data = _shipped(mode)["data"]
+    data["solitons"] = data["solitons"][solitons]
+    if u is not None:
+        data["solitons"][0]["u"] = u
+    return data
+
+
 def _scaled_mirror_beta(scale):
     """_STORED_HALFLINE with its mirror soliton's beta times scale."""
     solitons = [dict(sol) for sol in _STORED_HALFLINE["solitons"]]
@@ -271,6 +281,14 @@ class TestExitCodes:
         ("transfer", {"suite": {"seed": 2, "n": 2}}, "suite.n"),
         ("verify", {"suite": {"name": "ybe", "seed": 2, "N": 3}}, "suite.N"),
         ("verify", {"suite": {"name": "determinant", "seed": 2, "samples": 0, "N": 3}}, "suite.N"),
+        # the data rules of the mode's layers: refused at parse, not at run time
+        ("collide", _shipped("collide", data=_shipped_data("collide", slice(None, None, -1))),
+         "data"),
+        ("collide", _shipped("collide", data=_STORED_HALFLINE), "data"),
+        ("mirror", _shipped("mirror", data=_shipped_data("mirror", slice(None, None, -1))), "data"),
+        *[("mirror", _shipped("mirror", data=_shipped_data("mirror", u=u)), "data")
+          for u in (-0.5, 0.0)],
+        ("reflect", _shipped("reflect", data=_shipped_data("reflect", u=0.0)), "data"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
             "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
@@ -282,7 +300,9 @@ class TestExitCodes:
             "stored-mirror-beta-1e-250", "stored-mirror-beta-1e-320", "int-beyond-float-range",
             "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
             "N-past-bound", "N-30", "transfer-mode-other-suite", "collision-n", "yb-structure-n",
-            "mirror-polarization-n-no-samples", "transfer-n", "ybe-N", "determinant-N-no-samples"])
+            "mirror-polarization-n-no-samples", "transfer-n", "ybe-N", "determinant-N-no-samples",
+            "collide-reversed", "collide-stored-halfline", "mirror-reversed", "mirror-negative-u",
+            "mirror-zero-u", "reflect-zero-u"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                          mode, doc, where):
         def no_draw(*args):
@@ -395,16 +415,25 @@ class TestExitCodes:
 
 
 class TestUnsortedData:
-    """Data whose velocities are not increasing exit 1, with the message of
-    the first check that refuses them, and write nothing."""
+    """Data that breaks its mode's data rule (u not increasing; for mirror
+    also u <= 0, for reflect u on the imaginary axis) exits 1 at parse, with
+    the rule's message, and writes nothing."""
 
     @pytest.mark.parametrize("mode, us, extra, message", [
-        ("collide", (0.6, -0.5, 0.1), {}, "relations assume u_j < u_l"),
+        ("collide", (0.6, -0.5, 0.1), {}, "data: u values must be strictly increasing, "
+                                         "got [0.6, -0.5, 0.1]"),
         ("mirror", (0.9, 0.4), {"boundary": {"kind": "mixed", "signs": [1, -1]}},
-         "u values must be strictly increasing, got [0.9, 0.4]"),
+         "data: u values must be strictly increasing, got [0.9, 0.4]"),
         ("mirror", (0.9, 0.4), {"boundary": {"kind": "robin", "alpha": 0.5}},
-         "u values must be strictly increasing, got [0.9, 0.4]"),
-    ], ids=["collide", "mirror-mixed", "mirror-robin"])
+         "data: u values must be strictly increasing, got [0.9, 0.4]"),
+        ("mirror", (-0.5, 1.0), {"boundary": {"kind": "robin", "alpha": 0.5}},
+         "data: point 0: half-line data needs u > 0, got -0.5"),
+        ("mirror", (0.0, 1.0), {"boundary": {"kind": "robin", "alpha": 0.5}},
+         "data: imaginary axis: point 0 has u = 0.0; its mirror pole collides"),
+        ("reflect", (0.0,), {"boundary": {"kind": "robin", "alpha": 0.5}},
+         "data: imaginary axis: parameter 0.5j has |Re k| <= 1e-12"),
+    ], ids=["collide", "mirror-mixed", "mirror-robin", "mirror-negative-u", "mirror-zero-u",
+            "reflect-zero-u"])
     def test_exit_one_with_the_first_refusal(self, tmp_path, capsys, mode, us, extra, message):
         doc = {"data": {"n": 2, "solitons": [
             {"u": u, "v": 1.0, "beta": [[1, 0], [0.5, 0.5]]} for u in us]}, **extra}

@@ -3,11 +3,14 @@
 Each case mutates one configs/*.json document once: it substitutes a value
 from a pool that spans types and magnitudes, deletes a key, or inserts an
 unknown key into an object at any level, and runs the result through main.
+Reordered data (solitons permuted, signs of u flipped) is refused by the
+parser or runs: exit 1 never follows a successful parse.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import tempfile
 import warnings
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsolitons.cli import main
+from vsolitons.cli import main, parse_run_config
+from vsolitons.errors import ConfigError
 from vsolitons.suites import _SUITES
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -102,6 +106,7 @@ def _check_exit_path(mode, doc, inserted):
             assert (out / "report.json").is_file() and (out / "manifest.json").is_file()
         if inserted is not None:
             assert code == 1 and err.startswith(f"error: {inserted}: ")
+    return code
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
@@ -115,3 +120,29 @@ def test_mutated_configs_take_the_exit_path(case):
 @given(mutated_configs())
 def test_mutated_configs_take_the_exit_path_many(case):
     _check_exit_path(*case)
+
+
+def _reordered_data():
+    """A case for each configs/*.json with data, each order of its solitons and
+    each choice of signs of their u; its id names both, as order01-u+-."""
+    for mode in MODES:
+        doc = _base(mode, None)
+        if "data" not in doc:
+            continue
+        solitons = doc["data"]["solitons"]
+        for order in itertools.permutations(range(len(solitons))):
+            for signs in itertools.product("+-", repeat=len(solitons)):
+                data = dict(doc["data"], solitons=[
+                    dict(solitons[i], u=solitons[i]["u"] * (-1 if sign == "-" else 1))
+                    for i, sign in zip(order, signs)])
+                yield pytest.param(mode, dict(doc, data=data),
+                                   id=f"{mode}-order{''.join(map(str, order))}-u{''.join(signs)}")
+
+
+@pytest.mark.parametrize("mode, doc", _reordered_data())
+def test_reordered_data_is_refused_at_parse_or_runs(mode, doc):
+    try:
+        parse_run_config(dict(doc, mode=mode))
+    except ConfigError:
+        return
+    assert _check_exit_path(mode, doc, None) in (0, 2)
