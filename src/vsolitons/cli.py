@@ -181,7 +181,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         elif cfg.mode == "reflect":
             _check_parameters(cfg.data.ks)
     except (DomainError, ValidationError) as exc:
-        raise ConfigError(f"data: {exc}") from None
+        raise ConfigError(f"data: {exc}")
     if cfg.mode in ("verify", "transfer"):
         if cfg.suite_name not in _SUITES:
             raise ConfigError(f"suite.name: unknown suite {cfg.suite_name!r}; "
