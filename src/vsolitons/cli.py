@@ -182,6 +182,9 @@ def parse_run_config(doc: dict) -> RunConfig:
             _check_parameters(cfg.data.ks)
     except (DomainError, ValidationError) as exc:
         raise ConfigError(f"data: {exc}")
+    if cfg.mode in ("reflect", "mirror") and cfg.boundary.n not in (None, cfg.data.n):
+        raise ConfigError(f"boundary: acts on {cfg.boundary.n} components, "
+                          f"the data has {cfg.data.n}")
     if cfg.mode in ("verify", "transfer"):
         if cfg.suite_name not in _SUITES:
             raise ConfigError(f"suite.name: unknown suite {cfg.suite_name!r}; "

@@ -209,16 +209,14 @@ def parse_halfline(obj, where: str = "data") -> HalfLineData:
             f"{where}.real_count: must be half the soliton count {combined.N}"
         )
     spec = parse_boundary(doc["boundary"], f"{where}.boundary")
-    real = combined.subset(range(count))
-    mirror = combined.subset(range(count, 2 * count))
+    if spec.n not in (None, combined.n):
+        raise ConfigError(f"{where}.boundary: acts on {spec.n} components, "
+                          f"the data has {combined.n}")
+    ks = [pt.k for pt, _ in combined.points]
     for j in range(count):
-        km = mirror.points[j][0].k
-        kr = real.points[j][0].k
-        if abs(km + kr.conjugate()) > POLE_MERGE_TOL:
-            raise ConfigError(
-                f"{where}.solitons[{count + j}]: not the mirror of soliton {j}"
-            )
-    hl = HalfLineData(real, mirror, spec)
+        if abs(ks[count + j] + ks[j].conjugate()) > POLE_MERGE_TOL:
+            raise ConfigError(f"{where}.solitons[{count + j}]: not the mirror of soliton {j}")
+    hl = HalfLineData(combined, spec)
     residual = hl.constraint_residual
     if not residual <= CONSTRAINT_TOL:  # a nan residual fails too
         raise ConfigError(

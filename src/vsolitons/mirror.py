@@ -39,28 +39,13 @@ CONSTRAINT_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class HalfLineData:
-    """Solved 2N-point dataset: N real solitons plus their mirror images."""
+    """Solved 2N-point dataset as halfline.json stores it: N real solitons, then their mirrors."""
 
-    real_data: SolitonData
-    mirror_data: SolitonData
+    combined: SolitonData
     spec: BoundarySpec
 
-    @property
-    def N(self) -> int:
-        return self.real_data.N
-
-    @property
-    def n(self) -> int:
-        return self.real_data.n
-
-    @cached_property
-    def combined(self) -> SolitonData:
-        """The 2N points, real first, derived from the two halves.  It starts
-        with the reduced chains the real half has built: an order of real
-        indices names the same points in both."""
-        data = SolitonData(self.n, self.real_data.points + self.mirror_data.points)
-        data.stack.chains.update(self.real_data.stack.chains)
-        return data
+    N = property(lambda self: self.combined.N // 2)
+    n = property(lambda self: self.combined.n)
 
     @cached_property
     def constraint_residual(self) -> float:
@@ -155,12 +140,12 @@ def solve_mirror_norming(real_data, spec):
     chain = build_reduced_chain(real) + tuple(mirror)
     betas = _chain_apply(chain[:-1], ks[:, :N - 1:-1].T.conj(), np.array(xis))[::-1]
     nvs = NormingVector.stack(betas.transpose(1, 0, 2).reshape(-1, n))
-    hls = [HalfLineData(data, SolitonData(n, tuple(
+    hls = [HalfLineData(SolitonData(n, data.points + tuple(
         (pt.mirror(), nv) for (pt, _), nv in zip(data.points, nvs[s * N:]))), sp)
         for s, (data, sp) in enumerate(zip(reals, specs))]
     combined = hls[0].combined.stack if one else SolitonStack(
-        tuple(hl.real_data.points + hl.mirror_data.points for hl in hls))
-    combined.chains.update(real.chains)
+        tuple(hl.combined.points for hl in hls))
+    combined.chains.update(real.chains)  # an order of real indices names the same points
     for hl, residual in zip(hls, mirror_constraint_residual((hls, combined)).tolist()):
         vars(hl)["constraint_residual"] = residual  # the cached property's slot
         if not residual <= CONSTRAINT_TOL:  # a nan residual fails too

@@ -311,6 +311,9 @@ class SolitonData:
     def ks(self) -> np.ndarray:
         return np.array([pt.k for pt, _ in self.points], dtype=np.complex128)
 
+    #: (N, n), as the ndarray of its norming vectors has it
+    shape = property(lambda self: (self.N, self.n))
+
     def subset(self, indices: Iterable[int]) -> "SolitonData":
         return SolitonData(self.n, tuple(self.points[i] for i in indices))
 

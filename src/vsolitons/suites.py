@@ -149,8 +149,9 @@ class _Sampled:
 
     With ``stacked``, a draw returns the instance as drawn instead.  After
     every variant's draws, in variant order, the instances are grouped by the
-    shapes of their ndarray members, and ``stacked(instances)`` evaluates one
-    group per call, the groups in order of their first sample.  It returns
+    shapes of their members that have one (ndarrays, and `SolitonData` as its
+    (N, n)), and ``stacked(instances)`` evaluates one group per call, the
+    groups in order of their first sample.  It returns
     one sequence of per-sample residuals per check, and the rows go back in
     sample order, each with the bits of its own S = 1 call.  An evaluation
     error names the first failing sample of the first group that raises: a
@@ -198,12 +199,12 @@ class _Sampled:
 
     def _evaluate(self, instances) -> list:
         """Per-instance residual rows, in sample order: one stacked call per
-        group of instances whose ndarrays have the same shapes.  A suite's
-        instances share their layout, so the first one shows where they hold
-        ndarrays; the shapes are read column by column, at about a third of
-        the cost of one key built per instance."""
+        group of instances whose shaped members have the same shapes.  A
+        suite's instances share their layout, so the first one shows which
+        members have a shape; the shapes are read column by column, at about a
+        third of the cost of one key built per instance."""
         shapes = [[a.shape for a in column] for column in zip(*instances)
-                  if isinstance(column[0], np.ndarray)]
+                  if hasattr(column[0], "shape")]
         groups: Dict[tuple, List[int]] = {}
         for i, key in enumerate(zip(*shapes)):
             groups.setdefault(key, []).append(i)
@@ -293,13 +294,13 @@ def _draw_permutation(cfg, rng, log, i, variant):
     data = random_soliton_data(rng, N, n, log=log)
     ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
     xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
-    return data, data.stack.betas[0], np.array(ks), np.array(xts)
+    return data, np.array(ks), np.array(xts)
 
 
 def _permutation_stack(instances):
     """Permutation draws of one (N, n) as one stack: per sample, the worst
     disagreement of every other factor order with the identity order."""
-    datasets, _, ks, xts = zip(*instances)
+    datasets, ks, xts = zip(*instances)
     stack = SolitonStack(tuple(data.points for data in datasets))
     reference = tuple(range(stack.N))
     orders = [order for order in itertools.permutations(reference) if order != reference]
@@ -337,14 +338,13 @@ def _yb_structure(P, K, draws):
 
 
 def _draw_collision(cfg, rng, log, i, variant):
-    data = random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2], log=log)
-    return data, data.stack.betas[0]  # the (N, n) betas key the stacking group
+    return (random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2], log=log),)
 
 
 def _collision_stack(instances):
     """Collision draws of one (N, n) as one stack, each gamma built once: per
     sample, its worst pair residuals and its pipeline residual."""
-    stack = SolitonStack(tuple(data.points for data, _ in instances))
+    stack = SolitonStack(tuple(data.points for data, in instances))
     pols = _in_out(stack)  # first: it names a sample with unordered velocities
     return (*_pair_residuals(stack), _pipeline_residuals(pols, stack.ks))
 
@@ -394,17 +394,15 @@ def _mirror_kinds(cfg: RunConfig):
 
 
 def _draw_mirror(cfg, rng, log, i: int, variant) -> tuple:
-    N, n = 1 + i % 3, (2, 3)[i % 2]
+    # a given sign pattern gives n; a drawn boundary comes after the data
+    N, n = 1 + i % 3, getattr(variant[1], "n", None) or (2, 3)[i % 2]
     data = random_soliton_data(rng, N, n, positive=True, log=log)
-    drawn, m = _variant_boundary(rng, variant, n)
-    if m != n:
-        data = random_soliton_data(rng, N, m, positive=True, log=log)
-    return data, data.stack.betas[0], drawn  # the real data, as the collision draw, and a boundary
+    return data, _variant_boundary(rng, variant, n)[0]
 
 
 def _mirror_solve(instances) -> tuple:
     """Mirror draws of one (N, n) solved as one stack (`solve_mirror_norming`)."""
-    datasets, _, drawn = zip(*instances)
+    datasets, drawn = zip(*instances)
     return solve_mirror_norming(datasets, [boundary_spec(d) for d in drawn])
 
 
@@ -419,12 +417,12 @@ def _draw_mirror_detector(cfg, rng, log, i, variant):
 
 
 def _perturb_halfline(hl: HalfLineData, size: float) -> HalfLineData:
-    pts = list(hl.mirror_data.points)
-    pt, nv = pts[0]
+    pts = list(hl.combined.points)
+    pt, nv = pts[hl.N]
     bumped = nv.beta.copy()
     bumped[0] += size * nv.norm
-    pts[0] = (pt, NormingVector(bumped))
-    return HalfLineData(hl.real_data, SolitonData(hl.n, tuple(pts)), hl.spec)
+    pts[hl.N] = (pt, NormingVector(bumped))
+    return HalfLineData(SolitonData(hl.n, tuple(pts)), hl.spec)
 
 
 def _draw_transfer(n: int) -> Callable:

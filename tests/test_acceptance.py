@@ -42,8 +42,7 @@ from vsolitons import (
 )
 from vsolitons.asymptotics import min_relative_velocity
 from vsolitons.cli import main
-from vsolitons.suites import _pde_order, collision_orders
-from vsolitons.mirror import HalfLineData
+from vsolitons.suites import _pde_order, _perturb_halfline, collision_orders
 from vsolitons.sampling import (
     boundary_spec,
     draw_boundary,
@@ -52,7 +51,6 @@ from vsolitons.sampling import (
     random_soliton_data,
     unit_vectors,
 )
-from vsolitons.soldata import NormingVector
 
 
 def report(num, name, value, bound, ok, unit="residual"):
@@ -192,13 +190,7 @@ class TestCriterion06:
     def test_perturbation_detector(self):
         rng = np.random.default_rng(1060)
         hl = _mirror_datasets(rng, "mixed")[1]
-        pts = list(hl.mirror_data.points)
-        pt, nv = pts[0]
-        bumped = nv.beta.copy()
-        bumped[0] += 1e-3 * nv.norm
-        pts[0] = (pt, NormingVector(bumped))
-        corrupted = HalfLineData(hl.real_data, SolitonData(hl.n, tuple(pts)), hl.spec)
-        res = mirror_constraint_residual(corrupted)
+        res = mirror_constraint_residual(_perturb_halfline(hl, 1e-3))
         report(6, "constraint detector flags 1e-3 corruption", res, 1e-4, res >= 1e-4)
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vsolitons import (NormingVector, Polarization, SolitonData, SpectralPoint, beta_in, beta_out,
                        cli, collision_pair_residuals, intermediate_gamma, one_soliton_field,
@@ -23,7 +25,7 @@ from vsolitons.config import (
     parse_soliton_data,
     soliton_data_to_json,
 )
-from vsolitons.errors import ConfigError
+from vsolitons.errors import ConfigError, DegeneracyError
 from vsolitons.mirror import solve_mirror_norming
 from vsolitons.sampling import SampleLog, random_soliton_data
 from vsolitons.soldata import Mixed, SolitonStack
@@ -110,17 +112,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="boundary.kind"):
             parse_boundary({"kind": "dirichlet"})
 
-    def test_halfline_roundtrip(self):
-        real = SolitonData(
-            2, ((SpectralPoint(0.8, 1.0), NormingVector([1.0, 0.4j])),)
-        )
-        hl = solve_mirror_norming(real, Mixed((1, -1)))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sampling.BOUNDARY_KINDS)
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_halfline_roundtrip(self, kind, N, n, seed):
+        # a stored dataset reloads as itself: the same JSON text and the
+        # same constraint residual bits
+        rng = np.random.default_rng(seed)
+        data = random_soliton_data(rng, N, n, positive=True)
+        try:
+            hl = solve_mirror_norming(data, sampling.boundary_spec(
+                sampling.draw_boundary(rng, kind, n)))
+        except DegeneracyError:
+            assume(False)  # the round trip is of solved datasets
         doc = halfline_to_json(hl)
         back = parse_halfline(doc)
-        assert back.N == 1
-        assert np.allclose(
-            back.mirror_data.points[0][1].beta, hl.mirror_data.points[0][1].beta
-        )
+        assert (back.N, back.n) == (N, n)
+        assert json.dumps(halfline_to_json(back)) == json.dumps(doc)
+        assert (np.float64(back.constraint_residual).tobytes()
+                == np.float64(hl.constraint_residual).tobytes())
 
     def test_halfline_rejects_corrupted_norming(self):
         real = SolitonData(
@@ -173,7 +185,7 @@ class TestExitCodes:
             },
         )
         assert main(["mirror", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "acts on 3 components, expected 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: boundary: acts on 3 components, the data has 2\n"
 
     def test_negative_half_line_grid_is_one_and_writes_nothing(self, tmp_path, capsys):
         doc = json.loads((Path(__file__).parent.parent / "configs" / "mirror.json").read_text())
@@ -289,6 +301,11 @@ class TestExitCodes:
         *[("mirror", _shipped("mirror", data=_shipped_data("mirror", u=u)), "data")
           for u in (-0.5, 0.0)],
         ("reflect", _shipped("reflect", data=_shipped_data("reflect", u=0.0)), "data"),
+        # a sign pattern on another component count than the data's
+        *[(mode, _shipped(mode, boundary={"kind": "mixed", "signs": [1, -1, 1]}), "boundary")
+          for mode in ("reflect", "mirror")],
+        ("mirror", {"data": dict(_STORED_HALFLINE, boundary={"kind": "mixed", "signs": [1, -1, 1]})},
+         "data.boundary"),
     ], ids=["list-suite-name", "ragged-unitary-rows", "nan-tolerance", "misspelled-tolerance",
             "ybe-n-0",
             "involution-n-0", "permutation-n-0", "permutation-N-0", "bool-real-count",
@@ -302,7 +319,8 @@ class TestExitCodes:
             "N-past-bound", "N-30", "transfer-mode-other-suite", "collision-n", "yb-structure-n",
             "mirror-polarization-n-no-samples", "transfer-n", "ybe-N", "determinant-N-no-samples",
             "collide-reversed", "collide-stored-halfline", "mirror-reversed", "mirror-negative-u",
-            "mirror-zero-u", "reflect-zero-u"])
+            "mirror-zero-u", "reflect-zero-u", "reflect-boundary-size", "mirror-boundary-size",
+            "stored-halfline-boundary-size"])
     def test_malformed_config_is_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                          mode, doc, where):
         def no_draw(*args):
@@ -1027,9 +1045,10 @@ class TestStackedCollisionPipeline:
         rng = np.random.default_rng(5)
         datas = [random_soliton_data(rng, 2 + i % 2, (2, 3)[i % 2]) for i in range(20)]
         rows = suites._SUITES["collision"]._evaluate(instances)
-        for (drawn, betas), data, row in zip(instances, datas, rows):
+        for (drawn,), data, row in zip(instances, datas, rows):
             assert drawn.ks.tobytes() == data.ks.tobytes()
-            assert betas.tobytes() == np.array([nv.beta for _, nv in data.points]).tobytes()
+            assert (np.array([nv.beta for _, nv in drawn.points]).tobytes()
+                    == np.array([nv.beta for _, nv in data.points]).tobytes())
             pairs = [collision_pair_residuals(j, l, [m for m in range(data.N) if m not in (j, l)][:1],
                                               data) for j, l in suites.collision_orders(data.N)[0]]
             rel, xi = zip(*pairs)
@@ -1039,7 +1058,7 @@ class TestStackedCollisionPipeline:
         # N and n in {2, 3}, interleaved: four stacks of six, results in order
         rng = np.random.default_rng(6)
         datas = [random_soliton_data(rng, 2 + i % 2, 2 + i // 2 % 2) for i in range(24)]
-        rows = suites._SUITES["collision"]._evaluate([(data, data.stack.betas[0]) for data in datas])
+        rows = suites._SUITES["collision"]._evaluate([(data,) for data in datas])
         for data, row in zip(datas, rows):
             assert row[2] == _oracle_pipeline_residual(data)
 

@@ -1684,13 +1684,14 @@ def _suite_draws(suite, seed, boundary=None, **params):
 
 
 def _n(instance) -> int:
-    """The component count of a drawn instance: the last axis of its first array."""
-    return next(a for a in instance if isinstance(a, np.ndarray)).shape[-1]
+    """The component count of a drawn instance: the last axis of its first
+    shaped member (an array, or soliton data as its (N, n))."""
+    return next(a for a in instance if hasattr(a, "shape")).shape[-1]
 
 
 def _group(instance) -> tuple:
-    """The shapes of a drawn instance's arrays, which key its stacking group."""
-    return tuple(a.shape for a in instance if isinstance(a, np.ndarray))
+    """The shapes of a drawn instance's shaped members, which key its stacking group."""
+    return tuple(a.shape for a in instance if hasattr(a, "shape"))
 
 
 def _assert_samples_keep_their_bits(suite, seed, boundary=None, **params) -> set:
@@ -1728,16 +1729,16 @@ def _spoiled(suite, instance, i):
     gives the constraint residual), a permutation draw's sample k 3 on the
     pole conj(k_j) of a factor j (the message gives k)."""
     if suite == "permutation":
-        data, betas, ks, xts = instance
+        data, ks, xts = instance
         ks = ks.copy()
         ks[3] = data.points[i % data.N][0].k.conjugate()
-        return data, betas, ks, xts
+        return data, ks, xts
     if suite == "collision":
-        data, betas = instance
-        return SolitonData(data.n, data.points[::-1]), betas
+        data, = instance
+        return (SolitonData(data.n, data.points[::-1]),)
     if suite in MIRROR_SUITES:
-        data, betas, _ = instance
-        return data, betas, _ScaledRobin(0.5, scale=2.0 + i)
+        data, _ = instance
+        return data, _ScaledRobin(0.5, scale=2.0 + i)
     ks, draws, extra = instance
     return [complex(0.0, 1.0 + i + j / 8) for j in range(len(ks))], draws, extra
 
@@ -1787,7 +1788,7 @@ class TestStackedSuites:
                 us = [pt.u for pt, _ in bad[named][0].points]
                 assert expect == (ValidationError, f"u values must be strictly increasing, got {us}")
             elif suite == "permutation":
-                k = bad[named][2][3]
+                k = bad[named][1][3]
                 assert expect == (PoleError,
                                   f"evaluation point {k} hits the pole at conj({k.conjugate()})")
             elif suite in MIRROR_SUITES:
@@ -1812,14 +1813,26 @@ class TestStackedSuites:
         for spoiled in ([group[1]], group[1:3]):
             bad = list(instances)
             for i in spoiled:
-                data, betas, _ = bad[i]
-                bad[i] = data, betas, _ScaledRobin(0.5, **spoil)
+                data, _ = bad[i]
+                bad[i] = data, _ScaledRobin(0.5, **spoil)
             expect = _raised(runner._evaluate, [bad[spoiled[0]]])
             assert expect[0] is DegeneracyError and re.match(message, expect[1])
             assert _raised(runner._evaluate, [bad[i] for i in group]) == expect
             assert _raised(runner._evaluate, bad) == expect
             rows = runner._evaluate([instances[i] for i in group if i not in spoiled])
             assert rows == [runner._evaluate([instances[i]])[0] for i in group if i not in spoiled]
+
+    @pytest.mark.parametrize("suite", MIRROR_SUITES)
+    def test_given_sign_pattern_sets_the_drawn_n(self, suite, monkeypatch):
+        # a given sign pattern's n is taken before the draw: one dataset per
+        # sample, each on the pattern's three components
+        calls = []
+        draw = suites.random_soliton_data
+        monkeypatch.setattr(suites, "random_soliton_data",
+                            lambda rng, N, n, **kw: calls.append(n) or draw(rng, N, n, **kw))
+        runner, instances, samples = _suite_draws(suite, 4, Mixed((1, -1, 1)))
+        assert calls == [3] * samples == [data.n for data, _ in instances]
+        assert len(runner._evaluate(instances)) == samples
 
     @pytest.mark.parametrize("samples", [0, 1, 5, 12])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1848,11 +1861,11 @@ def _degenerate_permutation_draw(instance):
     the pole-merge tolerance) at v = 20, with parallel norming vectors: the
     direction of the reference chain's second factor falls below the
     degeneracy tolerance."""
-    data, betas, ks, xts = instance
+    data, ks, xts = instance
     beta = data.points[0][1].beta
     twins = ((SpectralPoint(0.3, 20.0), NormingVector(beta)),
              (SpectralPoint(0.3 + 3e-12, 20.0), NormingVector(2.0 * beta)))
-    return SolitonData(data.n, twins + data.points[2:]), betas, ks, xts
+    return SolitonData(data.n, twins + data.points[2:]), ks, xts
 
 
 @pytest.mark.slow

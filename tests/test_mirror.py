@@ -29,7 +29,6 @@ from vsolitons.cli import main, parse_run_config, run_property_suite
 from vsolitons.suites import _perturb_halfline
 from vsolitons.config import _complex_pair, halfline_to_json, parse_halfline
 from vsolitons.dressing import _blaschke, _chain_apply, _dressed_beta, _product
-from vsolitons.mirror import HalfLineData
 from vsolitons.sampling import boundary_spec, draw_boundary, random_soliton_data
 from vsolitons.soldata import _scaled
 from vsolitons.verification import extract_asymptotic_polarization
@@ -37,10 +36,15 @@ from vsolitons.verification import extract_asymptotic_polarization
 E1 = np.array([1.0, 0.0])
 
 
-def halfline_data(rng, N, n, kind):
+def solved(rng, N, n, kind):
+    """(real data, the HalfLineData the solve makes of it)."""
     data = random_soliton_data(rng, N, n, positive=True)
     spec = boundary_spec(draw_boundary(rng, kind, n))
-    return solve_mirror_norming(data, spec)
+    return data, solve_mirror_norming(data, spec)
+
+
+def halfline_data(rng, N, n, kind):
+    return solved(rng, N, n, kind)[1]
 
 
 class TestAMatrix:
@@ -124,7 +128,7 @@ class TestMirrorSolve:
         real = SolitonData(2, ((SpectralPoint(1.0, 1.0), NormingVector(E1)),))
         hl = solve_mirror_norming(real, Mixed((1, -1)))
         assert mirror_constraint_residual(hl) < 1e-10
-        assert hl.mirror_data.points[0][0].k == -(0.5 + 0.5j).conjugate()
+        assert hl.combined.points[1][0].k == -(0.5 + 0.5j).conjugate()
 
     def test_single_soliton_robin(self):
         real = SolitonData(2, ((SpectralPoint(1.0, 1.0), NormingVector([0.7, 0.4j])),))
@@ -141,21 +145,16 @@ class TestMirrorSolve:
     def test_perturbation_detector(self):
         rng = np.random.default_rng(2)
         hl = halfline_data(rng, 2, 2, "mixed")
-        pts = list(hl.mirror_data.points)
-        pt, nv = pts[0]
-        bumped = nv.beta.copy()
-        bumped[0] += 1e-3 * nv.norm
-        pts[0] = (pt, NormingVector(bumped))
-        corrupted = HalfLineData(hl.real_data, SolitonData(hl.n, tuple(pts)), hl.spec)
+        corrupted = _perturb_halfline(hl, 1e-3)
         assert mirror_constraint_residual(corrupted) >= 1e-4
 
     def test_solve_is_self_consistent(self):
         rng = np.random.default_rng(3)
-        hl = halfline_data(rng, 2, 2, "mixed")
-        again = solve_mirror_norming(hl.real_data, hl.spec)
-        for j in range(hl.N):
-            a = hl.mirror_data.points[j][1].beta
-            b = again.mirror_data.points[j][1].beta
+        data, hl = solved(rng, 2, 2, "mixed")
+        again = solve_mirror_norming(data, hl.spec)
+        for j in range(hl.N, 2 * hl.N):
+            a = hl.combined.points[j][1].beta
+            b = again.combined.points[j][1].beta
             assert np.max(np.abs(a - b)) < 1e-12 * np.linalg.norm(a)
 
     def test_amplitude_below_the_pole_tolerance_solves(self):
@@ -280,12 +279,12 @@ class TestCanonicalChains:
             return build(stack, i, prefix)
 
         monkeypatch.setattr(dressing_module, "_reduced_factor", counted)
-        hl = halfline_data(np.random.default_rng(80), 3, 2, kind)
+        data, hl = solved(np.random.default_rng(80), 3, 2, kind)
         assert hl.constraint_residual <= 1e-8
         assert mirror_polarization_residual(hl) <= 1e-10
         assert mirror_constraint_residual(hl) == hl.constraint_residual
         assert len(set(builds)) == len(builds)  # no factor of any order built twice
-        real, combined, N = id(hl.real_data.stack), id(hl.combined.stack), hl.N
+        real, combined, N = id(data.stack), id(hl.combined.stack), hl.N
         ks = tuple(hl.combined.ks.tolist())
         assert {(real, ks[:i], i) for i in range(N)} <= set(builds)
         # the combined data inherits the real chain and builds, of the canonical
@@ -299,8 +298,8 @@ class TestCanonicalChains:
     def test_real_chain_is_combined_prefix(self, kind):
         rng = np.random.default_rng(81)
         for N, n in [(1, 2), (2, 3), (4, 2)]:
-            hl = halfline_data(rng, N, n, kind)
-            real = build_reduced_chain(hl.real_data)
+            data, hl = solved(rng, N, n, kind)
+            real = build_reduced_chain(data)  # the chain the solve built
             assert build_reduced_chain(hl.combined)[:N] == real  # inherited, not rebuilt
             # ... and what a combined build of its own would give, bit for bit
             fresh = build_reduced_chain(SolitonData(hl.n, hl.combined.points))
@@ -369,7 +368,7 @@ class TestBetaRecovery:
                 spec = boundary_spec(draw_boundary(rng, kind, n))
                 hl = solve_mirror_norming(data, spec)
                 frozen = _per_index_mirror_betas(data, spec)
-                for (_, nv), beta in zip(hl.mirror_data.points, frozen, strict=True):
+                for (_, nv), beta in zip(hl.combined.points[N:], frozen, strict=True):
                     assert np.max(np.abs(nv.beta - beta)) <= 1e-13 * np.linalg.norm(beta)
 
     def test_near_axis_dataset_fails_the_constraint_gate(self):
@@ -461,7 +460,7 @@ def _assert_mirror_constraints_match_frozen(seed: int) -> None:
                 betas = [[_complex_pair(z) for z in beta] for beta in _frozen_mirror_betas(data, spec)]
                 for doc in (halfline_to_json(hl), halfline_to_json(stacked)):
                     assert [s["beta"] for s in doc["solitons"][N:]] == betas
-                for (_, nv), beta in zip(hl.mirror_data.points, _frozen_mirror_betas(data, spec)):
+                for (_, nv), beta in zip(hl.combined.points[N:], _frozen_mirror_betas(data, spec)):
                     assert nv.beta.tobytes() == beta.tobytes()
 
 
@@ -526,7 +525,7 @@ class TestMirrorPolarizations:
         rng = np.random.default_rng(6)
         hl = halfline_data(rng, 1, 3, "robin")
         mirror_dir = build_reduced_chain(hl.combined)[1][1][0]
-        real_pol = Polarization(hl.real_data.points[0][1].beta)
+        real_pol = Polarization(hl.combined.points[0][1].beta)
         assert projective_distance(mirror_dir, real_pol.p) < 1e-10
 
 
@@ -536,15 +535,16 @@ def _frozen_mirror_polarization_residual(hl):
     projectively invisible)."""
     N, n = hl.N, hl.n
     chain = build_reduced_chain(hl.combined)
+    real = hl.combined.subset(range(N)).stack
     res = [0.0]
     m = np.eye(n, dtype=np.complex128) if isinstance(hl.spec, Robin) else hl.spec.m
     for j in range(N):
-        kj = hl.real_data.points[j][0].k
-        g = _dressed_beta(hl.real_data.stack, j, range(j + 1, N))[0]
+        kj = hl.combined.points[j][0].k
+        g = _dressed_beta(real, j, range(j + 1, N))[0]
         res.append(projective_distance(chain[N + j][1][0], m @ g))
-        beta_m = hl.mirror_data.points[j][1].beta
+        beta_m = hl.combined.points[N + j][1].beta
         lhs_b = _chain_apply(chain[:N], [-kj.conjugate()], beta_m[None], dagger=True)[0]
-        g_b = _dressed_beta(hl.real_data.stack, j, [i for i in range(N) if i != j])[0]
+        g_b = _dressed_beta(real, j, [i for i in range(N) if i != j])[0]
         res.append(projective_distance(lhs_b, m @ g_b))
     return float(np.max(res))
 
