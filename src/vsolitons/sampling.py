@@ -9,11 +9,13 @@ Stream contract: every generator makes the rng calls that drawing its
 scalars one at a time would make, in order, through one whole-array path per
 quantity: one rng.random call per try for the u's of `random_soliton_data`
 and the parameters of `random_map_parameters`, `draw_unit_vectors` for every
-norming or unit vector.  Per sample only the draws and their accept tests
-run (nonzero vector, proper signs, pole-safe parameters); `unit_vectors`,
-`unitaries` and `boundaries` (an (S, n, n) boundary stack, no spec objects)
-derive a stack of `draw_*` results at once, bit for bit as one at a time;
-one sample is a stack of one.
+norming or unit vector.  A uniform on [lo, hi) is always lo + (hi - lo) * r
+of an rng.random() r, as Generator.uniform maps it: one rng.random() call
+per scalar, one rng.random(shape) call per array (`uniforms`).  Per sample
+only the draws and their accept tests run (nonzero vector, proper signs,
+pole-safe parameters); `unit_vectors`, `unitaries` and `boundaries` (an
+(S, n, n) boundary stack, no spec objects) derive a stack of `draw_*`
+results at once, bit for bit as one at a time; one sample is a stack of one.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def random_soliton_data(
     rng.random((N, 1 or 2)) per try, mapped as in `random_map_parameters`;
     then per point v and its norming vector (`draw_unit_vectors`).
     """
-    lo, hi = U_RANGE
+    (lo, hi), (vlo, vhi) = U_RANGE, V_RANGE
     for _ in range(_MAX_TRIES):
         draws = rng.random((N, 1 if positive else 2)).tolist()
         us = sorted((lo + (hi - lo) * r[0]) * (1.0 if positive or r[1] < 0.5 else -1.0)
@@ -121,11 +123,17 @@ def random_soliton_data(
         raise SamplingError("could not draw separated velocities")
     vs, draws = [], []
     for _ in us:
-        vs.append(rng.uniform(*V_RANGE))
+        vs.append(vlo + (vhi - vlo) * rng.random())
         draws.append(draw_unit_vectors(rng, 1, n, log)[0])
     draws = np.array(draws)
     betas = NormingVector.stack(draws[:, 0] + 1j * draws[:, 1])
     return SolitonData(n, tuple(zip(map(SpectralPoint, us, vs), betas)))
+
+
+def uniforms(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Uniforms on [lo, hi) elementwise, of lo's shape, as one rng.uniform
+    call per element in C order draws them: one rng.random call."""
+    return lo + (hi - lo) * rng.random(lo.shape)
 
 
 def unitaries(draws: np.ndarray) -> np.ndarray:
@@ -148,7 +156,7 @@ def random_signs(rng: np.random.Generator, n: int) -> tuple:
     """
     for _ in range(_MAX_TRIES):
         signs = tuple([1 if r < 0.5 else -1 for r in rng.random(n).tolist()])
-        if n == 1 or len(set(signs)) == 2:
+        if n == 1 or (1 in signs and -1 in signs):
             return signs
     raise SamplingError("could not draw a proper sign pattern")
 
@@ -158,7 +166,7 @@ def draw_boundary(rng: np.random.Generator, kind: str, n: int):
     pattern (a tuple), or rotated_mixed's (`draw_unitary` draws, sign
     pattern).  `boundaries` stacks such draws, `boundary_spec` makes one spec."""
     if kind == "robin":
-        return rng.uniform(-2.0, 2.0)
+        return -2.0 + 4.0 * rng.random()
     if kind == "mixed":
         return random_signs(rng, n)
     if kind == "rotated_mixed":

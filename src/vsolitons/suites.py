@@ -54,6 +54,7 @@ from .sampling import (
     draw_unitary,
     random_map_parameters,
     random_soliton_data,
+    uniforms,
     unit_vectors,
     unitaries,
 )
@@ -151,12 +152,12 @@ class _Sampled:
     every variant's draws, in variant order, the instances are grouped by the
     shapes of their members that have one (ndarrays, and `SolitonData` as its
     (N, n)), and ``stacked(instances)`` evaluates one group per call, the
-    groups in order of their first sample.  It returns
-    one sequence of per-sample residuals per check, and the rows go back in
-    sample order, each with the bits of its own S = 1 call.  An evaluation
-    error names the first failing sample of the first group that raises: a
-    group that raises is evaluated again one sample at a time, so the error
-    is that sample's own S = 1 error.
+    groups in order of their first sample.  It returns one sequence of
+    per-sample residuals per check, scattered into the suite's one residual
+    array in sample order, each row with the bits of its own S = 1 call.  An
+    evaluation error names the first failing sample of the first group that
+    raises: a group that raises is evaluated again one sample at a time, so
+    the error is that sample's own S = 1 error.
 
     Each variant's checks share, evenly, its own draw time plus its sample
     share of the stacked call and the folds, so the check times sum to the
@@ -177,15 +178,15 @@ class _Sampled:
         for variant in variants:
             drawn += [self.draw(cfg, rng, log, i, variant) for i in range(samples)]
             drew.append(time.perf_counter())
-        if self.stacked is not None:
-            drawn = self._evaluate(drawn)
+        residuals = self._evaluate(drawn) if self.stacked else np.array(drawn, dtype=np.float64)
+        # per variant and check, the largest residual (from 0.0) and the least:
+        # np.max and np.min keep a nan, where Python's max would drop it
+        folds = residuals.reshape(len(variants), samples, len(self.checks))
+        most = folds.max(axis=1, initial=0.0).tolist()
+        least = folds.min(axis=1).tolist()
         first = len(report.checks)
-        for v, variant in enumerate(variants):
-            # np.max and np.min keep a nan residual, where Python's max would drop it
-            rows = drawn[v * samples:(v + 1) * samples]
-            most = np.max([[0.0] * len(self.checks), *rows], axis=0).tolist()
-            least = np.min(rows, axis=0).tolist()
-            for (name, family, *settings), hi, lo in zip(self.checks, most, least):
+        for variant, highs, lows in zip(variants, most, least):
+            for (name, family, *settings), hi, lo in zip(self.checks, highs, lows):
                 settings = dict(*settings)
                 worst = lo if settings.get("comparison") == ">=" else hi
                 _check(report, cfg, name.format(variant[0]), worst, family, **settings)
@@ -197,18 +198,19 @@ class _Sampled:
             for chk in report.checks[first + v * count:first + (v + 1) * count]:
                 chk.elapsed = own
 
-    def _evaluate(self, instances) -> list:
-        """Per-instance residual rows, in sample order: one stacked call per
-        group of instances whose shaped members have the same shapes.  A
-        suite's instances share their layout, so the first one shows which
-        members have a shape; the shapes are read column by column, at about a
-        third of the cost of one key built per instance."""
+    def _evaluate(self, instances) -> np.ndarray:
+        """The (instances, checks) residuals, rows in sample order: one
+        stacked call per group of instances whose shaped members have the same
+        shapes, its columns scattered into the group's rows.  A suite's
+        instances share their layout, so the first one shows which members
+        have a shape; the shapes are read column by column, at about a third
+        of the cost of one key built per instance."""
         shapes = [[a.shape for a in column] for column in zip(*instances)
                   if hasattr(column[0], "shape")]
         groups: Dict[tuple, List[int]] = {}
         for i, key in enumerate(zip(*shapes)):
             groups.setdefault(key, []).append(i)
-        rows = [()] * len(instances)
+        rows = np.empty((len(instances), len(self.checks)))
         for idx in groups.values():
             group = [instances[i] for i in idx]
             try:
@@ -217,8 +219,7 @@ class _Sampled:
                 for instance in group:  # the first sample that raises alone raises here
                     self.stacked([instance])
                 raise
-            for i, row in zip(idx, zip(*(np.asarray(c).tolist() for c in residuals))):
-                rows[i] = row
+            rows[idx] = np.transpose(residuals)
         return rows
 
 
@@ -269,18 +270,19 @@ def _draw_one_soliton(cfg, rng, log, i, variant):
     return (float(np.max(np.abs(exact - reconstruct_field(data, xs, ts)))),)
 
 
+#: Lower and upper bounds of the determinant suite's 20 spectral samples, each
+#: (Re k, Im k), and of a permutation draw's 20 samples and then 5 points (x, t).
+_DETERMINANT_BOUNDS = np.array([[[-3.0, 0.0]] * 20, [[3.0, 2.5]] * 20])
+_PERMUTATION_BOUNDS = np.array([[[-2.0, 0.0]] * 20 + [[-3.0, -2.0]] * 5,
+                                [[2.0, 2.0]] * 20 + [[3.0, 2.0]] * 5])
+
+
 def _draw_determinant(cfg, rng, log, i, variant):
     data = random_soliton_data(rng, 2 + i % 3, 2 + i % 2, log=log)
     chain = build_reduced_chain(data)
-    poles = [kk.conjugate() for kk in data.ks]
-    ks = []
-    for _ in range(20):
-        k = complex(rng.uniform(-3, 3), rng.uniform(0, 2.5))
-        if any(abs(k - pole) < 1e-6 for pole in poles):
-            log.resamples += 1
-            continue
-        ks.append(k)
-    prod = _product(_blaschke(data.ks, np.array(ks)[:, None]))
+    # Im k >= 0 keeps every sample 0.1 or more from the poles k_j* (Im = -v_j/2)
+    ks = uniforms(rng, *_DETERMINANT_BOUNDS).view(np.complex128)[:, 0]
+    prod = _product(_blaschke(data.ks, ks[:, None]))
     return (_worst(abs(np.linalg.det(eval_chain(chain, ks)) - prod) / abs(prod)),)
 
 
@@ -292,9 +294,8 @@ def _permutation_variants(cfg: RunConfig):
 def _draw_permutation(cfg, rng, log, i, variant):
     N, n = variant[1]
     data = random_soliton_data(rng, N, n, log=log)
-    ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
-    xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
-    return data, np.array(ks), np.array(xts)
+    draws = uniforms(rng, *_PERMUTATION_BOUNDS)
+    return data, draws[:20].view(np.complex128)[:, 0], draws[20:]
 
 
 def _permutation_stack(instances):

@@ -215,7 +215,8 @@ def _zoom_max(data: SolitonData, ts, a, b, xtol: float) -> list:
     a, b = list(a), list(b)
     live = [i for i in range(len(a)) if b[i] - a[i] > xtol]
     while live:
-        scans = np.stack([np.linspace(a[i], b[i], ZOOM_POINTS) for i in live])
+        # every live step is nonzero, so each row has the bits of its own linspace
+        scans = np.linspace([a[i] for i in live], [b[i] for i in live], ZOOM_POINTS, axis=-1)
         rows = np.array([ts[i] for i in live], dtype=np.float64)[:, None]
         envs = _norms(reconstruct_field(data, scans, rows))
         still = []

@@ -461,6 +461,60 @@ class TestUnsortedData:
         assert not out.exists()
 
 
+class TestResidualArray:
+    """A suite's residuals are one (samples, checks) float64 array: each
+    group's columns are scattered into its rows, which stay in sample order,
+    and each variant's rows fold to its checks' worst."""
+
+    def test_interleaved_groups_keep_sample_order_and_one_sample_bits(self):
+        # yb-structure's n alternates per sample: two interleaved groups
+        suite = suites._SUITES["yb-structure"]
+        cfg = parse_run_config({"mode": "verify", "suite": {"name": "yb-structure", "seed": 3}})
+        rng, log = np.random.default_rng(3), SampleLog()
+        instances = [suite.draw(cfg, rng, log, i, ("", None)) for i in range(9)]
+        assert [draws.shape[-1] for _, draws, _ in instances] == [2, 3] * 4 + [2]
+        rows = suite._evaluate(instances)
+        assert rows.shape == (9, 2) and rows.dtype == np.float64
+        one_at_a_time = np.array([suite._evaluate([instance])[0] for instance in instances])
+        assert rows.tobytes() == one_at_a_time.tobytes()
+
+    @staticmethod
+    def _indexed(monkeypatch, nan_at):
+        """ybe as a suite whose sample i draws an n = 2 + i % 2 array holding
+        i, and reads 1e-3 i on a <= check and 1 + i on a >= check (nan_at:
+        nan on both), stacked by n."""
+        def stacked(group):
+            i = np.array([x[0] for x, in group])
+            return (np.where(i == nan_at, math.nan, 1e-3 * i),
+                    np.where(i == nan_at, math.nan, 1.0 + i))
+
+        checks = (("low", "algebraic", {"tolerance": 1.0}),
+                  ("high", "asymptotic", {"tolerance": 0.5, "comparison": ">="}))
+        suite = replace(suites._SUITES["ybe"], checks=checks, variants=lambda cfg: [("", None)],
+                        draw=lambda cfg, rng, log, i, v: (np.full(2 + i % 2, float(i)),),
+                        stacked=stacked)
+        monkeypatch.setitem(suites._SUITES, "ybe", suite)
+        return suite
+
+    def test_scattered_rows_come_back_in_sample_order(self, monkeypatch):
+        suite = self._indexed(monkeypatch, None)
+        rows = suite._evaluate([(np.full(2 + i % 2, float(i)),) for i in range(7)])
+        assert rows.tolist() == [[1e-3 * i, 1.0 + i] for i in range(7)]
+
+    @pytest.mark.parametrize("nan_at, passed", [(None, True), (0, False), (3, False),
+                                                (6, False)])
+    def test_nan_in_a_scattered_row_is_the_worst_of_both_comparisons(
+            self, tmp_path, monkeypatch, nan_at, passed):
+        self._indexed(monkeypatch, nan_at)
+        doc = {"suite": {"name": "ybe", "samples": 7, "seed": 1}}
+        out = tmp_path / "o"
+        code = main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == (0 if passed else 2)
+        checks = _strict_json(out / "report.json")["checks"]
+        expect = (1e-3 * 6, 1.0) if passed else ("nan", "nan")
+        assert [(c["residual"], c["passed"]) for c in checks] == [(r, passed) for r in expect]
+
+
 class TestNanResiduals:
     """A nan residual fails its check wherever it falls: Python's max(0.0, nan)
     is 0.0, so every fold of residuals must keep the nan."""
@@ -1052,7 +1106,8 @@ class TestStackedCollisionPipeline:
             pairs = [collision_pair_residuals(j, l, [m for m in range(data.N) if m not in (j, l)][:1],
                                               data) for j, l in suites.collision_orders(data.N)[0]]
             rel, xi = zip(*pairs)
-            assert row == (suites._worst(rel), suites._worst(xi), _oracle_pipeline_residual(data))
+            assert row.tolist() == [suites._worst(rel), suites._worst(xi),
+                                    _oracle_pipeline_residual(data)]
 
     def test_interleaved_groups_keep_their_one_sample_bits(self):
         # N and n in {2, 3}, interleaved: four stacks of six, results in order

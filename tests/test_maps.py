@@ -923,7 +923,7 @@ def _assert_soliton_draws_match_frozen(seed: int) -> int:
 
 
 class TestSolitonDraws:
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(12))
     def test_soliton_data_match_the_frozen_scalar_draws(self, seed):
         assert _assert_soliton_draws_match_frozen(seed) > 0  # velocity redraws among them
 
@@ -948,6 +948,57 @@ class TestSolitonDraws:
 def test_soliton_data_match_the_frozen_scalar_draws_on_every_seed():
     for seed in range(100):
         _assert_soliton_draws_match_frozen(seed)
+
+
+def _frozen_determinant_draw(rng, log, i):
+    """suites._draw_determinant as it drew its 20 samples, one rng.uniform
+    pair per k, and folded their residuals."""
+    data = random_soliton_data(rng, 2 + i % 3, 2 + i % 2, log=log)
+    chain = suites.build_reduced_chain(data)
+    ks = [complex(rng.uniform(-3, 3), rng.uniform(0, 2.5)) for _ in range(20)]
+    prod = suites._product(suites._blaschke(data.ks, np.array(ks)[:, None]))
+    return (suites._worst(abs(np.linalg.det(suites.eval_chain(chain, ks)) - prod) / abs(prod)),)
+
+
+def _frozen_permutation_draw(rng, log, N, n):
+    """suites._draw_permutation as it drew one scalar at a time: per k its
+    real and imaginary part, then per point its x and t."""
+    data = random_soliton_data(rng, N, n, log=log)
+    ks = [complex(rng.uniform(-2, 2), rng.uniform(0.0, 2.0)) for _ in range(20)]
+    xts = [(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(5)]
+    return data, np.array(ks), np.array(xts)
+
+
+class TestSuiteUniforms:
+    """The determinant and permutation suites draw their uniforms as
+    lo + (hi - lo) * r of one rng.random call: each must give the values of
+    its scalar rng.uniform pairs and leave the generator in their state.
+    Robin's alpha and a soliton's v, the scalar forms of `sampling`, are
+    pinned by `_frozen_boundary` and `_frozen_random_soliton_data`."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_determinant_draws_match_the_frozen_uniform_pairs(self, seed):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_log, ref_log = SampleLog(), SampleLog()
+        for i in range(6):
+            got = suites._draw_determinant(None, got_rng, got_log, i, ("", None))
+            ref = _frozen_determinant_draw(ref_rng, ref_log, i)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert got_log.resamples == ref_log.resamples
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_permutation_draws_match_the_frozen_uniform_pairs(self, seed):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_log, ref_log = SampleLog(), SampleLog()
+        for N, n in ((2, 2), (3, 2), (4, 3)):
+            data, ks, xts = suites._draw_permutation(None, got_rng, got_log, 0, ("", (N, n)))
+            ref_data, ref_ks, ref_xts = _frozen_permutation_draw(ref_rng, ref_log, N, n)
+            _assert_same_data(data, ref_data)
+            assert ks.dtype == ref_ks.dtype and ks.tobytes() == ref_ks.tobytes()
+            assert xts.shape == ref_xts.shape and xts.tobytes() == ref_xts.tobytes()
+        assert got_log.resamples == ref_log.resamples
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 MAP_SUITES = ("ybe", "reversibility", "yb-structure", "reflection-equation", "involution",
@@ -1819,8 +1870,10 @@ class TestStackedSuites:
             assert expect[0] is DegeneracyError and re.match(message, expect[1])
             assert _raised(runner._evaluate, [bad[i] for i in group]) == expect
             assert _raised(runner._evaluate, bad) == expect
-            rows = runner._evaluate([instances[i] for i in group if i not in spoiled])
-            assert rows == [runner._evaluate([instances[i]])[0] for i in group if i not in spoiled]
+            kept = [i for i in group if i not in spoiled]
+            rows = runner._evaluate([instances[i] for i in kept])
+            assert rows.tobytes() == np.array([runner._evaluate([instances[i]])[0]
+                                               for i in kept]).tobytes()
 
     @pytest.mark.parametrize("suite", MIRROR_SUITES)
     def test_given_sign_pattern_sets_the_drawn_n(self, suite, monkeypatch):
