@@ -17,7 +17,7 @@ import numpy as np
 
 from .dressing import _blaschke, _dressed_beta, _product
 from .errors import ValidationError
-from .soldata import NormingVector, SolitonData, _unit
+from .soldata import NormingVector, SolitonData, _indices, _unit
 
 
 def check_velocity_ordered(data) -> None:
@@ -27,15 +27,6 @@ def check_velocity_ordered(data) -> None:
         us = [pt.u for pt, _ in points]
         if any(b <= a for a, b in zip(us, us[1:])):
             raise ValidationError(f"u values must be strictly increasing, got {us}")
-
-
-def _spectator_tuple(j: int, spectators, N: int) -> tuple:
-    sp = tuple(int(i) for i in spectators)
-    if len(set(sp)) != len(sp) or not set(sp) <= set(range(N)):
-        raise ValidationError(f"spectators {sp} must be distinct indices in 0..{N-1}")
-    if j in sp:
-        raise ValidationError(f"index {j} cannot be its own spectator")
-    return sp
 
 
 def intermediate_gamma(j: int, spectators, data) -> np.ndarray:
@@ -48,29 +39,29 @@ def intermediate_gamma(j: int, spectators, data) -> np.ndarray:
     (j, spectators) is built once per stack (`SolitonStack.gammas`); calls
     share the read-only array.
     """
-    j = int(j)
     stack = data.stack
-    sp = _spectator_tuple(j, spectators, stack.N)
-    gamma = stack.gammas.get((j, sp))
+    key = _indices(stack.N, (j, *spectators))
+    gamma = stack.gammas.get(key)
     if gamma is None:
+        j, *sp = key
         w = _dressed_beta(stack, j, sp)
-        others = [p for p in range(stack.N) if p not in sp and p != j]
+        others = [p for p in range(stack.N) if p not in key]
         gamma = _product(_blaschke(stack.ks[:, others], stack.ks[:, j, None].conj()))[:, None] * w
         gamma.flags.writeable = False
-        stack.gammas[j, sp] = gamma
+        stack.gammas[key] = gamma
     return gamma if data is stack else gamma[0]
 
 
 def beta_in(j: int, data: SolitonData) -> NormingVector:
     """Norming vector of soliton j in the t -> -infty profile."""
     check_velocity_ordered(data)
-    return NormingVector(intermediate_gamma(j, range(j + 1, data.N), data))
+    return NormingVector(intermediate_gamma(j, [p for p in range(data.N) if p > j], data))
 
 
 def beta_out(j: int, data: SolitonData) -> NormingVector:
     """Norming vector of soliton j in the t -> +infty profile."""
     check_velocity_ordered(data)
-    return NormingVector(intermediate_gamma(j, range(0, j), data))
+    return NormingVector(intermediate_gamma(j, [p for p in range(data.N) if p < j], data))
 
 
 def _xi(j: int, l: int, p_l_rho: np.ndarray, p_j_lrho: np.ndarray, stack) -> np.ndarray:
@@ -98,11 +89,9 @@ def collision_pair_residuals(j: int, l: int, spectators, data) -> Tuple:
     root, as Xi grows when the velocities close.  Both come from one build
     of the pair's four intermediate gammas.
     """
-    j, l = int(j), int(l)
     stack = data.stack
-    sp = _spectator_tuple(j, spectators, stack.N)
-    if l in sp or l == j:
-        raise ValidationError("l must be distinct from j and the spectators")
+    j, l, *sp = _indices(stack.N, (j, l, *spectators))
+    sp = tuple(sp)
     if not all(points[j][0].u < points[l][0].u for points in stack.points):
         raise ValidationError("relations assume u_j < u_l")
 

@@ -36,6 +36,9 @@ from .soldata import (
 #: this in each part, so every squared difference stays at most max/4.
 _PARAMETER_LIMIT = math.sqrt(sys.float_info.max) / 4
 
+#: Largest accepted grid, nx * nt points: 215 times the largest shipped grid.
+_GRID_POINT_LIMIT = 2**22
+
 
 def load_json(path) -> dict:
     try:
@@ -159,10 +162,12 @@ def parse_boundary(obj, where: str = "boundary") -> BoundarySpec:
 
 
 def parse_grid(obj, where: str = "grid") -> dict:
-    """Bounds x0 < x1, t0 < t1 and node counts nx, nt >= 5 of a sampling lattice."""
+    """Bounds x0 < x1, t0 < t1 and node counts nx, nt >= 5, nx * nt capped, of a grid."""
     doc = _object(obj, where, ("x0", "x1", "t0", "t1", "nx", "nt"))
     out = {key: _number(doc[key], f"{where}.{key}") for key in ("x0", "x1", "t0", "t1")}
     out.update((key, _integer(doc[key], f"{where}.{key}", 5)) for key in ("nx", "nt"))
+    if out["nx"] * out["nt"] > _GRID_POINT_LIMIT:
+        raise ConfigError(f"{where}: nx * nt must be at most {_GRID_POINT_LIMIT} points")
     if not (out["x1"] > out["x0"] and out["t1"] > out["t0"]):
         raise ConfigError(f"{where}: bounds must satisfy x1 > x0 and t1 > t0")
     # a normal h^2 keeps 1/h^2 and 1/(2h), the difference stencils' scales, finite

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .errors import DegeneracyError, PoleError
+from .errors import DegeneracyError, PoleError, ValidationError
 from .soldata import (_SAFE_NORM, POLE_EVAL_TOL, NormingVector, SolitonData, SpectralPoint,
-                      _first, _norms, _scaled, _unit)
+                      _first, _indices, _norms, _scaled, _unit)
 
 #: An intermediate chain direction below this fraction of |beta| is degenerate.
 DEGENERATE_DIRECTION_TOL = 1e-13
@@ -60,15 +60,6 @@ def _product(f: np.ndarray) -> np.ndarray:
 def blaschke_factor(point: SpectralPoint, k: complex) -> complex:
     """Blaschke factor (k - k0)/(k - k0*); unit modulus for real k."""
     return _blaschke(point.k, complex(k))
-
-
-def _normalized_order(N: int, order) -> tuple:
-    if order is None:
-        return tuple(range(N))
-    idx = tuple(int(i) for i in order)
-    if len(set(idx)) != len(idx) or not set(idx) <= set(range(N)):
-        raise ValueError(f"order {idx} is not a sequence of distinct indices into the data")
-    return idx
 
 
 def _chain_apply(chain, ks, vecs: np.ndarray, dagger: bool = False) -> np.ndarray:
@@ -123,7 +114,7 @@ def build_reduced_chain(data, order=None) -> tuple:
     is never kept, so it raises DegeneracyError on every call.
     """
     stack = data.stack
-    idx = _normalized_order(stack.N, order)
+    idx = tuple(range(stack.N)) if order is None else _indices(stack.N, order)
     built = stack.chains
     done = len(idx)
     while idx[:done] not in built:
@@ -451,7 +442,7 @@ def one_soliton_field(point: SpectralPoint, beta, x, t):
     b = beta.beta if isinstance(beta, NormingVector) else np.asarray(beta, np.complex128)
     nrm = beta.norm if isinstance(beta, NormingVector) else float(_norms(b))
     if nrm == 0.0:
-        raise ValueError("beta must be nonzero")
+        raise ValidationError("beta must be nonzero")
     pol = _unit(b)
     u, v = point.u, point.v
     dx = math.log(nrm) / v
@@ -478,10 +469,10 @@ def permutation_residuals(data, reference, orders, sample_ks, sample_xts=()):
     """
     stack = data.stack
     rows = len(stack.points)
-    ref = _normalized_order(stack.N, reference)
-    idxs = [_normalized_order(stack.N, order) for order in orders]
+    ref = _indices(stack.N, reference)
+    idxs = [_indices(stack.N, order) for order in orders]
     if any(set(idx) != set(ref) for idx in idxs):
-        raise ValueError("orders must permute the same index set")
+        raise ValidationError(f"orders must permute the reference's soliton indices {ref}")
     ks = np.array(list(sample_ks), dtype=np.complex128).reshape(rows, -1)
     xts = np.array(list(sample_xts), dtype=np.float64).reshape(rows, -1, 2)
     # a lone k or point per sample goes as two: numpy rounds a length-1 array

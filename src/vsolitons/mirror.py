@@ -28,6 +28,7 @@ from .soldata import (
     NormingVector,
     SolitonData,
     SolitonStack,
+    _indices,
     _scaled,
     boundary_stack,
     projective_distance,
@@ -85,8 +86,9 @@ def a_matrix(j, data, chain) -> np.ndarray:
     (row j joins at factor j+1) and their R z_j one descending sweep (row j
     takes factors j-1 ... 0); no factor is evaluated at its own point.
     """
-    rows = j if isinstance(j, range) else range(int(j), int(j) + 1)
     stack = data.stack
+    idx = _indices(stack.N, j if isinstance(j, range) else (j,))
+    rows = j if isinstance(j, range) else range(idx[0], idx[0] + 1)
     kc = stack.ks[:, rows.start : rows.stop].T.conj()  # (R, S): each row's k_j*
     z = np.array([chain[r][1] for r in rows])
     left = _chain_apply(chain[rows.start + 1 :], kc, z, dagger=True)

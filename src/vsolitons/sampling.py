@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import SamplingError, ValidationError
 from .soldata import (
     BoundarySpec,
     Mixed,
@@ -171,7 +171,7 @@ def draw_boundary(rng: np.random.Generator, kind: str, n: int):
         return random_signs(rng, n)
     if kind == "rotated_mixed":
         return draw_unitary(rng, n), random_signs(rng, n)
-    raise ValueError(f"unknown boundary kind {kind!r}")
+    raise ValidationError(f"unknown boundary kind {kind!r}")
 
 
 def _rotated(b) -> bool:

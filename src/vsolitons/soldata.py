@@ -47,6 +47,18 @@ def _first(mask) -> int:
     return len(mask)
 
 
+def _indices(N: int, indices) -> tuple:
+    """indices as distinct Python ints in 0..N-1: the one rule for every order,
+    spectator set and target.  Numpy integers pass; anything else (a bool, a
+    float, an index out of range, a repeat) raises ValidationError."""
+    idx = tuple(indices)
+    if all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+        out = tuple(map(int, idx))
+        if len(set(out)) == len(out) and all(0 <= i < N for i in out):
+            return out
+    raise ValidationError(f"soliton indices {idx} must be distinct integers in 0..{N - 1}")
+
+
 def _frozen(arr) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
     out.flags.writeable = False
@@ -315,7 +327,7 @@ class SolitonData:
     shape = property(lambda self: (self.N, self.n))
 
     def subset(self, indices: Iterable[int]) -> "SolitonData":
-        return SolitonData(self.n, tuple(self.points[i] for i in indices))
+        return SolitonData(self.n, tuple(self.points[i] for i in _indices(self.N, indices)))
 
     @classmethod
     def from_arrays(cls, us, vs, betas) -> "SolitonData":

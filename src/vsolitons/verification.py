@@ -21,7 +21,7 @@ from .asymptotics import beta_in, beta_out
 from .dressing import reconstruct_field
 from .errors import ValidationError, WindowError
 from .mirror import HalfLineData, halfline_field
-from .soldata import Polarization, SolitonData, _norms
+from .soldata import Polarization, SolitonData, _indices, _norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +269,11 @@ def extract_asymptotic_polarization(data: SolitonData, js, ts) -> list:
     one-element call, and the first target whose scan fails raises that
     call's WindowError.
     """
-    targets = list(zip(js, ts, strict=True))
+    targets = [(_indices(data.N, (jj,))[0], tt) for jj, tt in zip(js, ts, strict=True)]
     ts = [float(tt) for _, tt in targets]
     scans = []
     for (jj, _), tt in zip(targets, ts):
-        xs = _coarse_scan(data, int(jj), tt)
+        xs = _coarse_scan(data, jj, tt)
         if xs.size < 5:
             break
         scans.append(xs)
@@ -283,7 +283,7 @@ def extract_asymptotic_polarization(data: SolitonData, js, ts) -> list:
         imax = int(np.argmax(env))
         if imax == 0 or imax == xs.size - 1:
             raise WindowError(
-                f"envelope peak of soliton {int(jj)} not interior to the scan window at t={tt}"
+                f"envelope peak of soliton {jj} not interior to the scan window at t={tt}"
             )
         a.append(xs[imax - 1])
         b.append(xs[imax + 1])

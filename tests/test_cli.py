@@ -272,6 +272,9 @@ class TestExitCodes:
         *[("mirror", {"data": _scaled_mirror_beta(s)}, "data") for s in (1e250, 1e-250, 1e-320)],
         ("simulate", _shipped("simulate", grid=dict(_shipped("simulate")["grid"], x1=10**400)),
          "grid.x1"),
+        # more grid points than the bound: refused before any spacing or array
+        *[("simulate", _shipped("simulate", grid=dict(_shipped("simulate")["grid"], nx=nx)), "grid")
+          for nx in (10**13, 10**400)],
         # the suite integers' largest values: refused before anything is drawn
         ("verify", {"suite": {"name": "yb-structure", "samples": 10_001, "seed": 1}},
          "suite.samples"),
@@ -315,6 +318,7 @@ class TestExitCodes:
             "halfline-with-given-boundary", "collide-beta-1e-160", "collide-beta-1e200",
             "mirror-beta-1e-160", "mirror-beta-1e200", "stored-mirror-beta-1e250",
             "stored-mirror-beta-1e-250", "stored-mirror-beta-1e-320", "int-beyond-float-range",
+            "grid-nx-10**13", "grid-nx-10**400",
             "samples-past-bound", "samples-10**400", "n-past-bound", "n-10**400",
             "N-past-bound", "N-30", "transfer-mode-other-suite", "collision-n", "yb-structure-n",
             "mirror-polarization-n-no-samples", "transfer-n", "ybe-N", "determinant-N-no-samples",

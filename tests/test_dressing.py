@@ -21,7 +21,7 @@ from vsolitons import (
 from vsolitons import DomainError, halfline_field, sample_grid
 from vsolitons import dressing, suites
 from vsolitons.dressing import _chain_product, _full_directions
-from vsolitons.errors import DegeneracyError
+from vsolitons.errors import DegeneracyError, ValidationError
 from vsolitons.sampling import SampleLog, boundary_spec, draw_boundary, random_soliton_data
 from vsolitons.soldata import SolitonStack
 
@@ -318,7 +318,7 @@ class TestPermutationResidual:
 
     def test_requires_same_index_set(self):
         data = random_data(np.random.default_rng(9), 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             permutation_residual(data, (0, 1), (1, 2), [0.5j])
 
     @pytest.mark.parametrize("N,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
@@ -639,7 +639,7 @@ class TestBatchedPermutationResidual:
 
     def test_residuals_require_same_index_set(self):
         data = random_data(np.random.default_rng(47), 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             permutation_residuals(data, (0, 1, 2), [(2, 1, 0), (0, 1)], [0.5j])
 
     def test_identical_orders_exactly_zero_with_points(self):

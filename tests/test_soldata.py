@@ -16,7 +16,15 @@ from vsolitons import (
     SolitonData,
     SpectralPoint,
     ValidationError,
+    a_matrix,
+    beta_in,
+    beta_out,
+    build_reduced_chain,
     canonical_phase,
+    collision_pair_residuals,
+    extract_asymptotic_polarization,
+    intermediate_gamma,
+    permutation_residuals,
     projective_distance,
 )
 
@@ -328,6 +336,62 @@ class TestSolitonData:
         sub = data.subset([1])
         assert sub.N == 1
         assert sub.points[0][0].u == pytest.approx(0.6)
+
+
+#: N = 3, velocities ordered, so every entry point below accepts (0, 2, 1)
+_INDEXED = SolitonData.from_arrays(
+    [-0.8, 0.1, 0.9], [1.0, 1.3, 0.8], [[1.0, 0.5j], [0.3, 1.0], [1.0 - 1.0j, 0.4]])
+
+#: Each entry point that takes soliton indices, called on a dataset with an
+#: index set idx (its first index where it takes one), as an array.
+_INDEX_CALLS = {
+    "build_reduced_chain": lambda d, idx: np.array([z for _, z, _ in build_reduced_chain(d, idx)]),
+    "permutation_residuals-reference": lambda d, idx: np.array(
+        permutation_residuals(d, idx, [idx[::-1]], [0.3 + 0.5j], [(0.2, 0.1)])),
+    "permutation_residuals-order": lambda d, idx: np.array(
+        permutation_residuals(d, (1, 2, 0), [idx], [0.3 + 0.5j])),
+    "intermediate_gamma": lambda d, idx: intermediate_gamma(idx[0], idx[1:], d),
+    "beta_in": lambda d, idx: beta_in(idx[0], d).beta,
+    "beta_out": lambda d, idx: beta_out(idx[0], d).beta,
+    "collision_pair_residuals": lambda d, idx: np.array(
+        collision_pair_residuals(idx[0], idx[1], idx[2:], d)),
+    "a_matrix": lambda d, idx: a_matrix(idx[0], d, build_reduced_chain(d)),
+    "extract_asymptotic_polarization": lambda d, idx: np.array(
+        [(*pol.p, peak) for pol, peak in extract_asymptotic_polarization(d, idx[:1], [-14.0])]),
+    "subset": lambda d, idx: d.subset(idx).ks,
+}
+
+#: Each kind of bad index set: the set, and the part of it the error names
+_BAD_INDICES = {"negative": ((-1, 2, 1), "-1"), "N": ((3, 2, 1), "3"),
+                "repeat": ((0, 2, 0), "(0, 2, 0)"), "float": ((1.0, 2, 1), "1.0"),
+                "bool": ((True, 2, 1), "True")}
+
+#: The entry points that take one index: a repeat needs a set
+_ONE_INDEX = {"beta_in", "beta_out", "a_matrix", "extract_asymptotic_polarization"}
+
+
+class TestIndexRule:
+    """One rule for every order, spectator set and target: distinct integer
+    soliton indices in 0..N-1, numpy integers included."""
+
+    @pytest.mark.parametrize("entry,kind", [
+        (entry, kind) for entry in _INDEX_CALLS for kind in _BAD_INDICES
+        if not (kind == "repeat" and entry in _ONE_INDEX)])
+    def test_bad_indices_are_refused(self, entry, kind):
+        idx, named = _BAD_INDICES[kind]
+        with pytest.raises(ValidationError, match=rf"^soliton indices .*{re.escape(named)}"):
+            _INDEX_CALLS[entry](_INDEXED, idx)
+
+    @pytest.mark.parametrize("entry", _INDEX_CALLS)
+    def test_numpy_integers_pass_with_the_same_bits(self, entry):
+        fresh = SolitonData(_INDEXED.n, _INDEXED.points)  # no chain or gamma shared
+        got = _INDEX_CALLS[entry](_INDEXED, tuple(np.array([0, 2, 1])))
+        assert got.tobytes() == _INDEX_CALLS[entry](fresh, (0, 2, 1)).tobytes()
+
+    @pytest.mark.parametrize("rows", [range(-1, 1), range(2, 4)])
+    def test_a_matrix_range_is_checked(self, rows):
+        with pytest.raises(ValidationError, match=re.escape(str(tuple(rows)))):
+            a_matrix(rows, _INDEXED, build_reduced_chain(_INDEXED))
 
 
 class TestBoundarySpec:

@@ -93,3 +93,35 @@ def test_numeric_helpers_are_named_by_their_last_word():
         "b.py": "def _dot(a, b):\n    pass\n\ndef solve_mirror_norming(d):\n    pass\n",
     }
     assert numeric_helpers(sources) == ["a._unit", "a.projective_distances", "b._dot"]
+
+
+def foreign_raises(sources: dict, allowed: set) -> list:
+    """'file:line' of each raise in sources (file name -> text) whose
+    exception is not a call or name of a class in allowed; a bare re-raise
+    passes."""
+    out = []
+    for name, text in sources.items():
+        raises = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)]
+        for node in sorted(raises, key=lambda node: node.lineno):
+            if node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)) not in allowed:
+                out.append(f"{name}:{node.lineno}")
+    return out
+
+
+def test_every_raise_is_a_package_error():
+    # errors.py: every error this package raises is a VsolitonsError
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    allowed = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert foreign_raises(sources, allowed) == []
+
+
+def test_a_builtin_or_a_raised_variable_is_foreign():
+    sources = {"a.py": ("def f(x):\n    try:\n        g()\n    except KeyError:\n        raise\n"
+                        "    if x:\n        raise errors.PoleError('x')\n"
+                        "    if x > 1:\n        raise ValueError('x')\n"
+                        "    raise exc from None\n")}
+    assert foreign_raises(sources, {"PoleError"}) == ["a.py:9", "a.py:10"]
